@@ -1,6 +1,7 @@
 """Command-line front end: fractal functions, surfaces, filter banks, tilings.
 
-Exit codes: 0 success, 1 numerical or verification failure, 2 usage error.
+Exit codes: 0 success, 1 numerical or verification failure, 2 usage error
+(including a malformed or out-of-range parameter value).
 Relative output paths are resolved against $WAVELETSETS_OUTDIR when set.
 """
 
@@ -23,6 +24,30 @@ def _frac(text) -> Fraction:
         return Fraction(str(text))
     except ValueError:
         return Fraction(float(text))
+
+
+def _positive_int(text) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _kappa(text) -> int:
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
+def _fraction_arg(text) -> Fraction:
+    try:
+        return _frac(text)
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}") from None
 
 
 def _outpath(path: str) -> str:
@@ -196,17 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--name", required=True)
     p_ex.add_argument("--mode", default="translation",
                       choices=["translation", "reflection"])
-    p_ex.add_argument("--depth", type=int, default=10)
+    p_ex.add_argument("--depth", type=_positive_int, default=10)
     p_ex.add_argument("--csv")
     p_ex.add_argument("--svg")
     leaves.append(p_ex)
     p_ex.set_defaults(func=cmd_fif_example)
     p_basis = fif_sub.add_parser("basis", help="cardinal basis family")
-    p_basis.add_argument("--n", type=int, default=3)
+    p_basis.add_argument("--n", type=_positive_int, default=3)
     p_basis.add_argument("--mode", default="translation",
                          choices=["translation", "reflection"])
-    p_basis.add_argument("--scaling", default="1/2")
-    p_basis.add_argument("--depth", type=int, default=8)
+    p_basis.add_argument("--scaling", type=_fraction_arg, default="1/2")
+    p_basis.add_argument("--depth", type=_positive_int, default=8)
     p_basis.add_argument("--csv")
     p_basis.add_argument("--svg")
     leaves.append(p_basis)
@@ -216,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     surf_sub = p_surface.add_subparsers(dest="subcommand", required=True)
     p_fix = surf_sub.add_parser("fixture", help="evaluate a named surface")
     p_fix.add_argument("--name", required=True)
-    p_fix.add_argument("--depth", type=int, default=6)
+    p_fix.add_argument("--depth", type=_positive_int, default=6)
     p_fix.add_argument("--csv")
     p_fix.add_argument("--svg")
     leaves.append(p_fix)
@@ -226,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     mra_sub = p_mra.add_subparsers(dest="subcommand", required=True)
     p_build = mra_sub.add_parser("build", help="build the filter bank")
     p_build.add_argument("--figure", default="square")
-    p_build.add_argument("--kappa", type=int, default=2)
+    p_build.add_argument("--kappa", type=_kappa, default=2)
     p_build.add_argument("--degree", type=int, default=1)
-    p_build.add_argument("--scaling", default="1/2")
+    p_build.add_argument("--scaling", type=_fraction_arg, default="1/2")
     p_build.add_argument("--out")
     leaves.append(p_build)
     p_build.set_defaults(func=cmd_mra_build)
@@ -237,15 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     tiles_sub = p_tiles.add_subparsers(dest="subcommand", required=True)
     for name, func in (("w1", cmd_tiles_w1), ("w2", cmd_tiles_w2)):
         p = tiles_sub.add_parser(name, help=f"planar fixture {name}")
-        p.add_argument("--depth", type=int, default=8)
+        p.add_argument("--depth", type=_positive_int, default=8)
         p.add_argument("--verify", nargs="?", const="all", default=None,
                        choices=["all"])
         p.add_argument("--svg")
         leaves.append(p)
         p.set_defaults(func=func)
     p_con = tiles_sub.add_parser("construct", help="run the 1-D constructor")
-    p_con.add_argument("--epsilon", default="1/1000000")
-    p_con.add_argument("--max-iterations", type=int, default=50)
+    p_con.add_argument("--epsilon", type=_fraction_arg, default="1/1000000")
+    p_con.add_argument("--max-iterations", type=_positive_int, default=50)
     p_con.add_argument("--out")
     leaves.append(p_con)
     p_con.set_defaults(func=cmd_tiles_construct)

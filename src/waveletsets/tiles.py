@@ -5,6 +5,14 @@ the plane), so measures in pi^n units are plain Fractions and congruence
 residuals compare exactly.  Group elements are exact affine maps whose linear
 parts are monomial matrices (signed scaled permutations), which carry boxes
 to boxes.
+
+A box set is a canonical integer grid (`DyadicBoxSet`): a denominator, sorted
+integer breakpoints per axis and a boolean mask over the cells between them.
+Set operations merge breakpoints and combine masks, measures are exact
+integer sums, and equality almost everywhere is a comparison of grids.
+`DyadicBoxSet.boxes` is a view derived from the grid for output and for
+per-box iteration; which boxes it lists in 2-D and above is not part of the
+contract (in 1-D it lists the maximal intervals).
 """
 
 from __future__ import annotations
@@ -12,10 +20,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .reflections import FoldableFigure
 
@@ -26,101 +37,149 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _box_measure(box: Box) -> Fraction:
-    m = Fraction(1)
-    for lo, hi in box:
-        m *= hi - lo
-    return m
+def _reduced(den: int, cuts: tuple):
+    """Divide gcd(den, every breakpoint) out of a grid."""
+    g = math.gcd(den, *(x for axis_cuts in cuts for x in axis_cuts))
+    if g == 1:
+        return den, cuts
+    return den // g, tuple(tuple(x // g for x in axis_cuts) for axis_cuts in cuts)
 
 
-def _box_intersect(a: Box, b: Box) -> Optional[Box]:
+def _canonical(den: int, cuts: tuple, mask: np.ndarray):
+    """Trim empty boundary slabs, drop every breakpoint between two equal
+    slabs, and reduce the denominator: the unique grid of the set."""
+    dim = mask.ndim
+    if not mask.any():
+        return 1, ((),) * dim, np.zeros((0,) * dim, dtype=bool)
     out = []
-    for (alo, ahi), (blo, bhi) in zip(a, b):
-        lo, hi = max(alo, blo), min(ahi, bhi)
-        if lo >= hi:
-            return None
-        out.append((lo, hi))
-    return tuple(out)
+    for axis, axis_cuts in enumerate(cuts):
+        others = tuple(a for a in range(dim) if a != axis)
+        occupied = np.flatnonzero(mask.any(axis=others) if others else mask)
+        first, last = int(occupied[0]), int(occupied[-1]) + 1
+        lo = [slice(None)] * dim
+        hi = [slice(None)] * dim
+        lo[axis], hi[axis] = slice(first, last - 1), slice(first + 1, last)
+        changed = mask[tuple(hi)] != mask[tuple(lo)]
+        if others:
+            changed = changed.any(axis=others)
+        kept = [first]
+        kept.extend((np.flatnonzero(changed) + (first + 1)).tolist())
+        if len(kept) < len(axis_cuts) - 1:
+            mask = mask.take(kept, axis=axis)
+            axis_cuts = tuple(axis_cuts[k] for k in kept) + (axis_cuts[last],)
+        out.append(axis_cuts)
+    den, cuts = _reduced(den, tuple(out))
+    return den, cuts, mask
 
 
-def _box_subtract(a: Box, b: Box) -> list:
-    """a minus b as disjoint boxes (standard per-axis splitting)."""
-    core = _box_intersect(a, b)
-    if core is None:
-        return [a]
-    pieces = []
-    current = list(a)
-    for axis, ((alo, ahi), (clo, chi)) in enumerate(zip(a, core)):
-        if alo < clo:
-            piece = list(current)
-            piece[axis] = (alo, clo)
-            pieces.append(tuple(piece))
-        if chi < ahi:
-            piece = list(current)
-            piece[axis] = (chi, ahi)
-            pieces.append(tuple(piece))
-        current[axis] = (clo, chi)
-    return pieces
+def _rescaled(boxset, den: int) -> tuple:
+    """The breakpoints of a set over the denominator den, a multiple of its own."""
+    factor = den // boxset.den
+    if factor == 1:
+        return boxset.cuts
+    return tuple(tuple(x * factor for x in c) for c in boxset.cuts)
+
+
+def _resample(cuts: tuple, mask: np.ndarray, grid: list) -> np.ndarray:
+    """The mask on the cells of `grid`, a refinement of `cuts` that may reach
+    past them or stop short of them; cells outside `cuts` are empty."""
+    inner = []
+    full = True
+    for axis, (axis_cuts, axis_grid) in enumerate(zip(cuts, grid)):
+        if axis_cuts == axis_grid:
+            inner.append(slice(None))
+            continue
+        a = bisect_left(axis_grid, axis_cuts[0])
+        b = min(bisect_left(axis_grid, axis_cuts[-1]), len(axis_grid) - 1)
+        index = [bisect_right(axis_cuts, x) - 1 for x in axis_grid[a:b]]
+        mask = mask.take(np.array(index, dtype=np.intp), axis=axis)
+        inner.append(slice(a, b))
+        full = full and a == 0 and b == len(axis_grid) - 1
+    if full:
+        return mask
+    out = np.zeros(tuple(len(g) - 1 for g in grid), dtype=bool)
+    out[tuple(inner)] = mask
+    return out
+
+
+def _hull(alo, ahi, blo, bhi):
+    return min(alo, blo), max(ahi, bhi)
+
+
+def _overlap(alo, ahi, blo, bhi):
+    return max(alo, blo), min(ahi, bhi)
+
+
+def _own(alo, ahi, blo, bhi):
+    return alo, ahi
+
+
+def _index_boxes(mask: np.ndarray) -> list:
+    """Cover the true cells by index boxes ((i0, i1), ...): maximal runs along
+    the last axis, merged along each earlier axis over consecutive slabs that
+    hold the same run."""
+    if mask.ndim == 1:
+        padded = np.concatenate(([False], mask, [False]))
+        edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+        return [((a, b),) for a, b in zip(edges[::2], edges[1::2])]
+    boxes = []
+    open_runs: dict = {}
+    for i, slab in enumerate(mask):
+        here = _index_boxes(slab)
+        present = set(here)
+        for rest in [r for r in open_runs if r not in present]:
+            boxes.append(((open_runs.pop(rest), i),) + rest)
+        for rest in here:
+            open_runs.setdefault(rest, i)
+    boxes.extend(((start, len(mask)),) + rest for rest, start in open_runs.items())
+    return boxes
 
 
 class DyadicBoxSet:
-    """Finite disjoint union of half-open boxes with exact rational corners."""
+    """Finite union of half-open boxes with exact rational corners.
 
-    def __init__(self, dim: int, boxes: Iterable = (), normalized: bool = False):
-        self.dim = dim
-        clean: list = []
+    The set is held as a canonical grid: one positive integer denominator
+    `den`, per axis a sorted tuple `cuts` of integer breakpoints (coordinates
+    times `den`), and a boolean `mask` over the cells between breakpoints.
+    Canonical means no empty boundary slab, no breakpoint whose two
+    neighbouring slabs are equal, and gcd(den, every breakpoint) = 1, so two
+    sets are equal almost everywhere exactly when their grids are equal.
+    Instances are immutable.
+    """
+
+    __slots__ = ("dim", "den", "cuts", "mask", "_boxes", "_measure")
+
+    def __init__(self, dim: int, boxes: Iterable = ()):
+        clean = []
         for box in boxes:
             box = tuple((_frac(lo), _frac(hi)) for lo, hi in box)
             if len(box) != dim:
                 raise ValueError("box dimension mismatch")
-            if any(lo >= hi for lo, hi in box):
-                continue
-            if normalized:
+            if all(lo < hi for lo, hi in box):
                 clean.append(box)
-            else:
-                pending = [box]
-                for existing in clean:
-                    pending = [p for q in pending for p in _box_subtract(q, existing)]
-                    if not pending:
-                        break
-                clean.extend(pending)
-        self.boxes = tuple(self._coalesce(clean))
+        den = math.lcm(*(x.denominator for box in clean for iv in box for x in iv))
+        ints = [tuple((lo.numerator * (den // lo.denominator),
+                       hi.numerator * (den // hi.denominator)) for lo, hi in box)
+                for box in clean]
+        cuts = tuple(tuple(sorted({x for box in ints for x in box[axis]}))
+                     for axis in range(dim))
+        mask = np.zeros(tuple(max(len(c) - 1, 0) for c in cuts), dtype=bool)
+        position = [{x: i for i, x in enumerate(c)} for c in cuts]
+        for box in ints:
+            mask[tuple(slice(pos[lo], pos[hi]) for pos, (lo, hi) in zip(position, box))] = True
+        self._fill(dim, *_canonical(den, cuts, mask))
 
-    @staticmethod
-    def _coalesce(boxes: list) -> list:
-        """Merge pairs of boxes that share a full face."""
-        boxes = list(boxes)
-        merged = True
-        while merged:
-            merged = False
-            out: list = []
-            for box in sorted(boxes):
-                hit = None
-                for k, other in enumerate(out):
-                    diff_axis = None
-                    ok = True
-                    for axis, (i1, i2) in enumerate(zip(other, box)):
-                        if i1 == i2:
-                            continue
-                        if diff_axis is not None:
-                            ok = False
-                            break
-                        diff_axis = axis
-                    if ok and diff_axis is not None:
-                        (alo, ahi), (blo, bhi) = other[diff_axis], box[diff_axis]
-                        if ahi == blo or bhi == alo:
-                            hit = (k, diff_axis, (min(alo, blo), max(ahi, bhi)))
-                            break
-                if hit is None:
-                    out.append(box)
-                else:
-                    k, axis, interval = hit
-                    new = list(out[k])
-                    new[axis] = interval
-                    out[k] = tuple(new)
-                    merged = True
-            boxes = out
-        return sorted(boxes)
+    def _fill(self, dim, den, cuts, mask) -> None:
+        mask.flags.writeable = False
+        self.dim, self.den, self.cuts, self.mask = dim, den, cuts, mask
+        self._boxes = self._measure = None
+
+    @classmethod
+    def _grid(cls, dim, den, cuts, mask) -> "DyadicBoxSet":
+        """A set from a grid that is already canonical."""
+        new = cls.__new__(cls)
+        new._fill(dim, den, cuts, mask)
+        return new
 
     # -- basics ---------------------------------------------------------------
 
@@ -133,45 +192,85 @@ class DyadicBoxSet:
         return DyadicBoxSet(len(intervals), (tuple(intervals),))
 
     @property
+    def boxes(self) -> tuple:
+        """Sorted boxes covering the set, derived from the grid.
+
+        In 1-D these are the maximal intervals.  In higher dimensions the
+        decomposition is deterministic but not part of the contract.
+        """
+        if self._boxes is None:
+            coords = [[Fraction(x, self.den) for x in c] for c in self.cuts]
+            self._boxes = tuple(sorted(
+                tuple((coords[axis][i], coords[axis][j]) for axis, (i, j) in enumerate(box))
+                for box in _index_boxes(self.mask)))
+        return self._boxes
+
+    @property
     def measure(self) -> Fraction:
-        return sum((_box_measure(b) for b in self.boxes), Fraction(0))
+        if self._measure is None:
+            if self.is_empty:
+                self._measure = Fraction(0)
+            else:
+                # int64 is exact while the bounding box volume in grid units,
+                # a bound on every partial sum, stays below 2**63
+                volume = math.prod(c[-1] - c[0] for c in self.cuts)
+                dtype = np.int64 if volume < 2 ** 63 else object
+                total = self.mask.astype(dtype)
+                for c in reversed(self.cuts):
+                    total = total @ np.array([b - a for a, b in zip(c, c[1:])], dtype=dtype)
+                self._measure = Fraction(int(total), self.den ** self.dim)
+        return self._measure
 
     @property
     def is_empty(self) -> bool:
-        return not self.boxes
+        return self.mask.size == 0
 
     def bounding_box(self) -> Optional[Box]:
-        if not self.boxes:
+        if self.is_empty:
             return None
-        los = [min(b[a][0] for b in self.boxes) for a in range(self.dim)]
-        his = [max(b[a][1] for b in self.boxes) for a in range(self.dim)]
-        return tuple(zip(los, his))
+        return tuple((Fraction(c[0], self.den), Fraction(c[-1], self.den)) for c in self.cuts)
 
     def __repr__(self):
         return f"DyadicBoxSet(dim={self.dim}, boxes={len(self.boxes)}, measure={self.measure})"
 
     # -- set algebra ------------------------------------------------------------
 
+    def _combine(self, other: "DyadicBoxSet", op, clip) -> "DyadicBoxSet":
+        """op of both masks resampled on the merged breakpoints, within the
+        range per axis that clip(own lo, own hi, other lo, other hi) gives;
+        None when that range is empty on some axis."""
+        den = math.lcm(self.den, other.den)
+        cuts_a, cuts_b = _rescaled(self, den), _rescaled(other, den)
+        grid = []
+        for ca, cb in zip(cuts_a, cuts_b):
+            lo, hi = clip(ca[0], ca[-1], cb[0], cb[-1])
+            if lo >= hi:
+                return None
+            grid.append(tuple(x for x in sorted({*ca, *cb}) if lo <= x <= hi))
+        a = _resample(cuts_a, self.mask, grid)
+        b = _resample(cuts_b, other.mask, grid)
+        return DyadicBoxSet._grid(self.dim, *_canonical(den, tuple(grid), op(a, b)))
+
     def union(self, other: "DyadicBoxSet") -> "DyadicBoxSet":
         self._check(other)
-        return DyadicBoxSet(self.dim, self.boxes + other.boxes)
+        if other.is_empty:
+            return self
+        if self.is_empty:
+            return other
+        return self._combine(other, np.logical_or, _hull)
 
     def intersect(self, other: "DyadicBoxSet") -> "DyadicBoxSet":
         self._check(other)
-        out = []
-        for a in self.boxes:
-            for b in other.boxes:
-                c = _box_intersect(a, b)
-                if c is not None:
-                    out.append(c)
-        return DyadicBoxSet(self.dim, out, normalized=True)
+        if self.is_empty or other.is_empty:
+            return DyadicBoxSet.empty(self.dim)
+        out = self._combine(other, np.logical_and, _overlap)
+        return DyadicBoxSet.empty(self.dim) if out is None else out
 
     def subtract(self, other: "DyadicBoxSet") -> "DyadicBoxSet":
         self._check(other)
-        remaining = list(self.boxes)
-        for b in other.boxes:
-            remaining = [p for a in remaining for p in _box_subtract(a, b)]
-        return DyadicBoxSet(self.dim, remaining, normalized=True)
+        if self.is_empty or other.is_empty:
+            return self
+        return self._combine(other, lambda a, b: a & ~b, _own)
 
     def _check(self, other):
         if self.dim != other.dim:
@@ -181,18 +280,37 @@ class DyadicBoxSet:
         return self.subtract(other).measure + other.subtract(self).measure
 
     def equals_ae(self, other: "DyadicBoxSet") -> bool:
-        return self.symmetric_difference_measure(other) == 0
+        self._check(other)
+        return (self.den == other.den and self.cuts == other.cuts
+                and np.array_equal(self.mask, other.mask))
 
     def contains_ae(self, other: "DyadicBoxSet") -> bool:
-        return other.subtract(self).measure == 0
+        return other.subtract(self).is_empty
 
     # -- exact transforms ----------------------------------------------------------
 
+    def _monomial(self, source_axis, coeffs, offsets) -> "DyadicBoxSet":
+        """Image under x_i -> coeffs[i] * x_{source_axis[i]} + offsets[i]."""
+        if self.is_empty:
+            return self
+        den = math.lcm(*(self.den * c.denominator for c in coeffs),
+                       *(t.denominator for t in offsets))
+        mask = self.mask.transpose(tuple(source_axis))
+        cuts = []
+        flips = []
+        for j, c, t in zip(source_axis, coeffs, offsets):
+            k = c.numerator * (den // (self.den * c.denominator))
+            b = t.numerator * (den // t.denominator)
+            axis_cuts = [k * x + b for x in self.cuts[j]]
+            if k < 0:
+                axis_cuts.reverse()
+            cuts.append(tuple(axis_cuts))
+            flips.append(slice(None, None, -1) if k < 0 else slice(None))
+        return DyadicBoxSet._grid(self.dim, *_reduced(den, tuple(cuts)), mask[tuple(flips)])
+
     def translate(self, vec) -> "DyadicBoxSet":
-        vec = [_frac(v) for v in vec]
-        boxes = [tuple((lo + v, hi + v) for (lo, hi), v in zip(box, vec))
-                 for box in self.boxes]
-        return DyadicBoxSet(self.dim, boxes, normalized=True)
+        return self._monomial(range(self.dim), [Fraction(1)] * self.dim,
+                              [_frac(v) for v in vec])
 
     def scale(self, factor, center=None) -> "DyadicBoxSet":
         """x -> factor*(x - center) + center, exact rational factor."""
@@ -200,14 +318,8 @@ class DyadicBoxSet:
         if factor == 0:
             raise ValueError("zero scale")
         center = [Fraction(0)] * self.dim if center is None else [_frac(c) for c in center]
-        boxes = []
-        for box in self.boxes:
-            new = []
-            for (lo, hi), c in zip(box, center):
-                a, b = factor * (lo - c) + c, factor * (hi - c) + c
-                new.append((min(a, b), max(a, b)))
-            boxes.append(tuple(new))
-        return DyadicBoxSet(self.dim, boxes, normalized=True)
+        return self._monomial(range(self.dim), [factor] * self.dim,
+                              [c - factor * c for c in center])
 
     def transform(self, linear, translation=None) -> "DyadicBoxSet":
         """Image under x -> L x + t for a monomial (box-preserving) matrix L."""
@@ -222,28 +334,14 @@ class DyadicBoxSet:
             source_axis.append(nz[0])
         if sorted(source_axis) != list(range(n)):
             raise ValueError("exact transforms need monomial matrices")
-        boxes = []
-        for box in self.boxes:
-            new = []
-            for i in range(n):
-                j = source_axis[i]
-                c = rows[i][j]
-                a = c * box[j][0] + translation[i]
-                b = c * box[j][1] + translation[i]
-                new.append((min(a, b), max(a, b)))
-            boxes.append(tuple(new))
-        return DyadicBoxSet(self.dim, boxes, normalized=True)
+        return self._monomial(source_axis, [row[j] for row, j in zip(rows, source_axis)],
+                              translation)
 
     def reflect_axis(self, axis: int, level=Fraction(0)) -> "DyadicBoxSet":
         """Mirror x_axis -> 2*level - x_axis."""
-        level = _frac(level)
-        boxes = []
-        for box in self.boxes:
-            new = list(box)
-            lo, hi = box[axis]
-            new[axis] = (2 * level - hi, 2 * level - lo)
-            boxes.append(tuple(new))
-        return DyadicBoxSet(self.dim, boxes, normalized=True)
+        coeffs = [Fraction(-1) if i == axis else Fraction(1) for i in range(self.dim)]
+        offsets = [2 * _frac(level) if i == axis else Fraction(0) for i in range(self.dim)]
+        return self._monomial(range(self.dim), coeffs, offsets)
 
     # -- serialization ---------------------------------------------------------------
 
@@ -569,7 +667,7 @@ def weyl_congruent(source: DyadicBoxSet, figure) -> CongruenceCertificate:
     intervals = [(_frac(lo), _frac(hi)) for lo, hi in intervals]
     if len(intervals) != source.dim:
         raise ValueError("figure dimension mismatch")
-    target = DyadicBoxSet(source.dim, (tuple(intervals),), normalized=True)
+    target = DyadicBoxSet(source.dim, (tuple(intervals),))
     candidates = []
     for box in source.boxes:
         axis_options = [
@@ -577,8 +675,7 @@ def weyl_congruent(source: DyadicBoxSet, figure) -> CongruenceCertificate:
             for (lo, hi), (L, H) in zip(box, intervals)
         ]
         for combo in product(*axis_options):
-            piece = DyadicBoxSet(source.dim, (tuple((c[0], c[1]) for c in combo),),
-                                 normalized=True)
+            piece = DyadicBoxSet(source.dim, (tuple((c[0], c[1]) for c in combo),))
             g = PieceMap.axis_affine([c[2] for c in combo], [c[3] for c in combo],
                                      label="fold")
             candidates.append((piece, g))
@@ -670,7 +767,7 @@ def is_fundamental_domain(candidate: DyadicBoxSet, group: GroupSpec,
 def shannon_set() -> DyadicBoxSet:
     """[-2pi, -pi) U [pi, 2pi) in pi units."""
     return DyadicBoxSet(1, (((Fraction(-2), Fraction(-1)),),
-                            ((Fraction(1), Fraction(2)),)), normalized=True)
+                            ((Fraction(1), Fraction(2)),)))
 
 
 def base_cube(dim: int, half: bool = True) -> DyadicBoxSet:
@@ -753,8 +850,8 @@ def build_w1(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     g0_box, gap_boxes = _gap_boxes_w1(depth + tail_terms)
-    g0 = DyadicBoxSet(2, (g0_box,), normalized=True)
-    e1 = DyadicBoxSet(2, gap_boxes[:depth], normalized=True)
+    g0 = DyadicBoxSet(2, (g0_box,))
+    e1 = DyadicBoxSet(2, gap_boxes[:depth])
     tail = Fraction(1, 60) * Fraction(1, 16) ** depth
     # stand-in for the omitted gaps: the next tail_terms squares plus a
     # rectangle of the residual measure anchored at the corner (2/3, 2/3)
@@ -764,7 +861,7 @@ def build_w1(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
     w = Fraction(2, 3) * Fraction(1, 4) ** (m + 1)
     h = deep_tail / w
     rect = ((corner - w, corner), (corner - h, corner))
-    standin = DyadicBoxSet(2, gap_boxes[depth:] + [rect], normalized=True)
+    standin = DyadicBoxSet(2, gap_boxes[depth:] + [rect])
     assert standin.measure == tail
     two_g0 = g0.scale(2)
     c1 = g0.union(e1).translate((2, 2))
@@ -798,8 +895,8 @@ def build_w2(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     g0_box, gap_boxes = _gap_boxes_w2(depth + tail_terms)
-    g0 = DyadicBoxSet(2, (g0_box,), normalized=True)
-    e = DyadicBoxSet(2, gap_boxes[:depth], normalized=True)
+    g0 = DyadicBoxSet(2, (g0_box,))
+    e = DyadicBoxSet(2, gap_boxes[:depth])
     tail = Fraction(1, 30) * Fraction(1, 16) ** depth
     m = depth + tail_terms
     deep_tail = Fraction(1, 30) * Fraction(1, 16) ** m
@@ -807,7 +904,7 @@ def build_w2(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
     w = Fraction(2, 3) * Fraction(1, 4) ** (m + 1)
     h = deep_tail / w
     rect = ((corner - w, corner), (-h / 2, h / 2))
-    standin = DyadicBoxSet(2, gap_boxes[depth:] + [rect], normalized=True)
+    standin = DyadicBoxSet(2, gap_boxes[depth:] + [rect])
     assert standin.measure == tail
     two_g0 = g0.scale(2)
     d = g0.union(e).translate((2, 0))
@@ -846,7 +943,7 @@ def three_way_check(candidate: DyadicBoxSet, figure, spacings, kappa=2,
                     theta=None) -> ThreeWayReport:
     """Translation, dilation, and reflection congruence residuals at once."""
     intervals = figure.box if isinstance(figure, FoldableFigure) else figure
-    target = DyadicBoxSet(candidate.dim, (tuple(intervals),), normalized=True)
+    target = DyadicBoxSet(candidate.dim, (tuple(intervals),))
     t = translation_congruent(candidate, target, spacings)
     wcert = weyl_congruent(candidate, figure)
     annulus = target.scale(2, center=theta).subtract(target)
@@ -985,7 +1082,7 @@ def construct_wavelet_set(translation_domain: DyadicBoxSet,
             return ConstructionResult(current, t_cert, cert, iteration, history)
         moved = current
         for box in sorted(cert.source_residual.boxes):
-            piece = DyadicBoxSet(dim, (box,), normalized=True)
+            piece = DyadicBoxSet(dim, (box,))
             direction = []
             for (lo, hi), t in zip(box, theta_v):
                 center = (lo + hi) / 2

@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, echoed values, deterministic files."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -27,6 +29,34 @@ def test_missing_required_flag_exits_two(capsys):
 
 def test_unknown_fixture_exits_one(capsys):
     assert run(["fif", "example", "--name", "nope"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["tiles", "w1", "--depth", "0"],
+    ["mra", "build", "--kappa", "1"],
+    ["fif", "basis", "--scaling", "abc"],
+    ["fif", "example", "--name", "ex3.3", "--depth", "-1"],
+    ["surface", "fixture", "--name", "ex5.2", "--depth", "-2"],
+])
+def test_bad_parameter_exits_two(capsys, argv):
+    assert run(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+README_COMMANDS = [shlex.split(line)[1:] for line in README.read_text().splitlines()
+                   if line.startswith("waveletsets ")]
+
+
+def test_readme_has_cli_examples():
+    assert README_COMMANDS
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_example_runs(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
+    assert run(argv) == 0
+    capsys.readouterr()
 
 
 def test_fif_example_echoes_knots(capsys, tmp_path):

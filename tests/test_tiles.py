@@ -103,8 +103,8 @@ def test_shannon_dilation_identity():
 
 
 def test_dilation_positive_half_pieces():
-    source = DyadicBoxSet(1, (((F(1, 2), F(1)),), ((F(2), F(4)),)), normalized=True)
-    target = DyadicBoxSet(1, (((F(1), F(2)),), ((F(2), F(4)),)), normalized=True)
+    source = DyadicBoxSet(1, (((F(1, 2), F(1)),), ((F(2), F(4)),)))
+    target = DyadicBoxSet(1, (((F(1), F(2)),), ((F(2), F(4)),)))
     cert = dilation_congruent(source, target, kappa=2)
     assert cert.residual_measure == 0
     assert cert.verify().ok
@@ -176,7 +176,7 @@ def test_quarter_cube_defect():
 
 
 def test_shannon_is_dilation_fundamental_domain():
-    region = DyadicBoxSet(1, (((F(-4), F(-1, 4)),), ((F(1, 4), F(4)),)), normalized=True)
+    region = DyadicBoxSet(1, (((F(-4), F(-1, 4)),), ((F(1, 4), F(4)),)))
     rep = is_fundamental_domain(shannon_set(), GroupSpec("dilation", kappa=F(2)), region)
     assert rep.ok
 
@@ -255,6 +255,18 @@ def test_w2_reflection_cover(w2):
     cover = rho2_d.union(rho1_dm).union(b).union(b.reflect_axis(0))
     defect = base_cube(2).subtract(cover).measure
     assert defect == 2 * w2.tail
+
+
+@pytest.mark.parametrize("build, depth, tail_terms, residuals", [
+    (build_w1, 8, 3, (F(1, 64424509440), F(1, 257698037760), F(1, 64424509440))),
+    (build_w2, 10, 1, (F(1, 16492674416640), F(1, 65970697666560), F(1, 16492674416640))),
+    (build_w2, 3, 1, (F(1, 61440), F(1, 245760), F(1, 61440))),
+])
+def test_three_way_residuals_are_exact(build, depth, tail_terms, residuals):
+    # translation, dilation and Weyl residuals as recorded in perfbench/reference.json
+    fx = build(depth, tail_terms)
+    rep = three_way_check(fx.wavelet_set, centered_square_figure(), (2, 2))
+    assert (rep.translation_residual, rep.dilation_residual, rep.weyl_residual) == residuals
 
 
 def test_c_itself_fails_dilation():
