@@ -56,4 +56,4 @@ from .surfaces import (
 from .mra import FilterBank, MRAConfig, MultiresolutionBasis, delta_kappa
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.0.0"
+__version__ = "0.1.0"

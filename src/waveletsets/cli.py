@@ -26,21 +26,26 @@ def _frac(text) -> Fraction:
         return Fraction(float(text))
 
 
-def _positive_int(text) -> int:
+def _int_at_least(text, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def _positive_int(text) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text) -> int:
+    return _int_at_least(text, 0)
 
 
 def _kappa(text) -> int:
-    value = _positive_int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
-    return value
+    return _int_at_least(text, 2)
 
 
 def _fraction_arg(text) -> Fraction:
@@ -48,6 +53,13 @@ def _fraction_arg(text) -> Fraction:
         return _frac(text)
     except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}") from None
+
+
+def _vertical_scaling(text) -> Fraction:
+    value = _fraction_arg(text)
+    if abs(value) >= 1:
+        raise argparse.ArgumentTypeError(f"vertical scaling must satisfy |s| < 1, got {text}")
+    return value
 
 
 def _outpath(path: str) -> str:
@@ -230,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.add_argument("--n", type=_positive_int, default=3)
     p_basis.add_argument("--mode", default="translation",
                          choices=["translation", "reflection"])
-    p_basis.add_argument("--scaling", type=_fraction_arg, default="1/2")
+    p_basis.add_argument("--scaling", type=_vertical_scaling, default="1/2")
     p_basis.add_argument("--depth", type=_positive_int, default=8)
     p_basis.add_argument("--csv")
     p_basis.add_argument("--svg")
@@ -252,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = mra_sub.add_parser("build", help="build the filter bank")
     p_build.add_argument("--figure", default="square")
     p_build.add_argument("--kappa", type=_kappa, default=2)
-    p_build.add_argument("--degree", type=int, default=1)
-    p_build.add_argument("--scaling", type=_fraction_arg, default="1/2")
+    p_build.add_argument("--degree", type=_nonnegative_int, default=1)
+    p_build.add_argument("--scaling", type=_vertical_scaling, default="1/2")
     p_build.add_argument("--out")
     leaves.append(p_build)
     p_build.set_defaults(func=cmd_mra_build)
@@ -286,6 +298,10 @@ def main(argv=None) -> int:
         try:
             with open(argv[idx + 1]) as fh:
                 overrides = json.load(fh)
+            # argparse runs a flag's type= only on string defaults, so JSON
+            # numbers go in as text and are validated like the same flag
+            overrides = {k: str(v) if isinstance(v, (int, float)) and not isinstance(v, bool)
+                         else v for k, v in overrides.items()}
             for leaf in parser.leaf_parsers:
                 leaf.set_defaults(**overrides)
         except (IndexError, OSError, json.JSONDecodeError) as exc:

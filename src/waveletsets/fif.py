@@ -10,6 +10,7 @@ certified intervals elsewhere.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -253,20 +254,46 @@ class FractalFunction:
     def mesh(self, depth: int):
         """Exact values on the orbit mesh, reported cell-by-cell.
 
-        Returns (points, values, weights) as parallel lists, where the points
-        are the left endpoints of the depth-level leaf cells followed by the
-        right endpoint of the domain, each with the value propagated through
-        its own cell chain (one-sided at interior boundaries).
+        Returns (points, values) as parallel lists, where the points are the
+        left endpoints of the depth-level leaf cells followed by the right
+        endpoint of the domain, each with the value propagated through its
+        own cell chain (one-sided at interior boundaries).
+
+        Each level is held as integer numerators: points over one common
+        denominator dp, values over one common denominator dv.  A level maps
+        a point P/dp to (L m P + dp L q)/(dp L), with L the lcm of the map
+        denominators, and a value to an integer Horner sum over
+        dv' = lcm(dv den(s), den(data) dp^deg), so the cascade and the seam
+        de-duplication run on plain ints.  Points and values become Fractions
+        once, at the end.
         """
         a, b = self.domain
-        kv = self.knot_values()
-        pts = [a, b]
-        vals = [kv[0], kv[-1]]
+        kv = [_frac(v) for v in self.knot_values()]
+        dp = math.lcm(a.denominator, b.denominator)
+        dv = math.lcm(kv[0].denominator, kv[-1].denominator)
+        pts = [a.numerator * (dp // a.denominator), b.numerator * (dp // b.denominator)]
+        vals = [kv[0].numerator * (dv // kv[0].denominator),
+                kv[-1].numerator * (dv // kv[-1].denominator)]
+        data = [tuple(_frac(c) for c in cell.data) or (Fraction(0),) for cell in self.cells]
+        scalings = [_frac(cell.s) for cell in self.cells]
+        map_den = math.lcm(*(_frac(v).denominator for cell in self.cells for v in (cell.m, cell.q)))
+        data_den = math.lcm(*(c.denominator for poly in data for c in poly))
+        deg = max(len(poly) for poly in data) - 1
         for _ in range(depth):
+            dp_next = dp * map_den
+            dv_next = math.lcm(*(dv * si.denominator for si in scalings), data_den * dp ** deg)
             new_pts, new_vals = [], []
-            for cell in self.cells:
-                seg_p = [cell.u(p) for p in pts]
-                seg_v = [poly_eval(cell.data, p) + cell.s * v for p, v in zip(pts, vals)]
+            for cell, poly, si in zip(self.cells, data, scalings):
+                m = int(cell.m * map_den)
+                q = int(cell.q * dp_next)
+                seg_p = [m * p + q for p in pts]
+                # poly(P/dp) * dv_next = sum_k (c_k dv_next / dp^k) P^k, by Horner
+                coeffs = [int(c * dv_next / dp ** k) for k, c in enumerate(poly)]
+                acc = [coeffs[-1]] * len(pts)
+                for c in reversed(coeffs[:-1]):
+                    acc = [h * p + c for h, p in zip(acc, pts)]
+                carry = si.numerator * (dv_next // (dv * si.denominator))
+                seg_v = [h + carry * v for h, v in zip(acc, vals)]
                 if not cell.preserves_orientation:
                     seg_p.reverse()
                     seg_v.reverse()
@@ -274,8 +301,8 @@ class FractalFunction:
                     seg_p, seg_v = seg_p[1:], seg_v[1:]
                 new_pts.extend(seg_p)
                 new_vals.extend(seg_v)
-            pts, vals = new_pts, new_vals
-        return pts, vals
+            pts, vals, dp, dv = new_pts, new_vals, dp_next, dv_next
+        return [Fraction(p, dp) for p in pts], [Fraction(v, dv) for v in vals]
 
     def operator_iterates(self, depth: int, steps: int) -> list[np.ndarray]:
         """Transfer-operator iterates from zero, sampled on the depth mesh."""
@@ -409,13 +436,9 @@ def moments(f: FractalFunction, max_degree: int) -> list[Fraction]:
     return [aug[i][n] for i in range(n)]
 
 
-def inner_product(f: FractalFunction, g: FractalFunction) -> Fraction:
-    """Exact L2 inner product over the domain, via the moment recursion."""
-    _check_shared_system([f, g])
+def _inner_from_moments(f: FractalFunction, g: FractalFunction, mf: list, mg: list) -> Fraction:
+    """<f, g> from the cell data and each function's moments up to the data degree."""
     a, b = f.domain
-    deg = max(max(len(c.data) for c in f.cells), max(len(c.data) for c in g.cells)) - 1
-    mf = moments(f, deg)
-    mg = moments(g, deg)
     total = Fraction(0)
     s_quad = Fraction(0)
     for cf, cg in zip(f.cells, g.cells):
@@ -429,61 +452,76 @@ def inner_product(f: FractalFunction, g: FractalFunction) -> Fraction:
     return total / (1 - s_quad)
 
 
+def _data_degree(functions: Sequence[FractalFunction]) -> int:
+    return max(len(c.data) for f in functions for c in f.cells) - 1
+
+
+def inner_product(f: FractalFunction, g: FractalFunction) -> Fraction:
+    """Exact L2 inner product over the domain, via the moment recursion."""
+    _check_shared_system([f, g])
+    deg = _data_degree([f, g])
+    return _inner_from_moments(f, g, moments(f, deg), moments(g, deg))
+
+
 def gram_matrix(functions: Sequence[FractalFunction]) -> list[list[Fraction]]:
+    """Exact Gram matrix; one moment solve per function, at the family's data
+    degree (the moment system is triangular, so a higher degree changes no
+    lower moment)."""
     _check_shared_system(functions)
+    deg = _data_degree(functions)
+    mom = [moments(f, deg) for f in functions]
     n = len(functions)
     g = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            val = inner_product(functions[i], functions[j])
+            val = _inner_from_moments(functions[i], functions[j], mom[i], mom[j])
             g[i][j] = val
             g[j][i] = val
     return g
 
 
 def gram_matrix_quadrature(functions: Sequence[FractalFunction], depth: int = 12) -> np.ndarray:
-    """Composite midpoint quadrature on the shared orbit mesh (float oracle)."""
+    """Composite midpoint quadrature on the shared orbit mesh (float oracle).
+
+    The domain midpoint is pushed through all depth-level words; nodes, cell
+    widths and the values of every function are cascaded level by level as
+    float64 arrays, the images under each cell concatenated in cell order.
+    """
     _check_shared_system(functions)
     base = functions[0]
-    # midpoint nodes: push the domain midpoint through all depth-level words
     a, b = base.domain
     mid = (a + b) / 2
-    nodes = [mid]
-    widths = [float(b - a)]
-    value_sets = []
-    for f in functions:
-        v0 = f.evaluate(mid, depth=80)
-        value_sets.append([float(v0.value)])
+    nodes = np.array([float(mid)])
+    widths = np.array([float(b - a)])
+    vals = np.array([[float(f.evaluate(mid, depth=80).value)] for f in functions])
+    # per cell: slope, intercept, data coefficients [function, power] padded
+    # with zeros (a zero leading coefficient leaves Horner's floats unchanged)
+    # and scalings [function, 1]
+    width = _data_degree(functions) + 1
+    cells = []
+    for ci, cell in enumerate(base.cells):
+        coeffs = np.zeros((len(functions), width))
+        for fi, f in enumerate(functions):
+            data = f.cells[ci].data
+            coeffs[fi, :len(data)] = [float(x) for x in data]
+        scal = np.array([[float(f.cells[ci].s)] for f in functions])
+        cells.append((float(cell.m), float(cell.q), coeffs, scal))
     for _ in range(depth):
-        new_nodes = []
-        new_widths = []
-        new_values = [[] for _ in functions]
-        for ci, cell in enumerate(base.cells):
-            m = float(cell.m)
-            q = float(cell.q)
-            for k, z in enumerate(nodes):
-                new_nodes.append(m * z + q)
-                new_widths.append(abs(m) * widths[k])
-            for fi, f in enumerate(functions):
-                c = f.cells[ci]
-                s = float(c.s)
-                data = [float(x) for x in c.data]
-                for k, z in enumerate(nodes):
-                    acc = 0.0
-                    for co in reversed(data):
-                        acc = acc * z + co
-                    new_values[fi].append(acc + s * value_sets[fi][k])
-        nodes = new_nodes
-        widths = new_widths
-        value_sets = new_values
-    w = np.array(widths)
-    vals = [np.array(v) for v in value_sets]
-    n = len(functions)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = float((w * vals[i] * vals[j]).sum())
-    return g
+        new_nodes, new_widths, new_vals = [], [], []
+        for m, q, coeffs, scal in cells:
+            new_nodes.append(m * nodes + q)
+            new_widths.append(abs(m) * widths)
+            acc = np.zeros_like(vals)
+            for k in reversed(range(width)):
+                acc = acc * nodes + coeffs[:, k:k + 1]
+            new_vals.append(acc + scal * vals)
+        nodes = np.concatenate(new_nodes)
+        widths = np.concatenate(new_widths)
+        vals = np.concatenate(new_vals, axis=1)
+    # the matmul rounds (v_i w) v_j and (v_j w) v_i apart; averaging with the
+    # transpose keeps the result exactly symmetric
+    g = (vals * widths) @ vals.T
+    return (g + g.T) / 2
 
 
 def cardinal_basis(xs: Sequence, s: Sequence) -> list[FractalFunction]:

@@ -24,7 +24,7 @@ from .reflections import FoldableFigure, box_figure, subdivide, unit_square_figu
 from .surfaces import (
     FractalSurface,
     SurfaceSpec,
-    inner_product,
+    gram_from_moments,
     moments,
     poly_add,
     poly_compose_affine,
@@ -109,11 +109,9 @@ class MultiresolutionBasis:
             for data in self._atom_data
         ]
         na = config.generator_count
+        # one moment solve per atom, shared by the Gram matrix and the filters
         self.atom_moments = [moments(a, d) for a in self.atoms]
-        gram = [[Fraction(0)] * na for _ in range(na)]
-        for a in range(na):
-            for b in range(a, na):
-                gram[a][b] = gram[b][a] = inner_product(self.atoms[a], self.atoms[b])
+        gram = gram_from_moments(self.atoms, self.atom_moments)
         self.atom_gram = gram
 
         chol = np.linalg.cholesky(np.array([[float(v) for v in row] for row in gram]))
@@ -145,6 +143,7 @@ class MultiresolutionBasis:
         qfull, _ = np.linalg.qr(np.hstack([V, np.eye(n_cells * na)]))
         self.V = V
         self.W = qfull[:, na : n_cells * na]
+        self.VW = np.hstack([self.V, self.W])
         self.Q = [root * self.W[j * na : (j + 1) * na, :].T for j in range(n_cells)]
 
     # -- pointwise values -----------------------------------------------------
@@ -186,24 +185,34 @@ class MultiresolutionBasis:
     # -- one-level transforms ---------------------------------------------------
 
     def analyze(self, fine: dict) -> tuple:
-        """Split per-word fine-scale coordinates into sample and detail parts."""
-        coarse, detail = {}, {}
-        for key, vec in fine.items():
-            y = np.asarray(vec, dtype=float)
-            coarse[key] = self.V.T @ y
-            detail[key] = self.W.T @ y
+        """Split per-word fine-scale coordinates into sample and detail parts.
+
+        The word vectors are stacked as rows, so one product with [V | W]
+        transforms them all.
+        """
+        keys = list(fine)
+        na = self.V.shape[1]
+        rows = np.array([np.asarray(fine[k], dtype=float) for k in keys])
+        # an empty dict stacks to shape (0,); give it the (0, fine) shape
+        rows = rows.reshape(len(keys), self.V.shape[0])
+        split = rows @ self.VW
+        coarse = {k: split[r, :na] for r, k in enumerate(keys)}
+        detail = {k: split[r, na:] for r, k in enumerate(keys)}
         return coarse, detail
 
     def synthesize(self, coarse: dict, detail: dict) -> dict:
-        out = {}
-        for key in set(coarse) | set(detail):
-            y = np.zeros(self.V.shape[0])
-            if key in coarse:
-                y = y + self.V @ np.asarray(coarse[key], dtype=float)
-            if key in detail:
-                y = y + self.W @ np.asarray(detail[key], dtype=float)
-            out[key] = y
-        return out
+        """Inverse of analyze: one product of the stacked [coarse | detail]
+        rows with [V | W]^T; a word missing from one side has zeros there."""
+        keys = list(coarse) + [k for k in detail if k not in coarse]
+        na, nw = self.V.shape[1], self.W.shape[1]
+        split = np.zeros((len(keys), na + nw))
+        for r, k in enumerate(keys):
+            if k in coarse:
+                split[r, :na] = np.asarray(coarse[k], dtype=float)
+            if k in detail:
+                split[r, na:] = np.asarray(detail[k], dtype=float)
+        rows = split @ self.VW.T
+        return {k: rows[r] for r, k in enumerate(keys)}
 
     def filter_bank(self) -> "FilterBank":
         return FilterBank(list(self.words), [p.copy() for p in self.P], [q.copy() for q in self.Q])

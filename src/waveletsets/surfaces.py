@@ -172,26 +172,37 @@ def _box_bounds(vertices: Sequence) -> Optional[list]:
     return list(zip(los, his)) if corners == expect else None
 
 
-def domain_integral(p: dict, vertices: Sequence) -> Fraction:
-    """Exact integral of a polynomial over a simplex or an axis box."""
-    verts = [Vec(Fraction(a) for a in v) for v in vertices]
+def _domain_geometry(verts: Sequence) -> tuple:
+    """(box bounds, simplex chart, simplex volume) of a simplex or an axis box."""
     dim = len(verts[0])
     if len(verts) == dim + 1:
         edges = Mat([[verts[k + 1][i] - verts[0][i] for k in range(dim)] for i in range(dim)])
-        chart = AffineMap(edges, verts[0])
-        q = poly_compose_affine(p, chart)
-        vol = abs(edges.det())
-        return vol * sum((c * _standard_simplex_integral(expo) for expo, c in q.items()), ZERO)
+        return None, AffineMap(edges, verts[0]), abs(edges.det())
     box = _box_bounds(verts)
-    if box is not None:
-        total = Fraction(0)
-        for expo, c in p.items():
-            term = c
-            for (lo, hi), e in zip(box, expo):
-                term *= Fraction(hi ** (e + 1) - lo ** (e + 1), e + 1)
-            total += term
-        return total
-    raise ValueError("domain must be a simplex or an axis-aligned box")
+    if box is None:
+        raise ValueError("domain must be a simplex or an axis-aligned box")
+    return box, None, None
+
+
+def domain_integral(p: dict, spec: "SurfaceSpec") -> Fraction:
+    """Exact integral of a polynomial over a spec's simplex or axis box.
+
+    The box, or the simplex chart and volume, were set up once when the spec
+    was built.
+    """
+    if not p:
+        return ZERO
+    box, chart, vol = spec._box, spec._chart, spec._volume
+    if chart is not None:
+        q = poly_compose_affine(p, chart)
+        return vol * sum((c * _standard_simplex_integral(expo) for expo, c in q.items()), ZERO)
+    total = Fraction(0)
+    for expo, c in p.items():
+        term = c
+        for (lo, hi), e in zip(box, expo):
+            term *= Fraction(hi ** (e + 1) - lo ** (e + 1), e + 1)
+        total += term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +232,11 @@ class SurfaceSpec:
             raise ValueError("one data function per similitude required")
         inverses = tuple(u.inverse() for u in self.maps)
         object.__setattr__(self, "_inverses", inverses)
-        if len(verts) == dim + 1:
-            edges = Mat([[verts[k + 1][i] - verts[0][i] for k in range(dim)] for i in range(dim)])
-            object.__setattr__(self, "_chart_inv", AffineMap(edges, verts[0]).inverse())
-            object.__setattr__(self, "_box", None)
-        else:
-            box = _box_bounds(verts)
-            if box is None:
-                raise ValueError("domain must be a simplex or an axis-aligned box")
-            object.__setattr__(self, "_chart_inv", None)
-            object.__setattr__(self, "_box", box)
+        box, chart, volume = _domain_geometry(verts)
+        object.__setattr__(self, "_box", box)
+        object.__setattr__(self, "_chart", chart)
+        object.__setattr__(self, "_volume", volume)
+        object.__setattr__(self, "_chart_inv", None if chart is None else chart.inverse())
 
     @property
     def dim(self) -> int:
@@ -421,22 +427,51 @@ class FractalSurface:
 
         Raises when two cells force different values at a shared point, so a
         successful build doubles as a continuity consistency check.
+
+        Each level is held as integer numerators: point coordinates over one
+        common denominator dp, values over one common denominator dv.  A level
+        maps a point X/dp to (L A X + dp L b)/(dp L), with L the lcm of the
+        map denominators, and its value to an integer combination over
+        dv' = lcm(dv den(s), den(data) dp^deg), so the cascade and the
+        shared-point check run on plain ints.  Points and values become
+        Fractions (and Vec keys) once, at the end.
         """
-        cur = self.vertex_values()
-        s = self.spec.scaling
+        spec = self.spec
+        start = self.vertex_values()
+        dp = math.lcm(*(c.denominator for p in start for c in p))
+        dv = math.lcm(*(v.denominator for v in start.values()))
+        cur = {tuple(c.numerator * (dp // c.denominator) for c in p):
+               v.numerator * (dv // v.denominator) for p, v in start.items()}
+        s = spec.scaling
+        lin_den = math.lcm(*(Fraction(a).denominator for u in spec.maps
+                             for row in u.linear.rows for a in row),
+                           *(Fraction(b).denominator for u in spec.maps for b in u.shift))
+        data_den = math.lcm(*(c.denominator for lam in spec.data for c in lam.values()))
+        deg = max(poly_degree(lam) for lam in spec.data)
         for _ in range(depth):
+            dp_next = dp * lin_den
+            dv_next = math.lcm(dv * s.denominator, data_den * dp ** deg)
+            carry = s.numerator * (dv_next // (dv * s.denominator))
             nxt: dict = {}
-            for i, u in enumerate(self.spec.maps):
-                lam = self.spec.data[i]
+            for u, lam in zip(spec.maps, spec.data):
+                rows = [[int(a * lin_den) for a in row] for row in u.linear.rows]
+                shift = [int(b * dp_next) for b in u.shift]
+                # lam(X/dp) * dv_next as an integer polynomial in X
+                terms = [(int(c * dv_next / dp ** sum(e)), e) for e, c in lam.items()]
                 for p, val in cur.items():
-                    q = u.apply(p)
-                    nv = poly_val(lam, p) + s * val
+                    q = tuple(sum(a * x for a, x in zip(row, p)) + b for row, b in zip(rows, shift))
+                    nv = carry * val
+                    for c, e in terms:
+                        for x, k in zip(p, e):
+                            if k:
+                                c *= x ** k
+                        nv += c
                     old = nxt.get(q)
                     if old is not None and old != nv:
                         raise ArithmeticError("inconsistent values at a shared mesh point")
                     nxt[q] = nv
-            cur = nxt
-        return cur
+            cur, dp, dv = nxt, dp_next, dv_next
+        return {Vec(Fraction(x, dp) for x in p): Fraction(v, dv) for p, v in cur.items()}
 
     def level1_values(self) -> dict:
         """Values at the outer and inner vertices of the first refinement."""
@@ -568,7 +603,12 @@ def _monomials_upto(dim: int, degree: int) -> list:
 
 
 def moments(surface: FractalSurface, degree: int) -> dict:
-    """Exact integrals of the surface against monomials up to a degree."""
+    """Exact integrals of the surface against monomials up to a degree.
+
+    An affine change of variables never raises a monomial's degree, so the
+    system is block triangular by degree: the moments up to a degree do not
+    depend on how far beyond it the system is solved.
+    """
     spec = surface.spec
     degree = max(degree, max(poly_degree(p) for p in spec.data))
     expos = _monomials_upto(spec.dim, degree)
@@ -585,40 +625,59 @@ def moments(surface: FractalSurface, degree: int) -> dict:
         mono = {e: ONE}
         for i, u in enumerate(spec.maps):
             comp = poly_compose_affine(mono, u)
-            rhs[r] += dets[i] * domain_integral(poly_mul(spec.data[i], comp), spec.vertices)
+            rhs[r] += dets[i] * domain_integral(poly_mul(spec.data[i], comp), spec)
             for ce, cc in comp.items():
                 rows[r][pos[ce]] -= dets[i] * s * cc
     sol = _solve_exact(rows, rhs)
     return {e: sol[pos[e]] for e in expos}
 
 
-def inner_product(f: FractalSurface, g: FractalSurface) -> Fraction:
-    """Exact L2 inner product over the domain; same similitudes required."""
-    sf, sg = f.spec, g.spec
-    if sf.maps != sg.maps or sf.vertices != sg.vertices:
+def _check_shared_domain(f: FractalSurface, g: FractalSurface) -> None:
+    if f.spec.maps != g.spec.maps or f.spec.vertices != g.spec.vertices:
         raise ValueError("surfaces must share domain and similitudes")
-    degree = max(max(poly_degree(p) for p in sf.data), max(poly_degree(p) for p in sg.data))
-    mf = moments(f, degree)
-    mg = moments(g, degree)
-    dets = [abs(u.linear.det()) for u in sf.maps]
+
+
+def _inner_from_moments(f: FractalSurface, g: FractalSurface, mf: dict, mg: dict) -> Fraction:
+    """<f, g> from the cell data and each surface's moments up to the data degree."""
+    sf, sg = f.spec, g.spec
     total = Fraction(0)
-    for i in range(len(sf.maps)):
+    for i, u in enumerate(sf.maps):
         lam_f, lam_g = sf.data[i], sg.data[i]
-        term = domain_integral(poly_mul(lam_f, lam_g), sf.vertices)
+        if not (lam_f or lam_g):
+            continue
+        term = domain_integral(poly_mul(lam_f, lam_g), sf)
         term += sg.scaling * sum((c * mg[e] for e, c in lam_f.items()), ZERO)
         term += sf.scaling * sum((c * mf[e] for e, c in lam_g.items()), ZERO)
-        total += dets[i] * term
+        total += abs(u.linear.det()) * term
     return total / (1 - sf.scaling * sg.scaling)
 
 
-def gram_matrix(surfaces) -> list:
-    family = list(surfaces.values() if isinstance(surfaces, dict) else surfaces)
+def inner_product(f: FractalSurface, g: FractalSurface) -> Fraction:
+    """Exact L2 inner product over the domain; same similitudes required."""
+    _check_shared_domain(f, g)
+    degree = max(max(poly_degree(p) for p in f.spec.data), max(poly_degree(p) for p in g.spec.data))
+    return _inner_from_moments(f, g, moments(f, degree), moments(g, degree))
+
+
+def gram_from_moments(family: Sequence, family_moments: Sequence) -> list:
+    """Exact Gram matrix of surfaces on one domain, from each member's moments
+    up to the family's data degree."""
     n = len(family)
     g = [[ZERO] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            g[a][b] = g[b][a] = inner_product(family[a], family[b])
+            g[a][b] = g[b][a] = _inner_from_moments(family[a], family[b],
+                                                     family_moments[a], family_moments[b])
     return g
+
+
+def gram_matrix(surfaces) -> list:
+    """Exact Gram matrix; one moment solve per member, at the family's data degree."""
+    family = list(surfaces.values() if isinstance(surfaces, dict) else surfaces)
+    for f in family[1:]:
+        _check_shared_domain(family[0], f)
+    degree = max((poly_degree(p) for f in family for p in f.spec.data), default=0)
+    return gram_from_moments(family, [moments(f, degree) for f in family])
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import json
 import pathlib
+import re
 import shlex
 
 import pytest
 
+import waveletsets
 from waveletsets import cli
 from waveletsets.mra import FilterBank
 
@@ -37,6 +39,9 @@ def test_unknown_fixture_exits_one(capsys):
     ["fif", "basis", "--scaling", "abc"],
     ["fif", "example", "--name", "ex3.3", "--depth", "-1"],
     ["surface", "fixture", "--name", "ex5.2", "--depth", "-2"],
+    ["mra", "build", "--degree", "-1"],
+    ["mra", "build", "--scaling", "1"],
+    ["fif", "basis", "--scaling", "3/2"],
 ])
 def test_bad_parameter_exits_two(capsys, argv):
     assert run(argv) == 2
@@ -148,3 +153,30 @@ def test_bad_config_file_exits_two(capsys, tmp_path):
     bad = tmp_path / "cfg.json"
     bad.write_text("{not json")
     assert run(["--config", str(bad), "tiles", "w1"]) == 2
+
+
+@pytest.mark.parametrize("overrides, argv", [
+    ({"degree": -1}, ["mra", "build"]),
+    ({"scaling": 1}, ["mra", "build"]),
+    ({"scaling": 1.5}, ["fif", "basis"]),
+    ({"depth": 0}, ["tiles", "w1"]),
+])
+def test_bad_config_value_exits_two(capsys, tmp_path, overrides, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    assert run(["--config", str(cfg)] + argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_version_has_a_single_source():
+    # a regex, not tomllib: the tests also run on Python 3.10
+    root = pathlib.Path(__file__).resolve().parents[1]
+    toml = (root / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[)", toml, re.M | re.S).group(1)
+    assert re.search(r'^dynamic\s*=\s*\[[^\]]*"version"', project, re.M)
+    assert not re.search(r"^version\s*=", project, re.M)
+    assert re.search(r'^version\s*=\s*\{\s*attr\s*=\s*"waveletsets\.__version__"\s*\}', toml, re.M)
+    init = (root / "src" / "waveletsets" / "__init__.py").read_text()
+    declared = re.findall(r'^__version__\s*=\s*"([^"]+)"', init, re.M)
+    assert declared == [waveletsets.__version__]
+    assert re.fullmatch(r"\d+\.\d+\.\d+", waveletsets.__version__)

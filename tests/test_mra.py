@@ -81,6 +81,40 @@ def test_analysis_synthesis_roundtrip(basis):
     assert max(np.abs(back[k] - fine[k]).max() for k in fine) < 1e-6
 
 
+def test_stacked_transforms_match_per_word_products(basis):
+    rng = np.random.default_rng(5)
+    fine = {w: rng.standard_normal(32) for w in range(50)}
+    coarse, detail = basis.analyze(fine)
+    for w, y in fine.items():
+        assert np.abs(coarse[w] - basis.V.T @ y).max() < 1e-12
+        assert np.abs(detail[w] - basis.W.T @ y).max() < 1e-12
+    # words present on one side only are zero on the other
+    coarse["only-coarse"] = rng.standard_normal(8)
+    detail["only-detail"] = rng.standard_normal(24)
+    back = basis.synthesize(coarse, detail)
+    assert set(back) == set(fine) | {"only-coarse", "only-detail"}
+    for w in fine:
+        assert np.abs(back[w] - (basis.V @ coarse[w] + basis.W @ detail[w])).max() < 1e-12
+    assert np.abs(back["only-coarse"] - basis.V @ coarse["only-coarse"]).max() < 1e-12
+    assert np.abs(back["only-detail"] - basis.W @ detail["only-detail"]).max() < 1e-12
+    assert basis.analyze({}) == ({}, {}) and basis.synthesize({}, {}) == {}
+
+
+def test_build_solves_one_moment_system_per_atom(monkeypatch):
+    solved = []
+    moments = sf.moments
+
+    def counting(f, degree):
+        solved.append(f)
+        return moments(f, degree)
+
+    monkeypatch.setattr(sf, "moments", counting)
+    monkeypatch.setattr(mra, "moments", counting)
+    b = mra.build(mra.MRAConfig(kappa=3, degree=1))
+    assert len(b.atoms) == 18
+    assert len(solved) == 18 and {id(f) for f in solved} == {id(a) for a in b.atoms}
+
+
 def test_zero_roundtrip(basis):
     coarse, detail = basis.analyze({"w": np.zeros(32)})
     assert np.abs(basis.synthesize(coarse, detail)["w"]).max() == 0.0

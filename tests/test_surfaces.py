@@ -139,6 +139,19 @@ def test_basis_gram_is_exact_and_nonsingular(basis):
     assert abs(det) > 1e-12
 
 
+def test_gram_matrix_solves_one_moment_system_per_surface(basis, monkeypatch):
+    solved = []
+    moments = sf.moments
+
+    def counting(f, degree):
+        solved.append(f)
+        return moments(f, degree)
+
+    monkeypatch.setattr(sf, "moments", counting)
+    sf.gram_matrix(basis)
+    assert len(solved) == 6 and len({id(f) for f in solved}) == 6
+
+
 def test_exact_surface_integral(surf):
     assert sf.moments(surf, 0)[(0, 0)] == F(5, 16)
 
