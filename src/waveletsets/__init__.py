@@ -2,18 +2,16 @@
 multiresolution analysis.
 
 Submodules:
-  scalars      exact rational multiples of powers of pi
-  geometry     exact vectors, matrices, affine maps, hyperplanes
+  geometry     exact vectors, matrices, affine maps, hyperplanes, linear solves
   reflections  root systems, foldable figures, tessellation groups
   tiles        dyadic box sets, congruence certificates, wavelet-set fixtures
-  fif          fractal interpolation functions on an interval
-  surfaces     self-affine surfaces over foldable figures
+  fif          fractal interpolation on an interval, a 1-D front end to surfaces
+  surfaces     the self-affine engine: surfaces over foldable figures, moments
   mra          multiresolution filter banks from subdivided box figures
   render       deterministic CSV/SVG exporters
   cli          command-line front end
 """
 
-from .scalars import ExactScalar, PI
 from .geometry import AffineIsometry, AffineMap, Hyperplane, Mat, Vec, is_expansive, vec
 from .reflections import (
     FoldableFigure,

@@ -17,6 +17,7 @@ from . import fif, mra, render, surfaces, tiles
 from .reflections import box_figure, centered_square_figure
 
 ENV_OUTDIR = "WAVELETSETS_OUTDIR"
+MESH_CELLS_LIMIT = 2 ** 20
 
 
 def _frac(text) -> Fraction:
@@ -79,11 +80,26 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _mesh_too_large(cells: int, depth: int) -> bool:
+    """Report a depth-level mesh of more than MESH_CELLS_LIMIT leaf cells.
+
+    The power is taken at depth 21 at most: two cells already exceed the
+    limit there, so a huge --depth costs nothing to reject.
+    """
+    if cells ** min(depth, 21) <= MESH_CELLS_LIMIT:
+        return False
+    print(f"error: a depth-{depth} mesh over {cells} cells has more than "
+          f"{MESH_CELLS_LIMIT} leaf cells", file=sys.stderr)
+    return True
+
+
 # -- fif ---------------------------------------------------------------------
 
 
 def cmd_fif_example(args) -> int:
     f = fif.fixture(args.name, args.mode)
+    if _mesh_too_large(len(f.cells), args.depth):
+        return 2
     knots = f.knot_values()
     print("knots: " + ", ".join(render.fnum(v) for v in knots))
     xs, ys = f.mesh(args.depth)
@@ -96,6 +112,8 @@ def cmd_fif_example(args) -> int:
 
 
 def cmd_fif_basis(args) -> int:
+    if _mesh_too_large(args.n, args.depth):
+        return 2
     s = _frac(args.scaling)
     basis = fif.uniform_cardinal_basis(args.n, s, args.mode)
     print(f"{len(basis)} basis functions on [0, {args.n}], mode {args.mode}")
@@ -116,6 +134,8 @@ def cmd_fif_basis(args) -> int:
 
 def cmd_surface_fixture(args) -> int:
     spec = surfaces.fixture(args.name)
+    if _mesh_too_large(len(spec.maps), args.depth):
+        return 2
     surf = surfaces.fixed_point(spec)
     for v, val in surf.vertex_values().items():
         print(f"outer vertex ({render.fnum(v[0])}, {render.fnum(v[1])}): {val}")
@@ -219,7 +239,6 @@ def cmd_tiles_construct(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    leaves = []
     parser = argparse.ArgumentParser(
         prog="waveletsets",
         description="Exact wavelet-set tilings, fractal interpolation, and "
@@ -236,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--depth", type=_positive_int, default=10)
     p_ex.add_argument("--csv")
     p_ex.add_argument("--svg")
-    leaves.append(p_ex)
     p_ex.set_defaults(func=cmd_fif_example)
     p_basis = fif_sub.add_parser("basis", help="cardinal basis family")
     p_basis.add_argument("--n", type=_positive_int, default=3)
@@ -246,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.add_argument("--depth", type=_positive_int, default=8)
     p_basis.add_argument("--csv")
     p_basis.add_argument("--svg")
-    leaves.append(p_basis)
     p_basis.set_defaults(func=cmd_fif_basis)
 
     p_surface = sub.add_parser("surface", help="self-affine surfaces")
@@ -256,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fix.add_argument("--depth", type=_positive_int, default=6)
     p_fix.add_argument("--csv")
     p_fix.add_argument("--svg")
-    leaves.append(p_fix)
     p_fix.set_defaults(func=cmd_surface_fixture)
 
     p_mra = sub.add_parser("mra", help="multiresolution filter banks")
@@ -267,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--degree", type=_nonnegative_int, default=1)
     p_build.add_argument("--scaling", type=_vertical_scaling, default="1/2")
     p_build.add_argument("--out")
-    leaves.append(p_build)
     p_build.set_defaults(func=cmd_mra_build)
 
     p_tiles = sub.add_parser("tiles", help="wavelet-set tilings")
@@ -278,37 +293,51 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verify", nargs="?", const="all", default=None,
                        choices=["all"])
         p.add_argument("--svg")
-        leaves.append(p)
         p.set_defaults(func=func)
     p_con = tiles_sub.add_parser("construct", help="run the 1-D constructor")
     p_con.add_argument("--epsilon", type=_fraction_arg, default="1/1000000")
     p_con.add_argument("--max-iterations", type=_positive_int, default=50)
     p_con.add_argument("--out")
-    leaves.append(p_con)
     p_con.set_defaults(func=cmd_tiles_construct)
-    parser.leaf_parsers = leaves
     return parser
+
+
+def _config_flags(overrides: dict, args: argparse.Namespace) -> list:
+    """Config entries as flags of the parsed subcommand.
+
+    Keys the subcommand does not take are skipped.  true stands for a bare
+    flag and false or null for an absent one; any other value is passed as
+    text, so it meets the flag's own type and choices checks.
+    """
+    flags = []
+    for key, value in overrides.items():
+        if key not in vars(args) or value is False or value is None:
+            continue
+        flags.append("--" + key.replace("_", "-"))
+        if value is not True:
+            flags.append(str(value))
+    return flags
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            with open(argv[idx + 1]) as fh:
-                overrides = json.load(fh)
-            # argparse runs a flag's type= only on string defaults, so JSON
-            # numbers go in as text and are validated like the same flag
-            overrides = {k: str(v) if isinstance(v, (int, float)) and not isinstance(v, bool)
-                         else v for k, v in overrides.items()}
-            for leaf in parser.leaf_parsers:
-                leaf.set_defaults(**overrides)
-        except (IndexError, OSError, json.JSONDecodeError) as exc:
-            print(f"error: bad config file: {exc}", file=sys.stderr)
-            return 2
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            try:
+                with open(args.config) as fh:
+                    overrides = json.load(fh)
+                if not isinstance(overrides, dict):
+                    raise ValueError("not a JSON object")
+            except (OSError, ValueError) as exc:
+                print(f"error: bad config file: {exc}", file=sys.stderr)
+                return 2
+            # config flags go right after the subcommand, so explicit flags,
+            # which come later, still win
+            at = next(i for i in range(len(argv))
+                      if argv[i:i + 2] == [args.command, args.subcommand]) + 2
+            args = parser.parse_args(argv[:at] + _config_flags(overrides, args) + argv[at:])
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -5,6 +5,13 @@ f(u_i^{-1}(x)) on the i-th cell, where the u_i are affine contractions
 mapping the domain onto the cells and the p_i are polynomial data.  All
 data is exact (Fractions); evaluation is exact on orbit points and returns
 certified intervals elsewhere.
+
+An interval tiles the line by reflections in its endpoints, so a fractal
+function is the 1-D case of a self-affine surface: `FractalFunction` holds
+the `waveletsets.surfaces` spec of its system and shares that module's
+pull-back evaluation, moment solve and inner-product formula.  It keeps its
+own cell layout, knot values, graph maps and ordered mesh (a list with
+one-sided values at interior knots, where the surface mesh is a dict).
 """
 
 from __future__ import annotations
@@ -13,11 +20,13 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import surfaces
 from .geometry import AffineMap, Mat, Vec
+from .surfaces import EvalResult, SelfAffine, SurfaceSpec
 
 
 def _frac(x) -> Fraction:
@@ -29,37 +38,6 @@ def poly_eval(coeffs: Sequence[Fraction], x):
     for c in reversed(tuple(coeffs)):
         value = value * x + c
     return value
-
-
-def poly_compose_affine(coeffs: Sequence[Fraction], m: Fraction, q: Fraction) -> tuple:
-    """Coefficients of p(m*x + q)."""
-    result = [Fraction(0)]
-    for c in reversed(tuple(coeffs)):
-        # result = result*(m x + q) + c
-        new = [Fraction(0)] * (len(result) + 1)
-        for k, a in enumerate(result):
-            new[k + 1] += a * m
-            new[k] += a * q
-        new[0] += c
-        result = new
-        while len(result) > 1 and result[-1] == 0:
-            result.pop()
-    return tuple(result)
-
-
-def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-def poly_integral(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
-    total = Fraction(0)
-    for k, c in enumerate(coeffs):
-        total += c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
-    return total
 
 
 @dataclass(frozen=True)
@@ -82,13 +60,7 @@ class CellMap:
         return self.m > 0
 
 
-@dataclass
-class EvalResult:
-    value: Fraction | float
-    error_bound: float  # zero means exact
-
-
-class FractalFunction:
+class FractalFunction(SelfAffine):
     """Fixed point of the cell-wise affine transfer operator."""
 
     def __init__(self, domain: tuple, cells: Sequence[CellMap]):
@@ -97,9 +69,11 @@ class FractalFunction:
             raise ValueError("empty domain")
         self.domain = (a, b)
         self.cells = list(cells)
-        for c in self.cells:
-            if abs(c.s) >= 1:
-                raise ValueError("vertical scaling must satisfy |s| < 1")
+        super().__init__(SurfaceSpec(
+            ((a,), (b,)),
+            tuple(AffineMap(Mat([[c.m]]), Vec((c.q,))) for c in self.cells),
+            tuple({(k,): co for k, co in enumerate(c.data)} for c in self.cells),
+            tuple(c.s for c in self.cells)))
         # cell images must tile the domain left to right
         boundaries = [a]
         for c in self.cells:
@@ -110,7 +84,6 @@ class FractalFunction:
         if boundaries[-1] != b:
             raise ValueError("cells do not tile the domain")
         self.boundaries = boundaries
-        self._memo: dict = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -162,43 +135,20 @@ class FractalFunction:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def _resolve_chain(self, x: Fraction, max_chain: int, first_cell: Optional[int] = None):
-        """Exact value via the pull-back chain; None when no cycle is reached."""
-        if x in self._memo:
-            return self._memo[x]
-        chain = []  # (point, A_k, s_k)
-        index_of = {}
-        z = x
-        for step in range(max_chain):
-            if z in self._memo:
-                value = self._memo[z]
-                break
-            if z in index_of:
-                # cycle: f(z) = C + S f(z)
-                j = index_of[z]
-                C, S = Fraction(0), Fraction(1)
-                for _, A, sk in chain[j:]:
-                    C = C + S * A
-                    S = S * sk
-                value = C / (1 - S)
-                self._memo[z] = value
-                break
-            index_of[z] = step
-            i = first_cell if (step == 0 and first_cell is not None) else self.cell_index(z)
-            cell = self.cells[i]
-            z_next = cell.u_inv(z)
-            chain.append((z, poly_eval(cell.data, z_next), cell.s))
-            z = z_next
-        else:
-            return None
-        # unwind the prefix of the chain down to the resolved point
-        for pt, A, sk in reversed(chain[: index_of.get(z, len(chain))]):
-            value = A + sk * value
-            self._memo[pt] = value
-        return self._memo[x]
+    # the right-hand cell at an interior knot: it decides the one-sided values
+    _cell = cell_index
+
+    def _pull(self, z: Fraction, i: int) -> tuple:
+        cell = self.cells[i]
+        z_next = cell.u_inv(z)
+        return z_next, poly_eval(cell.data, z_next), cell.s
 
     def bound(self) -> Fraction:
-        """A uniform bound on |f| over the domain."""
+        """A uniform bound on |f| over the domain.
+
+        This is not the surfaces `data_bound`: tuple data are bounded by their
+        coefficients here, and the error bounds of `evaluate` rest on it.
+        """
         a, b = self.domain
         peak = Fraction(0)
         smax = Fraction(0)
@@ -215,20 +165,7 @@ class FractalFunction:
 
     def evaluate(self, x, depth: int = 48) -> EvalResult:
         """Exact where the pull-back orbit closes; certified interval otherwise."""
-        x = _frac(x)
-        exact = self._resolve_chain(x, depth)
-        if exact is not None:
-            return EvalResult(exact, 0.0)
-        # unroll the chain `depth` times and bound the tail
-        z = x
-        A, S = Fraction(0), Fraction(1)
-        for _ in range(depth):
-            cell = self.cells[self.cell_index(z)]
-            z_next = cell.u_inv(z)
-            A = A + S * poly_eval(cell.data, z_next)
-            S = S * cell.s
-            z = z_next
-        return EvalResult(A, float(abs(S) * self.bound()))
+        return self._evaluate(_frac(x), depth)
 
     def knot_values(self) -> list:
         """Values at the cell-boundary points.
@@ -309,14 +246,12 @@ class FractalFunction:
         pts, _ = self.mesh(depth)
         pts_idx = {p: k for k, p in enumerate(pts)}
         pulled = []
-        for k, p in enumerate(pts):
-            cell = self.cells[self.cell_index(p)]
-            z = cell.u_inv(p)
+        for p in pts:
+            z, A, s = self._pull(p, self.cell_index(p))
             if z not in pts_idx:
                 # boundary point parametrized from the other side
-                cell = self.cells[max(self.cell_index(p) - 1, 0)]
-                z = cell.u_inv(p)
-            pulled.append((pts_idx[z], float(poly_eval(cell.data, z)), float(cell.s)))
+                z, A, s = self._pull(p, max(self.cell_index(p) - 1, 0))
+            pulled.append((pts_idx[z], float(A), float(s)))
         values = np.zeros(len(pts))
         out = [values]
         for _ in range(steps):
@@ -406,78 +341,20 @@ def _check_shared_system(functions: Sequence[FractalFunction]):
 
 def moments(f: FractalFunction, max_degree: int) -> list[Fraction]:
     """Exact moments integral of f(x) x^m over the domain, m = 0..max_degree."""
-    a, b = f.domain
-    k = max_degree + 1
-    # M = T M + rhs with T from the scalings and the powers of u_i
-    T = [[Fraction(0)] * k for _ in range(k)]
-    rhs = [Fraction(0)] * k
-    for cell in f.cells:
-        ai = abs(cell.m)
-        mono = (Fraction(1),)
-        for m in range(k):
-            # mono = coefficients of u_i(z)^m in z
-            rhs[m] += ai * poly_integral(poly_mul(cell.data, mono), a, b)
-            for j, cj in enumerate(mono):
-                T[m][j] += ai * cell.s * cj
-            mono = poly_mul(mono, (cell.q, cell.m))
-    # solve (I - T) M = rhs exactly
-    n = k
-    aug = [[(Fraction(1) if i == j else Fraction(0)) - T[i][j] for j in range(n)] + [rhs[i]]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                fct = aug[r][col]
-                aug[r] = [x - fct * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def _inner_from_moments(f: FractalFunction, g: FractalFunction, mf: list, mg: list) -> Fraction:
-    """<f, g> from the cell data and each function's moments up to the data degree."""
-    a, b = f.domain
-    total = Fraction(0)
-    s_quad = Fraction(0)
-    for cf, cg in zip(f.cells, g.cells):
-        ai = abs(cf.m)
-        total += ai * poly_integral(poly_mul(cf.data, cg.data), a, b)
-        total += ai * cf.s * sum(c * mg[j] for j, c in enumerate(cf.data))
-        total += ai * cf.s * sum(c * mf[j] for j, c in enumerate(cg.data))
-        s_quad += ai * cf.s * cf.s
-    if s_quad >= 1:
-        raise ValueError("inner products need sum a_i s_i^2 < 1")
-    return total / (1 - s_quad)
-
-
-def _data_degree(functions: Sequence[FractalFunction]) -> int:
-    return max(len(c.data) for f in functions for c in f.cells) - 1
+    mom = surfaces.moments(f, max_degree)
+    return [mom[(m,)] for m in range(max_degree + 1)]
 
 
 def inner_product(f: FractalFunction, g: FractalFunction) -> Fraction:
     """Exact L2 inner product over the domain, via the moment recursion."""
     _check_shared_system([f, g])
-    deg = _data_degree([f, g])
-    return _inner_from_moments(f, g, moments(f, deg), moments(g, deg))
+    return surfaces.inner_product(f, g)
 
 
 def gram_matrix(functions: Sequence[FractalFunction]) -> list[list[Fraction]]:
-    """Exact Gram matrix; one moment solve per function, at the family's data
-    degree (the moment system is triangular, so a higher degree changes no
-    lower moment)."""
+    """Exact Gram matrix; one moment solve per function."""
     _check_shared_system(functions)
-    deg = _data_degree(functions)
-    mom = [moments(f, deg) for f in functions]
-    n = len(functions)
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            val = _inner_from_moments(functions[i], functions[j], mom[i], mom[j])
-            g[i][j] = val
-            g[j][i] = val
-    return g
+    return surfaces.gram_matrix(functions)
 
 
 def gram_matrix_quadrature(functions: Sequence[FractalFunction], depth: int = 12) -> np.ndarray:
@@ -497,7 +374,7 @@ def gram_matrix_quadrature(functions: Sequence[FractalFunction], depth: int = 12
     # per cell: slope, intercept, data coefficients [function, power] padded
     # with zeros (a zero leading coefficient leaves Horner's floats unchanged)
     # and scalings [function, 1]
-    width = _data_degree(functions) + 1
+    width = max(len(c.data) for f in functions for c in f.cells)
     cells = []
     for ci, cell in enumerate(base.cells):
         coeffs = np.zeros((len(functions), width))

@@ -1,8 +1,9 @@
 """Small exact linear algebra: vectors, matrices, affine isometries, hyperplanes.
 
 Everything is dimension-checked and works over exact number types
-(Fraction, int, ExactScalar) as well as floats.  Matrix inverses and
-determinants are implemented directly for the small dimensions used here.
+(Fraction, int) as well as floats.  Determinants are expanded directly for
+the small dimensions used here; linear systems, ranks and matrix inverses all
+go through one Gauss-Jordan elimination, `_row_reduce`.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ class Vec(tuple):
         self._check(other)
         return sum(a * b for a, b in zip(self, other))
 
-    def to_floats(self):
-        return tuple(float(a) for a in self)
-
     def __repr__(self):
         return f"Vec{tuple(self)!r}"
 
@@ -94,25 +92,11 @@ class Mat:
     def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> "Mat":
         return Mat([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def diagonal(entries: Sequence) -> "Mat":
-        n = len(entries)
-        zero = entries[0] * 0
-        return Mat(
-            [[entries[i] if i == j else zero for j in range(n)] for i in range(n)]
-        )
-
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
-
-    def row(self, i) -> Vec:
-        return Vec(self.rows[i])
-
-    def col(self, j) -> Vec:
-        return Vec(r[j] for r in self.rows)
 
     def transpose(self) -> "Mat":
         return Mat(list(zip(*self.rows)))
@@ -171,17 +155,8 @@ class Mat:
         n = self.nrows
         work = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
         work = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in work]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                raise ValueError("singular matrix")
-            work[col], work[pivot] = work[pivot], work[col]
-            pv = work[col][col]
-            work[col] = [x / pv for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+        if _row_reduce(work, n) < n:
+            raise ValueError("singular matrix")
         return Mat([row[n:] for row in work])
 
     def to_numpy(self) -> np.ndarray:
@@ -189,6 +164,49 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({list(map(list, self.rows))!r})"
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+# ---------------------------------------------------------------------------
+
+
+def _row_reduce(work: list, ncols: int) -> int:
+    """Gauss-Jordan elimination in place on the first ncols columns.
+
+    Each pivot row is divided by its pivot and cleared from every other row,
+    so the pivot columns end as unit vectors.  Returns the rank, the number
+    of pivots.
+    """
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        pv = work[row][col]
+        work[row] = [x / pv for x in work[row]]
+        for r in range(len(work)):
+            if r != row and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
+        row += 1
+    return row
+
+
+def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> list:
+    """The solution of a square linear system, over Fractions."""
+    n = len(rows)
+    work = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    if _row_reduce(work, n) < n:
+        raise ValueError("singular linear system")
+    return [work[r][n] for r in range(n)]
+
+
+def rank(vectors: Sequence[Sequence]) -> int:
+    """The rank of a list of vectors, over Fractions."""
+    work = [[Fraction(a) for a in v] for v in vectors]
+    return _row_reduce(work, len(work[0])) if work else 0
 
 
 # ---------------------------------------------------------------------------

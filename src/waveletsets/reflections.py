@@ -8,12 +8,11 @@ it across violated bounding hyperplanes until it lands inside the figure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import AffineIsometry, AffineMap, Hyperplane, Mat, Vec
+from .geometry import AffineIsometry, AffineMap, Hyperplane, Mat, Vec, rank
 
 FOLD_GUARD = 100000
 
@@ -66,29 +65,6 @@ def affine_reflection(root: Sequence, level) -> AffineIsometry:
 # ---------------------------------------------------------------------------
 
 
-def _rank(vectors: Sequence[Vec]) -> int:
-    work = [list(v) for v in vectors]
-    if not work:
-        return 0
-    cols = len(work[0])
-    rank = 0
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        pv = work[row][col]
-        work[row] = [Fraction(a) / pv for a in work[row]]
-        for r in range(len(work)):
-            if r != row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[row])]
-        row += 1
-        rank += 1
-    return rank
-
-
 class RootSystem:
     """A finite reduced crystallographic root system."""
 
@@ -103,7 +79,7 @@ class RootSystem:
         roots = set(self.roots)
         if len(roots) != len(self.roots):
             raise ValueError("repeated roots")
-        if _rank(self.roots) != self.dim:
+        if rank(self.roots) != self.dim:
             raise ValueError("roots do not span the ambient space")
         for r in self.roots:
             if Vec(-a for a in r) not in roots:
@@ -328,16 +304,6 @@ def right_triangle_figure() -> FoldableFigure:
     )
 
 
-def equilateral_triangle_data() -> dict:
-    """Vertex data for the equilateral figure; no exact algorithms attached."""
-    import math
-
-    return {
-        "name": "equilateral-triangle",
-        "vertices": [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)],
-    }
-
-
 # ---------------------------------------------------------------------------
 # group enumeration over a region
 # ---------------------------------------------------------------------------
@@ -443,21 +409,3 @@ def subdivide(figure: FoldableFigure, kappa: int) -> list[AffineMap]:
             rows.append(row)
         maps.append(AffineMap(Mat(rows), Vec(shift)))
     return maps
-
-
-# ---------------------------------------------------------------------------
-# tessellation export
-# ---------------------------------------------------------------------------
-
-
-def tessellation_json(cells: Sequence[GroupCell]) -> str:
-    payload = {
-        "cells": [
-            {
-                "word": list(map(int, c.word)),
-                "vertices": [[float(a) for a in v] for v in c.vertices],
-            }
-            for c in cells
-        ]
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -1,14 +1,17 @@
 """Self-affine surfaces over foldable figures.
 
 A surface is specified by similitudes u_1..u_N mapping a polytope domain
-onto its cells, polynomial data functions lambda_1..lambda_N, and a vertical
-scaling s with |s| < 1.  The surface is the unique bounded fixed point of the
-cell-wise transfer operator
+onto its cells, polynomial data functions lambda_1..lambda_N, and vertical
+scalings s_1..s_N with |s_i| < 1 (one value shared by all cells, or one per
+cell).  The surface is the unique bounded fixed point of the cell-wise
+transfer operator
 
-    (B f)(x) = lambda_i(u_i^{-1} x) + s * f(u_i^{-1} x)   for x in cell i,
+    (B f)(x) = lambda_i(u_i^{-1} x) + s_i * f(u_i^{-1} x)   for x in cell i,
 
 continuous whenever the data functions agree on the preimages of shared cell
-faces.  All vertex and mesh computations are exact over the rationals.
+faces.  All vertex and mesh computations are exact over the rationals.  This
+module is the one self-affine engine: a fractal interpolation function
+(`waveletsets.fif`) is the case of an interval, tiled by its cells.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .fif import EvalResult
-from .geometry import AffineIsometry, AffineMap, Mat, Vec
+from .geometry import AffineIsometry, AffineMap, Mat, Vec, solve_exact
 from .reflections import FoldableFigure, fold
 
 ZERO = Fraction(0)
@@ -119,31 +121,13 @@ def as_poly(obj, dim: int) -> dict:
     return p
 
 
-def _solve_exact(rows: list, rhs: list) -> list:
-    """Gaussian elimination over Fractions for a square system."""
-    n = len(rows)
-    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular linear system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def affine_from_values(points: Sequence, values: Sequence) -> dict:
     """The affine polynomial through (point, value) pairs; dim+1 points."""
     dim = len(points[0])
     if len(points) != dim + 1 or len(values) != dim + 1:
         raise ValueError("affine interpolation needs dim+1 samples")
     rows = [[ONE] + list(p) for p in points]
-    coeffs = _solve_exact(rows, list(values))
+    coeffs = solve_exact(rows, list(values))
     return as_poly(coeffs, dim)
 
 
@@ -212,12 +196,16 @@ def domain_integral(p: dict, spec: "SurfaceSpec") -> Fraction:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceSpec:
-    """Domain polytope, cell similitudes, polynomial data, vertical scaling."""
+    """Domain polytope, cell similitudes, polynomial data, vertical scaling.
+
+    The scaling is one Fraction shared by all cells or a tuple with one value
+    per similitude; `_scalings` always holds the per-cell tuple.
+    """
 
     vertices: tuple
     maps: tuple
     data: tuple
-    scaling: Fraction
+    scaling: Fraction | tuple
 
     def __post_init__(self):
         verts = tuple(Vec(Fraction(a) for a in v) for v in self.vertices)
@@ -225,13 +213,22 @@ class SurfaceSpec:
         object.__setattr__(self, "maps", tuple(self.maps))
         dim = len(verts[0])
         object.__setattr__(self, "data", tuple(as_poly(d, dim) for d in self.data))
-        object.__setattr__(self, "scaling", Fraction(self.scaling))
-        if abs(self.scaling) >= 1:
+        if isinstance(self.scaling, tuple):
+            object.__setattr__(self, "scaling", tuple(Fraction(s) for s in self.scaling))
+            scalings = self.scaling
+        else:
+            object.__setattr__(self, "scaling", Fraction(self.scaling))
+            scalings = (self.scaling,) * len(self.maps)
+        object.__setattr__(self, "_scalings", scalings)
+        if any(abs(s) >= 1 for s in scalings):
             raise ValueError("vertical scaling must satisfy |s| < 1")
         if len(self.data) != len(self.maps):
             raise ValueError("one data function per similitude required")
+        if len(scalings) != len(self.maps):
+            raise ValueError("one vertical scaling per similitude required")
         inverses = tuple(u.inverse() for u in self.maps)
         object.__setattr__(self, "_inverses", inverses)
+        object.__setattr__(self, "_dets", tuple(abs(u.linear.det()) for u in self.maps))
         box, chart, volume = _domain_geometry(verts)
         object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_chart", chart)
@@ -343,66 +340,96 @@ def validate_condition_star(spec: SurfaceSpec) -> ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-class FractalSurface:
-    """Fixed point of the cell-wise transfer operator over the domain."""
+@dataclass
+class EvalResult:
+    value: Fraction | float
+    error_bound: float  # zero means exact
+
+
+class SelfAffine:
+    """The fixed point of a spec's transfer operator, evaluated by pull-back.
+
+    A subclass picks the cell of a point (`_cell`), pulls a point back
+    through a cell (`_pull`, returning the pulled point, the cell's data
+    there and its scaling) and bounds the function (`bound`); the exact
+    chain resolution and the truncated evaluation are shared.
+    """
 
     def __init__(self, spec: SurfaceSpec):
         self.spec = spec
         self._memo: dict = {}
 
-    def bound(self) -> Fraction:
-        return self.spec.data_bound() / (1 - abs(self.spec.scaling))
+    def _resolve_chain(self, x, max_chain: int, first_cell: Optional[int] = None):
+        """Exact value via the pull-back chain; None when no cycle closes.
 
-    def _resolve_chain(self, x: Vec, max_chain: int):
-        """Exact value via the pull-back chain; None when no cycle closes."""
+        The first pull-back goes through first_cell when one is given.
+        """
         if x in self._memo:
             return self._memo[x]
-        chain = []  # (point, data value at pulled point)
+        chain = []  # (point, data value at the pulled point, scaling)
         index_of: dict = {}
-        s = self.spec.scaling
         z = x
         for step in range(max_chain):
             if z in self._memo:
                 value = self._memo[z]
                 break
             if z in index_of:
+                # cycle: f(z) = C + S f(z)
                 j = index_of[z]
                 C, S = Fraction(0), Fraction(1)
-                for _, A in chain[j:]:
+                for _, A, sk in chain[j:]:
                     C = C + S * A
-                    S = S * s
+                    S = S * sk
                 value = C / (1 - S)
                 self._memo[z] = value
                 break
             index_of[z] = step
-            i = self.spec.cell_of(z)
-            z_next = self.spec._inverses[i].apply(z)
-            chain.append((z, poly_val(self.spec.data[i], z_next)))
+            i = first_cell if (step == 0 and first_cell is not None) else self._cell(z)
+            z_next, A, sk = self._pull(z, i)
+            chain.append((z, A, sk))
             z = z_next
         else:
             return None
-        for pt, A in reversed(chain[: index_of.get(z, len(chain))]):
-            value = A + s * value
+        # unwind the prefix of the chain down to the resolved point
+        for pt, A, sk in reversed(chain[: index_of.get(z, len(chain))]):
+            value = A + sk * value
             self._memo[pt] = value
         return self._memo[x]
+
+    def _evaluate(self, x, depth: int) -> EvalResult:
+        """Exact where the pull-back orbit closes; certified interval otherwise."""
+        exact = self._resolve_chain(x, depth)
+        if exact is not None:
+            return EvalResult(exact, 0.0)
+        # unroll the chain `depth` times and bound the tail
+        z = x
+        A, S = Fraction(0), Fraction(1)
+        for _ in range(depth):
+            z, a, sk = self._pull(z, self._cell(z))
+            A = A + S * a
+            S = S * sk
+        return EvalResult(A, float(abs(S) * self.bound()))
+
+
+class FractalSurface(SelfAffine):
+    """Fixed point of the cell-wise transfer operator over the domain."""
+
+    def bound(self) -> Fraction:
+        return self.spec.data_bound() / (1 - max(abs(s) for s in self.spec._scalings))
+
+    def _cell(self, z: Vec) -> int:
+        return self.spec.cell_of(z)
+
+    def _pull(self, z: Vec, i: int) -> tuple:
+        z_next = self.spec._inverses[i].apply(z)
+        return z_next, poly_val(self.spec.data[i], z_next), self.spec._scalings[i]
 
     def evaluate(self, x: Sequence, depth: int = 64) -> EvalResult:
         """Exact where the pull-back orbit closes; certified interval otherwise."""
         x = Vec(Fraction(a) for a in x)
         if not self.spec.contains(x):
             raise ValueError("point is outside the domain")
-        exact = self._resolve_chain(x, depth)
-        if exact is not None:
-            return EvalResult(exact, 0.0)
-        s = self.spec.scaling
-        z = x
-        A, S = Fraction(0), Fraction(1)
-        for _ in range(depth):
-            i = self.spec.cell_of(z)
-            z = self.spec._inverses[i].apply(z)
-            A = A + S * poly_val(self.spec.data[i], z)
-            S = S * s
-        return EvalResult(A, float(abs(S) * self.bound()))
+        return self._evaluate(x, depth)
 
     def value_at(self, x: Sequence) -> Fraction:
         res = self.evaluate(x)
@@ -413,11 +440,10 @@ class FractalSurface:
     def vertex_values(self) -> dict:
         """Exact values at the domain vertices, cross-checked over all cells."""
         vals = {v: self.value_at(v) for v in self.spec.vertices}
-        s = self.spec.scaling
         for i, u in enumerate(self.spec.maps):
             for v in self.spec.vertices:
                 w = u.apply(v)
-                expect = poly_val(self.spec.data[i], v) + s * vals[v]
+                expect = poly_val(self.spec.data[i], v) + self.spec._scalings[i] * vals[v]
                 if w in vals and vals[w] != expect:
                     raise ArithmeticError("cell relations disagree at a vertex")
         return vals
@@ -432,7 +458,7 @@ class FractalSurface:
         common denominator dp, values over one common denominator dv.  A level
         maps a point X/dp to (L A X + dp L b)/(dp L), with L the lcm of the
         map denominators, and its value to an integer combination over
-        dv' = lcm(dv den(s), den(data) dp^deg), so the cascade and the
+        dv' = lcm(dv den(s_i) for all i, den(data) dp^deg), so the cascade and the
         shared-point check run on plain ints.  Points and values become
         Fractions (and Vec keys) once, at the end.
         """
@@ -442,7 +468,6 @@ class FractalSurface:
         dv = math.lcm(*(v.denominator for v in start.values()))
         cur = {tuple(c.numerator * (dp // c.denominator) for c in p):
                v.numerator * (dv // v.denominator) for p, v in start.items()}
-        s = spec.scaling
         lin_den = math.lcm(*(Fraction(a).denominator for u in spec.maps
                              for row in u.linear.rows for a in row),
                            *(Fraction(b).denominator for u in spec.maps for b in u.shift))
@@ -450,10 +475,10 @@ class FractalSurface:
         deg = max(poly_degree(lam) for lam in spec.data)
         for _ in range(depth):
             dp_next = dp * lin_den
-            dv_next = math.lcm(dv * s.denominator, data_den * dp ** deg)
-            carry = s.numerator * (dv_next // (dv * s.denominator))
+            dv_next = math.lcm(*(dv * s.denominator for s in spec._scalings), data_den * dp ** deg)
             nxt: dict = {}
-            for u, lam in zip(spec.maps, spec.data):
+            for u, lam, s in zip(spec.maps, spec.data, spec._scalings):
+                carry = s.numerator * (dv_next // (dv * s.denominator))
                 rows = [[int(a * lin_den) for a in row] for row in u.linear.rows]
                 shift = [int(b * dp_next) for b in u.shift]
                 # lam(X/dp) * dv_next as an integer polynomial in X
@@ -495,16 +520,15 @@ class FractalSurface:
         index = {p: k for k, p in enumerate(pts)}
         pulled = []
         for p in pts:
-            i, src = parent.get(p, (None, None)) if parent else (None, None)
+            i, src = parent.get(p, (None, None))
             if src is None or src not in index:
                 i = self.spec.cell_of(p)
-                src = self.spec._inverses[i].apply(p)
-            pulled.append((float(poly_val(self.spec.data[i], src)), index[src]))
-        s = float(self.spec.scaling)
+            src, lam, s = self._pull(p, i)
+            pulled.append((float(lam), index[src], float(s)))
         g = [0.0] * len(pts)
         gaps = []
         for _ in range(steps):
-            ng = [lam + s * g[k] for lam, k in pulled]
+            ng = [lam + s * g[k] for lam, k, s in pulled]
             gaps.append(max(abs(a - b) for a, b in zip(ng, g)))
             g = ng
         return gaps
@@ -543,12 +567,11 @@ def basis_surfaces(spec: SurfaceSpec) -> dict:
     if len(spec.vertices) != spec.dim + 1:
         raise ValueError("vertex basis construction needs a simplex domain")
     pts = level_one_vertices(spec)
-    s = spec.scaling
     out = {}
     for nu in pts:
         zvals = {p: (ONE if p == nu else ZERO) for p in pts}
         data = []
-        for u in spec.maps:
+        for u, s in zip(spec.maps, spec._scalings):
             samples = [zvals[u.apply(v)] - s * zvals[v] for v in spec.vertices]
             data.append(affine_from_values(spec.vertices, samples))
         surf = FractalSurface(spec.with_data(data))
@@ -579,7 +602,7 @@ class RefinedSurface:
         for i in self.word:
             y = spec._inverses[i].apply(y)
             total += scale * poly_val(spec.data[i], y)
-            scale *= spec.scaling
+            scale *= spec._scalings[i]
         inner = self.surface.evaluate(y, depth)
         return EvalResult(total + scale * inner.value, float(abs(scale)) * inner.error_bound)
 
@@ -614,11 +637,10 @@ def moments(surface: FractalSurface, degree: int) -> dict:
     expos = _monomials_upto(spec.dim, degree)
     pos = {e: k for k, e in enumerate(expos)}
     n = len(expos)
-    dets = [abs(u.linear.det()) for u in spec.maps]
+    dets = spec._dets
     if sum(dets) != 1:
         raise ValueError("cells must tile the domain")
-    s = spec.scaling
-    # M_p = sum_i det_i * ( integral(lambda_i * p(u_i .)) + s * M_{p(u_i .)} )
+    # M_p = sum_i det_i * ( integral(lambda_i * p(u_i .)) + s_i * M_{p(u_i .)} )
     rows = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
     rhs = [ZERO] * n
     for r, e in enumerate(expos):
@@ -627,8 +649,8 @@ def moments(surface: FractalSurface, degree: int) -> dict:
             comp = poly_compose_affine(mono, u)
             rhs[r] += dets[i] * domain_integral(poly_mul(spec.data[i], comp), spec)
             for ce, cc in comp.items():
-                rows[r][pos[ce]] -= dets[i] * s * cc
-    sol = _solve_exact(rows, rhs)
+                rows[r][pos[ce]] -= dets[i] * spec._scalings[i] * cc
+    sol = solve_exact(rows, rhs)
     return {e: sol[pos[e]] for e in expos}
 
 
@@ -638,18 +660,24 @@ def _check_shared_domain(f: FractalSurface, g: FractalSurface) -> None:
 
 
 def _inner_from_moments(f: FractalSurface, g: FractalSurface, mf: dict, mg: dict) -> Fraction:
-    """<f, g> from the cell data and each surface's moments up to the data degree."""
+    """<f, g> from the cell data and each surface's moments up to the data degree.
+
+    Splitting the domain integral into cells and pulling each back gives
+        <f, g> = sum_i det_i [int lam_f,i lam_g,i + s_g,i int lam_f,i g
+                              + s_f,i int lam_g,i f] / (1 - sum_i det_i s_f,i s_g,i).
+    """
     sf, sg = f.spec, g.spec
     total = Fraction(0)
-    for i, u in enumerate(sf.maps):
+    for i, det in enumerate(sf._dets):
         lam_f, lam_g = sf.data[i], sg.data[i]
         if not (lam_f or lam_g):
             continue
         term = domain_integral(poly_mul(lam_f, lam_g), sf)
-        term += sg.scaling * sum((c * mg[e] for e, c in lam_f.items()), ZERO)
-        term += sf.scaling * sum((c * mf[e] for e, c in lam_g.items()), ZERO)
-        total += abs(u.linear.det()) * term
-    return total / (1 - sf.scaling * sg.scaling)
+        term += sg._scalings[i] * sum((c * mg[e] for e, c in lam_f.items()), ZERO)
+        term += sf._scalings[i] * sum((c * mf[e] for e, c in lam_g.items()), ZERO)
+        total += det * term
+    s_quad = sum((d * a * b for d, a, b in zip(sf._dets, sf._scalings, sg._scalings)), ZERO)
+    return total / (1 - s_quad)
 
 
 def inner_product(f: FractalSurface, g: FractalSurface) -> Fraction:
@@ -703,9 +731,6 @@ class GlobalSurface:
                 key = key.key()
             self._table[key] = tuple(as_poly(d, template.dim) for d in data)
         self._cache: dict = {}
-
-    def cell_key(self, x: Sequence):
-        return fold(self.figure, x).isometry.key()
 
     def evaluate(self, x: Sequence, depth: int = 64) -> Optional[EvalResult]:
         res = fold(self.figure, x)

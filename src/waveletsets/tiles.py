@@ -456,10 +456,6 @@ class CongruenceCertificate:
     def residual_measure(self) -> Fraction:
         return max(self.source_residual.measure, self.target_residual.measure)
 
-    @property
-    def is_congruence(self) -> bool:
-        return self.residual_measure == 0
-
     def verify(self) -> VerificationReport:
         """Independent re-check: recompute every set relation from scratch."""
         dim = self.source.dim
@@ -925,11 +921,6 @@ class ThreeWayReport:
     dilation_residual: Optional[Fraction]
     weyl_residual: Fraction
     dilation_error: Optional[str] = None
-
-    @property
-    def all_pass(self) -> bool:
-        return (self.translation_residual == 0 and self.weyl_residual == 0
-                and self.dilation_residual == 0)
 
     def within(self, bound) -> bool:
         bound = _frac(bound)

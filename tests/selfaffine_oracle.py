@@ -1,41 +1,254 @@
-"""Reference self-affine computations for the differential tests of
-`waveletsets.fif`, `waveletsets.surfaces` and `waveletsets.mra`.
+"""Reference computations for the differential tests of `waveletsets.fif`,
+`waveletsets.surfaces`, `waveletsets.mra` and the exact solver in
+`waveletsets.geometry`.
 
-These are the implementations the library used before its integer-numerator
-mesh cascades, its one-solve-per-surface Gram matrices and its vectorized
-quadrature: each mesh level is a list or dict of normalized Fractions, each
-inner product solves both surfaces' moment systems again, and the quadrature
-is a Python loop over its nodes.  They are slow but simple, and
-`tests/test_selfaffine_oracle.py` uses them as the oracle for identical
-Fractions (and for floats within 1e-12).  The bodies are kept verbatim:
-only names differ (methods became functions of the object, and the 1-D
-`poly_mul` is imported as `poly_mul_1d`).  The 1-D moment solve
-`waveletsets.fif.moments` and the polynomial helpers are the library's own,
-which these implementations shared.  Keep them unchanged.
+These are implementations the library used before:
+- meshes as lists or dicts of normalized Fractions, each inner product
+  solving both moment systems again, the quadrature as a Python loop over
+  its nodes (before the integer-numerator mesh cascades, the
+  one-solve-per-surface Gram matrices and the vectorized quadrature);
+- `FractalFunction` and `FractalSurface` with a pull-back chain and a
+  truncated evaluation each, the 1-D moment recursion and pair formula of
+  `fif`, and a Gaussian elimination in each of `fif.moments`,
+  `surfaces._solve_exact`, `reflections._rank` and `Mat.inverse` (before
+  one self-affine engine in `surfaces` and one elimination in `geometry`).
+
+They are slow but simple, and `tests/test_selfaffine_oracle.py` uses them as
+the oracle for identical Fractions (and for floats within 1e-12).  The
+bodies are kept verbatim: only names differ (some methods became functions
+of the object, `Mat.inverse` is `mat_inverse`, and the 1-D `poly_mul` is
+`poly_mul_1d`).  The classes here are the earlier `FractalFunction` and
+`FractalSurface`, reduced to their constructors and evaluation methods, with
+memos of their own, so nothing here runs the library's evaluation code; build
+them from a library object's `domain` and `cells`, or its `spec`.  Only
+unchanged library helpers are imported (the geometry types and the
+multivariate polynomial helpers); the cells and specs read here are the
+library's.  Keep these bodies unchanged.
 """
 
 from __future__ import annotations
 
+import bisect
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from waveletsets.fif import FractalFunction, _check_shared_system, moments, poly_eval, poly_integral
-from waveletsets.fif import poly_mul as poly_mul_1d
 from waveletsets.geometry import AffineMap, Mat, Vec
 from waveletsets.surfaces import (
     ONE,
     ZERO,
-    FractalSurface,
     _monomials_upto,
-    _solve_exact,
     _standard_simplex_integral,
+    as_poly,
+    level_one_vertices,
     poly_compose_affine,
     poly_degree,
     poly_mul,
     poly_val,
 )
+
+
+# ---------------------------------------------------------------------------
+# fractal functions: the earlier class, moment recursion and pair formula
+# ---------------------------------------------------------------------------
+
+
+def _frac(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def poly_eval(coeffs: Sequence[Fraction], x):
+    value = 0
+    for c in reversed(tuple(coeffs)):
+        value = value * x + c
+    return value
+
+
+def poly_mul_1d(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def poly_integral(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
+    total = Fraction(0)
+    for k, c in enumerate(coeffs):
+        total += c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+    return total
+
+
+@dataclass
+class EvalResult:
+    value: Fraction | float
+    error_bound: float  # zero means exact
+
+
+class FractalFunction:
+    """Fixed point of the cell-wise affine transfer operator."""
+
+    def __init__(self, domain: tuple, cells: Sequence[CellMap]):
+        a, b = _frac(domain[0]), _frac(domain[1])
+        if not a < b:
+            raise ValueError("empty domain")
+        self.domain = (a, b)
+        self.cells = list(cells)
+        for c in self.cells:
+            if abs(c.s) >= 1:
+                raise ValueError("vertical scaling must satisfy |s| < 1")
+        # cell images must tile the domain left to right
+        boundaries = [a]
+        for c in self.cells:
+            lo, hi = sorted((c.u(a), c.u(b)))
+            if lo != boundaries[-1]:
+                raise ValueError("cells do not tile the domain")
+            boundaries.append(hi)
+        if boundaries[-1] != b:
+            raise ValueError("cells do not tile the domain")
+        self.boundaries = boundaries
+        self._memo: dict = {}
+
+    def cell_index(self, x) -> int:
+        x = _frac(x)
+        a, b = self.domain
+        if not a <= x <= b:
+            raise ValueError("point outside the domain")
+        if x == b:
+            return len(self.cells) - 1
+        i = bisect.bisect_right(self.boundaries, x) - 1
+        return min(i, len(self.cells) - 1)
+
+    def _resolve_chain(self, x: Fraction, max_chain: int, first_cell: Optional[int] = None):
+        """Exact value via the pull-back chain; None when no cycle is reached."""
+        if x in self._memo:
+            return self._memo[x]
+        chain = []  # (point, A_k, s_k)
+        index_of = {}
+        z = x
+        for step in range(max_chain):
+            if z in self._memo:
+                value = self._memo[z]
+                break
+            if z in index_of:
+                # cycle: f(z) = C + S f(z)
+                j = index_of[z]
+                C, S = Fraction(0), Fraction(1)
+                for _, A, sk in chain[j:]:
+                    C = C + S * A
+                    S = S * sk
+                value = C / (1 - S)
+                self._memo[z] = value
+                break
+            index_of[z] = step
+            i = first_cell if (step == 0 and first_cell is not None) else self.cell_index(z)
+            cell = self.cells[i]
+            z_next = cell.u_inv(z)
+            chain.append((z, poly_eval(cell.data, z_next), cell.s))
+            z = z_next
+        else:
+            return None
+        # unwind the prefix of the chain down to the resolved point
+        for pt, A, sk in reversed(chain[: index_of.get(z, len(chain))]):
+            value = A + sk * value
+            self._memo[pt] = value
+        return self._memo[x]
+
+    def bound(self) -> Fraction:
+        """A uniform bound on |f| over the domain."""
+        a, b = self.domain
+        peak = Fraction(0)
+        smax = Fraction(0)
+        for c in self.cells:
+            corners = [abs(poly_eval(c.data, a)), abs(poly_eval(c.data, b))]
+            # affine data attains its extremes at the endpoints; for higher
+            # degree fall back to a coarse coefficient bound
+            if len(c.data) > 2:
+                corners.append(sum(abs(co) * max(abs(a), abs(b), 1) ** k
+                                   for k, co in enumerate(c.data)))
+            peak = max(peak, *corners)
+            smax = max(smax, abs(c.s))
+        return peak / (1 - smax)
+
+    def evaluate(self, x, depth: int = 48) -> EvalResult:
+        """Exact where the pull-back orbit closes; certified interval otherwise."""
+        x = _frac(x)
+        exact = self._resolve_chain(x, depth)
+        if exact is not None:
+            return EvalResult(exact, 0.0)
+        # unroll the chain `depth` times and bound the tail
+        z = x
+        A, S = Fraction(0), Fraction(1)
+        for _ in range(depth):
+            cell = self.cells[self.cell_index(z)]
+            z_next = cell.u_inv(z)
+            A = A + S * poly_eval(cell.data, z_next)
+            S = S * cell.s
+            z = z_next
+        return EvalResult(A, float(abs(S) * self.bound()))
+
+    def knot_values(self) -> list:
+        """Values at the cell-boundary points.
+
+        At a boundary shared by two cells the fixed point may be one-sided;
+        the value is reported from an orientation-preserving neighbor cell
+        when one exists (left cell otherwise), which matches the anchored
+        interpolation data in both the translation and reflection layouts.
+        """
+        values = []
+        for j, t in enumerate(self.boundaries):
+            adjacent = []
+            if j > 0:
+                adjacent.append(j - 1)
+            if j < len(self.cells):
+                adjacent.append(j)
+            pick = next((i for i in adjacent if self.cells[i].preserves_orientation), adjacent[0])
+            values.append(self._resolve_chain(t, 64, first_cell=pick))
+        return values
+
+
+def _check_shared_system(functions: Sequence[FractalFunction]):
+    first = functions[0]
+    for f in functions[1:]:
+        if f.domain != first.domain or len(f.cells) != len(first.cells):
+            raise ValueError("functions must share the interpolation system")
+        for c, d in zip(f.cells, first.cells):
+            if (c.m, c.q, c.s) != (d.m, d.q, d.s):
+                raise ValueError("functions must share maps and scalings")
+
+
+def moments(f: FractalFunction, max_degree: int) -> list[Fraction]:
+    """Exact moments integral of f(x) x^m over the domain, m = 0..max_degree."""
+    a, b = f.domain
+    k = max_degree + 1
+    # M = T M + rhs with T from the scalings and the powers of u_i
+    T = [[Fraction(0)] * k for _ in range(k)]
+    rhs = [Fraction(0)] * k
+    for cell in f.cells:
+        ai = abs(cell.m)
+        mono = (Fraction(1),)
+        for m in range(k):
+            # mono = coefficients of u_i(z)^m in z
+            rhs[m] += ai * poly_integral(poly_mul_1d(cell.data, mono), a, b)
+            for j, cj in enumerate(mono):
+                T[m][j] += ai * cell.s * cj
+            mono = poly_mul_1d(mono, (cell.q, cell.m))
+    # solve (I - T) M = rhs exactly
+    n = k
+    aug = [[(Fraction(1) if i == j else Fraction(0)) - T[i][j] for j in range(n)] + [rhs[i]]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                fct = aug[r][col]
+                aug[r] = [x - fct * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +360,143 @@ def fif_gram_matrix_quadrature(functions: Sequence[FractalFunction], depth: int 
         for j in range(i, n):
             g[i, j] = g[j, i] = float((w * vals[i] * vals[j]).sum())
     return g
+
+
+# ---------------------------------------------------------------------------
+# surfaces: the earlier class, solver and vertex basis
+# ---------------------------------------------------------------------------
+
+
+def _solve_exact(rows: list, rhs: list) -> list:
+    """Gaussian elimination over Fractions for a square system."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular linear system")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def affine_from_values(points: Sequence, values: Sequence) -> dict:
+    """The affine polynomial through (point, value) pairs; dim+1 points."""
+    dim = len(points[0])
+    if len(points) != dim + 1 or len(values) != dim + 1:
+        raise ValueError("affine interpolation needs dim+1 samples")
+    rows = [[ONE] + list(p) for p in points]
+    coeffs = _solve_exact(rows, list(values))
+    return as_poly(coeffs, dim)
+
+
+class FractalSurface:
+    """Fixed point of the cell-wise transfer operator over the domain."""
+
+    def __init__(self, spec: SurfaceSpec):
+        self.spec = spec
+        self._memo: dict = {}
+
+    def bound(self) -> Fraction:
+        return self.spec.data_bound() / (1 - abs(self.spec.scaling))
+
+    def _resolve_chain(self, x: Vec, max_chain: int):
+        """Exact value via the pull-back chain; None when no cycle closes."""
+        if x in self._memo:
+            return self._memo[x]
+        chain = []  # (point, data value at pulled point)
+        index_of: dict = {}
+        s = self.spec.scaling
+        z = x
+        for step in range(max_chain):
+            if z in self._memo:
+                value = self._memo[z]
+                break
+            if z in index_of:
+                j = index_of[z]
+                C, S = Fraction(0), Fraction(1)
+                for _, A in chain[j:]:
+                    C = C + S * A
+                    S = S * s
+                value = C / (1 - S)
+                self._memo[z] = value
+                break
+            index_of[z] = step
+            i = self.spec.cell_of(z)
+            z_next = self.spec._inverses[i].apply(z)
+            chain.append((z, poly_val(self.spec.data[i], z_next)))
+            z = z_next
+        else:
+            return None
+        for pt, A in reversed(chain[: index_of.get(z, len(chain))]):
+            value = A + s * value
+            self._memo[pt] = value
+        return self._memo[x]
+
+    def evaluate(self, x: Sequence, depth: int = 64) -> EvalResult:
+        """Exact where the pull-back orbit closes; certified interval otherwise."""
+        x = Vec(Fraction(a) for a in x)
+        if not self.spec.contains(x):
+            raise ValueError("point is outside the domain")
+        exact = self._resolve_chain(x, depth)
+        if exact is not None:
+            return EvalResult(exact, 0.0)
+        s = self.spec.scaling
+        z = x
+        A, S = Fraction(0), Fraction(1)
+        for _ in range(depth):
+            i = self.spec.cell_of(z)
+            z = self.spec._inverses[i].apply(z)
+            A = A + S * poly_val(self.spec.data[i], z)
+            S = S * s
+        return EvalResult(A, float(abs(S) * self.bound()))
+
+    def value_at(self, x: Sequence) -> Fraction:
+        res = self.evaluate(x)
+        if res.error_bound != 0.0:
+            raise ArithmeticError("pull-back orbit did not close at this point")
+        return res.value
+
+    def vertex_values(self) -> dict:
+        """Exact values at the domain vertices, cross-checked over all cells."""
+        vals = {v: self.value_at(v) for v in self.spec.vertices}
+        s = self.spec.scaling
+        for i, u in enumerate(self.spec.maps):
+            for v in self.spec.vertices:
+                w = u.apply(v)
+                expect = poly_val(self.spec.data[i], v) + s * vals[v]
+                if w in vals and vals[w] != expect:
+                    raise ArithmeticError("cell relations disagree at a vertex")
+        return vals
+
+
+def basis_surfaces(spec: SurfaceSpec) -> dict:
+    """Cardinal surfaces, one per outer or inner vertex of the refinement.
+
+    The data function on each cell is forced by affine interpolation of the
+    prescribed vertex values; this is available for simplex domains where
+    dim+1 vertex conditions pin an affine function exactly.
+    """
+    if len(spec.vertices) != spec.dim + 1:
+        raise ValueError("vertex basis construction needs a simplex domain")
+    pts = level_one_vertices(spec)
+    s = spec.scaling
+    out = {}
+    for nu in pts:
+        zvals = {p: (ONE if p == nu else ZERO) for p in pts}
+        data = []
+        for u in spec.maps:
+            samples = [zvals[u.apply(v)] - s * zvals[v] for v in spec.vertices]
+            data.append(affine_from_values(spec.vertices, samples))
+        surf = FractalSurface(spec.with_data(data))
+        surf.mesh(1)  # consistency check at the refinement vertices
+        out[nu] = surf
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -264,3 +614,55 @@ def surface_gram_matrix(surfaces) -> list:
         for b in range(a, n):
             g[a][b] = g[b][a] = surface_inner_product(family[a], family[b])
     return g
+
+
+FractalSurface.mesh = surface_mesh
+
+
+# ---------------------------------------------------------------------------
+# exact elimination: Mat.inverse and reflections._rank
+# ---------------------------------------------------------------------------
+
+
+def mat_inverse(self: Mat) -> Mat:
+    """Gauss-Jordan inverse; exact when entries support exact division."""
+    if self.nrows != self.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    n = self.nrows
+    work = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
+    work = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in work]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        work[col], work[pivot] = work[pivot], work[col]
+        pv = work[col][col]
+        work[col] = [x / pv for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return Mat([row[n:] for row in work])
+
+
+def _rank(vectors: Sequence[Vec]) -> int:
+    work = [list(v) for v in vectors]
+    if not work:
+        return 0
+    cols = len(work[0])
+    rank = 0
+    row = 0
+    for col in range(cols):
+        pivot = next((r for r in range(row, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        pv = work[row][col]
+        work[row] = [Fraction(a) / pv for a in work[row]]
+        for r in range(len(work)):
+            if r != row and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[row])]
+        row += 1
+        rank += 1
+    return rank

@@ -42,6 +42,10 @@ def test_unknown_fixture_exits_one(capsys):
     ["mra", "build", "--degree", "-1"],
     ["mra", "build", "--scaling", "1"],
     ["fif", "basis", "--scaling", "3/2"],
+    # meshes of more than 2**20 leaf cells
+    ["fif", "basis", "--n", "4", "--depth", "11"],
+    ["fif", "example", "--name", "ex3.3", "--depth", "21"],
+    ["surface", "fixture", "--name", "ex5.2", "--depth", "11"],
 ])
 def test_bad_parameter_exits_two(capsys, argv):
     assert run(argv) == 2
@@ -149,6 +153,13 @@ def test_config_file_overrides_defaults(capsys, tmp_path):
     assert "1/15360 pi^2" in out
 
 
+def test_explicit_flags_win_over_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depth": 2}))
+    assert run(["--config", str(cfg), "tiles", "w1", "--depth", "3"]) == 0
+    assert "1/245760 pi^2" in capsys.readouterr().out
+
+
 def test_bad_config_file_exits_two(capsys, tmp_path):
     bad = tmp_path / "cfg.json"
     bad.write_text("{not json")
@@ -160,12 +171,30 @@ def test_bad_config_file_exits_two(capsys, tmp_path):
     ({"scaling": 1}, ["mra", "build"]),
     ({"scaling": 1.5}, ["fif", "basis"]),
     ({"depth": 0}, ["tiles", "w1"]),
+    # choices and booleans are checked as for the flags
+    ({"mode": "spiral"}, ["fif", "basis", "--n", "2", "--depth", "2"]),
+    ({"verify": "yes"}, ["tiles", "w1", "--depth", "3"]),
+    ({"depth": True}, ["tiles", "w1"]),
 ])
 def test_bad_config_value_exits_two(capsys, tmp_path, overrides, argv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
     assert run(["--config", str(cfg)] + argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_config_true_is_a_bare_flag(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verify": True}))
+    assert run(["--config", str(cfg), "tiles", "w1", "--depth", "3"]) == 0
+    assert "verification: pass" in capsys.readouterr().out
+
+
+def test_config_keys_of_other_subcommands_are_ignored(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kappa": 3}))
+    assert run(["--config", str(cfg), "fif", "basis", "--n", "2", "--depth", "2"]) == 0
+    capsys.readouterr()
 
 
 def test_version_has_a_single_source():

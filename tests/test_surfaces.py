@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from waveletsets import surfaces as sf
+from waveletsets.fif import FractalFunction
 from waveletsets.reflections import fold, right_triangle_figure
 
 
@@ -150,6 +151,20 @@ def test_gram_matrix_solves_one_moment_system_per_surface(basis, monkeypatch):
     monkeypatch.setattr(sf, "moments", counting)
     sf.gram_matrix(basis)
     assert len(solved) == 6 and len({id(f) for f in solved}) == 6
+
+
+def test_inner_product_with_unshared_per_cell_scalings():
+    # two interpolation functions on one interval, each with its own scaling
+    # per cell, through the 1-D specs they hold; the trapezoid rule on their
+    # depth-10 meshes is within 5e-6 of the exact value
+    knots = [0, F(1, 3), 1]
+    f = FractalFunction.from_interpolation(knots, [0, 1, F(1, 2)], [F(1, 2), F(-1, 3)])
+    g = FractalFunction.from_interpolation(knots, [1, 0, 1], [F(-1, 4), F(2, 5)])
+    exact = sf.inner_product(f, g)
+    (xs, fv), (_, gv) = f.mesh(10), g.mesh(10)
+    x = np.array([float(v) for v in xs])
+    y = np.array([float(a * b) for a, b in zip(fv, gv)])
+    assert abs(float(np.sum((y[1:] + y[:-1]) / 2 * np.diff(x))) - float(exact)) < 1e-4
 
 
 def test_exact_surface_integral(surf):
