@@ -18,6 +18,7 @@ from .reflections import box_figure, centered_square_figure
 
 ENV_OUTDIR = "WAVELETSETS_OUTDIR"
 MESH_CELLS_LIMIT = 2 ** 20
+MESH_DEPTH_LIMIT = 20
 
 
 def _frac(text) -> Fraction:
@@ -81,12 +82,16 @@ def _write(path: str, text: str) -> None:
 
 
 def _mesh_too_large(cells: int, depth: int) -> bool:
-    """Report a depth-level mesh of more than MESH_CELLS_LIMIT leaf cells.
+    """Report a mesh of more than MESH_DEPTH_LIMIT levels or of more than
+    MESH_CELLS_LIMIT leaf cells.
 
-    The power is taken at depth 21 at most: two cells already exceed the
-    limit there, so a huge --depth costs nothing to reject.
+    Every level costs work even over one cell, so the depth has a bound of
+    its own; two cells already exceed the cell limit one level deeper.
     """
-    if cells ** min(depth, 21) <= MESH_CELLS_LIMIT:
+    if depth > MESH_DEPTH_LIMIT:
+        print(f"error: --depth {depth} exceeds {MESH_DEPTH_LIMIT}", file=sys.stderr)
+        return True
+    if cells ** depth <= MESH_CELLS_LIMIT:
         return False
     print(f"error: a depth-{depth} mesh over {cells} cells has more than "
           f"{MESH_CELLS_LIMIT} leaf cells", file=sys.stderr)

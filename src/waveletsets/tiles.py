@@ -561,6 +561,13 @@ def _assemble(source: DyadicBoxSet, target: DyadicBoxSet,
 # ---------------------------------------------------------------------------
 
 
+def _lattice_range(moving, fixed, spacing: Fraction) -> range:
+    """The k whose shift of the interval `moving` by k*spacing meets or touches
+    the interval `fixed`, from exact floor and ceiling of Fractions."""
+    return range(math.floor((fixed[0] - moving[1]) / spacing),
+                 math.ceil((fixed[1] - moving[0]) / spacing) + 1)
+
+
 def translation_congruent(source: DyadicBoxSet, target: DyadicBoxSet,
                           spacings) -> CongruenceCertificate:
     """Decompose source into lattice translates partitioning target."""
@@ -570,11 +577,7 @@ def translation_congruent(source: DyadicBoxSet, target: DyadicBoxSet,
     sbb, tbb = source.bounding_box(), target.bounding_box()
     if sbb is None or tbb is None:
         return _finish_certificate(source, target, [])
-    ranges = []
-    for (slo, shi), (tlo, thi), sp in zip(sbb, tbb, spacings):
-        kmin = math.floor(float((tlo - shi) / sp))
-        kmax = math.ceil(float((thi - slo) / sp))
-        ranges.append(range(kmin, kmax + 1))
+    ranges = [_lattice_range(s, t, sp) for s, t, sp in zip(sbb, tbb, spacings)]
     keys = sorted(product(*ranges), key=lambda k: (sum(abs(x) for x in k), k))
     candidates = (
         (source, PieceMap.translate([k * s for k, s in zip(key, spacings)]))
@@ -630,32 +633,17 @@ def _needed_power_range(source, target, kappa, theta, max_power) -> int:
     return min(k, max_power)
 
 
-def _axis_fold_pieces(lo: Fraction, hi: Fraction, L: Fraction, H: Fraction):
-    """Split [lo, hi) at the mirror grid of [L, H] and give per-slab fold maps.
-
-    Yields (slab_lo, slab_hi, coeff, offset) with coeff*x + offset landing in
-    [L, H]; coeff is +1 or -1 (the per-axis triangle wave of period 2(H-L)).
-    """
-    w = H - L
-    m = math.floor((lo - L) / w)
-    t = lo
-    while t < hi:
-        cell_hi = L + (m + 1) * w
-        s_hi = min(hi, cell_hi)
-        if m % 2 == 0:
-            yield t, s_hi, Fraction(1), -m * w
-        else:
-            yield t, s_hi, Fraction(-1), 2 * L + (m + 1) * w
-        t = s_hi
-        m += 1
-
-
 def weyl_congruent(source: DyadicBoxSet, figure) -> CongruenceCertificate:
     """Fold source into a box foldable figure; congruent iff it tiles it once.
 
     The folding group is generated by the reflections about the figure's
-    bounding hyperplanes, so every box is split along the mirror grid and
-    carried in by a per-axis reflection word.
+    bounding hyperplanes; per axis the fold is the triangle wave of period
+    2(H - L) onto [L, H].  The source grid is refined at the mirrors and at
+    the unfolded target breakpoints, so each of its cells folds onto exactly
+    one target cell.  Claim rule: the first source cell in grid (C) order
+    that reaches a target cell takes it, later ones stay in the source
+    residual.  The certificate has one piece per reflection word it uses,
+    i.e. per tuple of slabs between mirrors, with that word's x -> +-x + o.
     """
     intervals = figure.box if isinstance(figure, FoldableFigure) else figure
     if intervals is None:
@@ -663,20 +651,58 @@ def weyl_congruent(source: DyadicBoxSet, figure) -> CongruenceCertificate:
     intervals = [(_frac(lo), _frac(hi)) for lo, hi in intervals]
     if len(intervals) != source.dim:
         raise ValueError("figure dimension mismatch")
+    if any(lo >= hi for lo, hi in intervals):
+        raise ValueError("the figure box needs positive widths")
     target = DyadicBoxSet(source.dim, (tuple(intervals),))
-    candidates = []
-    for box in source.boxes:
-        axis_options = [
-            list(_axis_fold_pieces(lo, hi, L, H))
-            for (lo, hi), (L, H) in zip(box, intervals)
-        ]
-        for combo in product(*axis_options):
-            piece = DyadicBoxSet(source.dim, (tuple((c[0], c[1]) for c in combo),))
-            g = PieceMap.axis_affine([c[2] for c in combo], [c[3] for c in combo],
-                                     label="fold")
-            candidates.append((piece, g))
-    candidates.sort(key=lambda cg: cg[0].boxes)
-    return _assemble(source, target, candidates)
+    if source.is_empty:
+        return CongruenceCertificate(source, target, [], source, target)
+    den = math.lcm(source.den, *(x.denominator for iv in intervals for x in iv))
+    grid, tgrid, where, slabs = [], [], [], []
+    for cuts, (L, H) in zip(_rescaled(source, den), intervals):
+        lo, hi = L.numerator * den // L.denominator, H.numerator * den // H.denominator
+        w = hi - lo
+
+        def fold(x, m):  # x in slab m, [lo + m*w, lo + (m+1)*w], onto [lo, hi]
+            return x - m * w if m % 2 == 0 else hi + lo + m * w - x
+
+        def unfold(y, m):  # the inverse of fold(., m)
+            return y + m * w if m % 2 == 0 else hi + lo + m * w - y
+
+        t = sorted({lo, hi, *(fold(x, (x - lo) // w) for x in cuts)})
+        g = sorted({*cuts, *(x for m in range((cuts[0] - lo) // w, (cuts[-1] - lo) // w + 1)
+                             for x in (unfold(y, m) for y in t) if cuts[0] < x < cuts[-1])})
+        slab = [(x - lo) // w for x in g[:-1]]
+        index = {x: i for i, x in enumerate(t)}
+        where.append(np.array([index[min(fold(a, m), fold(b, m))]
+                               for a, b, m in zip(g, g[1:], slab)], dtype=np.intp))
+        slabs.append([(m, bisect_left(slab, m), bisect_right(slab, m))
+                      for m in sorted(set(slab))])
+        grid.append(tuple(g))
+        tgrid.append(tuple(t))
+    mask = _resample(_rescaled(source, den), source.mask, grid)
+    cells = np.nonzero(mask)
+    tshape = tuple(len(t) - 1 for t in tgrid)
+    flat = np.ravel_multi_index(tuple(i[c] for i, c in zip(where, cells)), tshape)
+    claimed, first = np.unique(flat, return_index=True)
+    kept = np.zeros_like(mask)
+    kept[tuple(c[first] for c in cells)] = True
+    covered = np.zeros(tshape, dtype=bool)
+    covered.flat[claimed] = True
+    pieces = []
+    for word in product(*slabs):
+        part = kept[tuple(slice(a, b) for _, a, b in word)]
+        if not part.any():
+            continue
+        cuts = tuple(g[a:b + 1] for g, (_, a, b) in zip(grid, word))
+        coeffs, offsets = zip(*((1, -m * (H - L)) if m % 2 == 0
+                                else (-1, 2 * L + (m + 1) * (H - L))
+                                for (m, _, _), (L, H) in zip(word, intervals)))
+        pieces.append((DyadicBoxSet._grid(source.dim, *_canonical(den, cuts, part)),
+                       PieceMap.axis_affine(coeffs, offsets, label="fold")))
+    return CongruenceCertificate(
+        source, target, pieces,
+        DyadicBoxSet._grid(source.dim, *_canonical(den, tuple(grid), mask & ~kept)),
+        DyadicBoxSet._grid(source.dim, *_canonical(den, tuple(tgrid), ~covered)))
 
 
 # ---------------------------------------------------------------------------
@@ -730,10 +756,7 @@ def is_fundamental_domain(candidate: DyadicBoxSet, group: GroupSpec,
         cbb, rbb = candidate.bounding_box(), region.bounding_box()
         if cbb is None:
             return DomainReport(False, region.measure, Fraction(0))
-        ranges = []
-        for (clo, chi), (rlo, rhi), sp in zip(cbb, rbb, spacings):
-            ranges.append(range(math.floor(float((rlo - chi) / sp)),
-                                math.ceil(float((rhi - clo) / sp)) + 1))
+        ranges = [_lattice_range(c, r, sp) for c, r, sp in zip(cbb, rbb, spacings)]
         maps = [PieceMap.translate([k * s for k, s in zip(key, spacings)])
                 for key in product(*ranges)]
     else:

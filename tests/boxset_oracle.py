@@ -4,14 +4,30 @@ This is the list-of-disjoint-boxes implementation that `DyadicBoxSet` used
 before its canonical grid kernel: every operation splits boxes pairwise and
 merges face-sharing boxes with `_coalesce`.  It is slow but simple, and
 `tests/test_boxset_grid.py` uses it as the oracle for exact measures and
-set relations.  Keep it unchanged.
+set relations.
+
+The second part is the greedy fold check that `waveletsets.tiles` used
+before its mirror-fold kernel: `weyl_congruent` splits each box of the source
+at the mirror grid, sorts the pieces by box and lets `_assemble` hand out
+free mass in that order.  It runs on the library's grid sets and maps; the
+bodies are verbatim, only `DyadicBoxSet` there is named `GridBoxSet`, since
+the `DyadicBoxSet` of this module is the list-based class.
+`tests/test_weyl_fold.py` uses it as the oracle for exact residuals.
+
+Keep both parts unchanged.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Optional
+
+from waveletsets.reflections import FoldableFigure
+from waveletsets.tiles import CongruenceCertificate, PieceMap
+from waveletsets.tiles import DyadicBoxSet as GridBoxSet
 
 Box = tuple  # ((lo, hi), ...) per axis, half-open, Fractions
 
@@ -267,3 +283,79 @@ class DyadicBoxSet:
             boxes.append(tuple(zip(lo, hi)))
         return DyadicBoxSet(data["dim"], boxes)
 
+
+# ---------------------------------------------------------------------------
+# the greedy fold check
+# ---------------------------------------------------------------------------
+
+
+def _assemble(source: GridBoxSet, target: GridBoxSet,
+              candidates: Iterable) -> CongruenceCertificate:
+    """Greedy assembly: each candidate (piece, g) claims what is still free."""
+    remaining = source
+    uncovered = target
+    assigned = []
+    for piece, g in candidates:
+        if remaining.is_empty or uncovered.is_empty:
+            break
+        piece = piece.intersect(remaining)
+        if piece.is_empty:
+            continue
+        image = g.apply(piece)
+        allowed = image.intersect(uncovered)
+        if allowed.is_empty:
+            continue
+        kept = g.inverse().apply(allowed)
+        assigned.append((kept, g))
+        remaining = remaining.subtract(kept)
+        uncovered = uncovered.subtract(allowed)
+    return CongruenceCertificate(source, target, assigned, remaining, uncovered)
+
+
+def _axis_fold_pieces(lo: Fraction, hi: Fraction, L: Fraction, H: Fraction):
+    """Split [lo, hi) at the mirror grid of [L, H] and give per-slab fold maps.
+
+    Yields (slab_lo, slab_hi, coeff, offset) with coeff*x + offset landing in
+    [L, H]; coeff is +1 or -1 (the per-axis triangle wave of period 2(H-L)).
+    """
+    w = H - L
+    m = math.floor((lo - L) / w)
+    t = lo
+    while t < hi:
+        cell_hi = L + (m + 1) * w
+        s_hi = min(hi, cell_hi)
+        if m % 2 == 0:
+            yield t, s_hi, Fraction(1), -m * w
+        else:
+            yield t, s_hi, Fraction(-1), 2 * L + (m + 1) * w
+        t = s_hi
+        m += 1
+
+
+def weyl_congruent(source: GridBoxSet, figure) -> CongruenceCertificate:
+    """Fold source into a box foldable figure; congruent iff it tiles it once.
+
+    The folding group is generated by the reflections about the figure's
+    bounding hyperplanes, so every box is split along the mirror grid and
+    carried in by a per-axis reflection word.
+    """
+    intervals = figure.box if isinstance(figure, FoldableFigure) else figure
+    if intervals is None:
+        raise ValueError("exact folding requires a box figure")
+    intervals = [(_frac(lo), _frac(hi)) for lo, hi in intervals]
+    if len(intervals) != source.dim:
+        raise ValueError("figure dimension mismatch")
+    target = GridBoxSet(source.dim, (tuple(intervals),))
+    candidates = []
+    for box in source.boxes:
+        axis_options = [
+            list(_axis_fold_pieces(lo, hi, L, H))
+            for (lo, hi), (L, H) in zip(box, intervals)
+        ]
+        for combo in product(*axis_options):
+            piece = GridBoxSet(source.dim, (tuple((c[0], c[1]) for c in combo),))
+            g = PieceMap.axis_affine([c[2] for c in combo], [c[3] for c in combo],
+                                     label="fold")
+            candidates.append((piece, g))
+    candidates.sort(key=lambda cg: cg[0].boxes)
+    return _assemble(source, target, candidates)

@@ -46,6 +46,8 @@ def test_unknown_fixture_exits_one(capsys):
     ["fif", "basis", "--n", "4", "--depth", "11"],
     ["fif", "example", "--name", "ex3.3", "--depth", "21"],
     ["surface", "fixture", "--name", "ex5.2", "--depth", "11"],
+    # a one-cell mesh has no cell bound, but each level still costs work
+    ["fif", "basis", "--n", "1", "--depth", "2000000"],
 ])
 def test_bad_parameter_exits_two(capsys, argv):
     assert run(argv) == 2

@@ -24,6 +24,7 @@ from waveletsets.tiles import (
     translation_congruent,
     weyl_congruent,
 )
+from waveletsets.tiles import _lattice_range
 
 
 # -- set algebra ------------------------------------------------------------
@@ -131,6 +132,46 @@ def test_weyl_double_cover_detected():
     # the folded copies coincide, so half the source cannot be placed
     assert cert.source_residual.measure == 4
     assert cert.target_residual.measure == 0
+
+
+def test_weyl_claim_rule_keeps_the_first_cell_in_grid_order():
+    # [-1, 1) and its mirror image [1, 3) fold onto the same square; the
+    # copy that comes first on axis 0 takes it
+    doubled = DyadicBoxSet.from_box((-1, 3), (-1, 1))
+    cert = weyl_congruent(doubled, centered_square_figure())
+    assert cert.source_residual.equals_ae(DyadicBoxSet.from_box((1, 3), (-1, 1)))
+    # the same on axis 1, and in 1-D
+    cert = weyl_congruent(DyadicBoxSet.from_box((-1, 1), (-3, 1)), centered_square_figure())
+    assert cert.source_residual.equals_ae(DyadicBoxSet.from_box((-1, 1), (-1, 1)))
+    cert = weyl_congruent(DyadicBoxSet.from_box((0, 4)), [(0, 1)])
+    assert cert.source_residual.equals_ae(DyadicBoxSet.from_box((1, 4)))
+
+
+@pytest.mark.parametrize("build, depth", [(build_w1, 10), (build_w2, 10), (build_w1, 3)])
+def test_weyl_certificate_has_one_piece_per_reflection_word(build, depth):
+    # the source spans three slabs between mirrors per axis: at most 9 words
+    cert = weyl_congruent(build(depth).wavelet_set, centered_square_figure())
+    maps = {(g.linear, g.translation) for _, g in cert.pieces}
+    assert len(maps) == len(cert.pieces) <= 9
+    assert cert.verify().ok
+
+
+def test_weyl_rejects_a_flat_figure():
+    with pytest.raises(ValueError):
+        weyl_congruent(base_cube(2), [(-1, 1), (1, 1)])
+
+
+def test_lattice_range_is_exact_near_integers():
+    # (fixed lo - moving hi) / spacing = 3 - 2**-62 and
+    # (fixed hi - moving lo) / spacing = 4 + 2**-62, which float() rounds to 3
+    # and 4
+    tiny = F(1, 2 ** 62)
+    assert _lattice_range((-tiny, tiny), (F(3), F(4)), F(1)) == range(2, 6)
+    assert _lattice_range((F(0), F(1)), (F(4), F(5)), F(1)) == range(3, 6)
+    # a spacing of 1/3: (2 - (2/3 + 2**-61)) * 3 = 4 - 3 * 2**-61
+    third = F(1, 3)
+    assert _lattice_range((F(0), 2 * third + F(1, 2 ** 61)), (F(2), F(3)), third) \
+        == range(3, 10)
 
 
 def test_certificate_verify_detects_tampering():
