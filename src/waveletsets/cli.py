@@ -19,6 +19,7 @@ from .reflections import box_figure, centered_square_figure
 ENV_OUTDIR = "WAVELETSETS_OUTDIR"
 MESH_CELLS_LIMIT = 2 ** 20
 MESH_DEPTH_LIMIT = 20
+PLANAR_DEPTH_LIMIT = 64
 
 
 def _frac(text) -> Fraction:
@@ -28,13 +29,15 @@ def _frac(text) -> Fraction:
         return Fraction(float(text))
 
 
-def _int_at_least(text, least: int) -> int:
+def _int_at_least(text, least: int, most: float = float("inf")) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < least:
         raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+    if value > most:
+        raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
     return value
 
 
@@ -294,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     tiles_sub = p_tiles.add_subparsers(dest="subcommand", required=True)
     for name, func in (("w1", cmd_tiles_w1), ("w2", cmd_tiles_w2)):
         p = tiles_sub.add_parser(name, help=f"planar fixture {name}")
-        p.add_argument("--depth", type=_positive_int, default=8)
+        p.add_argument("--depth", type=lambda text: _int_at_least(text, 1, PLANAR_DEPTH_LIMIT),
+                       default=8)
         p.add_argument("--verify", nargs="?", const="all", default=None,
                        choices=["all"])
         p.add_argument("--svg")

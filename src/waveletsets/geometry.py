@@ -397,7 +397,7 @@ def spectral_moduli(matrix: Mat) -> list:
 
 
 def is_expansive(matrix: Mat, mode: str = "eigenvalue", tol: float = DEFAULT_TOL,
-                 max_power: int = 64) -> bool:
+                 steps: int = 64) -> bool:
     """Whether every eigenvalue of the matrix has modulus strictly above one.
 
     mode='eigenvalue' inspects the spectral moduli directly; mode='norm-decay'
@@ -415,7 +415,7 @@ def is_expansive(matrix: Mat, mode: str = "eigenvalue", tol: float = DEFAULT_TOL
         inv = np.linalg.inv(a)
         power = np.eye(matrix.nrows)
         best = np.inf
-        for _ in range(max_power):
+        for _ in range(steps):
             power = power @ inv
             norm = np.linalg.norm(power, 2)
             best = min(best, norm)

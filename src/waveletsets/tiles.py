@@ -13,6 +13,26 @@ integer sums, and equality almost everywhere is a comparison of grids.
 `DyadicBoxSet.boxes` is a view derived from the grid for output and for
 per-box iteration; which boxes it lists in 2-D and above is not part of the
 contract (in 1-D it lists the maximal intervals).
+
+The three congruence checkers share one kernel, `_reduce_and_claim`.  A
+group cuts a set into parts, one per group word, each mapped into the
+group's fundamental domain; grids are refined so that every cell reduces
+into one cell of the reduced breakpoints, and the certificate is built by
+index arithmetic, with no set operation per part:
+- lattice: per axis the period cells of the spacing, shifted onto cell 0;
+  claims by k = target word - source word in the order (sum |k|, k);
+- fold: per axis the slabs between mirrors, folded onto the figure box; the
+  first source cell in lexicographic word order takes a target cell;
+- dilation by kappa about theta: the shells kappa**J B minus
+  kappa**(J-1) B of the half-open box B of radius 1 about theta, scaled by
+  kappa**-J; a cell's shell is exact integer arithmetic, and claims go in
+  ascending k = target shell - source shell.  When theta lies in the
+  closure of the source, the source repeats in every shell J <= J0 below
+  its nearest breakpoint.  With M target shells only the top M copies of a
+  repeating cell can be claimed: a deeper copy would claim after M
+  shallower ones, each holding a distinct other target cell, of which there
+  are M - 1.  So shells down to J0 - M + 1 are explicit, and the rest of
+  the source, S meet kappa**(J0 - M) B, stays whole in the residual.
 """
 
 from __future__ import annotations
@@ -100,6 +120,18 @@ def _resample(cuts: tuple, mask: np.ndarray, grid: list) -> np.ndarray:
     out = np.zeros(tuple(len(g) - 1 for g in grid), dtype=bool)
     out[tuple(inner)] = mask
     return out
+
+
+def _grid_measure(den: int, cuts: tuple, weight: np.ndarray) -> Fraction:
+    """The sum over the cells of a grid of an integer weight times the cell's volume."""
+    # int64 is exact while the bounding box volume in grid units times the
+    # largest weight, a bound on every partial sum, stays below 2**63
+    bound = math.prod(c[-1] - c[0] for c in cuts) * max(int(weight.max()), 1)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    total = weight.astype(dtype)
+    for c in reversed(cuts):
+        total = total @ np.array([b - a for a, b in zip(c, c[1:])], dtype=dtype)
+    return Fraction(int(total), den ** len(cuts))
 
 
 def _hull(alo, ahi, blo, bhi):
@@ -211,14 +243,7 @@ class DyadicBoxSet:
             if self.is_empty:
                 self._measure = Fraction(0)
             else:
-                # int64 is exact while the bounding box volume in grid units,
-                # a bound on every partial sum, stays below 2**63
-                volume = math.prod(c[-1] - c[0] for c in self.cuts)
-                dtype = np.int64 if volume < 2 ** 63 else object
-                total = self.mask.astype(dtype)
-                for c in reversed(self.cuts):
-                    total = total @ np.array([b - a for a, b in zip(c, c[1:])], dtype=dtype)
-                self._measure = Fraction(int(total), self.den ** self.dim)
+                self._measure = _grid_measure(self.den, self.cuts, self.mask)
         return self._measure
 
     @property
@@ -387,19 +412,13 @@ class PieceMap:
 
     @staticmethod
     def translate(vec, label: str = "") -> "PieceMap":
-        n = len(vec)
-        rows = tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-                     for i in range(n))
-        return PieceMap(rows, tuple(_frac(v) for v in vec), label or f"t{tuple(map(str, vec))}")
+        return PieceMap.axis_affine([1] * len(vec), vec, label or f"t{tuple(map(str, vec))}")
 
     @staticmethod
     def dilate(dim: int, factor, theta=None, label: str = "") -> "PieceMap":
         factor = _frac(factor)
         theta = [Fraction(0)] * dim if theta is None else [_frac(v) for v in theta]
-        rows = tuple(tuple(factor if i == j else Fraction(0) for j in range(dim))
-                     for i in range(dim))
-        trans = tuple(t - factor * t for t in theta)
-        return PieceMap(rows, trans, label)
+        return PieceMap.axis_affine([factor] * dim, [t - factor * t for t in theta], label)
 
     @staticmethod
     def axis_affine(coeffs, offsets, label: str = "") -> "PieceMap":
@@ -533,39 +552,221 @@ def _finish_certificate(source, target, assigned_pieces) -> CongruenceCertificat
     )
 
 
-def _assemble(source: DyadicBoxSet, target: DyadicBoxSet,
-              candidates: Iterable) -> CongruenceCertificate:
-    """Greedy assembly: each candidate (piece, g) claims what is still free."""
-    remaining = source
-    uncovered = target
-    assigned = []
-    for piece, g in candidates:
-        if remaining.is_empty or uncovered.is_empty:
-            break
-        piece = piece.intersect(remaining)
-        if piece.is_empty:
-            continue
-        image = g.apply(piece)
-        allowed = image.intersect(uncovered)
-        if allowed.is_empty:
-            continue
-        kept = g.inverse().apply(allowed)
-        assigned.append((kept, g))
-        remaining = remaining.subtract(kept)
-        uncovered = uncovered.subtract(allowed)
-    return CongruenceCertificate(source, target, assigned, remaining, uncovered)
-
-
 # ---------------------------------------------------------------------------
-# congruence checkers
+# congruence checkers: one reduce-and-claim kernel
 # ---------------------------------------------------------------------------
 
 
-def _lattice_range(moving, fixed, spacing: Fraction) -> range:
-    """The k whose shift of the interval `moving` by k*spacing meets or touches
-    the interval `fixed`, from exact floor and ceiling of Fractions."""
-    return range(math.floor((fixed[0] - moving[1]) / spacing),
-                 math.ceil((fixed[1] - moving[0]) / spacing) + 1)
+def _level(d: Fraction, kappa: Fraction) -> int:
+    """The largest integer J with kappa**J <= d, for d > 0, by exact comparison."""
+    j, r = 0, Fraction(1)
+    while r > d:
+        j, r = j - 1, r / kappa
+    while r * kappa <= d:
+        j, r = j + 1, r * kappa
+    return j
+
+
+def _spread(boxset: DyadicBoxSet, theta) -> Optional[tuple]:
+    """(least, greatest) sup-norm distance from theta to the closure of a set,
+    the least 0 exactly when theta lies in the closure; None for the empty set."""
+    if boxset.is_empty:
+        return None
+    den = math.lcm(boxset.den, *(t.denominator for t in theta))
+    th = [t.numerator * (den // t.denominator) for t in theta]
+    cuts = _rescaled(boxset, den)
+    far = max(max(t - c[0], c[-1] - t) for c, t in zip(cuts, th))
+    near = np.zeros((1,) * boxset.dim, dtype=np.int64 if far < 2 ** 62 else object)
+    for axis, (c, t) in enumerate(zip(cuts, th)):
+        d = np.array([max(a - t, t - b, 0) for a, b in zip(c, c[1:])], dtype=near.dtype)
+        near = np.maximum(near, d.reshape((-1,) + (1,) * (boxset.dim - axis - 1)))
+    return Fraction(int(near[boxset.mask].min()), den), Fraction(far, den)
+
+
+class _Slabs:
+    """The lattice (`mirror` False) or the fold group (`mirror` True) of a box,
+    in grid units: a word is the tuple of a cell's slabs, one per axis."""
+
+    scale, joint = 1, False
+
+    def __init__(self, source, target, intervals, mirror):
+        self.den = den = math.lcm(source.den, target.den,
+                                  *(x.denominator for iv in intervals for x in iv))
+        self.intervals, self.mirror = intervals, mirror
+        self.ends = [(int(lo * den), int(hi * den)) for lo, hi in intervals]
+        self.words = tuple([range((c[0] - lo) // (hi - lo), (c[-1] - 1 - lo) // (hi - lo) + 1)
+                            for c, (lo, hi) in zip(_rescaled(s, den), self.ends)]
+                           for s in (source, target))
+        # the fold's target is the box, slab 0, so -k is the source word
+        self.rank = ((lambda k: tuple(-x for x in k)) if mirror
+                     else (lambda k: (sum(map(abs, k)), k)))
+
+    def reduce(self, i, m, x, back=False):
+        lo, hi = self.ends[i]
+        if self.mirror and m % 2:
+            return lo + hi + m * (hi - lo) - x
+        return x + m * (hi - lo) if back else x - m * (hi - lo)
+
+    def axis_word(self, i, a, b):
+        lo, hi = self.ends[i]
+        return (a - lo) // (hi - lo)
+
+    def element(self, key):
+        if not self.mirror:
+            return PieceMap.translate([k * (hi - lo) for k, (lo, hi) in zip(key, self.intervals)])
+        return PieceMap.axis_affine([-1 if k % 2 else 1 for k in key],
+                                    [2 * L + (1 - k) * (H - L) if k % 2 else k * (H - L)
+                                     for k, (L, H) in zip(key, self.intervals)], label="fold")
+
+
+class _Shells:
+    """The powers of D x = kappa (x - theta) + theta, in grid units: a word is
+    a cell's shell, the greatest over the axes of the least J whose box
+    kappa**J B holds the cell there, read off the integer radii kappa**J."""
+
+    joint = True
+
+    def __init__(self, source, target, kappa, theta, allow_center, names):
+        kappa = _frac(kappa)
+        if kappa <= 1:
+            raise ValueError("dilation factor must exceed 1")
+        theta = [Fraction(0)] * source.dim if theta is None else [_frac(v) for v in theta]
+        spread = [_spread(s, theta) for s in (source, target)]
+        for s, name, allowed in zip(spread, names, (allow_center, False)):
+            if s is not None and s[0] == 0 and not allowed:
+                raise ValueError(f"dilation center lies in the closure of the {name}")
+        if None in spread:
+            return  # the caller certifies the empty case
+        (near, far), (near_t, far_t) = spread
+        # a point at sup-distance d from theta lies in a shell J with
+        # d <= kappa**J, and a cell reaches down to the least J with
+        # kappa**J > its least distance d
+        low_t, top_t, top = (_level(near_t, kappa) + 1, -_level(1 / far_t, kappa),
+                             -_level(1 / far, kappa))
+        if near > 0:
+            floor = _level(near, kappa)
+        else:  # the lump: shells J <= J0 - M repeat and cannot claim
+            nearest = min(abs(Fraction(x, source.den) - t) for c, t in zip(source.cuts, theta)
+                          for x in c if Fraction(x, source.den) != t)
+            floor = _level(nearest, kappa) - (top_t - low_t + 1)
+        self.low, high = min(floor, low_t - 1), max(top, top_t)
+        self.power = {j: kappa ** j for j in range(self.low, high + 1)}
+        self.scale = (kappa.numerator * kappa.denominator) ** (max(high - self.low, -self.low,
+                                                                   high) + 1)
+        self.den = den = math.lcm(source.den, target.den,
+                                  *(t.denominator for t in theta)) * self.scale
+        self.th = [t.numerator * (den // t.denominator) for t in theta]
+        inner = den * kappa.denominator // kappa.numerator
+        self.ends = [(t - den, t - inner, t + inner, t + den) for t in self.th]
+        self.radii = [int(den * p) for p in self.power.values()]
+        self.words = tuple([range(lo, hi + 1)] * source.dim
+                           for lo, hi in ((floor + 1, top), (low_t, top_t)))
+        self.kappa, self.theta, self.rank = kappa, theta, (lambda k: k)
+
+    def reduce(self, i, j, x, back=False):
+        f, t = self.power[j] if back else 1 / self.power[j], self.th[i]
+        return t + (x - t) * f.numerator // f.denominator
+
+    def axis_word(self, i, a, b):
+        t = self.th[i]
+        return self.low + np.searchsorted(np.array(self.radii, dtype=a.dtype),
+                                          np.maximum(t - a, b - t))
+
+    def element(self, key):
+        return PieceMap.dilate(len(self.theta), self.kappa ** key[0], self.theta,
+                               label=f"D^{key[0]}")
+
+
+def _parts(group, cuts, mask, words, T, dtype) -> tuple:
+    """Refine a set so that each true cell lies in one part and reduces into
+    one cell of T.  Returns the refined grid and mask; for the true cells in
+    a part their indices, word ids and flat indices of T; and which words
+    hold which cells of T."""
+    grid, own, table = [], [], []
+    for i, (c, t, ws) in enumerate(zip(cuts, T, words)):
+        g = np.unique(np.concatenate([np.array(c, dtype=dtype)] + [
+            y[(c[0] < y) & (y < c[-1])] for y in (group.reduce(i, w, t, True) for w in ws)]))
+        a, b = g[:-1], g[1:]
+        own.append((np.maximum(group.axis_word(i, a, b), ws[0] - 1) - ws[0]).astype(np.intp))
+        table.append(np.array([np.searchsorted(t, np.minimum(group.reduce(i, w, a),
+                                                             group.reduce(i, w, b)), "right") - 1
+                               for w in ws], dtype=np.intp))
+        grid.append(tuple(g.tolist()))
+    mask = _resample(cuts, mask, grid)
+    cells = np.nonzero(mask)
+    own = [w[c] for w, c in zip(own, cells)]
+    if group.joint:  # a cell's shell is the greatest over its axes; -1 is the lump
+        own = [np.maximum.reduce(own)] * len(own)
+    word = own[0] if group.joint else np.ravel_multi_index(own, [len(ws) for ws in words])
+    cells = tuple(c[word >= 0] for c in cells)
+    index = tuple(where[w[word >= 0], c] for where, w, c in zip(table, own, cells))
+    flat = np.ravel_multi_index(index, tuple(len(t) - 1 for t in T))
+    has = np.zeros((math.prod(map(len, words[:1] if group.joint else words)),
+                    math.prod(len(t) - 1 for t in T)), dtype=bool)
+    has[word[word >= 0], flat] = True
+    return tuple(grid), mask, cells, word[word >= 0], flat, has
+
+
+def _reduction(source, target, group) -> tuple:
+    """The parts of both sets over their reduced breakpoints T."""
+    sets = [(_rescaled(s, group.den), s.mask, w) for s, w in zip((source, target), group.words)]
+    reach = max(abs(x) for x in (*(c[k] for cuts, _, _ in sets for c in cuts for k in (0, -1)),
+                                 *(x for e in group.ends for x in e)))
+    dtype = np.int64 if 8 * reach * group.scale < 2 ** 62 else object
+    T = []
+    for i, ends in enumerate(group.ends):
+        points = [np.array(ends, dtype=dtype)]
+        for cuts, _, words in sets:
+            c = np.array(cuts[i], dtype=dtype)
+            points.extend(y[(ends[0] <= y) & (y <= ends[-1])]
+                          for y in (group.reduce(i, w, c) for w in words[i]))
+        T.append(np.unique(np.concatenate(points)))
+    return tuple(_parts(group, *s, T, dtype) for s in sets)
+
+
+def _reduce_and_claim(source, target, make_group) -> CongruenceCertificate:
+    """Certify source against target under a group, by the reduction above.
+
+    A source part claims a target part's copy of a reduced cell when both
+    are still free, pair by pair in the group's rank of k = target word -
+    source word.  The certificate has one piece per group element used, in
+    that order, and the unclaimed cells are the residuals.  The group is
+    made only for two non-empty sets.
+    """
+    if source.is_empty or target.is_empty:
+        return CongruenceCertificate(source, target, [], source, target)
+    group = make_group()
+    dim, den = source.dim, group.den
+    (sgrid, smask, scells, sw, sc, free_s), (tgrid, tmask, tcells, tw, tc, free_t) = \
+        _reduction(source, target, group)
+    words = [[(j,) for j in ws[0]] if group.joint else list(product(*ws)) for ws in group.words]
+    pairs: dict = {}  # k -> the pairs of (source word, target word) that hold cells
+    for s, t in product(np.flatnonzero(free_s.any(axis=1)), np.flatnonzero(free_t.any(axis=1))):
+        pairs.setdefault(tuple(b - a for a, b in zip(words[0][s], words[1][t])), []).append((s, t))
+    keys = sorted(pairs, key=group.rank)
+    claim = np.full(free_s.shape, -1, dtype=np.int32)
+    for n, k in enumerate(keys):
+        for s, t in pairs[k]:
+            hit = free_s[s] & free_t[t]
+            free_s[s] &= ~hit
+            free_t[t] &= ~hit
+            claim[s, hit] = n
+    key_of = claim[sw, sc]
+    pieces = []
+    for n in np.unique(key_of[key_of >= 0]):
+        cells = tuple(c[key_of == n] for c in scells)
+        lo = [int(c.min()) for c in cells]
+        part = np.zeros([int(c.max()) + 1 - l for c, l in zip(cells, lo)], dtype=bool)
+        part[tuple(c - l for c, l in zip(cells, lo))] = True
+        cuts = tuple(g[l:l + k + 1] for g, l, k in zip(sgrid, lo, part.shape))
+        pieces.append((DyadicBoxSet._grid(dim, *_canonical(den, cuts, part)),
+                       group.element(keys[n])))
+    kept, left = np.zeros_like(smask), np.zeros_like(tmask)
+    kept[tuple(c[key_of >= 0] for c in scells)] = True
+    left[tuple(c[free_t[tw, tc]] for c in tcells)] = True
+    return CongruenceCertificate(source, target, pieces,
+                                 DyadicBoxSet._grid(dim, *_canonical(den, sgrid, smask & ~kept)),
+                                 DyadicBoxSet._grid(dim, *_canonical(den, tgrid, left)))
 
 
 def translation_congruent(source: DyadicBoxSet, target: DyadicBoxSet,
@@ -574,63 +775,20 @@ def translation_congruent(source: DyadicBoxSet, target: DyadicBoxSet,
     spacings = [_frac(s) for s in spacings]
     if len(spacings) != source.dim or any(s <= 0 for s in spacings):
         raise ValueError("need a positive spacing per axis")
-    sbb, tbb = source.bounding_box(), target.bounding_box()
-    if sbb is None or tbb is None:
-        return _finish_certificate(source, target, [])
-    ranges = [_lattice_range(s, t, sp) for s, t, sp in zip(sbb, tbb, spacings)]
-    keys = sorted(product(*ranges), key=lambda k: (sum(abs(x) for x in k), k))
-    candidates = (
-        (source, PieceMap.translate([k * s for k, s in zip(key, spacings)]))
-        for key in keys
-    )
-    return _assemble(source, target, candidates)
+    return _reduce_and_claim(source, target, lambda: _Slabs(
+        source, target, [(Fraction(0), s) for s in spacings], False))
 
 
 def dilation_congruent(source: DyadicBoxSet, target: DyadicBoxSet,
-                       kappa=2, theta=None, max_power: int = 40,
+                       kappa=2, theta=None,
                        allow_center: bool = False) -> CongruenceCertificate:
-    """Decompose source into powers of D(x) = kappa*(x - theta) + theta covering target."""
-    kappa = _frac(kappa)
-    if kappa <= 1:
-        raise ValueError("dilation factor must exceed 1")
-    dim = source.dim
-    theta = [Fraction(0)] * dim if theta is None else [_frac(v) for v in theta]
-    if not allow_center:
-        for box in source.boxes:
-            if all(lo <= t <= hi for (lo, hi), t in zip(box, theta)):
-                raise ValueError("dilation center lies in the closure of the source")
-    power = _needed_power_range(source, target, kappa, theta, max_power)
-    candidates = (
-        (source, PieceMap.dilate(dim, kappa ** k, theta, label=f"D^{k}"))
-        for k in range(-power, power + 1)
-    )
-    return _assemble(source, target, candidates)
+    """Decompose source into powers of D(x) = kappa*(x - theta) + theta covering target.
 
-
-def _needed_power_range(source, target, kappa, theta, max_power) -> int:
-    def extent(bs):
-        """(min, max) sup-norm distance from theta over the set, min may be 0."""
-        bb = bs.bounding_box()
-        if bb is None:
-            return None
-        hi = max(max(abs(lo - t), abs(h - t)) for (lo, h), t in zip(bb, theta))
-        lo = None
-        for box in bs.boxes:
-            d = max(max(l - t, t - h, Fraction(0)) for (l, h), t in zip(box, theta))
-            lo = d if lo is None else min(lo, d)
-        return lo, hi
-
-    se, te = extent(source), extent(target)
-    if se is None or te is None:
-        return 0
-    candidates = [2.0]
-    for num, den in ((te[1], se[0]), (se[1], te[0])):
-        if den > 0:
-            candidates.append(float(num / den))
-        else:
-            candidates.append(float(kappa) ** max_power)
-    k = int(math.log(max(candidates)) / math.log(float(kappa))) + 2
-    return min(k, max_power)
+    Theta may lie in the closure of the source only with `allow_center`, and
+    never in the closure of the target.
+    """
+    group = _Shells(source, target, kappa, theta, allow_center, ("source", "target"))
+    return _reduce_and_claim(source, target, lambda: group)
 
 
 def weyl_congruent(source: DyadicBoxSet, figure) -> CongruenceCertificate:
@@ -638,12 +796,7 @@ def weyl_congruent(source: DyadicBoxSet, figure) -> CongruenceCertificate:
 
     The folding group is generated by the reflections about the figure's
     bounding hyperplanes; per axis the fold is the triangle wave of period
-    2(H - L) onto [L, H].  The source grid is refined at the mirrors and at
-    the unfolded target breakpoints, so each of its cells folds onto exactly
-    one target cell.  Claim rule: the first source cell in grid (C) order
-    that reaches a target cell takes it, later ones stay in the source
-    residual.  The certificate has one piece per reflection word it uses,
-    i.e. per tuple of slabs between mirrors, with that word's x -> +-x + o.
+    2(H - L) onto [L, H], and each reflection word used is one piece.
     """
     intervals = figure.box if isinstance(figure, FoldableFigure) else figure
     if intervals is None:
@@ -654,55 +807,7 @@ def weyl_congruent(source: DyadicBoxSet, figure) -> CongruenceCertificate:
     if any(lo >= hi for lo, hi in intervals):
         raise ValueError("the figure box needs positive widths")
     target = DyadicBoxSet(source.dim, (tuple(intervals),))
-    if source.is_empty:
-        return CongruenceCertificate(source, target, [], source, target)
-    den = math.lcm(source.den, *(x.denominator for iv in intervals for x in iv))
-    grid, tgrid, where, slabs = [], [], [], []
-    for cuts, (L, H) in zip(_rescaled(source, den), intervals):
-        lo, hi = L.numerator * den // L.denominator, H.numerator * den // H.denominator
-        w = hi - lo
-
-        def fold(x, m):  # x in slab m, [lo + m*w, lo + (m+1)*w], onto [lo, hi]
-            return x - m * w if m % 2 == 0 else hi + lo + m * w - x
-
-        def unfold(y, m):  # the inverse of fold(., m)
-            return y + m * w if m % 2 == 0 else hi + lo + m * w - y
-
-        t = sorted({lo, hi, *(fold(x, (x - lo) // w) for x in cuts)})
-        g = sorted({*cuts, *(x for m in range((cuts[0] - lo) // w, (cuts[-1] - lo) // w + 1)
-                             for x in (unfold(y, m) for y in t) if cuts[0] < x < cuts[-1])})
-        slab = [(x - lo) // w for x in g[:-1]]
-        index = {x: i for i, x in enumerate(t)}
-        where.append(np.array([index[min(fold(a, m), fold(b, m))]
-                               for a, b, m in zip(g, g[1:], slab)], dtype=np.intp))
-        slabs.append([(m, bisect_left(slab, m), bisect_right(slab, m))
-                      for m in sorted(set(slab))])
-        grid.append(tuple(g))
-        tgrid.append(tuple(t))
-    mask = _resample(_rescaled(source, den), source.mask, grid)
-    cells = np.nonzero(mask)
-    tshape = tuple(len(t) - 1 for t in tgrid)
-    flat = np.ravel_multi_index(tuple(i[c] for i, c in zip(where, cells)), tshape)
-    claimed, first = np.unique(flat, return_index=True)
-    kept = np.zeros_like(mask)
-    kept[tuple(c[first] for c in cells)] = True
-    covered = np.zeros(tshape, dtype=bool)
-    covered.flat[claimed] = True
-    pieces = []
-    for word in product(*slabs):
-        part = kept[tuple(slice(a, b) for _, a, b in word)]
-        if not part.any():
-            continue
-        cuts = tuple(g[a:b + 1] for g, (_, a, b) in zip(grid, word))
-        coeffs, offsets = zip(*((1, -m * (H - L)) if m % 2 == 0
-                                else (-1, 2 * L + (m + 1) * (H - L))
-                                for (m, _, _), (L, H) in zip(word, intervals)))
-        pieces.append((DyadicBoxSet._grid(source.dim, *_canonical(den, cuts, part)),
-                       PieceMap.axis_affine(coeffs, offsets, label="fold")))
-    return CongruenceCertificate(
-        source, target, pieces,
-        DyadicBoxSet._grid(source.dim, *_canonical(den, tuple(grid), mask & ~kept)),
-        DyadicBoxSet._grid(source.dim, *_canonical(den, tuple(tgrid), ~covered)))
+    return _reduce_and_claim(source, target, lambda: _Slabs(source, target, intervals, True))
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +848,14 @@ class DomainReport:
 
 def is_fundamental_domain(candidate: DyadicBoxSet, group: GroupSpec,
                           region: DyadicBoxSet) -> DomainReport:
-    """Check that the group orbit of the candidate partitions the region."""
-    dim = candidate.dim
+    """Check that the group orbit of the candidate partitions the region.
+
+    Under a lattice or a dilation group, a point of the region is covered as
+    often as parts of the candidate hold its reduced cell: it is uncovered
+    where that count is 0 and overlapped count - 1 times where it is above 1.
+    """
+    if region.dim != candidate.dim:
+        raise ValueError("region dimension mismatch")
     if group.kind == "weyl":
         # orbit tiling is equivalent to one-to-one folding onto the figure
         cert = weyl_congruent(candidate, group.figure)
@@ -752,29 +863,20 @@ def is_fundamental_domain(candidate: DyadicBoxSet, group: GroupSpec,
                             cert.target_residual.measure,
                             cert.source_residual.measure)
     if group.kind == "translation":
-        spacings = [_frac(s) for s in group.spacings]
-        cbb, rbb = candidate.bounding_box(), region.bounding_box()
-        if cbb is None:
-            return DomainReport(False, region.measure, Fraction(0))
-        ranges = [_lattice_range(c, r, sp) for c, r, sp in zip(cbb, rbb, spacings)]
-        maps = [PieceMap.translate([k * s for k, s in zip(key, spacings)])
-                for key in product(*ranges)]
+        intervals = [(Fraction(0), _frac(s)) for s in group.spacings]
+        if len(intervals) != candidate.dim:
+            raise ValueError("need one spacing per axis")
     else:
-        kappa = _frac(group.kappa)
-        theta = [Fraction(0)] * dim if group.theta is None else [_frac(t) for t in group.theta]
-        for box in region.boxes:
-            if all(lo <= t <= hi for (lo, hi), t in zip(box, theta)):
-                raise ValueError("region must be bounded away from the dilation center")
-        power = _needed_power_range(candidate, region, kappa, theta, 60)
-        maps = [PieceMap.dilate(dim, kappa ** k, theta) for k in range(-power, power + 1)]
-    mass = Fraction(0)
-    cover = DyadicBoxSet.empty(dim)
-    for g in maps:
-        image = g.apply(candidate).intersect(region)
-        mass += image.measure
-        cover = cover.union(image)
-    uncovered = region.measure - cover.measure
-    overlap = mass - cover.measure
+        shells = _Shells(candidate, region, group.kappa, group.theta, False,
+                         ("candidate", "region"))
+    if candidate.is_empty or region.is_empty:
+        return DomainReport(not candidate.is_empty, region.measure, Fraction(0))
+    g = _Slabs(candidate, region, intervals, False) if group.kind == "translation" else shells
+    held, (grid, mask, cells, _, flat, _) = _reduction(candidate, region, g)
+    count = held[-1].sum(axis=0)[flat]
+    weight = np.zeros((2,) + mask.shape, dtype=np.intp)
+    weight[(0,) + cells], weight[(1,) + cells] = count == 0, np.maximum(count - 1, 0)
+    uncovered, overlap = (_grid_measure(g.den, grid, w) for w in weight)
     return DomainReport(uncovered == 0 and overlap == 0, uncovered, overlap)
 
 

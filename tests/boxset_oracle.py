@@ -14,19 +14,33 @@ bodies are verbatim, only `DyadicBoxSet` there is named `GridBoxSet`, since
 the `DyadicBoxSet` of this module is the list-based class.
 `tests/test_weyl_fold.py` uses it as the oracle for exact residuals.
 
-Keep both parts unchanged.
+The third part is the congruence code that `waveletsets.tiles` used before
+its reduce-and-claim kernel: the greedy `translation_congruent` and
+`dilation_congruent` (with `_lattice_range`, `_needed_power_range` and its
+silent `max_power` cap) over `_assemble`, the orbit loops of
+`is_fundamental_domain`, and the mirror-fold kernel of `weyl_congruent`,
+here named `grid_weyl_congruent`.  The bodies are verbatim, with
+`GridBoxSet` as above; `GroupSpec` and `DomainReport` are the library's.
+`tests/test_congruence_kernel.py` uses them as the oracle for whole
+certificates.
+
+Keep all three parts unchanged.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional
 
+import numpy as np
+
 from waveletsets.reflections import FoldableFigure
-from waveletsets.tiles import CongruenceCertificate, PieceMap
+from waveletsets.tiles import (CongruenceCertificate, DomainReport, GroupSpec, PieceMap,
+                               _canonical, _rescaled, _resample)
 from waveletsets.tiles import DyadicBoxSet as GridBoxSet
 
 Box = tuple  # ((lo, hi), ...) per axis, half-open, Fractions
@@ -359,3 +373,205 @@ def weyl_congruent(source: GridBoxSet, figure) -> CongruenceCertificate:
             candidates.append((piece, g))
     candidates.sort(key=lambda cg: cg[0].boxes)
     return _assemble(source, target, candidates)
+
+
+# ---------------------------------------------------------------------------
+# the greedy translation and dilation checks, and the mirror-fold kernel
+# ---------------------------------------------------------------------------
+
+
+def _finish_certificate(source, target, assigned_pieces) -> CongruenceCertificate:
+    dim = source.dim
+    placed = GridBoxSet.empty(dim)
+    covered = GridBoxSet.empty(dim)
+    for piece, g in assigned_pieces:
+        placed = placed.union(piece)
+        covered = covered.union(g.apply(piece))
+    return CongruenceCertificate(
+        source=source,
+        target=target,
+        pieces=assigned_pieces,
+        source_residual=source.subtract(placed),
+        target_residual=target.subtract(covered),
+    )
+
+
+def _lattice_range(moving, fixed, spacing: Fraction) -> range:
+    """The k whose shift of the interval `moving` by k*spacing meets or touches
+    the interval `fixed`, from exact floor and ceiling of Fractions."""
+    return range(math.floor((fixed[0] - moving[1]) / spacing),
+                 math.ceil((fixed[1] - moving[0]) / spacing) + 1)
+
+
+def translation_congruent(source: GridBoxSet, target: GridBoxSet,
+                          spacings) -> CongruenceCertificate:
+    """Decompose source into lattice translates partitioning target."""
+    spacings = [_frac(s) for s in spacings]
+    if len(spacings) != source.dim or any(s <= 0 for s in spacings):
+        raise ValueError("need a positive spacing per axis")
+    sbb, tbb = source.bounding_box(), target.bounding_box()
+    if sbb is None or tbb is None:
+        return _finish_certificate(source, target, [])
+    ranges = [_lattice_range(s, t, sp) for s, t, sp in zip(sbb, tbb, spacings)]
+    keys = sorted(product(*ranges), key=lambda k: (sum(abs(x) for x in k), k))
+    candidates = (
+        (source, PieceMap.translate([k * s for k, s in zip(key, spacings)]))
+        for key in keys
+    )
+    return _assemble(source, target, candidates)
+
+
+def dilation_congruent(source: GridBoxSet, target: GridBoxSet,
+                       kappa=2, theta=None, max_power: int = 40,
+                       allow_center: bool = False) -> CongruenceCertificate:
+    """Decompose source into powers of D(x) = kappa*(x - theta) + theta covering target."""
+    kappa = _frac(kappa)
+    if kappa <= 1:
+        raise ValueError("dilation factor must exceed 1")
+    dim = source.dim
+    theta = [Fraction(0)] * dim if theta is None else [_frac(v) for v in theta]
+    if not allow_center:
+        for box in source.boxes:
+            if all(lo <= t <= hi for (lo, hi), t in zip(box, theta)):
+                raise ValueError("dilation center lies in the closure of the source")
+    power = _needed_power_range(source, target, kappa, theta, max_power)
+    candidates = (
+        (source, PieceMap.dilate(dim, kappa ** k, theta, label=f"D^{k}"))
+        for k in range(-power, power + 1)
+    )
+    return _assemble(source, target, candidates)
+
+
+def _needed_power_range(source, target, kappa, theta, max_power) -> int:
+    def extent(bs):
+        """(min, max) sup-norm distance from theta over the set, min may be 0."""
+        bb = bs.bounding_box()
+        if bb is None:
+            return None
+        hi = max(max(abs(lo - t), abs(h - t)) for (lo, h), t in zip(bb, theta))
+        lo = None
+        for box in bs.boxes:
+            d = max(max(l - t, t - h, Fraction(0)) for (l, h), t in zip(box, theta))
+            lo = d if lo is None else min(lo, d)
+        return lo, hi
+
+    se, te = extent(source), extent(target)
+    if se is None or te is None:
+        return 0
+    candidates = [2.0]
+    for num, den in ((te[1], se[0]), (se[1], te[0])):
+        if den > 0:
+            candidates.append(float(num / den))
+        else:
+            candidates.append(float(kappa) ** max_power)
+    k = int(math.log(max(candidates)) / math.log(float(kappa))) + 2
+    return min(k, max_power)
+
+
+def grid_weyl_congruent(source: GridBoxSet, figure) -> CongruenceCertificate:
+    """Fold source into a box foldable figure; congruent iff it tiles it once.
+
+    The folding group is generated by the reflections about the figure's
+    bounding hyperplanes; per axis the fold is the triangle wave of period
+    2(H - L) onto [L, H].  The source grid is refined at the mirrors and at
+    the unfolded target breakpoints, so each of its cells folds onto exactly
+    one target cell.  Claim rule: the first source cell in grid (C) order
+    that reaches a target cell takes it, later ones stay in the source
+    residual.  The certificate has one piece per reflection word it uses,
+    i.e. per tuple of slabs between mirrors, with that word's x -> +-x + o.
+    """
+    intervals = figure.box if isinstance(figure, FoldableFigure) else figure
+    if intervals is None:
+        raise ValueError("exact folding requires a box figure")
+    intervals = [(_frac(lo), _frac(hi)) for lo, hi in intervals]
+    if len(intervals) != source.dim:
+        raise ValueError("figure dimension mismatch")
+    if any(lo >= hi for lo, hi in intervals):
+        raise ValueError("the figure box needs positive widths")
+    target = GridBoxSet(source.dim, (tuple(intervals),))
+    if source.is_empty:
+        return CongruenceCertificate(source, target, [], source, target)
+    den = math.lcm(source.den, *(x.denominator for iv in intervals for x in iv))
+    grid, tgrid, where, slabs = [], [], [], []
+    for cuts, (L, H) in zip(_rescaled(source, den), intervals):
+        lo, hi = L.numerator * den // L.denominator, H.numerator * den // H.denominator
+        w = hi - lo
+
+        def fold(x, m):  # x in slab m, [lo + m*w, lo + (m+1)*w], onto [lo, hi]
+            return x - m * w if m % 2 == 0 else hi + lo + m * w - x
+
+        def unfold(y, m):  # the inverse of fold(., m)
+            return y + m * w if m % 2 == 0 else hi + lo + m * w - y
+
+        t = sorted({lo, hi, *(fold(x, (x - lo) // w) for x in cuts)})
+        g = sorted({*cuts, *(x for m in range((cuts[0] - lo) // w, (cuts[-1] - lo) // w + 1)
+                             for x in (unfold(y, m) for y in t) if cuts[0] < x < cuts[-1])})
+        slab = [(x - lo) // w for x in g[:-1]]
+        index = {x: i for i, x in enumerate(t)}
+        where.append(np.array([index[min(fold(a, m), fold(b, m))]
+                               for a, b, m in zip(g, g[1:], slab)], dtype=np.intp))
+        slabs.append([(m, bisect_left(slab, m), bisect_right(slab, m))
+                      for m in sorted(set(slab))])
+        grid.append(tuple(g))
+        tgrid.append(tuple(t))
+    mask = _resample(_rescaled(source, den), source.mask, grid)
+    cells = np.nonzero(mask)
+    tshape = tuple(len(t) - 1 for t in tgrid)
+    flat = np.ravel_multi_index(tuple(i[c] for i, c in zip(where, cells)), tshape)
+    claimed, first = np.unique(flat, return_index=True)
+    kept = np.zeros_like(mask)
+    kept[tuple(c[first] for c in cells)] = True
+    covered = np.zeros(tshape, dtype=bool)
+    covered.flat[claimed] = True
+    pieces = []
+    for word in product(*slabs):
+        part = kept[tuple(slice(a, b) for _, a, b in word)]
+        if not part.any():
+            continue
+        cuts = tuple(g[a:b + 1] for g, (_, a, b) in zip(grid, word))
+        coeffs, offsets = zip(*((1, -m * (H - L)) if m % 2 == 0
+                                else (-1, 2 * L + (m + 1) * (H - L))
+                                for (m, _, _), (L, H) in zip(word, intervals)))
+        pieces.append((GridBoxSet._grid(source.dim, *_canonical(den, cuts, part)),
+                       PieceMap.axis_affine(coeffs, offsets, label="fold")))
+    return CongruenceCertificate(
+        source, target, pieces,
+        GridBoxSet._grid(source.dim, *_canonical(den, tuple(grid), mask & ~kept)),
+        GridBoxSet._grid(source.dim, *_canonical(den, tuple(tgrid), ~covered)))
+
+
+def is_fundamental_domain(candidate: GridBoxSet, group: GroupSpec,
+                          region: GridBoxSet) -> DomainReport:
+    """Check that the group orbit of the candidate partitions the region."""
+    dim = candidate.dim
+    if group.kind == "weyl":
+        # orbit tiling is equivalent to one-to-one folding onto the figure
+        cert = weyl_congruent(candidate, group.figure)
+        return DomainReport(cert.residual_measure == 0,
+                            cert.target_residual.measure,
+                            cert.source_residual.measure)
+    if group.kind == "translation":
+        spacings = [_frac(s) for s in group.spacings]
+        cbb, rbb = candidate.bounding_box(), region.bounding_box()
+        if cbb is None:
+            return DomainReport(False, region.measure, Fraction(0))
+        ranges = [_lattice_range(c, r, sp) for c, r, sp in zip(cbb, rbb, spacings)]
+        maps = [PieceMap.translate([k * s for k, s in zip(key, spacings)])
+                for key in product(*ranges)]
+    else:
+        kappa = _frac(group.kappa)
+        theta = [Fraction(0)] * dim if group.theta is None else [_frac(t) for t in group.theta]
+        for box in region.boxes:
+            if all(lo <= t <= hi for (lo, hi), t in zip(box, theta)):
+                raise ValueError("region must be bounded away from the dilation center")
+        power = _needed_power_range(candidate, region, kappa, theta, 60)
+        maps = [PieceMap.dilate(dim, kappa ** k, theta) for k in range(-power, power + 1)]
+    mass = Fraction(0)
+    cover = GridBoxSet.empty(dim)
+    for g in maps:
+        image = g.apply(candidate).intersect(region)
+        mass += image.measure
+        cover = cover.union(image)
+    uncovered = region.measure - cover.measure
+    overlap = mass - cover.measure
+    return DomainReport(uncovered == 0 and overlap == 0, uncovered, overlap)

@@ -48,6 +48,8 @@ def test_unknown_fixture_exits_one(capsys):
     ["surface", "fixture", "--name", "ex5.2", "--depth", "11"],
     # a one-cell mesh has no cell bound, but each level still costs work
     ["fif", "basis", "--n", "1", "--depth", "2000000"],
+    # planar fixtures stop at PLANAR_DEPTH_LIMIT = 64
+    ["tiles", "w1", "--depth", "65"],
 ])
 def test_bad_parameter_exits_two(capsys, argv):
     assert run(argv) == 2

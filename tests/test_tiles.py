@@ -24,7 +24,8 @@ from waveletsets.tiles import (
     translation_congruent,
     weyl_congruent,
 )
-from waveletsets.tiles import _lattice_range
+
+import boxset_oracle as oracle
 
 
 # -- set algebra ------------------------------------------------------------
@@ -161,17 +162,48 @@ def test_weyl_rejects_a_flat_figure():
         weyl_congruent(base_cube(2), [(-1, 1), (1, 1)])
 
 
-def test_lattice_range_is_exact_near_integers():
-    # (fixed lo - moving hi) / spacing = 3 - 2**-62 and
-    # (fixed hi - moving lo) / spacing = 4 + 2**-62, which float() rounds to 3
-    # and 4
+def test_translation_is_exact_near_integer_quotients():
+    # (target lo - source hi) / spacing and (target hi - source lo) / spacing
+    # at 3 - 2**-62 and 4 + 2**-62, at 4 and 5, and, with a spacing of 1/3,
+    # at 4 - 3 * 2**-61: quotients that float() rounds to integers
     tiny = F(1, 2 ** 62)
-    assert _lattice_range((-tiny, tiny), (F(3), F(4)), F(1)) == range(2, 6)
-    assert _lattice_range((F(0), F(1)), (F(4), F(5)), F(1)) == range(3, 6)
-    # a spacing of 1/3: (2 - (2/3 + 2**-61)) * 3 = 4 - 3 * 2**-61
-    third = F(1, 3)
-    assert _lattice_range((F(0), 2 * third + F(1, 2 ** 61)), (F(2), F(3)), third) \
-        == range(3, 10)
+    for source, target, spacing, moves in [
+        ((-tiny, tiny), (3, 4), 1, [3, 4]),
+        ((0, 1), (4, 5), 1, [4]),
+        ((0, F(2, 3) + 2 * tiny), (2, 3), F(1, 3), [F(4, 3), F(5, 3), 2, F(7, 3), F(8, 3)]),
+    ]:
+        source, target = DyadicBoxSet.from_box(source), DyadicBoxSet.from_box(target)
+        cert = translation_congruent(source, target, [spacing])
+        old = oracle.translation_congruent(source, target, [spacing])
+        assert [g.translation[0] for _, g in cert.pieces] == moves
+        assert [(g.translation, g.label) for _, g in cert.pieces] \
+            == [(g.translation, g.label) for _, g in old.pieces]
+        for (piece, _), (old_piece, _) in zip(cert.pieces, old.pieces):
+            assert piece.equals_ae(old_piece)
+        assert cert.source_residual.equals_ae(old.source_residual)
+        assert cert.target_residual.equals_ae(old.target_residual)
+        assert cert.verify().ok
+
+
+def test_dilation_has_no_power_cap():
+    # D^45 carries [2**-45, 2**-44) onto [1, 2); the old greedy tried powers
+    # up to 40 only and left both sets whole
+    source = DyadicBoxSet.from_box((F(1, 2 ** 45), F(1, 2 ** 44)))
+    cert = dilation_congruent(source, shannon_set())
+    assert [g.label for _, g in cert.pieces] == ["D^45"]
+    assert cert.residual_measure == 1
+    assert cert.source_residual.is_empty
+    assert cert.verify().ok
+    old = oracle.dilation_congruent(source, shannon_set())
+    assert old.pieces == [] and old.residual_measure == 2
+
+
+def test_dilation_rejects_center_in_target():
+    # the shells of [0, 2) never end, so no power range is enough
+    with pytest.raises(ValueError):
+        dilation_congruent(shannon_set(), DyadicBoxSet.from_box((0, 2)))
+    with pytest.raises(ValueError):
+        dilation_congruent(shannon_set(), DyadicBoxSet.from_box((0, 2)), allow_center=True)
 
 
 def test_certificate_verify_detects_tampering():
@@ -214,6 +246,23 @@ def test_quarter_cube_defect():
                                 GroupSpec("translation", spacings=(2, 2)), region)
     assert not rep.ok
     assert rep.uncovered_measure == F(3, 4) * region.measure
+
+
+def test_fundamental_domain_of_empty_region():
+    rep = is_fundamental_domain(base_cube(2), GroupSpec("translation", spacings=(2, 2)),
+                                DyadicBoxSet.empty(2))
+    assert rep.ok and rep.uncovered_measure == 0 and rep.overlap_measure == 0
+
+
+@pytest.mark.parametrize("group, region", [
+    (GroupSpec("translation", spacings=(2, 2, 2)), DyadicBoxSet.from_box((-3, 3), (-3, 3))),
+    (GroupSpec("translation", spacings=(2,)), DyadicBoxSet.from_box((-3, 3), (-3, 3))),
+    (GroupSpec("translation", spacings=(2, 2)), DyadicBoxSet.from_box((-3, 3))),
+    (GroupSpec("dilation", kappa=F(2)), DyadicBoxSet.from_box((F(1, 4), 4))),
+])
+def test_fundamental_domain_rejects_mismatched_dimensions(group, region):
+    with pytest.raises(ValueError, match="spacing|dimension"):
+        is_fundamental_domain(base_cube(2), group, region)
 
 
 def test_shannon_is_dilation_fundamental_domain():

@@ -10,6 +10,9 @@ residual.  On the planar fixtures both residual sets agree.
 The kernel's order is pinned separately: the oracle's greedy assembly, given
 one candidate per reflection word (a slab of the mirror grid on each axis)
 in word order, must give the kernel's pieces, maps and residuals exactly.
+So must the mirror-fold kernel that `weyl_congruent` was before the fold
+became one group of the shared reduce-and-claim kernel, `grid_weyl_congruent`
+in the oracle.
 """
 
 from itertools import product
@@ -68,6 +71,13 @@ def assemble_by_word(source, figure):
 
 def check_against_oracle(source, figure):
     cert = weyl_congruent(source, figure)
+    grid = oracle.grid_weyl_congruent(source, figure)
+    assert [(g.linear, g.translation, g.label) for _, g in cert.pieces] \
+        == [(g.linear, g.translation, g.label) for _, g in grid.pieces]
+    for (piece, _), (grid_piece, _) in zip(cert.pieces, grid.pieces):
+        assert piece.equals_ae(grid_piece)
+    assert cert.source_residual.equals_ae(grid.source_residual)
+    assert cert.target_residual.equals_ae(grid.target_residual)
     old = oracle.weyl_congruent(source, figure)
     assert cert.source_residual.measure == old.source_residual.measure
     assert cert.target_residual.measure == old.target_residual.measure
