@@ -20,6 +20,15 @@ ENV_OUTDIR = "WAVELETSETS_OUTDIR"
 MESH_CELLS_LIMIT = 2 ** 20
 MESH_DEPTH_LIMIT = 20
 PLANAR_DEPTH_LIMIT = 64
+# Bounds of the parameters that set a command's cost, each from a timing:
+# `fif basis --n 64 --depth 1` takes about 0.9 s (128: 3 s);
+# `mra build --kappa 4 --degree 4`, the costliest pair allowed, about 4.6 s
+# (kappa and degree costs multiply: kappa 5 with degree 5 takes 24 s);
+# `tiles construct --epsilon 0 --max-iterations 1000` about 2.3 s.
+BASIS_CELLS_LIMIT = 64
+MRA_KAPPA_LIMIT = 4
+MRA_DEGREE_LIMIT = 4
+CONSTRUCT_ITERATIONS_LIMIT = 1000
 
 
 def _frac(text) -> Fraction:
@@ -45,19 +54,18 @@ def _positive_int(text) -> int:
     return _int_at_least(text, 1)
 
 
-def _nonnegative_int(text) -> int:
-    return _int_at_least(text, 0)
-
-
-def _kappa(text) -> int:
-    return _int_at_least(text, 2)
-
-
 def _fraction_arg(text) -> Fraction:
     try:
         return _frac(text)
     except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}") from None
+
+
+def _nonnegative_fraction(text) -> Fraction:
+    value = _fraction_arg(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
 
 
 def _vertical_scaling(text) -> Fraction:
@@ -265,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--svg")
     p_ex.set_defaults(func=cmd_fif_example)
     p_basis = fif_sub.add_parser("basis", help="cardinal basis family")
-    p_basis.add_argument("--n", type=_positive_int, default=3)
+    p_basis.add_argument("--n", type=lambda text: _int_at_least(text, 1, BASIS_CELLS_LIMIT),
+                         default=3)
     p_basis.add_argument("--mode", default="translation",
                          choices=["translation", "reflection"])
     p_basis.add_argument("--scaling", type=_vertical_scaling, default="1/2")
@@ -287,8 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     mra_sub = p_mra.add_subparsers(dest="subcommand", required=True)
     p_build = mra_sub.add_parser("build", help="build the filter bank")
     p_build.add_argument("--figure", default="square")
-    p_build.add_argument("--kappa", type=_kappa, default=2)
-    p_build.add_argument("--degree", type=_nonnegative_int, default=1)
+    p_build.add_argument("--kappa", type=lambda text: _int_at_least(text, 2, MRA_KAPPA_LIMIT),
+                         default=2)
+    p_build.add_argument("--degree", type=lambda text: _int_at_least(text, 0, MRA_DEGREE_LIMIT),
+                         default=1)
     p_build.add_argument("--scaling", type=_vertical_scaling, default="1/2")
     p_build.add_argument("--out")
     p_build.set_defaults(func=cmd_mra_build)
@@ -304,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--svg")
         p.set_defaults(func=func)
     p_con = tiles_sub.add_parser("construct", help="run the 1-D constructor")
-    p_con.add_argument("--epsilon", type=_fraction_arg, default="1/1000000")
-    p_con.add_argument("--max-iterations", type=_positive_int, default=50)
+    p_con.add_argument("--epsilon", type=_nonnegative_fraction, default="1/1000000")
+    p_con.add_argument("--max-iterations", default=50,
+                       type=lambda text: _int_at_least(text, 1, CONSTRUCT_ITERATIONS_LIMIT))
     p_con.add_argument("--out")
     p_con.set_defaults(func=cmd_tiles_construct)
     return parser

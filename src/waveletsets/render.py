@@ -2,12 +2,24 @@
 
 All floats are written with 12 significant digits so identical inputs give
 byte-identical files.
+
+The exporters work on whole columns: each value becomes a float once, mesh
+points and boxes are ordered by exact integer keys, coordinates are mapped
+as numpy float64 arrays, and all rows are written through one '%.12g'
+template.  The written bytes depend on the operation order of the canvas map,
+m + (x - x0) / dx * (w - 2m), and of the shades; `tests/test_render.py` pins
+them against the point-by-point exporters of `tests/render_oracle.py`.
+Mesh and box coordinates must be finite.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -16,95 +28,158 @@ def fnum(v) -> str:
     return format(float(v), ".12g")
 
 
-def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fnum(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _floats(values) -> np.ndarray:
+    """float(v) of every value, made once; a Fraction by one int true
+    division, which is correctly rounded and so equals float(v)."""
+    return np.array([v.numerator / v.denominator if type(v) is Fraction else float(v)
+                     for v in values], dtype=float)
 
 
-def _bbox(points):
-    xs = [float(p[0]) for p in points]
-    ys = [float(p[1]) for p in points]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    return x0, x1 - x0 or 1.0, y0, y1 - y0 or 1.0
+def _integer_keys(values) -> list:
+    """Integers in the exact order of the rational values: the numerators
+    over one common denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    dens = {d for _, d in ratios}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return [n * scale[d] for n, d in ratios]
+
+
+def _order(key_columns) -> list:
+    """The permutation that sorts the rows of the key columns, column after
+    column as tuples compare."""
+    rows = list(zip(*key_columns))
+    return sorted(range(len(rows)), key=rows.__getitem__)
+
+
+def _interleave(*columns) -> list:
+    """The values of equally long columns, row after row, in one list."""
+    k = len(columns)
+    flat = [None] * (k * len(columns[0]))
+    for j, col in enumerate(columns):
+        flat[j::k] = col.tolist() if isinstance(col, np.ndarray) else col
+    return flat
+
+
+def _rows(template: str, *columns) -> str:
+    """template once per row of the columns, filled with that row."""
+    return (template * len(columns[0])) % tuple(_interleave(*columns))
+
+
+def _extent(values: np.ndarray):
+    lo = float(values.min())
+    return lo, float(values.max()) - lo or 1.0
 
 
 class _Canvas:
-    def __init__(self, points, width=640, height=480, margin=24):
-        self.x0, self.dx, self.y0, self.dy = _bbox(points)
+    """Maps float64 columns of x and y into the viewport."""
+
+    def __init__(self, xs, ys, width=640, height=480, margin=24):
+        self.x0, self.dx = _extent(xs)
+        self.y0, self.dy = _extent(ys)
         self.w, self.h, self.m = width, height, margin
 
-    def map(self, p):
-        x = self.m + (float(p[0]) - self.x0) / self.dx * (self.w - 2 * self.m)
-        y = self.h - self.m - (float(p[1]) - self.y0) / self.dy * (self.h - 2 * self.m)
+    @np.errstate(over="ignore", invalid="ignore")  # as silent as float arithmetic
+    def map(self, xs, ys):
+        x = self.m + (xs - self.x0) / self.dx * (self.w - 2 * self.m)
+        y = (self.h - self.m) - (ys - self.y0) / self.dy * (self.h - 2 * self.m)
         return x, y
 
     def open_tag(self):
         return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.w}" '
-                f'height="{self.h}" viewBox="0 0 {self.w} {self.h}">')
+                f'height="{self.h}" viewBox="0 0 {self.w} {self.h}">\n')
+
+
+@functools.lru_cache(maxsize=16)
+def _csv_row(width: int) -> str:
+    return ",".join(["%.12g"] * width) + "\n"
+
+
+def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    rows = list(rows)
+    template = "".join(map(_csv_row, map(len, rows)))
+    values = _floats([v for row in rows for v in row]).tolist()
+    return ",".join(header) + "\n" + template % tuple(values)
 
 
 def polylines_svg(curves: Sequence[Sequence], width=640, height=480) -> str:
     """Curves are sequences of (x, y) points, drawn in palette order."""
-    allpts = [p for c in curves for p in c]
-    cv = _Canvas(allpts, width, height)
+    xs = _floats([p[0] for c in curves for p in c])
+    ys = _floats([p[1] for c in curves for p in c])
+    cv = _Canvas(xs, ys, width, height)
+    xs, ys = cv.map(xs, ys)
     parts = [cv.open_tag()]
+    end = 0
     for k, curve in enumerate(curves):
-        pts = " ".join(f"{fnum(x)},{fnum(y)}" for x, y in map(cv.map, curve))
+        at, end = slice(end, end + len(curve)), end + len(curve)
+        pts = _rows("%.12g,%.12g ", xs[at], ys[at])[:-1]
         color = PALETTE[k % len(PALETTE)]
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>\n')
+    parts.append("</svg>\n")
+    return "".join(parts)
+
+
+def _sorted_boxes(boxes) -> list:
+    """The boxes in tuple order, by exact integer keys on the two ends of
+    each axis."""
+    boxes = list(boxes)
+    ends = zip(*[[end for side in box for end in side] for box in boxes])
+    return [boxes[i] for i in _order(map(_integer_keys, ends))]
 
 
 def boxes_svg(layers: Sequence, width=640, height=640) -> str:
     """Layers are (box set, fill color); boxes drawn as rectangles."""
-    corners = []
-    for boxset, _ in layers:
-        for box in boxset.boxes:
-            corners.append(tuple(lo for lo, _ in box))
-            corners.append(tuple(hi for _, hi in box))
-    cv = _Canvas(corners, width, height)
+    layer_boxes = [_sorted_boxes(boxset.boxes) for boxset, _ in layers]
+    lo_x, hi_x, lo_y, hi_y = (_floats([box[axis][side] for boxes in layer_boxes for box in boxes])
+                              for axis in (0, 1) for side in (0, 1))
+    cv = _Canvas(np.concatenate((lo_x, hi_x)), np.concatenate((lo_y, hi_y)), width, height)
+    x0, y0 = cv.map(lo_x, hi_y)
+    x1, y1 = cv.map(hi_x, lo_y)
     parts = [cv.open_tag()]
-    for boxset, color in layers:
-        for box in sorted(boxset.boxes):
-            (x0, y0) = cv.map((box[0][0], box[1][1]))
-            (x1, y1) = cv.map((box[0][1], box[1][0]))
-            parts.append(
-                f'<rect x="{fnum(x0)}" y="{fnum(y0)}" width="{fnum(x1 - x0)}" '
-                f'height="{fnum(y1 - y0)}" fill="{color}" fill-opacity="0.6" '
-                f'stroke="#333333" stroke-width="0.5"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    end = 0
+    for boxes, (_, color) in zip(layer_boxes, layers):
+        at, end = slice(end, end + len(boxes)), end + len(boxes)
+        fill = f"{color}".replace("%", "%%")
+        template = ('<rect x="%.12g" y="%.12g" width="%.12g" height="%.12g" '
+                    f'fill="{fill}" fill-opacity="0.6" stroke="#333333" stroke-width="0.5"/>\n')
+        parts.append(_rows(template, x0[at], y0[at], x1[at] - x0[at], y1[at] - y0[at]))
+    parts.append("</svg>\n")
+    return "".join(parts)
 
 
+def _sorted_mesh(mesh: dict):
+    """The float columns x, y and value of the mesh points, the points in
+    tuple order, and the number of distinct x."""
+    coords = list(zip(*mesh)) or [(), ()]
+    keys = [_integer_keys(c) for c in coords]
+    order = _order(keys)
+    return [_floats(c)[order] for c in (coords[0], coords[1], mesh.values())], len(set(keys[0]))
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def heightmap_svg(mesh: dict, width=640, height=640) -> str:
     """Mesh point cloud shaded by value, from low (dark) to high (light)."""
-    pts = sorted(mesh)
-    vals = [float(mesh[p]) for p in pts]
-    lo, hi = min(vals), max(vals)
+    (xs, ys, vals), distinct_x = _sorted_mesh(mesh)
+    lo, hi = float(vals.min()), float(vals.max())
     span = (hi - lo) or 1.0
-    cv = _Canvas(pts, width, height)
-    side = max(2.0, (width - 2 * cv.m) / max(1.0, len(set(p[0] for p in pts))))
-    parts = [cv.open_tag()]
-    for p, v in zip(pts, vals):
-        x, y = cv.map(p)
-        shade = int(round(32 + 223 * (v - lo) / span))
-        color = f"#{shade:02x}{shade:02x}{min(255, shade + 24):02x}"
-        parts.append(
-            f'<rect x="{fnum(x - side / 2)}" y="{fnum(y - side / 2)}" '
-            f'width="{fnum(side)}" height="{fnum(side)}" fill="{color}"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    cv = _Canvas(xs, ys, width, height)
+    side = max(2.0, (width - 2 * cv.m) / max(1.0, distinct_x))
+    xs, ys = cv.map(xs, ys)
+    shade = 32 + 223 * (vals - lo) / span
+    if not np.isfinite(shade).all():
+        # the error round() gives on the first NaN or infinite shade
+        round(float(shade[~np.isfinite(shade)][0]))
+    shade = np.rint(shade).astype(np.int64).tolist()
+    template = (f'<rect x="%.12g" y="%.12g" width="{side:.12g}" height="{side:.12g}" '
+                'fill="#%02x%02x%02x"/>\n')
+    body = _rows(template, xs - side / 2, ys - side / 2, shade, shade,
+                 [min(255, s + 24) for s in shade])
+    return cv.open_tag() + body + "</svg>\n"
 
 
 def surface_csv(mesh: dict) -> str:
-    rows = [(p[0], p[1], mesh[p]) for p in sorted(mesh)]
-    return csv_text(("x", "y", "z"), rows)
+    (xs, ys, vals), _ = _sorted_mesh(mesh)
+    return "x,y,z\n" + _rows(_csv_row(3), xs, ys, vals)
 
 
 def function_csv(xs: Sequence, ys: Sequence) -> str:

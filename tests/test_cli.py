@@ -50,6 +50,12 @@ def test_unknown_fixture_exits_one(capsys):
     ["fif", "basis", "--n", "1", "--depth", "2000000"],
     # planar fixtures stop at PLANAR_DEPTH_LIMIT = 64
     ["tiles", "w1", "--depth", "65"],
+    # cost bounds: BASIS_CELLS_LIMIT, MRA_KAPPA_LIMIT, MRA_DEGREE_LIMIT,
+    # CONSTRUCT_ITERATIONS_LIMIT
+    ["fif", "basis", "--n", "65", "--depth", "1"],
+    ["mra", "build", "--kappa", "5"],
+    ["mra", "build", "--figure", "interval", "--degree", "5"],
+    ["tiles", "construct", "--epsilon", "0", "--max-iterations", "1001"],
 ])
 def test_bad_parameter_exits_two(capsys, argv):
     assert run(argv) == 2
@@ -125,6 +131,16 @@ def test_tiles_construct_recertifies(capsys):
     out = capsys.readouterr().out
     assert "translation certificate re-verified: ok" in out
     assert "dilation certificate re-verified: ok" in out
+
+
+def test_tiles_construct_epsilon_below_zero_exits_two(capsys):
+    # a residual is never negative, so such an epsilon could never be met;
+    # epsilon 0 stays legal and runs until the iteration bound
+    assert run(["tiles", "construct", "--epsilon", "-1/1000", "--max-iterations", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "construction failed" not in captured.out
+    assert run(["tiles", "construct", "--epsilon", "0", "--max-iterations", "2"]) == 1
+    assert "construction failed" in capsys.readouterr().out
 
 
 def test_outputs_are_byte_identical(capsys, tmp_path):
