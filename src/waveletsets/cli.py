@@ -21,7 +21,8 @@ MESH_CELLS_LIMIT = 2 ** 20
 MESH_DEPTH_LIMIT = 20
 PLANAR_DEPTH_LIMIT = 64
 # Bounds of the parameters that set a command's cost, each from a timing:
-# `fif basis --n 64 --depth 1` takes about 0.9 s (128: 3 s);
+# `fif basis --n 64 --depth 1` takes about 0.9 s (128: 3 s), and a `fif basis`
+# family at the leaf-cell limit about 1.3 s (3 s with --csv and --svg);
 # `mra build --kappa 4 --degree 4`, the costliest pair allowed, about 4.6 s
 # (kappa and degree costs multiply: kappa 5 with degree 5 takes 24 s);
 # `tiles construct --epsilon 0 --max-iterations 1000` about 2.3 s.
@@ -92,9 +93,9 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _mesh_too_large(cells: int, depth: int) -> bool:
-    """Report a mesh of more than MESH_DEPTH_LIMIT levels or of more than
-    MESH_CELLS_LIMIT leaf cells.
+def _mesh_too_large(cells: int, depth: int, functions: int = 1) -> bool:
+    """Report meshes of more than MESH_DEPTH_LIMIT levels or of more than
+    MESH_CELLS_LIMIT leaf cells in all, over `functions` meshes.
 
     Every level costs work even over one cell, so the depth has a bound of
     its own; two cells already exceed the cell limit one level deeper.
@@ -102,10 +103,11 @@ def _mesh_too_large(cells: int, depth: int) -> bool:
     if depth > MESH_DEPTH_LIMIT:
         print(f"error: --depth {depth} exceeds {MESH_DEPTH_LIMIT}", file=sys.stderr)
         return True
-    if cells ** depth <= MESH_CELLS_LIMIT:
+    if functions * cells ** depth <= MESH_CELLS_LIMIT:
         return False
-    print(f"error: a depth-{depth} mesh over {cells} cells has more than "
-          f"{MESH_CELLS_LIMIT} leaf cells", file=sys.stderr)
+    each = f" for each of {functions} functions" if functions > 1 else ""
+    print(f"error: a depth-{depth} mesh over {cells} cells{each} has more than "
+          f"{MESH_CELLS_LIMIT} leaf cells in all", file=sys.stderr)
     return True
 
 
@@ -128,7 +130,7 @@ def cmd_fif_example(args) -> int:
 
 
 def cmd_fif_basis(args) -> int:
-    if _mesh_too_large(args.n, args.depth):
+    if _mesh_too_large(args.n, args.depth, functions=args.n + 1):
         return 2
     s = _frac(args.scaling)
     basis = fif.uniform_cardinal_basis(args.n, s, args.mode)

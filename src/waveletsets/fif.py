@@ -17,6 +17,7 @@ one-sided values at interior knots, where the surface mesh is a dict).
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,32 @@ class CellMap:
         return self.m > 0
 
 
+def _spec_data(cells: Sequence[CellMap]) -> tuple:
+    return tuple({(k,): co for k, co in enumerate(c.data)} for c in cells)
+
+
+def _interpolation_cells(xs: Sequence, ys: Sequence, s: Sequence) -> list[CellMap]:
+    """The cells of the affine interpolation through (x_i, y_i)."""
+    xs = [_frac(v) for v in xs]
+    ys = [_frac(v) for v in ys]
+    s = [_frac(v) for v in s]
+    n = len(xs) - 1
+    if len(ys) != n + 1 or len(s) != n:
+        raise ValueError("need N+1 points and N scalings")
+    if any(xs[i] >= xs[i + 1] for i in range(n)):
+        raise ValueError("abscissae must increase")
+    a, b = xs[0], xs[-1]
+    span = b - a
+    cells = []
+    for i in range(1, n + 1):
+        ai = (xs[i] - xs[i - 1]) / span
+        alpha = (b * xs[i - 1] - a * xs[i]) / span
+        ci = (ys[i] - ys[i - 1] - s[i - 1] * (ys[-1] - ys[0])) / span
+        beta = (b * ys[i - 1] - a * ys[i] - s[i - 1] * (b * ys[0] - a * ys[-1])) / span
+        cells.append(CellMap(m=ai, q=alpha, data=(beta, ci), s=s[i - 1]))
+    return cells
+
+
 class FractalFunction(SelfAffine):
     """Fixed point of the cell-wise affine transfer operator."""
 
@@ -72,7 +99,7 @@ class FractalFunction(SelfAffine):
         super().__init__(SurfaceSpec(
             ((a,), (b,)),
             tuple(AffineMap(Mat([[c.m]]), Vec((c.q,))) for c in self.cells),
-            tuple({(k,): co for k, co in enumerate(c.data)} for c in self.cells),
+            _spec_data(self.cells),
             tuple(c.s for c in self.cells)))
         # cell images must tile the domain left to right
         boundaries = [a]
@@ -90,24 +117,8 @@ class FractalFunction(SelfAffine):
     @staticmethod
     def from_interpolation(xs: Sequence, ys: Sequence, s: Sequence) -> "FractalFunction":
         """Affine fractal interpolation through (x_i, y_i) with scalings s_i."""
-        xs = [_frac(v) for v in xs]
-        ys = [_frac(v) for v in ys]
-        s = [_frac(v) for v in s]
-        n = len(xs) - 1
-        if len(ys) != n + 1 or len(s) != n:
-            raise ValueError("need N+1 points and N scalings")
-        if any(xs[i] >= xs[i + 1] for i in range(n)):
-            raise ValueError("abscissae must increase")
-        a, b = xs[0], xs[-1]
-        span = b - a
-        cells = []
-        for i in range(1, n + 1):
-            ai = (xs[i] - xs[i - 1]) / span
-            alpha = (b * xs[i - 1] - a * xs[i]) / span
-            ci = (ys[i] - ys[i - 1] - s[i - 1] * (ys[-1] - ys[0])) / span
-            beta = (b * ys[i - 1] - a * ys[i] - s[i - 1] * (b * ys[0] - a * ys[-1])) / span
-            cells.append(CellMap(m=ai, q=alpha, data=(beta, ci), s=s[i - 1]))
-        return FractalFunction((a, b), cells)
+        cells = _interpolation_cells(xs, ys, s)
+        return FractalFunction((xs[0], xs[-1]), cells)
 
     @staticmethod
     def from_uniform_data(n: int, data: Sequence[Sequence], s: Sequence,
@@ -120,6 +131,14 @@ class FractalFunction(SelfAffine):
             for (m, q), poly, si in zip(maps, data, s)
         ]
         return FractalFunction((Fraction(0), Fraction(n)), cells)
+
+    def _with_data(self, data: Sequence[Sequence]) -> "FractalFunction":
+        """A function on the same cells, scalings and shared system with other data."""
+        f = copy.copy(self)
+        f.cells = [CellMap(m=c.m, q=c.q, data=tuple(_frac(v) for v in poly), s=c.s)
+                   for c, poly in zip(self.cells, data, strict=True)]
+        SelfAffine.__init__(f, self.spec.with_data(_spec_data(f.cells)))
+        return f
 
     # -- cell lookup ------------------------------------------------------------
 
@@ -201,29 +220,22 @@ class FractalFunction(SelfAffine):
         a point P/dp to (L m P + dp L q)/(dp L), with L the lcm of the map
         denominators, and a value to an integer Horner sum over
         dv' = lcm(dv den(s), den(data) dp^deg), so the cascade and the seam
-        de-duplication run on plain ints.  Points and values become Fractions
-        once, at the end.
+        de-duplication run on plain ints.  Values become Fractions once, at
+        the end; the points are the shared system's (`_orbit`), in a new list.
         """
-        a, b = self.domain
         kv = [_frac(v) for v in self.knot_values()]
-        dp = math.lcm(a.denominator, b.denominator)
+        levels, points = self._orbit(depth)
         dv = math.lcm(kv[0].denominator, kv[-1].denominator)
-        pts = [a.numerator * (dp // a.denominator), b.numerator * (dp // b.denominator)]
         vals = [kv[0].numerator * (dv // kv[0].denominator),
                 kv[-1].numerator * (dv // kv[-1].denominator)]
         data = [tuple(_frac(c) for c in cell.data) or (Fraction(0),) for cell in self.cells]
         scalings = [_frac(cell.s) for cell in self.cells]
-        map_den = math.lcm(*(_frac(v).denominator for cell in self.cells for v in (cell.m, cell.q)))
         data_den = math.lcm(*(c.denominator for poly in data for c in poly))
         deg = max(len(poly) for poly in data) - 1
-        for _ in range(depth):
-            dp_next = dp * map_den
+        for pts, dp in levels:
             dv_next = math.lcm(*(dv * si.denominator for si in scalings), data_den * dp ** deg)
-            new_pts, new_vals = [], []
-            for cell, poly, si in zip(self.cells, data, scalings):
-                m = int(cell.m * map_den)
-                q = int(cell.q * dp_next)
-                seg_p = [m * p + q for p in pts]
+            new_vals = []
+            for i, (cell, poly, si) in enumerate(zip(self.cells, data, scalings)):
                 # poly(P/dp) * dv_next = sum_k (c_k dv_next / dp^k) P^k, by Horner
                 coeffs = [int(c * dv_next / dp ** k) for k, c in enumerate(poly)]
                 acc = [coeffs[-1]] * len(pts)
@@ -232,14 +244,34 @@ class FractalFunction(SelfAffine):
                 carry = si.numerator * (dv_next // (dv * si.denominator))
                 seg_v = [h + carry * v for h, v in zip(acc, vals)]
                 if not cell.preserves_orientation:
-                    seg_p.reverse()
                     seg_v.reverse()
-                if new_pts and new_pts[-1] == seg_p[0]:
-                    seg_p, seg_v = seg_p[1:], seg_v[1:]
-                new_pts.extend(seg_p)
-                new_vals.extend(seg_v)
-            pts, vals, dp, dv = new_pts, new_vals, dp_next, dv_next
-        return [Fraction(p, dp) for p in pts], [Fraction(v, dv) for v in vals]
+                new_vals.extend(seg_v[1:] if i else seg_v)
+            vals, dv = new_vals, dv_next
+        return list(points), [Fraction(v, dv) for v in vals]
+
+    def _orbit(self, depth: int) -> tuple:
+        """([(numerators, dp) per level before the last], last points as Fractions),
+        once per system; the cells tile the domain, so each drops its first point."""
+        orbits = self.spec._system.orbits
+        if depth not in orbits:
+            a, b = self.domain
+            dp = math.lcm(a.denominator, b.denominator)
+            pts = [a.numerator * (dp // a.denominator), b.numerator * (dp // b.denominator)]
+            map_den = math.lcm(*(_frac(v).denominator for cell in self.cells for v in (cell.m, cell.q)))
+            levels = []
+            for _ in range(depth):
+                levels.append((pts, dp))
+                dp *= map_den
+                new_pts = []
+                for i, cell in enumerate(self.cells):
+                    m, q = int(cell.m * map_den), int(cell.q * dp)
+                    seg_p = [m * p + q for p in pts]
+                    if not cell.preserves_orientation:
+                        seg_p.reverse()
+                    new_pts.extend(seg_p[1:] if i else seg_p)
+                pts = new_pts
+            orbits[depth] = (levels, [Fraction(p, dp) for p in pts])
+        return orbits[depth]
 
     def operator_iterates(self, depth: int, steps: int) -> list[np.ndarray]:
         """Transfer-operator iterates from zero, sampled on the depth mesh."""
@@ -352,7 +384,8 @@ def inner_product(f: FractalFunction, g: FractalFunction) -> Fraction:
 
 
 def gram_matrix(functions: Sequence[FractalFunction]) -> list[list[Fraction]]:
-    """Exact Gram matrix; one moment solve per function."""
+    """Exact Gram matrix from each function's moments; a family built by
+    `cardinal_basis` or `uniform_cardinal_basis` inverts its moment system once."""
     _check_shared_system(functions)
     return surfaces.gram_matrix(functions)
 
@@ -403,24 +436,22 @@ def gram_matrix_quadrature(functions: Sequence[FractalFunction], depth: int = 12
 
 def cardinal_basis(xs: Sequence, s: Sequence) -> list[FractalFunction]:
     """Fractal functions interpolating the Kronecker data at the knots."""
-    xs = [_frac(v) for v in xs]
-    n = len(xs)
-    basis = []
-    for i in range(n):
-        ys = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        basis.append(FractalFunction.from_interpolation(xs, ys, s))
-    return basis
+    kronecker = [[Fraction(int(j == i)) for j in range(len(xs))] for i in range(len(xs))]
+    basis = [FractalFunction.from_interpolation(xs, ys, s) for ys in kronecker[:1]]
+    return basis + [basis[0]._with_data([c.data for c in _interpolation_cells(xs, ys, s)])
+                    for ys in kronecker[1:]]
 
 
 def uniform_cardinal_basis(n: int, s, mode: str = "translation") -> list[FractalFunction]:
     """Cardinal functions at the integer knots of [0, n] for either layout.
 
     The affine data on each cell is pinned by the endpoint relations
-    f(u_i(0)) = p_i(0) + s f(0) and f(u_i(n)) = p_i(n) + s f(n).
+    f(u_i(0)) = p_i(0) + s f(0) and f(u_i(n)) = p_i(n) + s f(n).  The
+    functions share one system.
     """
     s = _frac(s)
     maps = uniform_maps(n, mode)
-    basis = []
+    family = []
     for j in range(n + 1):
         y = [Fraction(1) if k == j else Fraction(0) for k in range(n + 1)]
         data = []
@@ -428,8 +459,9 @@ def uniform_cardinal_basis(n: int, s, mode: str = "translation") -> list[Fractal
             v0 = y[int(q)] - s * y[0]
             vn = y[int(m * n + q)] - s * y[n]
             data.append((v0, Fraction(vn - v0, n)))
-        basis.append(FractalFunction.from_uniform_data(n, data, [s] * n, mode))
-    return basis
+        family.append(data)
+    first = FractalFunction.from_uniform_data(n, family[0], [s] * n, mode)
+    return [first] + [first._with_data(d) for d in family[1:]]
 
 
 def fixture(name: str, mode: str = "translation") -> FractalFunction:

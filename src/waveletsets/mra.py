@@ -104,12 +104,13 @@ class MultiresolutionBasis:
                 data = [{} for _ in self.maps]
                 data[j] = {expo: Fraction(1)}
                 self._atom_data.append(tuple(data))
-        self.atoms = [
-            FractalSurface(SurfaceSpec(self.domain_vertices, self.maps, data, s))
-            for data in self._atom_data
-        ]
+        # the atoms share one template's system: its geometry, integral table
+        # and inverted moment system are built once for all of them
+        template = SurfaceSpec(self.domain_vertices, self.maps, self._atom_data[0], s)
+        self.atoms = [FractalSurface(template.with_data(data)) for data in self._atom_data]
         na = config.generator_count
-        # one moment solve per atom, shared by the Gram matrix and the filters
+        # each atom's moments (its right-hand side times the shared inverse),
+        # used by both the Gram matrix and the filters
         self.atom_moments = [moments(a, d) for a in self.atoms]
         gram = gram_from_moments(self.atoms, self.atom_moments)
         self.atom_gram = gram

@@ -16,6 +16,7 @@ module is the one self-affine engine: a fractal interpolation function
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,6 +144,13 @@ def _standard_simplex_integral(expo: tuple) -> Fraction:
     return Fraction(num, math.factorial(len(expo) + sum(expo)))
 
 
+def _monomials_upto(dim: int, degree: int) -> list:
+    expos = [()]
+    for _ in range(dim):
+        expos = [e + (k,) for e in expos for k in range(degree + 1)]
+    return sorted(e for e in expos if sum(e) <= degree)
+
+
 def _box_bounds(vertices: Sequence) -> Optional[list]:
     dim = len(vertices[0])
     if len(vertices) != 2 ** dim:
@@ -171,22 +179,9 @@ def _domain_geometry(verts: Sequence) -> tuple:
 def domain_integral(p: dict, spec: "SurfaceSpec") -> Fraction:
     """Exact integral of a polynomial over a spec's simplex or axis box.
 
-    The box, or the simplex chart and volume, were set up once when the spec
-    was built.
+    One lookup per monomial in the integral table of the spec's system.
     """
-    if not p:
-        return ZERO
-    box, chart, vol = spec._box, spec._chart, spec._volume
-    if chart is not None:
-        q = poly_compose_affine(p, chart)
-        return vol * sum((c * _standard_simplex_integral(expo) for expo, c in q.items()), ZERO)
-    total = Fraction(0)
-    for expo, c in p.items():
-        term = c
-        for (lo, hi), e in zip(box, expo):
-            term *= Fraction(hi ** (e + 1) - lo ** (e + 1), e + 1)
-        total += term
-    return total
+    return spec._system.integral(p)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +189,67 @@ def domain_integral(p: dict, spec: "SurfaceSpec") -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+class _System:
+    """All a spec family derives from its vertices, similitudes and scalings,
+    shared by `SurfaceSpec.with_data`.  Monomial integrals, inverted moment
+    systems, the vertex interpolation inverse and the 1-D mesh points per
+    depth (filled by `fif`) come on first use."""
+
+    def __init__(self, vertices: tuple, maps: tuple, scalings: tuple):
+        self.vertices, self.maps, self.scalings = vertices, maps, scalings
+        self.dim = len(vertices[0])
+        self.inverses = tuple(u.inverse() for u in maps)
+        self.dets = tuple(abs(u.linear.det()) for u in maps)
+        self.box, self.chart, self.volume = _domain_geometry(vertices)
+        self.chart_inv = None if self.chart is None else self.chart.inverse()
+        self.pair_denominator = 1 - sum((d * s * s for d, s in zip(self.dets, scalings)), ZERO)
+        self._integrals: dict = {}
+        self._moment_systems: dict = {}
+        self._interpolation = None
+        self.orbits: dict = {}
+
+    def _monomial_integral(self, expo: tuple) -> Fraction:
+        if self.chart is not None:
+            q = poly_compose_affine({expo: ONE}, self.chart)
+            return self.volume * sum((c * _standard_simplex_integral(e) for e, c in q.items()), ZERO)
+        return math.prod((Fraction(hi ** (e + 1) - lo ** (e + 1), e + 1)
+                          for (lo, hi), e in zip(self.box, expo)), start=ONE)
+
+    def integral(self, p: dict) -> Fraction:
+        for expo in p.keys() - self._integrals.keys():
+            self._integrals[expo] = self._monomial_integral(expo)
+        return sum((c * self._integrals[expo] for expo, c in p.items()), ZERO)
+
+    def moment_system(self, degree: int) -> tuple:
+        """(monomials, comps, inverse): comps[r][i] is monomial r composed with
+        map i, and the inverse is that of I - sum_i det_i s_i (comps[.][i])."""
+        if degree not in self._moment_systems:
+            expos = _monomials_upto(self.dim, degree)
+            pos = {e: k for k, e in enumerate(expos)}
+            comps = [[poly_compose_affine({e: ONE}, u) for u in self.maps] for e in expos]
+            rows = [[ONE if r == c else ZERO for c in range(len(expos))] for r in range(len(expos))]
+            for row, row_comps in zip(rows, comps):
+                for det, s, comp in zip(self.dets, self.scalings, row_comps):
+                    for ce, cc in comp.items():
+                        row[pos[ce]] -= det * s * cc
+            self._moment_systems[degree] = (expos, comps, Mat(rows).inverse().rows)
+        return self._moment_systems[degree]
+
+    def interpolate(self, values: Sequence) -> dict:
+        """The affine polynomial taking the given values at the vertices of a simplex."""
+        if self._interpolation is None:
+            self._interpolation = Mat([[ONE, *v] for v in self.vertices]).inverse().rows
+        return as_poly([sum((a * b for a, b in zip(row, values)), ZERO)
+                        for row in self._interpolation], self.dim)
+
+
 @dataclass(frozen=True, eq=False)
 class SurfaceSpec:
     """Domain polytope, cell similitudes, polynomial data, vertical scaling.
 
     The scaling is one Fraction shared by all cells or a tuple with one value
-    per similitude; `_scalings` always holds the per-cell tuple.
+    per similitude; `_scalings` always holds the per-cell tuple.  What does
+    not depend on the data is in `_system`, which `with_data` shares.
     """
 
     vertices: tuple
@@ -211,8 +261,6 @@ class SurfaceSpec:
         verts = tuple(Vec(Fraction(a) for a in v) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "maps", tuple(self.maps))
-        dim = len(verts[0])
-        object.__setattr__(self, "data", tuple(as_poly(d, dim) for d in self.data))
         if isinstance(self.scaling, tuple):
             object.__setattr__(self, "scaling", tuple(Fraction(s) for s in self.scaling))
             scalings = self.scaling
@@ -222,18 +270,17 @@ class SurfaceSpec:
         object.__setattr__(self, "_scalings", scalings)
         if any(abs(s) >= 1 for s in scalings):
             raise ValueError("vertical scaling must satisfy |s| < 1")
-        if len(self.data) != len(self.maps):
-            raise ValueError("one data function per similitude required")
+        self._set_data(self.data)
         if len(scalings) != len(self.maps):
             raise ValueError("one vertical scaling per similitude required")
-        inverses = tuple(u.inverse() for u in self.maps)
-        object.__setattr__(self, "_inverses", inverses)
-        object.__setattr__(self, "_dets", tuple(abs(u.linear.det()) for u in self.maps))
-        box, chart, volume = _domain_geometry(verts)
-        object.__setattr__(self, "_box", box)
-        object.__setattr__(self, "_chart", chart)
-        object.__setattr__(self, "_volume", volume)
-        object.__setattr__(self, "_chart_inv", None if chart is None else chart.inverse())
+        system = _System(verts, self.maps, scalings)
+        object.__setattr__(self, "_system", system)
+        object.__setattr__(self, "_inverses", system.inverses)
+
+    def _set_data(self, data: Sequence) -> None:
+        object.__setattr__(self, "data", tuple(as_poly(d, self.dim) for d in data))
+        if len(self.data) != len(self.maps):
+            raise ValueError("one data function per similitude required")
 
     @property
     def dim(self) -> int:
@@ -241,9 +288,10 @@ class SurfaceSpec:
 
     def contains(self, x: Sequence) -> bool:
         x = Vec(Fraction(a) for a in x)
-        if self._box is not None:
-            return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self._box))
-        t = self._chart_inv.apply(x)
+        box = self._system.box
+        if box is not None:
+            return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, box))
+        t = self._system.chart_inv.apply(x)
         return all(ti >= 0 for ti in t) and sum(t) <= 1
 
     def cell_of(self, x: Sequence) -> int:
@@ -256,7 +304,10 @@ class SurfaceSpec:
         return tuple(self.maps[i].apply(v) for v in self.vertices)
 
     def with_data(self, data: Sequence) -> "SurfaceSpec":
-        return SurfaceSpec(self.vertices, self.maps, tuple(data), self.scaling)
+        """A spec on the same system with other data; nothing else is recomputed."""
+        spec = copy.copy(self)
+        spec._set_data(data)
+        return spec
 
     def data_bound(self) -> Fraction:
         """sup over cells of |lambda_i| on the domain (coarse for degree > 1)."""
@@ -567,13 +618,12 @@ def basis_surfaces(spec: SurfaceSpec) -> dict:
     if len(spec.vertices) != spec.dim + 1:
         raise ValueError("vertex basis construction needs a simplex domain")
     pts = level_one_vertices(spec)
+    images = [[u.apply(v) for v in spec.vertices] for u in spec.maps]
     out = {}
     for nu in pts:
         zvals = {p: (ONE if p == nu else ZERO) for p in pts}
-        data = []
-        for u, s in zip(spec.maps, spec._scalings):
-            samples = [zvals[u.apply(v)] - s * zvals[v] for v in spec.vertices]
-            data.append(affine_from_values(spec.vertices, samples))
+        data = [spec._system.interpolate([zvals[w] - s * zvals[v] for w, v in zip(ws, spec.vertices)])
+                for ws, s in zip(images, spec._scalings)]
         surf = FractalSurface(spec.with_data(data))
         surf.mesh(1)  # consistency check at the refinement vertices
         out[nu] = surf
@@ -618,40 +668,25 @@ def refine_basis(word: Sequence, surfaces) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _monomials_upto(dim: int, degree: int) -> list:
-    expos = [()]
-    for _ in range(dim):
-        expos = [e + (k,) for e in expos for k in range(degree + 1)]
-    return sorted(e for e in expos if sum(e) <= degree)
-
-
 def moments(surface: FractalSurface, degree: int) -> dict:
     """Exact integrals of the surface against monomials up to a degree.
 
     An affine change of variables never raises a monomial's degree, so the
     system is block triangular by degree: the moments up to a degree do not
-    depend on how far beyond it the system is solved.
+    depend on how far beyond it the system is solved.  The spec's system
+    inverts the matrix once per degree; the data enter the right-hand side.
     """
     spec = surface.spec
+    system = spec._system
     degree = max(degree, max(poly_degree(p) for p in spec.data))
-    expos = _monomials_upto(spec.dim, degree)
-    pos = {e: k for k, e in enumerate(expos)}
-    n = len(expos)
-    dets = spec._dets
-    if sum(dets) != 1:
+    if sum(system.dets) != 1:
         raise ValueError("cells must tile the domain")
+    expos, comps, inverse = system.moment_system(degree)
     # M_p = sum_i det_i * ( integral(lambda_i * p(u_i .)) + s_i * M_{p(u_i .)} )
-    rows = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
-    rhs = [ZERO] * n
-    for r, e in enumerate(expos):
-        mono = {e: ONE}
-        for i, u in enumerate(spec.maps):
-            comp = poly_compose_affine(mono, u)
-            rhs[r] += dets[i] * domain_integral(poly_mul(spec.data[i], comp), spec)
-            for ce, cc in comp.items():
-                rows[r][pos[ce]] -= dets[i] * spec._scalings[i] * cc
-    sol = solve_exact(rows, rhs)
-    return {e: sol[pos[e]] for e in expos}
+    rhs = [sum((det * domain_integral(poly_mul(lam, comp), spec)
+                for det, lam, comp in zip(system.dets, spec.data, row) if lam), ZERO)
+           for row in comps]
+    return {e: sum((a * b for a, b in zip(row, rhs) if b), ZERO) for e, row in zip(expos, inverse)}
 
 
 def _check_shared_domain(f: FractalSurface, g: FractalSurface) -> None:
@@ -668,7 +703,7 @@ def _inner_from_moments(f: FractalSurface, g: FractalSurface, mf: dict, mg: dict
     """
     sf, sg = f.spec, g.spec
     total = Fraction(0)
-    for i, det in enumerate(sf._dets):
+    for i, det in enumerate(sf._system.dets):
         lam_f, lam_g = sf.data[i], sg.data[i]
         if not (lam_f or lam_g):
             continue
@@ -676,7 +711,9 @@ def _inner_from_moments(f: FractalSurface, g: FractalSurface, mf: dict, mg: dict
         term += sg._scalings[i] * sum((c * mg[e] for e, c in lam_f.items()), ZERO)
         term += sf._scalings[i] * sum((c * mf[e] for e, c in lam_g.items()), ZERO)
         total += det * term
-    s_quad = sum((d * a * b for d, a, b in zip(sf._dets, sf._scalings, sg._scalings)), ZERO)
+    if sf._system is sg._system:
+        return total / sf._system.pair_denominator
+    s_quad = sum((d * a * b for d, a, b in zip(sf._system.dets, sf._scalings, sg._scalings)), ZERO)
     return total / (1 - s_quad)
 
 
@@ -700,7 +737,11 @@ def gram_from_moments(family: Sequence, family_moments: Sequence) -> list:
 
 
 def gram_matrix(surfaces) -> list:
-    """Exact Gram matrix; one moment solve per member, at the family's data degree."""
+    """Exact Gram matrix from each member's moments at the family's data degree.
+
+    Members built with `with_data` share one system, so its moment system is
+    inverted once and each member only forms its right-hand side.
+    """
     family = list(surfaces.values() if isinstance(surfaces, dict) else surfaces)
     for f in family[1:]:
         _check_shared_domain(family[0], f)

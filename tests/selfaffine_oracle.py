@@ -13,6 +13,10 @@ These are implementations the library used before:
   `surfaces._solve_exact`, `reflections._rank` and `Mat.inverse` (before
   one self-affine engine in `surfaces` and one elimination in `geometry`).
 
+The `cell_surface_*` functions are the library's surface moment solve and
+pair formula from before specs shared one system (`SurfaceSpec.with_data`),
+which also take a scaling per cell; `tests/test_shared_system.py` uses them.
+
 They are slow but simple, and `tests/test_selfaffine_oracle.py` uses them as
 the oracle for identical Fractions (and for floats within 1e-12).  The
 bodies are kept verbatim: only names differ (some methods became functions
@@ -613,6 +617,79 @@ def surface_gram_matrix(surfaces) -> list:
     for a in range(n):
         for b in range(a, n):
             g[a][b] = g[b][a] = surface_inner_product(family[a], family[b])
+    return g
+
+
+# ---------------------------------------------------------------------------
+# surfaces with a scaling per cell: one moment solve per surface
+# ---------------------------------------------------------------------------
+#
+# The library's `moments` and `_inner_from_moments` as they were before specs
+# shared a system: each surface builds and solves its own moment system, and
+# every integral composes with the domain chart again.  Only the reads of the
+# spec differ: the cell determinants and per-cell scalings are computed here
+# from its maps and `scaling`, and the integrals use `domain_integral` above.
+
+
+def _cell_scalings(spec: SurfaceSpec) -> tuple:
+    if isinstance(spec.scaling, tuple):
+        return spec.scaling
+    return (spec.scaling,) * len(spec.maps)
+
+
+def cell_surface_moments(surface, degree: int) -> dict:
+    """Exact integrals of the surface against monomials up to a degree."""
+    spec = surface.spec
+    degree = max(degree, max(poly_degree(p) for p in spec.data))
+    expos = _monomials_upto(spec.dim, degree)
+    pos = {e: k for k, e in enumerate(expos)}
+    n = len(expos)
+    dets = [abs(u.linear.det()) for u in spec.maps]
+    scalings = _cell_scalings(spec)
+    if sum(dets) != 1:
+        raise ValueError("cells must tile the domain")
+    # M_p = sum_i det_i * ( integral(lambda_i * p(u_i .)) + s_i * M_{p(u_i .)} )
+    rows = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+    rhs = [ZERO] * n
+    for r, e in enumerate(expos):
+        mono = {e: ONE}
+        for i, u in enumerate(spec.maps):
+            comp = poly_compose_affine(mono, u)
+            rhs[r] += dets[i] * domain_integral(poly_mul(spec.data[i], comp), spec.vertices)
+            for ce, cc in comp.items():
+                rows[r][pos[ce]] -= dets[i] * scalings[i] * cc
+    sol = _solve_exact(rows, rhs)
+    return {e: sol[pos[e]] for e in expos}
+
+
+def cell_surface_inner_product(f, g) -> Fraction:
+    """<f, g> from the cell data and both surfaces' moments, each solved anew."""
+    sf, sg = f.spec, g.spec
+    if sf.maps != sg.maps or sf.vertices != sg.vertices:
+        raise ValueError("surfaces must share domain and similitudes")
+    degree = max(max(poly_degree(p) for p in sf.data), max(poly_degree(p) for p in sg.data))
+    mf, mg = cell_surface_moments(f, degree), cell_surface_moments(g, degree)
+    dets = [abs(u.linear.det()) for u in sf.maps]
+    scal_f, scal_g = _cell_scalings(sf), _cell_scalings(sg)
+    total = Fraction(0)
+    for i, det in enumerate(dets):
+        lam_f, lam_g = sf.data[i], sg.data[i]
+        if not (lam_f or lam_g):
+            continue
+        term = domain_integral(poly_mul(lam_f, lam_g), sf.vertices)
+        term += scal_g[i] * sum((c * mg[e] for e, c in lam_f.items()), ZERO)
+        term += scal_f[i] * sum((c * mf[e] for e, c in lam_g.items()), ZERO)
+        total += det * term
+    s_quad = sum((d * a * b for d, a, b in zip(dets, scal_f, scal_g)), ZERO)
+    return total / (1 - s_quad)
+
+
+def cell_surface_gram_matrix(family) -> list:
+    n = len(family)
+    g = [[ZERO] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            g[a][b] = g[b][a] = cell_surface_inner_product(family[a], family[b])
     return g
 
 

@@ -46,6 +46,10 @@ def test_unknown_fixture_exits_one(capsys):
     ["fif", "basis", "--n", "4", "--depth", "11"],
     ["fif", "example", "--name", "ex3.3", "--depth", "21"],
     ["surface", "fixture", "--name", "ex5.2", "--depth", "11"],
+    # `fif basis` meshes all n + 1 functions: (n + 1) * n**depth leaf cells
+    ["fif", "basis", "--n", "4", "--depth", "10"],
+    ["fif", "basis", "--n", "8", "--depth", "6"],
+    ["fif", "basis", "--n", "64", "--depth", "3"],
     # a one-cell mesh has no cell bound, but each level still costs work
     ["fif", "basis", "--n", "1", "--depth", "2000000"],
     # planar fixtures stop at PLANAR_DEPTH_LIMIT = 64

@@ -44,7 +44,7 @@ def test_tracer_wraps_the_fif_layers_and_restores_them(monkeypatch):
 
     assert tracer.stats["fif.gram_exact"][0] == 1
     assert tracer.stats["fif.knot_values"][0] == len(basis)
-    # one moment solve per member, each keyed by its 1-D spec
+    # one `moments` call per member, each keyed by its 1-D spec
     assert tracer.stats["surfaces.moments"][0] == len(basis)
     assert len(tracer.moment_keys) == len(basis)
     assert knots == [[1 if k == j else 0 for k in range(3)] for j in range(3)]
