@@ -1,4 +1,4 @@
-"""Small exact linear algebra: vectors, matrices, affine isometries, hyperplanes.
+"""Small exact linear algebra: vectors, matrices, affine maps, hyperplanes.
 
 Everything is dimension-checked and works over exact number types
 (Fraction, int) as well as floats.  Determinants are expanded directly for
@@ -210,78 +210,12 @@ def rank(vectors: Sequence[Sequence]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# affine isometries
+# affine maps
 # ---------------------------------------------------------------------------
 
 
-class AffineIsometry:
-    """x -> Ax + b with A orthogonal; composes and inverts exactly."""
-
-    __slots__ = ("linear", "shift")
-
-    def __init__(self, linear: Mat, shift: Vec, check: bool = True, tol: float = DEFAULT_TOL):
-        if linear.nrows != linear.ncols:
-            raise ValueError("linear part must be square")
-        if linear.nrows != len(shift):
-            raise ValueError("shift dimension mismatch")
-        if check:
-            gram = linear.transpose().matmul(linear)
-            n = linear.nrows
-            for i in range(n):
-                for j in range(n):
-                    want = 1 if i == j else 0
-                    entry = gram.rows[i][j]
-                    if abs(float(entry) - want) > tol:
-                        raise ValueError("linear part is not orthogonal")
-        self.linear = linear
-        self.shift = Vec(shift)
-
-    @staticmethod
-    def identity(n: int) -> "AffineIsometry":
-        return AffineIsometry(Mat.identity(n), Vec([Fraction(0)] * n), check=False)
-
-    @staticmethod
-    def translation(shift: Sequence) -> "AffineIsometry":
-        return AffineIsometry(Mat.identity(len(shift)), Vec(shift), check=False)
-
-    @property
-    def dim(self) -> int:
-        return self.linear.nrows
-
-    def apply(self, x: Sequence) -> Vec:
-        return self.linear.matvec(x) + self.shift
-
-    def compose(self, other: "AffineIsometry") -> "AffineIsometry":
-        """Returns self after other, i.e. x -> self(other(x))."""
-        return AffineIsometry(
-            self.linear.matmul(other.linear),
-            self.linear.matvec(other.shift) + self.shift,
-            check=False,
-        )
-
-    def inverse(self) -> "AffineIsometry":
-        inv = self.linear.inverse()
-        return AffineIsometry(inv, -inv.matvec(self.shift), check=False)
-
-    def is_identity(self) -> bool:
-        n = self.dim
-        return self.linear == Mat.identity(n) and all(s == 0 for s in self.shift)
-
-    def key(self):
-        return (self.linear.rows, tuple(self.shift))
-
-    def __eq__(self, other):
-        return isinstance(other, AffineIsometry) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return f"AffineIsometry(linear={self.linear!r}, shift={self.shift!r})"
-
-
 class AffineMap:
-    """x -> Ax + b without any orthogonality requirement (e.g. similitudes)."""
+    """x -> Ax + b; composes and inverts exactly (e.g. similitudes)."""
 
     __slots__ = ("linear", "shift")
 
@@ -291,6 +225,13 @@ class AffineMap:
         self.linear = linear
         self.shift = Vec(shift)
 
+    @classmethod
+    def _exact(cls, linear: Mat, shift: Vec) -> "AffineMap":
+        """A map of this class from parts that already satisfy its checks."""
+        amap = object.__new__(cls)
+        amap.linear, amap.shift = linear, shift
+        return amap
+
     @property
     def dim(self) -> int:
         return self.linear.nrows
@@ -299,27 +240,66 @@ class AffineMap:
         return self.linear.matvec(x) + self.shift
 
     def compose(self, other: "AffineMap") -> "AffineMap":
-        """Returns self after other, i.e. x -> self(other(x))."""
-        return AffineMap(
-            self.linear.matmul(other.linear),
-            self.linear.matvec(other.shift) + self.shift,
-        )
+        """Returns self after other, i.e. x -> self(other(x)).
+
+        Two maps of one class compose within it (isometries to an isometry);
+        any other pair gives a plain AffineMap.
+        """
+        cls = type(self) if type(other) is type(self) else AffineMap
+        return cls._exact(self.linear.matmul(other.linear),
+                          self.linear.matvec(other.shift) + self.shift)
 
     def inverse(self) -> "AffineMap":
         inv = self.linear.inverse()
-        return AffineMap(inv, -inv.matvec(self.shift))
+        return self._exact(inv, -inv.matvec(self.shift))
 
     def key(self):
         return (self.linear.rows, tuple(self.shift))
 
     def __eq__(self, other):
-        return isinstance(other, AffineMap) and self.key() == other.key()
+        return type(other) is type(self) and self.key() == other.key()
 
     def __hash__(self):
         return hash(self.key())
 
     def __repr__(self):
-        return f"AffineMap(linear={self.linear!r}, shift={self.shift!r})"
+        return f"{type(self).__name__}(linear={self.linear!r}, shift={self.shift!r})"
+
+
+class AffineIsometry(AffineMap):
+    """An AffineMap whose linear part is orthogonal, checked at construction."""
+
+    __slots__ = ()
+
+    def __init__(self, linear: Mat, shift: Vec, check: bool = True, tol: float = DEFAULT_TOL):
+        if linear.nrows != linear.ncols:
+            raise ValueError("linear part must be square")
+        super().__init__(linear, shift)
+        if check:
+            gram = linear.transpose().matmul(linear)
+            n = linear.nrows
+            for i in range(n):
+                for j in range(n):
+                    want = 1 if i == j else 0
+                    entry = gram.rows[i][j]
+                    if abs(float(entry) - want) > tol:
+                        raise ValueError("linear part is not orthogonal")
+
+    # bound here too: the layer tracer in perfbench/spans.py wraps `apply`
+    # through each class's own `__dict__`
+    apply = AffineMap.apply
+
+    @staticmethod
+    def identity(n: int) -> "AffineIsometry":
+        return AffineIsometry(Mat.identity(n), Vec([Fraction(0)] * n), check=False)
+
+    @staticmethod
+    def translation(shift: Sequence) -> "AffineIsometry":
+        return AffineIsometry(Mat.identity(len(shift)), Vec(shift), check=False)
+
+    def is_identity(self) -> bool:
+        n = self.dim
+        return self.linear == Mat.identity(n) and all(s == 0 for s in self.shift)
 
 
 # ---------------------------------------------------------------------------
@@ -396,30 +376,11 @@ def spectral_moduli(matrix: Mat) -> list:
     return sorted((abs(z) for z in eig), reverse=True)
 
 
-def is_expansive(matrix: Mat, mode: str = "eigenvalue", tol: float = DEFAULT_TOL,
-                 steps: int = 64) -> bool:
-    """Whether every eigenvalue of the matrix has modulus strictly above one.
-
-    mode='eigenvalue' inspects the spectral moduli directly; mode='norm-decay'
-    checks that the operator norms of successive inverse powers tend to zero.
-    The two characterizations agree on invertible matrices.
-    """
+def is_expansive(matrix: Mat, tol: float = DEFAULT_TOL) -> bool:
+    """Whether every eigenvalue of the matrix has modulus strictly above one."""
     if matrix.nrows != matrix.ncols:
         raise ValueError("expansiveness is defined for square matrices")
     a = matrix.to_numpy()
     if abs(np.linalg.det(a)) < tol:
         raise ValueError("singular matrix")
-    if mode == "eigenvalue":
-        return all(m > 1 + tol for m in spectral_moduli(matrix))
-    if mode == "norm-decay":
-        inv = np.linalg.inv(a)
-        power = np.eye(matrix.nrows)
-        best = np.inf
-        for _ in range(steps):
-            power = power @ inv
-            norm = np.linalg.norm(power, 2)
-            best = min(best, norm)
-            if norm < 1e-6:
-                return True
-        return best < 1e-6
-    raise ValueError(f"unknown mode {mode!r}")
+    return all(m > 1 + tol for m in spectral_moduli(matrix))

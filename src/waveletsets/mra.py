@@ -77,7 +77,7 @@ class MRAConfig:
 
 def scaled_cell_word(r: AffineIsometry, u: AffineMap, kappa: int) -> AffineIsometry:
     """The isometry kappa * (r o u) for a similitude u with ratio 1/kappa."""
-    comp = AffineMap(r.linear, r.shift).compose(u)
+    comp = r.compose(u)
     return AffineIsometry(comp.linear.scale(Fraction(kappa)), comp.shift.scale(Fraction(kappa)))
 
 

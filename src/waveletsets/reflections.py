@@ -24,12 +24,7 @@ FOLD_GUARD = 100000
 
 def reflect_root(root: Sequence, x: Sequence) -> Vec:
     """Reflection across the hyperplane through the origin orthogonal to root."""
-    root = Vec(Fraction(a) for a in root)
-    x = Vec(x)
-    rr = root.dot(root)
-    if rr == 0:
-        raise ValueError("zero root")
-    return x - root.scale(2 * root.dot(x) / rr)
+    return affine_reflect(root, 0, x)
 
 
 def coroot(root: Sequence) -> Vec:
@@ -46,18 +41,12 @@ def affine_reflect(root: Sequence, level, x: Sequence) -> Vec:
     Equals the linear reflection followed by a translation along the coroot:
     rho_{r,k}(x) = rho_r(x) + k * coroot(r).
     """
-    root = Vec(Fraction(a) for a in root)
-    x = Vec(x)
-    rr = root.dot(root)
-    if rr == 0:
-        raise ValueError("zero root")
-    return x - root.scale(2 * (root.dot(x) - level) / rr)
+    return Hyperplane(Vec(Fraction(a) for a in root), level).reflect(x)
 
 
 def affine_reflection(root: Sequence, level) -> AffineIsometry:
     """The reflection of affine_reflect as a composable isometry."""
-    root = Vec(Fraction(a) for a in root)
-    return Hyperplane(root, level).reflection()
+    return Hyperplane(Vec(Fraction(a) for a in root), level).reflection()
 
 
 # ---------------------------------------------------------------------------

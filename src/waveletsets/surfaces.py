@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .geometry import AffineIsometry, AffineMap, Mat, Vec, solve_exact
+from .geometry import AffineIsometry, AffineMap, Mat, Vec
 from .reflections import FoldableFigure, fold
 
 ZERO = Fraction(0)
@@ -120,16 +120,6 @@ def as_poly(obj, dim: int) -> dict:
             expo[j] = 1
             p[tuple(expo)] = c
     return p
-
-
-def affine_from_values(points: Sequence, values: Sequence) -> dict:
-    """The affine polynomial through (point, value) pairs; dim+1 points."""
-    dim = len(points[0])
-    if len(points) != dim + 1 or len(values) != dim + 1:
-        raise ValueError("affine interpolation needs dim+1 samples")
-    rows = [[ONE] + list(p) for p in points]
-    coeffs = solve_exact(rows, list(values))
-    return as_poly(coeffs, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +603,14 @@ def basis_surfaces(spec: SurfaceSpec) -> dict:
 
     The data function on each cell is forced by affine interpolation of the
     prescribed vertex values; this is available for simplex domains where
-    dim+1 vertex conditions pin an affine function exactly.
+    dim+1 vertex conditions pin an affine function exactly.  The cells must
+    share one vertical scaling: with different ones the members are not
+    continuous across the inner vertices of deeper refinements.
     """
     if len(spec.vertices) != spec.dim + 1:
         raise ValueError("vertex basis construction needs a simplex domain")
+    if len(set(spec._scalings)) != 1:
+        raise ValueError("vertex basis construction needs one vertical scaling for all cells")
     pts = level_one_vertices(spec)
     images = [[u.apply(v) for v in spec.vertices] for u in spec.maps]
     out = {}

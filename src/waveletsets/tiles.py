@@ -48,6 +48,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .geometry import AffineMap, Mat
 from .reflections import FoldableFigure
 
 Box = tuple  # ((lo, hi), ...) per axis, half-open, Fractions
@@ -431,18 +432,16 @@ class PieceMap:
     def apply(self, boxset: DyadicBoxSet) -> DyadicBoxSet:
         return boxset.transform(self.linear, self.translation)
 
+    def _affine(self) -> AffineMap:
+        """The same map as a `geometry.AffineMap`, which inverts and composes it."""
+        return AffineMap(Mat(self.linear), self.translation)
+
+    @staticmethod
+    def _of(amap: AffineMap, label: str) -> "PieceMap":
+        return PieceMap(amap.linear.rows, tuple(amap.shift), label)
+
     def inverse(self) -> "PieceMap":
-        n = len(self.translation)
-        inv_rows = [[Fraction(0)] * n for _ in range(n)]
-        for i, row in enumerate(self.linear):
-            j = next(k for k, x in enumerate(row) if x != 0)
-            inv_rows[j][i] = 1 / row[j]
-        inv_trans = []
-        for j in range(n):
-            i = next(k for k, x in enumerate(inv_rows[j]) if x != 0)
-            inv_trans.append(-inv_rows[j][i] * self.translation[i])
-        return PieceMap(tuple(tuple(r) for r in inv_rows), tuple(inv_trans),
-                        label=f"inv({self.label})")
+        return PieceMap._of(self._affine().inverse(), f"inv({self.label})")
 
     def is_translation(self) -> bool:
         return all(row[i] == 1 and all(x == 0 for j, x in enumerate(row) if j != i)
@@ -515,25 +514,9 @@ class CongruenceCertificate:
                 if common.is_empty:
                     continue
                 back = g1.inverse().apply(common)
-                combined = _compose_maps(g2, g1)
-                pieces.append((back, combined))
+                combined = g2._affine().compose(g1._affine())
+                pieces.append((back, PieceMap._of(combined, f"{g2.label}*{g1.label}")))
         return _finish_certificate(self.source, second.target, pieces)
-
-
-def _compose_maps(outer: PieceMap, inner: PieceMap) -> PieceMap:
-    n = len(inner.translation)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(sum(outer.linear[i][k] * inner.linear[k][j] for k in range(n)))
-        rows.append(tuple(row))
-    trans = tuple(
-        sum(outer.linear[i][k] * inner.translation[k] for k in range(n))
-        + outer.translation[i]
-        for i in range(n)
-    )
-    return PieceMap(tuple(rows), trans, label=f"{outer.label}*{inner.label}")
 
 
 def _finish_certificate(source, target, assigned_pieces) -> CongruenceCertificate:

@@ -24,7 +24,13 @@ here named `grid_weyl_congruent`.  The bodies are verbatim, with
 `tests/test_congruence_kernel.py` uses them as the oracle for whole
 certificates.
 
-Keep all three parts unchanged.
+The fourth part is the piece-map algebra from before `PieceMap` went
+through `geometry.AffineMap`: its hand-written monomial inverse (here the
+function `piece_map_inverse`) and `_compose_maps`, which
+`CongruenceCertificate.compose` used.  `tests/test_tiles.py` compares the
+library's piece maps and composed certificates with them.
+
+Keep all four parts unchanged.
 """
 
 from __future__ import annotations
@@ -575,3 +581,39 @@ def is_fundamental_domain(candidate: GridBoxSet, group: GroupSpec,
     uncovered = region.measure - cover.measure
     overlap = mass - cover.measure
     return DomainReport(uncovered == 0 and overlap == 0, uncovered, overlap)
+
+
+# ---------------------------------------------------------------------------
+# piece-map algebra: PieceMap.inverse and _compose_maps, from before piece
+# maps went through geometry.AffineMap
+# ---------------------------------------------------------------------------
+
+
+def piece_map_inverse(self: PieceMap) -> PieceMap:
+    n = len(self.translation)
+    inv_rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(self.linear):
+        j = next(k for k, x in enumerate(row) if x != 0)
+        inv_rows[j][i] = 1 / row[j]
+    inv_trans = []
+    for j in range(n):
+        i = next(k for k, x in enumerate(inv_rows[j]) if x != 0)
+        inv_trans.append(-inv_rows[j][i] * self.translation[i])
+    return PieceMap(tuple(tuple(r) for r in inv_rows), tuple(inv_trans),
+                    label=f"inv({self.label})")
+
+
+def _compose_maps(outer: PieceMap, inner: PieceMap) -> PieceMap:
+    n = len(inner.translation)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            row.append(sum(outer.linear[i][k] * inner.linear[k][j] for k in range(n)))
+        rows.append(tuple(row))
+    trans = tuple(
+        sum(outer.linear[i][k] * inner.translation[k] for k in range(n))
+        + outer.translation[i]
+        for i in range(n)
+    )
+    return PieceMap(tuple(rows), trans, label=f"{outer.label}*{inner.label}")

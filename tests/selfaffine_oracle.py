@@ -13,6 +13,15 @@ These are implementations the library used before:
   `surfaces._solve_exact`, `reflections._rank` and `Mat.inverse` (before
   one self-affine engine in `surfaces` and one elimination in `geometry`).
 
+At the end of the module is the geometry from before one affine-map type: the separate
+`AffineIsometry` and `AffineMap` classes and the mirror formulas
+`reflect_root` and `affine_reflect` of `waveletsets.reflections`, each with
+its own arithmetic, and `mra.scaled_cell_word` and `mra.delta_kappa`, which
+converted between the two classes.  The oracle's own surfaces use this
+`AffineMap`; `tests/test_geometry.py`, `tests/test_reflections.py` and
+`tests/test_mra.py` compare the library's maps, mirrors, filter words and
+dilation tables with these.
+
 The `cell_surface_*` functions are the library's surface moment solve and
 pair formula from before specs shared one system (`SurfaceSpec.with_data`),
 which also take a scaling per cell; `tests/test_shared_system.py` uses them.
@@ -25,9 +34,9 @@ of the object, `Mat.inverse` is `mat_inverse`, and the 1-D `poly_mul` is
 `FractalSurface`, reduced to their constructors and evaluation methods, with
 memos of their own, so nothing here runs the library's evaluation code; build
 them from a library object's `domain` and `cells`, or its `spec`.  Only
-unchanged library helpers are imported (the geometry types and the
-multivariate polynomial helpers); the cells and specs read here are the
-library's.  Keep these bodies unchanged.
+unchanged library helpers are imported (`Mat`, `Vec` and the multivariate
+polynomial helpers); the cells and specs read here are the library's.  Keep
+these bodies unchanged.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from waveletsets.geometry import AffineMap, Mat, Vec
+from waveletsets.geometry import DEFAULT_TOL, Mat, Vec
 from waveletsets.surfaces import (
     ONE,
     ZERO,
@@ -47,9 +56,11 @@ from waveletsets.surfaces import (
     _standard_simplex_integral,
     as_poly,
     level_one_vertices,
+    poly_add,
     poly_compose_affine,
     poly_degree,
     poly_mul,
+    poly_scale,
     poly_val,
 )
 
@@ -743,3 +754,172 @@ def _rank(vectors: Sequence[Vec]) -> int:
         row += 1
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# affine maps and mirror formulas: AffineIsometry, AffineMap, reflect_root
+# and affine_reflect, and mra's scaled_cell_word and delta_kappa over them,
+# from before one affine-map type
+# ---------------------------------------------------------------------------
+
+
+class AffineIsometry:
+    """x -> Ax + b with A orthogonal; composes and inverts exactly."""
+
+    __slots__ = ("linear", "shift")
+
+    def __init__(self, linear: Mat, shift: Vec, check: bool = True, tol: float = DEFAULT_TOL):
+        if linear.nrows != linear.ncols:
+            raise ValueError("linear part must be square")
+        if linear.nrows != len(shift):
+            raise ValueError("shift dimension mismatch")
+        if check:
+            gram = linear.transpose().matmul(linear)
+            n = linear.nrows
+            for i in range(n):
+                for j in range(n):
+                    want = 1 if i == j else 0
+                    entry = gram.rows[i][j]
+                    if abs(float(entry) - want) > tol:
+                        raise ValueError("linear part is not orthogonal")
+        self.linear = linear
+        self.shift = Vec(shift)
+
+    @staticmethod
+    def identity(n: int) -> "AffineIsometry":
+        return AffineIsometry(Mat.identity(n), Vec([Fraction(0)] * n), check=False)
+
+    @staticmethod
+    def translation(shift: Sequence) -> "AffineIsometry":
+        return AffineIsometry(Mat.identity(len(shift)), Vec(shift), check=False)
+
+    @property
+    def dim(self) -> int:
+        return self.linear.nrows
+
+    def apply(self, x: Sequence) -> Vec:
+        return self.linear.matvec(x) + self.shift
+
+    def compose(self, other: "AffineIsometry") -> "AffineIsometry":
+        """Returns self after other, i.e. x -> self(other(x))."""
+        return AffineIsometry(
+            self.linear.matmul(other.linear),
+            self.linear.matvec(other.shift) + self.shift,
+            check=False,
+        )
+
+    def inverse(self) -> "AffineIsometry":
+        inv = self.linear.inverse()
+        return AffineIsometry(inv, -inv.matvec(self.shift), check=False)
+
+    def is_identity(self) -> bool:
+        n = self.dim
+        return self.linear == Mat.identity(n) and all(s == 0 for s in self.shift)
+
+    def key(self):
+        return (self.linear.rows, tuple(self.shift))
+
+    def __eq__(self, other):
+        return isinstance(other, AffineIsometry) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def __repr__(self):
+        return f"AffineIsometry(linear={self.linear!r}, shift={self.shift!r})"
+
+
+class AffineMap:
+    """x -> Ax + b without any orthogonality requirement (e.g. similitudes)."""
+
+    __slots__ = ("linear", "shift")
+
+    def __init__(self, linear: Mat, shift: Sequence):
+        if linear.nrows != len(tuple(shift)):
+            raise ValueError("shift dimension mismatch")
+        self.linear = linear
+        self.shift = Vec(shift)
+
+    @property
+    def dim(self) -> int:
+        return self.linear.nrows
+
+    def apply(self, x: Sequence) -> Vec:
+        return self.linear.matvec(x) + self.shift
+
+    def compose(self, other: "AffineMap") -> "AffineMap":
+        """Returns self after other, i.e. x -> self(other(x))."""
+        return AffineMap(
+            self.linear.matmul(other.linear),
+            self.linear.matvec(other.shift) + self.shift,
+        )
+
+    def inverse(self) -> "AffineMap":
+        inv = self.linear.inverse()
+        return AffineMap(inv, -inv.matvec(self.shift))
+
+    def key(self):
+        return (self.linear.rows, tuple(self.shift))
+
+    def __eq__(self, other):
+        return isinstance(other, AffineMap) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def __repr__(self):
+        return f"AffineMap(linear={self.linear!r}, shift={self.shift!r})"
+
+
+def reflect_root(root: Sequence, x: Sequence) -> Vec:
+    """Reflection across the hyperplane through the origin orthogonal to root."""
+    root = Vec(Fraction(a) for a in root)
+    x = Vec(x)
+    rr = root.dot(root)
+    if rr == 0:
+        raise ValueError("zero root")
+    return x - root.scale(2 * root.dot(x) / rr)
+
+
+def affine_reflect(root: Sequence, level, x: Sequence) -> Vec:
+    """Reflection across {y : <y, root> = level}.
+
+    Equals the linear reflection followed by a translation along the coroot:
+    rho_{r,k}(x) = rho_r(x) + k * coroot(r).
+    """
+    root = Vec(Fraction(a) for a in root)
+    x = Vec(x)
+    rr = root.dot(root)
+    if rr == 0:
+        raise ValueError("zero root")
+    return x - root.scale(2 * (root.dot(x) - level) / rr)
+
+
+def scaled_cell_word(r: AffineIsometry, u: AffineMap, kappa: int) -> AffineIsometry:
+    """The isometry kappa * (r o u) for a similitude u with ratio 1/kappa."""
+    comp = AffineMap(r.linear, r.shift).compose(u)
+    return AffineIsometry(comp.linear.scale(Fraction(kappa)), comp.shift.scale(Fraction(kappa)))
+
+
+def delta_kappa(maps: Sequence, scaling, table: dict, kappa: int = 2) -> dict:
+    """Push a word-indexed data table through the dilation x -> x/kappa.
+
+    For each word r and cell j the new word is kappa*(r o u_j) and its cell-i
+    data is data_j o u_i + s*(data_i - data_j); the polynomial degree never
+    grows, so degree-bounded tables stay degree-bounded.
+    """
+    scaling = Fraction(scaling)
+    out = {}
+    for r, data in table.items():
+        degree = max((poly_degree(p) for p in data), default=0)
+        for j, u_j in enumerate(maps):
+            word = scaled_cell_word(r, u_j, kappa)
+            new_data = []
+            for i, u_i in enumerate(maps):
+                p = poly_compose_affine(data[j], u_i)
+                p = poly_add(p, poly_scale(poly_add(data[i], poly_scale(data[j], -1)), scaling))
+                new_data.append(p)
+            if max((poly_degree(p) for p in new_data), default=0) > degree:
+                raise ArithmeticError("dilation action must preserve the data degree")
+            out[word] = tuple(new_data)
+    return out

@@ -5,10 +5,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from waveletsets import mra
+import selfaffine_oracle as oracle
+from waveletsets import cli, mra
 from waveletsets import surfaces as sf
 from waveletsets.geometry import AffineIsometry
-from waveletsets.reflections import box_figure
+from waveletsets.reflections import affine_reflection, box_figure, subdivide
 
 
 @pytest.fixture(scope="module")
@@ -222,3 +223,37 @@ def test_dilated_surface_matches_table_action():
             # x = 2*u_j(y) lies in the word's cell; f(x/2) must equal the
             # transformed surface at the local coordinate y
             assert piece.value_at(y) == mesh.get(u_j.apply(y), surf.value_at(u_j.apply(y)))
+
+
+# -- filter words and dilation tables against the former isometry algebra ----
+
+
+@pytest.mark.parametrize("kappa,degree", [(2, 1), (3, 2)])
+def test_filter_json_is_byte_identical_to_former_words(tmp_path, capsys, kappa, degree):
+    # P and Q do not involve the words; the words' JSON must not change
+    out = tmp_path / "bank.json"
+    assert cli.main(["mra", "build", "--kappa", str(kappa), "--degree", str(degree),
+                     "--out", str(out)]) == 0
+    basis = mra.build(mra.MRAConfig(kappa=kappa, degree=degree))
+    ident = oracle.AffineIsometry.identity(2)
+    words = [oracle.scaled_cell_word(ident, u, kappa).inverse() for u in basis.maps]
+    assert all(type(w) is AffineIsometry for w in basis.words)
+    want = tmp_path / "want.json"
+    cli._write(str(want), mra.FilterBank(words, basis.P, basis.Q).to_json())
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("kappa", [2, 3])
+def test_delta_kappa_tables_equal_former_tables(kappa):
+    maps = subdivide(box_figure("domain", [(0, kappa), (0, kappa)]), kappa)
+    data = tuple({(0, 0): F(j + 1, 3), (1, 0): F(-j, 5), (0, 1): F(1, j + 2)}
+                 for j in range(len(maps)))
+    mirror = affine_reflection((1, 1), F(1, 2))
+    new = {AffineIsometry.identity(2): data, mirror: data}
+    old = {oracle.AffineIsometry.identity(2): data,
+           oracle.AffineIsometry(mirror.linear, mirror.shift): data}
+    for _ in range(2):
+        new = mra.delta_kappa(maps, F(-1, 3), new, kappa)
+        old = oracle.delta_kappa(maps, F(-1, 3), old, kappa)
+        assert all(type(w) is AffineIsometry for w in new)
+        assert [(w.key(), d) for w, d in new.items()] == [(w.key(), d) for w, d in old.items()]

@@ -1,0 +1,23 @@
+"""The library tour in README.md runs as written and states true values."""
+
+import ast
+import pathlib
+import re
+from fractions import Fraction as F
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_tour_runs_and_states_its_values():
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    namespace: dict = {}
+    values = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    # in the order of the tour's commented lines
+    assert values == [True, True, "D^45", True, [0, F(7, 10), 0], True, F(1, 2), (8, 24)]
+    basis, coarse, detail = namespace["basis"], namespace["coarse"], namespace["detail"]
+    assert list(coarse) == list(detail) == [w.key() for w in basis.words]

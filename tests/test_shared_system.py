@@ -136,17 +136,22 @@ def _triangle(size):
        depth=st.integers(0, 3))
 def test_vertex_basis_meshes_match_fresh_specs(s, per_cell, size, depth):
     # with one scaling the members agree on shared faces, so their meshes
-    # exist; with a scaling per cell they may break past level 1, alike
+    # exist; different scalings per cell would break them past level 1, so
+    # the basis refuses them
     vertices, maps = _triangle(size)
     data = [sf.poly_compose_affine(p, AffineMap(Mat([[1 / size, 0], [0, 1 / size]]), Vec((0, 0))))
             for p in EX52]
     spec = sf.SurfaceSpec(vertices, maps, data, (s, -s, s / 2, s) if per_cell else s)
+    if per_cell and s != 0:
+        with pytest.raises(ValueError, match="one vertical scaling"):
+            sf.basis_surfaces(spec)
+        return
     basis = list(sf.basis_surfaces(spec).values())
     assert all(b.spec._system is spec._system for b in basis)
     for b in basis:
         want = _mesh_outcome(lambda: sf.FractalSurface(_fresh(b.spec)).mesh(depth))
         assert _mesh_outcome(lambda: b.mesh(depth)) == want
-        assert per_cell or isinstance(want, list)
+        assert isinstance(want, list)
     fresh = [sf.FractalSurface(_fresh(b.spec)) for b in basis]
     assert sf.gram_matrix(basis) == oracle.cell_surface_gram_matrix(basis) == sf.gram_matrix(fresh)
 

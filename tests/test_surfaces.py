@@ -153,6 +153,17 @@ def test_gram_matrix_solves_one_moment_system_per_surface(basis, monkeypatch):
     assert len(solved) == 6 and len({id(f) for f in solved}) == 6
 
 
+def test_basis_refuses_different_scalings_per_cell(spec):
+    # with these scalings every member passed the level-1 check but broke at
+    # mesh(2) ("inconsistent values at a shared mesh point")
+    mixed = sf.triangle_spec(spec.data, (F(1, 2), F(-1, 2), F(1, 4), F(1, 2)))
+    with pytest.raises(ValueError, match="one vertical scaling"):
+        sf.basis_surfaces(mixed)
+    # the same scaling given once per cell is one scaling
+    same = sf.triangle_spec(spec.data, (F(1, 2),) * 4)
+    assert all(isinstance(b.mesh(2), dict) for b in sf.basis_surfaces(same).values())
+
+
 def test_inner_product_with_unshared_per_cell_scalings():
     # two interpolation functions on one interval, each with its own scaling
     # per cell, through the 1-D specs they hold; the trapezoid rule on their

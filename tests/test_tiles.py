@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waveletsets.reflections import centered_square_figure
 from waveletsets.tiles import (
@@ -24,6 +25,7 @@ from waveletsets.tiles import (
     translation_congruent,
     weyl_congruent,
 )
+from waveletsets.tiles import _finish_certificate
 
 import boxset_oracle as oracle
 
@@ -229,6 +231,74 @@ def test_certificate_composition():
     assert composed.target.equals_ae(shifted)
     assert composed.residual_measure == 0
     assert composed.verify().ok
+
+
+# -- piece maps against their former hand-written algebra --------------------
+
+coords = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+scales = st.sampled_from([F(1), F(-1), F(2), F(-1, 2), F(3), F(-2, 3)])
+
+
+@st.composite
+def piece_maps(draw, n):
+    """A monomial map: a permuted diagonal of scales, a shift and a label."""
+    rows = [[F(0)] * n for _ in range(n)]
+    for i, j in enumerate(draw(st.permutations(range(n)))):
+        rows[i][j] = draw(scales)
+    shift = tuple(draw(st.lists(coords, min_size=n, max_size=n)))
+    return PieceMap(tuple(map(tuple, rows)), shift, draw(st.sampled_from(["", "t(1,)", "D^2"])))
+
+
+@st.composite
+def boxes(draw, n):
+    ends = [sorted(draw(st.lists(coords, min_size=2, max_size=2, unique=True))) for _ in range(n)]
+    return DyadicBoxSet.from_box(*map(tuple, ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_piece_map_inverse_matches_former_algebra(n, data):
+    g = data.draw(piece_maps(n), label="g")
+    inv = g.inverse()
+    assert inv == oracle.piece_map_inverse(g)
+    assert all(type(x) is F for row in inv.linear for x in row)
+    assert all(type(x) is F for x in inv.translation)
+    box = data.draw(boxes(n), label="box")
+    assert inv.apply(g.apply(box)).equals_ae(box)
+    assert g.apply(inv.apply(box)).equals_ae(box)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 2), data=st.data())
+def test_certificate_compose_matches_former_algebra(n, data):
+    count = st.integers(1, 3)
+    first_pieces = [(data.draw(boxes(n)), data.draw(piece_maps(n)))
+                    for _ in range(data.draw(count, label="first"))]
+    images = [g.apply(p) for p, g in first_pieces]
+    # second pieces near the first images, so that some of them meet
+    nudge = st.lists(st.sampled_from([F(0), F(1, 4), F(-1, 2), F(3, 2)]), min_size=n, max_size=n)
+    second_pieces = [(data.draw(st.sampled_from(images)).translate(data.draw(nudge)),
+                      data.draw(piece_maps(n)))
+                     for _ in range(data.draw(count, label="second"))]
+
+    def certificate(pieces):
+        source = target = DyadicBoxSet.empty(n)
+        for p, g in pieces:
+            source, target = source.union(p), target.union(g.apply(p))
+        return _finish_certificate(source, target, pieces)
+
+    first, second = certificate(first_pieces), certificate(second_pieces)
+    want = []
+    for p1, g1 in first.pieces:
+        img1 = g1.apply(p1)
+        for p2, g2 in second.pieces:
+            common = img1.intersect(p2)
+            if not common.is_empty:
+                want.append((oracle.piece_map_inverse(g1).apply(common), oracle._compose_maps(g2, g1)))
+    composed = first.compose(second)
+    assert [g for _, g in composed.pieces] == [g for _, g in want]
+    assert all(p.equals_ae(q) for (p, _), (q, _) in zip(composed.pieces, want))
+    assert composed.source is first.source and composed.target is second.target
 
 
 # -- fundamental domains -----------------------------------------------------
