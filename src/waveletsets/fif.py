@@ -275,24 +275,7 @@ class FractalFunction(SelfAffine):
 
     def operator_iterates(self, depth: int, steps: int) -> list[np.ndarray]:
         """Transfer-operator iterates from zero, sampled on the depth mesh."""
-        pts, _ = self.mesh(depth)
-        pts_idx = {p: k for k, p in enumerate(pts)}
-        pulled = []
-        for p in pts:
-            z, A, s = self._pull(p, self.cell_index(p))
-            if z not in pts_idx:
-                # boundary point parametrized from the other side
-                z, A, s = self._pull(p, max(self.cell_index(p) - 1, 0))
-            pulled.append((pts_idx[z], float(A), float(s)))
-        values = np.zeros(len(pts))
-        out = [values]
-        for _ in range(steps):
-            nxt = np.empty_like(values)
-            for k, (src, A, s) in enumerate(pulled):
-                nxt[k] = A + s * values[src]
-            values = nxt
-            out.append(values)
-        return out
+        return self._iterates(self._orbit(depth)[1], steps)
 
     # -- graph maps --------------------------------------------------------------
 
@@ -361,16 +344,6 @@ def hausdorff_distance(a: Sequence[tuple], b: Sequence[tuple]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_shared_system(functions: Sequence[FractalFunction]):
-    first = functions[0]
-    for f in functions[1:]:
-        if f.domain != first.domain or len(f.cells) != len(first.cells):
-            raise ValueError("functions must share the interpolation system")
-        for c, d in zip(f.cells, first.cells):
-            if (c.m, c.q, c.s) != (d.m, d.q, d.s):
-                raise ValueError("functions must share maps and scalings")
-
-
 def moments(f: FractalFunction, max_degree: int) -> list[Fraction]:
     """Exact moments integral of f(x) x^m over the domain, m = 0..max_degree."""
     mom = surfaces.moments(f, max_degree)
@@ -378,15 +351,14 @@ def moments(f: FractalFunction, max_degree: int) -> list[Fraction]:
 
 
 def inner_product(f: FractalFunction, g: FractalFunction) -> Fraction:
-    """Exact L2 inner product over the domain, via the moment recursion."""
-    _check_shared_system([f, g])
+    """Exact L2 inner product over the domain, via the moment recursion;
+    the functions share their maps and domain, their scalings may differ."""
     return surfaces.inner_product(f, g)
 
 
 def gram_matrix(functions: Sequence[FractalFunction]) -> list[list[Fraction]]:
     """Exact Gram matrix from each function's moments; a family built by
     `cardinal_basis` or `uniform_cardinal_basis` inverts its moment system once."""
-    _check_shared_system(functions)
     return surfaces.gram_matrix(functions)
 
 
@@ -397,8 +369,9 @@ def gram_matrix_quadrature(functions: Sequence[FractalFunction], depth: int = 12
     widths and the values of every function are cascaded level by level as
     float64 arrays, the images under each cell concatenated in cell order.
     """
-    _check_shared_system(functions)
     base = functions[0]
+    for f in functions[1:]:
+        surfaces._check_shared_domain(base, f)
     a, b = base.domain
     mid = (a + b) / 2
     nodes = np.array([float(mid)])

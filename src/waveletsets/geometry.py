@@ -89,8 +89,8 @@ class Mat:
         return len(self.rows[0])
 
     @staticmethod
-    def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> "Mat":
-        return Mat([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(n: int) -> "Mat":
+        return Mat([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
@@ -271,7 +271,7 @@ class AffineIsometry(AffineMap):
 
     __slots__ = ()
 
-    def __init__(self, linear: Mat, shift: Vec, check: bool = True, tol: float = DEFAULT_TOL):
+    def __init__(self, linear: Mat, shift: Vec, check: bool = True):
         if linear.nrows != linear.ncols:
             raise ValueError("linear part must be square")
         super().__init__(linear, shift)
@@ -282,7 +282,7 @@ class AffineIsometry(AffineMap):
                 for j in range(n):
                     want = 1 if i == j else 0
                     entry = gram.rows[i][j]
-                    if abs(float(entry) - want) > tol:
+                    if abs(float(entry) - want) > DEFAULT_TOL:
                         raise ValueError("linear part is not orthogonal")
 
     # bound here too: the layer tracer in perfbench/spans.py wraps `apply`
@@ -325,12 +325,6 @@ class Hyperplane:
     def side(self, x: Sequence):
         """Returns <x, normal> - offset; zero means x lies on the plane."""
         return self.normal.dot(x) - self.offset
-
-    def contains(self, x: Sequence, tol: float = 0.0) -> bool:
-        s = self.side(x)
-        if tol == 0.0:
-            return s == 0
-        return abs(float(s)) <= tol
 
     def reflect(self, x: Sequence) -> Vec:
         """Orthogonal reflection of x across the hyperplane."""
@@ -376,11 +370,11 @@ def spectral_moduli(matrix: Mat) -> list:
     return sorted((abs(z) for z in eig), reverse=True)
 
 
-def is_expansive(matrix: Mat, tol: float = DEFAULT_TOL) -> bool:
+def is_expansive(matrix: Mat) -> bool:
     """Whether every eigenvalue of the matrix has modulus strictly above one."""
     if matrix.nrows != matrix.ncols:
         raise ValueError("expansiveness is defined for square matrices")
     a = matrix.to_numpy()
-    if abs(np.linalg.det(a)) < tol:
+    if abs(np.linalg.det(a)) < DEFAULT_TOL:
         raise ValueError("singular matrix")
-    return all(m > 1 + tol for m in spectral_moduli(matrix))
+    return all(m > 1 + DEFAULT_TOL for m in spectral_moduli(matrix))

@@ -72,12 +72,12 @@ def _extent(values: np.ndarray):
 
 
 class _Canvas:
-    """Maps float64 columns of x and y into the viewport."""
+    """Maps float64 columns of x and y into the viewport, inside a 24 px margin."""
 
-    def __init__(self, xs, ys, width=640, height=480, margin=24):
+    def __init__(self, xs, ys, width, height):
         self.x0, self.dx = _extent(xs)
         self.y0, self.dy = _extent(ys)
-        self.w, self.h, self.m = width, height, margin
+        self.w, self.h, self.m = width, height, 24
 
     @np.errstate(over="ignore", invalid="ignore")  # as silent as float arithmetic
     def map(self, xs, ys):

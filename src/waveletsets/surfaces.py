@@ -23,6 +23,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .geometry import AffineIsometry, AffineMap, Mat, Vec
 from .reflections import FoldableFigure, fold
 
@@ -393,7 +395,8 @@ class SelfAffine:
     A subclass picks the cell of a point (`_cell`), pulls a point back
     through a cell (`_pull`, returning the pulled point, the cell's data
     there and its scaling) and bounds the function (`bound`); the exact
-    chain resolution and the truncated evaluation are shared.
+    chain resolution, the truncated evaluation and the transfer-operator
+    iteration are shared.
     """
 
     def __init__(self, spec: SurfaceSpec):
@@ -436,6 +439,19 @@ class SelfAffine:
             value = A + sk * value
             self._memo[pt] = value
         return self._memo[x]
+
+    def _iterates(self, points: Sequence, steps: int) -> list:
+        """Transfer-operator iterates from zero on the points of a mesh, as
+        float arrays: each point pulls back through its cell onto a point of
+        the next coarser mesh, which a mesh of the cells' images contains."""
+        index = {p: k for k, p in enumerate(points)}
+        pulled = [self._pull(p, self._cell(p)) for p in points]
+        src = np.array([index[z] for z, _, _ in pulled])
+        lam, s = (np.array([float(row[k]) for row in pulled]) for k in (1, 2))
+        out = [np.zeros(len(points))]
+        for _ in range(steps):
+            out.append(lam + s * out[-1][src])
+        return out
 
     def _evaluate(self, x, depth: int) -> EvalResult:
         """Exact where the pull-back orbit closes; certified interval otherwise."""
@@ -546,44 +562,18 @@ class FractalSurface(SelfAffine):
         return vals
 
     def operator_iterates(self, depth: int, steps: int) -> list:
-        """Sup-norm gaps of successive transfer-operator iterates from zero."""
-        maps = self.spec.maps
-        cur = set(self.spec.vertices)
-        parent: dict = {}
-        for _ in range(depth):
-            nxt: dict = {}
-            for i, u in enumerate(maps):
-                for p in cur:
-                    nxt.setdefault(u.apply(p), (i, p))
-            parent = nxt
-            cur = set(nxt)
-        pts = sorted(cur)
-        index = {p: k for k, p in enumerate(pts)}
-        pulled = []
-        for p in pts:
-            i, src = parent.get(p, (None, None))
-            if src is None or src not in index:
-                i = self.spec.cell_of(p)
-            src, lam, s = self._pull(p, i)
-            pulled.append((float(lam), index[src], float(s)))
-        g = [0.0] * len(pts)
-        gaps = []
-        for _ in range(steps):
-            ng = [lam + s * g[k] for lam, k, s in pulled]
-            gaps.append(max(abs(a - b) for a, b in zip(ng, g)))
-            g = ng
-        return gaps
+        """Sup-norm gaps of successive transfer-operator iterates from zero,
+        sampled on the depth mesh."""
+        iterates = self._iterates(list(self.mesh(depth)), steps)
+        return [float(np.max(np.abs(b - a))) for a, b in zip(iterates, iterates[1:])]
 
 
-def fixed_point(spec: SurfaceSpec, depth: int = 0) -> FractalSurface:
+def fixed_point(spec: SurfaceSpec) -> FractalSurface:
     """The surface determined by the spec; insists on face agreement."""
     report = validate_condition_star(spec)
     if not report.valid:
         raise ValueError(f"data functions disagree on {len(report.violations)} face samples")
-    surf = FractalSurface(spec)
-    if depth:
-        surf.mesh(depth)
-    return surf
+    return FractalSurface(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -412,8 +412,8 @@ class PieceMap:
     label: str = ""
 
     @staticmethod
-    def translate(vec, label: str = "") -> "PieceMap":
-        return PieceMap.axis_affine([1] * len(vec), vec, label or f"t{tuple(map(str, vec))}")
+    def translate(vec) -> "PieceMap":
+        return PieceMap.axis_affine([1] * len(vec), vec, f"t{tuple(map(str, vec))}")
 
     @staticmethod
     def dilate(dim: int, factor, theta=None, label: str = "") -> "PieceMap":
@@ -774,6 +774,19 @@ def dilation_congruent(source: DyadicBoxSet, target: DyadicBoxSet,
     return _reduce_and_claim(source, target, lambda: group)
 
 
+def _figure_box(figure, dim: int) -> list:
+    """The (lo, hi) per axis of a box figure, or of a list of intervals."""
+    intervals = figure.box if isinstance(figure, FoldableFigure) else figure
+    if intervals is None:
+        raise ValueError("exact folding requires a box figure")
+    intervals = [(_frac(lo), _frac(hi)) for lo, hi in intervals]
+    if len(intervals) != dim:
+        raise ValueError("figure dimension mismatch")
+    if any(lo >= hi for lo, hi in intervals):
+        raise ValueError("the figure box needs positive widths")
+    return intervals
+
+
 def weyl_congruent(source: DyadicBoxSet, figure) -> CongruenceCertificate:
     """Fold source into a box foldable figure; congruent iff it tiles it once.
 
@@ -781,14 +794,7 @@ def weyl_congruent(source: DyadicBoxSet, figure) -> CongruenceCertificate:
     bounding hyperplanes; per axis the fold is the triangle wave of period
     2(H - L) onto [L, H], and each reflection word used is one piece.
     """
-    intervals = figure.box if isinstance(figure, FoldableFigure) else figure
-    if intervals is None:
-        raise ValueError("exact folding requires a box figure")
-    intervals = [(_frac(lo), _frac(hi)) for lo, hi in intervals]
-    if len(intervals) != source.dim:
-        raise ValueError("figure dimension mismatch")
-    if any(lo >= hi for lo, hi in intervals):
-        raise ValueError("the figure box needs positive widths")
+    intervals = _figure_box(figure, source.dim)
     target = DyadicBoxSet(source.dim, (tuple(intervals),))
     return _reduce_and_claim(source, target, lambda: _Slabs(source, target, intervals, True))
 
@@ -833,28 +839,25 @@ def is_fundamental_domain(candidate: DyadicBoxSet, group: GroupSpec,
                           region: DyadicBoxSet) -> DomainReport:
     """Check that the group orbit of the candidate partitions the region.
 
-    Under a lattice or a dilation group, a point of the region is covered as
-    often as parts of the candidate hold its reduced cell: it is uncovered
-    where that count is 0 and overlapped count - 1 times where it is above 1.
+    A point of the region is covered as often as parts of the candidate hold
+    its reduced cell, under the lattice, the dilation group or the fold
+    group alike: it is uncovered where that count is 0 and overlapped
+    count - 1 times where it is above 1.
     """
     if region.dim != candidate.dim:
         raise ValueError("region dimension mismatch")
-    if group.kind == "weyl":
-        # orbit tiling is equivalent to one-to-one folding onto the figure
-        cert = weyl_congruent(candidate, group.figure)
-        return DomainReport(cert.residual_measure == 0,
-                            cert.target_residual.measure,
-                            cert.source_residual.measure)
-    if group.kind == "translation":
+    if group.kind == "dilation":
+        g = _Shells(candidate, region, group.kappa, group.theta, False, ("candidate", "region"))
+    elif group.kind == "translation":
         intervals = [(Fraction(0), _frac(s)) for s in group.spacings]
         if len(intervals) != candidate.dim:
             raise ValueError("need one spacing per axis")
     else:
-        shells = _Shells(candidate, region, group.kappa, group.theta, False,
-                         ("candidate", "region"))
+        intervals = _figure_box(group.figure, candidate.dim)
     if candidate.is_empty or region.is_empty:
         return DomainReport(not candidate.is_empty, region.measure, Fraction(0))
-    g = _Slabs(candidate, region, intervals, False) if group.kind == "translation" else shells
+    if group.kind != "dilation":
+        g = _Slabs(candidate, region, intervals, group.kind == "weyl")
     held, (grid, mask, cells, _, flat, _) = _reduction(candidate, region, g)
     count = held[-1].sum(axis=0)[flat]
     weight = np.zeros((2,) + mask.shape, dtype=np.intp)
@@ -874,13 +877,9 @@ def shannon_set() -> DyadicBoxSet:
                             ((Fraction(1), Fraction(2)),)))
 
 
-def base_cube(dim: int, half: bool = True) -> DyadicBoxSet:
-    """[0, 2pi)^dim or [-pi, pi)^dim in pi units."""
-    if half:
-        iv = (Fraction(-1), Fraction(1))
-    else:
-        iv = (Fraction(0), Fraction(2))
-    return DyadicBoxSet.from_box(*([iv] * dim))
+def base_cube(dim: int) -> DyadicBoxSet:
+    """[-pi, pi)^dim in pi units."""
+    return DyadicBoxSet.from_box(*([(Fraction(-1), Fraction(1))] * dim))
 
 
 def square_annulus() -> DyadicBoxSet:
@@ -931,96 +930,69 @@ class PlanarFixture:
         return self.wavelet_set.measure + self.total_tail == 4
 
 
-def _gap_boxes_w1(n: int):
-    """G_0 and the gap squares G_k marching to (2pi/3, 2pi/3), in pi units."""
-    g0 = ((Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1, 2)))
-    gaps = []
-    beta = Fraction(0)
-    for k in range(1, n + 1):
-        beta += Fraction(1, 2) * Fraction(1, 4) ** (k - 1)
-        side = Fraction(1, 2) * Fraction(1, 4) ** k
-        gaps.append(((beta, beta + side), (beta, beta + side)))
-    return g0, gaps
+def _staircase(depth: int, tail_terms: int, y_side, shift, names) -> tuple:
+    """(tail, {G0, E, B, C, A1} under `names`, stand-in) of a planar fixture.
+
+    The gap G_k has the x-side [beta_k, beta_k + 4^-k / 2) with beta_k =
+    2/3 (1 - 4^-k), and the y-side `y_side` of it.  E holds G_1 .. G_depth;
+    the gaps beyond G_n have the measure 16 m(G_1) / (15 16^n), and the
+    stand-in for those beyond G_depth is the next `tail_terms` gaps and a box
+    of the rest, from G_(m+1) to the corner 2/3, m = depth + tail_terms.
+    B = 2 G_0 minus G_0, E and the stand-in, C = (G_0 u E) + `shift`.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+
+    def gap(k):
+        lo = Fraction(2, 3) * (1 - Fraction(1, 4) ** k)
+        x = (lo, lo + Fraction(1, 2) * Fraction(1, 4) ** k)
+        return x, y_side(*x)
+
+    m = depth + tail_terms
+    first, *gaps, last = [gap(k) for k in range(m + 2)]
+    (x0, x1), (y0, y1) = gaps[0]
+    rest = 16 * (x1 - x0) * (y1 - y0) / 15
+    # the y-side of an x-side of length t has the length t (y1 - y0) / (x1 - x0)
+    lo, corner = last[0][0], Fraction(2, 3)
+    t = rest / 16 ** m / (corner - lo) * (x1 - x0) / (y1 - y0)
+    g0 = DyadicBoxSet(2, (first,))
+    e = DyadicBoxSet(2, gaps[:depth])
+    standin = DyadicBoxSet(2, gaps[depth:] + [((lo, corner), y_side(corner - t, corner))])
+    tail = rest / 16 ** depth
+    assert standin.measure == tail
+    two_g0 = g0.scale(2)
+    c = g0.union(e).translate(shift)
+    b = two_g0.subtract(g0.union(e).union(standin))
+    a1 = b.union(c)
+    return tail, dict(zip(names + ("A1",), (g0, e, b, c, a1))), standin
 
 
 def build_w1(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
-    """Four-quadrant planar wavelet set built from a staircase of gap squares.
+    """Four-quadrant planar wavelet set built from a staircase of gap squares
+    on the diagonal, marching to (2pi/3, 2pi/3).
 
     The infinite staircase is truncated at `depth`; the omitted measure (an
     exact geometric series) is carved out of B_1 by a stand-in region of
     exactly that measure near the accumulation corner, so the measure
     identity m(W) + 4*tail = 4*pi^2 holds as an exact rational identity.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    g0_box, gap_boxes = _gap_boxes_w1(depth + tail_terms)
-    g0 = DyadicBoxSet(2, (g0_box,))
-    e1 = DyadicBoxSet(2, gap_boxes[:depth])
-    tail = Fraction(1, 60) * Fraction(1, 16) ** depth
-    # stand-in for the omitted gaps: the next tail_terms squares plus a
-    # rectangle of the residual measure anchored at the corner (2/3, 2/3)
-    m = depth + tail_terms
-    deep_tail = Fraction(1, 60) * Fraction(1, 16) ** m
-    corner = Fraction(2, 3)
-    w = Fraction(2, 3) * Fraction(1, 4) ** (m + 1)
-    h = deep_tail / w
-    rect = ((corner - w, corner), (corner - h, corner))
-    standin = DyadicBoxSet(2, gap_boxes[depth:] + [rect])
-    assert standin.measure == tail
-    two_g0 = g0.scale(2)
-    c1 = g0.union(e1).translate((2, 2))
-    b1 = two_g0.subtract(g0.union(e1).union(standin))
-    a1 = b1.union(c1)
-    a2 = a1.reflect_axis(0)
+    tail, parts, standin = _staircase(depth, tail_terms, lambda lo, hi: (lo, hi), (2, 2),
+                                      ("G0", "E1", "B1", "C1"))
+    a1 = parts["A1"]
+    a2, a4 = a1.reflect_axis(0), a1.reflect_axis(1)
     a3 = a2.reflect_axis(1)
-    a4 = a1.reflect_axis(1)
-    w1 = a1.union(a2).union(a3).union(a4)
-    return PlanarFixture(
-        wavelet_set=w1, depth=depth, tail=tail, copies=4,
-        components={"G0": g0, "E1": e1, "B1": b1, "C1": c1,
-                    "A1": a1, "A2": a2, "A3": a3, "A4": a4,
-                    "tail_standin": standin},
-    )
-
-
-def _gap_boxes_w2(n: int):
-    g0 = ((Fraction(0), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 2)))
-    gaps = []
-    beta = Fraction(0)
-    for k in range(1, n + 1):
-        beta += Fraction(1, 2) * Fraction(1, 4) ** (k - 1)
-        quarter = Fraction(1, 4) ** k
-        gaps.append(((beta, beta + quarter / 2), (-quarter / 2, quarter / 2)))
-    return g0, gaps
+    return PlanarFixture(a1.union(a2).union(a3).union(a4), depth, tail, 4,
+                         {**parts, "A2": a2, "A3": a3, "A4": a4, "tail_standin": standin})
 
 
 def build_w2(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
-    """Two-piece planar wavelet set symmetric about the y-axis."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    g0_box, gap_boxes = _gap_boxes_w2(depth + tail_terms)
-    g0 = DyadicBoxSet(2, (g0_box,))
-    e = DyadicBoxSet(2, gap_boxes[:depth])
-    tail = Fraction(1, 30) * Fraction(1, 16) ** depth
-    m = depth + tail_terms
-    deep_tail = Fraction(1, 30) * Fraction(1, 16) ** m
-    corner = Fraction(2, 3)
-    w = Fraction(2, 3) * Fraction(1, 4) ** (m + 1)
-    h = deep_tail / w
-    rect = ((corner - w, corner), (-h / 2, h / 2))
-    standin = DyadicBoxSet(2, gap_boxes[depth:] + [rect])
-    assert standin.measure == tail
-    two_g0 = g0.scale(2)
-    d = g0.union(e).translate((2, 0))
-    b = two_g0.subtract(g0.union(e).union(standin))
-    a1 = b.union(d)
-    a2 = a1.reflect_axis(0)
-    w2 = a1.union(a2)
-    return PlanarFixture(
-        wavelet_set=w2, depth=depth, tail=tail, copies=2,
-        components={"G0": g0, "E": e, "B": b, "D": d, "A1": a1, "A2": a2,
-                    "tail_standin": standin},
-    )
+    """Two-piece planar wavelet set symmetric about the y-axis, its gaps
+    centred on the x-axis."""
+    tail, parts, standin = _staircase(depth, tail_terms, lambda lo, hi: (lo - hi, hi - lo),
+                                      (2, 0), ("G0", "E", "B", "D"))
+    a2 = parts["A1"].reflect_axis(0)
+    return PlanarFixture(parts["A1"].union(a2), depth, tail, 2,
+                         {**parts, "A2": a2, "tail_standin": standin})
 
 
 @dataclass
@@ -1038,16 +1010,15 @@ class ThreeWayReport:
                 and self.weyl_residual <= bound)
 
 
-def three_way_check(candidate: DyadicBoxSet, figure, spacings, kappa=2,
-                    theta=None) -> ThreeWayReport:
-    """Translation, dilation, and reflection congruence residuals at once."""
-    intervals = figure.box if isinstance(figure, FoldableFigure) else figure
-    target = DyadicBoxSet(candidate.dim, (tuple(intervals),))
+def three_way_check(candidate: DyadicBoxSet, figure, spacings) -> ThreeWayReport:
+    """Translation, dilation by 2, and reflection congruence residuals at once;
+    the dilation target is the annulus 2B minus B of the figure box B."""
+    target = DyadicBoxSet(candidate.dim, (tuple(_figure_box(figure, candidate.dim)),))
     t = translation_congruent(candidate, target, spacings)
     wcert = weyl_congruent(candidate, figure)
-    annulus = target.scale(2, center=theta).subtract(target)
+    annulus = target.scale(2).subtract(target)
     try:
-        d = dilation_congruent(candidate, annulus, kappa=kappa, theta=theta)
+        d = dilation_congruent(candidate, annulus)
         d_res, d_err = d.residual_measure, None
     except ValueError as exc:
         d_res, d_err = None, str(exc)
@@ -1082,12 +1053,9 @@ def intersection_group(figure, spacings) -> IntersectionGroup:
     the lattice 2(hi-lo) Z per axis and the intersection with the given
     lattice is generated by the least common multiple per axis.
     """
-    intervals = figure.box if isinstance(figure, FoldableFigure) else figure
-    if intervals is None:
-        raise ValueError("intersection analysis requires a box figure")
     gens = []
-    for (lo, hi), sp in zip(intervals, spacings):
-        period = 2 * (_frac(hi) - _frac(lo))
+    for (lo, hi), sp in zip(_figure_box(figure, len(spacings)), spacings):
+        period = 2 * (hi - lo)
         sp = _frac(sp)
         # lcm of the two rational periods
         num = math.lcm(period.numerator * sp.denominator, sp.numerator * period.denominator)
@@ -1148,11 +1116,12 @@ class ConstructionResult:
 
 def construct_wavelet_set(translation_domain: DyadicBoxSet,
                           dilation_domain: DyadicBoxSet,
-                          spacings, kappa=2, theta=None,
+                          spacings, kappa=2,
                           epsilon=Fraction(1, 10 ** 6),
                           max_iterations: int = 50,
                           relocation_step=None) -> ConstructionResult:
-    """Iterative congruence exchange between a translation and a dilation domain.
+    """Iterative congruence exchange between a translation domain and a
+    dilation domain, dilating about the origin.
 
     Start from the translation fundamental domain.  Each round, the parts
     that cannot be placed in the dilation tiling (the inner leftovers around
@@ -1163,15 +1132,13 @@ def construct_wavelet_set(translation_domain: DyadicBoxSet,
     """
     epsilon = _frac(epsilon)
     dim = translation_domain.dim
-    theta_v = [Fraction(0)] * dim if theta is None else [_frac(t) for t in theta]
     spacings = [_frac(s) for s in spacings]
     step = spacings if relocation_step is None else [_frac(s) for s in relocation_step]
     current = translation_domain
     history = []
     best = None
     for iteration in range(max_iterations + 1):
-        cert = dilation_congruent(current, dilation_domain, kappa=kappa,
-                                  theta=theta_v, allow_center=True)
+        cert = dilation_congruent(current, dilation_domain, kappa=kappa, allow_center=True)
         residual = cert.residual_measure
         history.append(residual)
         if best is None or residual < best:
@@ -1182,10 +1149,7 @@ def construct_wavelet_set(translation_domain: DyadicBoxSet,
         moved = current
         for box in sorted(cert.source_residual.boxes):
             piece = DyadicBoxSet(dim, (box,))
-            direction = []
-            for (lo, hi), t in zip(box, theta_v):
-                center = (lo + hi) / 2
-                direction.append(1 if center >= t else -1)
+            direction = [1 if lo + hi >= 0 else -1 for lo, hi in box]
             placed = False
             for j in range(1, 65):
                 tau = [j * d * s for d, s in zip(direction, step)]

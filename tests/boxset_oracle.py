@@ -28,9 +28,17 @@ The fourth part is the piece-map algebra from before `PieceMap` went
 through `geometry.AffineMap`: its hand-written monomial inverse (here the
 function `piece_map_inverse`) and `_compose_maps`, which
 `CongruenceCertificate.compose` used.  `tests/test_tiles.py` compares the
-library's piece maps and composed certificates with them.
+library's piece maps and composed certificates with them.  The greedy
+`_assemble` inverts its maps with `piece_map_inverse`, so it shares no
+piece-map algebra with the library.
 
-Keep all four parts unchanged.
+The fifth part is the two planar fixtures from before one staircase builder
+made both: `build_w1` and `build_w2` with their own gap boxes and the
+hand-typed tail constants 1/60 and 1/30.  The bodies are verbatim, with
+`GridBoxSet` as above; `PlanarFixture` is the library's.
+`tests/test_tiles.py` requires identical fixtures from the library.
+
+Keep all five parts unchanged.
 """
 
 from __future__ import annotations
@@ -45,8 +53,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from waveletsets.reflections import FoldableFigure
-from waveletsets.tiles import (CongruenceCertificate, DomainReport, GroupSpec, PieceMap,
-                               _canonical, _rescaled, _resample)
+from waveletsets.tiles import (TAIL_STANDIN_TERMS, CongruenceCertificate, DomainReport,
+                               GroupSpec, PieceMap, PlanarFixture, _canonical, _rescaled,
+                               _resample)
 from waveletsets.tiles import DyadicBoxSet as GridBoxSet
 
 Box = tuple  # ((lo, hi), ...) per axis, half-open, Fractions
@@ -325,7 +334,7 @@ def _assemble(source: GridBoxSet, target: GridBoxSet,
         allowed = image.intersect(uncovered)
         if allowed.is_empty:
             continue
-        kept = g.inverse().apply(allowed)
+        kept = piece_map_inverse(g).apply(allowed)
         assigned.append((kept, g))
         remaining = remaining.subtract(kept)
         uncovered = uncovered.subtract(allowed)
@@ -617,3 +626,100 @@ def _compose_maps(outer: PieceMap, inner: PieceMap) -> PieceMap:
         for i in range(n)
     )
     return PieceMap(tuple(rows), trans, label=f"{outer.label}*{inner.label}")
+
+
+# ---------------------------------------------------------------------------
+# the planar fixtures from before one staircase builder
+# ---------------------------------------------------------------------------
+
+
+def _gap_boxes_w1(n: int):
+    """G_0 and the gap squares G_k marching to (2pi/3, 2pi/3), in pi units."""
+    g0 = ((Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1, 2)))
+    gaps = []
+    beta = Fraction(0)
+    for k in range(1, n + 1):
+        beta += Fraction(1, 2) * Fraction(1, 4) ** (k - 1)
+        side = Fraction(1, 2) * Fraction(1, 4) ** k
+        gaps.append(((beta, beta + side), (beta, beta + side)))
+    return g0, gaps
+
+
+def build_w1(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
+    """Four-quadrant planar wavelet set built from a staircase of gap squares.
+
+    The infinite staircase is truncated at `depth`; the omitted measure (an
+    exact geometric series) is carved out of B_1 by a stand-in region of
+    exactly that measure near the accumulation corner, so the measure
+    identity m(W) + 4*tail = 4*pi^2 holds as an exact rational identity.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    g0_box, gap_boxes = _gap_boxes_w1(depth + tail_terms)
+    g0 = GridBoxSet(2, (g0_box,))
+    e1 = GridBoxSet(2, gap_boxes[:depth])
+    tail = Fraction(1, 60) * Fraction(1, 16) ** depth
+    # stand-in for the omitted gaps: the next tail_terms squares plus a
+    # rectangle of the residual measure anchored at the corner (2/3, 2/3)
+    m = depth + tail_terms
+    deep_tail = Fraction(1, 60) * Fraction(1, 16) ** m
+    corner = Fraction(2, 3)
+    w = Fraction(2, 3) * Fraction(1, 4) ** (m + 1)
+    h = deep_tail / w
+    rect = ((corner - w, corner), (corner - h, corner))
+    standin = GridBoxSet(2, gap_boxes[depth:] + [rect])
+    assert standin.measure == tail
+    two_g0 = g0.scale(2)
+    c1 = g0.union(e1).translate((2, 2))
+    b1 = two_g0.subtract(g0.union(e1).union(standin))
+    a1 = b1.union(c1)
+    a2 = a1.reflect_axis(0)
+    a3 = a2.reflect_axis(1)
+    a4 = a1.reflect_axis(1)
+    w1 = a1.union(a2).union(a3).union(a4)
+    return PlanarFixture(
+        wavelet_set=w1, depth=depth, tail=tail, copies=4,
+        components={"G0": g0, "E1": e1, "B1": b1, "C1": c1,
+                    "A1": a1, "A2": a2, "A3": a3, "A4": a4,
+                    "tail_standin": standin},
+    )
+
+
+def _gap_boxes_w2(n: int):
+    g0 = ((Fraction(0), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 2)))
+    gaps = []
+    beta = Fraction(0)
+    for k in range(1, n + 1):
+        beta += Fraction(1, 2) * Fraction(1, 4) ** (k - 1)
+        quarter = Fraction(1, 4) ** k
+        gaps.append(((beta, beta + quarter / 2), (-quarter / 2, quarter / 2)))
+    return g0, gaps
+
+
+def build_w2(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
+    """Two-piece planar wavelet set symmetric about the y-axis."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    g0_box, gap_boxes = _gap_boxes_w2(depth + tail_terms)
+    g0 = GridBoxSet(2, (g0_box,))
+    e = GridBoxSet(2, gap_boxes[:depth])
+    tail = Fraction(1, 30) * Fraction(1, 16) ** depth
+    m = depth + tail_terms
+    deep_tail = Fraction(1, 30) * Fraction(1, 16) ** m
+    corner = Fraction(2, 3)
+    w = Fraction(2, 3) * Fraction(1, 4) ** (m + 1)
+    h = deep_tail / w
+    rect = ((corner - w, corner), (-h / 2, h / 2))
+    standin = GridBoxSet(2, gap_boxes[depth:] + [rect])
+    assert standin.measure == tail
+    two_g0 = g0.scale(2)
+    d = g0.union(e).translate((2, 0))
+    b = two_g0.subtract(g0.union(e).union(standin))
+    a1 = b.union(d)
+    a2 = a1.reflect_axis(0)
+    w2 = a1.union(a2)
+    return PlanarFixture(
+        wavelet_set=w2, depth=depth, tail=tail, copies=2,
+        components={"G0": g0, "E": e, "B": b, "D": d, "A1": a1, "A2": a2,
+                    "tail_standin": standin},
+    )

@@ -22,6 +22,11 @@ converted between the two classes.  The oracle's own surfaces use this
 `tests/test_mra.py` compare the library's maps, mirrors, filter words and
 dilation tables with these.
 
+`fif_operator_iterates` and `surface_operator_iterates` are the two
+transfer-operator iterations from before one iteration on
+`surfaces.SelfAffine`; they run on the classes here, whose `mesh` is
+`fif_mesh` and whose `_pull` is the one each used.
+
 The `cell_surface_*` functions are the library's surface moment solve and
 pair formula from before specs shared one system (`SurfaceSpec.with_data`),
 which also take a scaling per cell; `tests/test_shared_system.py` uses them.
@@ -705,6 +710,80 @@ def cell_surface_gram_matrix(family) -> list:
 
 
 FractalSurface.mesh = surface_mesh
+
+
+# ---------------------------------------------------------------------------
+# transfer-operator iterates: the loops of `fif` and `surfaces` from before
+# one iteration on `surfaces.SelfAffine`, with the `_pull` each one used
+# ---------------------------------------------------------------------------
+
+
+def fif_pull(self, z: Fraction, i: int) -> tuple:
+    cell = self.cells[i]
+    z_next = cell.u_inv(z)
+    return z_next, poly_eval(cell.data, z_next), cell.s
+
+
+def fif_operator_iterates(self, depth: int, steps: int) -> list[np.ndarray]:
+    """Transfer-operator iterates from zero, sampled on the depth mesh."""
+    pts, _ = self.mesh(depth)
+    pts_idx = {p: k for k, p in enumerate(pts)}
+    pulled = []
+    for p in pts:
+        z, A, s = self._pull(p, self.cell_index(p))
+        if z not in pts_idx:
+            # boundary point parametrized from the other side
+            z, A, s = self._pull(p, max(self.cell_index(p) - 1, 0))
+        pulled.append((pts_idx[z], float(A), float(s)))
+    values = np.zeros(len(pts))
+    out = [values]
+    for _ in range(steps):
+        nxt = np.empty_like(values)
+        for k, (src, A, s) in enumerate(pulled):
+            nxt[k] = A + s * values[src]
+        values = nxt
+        out.append(values)
+    return out
+
+
+def surface_pull(self, z: Vec, i: int) -> tuple:
+    z_next = self.spec._inverses[i].apply(z)
+    return z_next, poly_val(self.spec.data[i], z_next), self.spec._scalings[i]
+
+
+def surface_operator_iterates(self, depth: int, steps: int) -> list:
+    """Sup-norm gaps of successive transfer-operator iterates from zero."""
+    maps = self.spec.maps
+    cur = set(self.spec.vertices)
+    parent: dict = {}
+    for _ in range(depth):
+        nxt: dict = {}
+        for i, u in enumerate(maps):
+            for p in cur:
+                nxt.setdefault(u.apply(p), (i, p))
+        parent = nxt
+        cur = set(nxt)
+    pts = sorted(cur)
+    index = {p: k for k, p in enumerate(pts)}
+    pulled = []
+    for p in pts:
+        i, src = parent.get(p, (None, None))
+        if src is None or src not in index:
+            i = self.spec.cell_of(p)
+        src, lam, s = self._pull(p, i)
+        pulled.append((float(lam), index[src], float(s)))
+    g = [0.0] * len(pts)
+    gaps = []
+    for _ in range(steps):
+        ng = [lam + s * g[k] for lam, k, s in pulled]
+        gaps.append(max(abs(a - b) for a, b in zip(ng, g)))
+        g = ng
+    return gaps
+
+
+FractalFunction.mesh = fif_mesh
+FractalFunction._pull = fif_pull
+FractalSurface._pull = surface_pull
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ identical Fractions, and the vectorized quadrature the loop's floats within
 surfaces engine, must give the earlier moments, inner products, Gram
 matrices, knot values and evaluations (value and error bound) exactly, and
 the one elimination in `geometry` the earlier solutions, ranks and inverses.
+The one transfer-operator iteration must give the identical floats of the
+earlier loops of `fif` and `surfaces`.
 Scalings are signed with |s| < 1 and denominators up to 2**64, so the common
 denominators of the cascades grow to hundreds of bits.
 """
@@ -253,6 +255,61 @@ def test_perturbed_surface_data_raise_alike(s, cell, bump, depth):
     surf = sf.FractalSurface(sf.triangle_spec(data, s))
     _same_outcome(lambda: surf.mesh(depth),
                   lambda: oracle.surface_mesh(oracle.FractalSurface(surf.spec), depth))
+
+
+# -- transfer-operator iterates ------------------------------------------------------
+
+
+def _same_iterates(new, old):
+    assert len(new) == len(old)
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(new, old))
+
+
+@MESHES
+@given(n=st.integers(1, 5), mode=modes, s=scalings, depth=st.integers(0, 5), data=st.data())
+def test_cardinal_function_iterates_match_oracle(n, mode, s, depth, data):
+    f = fif.uniform_cardinal_basis(n, s, mode)[data.draw(st.integers(0, n), label="member")]
+    _same_iterates(f.operator_iterates(depth, 12), oracle.fif_operator_iterates(_old(f), depth, 12))
+
+
+@MESHES
+@given(n=st.integers(1, 4), mode=modes, depth=st.integers(0, 5), data=st.data())
+def test_discontinuous_function_iterates_match_oracle(n, mode, depth, data):
+    # data unrelated to the knots: the function jumps at the interior knots
+    polys = data.draw(st.lists(st.lists(small_fracs, min_size=1, max_size=3),
+                               min_size=n, max_size=n), label="data")
+    s = data.draw(st.lists(scalings, min_size=n, max_size=n), label="s")
+    f = fif.FractalFunction.from_uniform_data(n, polys, s, mode)
+    _same_iterates(f.operator_iterates(depth, 12), oracle.fif_operator_iterates(_old(f), depth, 12))
+
+
+@pytest.mark.parametrize("name, mode", [("ex3.3", "translation"), ("ex3.5", "translation"),
+                                        ("ex3.5", "reflection")])
+@pytest.mark.parametrize("depth", [0, 1, 4, 8])
+def test_fixture_function_iterates_match_oracle(name, mode, depth):
+    f = fif.fixture(name, mode)
+    _same_iterates(f.operator_iterates(depth, 20), oracle.fif_operator_iterates(_old(f), depth, 20))
+
+
+@SURFACES
+@given(s=scalings, depth=st.integers(0, 4), data=st.data())
+def test_surface_iterate_gaps_match_oracle(s, depth, data):
+    spec = sf.triangle_spec(EX52, s)
+    basis = list(sf.basis_surfaces(spec).values())
+    for surf in (sf.FractalSurface(spec), basis[data.draw(st.integers(0, len(basis) - 1))]):
+        gaps = surf.operator_iterates(depth, 12)
+        assert all(type(g) is float for g in gaps)
+        assert gaps == oracle.surface_operator_iterates(oracle.FractalSurface(surf.spec), depth, 12)
+
+
+def test_surface_iterates_need_a_consistent_mesh():
+    # the iterates run on the mesh points, which data that disagree at a
+    # shared mesh point do not have
+    data = [(1, F(1, 2), F(1, 5)), (-3, -3, F(2, 5)),
+            (F(-1, 5), 0, F(-3, 5)), (F(1, 5), F(1, 5), 0)]
+    surf = sf.FractalSurface(sf.triangle_spec(data, F(4, 5)))
+    with pytest.raises(ArithmeticError, match="inconsistent values at a shared mesh point"):
+        surf.operator_iterates(2, 3)
 
 
 # -- MRA atoms ---------------------------------------------------------------------

@@ -259,6 +259,30 @@ def test_inner_product_across_separate_systems_matches_oracle(domain, data):
     assert sf.gram_matrix([f, g]) == oracle.cell_surface_gram_matrix([f, g])
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), mode=modes, data=st.data())
+def test_functions_pair_on_shared_maps_whatever_their_scalings(n, mode, data):
+    # fif pairs functions as the surfaces engine does: the maps and the
+    # domain must agree, the scalings per cell need not
+    polys = st.lists(st.lists(small_fracs, min_size=1, max_size=3), min_size=n, max_size=n)
+    per_cell = st.lists(scalings, min_size=n, max_size=n)
+    f, g = (fif.FractalFunction.from_uniform_data(n, data.draw(polys, label="data"),
+                                                  data.draw(per_cell, label="s"), mode)
+            for _ in "fg")
+    assert fif.inner_product(f, g) == oracle.cell_surface_inner_product(f, g)
+    assert fif.gram_matrix([f, g]) == oracle.cell_surface_gram_matrix([f, g])
+    assert fif.gram_matrix_quadrature([f, g], depth=3).shape == (2, 2)
+    # same domain [0, n], other maps
+    other = fif.FractalFunction.from_interpolation([0, F(1, 3), n], [0, 1, 0], [F(1, 2)] * 2)
+    for pair in ([f, other], [other, g]):
+        with pytest.raises(ValueError, match="share domain and similitudes"):
+            fif.inner_product(*pair)
+        with pytest.raises(ValueError, match="share domain and similitudes"):
+            fif.gram_matrix(pair)
+        with pytest.raises(ValueError, match="share domain and similitudes"):
+            fif.gram_matrix_quadrature(pair)
+
+
 def test_global_surface_cells_share_the_template_system():
     spec = sf.fixture("ex5.2")
     fig = right_triangle_figure()

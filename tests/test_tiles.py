@@ -26,6 +26,7 @@ from waveletsets.tiles import (
     weyl_congruent,
 )
 from waveletsets.tiles import _finish_certificate
+from waveletsets import tiles
 
 import boxset_oracle as oracle
 
@@ -363,6 +364,23 @@ def w2():
     return build_w2(8)
 
 
+def _grid(boxset):
+    return boxset.den, boxset.cuts, boxset.mask.shape, boxset.mask.tobytes()
+
+
+@pytest.mark.parametrize("name", ["w1", "w2"])
+def test_fixtures_equal_the_oracle_builders(name):
+    # one staircase builder against the two earlier ones and their typed tails
+    for depth in range(1, 13):
+        for tail_terms in range(5):
+            new = getattr(tiles, "build_" + name)(depth, tail_terms)
+            old = getattr(oracle, "build_" + name)(depth, tail_terms)
+            assert (new.depth, new.tail, new.copies) == (old.depth, old.tail, old.copies)
+            assert _grid(new.wavelet_set) == _grid(old.wavelet_set)
+            assert list(new.components) == list(old.components)
+            assert all(_grid(new.components[k]) == _grid(v) for k, v in old.components.items())
+
+
 def test_w1_exact_measure_identity(w1):
     assert w1.tail == F(1, 60) * F(1, 16) ** 8
     assert w1.wavelet_set.measure + 4 * w1.tail == 4
@@ -445,6 +463,13 @@ def test_intersection_group_generators():
     assert ig.contains((4, 4))
     assert ig.contains((-8, 4))
     assert not ig.contains((2, 0))
+
+
+@pytest.mark.parametrize("figure", [[(0, 0), (0, 1)], [(0, 1)]])
+def test_intersection_group_checks_the_figure_box(figure):
+    # a flat side would give a zero generator, and contains() would divide by it
+    with pytest.raises(ValueError, match="positive widths|dimension"):
+        intersection_group(figure, (2, 2))
 
 
 # -- spectral check -----------------------------------------------------------

@@ -13,6 +13,10 @@ in word order, must give the kernel's pieces, maps and residuals exactly.
 So must the mirror-fold kernel that `weyl_congruent` was before the fold
 became one group of the shared reduce-and-claim kernel, `grid_weyl_congruent`
 in the oracle.
+
+`is_fundamental_domain` counts the fold-group orbit copies of a candidate
+over a region on the same kernel.  Its oracle applies every group element
+that `reflections.enumerate_group` lists near the region to the candidate.
 """
 
 from itertools import product
@@ -23,8 +27,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import boxset_oracle as oracle
-from waveletsets.reflections import centered_square_figure
-from waveletsets.tiles import DyadicBoxSet, PieceMap, build_w1, build_w2, weyl_congruent
+from waveletsets.reflections import box_figure, centered_square_figure, enumerate_group
+from waveletsets.tiles import (DyadicBoxSet, GroupSpec, PieceMap, build_w1, build_w2,
+                               is_fundamental_domain, weyl_congruent)
 
 # An interval [L, L + W] of the figure per axis, and box ends at L + W * u
 # with u within three widths of 0, so boxes cross several mirrors and fall
@@ -37,9 +42,7 @@ offsets = st.builds(lambda n, e, d: F(n, 12) + F(e, d), st.integers(-36, 36),
                     st.integers(-1, 1), st.sampled_from([1, 5, 2 ** 64, 3 ** 41]))
 
 
-@st.composite
-def fold_cases(draw, dim, max_boxes):
-    figure = [draw(intervals) for _ in range(dim)]
+def draw_boxes(draw, figure, max_boxes):
     boxes = []
     for _ in range(draw(st.integers(1, max_boxes))):
         box = []
@@ -47,7 +50,13 @@ def fold_cases(draw, dim, max_boxes):
             ends = sorted(lo + (hi - lo) * draw(offsets) for _ in range(2))
             box.append(tuple(ends))
         boxes.append(tuple(box))
-    source = DyadicBoxSet(dim, boxes)
+    return DyadicBoxSet(len(figure), boxes)
+
+
+@st.composite
+def fold_cases(draw, dim, max_boxes):
+    figure = [draw(intervals) for _ in range(dim)]
+    source = draw_boxes(draw, figure, max_boxes)
     if draw(st.booleans()):
         # add the mirror image about a random mirror: a double cover of its fold
         axis = draw(st.integers(0, dim - 1))
@@ -121,3 +130,68 @@ def test_fold_of_planar_fixtures_matches_oracle(build, depth, tail_terms):
     source = build(depth, tail_terms).wavelet_set
     cert, old = check_against_oracle(source, centered_square_figure())
     assert cert.source_residual.equals_ae(old.source_residual)
+
+
+# -- fundamental domains of the fold group -------------------------------------
+
+
+def orbit_domain(candidate, figure, region):
+    """(uncovered, overlap) of the candidate's orbit over the region: m(region)
+    - m(cover) and mass - m(cover), over the images of the candidate under
+    the group elements whose image of it meets the region.  The fold group of
+    a box is the product of the groups of its sides, listed per axis by
+    `enumerate_group`."""
+    if candidate.is_empty or region.is_empty:
+        return region.measure, F(0)
+    axes = []
+    for (a, b), (c, d), (lo, hi) in zip(candidate.bounding_box(), region.bounding_box(), figure):
+        # all three sets lie within r of the side's centre m, so an element
+        # that carries [a, b] onto a point of [c, d] carries the side into
+        # [m - 3r, m + 3r]; the search of `enumerate_group` sends cells to
+        # alternate sides, so the interval it searches is centred on m
+        m = (lo + hi) / 2
+        r = max(abs(x - m) for x in (a, b, c, d, lo, hi))
+        cells = enumerate_group(box_figure("side", [(lo, hi)]), [(m - 4 * r, m + 4 * r)])
+        assert sum(min(max(v[0] for v in cell.vertices), m + 4 * r)
+                   - max(min(v[0] for v in cell.vertices), m - 4 * r) for cell in cells) == 8 * r
+        maps = [(cell.isometry.linear.rows[0][0], cell.isometry.shift[0]) for cell in cells]
+        axes.append([(s, t) for s, t in maps if max(min(s * a, s * b) + t, c) < min(max(s * a, s * b) + t, d)])
+    mass, cover = F(0), DyadicBoxSet.empty(candidate.dim)
+    for element in product(*axes):
+        linear = [[s if i == j else 0 for j in range(len(element))] for i, (s, _) in enumerate(element)]
+        image = candidate.transform(linear, [t for _, t in element]).intersect(region)
+        mass += image.measure
+        cover = cover.union(image)
+    return region.measure - cover.measure, mass - cover.measure
+
+
+@st.composite
+def fold_domain_cases(draw, dim):
+    source, figure = draw(fold_cases(dim, 3))
+    return source, figure, draw_boxes(draw, figure, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from([1, 2]).flatmap(fold_domain_cases))
+def test_fold_fundamental_domain_counts_the_orbit(case):
+    source, figure, region = case
+    rep = is_fundamental_domain(source, GroupSpec("weyl", figure=figure), region)
+    assert (rep.uncovered_measure, rep.overlap_measure) == orbit_domain(source, figure, region)
+    assert rep.ok == (rep.uncovered_measure == rep.overlap_measure == 0 and not source.is_empty)
+
+
+@pytest.mark.parametrize("region, uncovered", [
+    (((-1, 1), (-1, 1)), 2), (((-3, 3), (-3, 3)), 18), (((5, 6), (5, 6)), 1)])
+def test_fold_fundamental_domain_reads_its_region(region, uncovered):
+    # half of the square: its orbit covers half of every region, which a
+    # check that folds the candidate onto the figure alone reads as 2
+    half = DyadicBoxSet.from_box((-1, 0), (-1, 1))
+    rep = is_fundamental_domain(half, GroupSpec("weyl", figure=centered_square_figure()),
+                                DyadicBoxSet.from_box(*region))
+    assert (rep.ok, rep.uncovered_measure, rep.overlap_measure) == (False, uncovered, 0)
+
+
+def test_fold_fundamental_domain_refuses_a_flat_figure():
+    square = DyadicBoxSet.from_box((0, 1), (0, 1))
+    with pytest.raises(ValueError, match="positive widths"):
+        is_fundamental_domain(square, GroupSpec("weyl", figure=[(0, 0), (0, 1)]), square)
