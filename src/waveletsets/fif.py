@@ -275,7 +275,7 @@ class FractalFunction(SelfAffine):
 
     def operator_iterates(self, depth: int, steps: int) -> list[np.ndarray]:
         """Transfer-operator iterates from zero, sampled on the depth mesh."""
-        return self._iterates(self._orbit(depth)[1], steps)
+        return self._iterates({p: self._cell(p) for p in self._orbit(depth)[1]}, steps)
 
     # -- graph maps --------------------------------------------------------------
 

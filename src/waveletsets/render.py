@@ -102,11 +102,11 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return ",".join(header) + "\n" + template % tuple(values)
 
 
-def polylines_svg(curves: Sequence[Sequence], width=640, height=480) -> str:
+def polylines_svg(curves: Sequence[Sequence]) -> str:
     """Curves are sequences of (x, y) points, drawn in palette order."""
     xs = _floats([p[0] for c in curves for p in c])
     ys = _floats([p[1] for c in curves for p in c])
-    cv = _Canvas(xs, ys, width, height)
+    cv = _Canvas(xs, ys, 640, 480)
     xs, ys = cv.map(xs, ys)
     parts = [cv.open_tag()]
     end = 0
@@ -127,12 +127,12 @@ def _sorted_boxes(boxes) -> list:
     return [boxes[i] for i in _order(map(_integer_keys, ends))]
 
 
-def boxes_svg(layers: Sequence, width=640, height=640) -> str:
+def boxes_svg(layers: Sequence) -> str:
     """Layers are (box set, fill color); boxes drawn as rectangles."""
     layer_boxes = [_sorted_boxes(boxset.boxes) for boxset, _ in layers]
     lo_x, hi_x, lo_y, hi_y = (_floats([box[axis][side] for boxes in layer_boxes for box in boxes])
                               for axis in (0, 1) for side in (0, 1))
-    cv = _Canvas(np.concatenate((lo_x, hi_x)), np.concatenate((lo_y, hi_y)), width, height)
+    cv = _Canvas(np.concatenate((lo_x, hi_x)), np.concatenate((lo_y, hi_y)), 640, 640)
     x0, y0 = cv.map(lo_x, hi_y)
     x1, y1 = cv.map(hi_x, lo_y)
     parts = [cv.open_tag()]

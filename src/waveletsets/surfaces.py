@@ -394,9 +394,8 @@ class SelfAffine:
 
     A subclass picks the cell of a point (`_cell`), pulls a point back
     through a cell (`_pull`, returning the pulled point, the cell's data
-    there and its scaling) and bounds the function (`bound`); the exact
-    chain resolution, the truncated evaluation and the transfer-operator
-    iteration are shared.
+    there and its scaling) and bounds the function (`bound`); the chain
+    resolution, the evaluation and the operator iteration are shared.
     """
 
     def __init__(self, spec: SurfaceSpec):
@@ -440,15 +439,14 @@ class SelfAffine:
             self._memo[pt] = value
         return self._memo[x]
 
-    def _iterates(self, points: Sequence, steps: int) -> list:
-        """Transfer-operator iterates from zero on the points of a mesh, as
-        float arrays: each point pulls back through its cell onto a point of
-        the next coarser mesh, which a mesh of the cells' images contains."""
-        index = {p: k for k, p in enumerate(points)}
-        pulled = [self._pull(p, self._cell(p)) for p in points]
-        src = np.array([index[z] for z, _, _ in pulled])
-        lam, s = (np.array([float(row[k]) for row in pulled]) for k in (1, 2))
-        out = [np.zeros(len(points))]
+    def _iterates(self, cells: dict, steps: int) -> list:
+        """Transfer-operator iterates from zero, as float arrays in the order of
+        `cells`, which maps each mesh point to the cell it pulls back through
+        onto a point of the next coarser mesh (a mesh of the cells' images)."""
+        index = {p: k for k, p in enumerate(cells)}
+        src, lam, s = zip(*(self._pull(p, i) for p, i in cells.items()))
+        src, lam, s = np.array([index[z] for z in src]), np.array(lam, float), np.array(s, float)
+        out = [np.zeros(len(cells))]
         for _ in range(steps):
             out.append(lam + s * out[-1][src])
         return out
@@ -562,9 +560,13 @@ class FractalSurface(SelfAffine):
         return vals
 
     def operator_iterates(self, depth: int, steps: int) -> list:
-        """Sup-norm gaps of successive transfer-operator iterates from zero,
-        sampled on the depth mesh."""
-        iterates = self._iterates(list(self.mesh(depth)), steps)
+        """Sup-norm gaps of successive transfer-operator iterates from zero on
+        the depth mesh, walked without values: a point pulls back through the
+        first cell that makes it, a domain vertex through its `_cell`."""
+        cells, maps = {v: self._cell(v) for v in self.spec.vertices}, self.spec.maps
+        for _ in range(depth):
+            cells = {maps[i].apply(p): i for i in reversed(range(len(maps))) for p in cells}
+        iterates = self._iterates(cells, steps)
         return [float(np.max(np.abs(b - a))) for a, b in zip(iterates, iterates[1:])]
 
 

@@ -778,7 +778,7 @@ def _figure_box(figure, dim: int) -> list:
     """The (lo, hi) per axis of a box figure, or of a list of intervals."""
     intervals = figure.box if isinstance(figure, FoldableFigure) else figure
     if intervals is None:
-        raise ValueError("exact folding requires a box figure")
+        raise ValueError("a box figure is required")
     intervals = [(_frac(lo), _frac(hi)) for lo, hi in intervals]
     if len(intervals) != dim:
         raise ValueError("figure dimension mismatch")
@@ -960,11 +960,10 @@ def _staircase(depth: int, tail_terms: int, y_side, shift, names) -> tuple:
     standin = DyadicBoxSet(2, gaps[depth:] + [((lo, corner), y_side(corner - t, corner))])
     tail = rest / 16 ** depth
     assert standin.measure == tail
-    two_g0 = g0.scale(2)
-    c = g0.union(e).translate(shift)
-    b = two_g0.subtract(g0.union(e).union(standin))
-    a1 = b.union(c)
-    return tail, dict(zip(names + ("A1",), (g0, e, b, c, a1))), standin
+    ge = g0.union(e)
+    c = ge.translate(shift)
+    b = g0.scale(2).subtract(ge.union(standin))
+    return tail, dict(zip(names + ("A1",), (g0, e, b, c, b.union(c)))), standin
 
 
 def build_w1(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:

@@ -54,12 +54,9 @@ def test_every_definition_is_named_elsewhere():
     assert unused == []
 
 
-# set through calls that name no function: perfbench calls
-# getattr(tiles, "build_" + fixture)(depth, tail_terms), and tests/test_render.py
-# calls agree("polylines_svg", curves, width, height), and the same for boxes_svg
-OPTIONS_SET_BY_NAME = {"build_w1(tail_terms)", "build_w2(tail_terms)",
-                       "polylines_svg(width)", "polylines_svg(height)",
-                       "boxes_svg(width)", "boxes_svg(height)"}
+# set through a call that names no function: perfbench calls
+# getattr(tiles, "build_" + fixture)(depth, tail_terms)
+OPTIONS_SET_BY_NAME = {"build_w1(tail_terms)", "build_w2(tail_terms)"}
 
 
 def _options(tree):

@@ -90,12 +90,11 @@ def test_function_csv_matches_the_oracle(points):
 @MANY
 @given(curves=st.lists(st.lists(st.tuples(st.one_of(coordinates, finite_floats),
                                           st.one_of(coordinates, finite_floats)),
-                                max_size=12), min_size=1, max_size=7),
-       width=st.integers(50, 2000), height=st.integers(50, 2000))
-@example(curves=[[(F(1, 3), F(2, 3))]], width=640, height=480)
-@example(curves=[[(0.0, -0.0), (5e-324, 1e-323)], []], width=640, height=480)
-def test_polylines_svg_matches_the_oracle(curves, width, height):
-    agree("polylines_svg", curves, width, height)
+                                max_size=12), min_size=1, max_size=7))
+@example(curves=[[(F(1, 3), F(2, 3))]])
+@example(curves=[[(0.0, -0.0), (5e-324, 1e-323)], []])
+def test_polylines_svg_matches_the_oracle(curves):
+    agree("polylines_svg", curves)
 
 
 class Boxes:
@@ -117,9 +116,9 @@ box_layers = st.lists(st.tuples(boxes(coordinates, st.builds(F, st.integers(0, 3
 
 
 @MANY
-@given(layers=box_layers, width=st.integers(50, 2000), height=st.integers(50, 2000))
-def test_boxes_svg_matches_the_oracle(layers, width, height):
-    agree("boxes_svg", layers, width, height)
+@given(layers=box_layers)
+def test_boxes_svg_matches_the_oracle(layers):
+    agree("boxes_svg", layers)
 
 
 def test_boxes_svg_of_the_planar_fixtures_matches_the_oracle():

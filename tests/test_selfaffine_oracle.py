@@ -302,14 +302,18 @@ def test_surface_iterate_gaps_match_oracle(s, depth, data):
         assert gaps == oracle.surface_operator_iterates(oracle.FractalSurface(surf.spec), depth, 12)
 
 
-def test_surface_iterates_need_a_consistent_mesh():
-    # the iterates run on the mesh points, which data that disagree at a
-    # shared mesh point do not have
+@pytest.mark.parametrize("depth", [0, 1, 2, 4])
+def test_surface_iterates_of_inconsistent_data_match_oracle(depth):
+    # data that disagree at a shared mesh point have no exact mesh, but the
+    # iterates walk the points without values and pull each back through the
+    # first cell that makes it, as the oracle does
     data = [(1, F(1, 2), F(1, 5)), (-3, -3, F(2, 5)),
             (F(-1, 5), 0, F(-3, 5)), (F(1, 5), F(1, 5), 0)]
     surf = sf.FractalSurface(sf.triangle_spec(data, F(4, 5)))
     with pytest.raises(ArithmeticError, match="inconsistent values at a shared mesh point"):
-        surf.operator_iterates(2, 3)
+        surf.mesh(2)
+    gaps = surf.operator_iterates(depth, 12)
+    assert gaps == oracle.surface_operator_iterates(oracle.FractalSurface(surf.spec), depth, 12)
 
 
 # -- MRA atoms ---------------------------------------------------------------------
