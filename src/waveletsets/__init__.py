@@ -2,7 +2,7 @@
 multiresolution analysis.
 
 Submodules:
-  geometry     exact vectors, matrices, affine maps, hyperplanes, linear solves
+  geometry     exact vectors, matrices, affine maps, hyperplanes, ranks, inverses
   reflections  root systems, foldable figures, tessellation groups
   tiles        dyadic box sets, congruence certificates, wavelet-set fixtures
   fif          fractal interpolation on an interval, a 1-D front end to surfaces
@@ -12,7 +12,7 @@ Submodules:
   cli          command-line front end
 """
 
-from .geometry import AffineIsometry, AffineMap, Hyperplane, Mat, Vec, is_expansive, vec
+from .geometry import AffineIsometry, AffineMap, Hyperplane, Mat, Vec, vec
 from .reflections import (
     FoldableFigure,
     RootSystem,
@@ -46,12 +46,10 @@ from .surfaces import (
     FractalSurface,
     SurfaceSpec,
     basis_surfaces,
-    extend_global,
     fixed_point,
-    refine_basis,
     validate_condition_star,
 )
-from .mra import FilterBank, MRAConfig, MultiresolutionBasis, delta_kappa
+from .mra import FilterBank, MRAConfig, MultiresolutionBasis
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

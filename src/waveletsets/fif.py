@@ -10,8 +10,8 @@ An interval tiles the line by reflections in its endpoints, so a fractal
 function is the 1-D case of a self-affine surface: `FractalFunction` holds
 the `waveletsets.surfaces` spec of its system and shares that module's
 pull-back evaluation, moment solve and inner-product formula.  It keeps its
-own cell layout, knot values, graph maps and ordered mesh (a list with
-one-sided values at interior knots, where the surface mesh is a dict).
+own cell layout, knot values and ordered mesh (a list with one-sided values
+at interior knots, where the surface mesh is a dict).
 """
 
 from __future__ import annotations
@@ -277,12 +277,6 @@ class FractalFunction(SelfAffine):
         """Transfer-operator iterates from zero, sampled on the depth mesh."""
         return self._iterates({p: self._cell(p) for p in self._orbit(depth)[1]}, steps)
 
-    # -- graph maps --------------------------------------------------------------
-
-    def graph_maps(self) -> list[AffineMap]:
-        """The plane maps T_i(x, y) = (u_i(x), p_i(x) + s_i y)."""
-        return [graph_map_from_cell(c) for c in self.cells]
-
 
 def uniform_maps(n: int, mode: str) -> list[tuple]:
     """(slope, intercept) pairs for the uniform maps on [0, n].
@@ -301,42 +295,6 @@ def uniform_maps(n: int, mode: str) -> list[tuple]:
             maps.append((-m, 2 * i - q))
         return maps
     raise ValueError(f"unknown mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# graph maps as plane contractions
-# ---------------------------------------------------------------------------
-
-
-def graph_map_from_cell(cell: CellMap) -> AffineMap:
-    """T(x, y) = (u(x), p(x) + s y) for affine data p."""
-    if len(cell.data) > 2:
-        raise ValueError("graph maps require affine data")
-    beta = cell.data[0]
-    ci = cell.data[1] if len(cell.data) > 1 else Fraction(0)
-    return AffineMap(Mat([[cell.m, Fraction(0)], [ci, cell.s]]), Vec((cell.q, beta)))
-
-
-def lipschitz_bound(amap: AffineMap) -> float:
-    """Largest singular value of the linear part."""
-    return float(np.linalg.norm(amap.linear.to_numpy(), 2))
-
-
-def hutchinson_step(maps: Sequence[AffineMap], points: Sequence[tuple]) -> list[tuple]:
-    """One Hutchinson iteration applied to a finite point set."""
-    out = []
-    for m in maps:
-        for p in points:
-            out.append(tuple(m.apply(p)))
-    return out
-
-
-def hausdorff_distance(a: Sequence[tuple], b: Sequence[tuple]) -> float:
-    """Hausdorff distance between finite plane point sets."""
-    pa = np.array([[float(x) for x in p] for p in a])
-    pb = np.array([[float(x) for x in p] for p in b])
-    d = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
-    return max(d.min(axis=1).max(), d.min(axis=0).max())
 
 
 # ---------------------------------------------------------------------------

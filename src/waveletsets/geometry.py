@@ -2,18 +2,14 @@
 
 Everything is dimension-checked and works over exact number types
 (Fraction, int) as well as floats.  Determinants are expanded directly for
-the small dimensions used here; linear systems, ranks and matrix inverses all
-go through one Gauss-Jordan elimination, `_row_reduce`.
+the small dimensions used here; ranks and matrix inverses both go through
+one Gauss-Jordan elimination, `_row_reduce`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
-
-DEFAULT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +155,6 @@ class Mat:
             raise ValueError("singular matrix")
         return Mat([row[n:] for row in work])
 
-    def to_numpy(self) -> np.ndarray:
-        return np.array([[float(a) for a in r] for r in self.rows], dtype=float)
-
     def __repr__(self):
         return f"Mat({list(map(list, self.rows))!r})"
 
@@ -194,15 +187,6 @@ def _row_reduce(work: list, ncols: int) -> int:
     return row
 
 
-def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> list:
-    """The solution of a square linear system, over Fractions."""
-    n = len(rows)
-    work = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    if _row_reduce(work, n) < n:
-        raise ValueError("singular linear system")
-    return [work[r][n] for r in range(n)]
-
-
 def rank(vectors: Sequence[Sequence]) -> int:
     """The rank of a list of vectors, over Fractions."""
     work = [[Fraction(a) for a in v] for v in vectors]
@@ -220,6 +204,8 @@ class AffineMap:
     __slots__ = ("linear", "shift")
 
     def __init__(self, linear: Mat, shift: Sequence):
+        if linear.nrows != linear.ncols:
+            raise ValueError("linear part must be square")
         if linear.nrows != len(tuple(shift)):
             raise ValueError("shift dimension mismatch")
         self.linear = linear
@@ -267,23 +253,15 @@ class AffineMap:
 
 
 class AffineIsometry(AffineMap):
-    """An AffineMap whose linear part is orthogonal, checked at construction."""
+    """An AffineMap whose linear part is orthogonal, A^T A == I exactly,
+    checked at construction."""
 
     __slots__ = ()
 
-    def __init__(self, linear: Mat, shift: Vec, check: bool = True):
-        if linear.nrows != linear.ncols:
-            raise ValueError("linear part must be square")
+    def __init__(self, linear: Mat, shift: Vec):
         super().__init__(linear, shift)
-        if check:
-            gram = linear.transpose().matmul(linear)
-            n = linear.nrows
-            for i in range(n):
-                for j in range(n):
-                    want = 1 if i == j else 0
-                    entry = gram.rows[i][j]
-                    if abs(float(entry) - want) > DEFAULT_TOL:
-                        raise ValueError("linear part is not orthogonal")
+        if linear.transpose().matmul(linear) != Mat.identity(linear.nrows):
+            raise ValueError("linear part is not orthogonal")
 
     # bound here too: the layer tracer in perfbench/spans.py wraps `apply`
     # through each class's own `__dict__`
@@ -291,15 +269,11 @@ class AffineIsometry(AffineMap):
 
     @staticmethod
     def identity(n: int) -> "AffineIsometry":
-        return AffineIsometry(Mat.identity(n), Vec([Fraction(0)] * n), check=False)
+        return AffineIsometry._exact(Mat.identity(n), Vec([Fraction(0)] * n))
 
     @staticmethod
     def translation(shift: Sequence) -> "AffineIsometry":
-        return AffineIsometry(Mat.identity(len(shift)), Vec(shift), check=False)
-
-    def is_identity(self) -> bool:
-        n = self.dim
-        return self.linear == Mat.identity(n) and all(s == 0 for s in self.shift)
+        return AffineIsometry._exact(Mat.identity(len(shift)), Vec(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +318,7 @@ class Hyperplane:
                 row.append(entry)
             rows.append(row)
         shift = Vec(2 * self.offset * a / nn for a in self.normal)
-        return AffineIsometry(Mat(rows), shift, check=False)
+        return AffineIsometry._exact(Mat(rows), shift)
 
     def key(self):
         return (tuple(self.normal), self.offset)
@@ -357,24 +331,3 @@ class Hyperplane:
 
     def __repr__(self):
         return f"Hyperplane(normal={tuple(self.normal)}, offset={self.offset})"
-
-
-# ---------------------------------------------------------------------------
-# expansive matrices
-# ---------------------------------------------------------------------------
-
-
-def spectral_moduli(matrix: Mat) -> list:
-    """Moduli of the complex eigenvalues, descending."""
-    eig = np.linalg.eigvals(matrix.to_numpy())
-    return sorted((abs(z) for z in eig), reverse=True)
-
-
-def is_expansive(matrix: Mat) -> bool:
-    """Whether every eigenvalue of the matrix has modulus strictly above one."""
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("expansiveness is defined for square matrices")
-    a = matrix.to_numpy()
-    if abs(np.linalg.det(a)) < DEFAULT_TOL:
-        raise ValueError("singular matrix")
-    return all(m > 1 + DEFAULT_TOL for m in spectral_moduli(matrix))

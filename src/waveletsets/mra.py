@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,10 +26,6 @@ from .surfaces import (
     SurfaceSpec,
     gram_from_moments,
     moments,
-    poly_add,
-    poly_compose_affine,
-    poly_degree,
-    poly_scale,
     poly_val,
 )
 
@@ -149,13 +145,6 @@ class MultiresolutionBasis:
 
     # -- pointwise values -----------------------------------------------------
 
-    def atom_values(self, points: Sequence) -> np.ndarray:
-        return np.array([[float(a.evaluate(p).value) for p in points] for a in self.atoms])
-
-    def scaling_values(self, points: Sequence) -> np.ndarray:
-        """Matrix [a, k] = phi^a(points[k])."""
-        return self.coeffs @ self.atom_values(points)
-
     def centroid_samples(self, depth: int):
         """Cell centroids at the given depth with exact atom values there.
 
@@ -221,35 +210,6 @@ class MultiresolutionBasis:
 
 def build(config: MRAConfig) -> MultiresolutionBasis:
     return MultiresolutionBasis(config)
-
-
-# ---------------------------------------------------------------------------
-# the data-space dilation action
-# ---------------------------------------------------------------------------
-
-
-def delta_kappa(maps: Sequence, scaling, table: dict, kappa: int = 2) -> dict:
-    """Push a word-indexed data table through the dilation x -> x/kappa.
-
-    For each word r and cell j the new word is kappa*(r o u_j) and its cell-i
-    data is data_j o u_i + s*(data_i - data_j); the polynomial degree never
-    grows, so degree-bounded tables stay degree-bounded.
-    """
-    scaling = Fraction(scaling)
-    out = {}
-    for r, data in table.items():
-        degree = max((poly_degree(p) for p in data), default=0)
-        for j, u_j in enumerate(maps):
-            word = scaled_cell_word(r, u_j, kappa)
-            new_data = []
-            for i, u_i in enumerate(maps):
-                p = poly_compose_affine(data[j], u_i)
-                p = poly_add(p, poly_scale(poly_add(data[i], poly_scale(data[j], -1)), scaling))
-                new_data.append(p)
-            if max((poly_degree(p) for p in new_data), default=0) > degree:
-                raise ArithmeticError("dilation action must preserve the data degree")
-            out[word] = tuple(new_data)
-    return out
 
 
 # ---------------------------------------------------------------------------

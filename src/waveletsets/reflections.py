@@ -8,7 +8,7 @@ it across violated bounding hyperplanes until it lands inside the figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -156,10 +156,6 @@ class FoldableFigure:
     def contains(self, x: Sequence) -> bool:
         x = Vec(x)
         return all(self._inside(h, x) >= 0 for h in self.bounding)
-
-    def on_boundary(self, x: Sequence) -> bool:
-        x = Vec(x)
-        return self.contains(x) and any(h.side(x) == 0 for h in self.bounding)
 
     def _inside(self, h: Hyperplane, x: Vec):
         """Positive inside, negative outside, zero on the plane."""
@@ -321,8 +317,13 @@ def enumerate_group(figure: FoldableFigure, region: Sequence[tuple]) -> list[Gro
 
     region is a box ((lo, hi) per axis).  The group is generated by the
     reflections about all of the figure's hyperplanes (bounding and cuts);
-    the returned cells tile the region.  Output is sorted by word length,
-    then lexicographically by the generator word.
+    the returned cells tile the region.  The search walks from the cell of g
+    to the cells of g o r for the generators r, which include the mirrors in
+    the base cell's walls, so it steps to neighbouring cells; it stops at
+    cells outside the bounding box of the base cell and the region, grown by
+    one cell diameter.  A cell's word lists the generators whose product, in
+    that order, maps the base cell onto it.  Output is sorted by word
+    length, then lexicographically by the word.
     """
     base = figure.base_cell_vertices or figure.vertices
     gens = figure.generators
@@ -330,6 +331,8 @@ def enumerate_group(figure: FoldableFigure, region: Sequence[tuple]) -> list[Gro
     region_bbox = (tuple(lo for lo, _ in region), tuple(hi for _, hi in region))
     cell_bbox = _bbox_of(base)
     diameter = max(hi - lo for lo, hi in zip(*cell_bbox))
+    reach = (tuple(map(min, cell_bbox[0], region_bbox[0])),
+             tuple(map(max, cell_bbox[1], region_bbox[1])))
 
     start = AffineIsometry.identity(figure.dim)
     seen = {start.key()}
@@ -342,10 +345,10 @@ def enumerate_group(figure: FoldableFigure, region: Sequence[tuple]) -> list[Gro
             bbox = _bbox_of(image)
             if _bboxes_overlap(bbox, region_bbox):
                 result.append(GroupCell(word=word, isometry=iso, vertices=image))
-            elif not _bboxes_overlap(bbox, region_bbox, margin=2 * diameter):
+            elif not _bboxes_overlap(bbox, reach, margin=diameter):
                 continue
             for gidx, g in enumerate(gens):
-                new = g.compose(iso)
+                new = iso.compose(g)
                 if new.key() in seen:
                     continue
                 seen.add(new.key())

@@ -25,8 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import AffineIsometry, AffineMap, Mat, Vec
-from .reflections import FoldableFigure, fold
+from .geometry import AffineMap, Mat, Vec
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -57,13 +56,6 @@ def poly_add(p: dict, q: dict) -> dict:
         else:
             out.pop(expo, None)
     return out
-
-
-def poly_scale(p: dict, c) -> dict:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {expo: v * c for expo, v in p.items()}
 
 
 def poly_mul(p: dict, q: dict) -> dict:
@@ -616,39 +608,6 @@ def basis_surfaces(spec: SurfaceSpec) -> dict:
     return out
 
 
-class RefinedSurface:
-    """A surface restricted to the subcell of a composition word."""
-
-    def __init__(self, word: Sequence, surface: FractalSurface):
-        spec = surface.spec
-        word = tuple(int(i) for i in word)
-        if any(i < 0 or i >= len(spec.maps) for i in word):
-            raise ValueError("word indices out of range")
-        self.word = word
-        self.surface = surface
-        cell = None
-        for i in word:
-            cell = spec.maps[i] if cell is None else cell.compose(spec.maps[i])
-        self.cell_map = cell  # None for the empty word
-
-    def evaluate(self, x: Sequence, depth: int = 64) -> EvalResult:
-        spec = self.surface.spec
-        y = Vec(Fraction(a) for a in x)
-        total, scale = Fraction(0), Fraction(1)
-        for i in self.word:
-            y = spec._inverses[i].apply(y)
-            total += scale * poly_val(spec.data[i], y)
-            scale *= spec._scalings[i]
-        inner = self.surface.evaluate(y, depth)
-        return EvalResult(total + scale * inner.value, float(abs(scale)) * inner.error_bound)
-
-
-def refine_basis(word: Sequence, surfaces) -> list:
-    """Restrict a family of surfaces to the subcell named by the word."""
-    family = surfaces.values() if isinstance(surfaces, dict) else surfaces
-    return [RefinedSurface(word, f) for f in family]
-
-
 # ---------------------------------------------------------------------------
 # exact inner products via moment recursion
 # ---------------------------------------------------------------------------
@@ -733,54 +692,6 @@ def gram_matrix(surfaces) -> list:
         _check_shared_domain(family[0], f)
     degree = max((poly_degree(p) for f in family for p in f.spec.data), default=0)
     return gram_from_moments(family, [moments(f, degree) for f in family])
-
-
-# ---------------------------------------------------------------------------
-# global extension over a reflection tessellation
-# ---------------------------------------------------------------------------
-
-
-class GlobalSurface:
-    """Per-cell surfaces stitched over a reflection tessellation.
-
-    The table assigns to each tessellation isometry (keyed canonically) the
-    data tuple of the surface on that cell; evaluation folds the query point
-    into the base figure and reads the matching surface there.  Points on a
-    reflection hyperplane have no canonical cell and evaluate to None.
-    """
-
-    def __init__(self, figure: FoldableFigure, template: SurfaceSpec, table: dict):
-        self.figure = figure
-        self.template = template
-        self._table = {}
-        for key, data in table.items():
-            if isinstance(key, AffineIsometry):
-                key = key.key()
-            self._table[key] = tuple(as_poly(d, template.dim) for d in data)
-        self._cache: dict = {}
-
-    def evaluate(self, x: Sequence, depth: int = 64) -> Optional[EvalResult]:
-        res = fold(self.figure, x)
-        if self.figure.on_boundary(res.point):
-            return None
-        key = res.isometry.key()
-        if key not in self._table:
-            raise KeyError("no data assigned to the cell containing the point")
-        surf = self._cache.get(key)
-        if surf is None:
-            surf = FractalSurface(self.template.with_data(self._table[key]))
-            self._cache[key] = surf
-        return surf.evaluate(res.point, depth)
-
-
-def extend_global(template: SurfaceSpec, figure: FoldableFigure, table: dict) -> GlobalSurface:
-    return GlobalSurface(figure, template, table)
-
-
-def constant_extension(spec: SurfaceSpec, figure: FoldableFigure, keys) -> GlobalSurface:
-    """The same cell data on every listed tessellation cell."""
-    table = {key: spec.data for key in keys}
-    return GlobalSurface(figure, spec, table)
 
 
 # ---------------------------------------------------------------------------

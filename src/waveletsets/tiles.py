@@ -37,14 +37,13 @@ index arithmetic, with no set operation per part:
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -442,10 +441,6 @@ class PieceMap:
 
     def inverse(self) -> "PieceMap":
         return PieceMap._of(self._affine().inverse(), f"inv({self.label})")
-
-    def is_translation(self) -> bool:
-        return all(row[i] == 1 and all(x == 0 for j, x in enumerate(row) if j != i)
-                   for i, row in enumerate(self.linear))
 
 
 @dataclass
@@ -877,18 +872,6 @@ def shannon_set() -> DyadicBoxSet:
                             ((Fraction(1), Fraction(2)),)))
 
 
-def base_cube(dim: int) -> DyadicBoxSet:
-    """[-pi, pi)^dim in pi units."""
-    return DyadicBoxSet.from_box(*([(Fraction(-1), Fraction(1))] * dim))
-
-
-def square_annulus() -> DyadicBoxSet:
-    """[-2pi, 2pi)^2 minus [-pi, pi)^2: the dilation-by-2I fundamental set."""
-    outer = DyadicBoxSet.from_box((Fraction(-2), Fraction(2)), (Fraction(-2), Fraction(2)))
-    inner = DyadicBoxSet.from_box((Fraction(-1), Fraction(1)), (Fraction(-1), Fraction(1)))
-    return outer.subtract(inner)
-
-
 def is_wavelet_set_1d(candidate: DyadicBoxSet) -> dict:
     """Two-generator criterion: translation congruent to [0, 2pi) and
     dilation congruent to the two-sided Shannon set."""
@@ -1061,36 +1044,6 @@ def intersection_group(figure, spacings) -> IntersectionGroup:
         den = period.denominator * sp.denominator
         gens.append(Fraction(num, den))
     return IntersectionGroup(tuple(gens))
-
-
-# ---------------------------------------------------------------------------
-# spectral (orthonormal-basis) check
-# ---------------------------------------------------------------------------
-
-
-def spectral_defect(candidate: DyadicBoxSet, max_index: int = 5) -> float:
-    """Largest defect of {e^{i k x}} orthogonality over the set.
-
-    For a set translation congruent to the 2pi cube, the integrals of
-    e^{i <k, x>} vanish for every nonzero integer vector k and equal (2pi)^n
-    at k = 0; returns the max absolute deviation over |k_i| <= max_index.
-    """
-    n = candidate.dim
-    worst = 0.0
-    for k in product(range(-max_index, max_index + 1), repeat=n):
-        total = 0 + 0j
-        for box in candidate.boxes:
-            term = 1 + 0j
-            for (lo, hi), ki in zip(box, k):
-                if ki == 0:
-                    term *= math.pi * float(hi - lo)
-                else:
-                    term *= (cmath.exp(1j * ki * math.pi * float(hi))
-                             - cmath.exp(1j * ki * math.pi * float(lo))) / (1j * ki)
-            total += term
-        expected = (2 * math.pi) ** n if all(x == 0 for x in k) else 0.0
-        worst = max(worst, abs(total - expected))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,10 @@ These are implementations the library used before:
 At the end of the module is the geometry from before one affine-map type: the separate
 `AffineIsometry` and `AffineMap` classes and the mirror formulas
 `reflect_root` and `affine_reflect` of `waveletsets.reflections`, each with
-its own arithmetic, and `mra.scaled_cell_word` and `mra.delta_kappa`, which
-converted between the two classes.  The oracle's own surfaces use this
-`AffineMap`; `tests/test_geometry.py`, `tests/test_reflections.py` and
-`tests/test_mra.py` compare the library's maps, mirrors, filter words and
-dilation tables with these.
+its own arithmetic, and `mra.scaled_cell_word`, which converted between the
+two classes.  The oracle's own surfaces use this `AffineMap`;
+`tests/test_geometry.py`, `tests/test_reflections.py` and `tests/test_mra.py`
+compare the library's maps, mirrors and filter words with these.
 
 `fif_operator_iterates` and `surface_operator_iterates` are the two
 transfer-operator iterations from before one iteration on
@@ -53,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from waveletsets.geometry import DEFAULT_TOL, Mat, Vec
+from waveletsets.geometry import Mat, Vec
 from waveletsets.surfaces import (
     ONE,
     ZERO,
@@ -61,11 +60,9 @@ from waveletsets.surfaces import (
     _standard_simplex_integral,
     as_poly,
     level_one_vertices,
-    poly_add,
     poly_compose_affine,
     poly_degree,
     poly_mul,
-    poly_scale,
     poly_val,
 )
 
@@ -837,9 +834,12 @@ def _rank(vectors: Sequence[Vec]) -> int:
 
 # ---------------------------------------------------------------------------
 # affine maps and mirror formulas: AffineIsometry, AffineMap, reflect_root
-# and affine_reflect, and mra's scaled_cell_word and delta_kappa over them,
-# from before one affine-map type
+# and affine_reflect, and mra's scaled_cell_word over them, from before one
+# affine-map type
 # ---------------------------------------------------------------------------
+
+# the float tolerance of the orthogonality check, once `geometry.DEFAULT_TOL`
+DEFAULT_TOL = 1e-10
 
 
 class AffineIsometry:
@@ -978,27 +978,3 @@ def scaled_cell_word(r: AffineIsometry, u: AffineMap, kappa: int) -> AffineIsome
     """The isometry kappa * (r o u) for a similitude u with ratio 1/kappa."""
     comp = AffineMap(r.linear, r.shift).compose(u)
     return AffineIsometry(comp.linear.scale(Fraction(kappa)), comp.shift.scale(Fraction(kappa)))
-
-
-def delta_kappa(maps: Sequence, scaling, table: dict, kappa: int = 2) -> dict:
-    """Push a word-indexed data table through the dilation x -> x/kappa.
-
-    For each word r and cell j the new word is kappa*(r o u_j) and its cell-i
-    data is data_j o u_i + s*(data_i - data_j); the polynomial degree never
-    grows, so degree-bounded tables stay degree-bounded.
-    """
-    scaling = Fraction(scaling)
-    out = {}
-    for r, data in table.items():
-        degree = max((poly_degree(p) for p in data), default=0)
-        for j, u_j in enumerate(maps):
-            word = scaled_cell_word(r, u_j, kappa)
-            new_data = []
-            for i, u_i in enumerate(maps):
-                p = poly_compose_affine(data[j], u_i)
-                p = poly_add(p, poly_scale(poly_add(data[i], poly_scale(data[j], -1)), scaling))
-                new_data.append(p)
-            if max((poly_degree(p) for p in new_data), default=0) > degree:
-                raise ArithmeticError("dilation action must preserve the data degree")
-            out[word] = tuple(new_data)
-    return out

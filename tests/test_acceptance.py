@@ -53,7 +53,7 @@ def test_criterion_3_w2_three_way_and_reflection_cover():
     rho2_d = d.reflect_axis(0, level=F(1))
     rho1_dm = d.reflect_axis(0).reflect_axis(0, level=F(-1))
     cover = rho2_d.union(rho1_dm)
-    target = tiles.base_cube(2).subtract(b).subtract(b.reflect_axis(0))
+    target = tiles.DyadicBoxSet.from_box((-1, 1), (-1, 1)).subtract(b).subtract(b.reflect_axis(0))
     cert = tiles.translation_congruent(cover, target, [F(2), F(2)])
     cover_ok = cert.verify().ok and cert.residual_measure == 2 * fx.tail
     identity = fx.wavelet_set.measure + 2 * fx.tail == 4

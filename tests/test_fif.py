@@ -8,10 +8,7 @@ from waveletsets.fif import (
     cardinal_basis,
     gram_matrix,
     gram_matrix_quadrature,
-    hausdorff_distance,
-    hutchinson_step,
     inner_product,
-    lipschitz_bound,
     moments,
     orthonormalize,
     uniform_maps,
@@ -127,34 +124,6 @@ def test_operator_iteration_converges(two_cell):
     errs = [abs(it - target).max() for it in iters]
     assert errs[-1] < 1e-8
     assert errs[-1] < errs[5] < errs[0]
-
-
-def test_graph_maps_fix_graph_points(two_cell):
-    maps = two_cell.graph_maps()
-    pts, vals = two_cell.mesh(4)
-    graph = set(zip(pts, vals))
-    for m in maps:
-        for p, v in list(graph)[:20]:
-            image = m.apply((p, v))
-            assert two_cell.evaluate(image[0]).value == image[1]
-
-
-def test_hutchinson_converges_to_graph(two_cell):
-    # the knot endpoints lie on the graph, so iterates stay on the graph and
-    # after k steps reproduce exactly the depth-k mesh samples
-    maps = two_cell.graph_maps()
-    pts = [(F(0), F(0)), (F(1), F(0))]
-    for _ in range(8):
-        pts = hutchinson_step(maps, pts)
-    mesh_p, mesh_v = two_cell.mesh(8)
-    d = hausdorff_distance(pts, list(zip(mesh_p, mesh_v)))
-    assert d < 1e-12
-
-
-def test_lipschitz_bound_is_operator_norm():
-    f = FractalFunction.from_interpolation([0, 1], [0, 0], [F(1, 2)])
-    (m,) = f.graph_maps()
-    assert lipschitz_bound(m) == pytest.approx(1.0)
 
 
 def test_rejects_bad_scaling():

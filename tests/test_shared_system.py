@@ -20,7 +20,7 @@ import selfaffine_oracle as oracle
 from waveletsets import fif, mra
 from waveletsets.geometry import AffineMap, Mat, Vec
 from waveletsets import surfaces as sf
-from waveletsets.reflections import box_figure, fold, right_triangle_figure, subdivide
+from waveletsets.reflections import box_figure, subdivide
 
 FAMILIES = settings(max_examples=60, deadline=None)
 SURFACE_BASES = settings(max_examples=15, deadline=None)
@@ -281,16 +281,3 @@ def test_functions_pair_on_shared_maps_whatever_their_scalings(n, mode, data):
             fif.gram_matrix(pair)
         with pytest.raises(ValueError, match="share domain and similitudes"):
             fif.gram_matrix_quadrature(pair)
-
-
-def test_global_surface_cells_share_the_template_system():
-    spec = sf.fixture("ex5.2")
-    fig = right_triangle_figure()
-    pts = [(F(3, 2), F(1, 4)), (F(-1, 4), F(1, 3)), (F(1, 5), F(1, 7)), (F(1, 2), F(7, 8))]
-    keys = [fold(fig, p).isometry.key() for p in pts]
-    table = {k: [{(0, 0): F(c)}, *spec.data[1:]] for k, c in zip(keys, range(1, 5))}
-    glob = sf.extend_global(spec, fig, table)
-    for p, k in zip(pts, keys):
-        want = sf.FractalSurface(sf.SurfaceSpec(spec.vertices, spec.maps, table[k], spec.scaling))
-        assert glob.evaluate(p) == want.evaluate(fold(fig, p).point)
-    assert all(surf.spec._system is spec._system for surf in glob._cache.values())

@@ -8,7 +8,6 @@ import pytest
 
 from waveletsets import surfaces as sf
 from waveletsets.fif import FractalFunction
-from waveletsets.reflections import fold, right_triangle_figure
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +94,7 @@ def test_one_sided_face_values_agree(spec, surf):
 
 def test_linearity_of_data_to_surface(spec):
     other = sf.basis_surfaces(spec)[(F(1, 2), F(1, 2))].spec.data
-    combo = [sf.poly_add(a, sf.poly_scale(b, F(2))) for a, b in zip(spec.data, other)]
+    combo = [sf.poly_add(a, sf.poly_add(b, b)) for a, b in zip(spec.data, other)]
     m1 = sf.FractalSurface(spec).mesh(2)
     m2 = sf.FractalSurface(spec.with_data(other)).mesh(2)
     m3 = sf.FractalSurface(spec.with_data(combo)).mesh(2)
@@ -180,75 +179,3 @@ def test_inner_product_with_unshared_per_cell_scalings():
 
 def test_exact_surface_integral(surf):
     assert sf.moments(surf, 0)[(0, 0)] == F(5, 16)
-
-
-# -- refinement -------------------------------------------------------------
-
-
-def test_empty_word_is_the_original(basis):
-    b = next(iter(basis.values()))
-    r = sf.RefinedSurface((), b)
-    pt = (F(1, 3), F(1, 3))
-    assert r.evaluate(pt).value == b.evaluate(pt).value
-
-
-def test_refined_family_reproduces_the_restriction(spec, surf, basis):
-    refined = sf.refine_basis((0,), basis)
-    z = surf.level1_values()
-    for q in spec.cell_vertices(0):
-        val = sum(z[nu] * r.evaluate(q).value for nu, r in zip(basis, refined))
-        assert val == surf.value_at(q)
-
-
-def test_refined_family_is_independent(spec, basis):
-    refined = sf.refine_basis((0,), basis)
-    rng = random.Random(3)
-    samples = []
-    while len(samples) < 40:
-        a, b = F(rng.randrange(513), 512), F(rng.randrange(513), 512)
-        if a + b <= 1:
-            samples.append(spec.maps[0].apply((a, b)))
-    mat = np.array([[float(r.evaluate(p).value) for p in samples] for r in refined])
-    assert np.linalg.matrix_rank(mat, tol=1e-9) == len(refined)
-
-
-def test_bad_word_rejected(basis):
-    with pytest.raises(ValueError):
-        sf.refine_basis((9,), basis)
-
-
-# -- global extension -------------------------------------------------------
-
-
-def test_global_matches_folded_base_values(spec, surf):
-    fig = right_triangle_figure()
-    pts = [(F(3, 2), F(1, 4)), (F(-1, 4), F(1, 3)), (F(1, 5), F(1, 7)), (F(1, 2), F(7, 8))]
-    keys = [fold(fig, p).isometry.key() for p in pts]
-    g = sf.extend_global(spec, fig, {k: spec.data for k in keys})
-    for p in pts:
-        assert g.evaluate(p).value == surf.value_at(fold(fig, p).point)
-
-
-def test_global_stitches_distinct_restrictions(spec):
-    fig = right_triangle_figure()
-    pts = [(F(3, 2), F(1, 4)), (F(-1, 4), F(1, 3)), (F(1, 5), F(1, 7)), (F(1, 2), F(7, 8))]
-    keys = [fold(fig, p).isometry.key() for p in pts]
-    table = {}
-    for k, c in zip(keys, range(1, 5)):
-        table[k] = [{(0, 0): F(c)}] * 4
-    g = sf.extend_global(spec, fig, table)
-    vals = {g.evaluate(p).value for p in pts}
-    assert len(vals) == 4
-
-
-def test_global_is_undefined_on_hyperplanes(spec):
-    fig = right_triangle_figure()
-    g = sf.constant_extension(spec, fig, [fold(fig, (F(1, 5), F(1, 7))).isometry.key()])
-    assert g.evaluate((F(0), F(1, 3))) is None
-
-
-def test_global_missing_cell_raises(spec):
-    fig = right_triangle_figure()
-    g = sf.constant_extension(spec, fig, [fold(fig, (F(1, 5), F(1, 7))).isometry.key()])
-    with pytest.raises(KeyError):
-        g.evaluate((F(3, 2), F(1, 4)))

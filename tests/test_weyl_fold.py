@@ -147,8 +147,7 @@ def orbit_domain(candidate, figure, region):
     for (a, b), (c, d), (lo, hi) in zip(candidate.bounding_box(), region.bounding_box(), figure):
         # all three sets lie within r of the side's centre m, so an element
         # that carries [a, b] onto a point of [c, d] carries the side into
-        # [m - 3r, m + 3r]; the search of `enumerate_group` sends cells to
-        # alternate sides, so the interval it searches is centred on m
+        # [m - 3r, m + 3r], inside the interval searched here
         m = (lo + hi) / 2
         r = max(abs(x - m) for x in (a, b, c, d, lo, hi))
         cells = enumerate_group(box_figure("side", [(lo, hi)]), [(m - 4 * r, m + 4 * r)])
