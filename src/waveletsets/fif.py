@@ -157,10 +157,11 @@ class FractalFunction(SelfAffine):
     # the right-hand cell at an interior knot: it decides the one-sided values
     _cell = cell_index
 
-    def _pull(self, z: Fraction, i: int) -> tuple:
-        cell = self.cells[i]
-        z_next = cell.u_inv(z)
-        return z_next, poly_eval(cell.data, z_next), cell.s
+    def _inverse(self, z: Fraction, i: int) -> Fraction:
+        return self.cells[i].u_inv(z)
+
+    def _data(self, i: int, z: Fraction):
+        return poly_eval(self.cells[i].data, z)
 
     def bound(self) -> Fraction:
         """A uniform bound on |f| over the domain.
@@ -221,7 +222,8 @@ class FractalFunction(SelfAffine):
         denominators, and a value to an integer Horner sum over
         dv' = lcm(dv den(s), den(data) dp^deg), so the cascade and the seam
         de-duplication run on plain ints.  Values become Fractions once, at
-        the end; the points are the shared system's (`_orbit`), in a new list.
+        the end, one Fraction per distinct numerator (`surfaces._fractions`);
+        the points are the shared system's (`_orbit`), in a new list.
         """
         kv = [_frac(v) for v in self.knot_values()]
         levels, points = self._orbit(depth)
@@ -247,7 +249,7 @@ class FractalFunction(SelfAffine):
                     seg_v.reverse()
                 new_vals.extend(seg_v[1:] if i else seg_v)
             vals, dv = new_vals, dv_next
-        return list(points), [Fraction(v, dv) for v in vals]
+        return list(points), surfaces._fractions(dv, vals)[0]
 
     def _orbit(self, depth: int) -> tuple:
         """([(numerators, dp) per level before the last], last points as Fractions),
@@ -270,7 +272,7 @@ class FractalFunction(SelfAffine):
                         seg_p.reverse()
                     new_pts.extend(seg_p[1:] if i else seg_p)
                 pts = new_pts
-            orbits[depth] = (levels, [Fraction(p, dp) for p in pts])
+            orbits[depth] = (levels, surfaces._fractions(dp, pts)[0])
         return orbits[depth]
 
     def operator_iterates(self, depth: int, steps: int) -> list[np.ndarray]:

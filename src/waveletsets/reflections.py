@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .geometry import AffineIsometry, AffineMap, Hyperplane, Mat, Vec, rank
@@ -305,6 +306,32 @@ def _bboxes_overlap(a, b, margin=Fraction(0)) -> bool:
     return all(alo[i] - margin < bhi[i] and blo[i] < ahi[i] + margin for i in range(len(alo)))
 
 
+def _cell_meets(vertices: list, bbox: tuple, region_bbox: tuple) -> bool:
+    """Whether the open convex cell with these vertices meets the open region box.
+
+    The bounding-box test compares the projections on the coordinate axes,
+    which decides it for a cell that is an axis box.  Any other cell must be
+    planar, and no normal of a pair of its vertices, which include its wall
+    normals, may separate it from the region either: with the coordinate
+    axes, that is the separating-axis test, exact for two convex polygons.
+    """
+    if not _bboxes_overlap(bbox, region_bbox):
+        return False
+    if set(vertices) == set(product(*zip(*bbox))):
+        return True
+    if len(bbox[0]) != 2:
+        raise ValueError("cells that are not axis boxes must be planar")
+    los, his = region_bbox
+    for p, q in combinations(vertices, 2):
+        axis = (q[1] - p[1], p[0] - q[0])
+        proj = [axis[0] * v[0] + axis[1] * v[1] for v in vertices]
+        lo = sum(min(a * b0, a * b1) for a, b0, b1 in zip(axis, los, his))
+        hi = sum(max(a * b0, a * b1) for a, b0, b1 in zip(axis, los, his))
+        if max(proj) <= lo or hi <= min(proj):
+            return False
+    return True
+
+
 @dataclass
 class GroupCell:
     word: list
@@ -317,7 +344,8 @@ def enumerate_group(figure: FoldableFigure, region: Sequence[tuple]) -> list[Gro
 
     region is a box ((lo, hi) per axis).  The group is generated by the
     reflections about all of the figure's hyperplanes (bounding and cuts);
-    the returned cells tile the region.  The search walks from the cell of g
+    the returned cells tile the region.  A cell is listed when its interior
+    meets the region's (`_cell_meets`).  The search walks from the cell of g
     to the cells of g o r for the generators r, which include the mirrors in
     the base cell's walls, so it steps to neighbouring cells; it stops at
     cells outside the bounding box of the base cell and the region, grown by
@@ -343,7 +371,7 @@ def enumerate_group(figure: FoldableFigure, region: Sequence[tuple]) -> list[Gro
         for word, iso in frontier:
             image = [iso.apply(v) for v in base]
             bbox = _bbox_of(image)
-            if _bboxes_overlap(bbox, region_bbox):
+            if _cell_meets(image, bbox, region_bbox):
                 result.append(GroupCell(word=word, isometry=iso, vertices=image))
             elif not _bboxes_overlap(bbox, reach, margin=diameter):
                 continue

@@ -157,13 +157,13 @@ def _sorted_mesh(mesh: dict):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def heightmap_svg(mesh: dict, width=640, height=640) -> str:
+def heightmap_svg(mesh: dict) -> str:
     """Mesh point cloud shaded by value, from low (dark) to high (light)."""
     (xs, ys, vals), distinct_x = _sorted_mesh(mesh)
     lo, hi = float(vals.min()), float(vals.max())
     span = (hi - lo) or 1.0
-    cv = _Canvas(xs, ys, width, height)
-    side = max(2.0, (width - 2 * cv.m) / max(1.0, distinct_x))
+    cv = _Canvas(xs, ys, 640, 640)
+    side = max(2.0, (cv.w - 2 * cv.m) / max(1.0, distinct_x))
     xs, ys = cv.map(xs, ys)
     shade = 32 + 223 * (vals - lo) / span
     if not np.isfinite(shade).all():

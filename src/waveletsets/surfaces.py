@@ -17,6 +17,8 @@ module is the one self-affine engine: a fractal interpolation function
 from __future__ import annotations
 
 import copy
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,8 +178,15 @@ def domain_integral(p: dict, spec: "SurfaceSpec") -> Fraction:
 class _System:
     """All a spec family derives from its vertices, similitudes and scalings,
     shared by `SurfaceSpec.with_data`.  Monomial integrals, inverted moment
-    systems, the vertex interpolation inverse and the 1-D mesh points per
-    depth (filled by `fif`) come on first use."""
+    systems, the vertex interpolation inverse, the vertex images u_i(v), the
+    1-D mesh points per depth (filled by `fif`) and the pull-back chains that
+    close (filled by `SelfAffine._chain`) come on first use.
+
+    Nothing here depends on the data: a chain holds points and cells, never
+    values.  Its key is the start point and the forced first cell; a
+    `FractalFunction` starts from a Fraction and a `FractalSurface` from a
+    Vec, so the two never share a key on one system.  Chains are stored per
+    evaluated start point (vertices and knots), never per mesh point."""
 
     def __init__(self, vertices: tuple, maps: tuple, scalings: tuple):
         self.vertices, self.maps, self.scalings = vertices, maps, scalings
@@ -191,6 +200,12 @@ class _System:
         self._moment_systems: dict = {}
         self._interpolation = None
         self.orbits: dict = {}
+        self.chains: dict = {}
+
+    @functools.cached_property
+    def images(self) -> tuple:
+        """u_i(v) for every similitude u_i (outer) and vertex v (inner)."""
+        return tuple(tuple(u.apply(v) for v in self.vertices) for u in self.maps)
 
     def _monomial_integral(self, expo: tuple) -> Fraction:
         if self.chart is not None:
@@ -384,52 +399,86 @@ class EvalResult:
 class SelfAffine:
     """The fixed point of a spec's transfer operator, evaluated by pull-back.
 
-    A subclass picks the cell of a point (`_cell`), pulls a point back
-    through a cell (`_pull`, returning the pulled point, the cell's data
-    there and its scaling) and bounds the function (`bound`); the chain
-    resolution, the evaluation and the operator iteration are shared.
+    A subclass picks the cell of a point (`_cell`), maps a point back
+    through a cell (`_inverse`), evaluates a cell's data at a pulled point
+    (`_data`) and bounds the function (`bound`); the chain resolution, the
+    evaluation and the operator iteration are shared.
     """
 
     def __init__(self, spec: SurfaceSpec):
         self.spec = spec
         self._memo: dict = {}
 
+    def _pull(self, z, i: int) -> tuple:
+        """The point z pulled back through cell i, the cell's data there and its scaling."""
+        z_next = self._inverse(z, i)
+        return z_next, self._data(i, z_next), self.spec._scalings[i]
+
+    def _chain(self, x, max_chain: int, first_cell: Optional[int]) -> tuple:
+        """(points, cells, close) of the pull-back chain from x.
+
+        points[t + 1] is points[t] pulled back through cells[t].  When the
+        walk meets a point again within max_chain steps, it stops there:
+        close is the index of the earlier copy, the last point is the repeat,
+        and the chain is kept in the system's `chains` for every member.
+        Otherwise close is None, the chain has max_chain cells, and it is
+        walked again when asked for, as it resolves no value.
+        """
+        chains = self.spec._system.chains
+        key = (x, first_cell)
+        if key in chains:
+            return chains[key]
+        points, cells, index_of = [x], [], {x: 0}
+        z = x
+        for step in range(max_chain):
+            i = first_cell if (step == 0 and first_cell is not None) else self._cell(z)
+            z = self._inverse(z, i)
+            cells.append(i)
+            points.append(z)
+            if z in index_of:
+                chain = chains[key] = (points, cells, index_of[z])
+                return chain
+            index_of[z] = step + 1
+        return points, cells, None
+
     def _resolve_chain(self, x, max_chain: int, first_cell: Optional[int] = None):
         """Exact value via the pull-back chain; None when no cycle closes.
 
-        The first pull-back goes through first_cell when one is given.
+        The first pull-back goes through first_cell when one is given.  The
+        chain's points and cells come from the system (`_chain`); this member
+        adds its own data and scalings along it, stops at the first point it
+        already knows or at the repeat that closes the cycle, and memoizes
+        the values it resolves.
         """
-        if x in self._memo:
-            return self._memo[x]
-        chain = []  # (point, data value at the pulled point, scaling)
-        index_of: dict = {}
-        z = x
+        memo = self._memo
+        if x in memo:
+            return memo[x]
+        points, cells, close = self._chain(x, max_chain, first_cell)
+        repeat = None if close is None else len(cells)
         for step in range(max_chain):
-            if z in self._memo:
-                value = self._memo[z]
+            z = points[step]
+            if z in memo or step == repeat:
                 break
-            if z in index_of:
-                # cycle: f(z) = C + S f(z)
-                j = index_of[z]
-                C, S = Fraction(0), Fraction(1)
-                for _, A, sk in chain[j:]:
-                    C = C + S * A
-                    S = S * sk
-                value = C / (1 - S)
-                self._memo[z] = value
-                break
-            index_of[z] = step
-            i = first_cell if (step == 0 and first_cell is not None) else self._cell(z)
-            z_next, A, sk = self._pull(z, i)
-            chain.append((z, A, sk))
-            z = z_next
         else:
             return None
+        data = [self._data(i, p) for i, p in zip(cells[:step], points[1:])]
+        scalings = [self.spec._scalings[i] for i in cells[:step]]
+        if z in memo:
+            value, stop = memo[z], step
+        else:
+            # cycle: f(z) = C + S f(z), z = points[close]
+            C, S = Fraction(0), Fraction(1)
+            for A, sk in zip(data[close:], scalings[close:]):
+                C = C + S * A
+                S = S * sk
+            value = C / (1 - S)
+            memo[z] = value
+            stop = close
         # unwind the prefix of the chain down to the resolved point
-        for pt, A, sk in reversed(chain[: index_of.get(z, len(chain))]):
-            value = A + sk * value
-            self._memo[pt] = value
-        return self._memo[x]
+        for t in reversed(range(stop)):
+            value = data[t] + scalings[t] * value
+            memo[points[t]] = value
+        return memo[x]
 
     def _iterates(self, cells: dict, steps: int) -> list:
         """Transfer-operator iterates from zero, as float arrays in the order of
@@ -449,13 +498,41 @@ class SelfAffine:
         if exact is not None:
             return EvalResult(exact, 0.0)
         # unroll the chain `depth` times and bound the tail
-        z = x
+        points, cells, _ = self._chain(x, depth, None)
         A, S = Fraction(0), Fraction(1)
-        for _ in range(depth):
-            z, a, sk = self._pull(z, self._cell(z))
-            A = A + S * a
-            S = S * sk
+        for i, z in zip(cells[:depth], points[1:]):
+            A = A + S * self._data(i, z)
+            S = S * self.spec._scalings[i]
         return EvalResult(A, float(abs(S) * self.bound()))
+
+
+def _fractions(den: int, *columns) -> list:
+    """Each column of integer numerators over den as a list of Fractions.
+
+    One Fraction is made per distinct numerator and shared by every place
+    it occurs in the columns.  They are made in order of first occurrence,
+    so a reader that walks the columns in order walks memory in order too.
+    """
+    made = {n: Fraction(n, den) for n in dict.fromkeys(itertools.chain(*columns))}
+    return [list(map(made.__getitem__, col)) for col in columns]
+
+
+def _affine_column(cols: list, row: list, shift: int) -> list:
+    """sum_j row[j] * cols[j] + shift, one integer per point."""
+    out = [shift] * len(cols[0])
+    for a, col in zip(row, cols):
+        if a:
+            out = [h + a * x for h, x in zip(out, col)]
+    return out
+
+
+def _monomial(cols: list, expo: tuple) -> list:
+    """prod_j cols[j] ** expo[j], one integer per point."""
+    out = [1] * len(cols[0])
+    for col, k in zip(cols, expo):
+        if k:
+            out = [h * x ** k for h, x in zip(out, col)]
+    return out
 
 
 class FractalSurface(SelfAffine):
@@ -467,9 +544,11 @@ class FractalSurface(SelfAffine):
     def _cell(self, z: Vec) -> int:
         return self.spec.cell_of(z)
 
-    def _pull(self, z: Vec, i: int) -> tuple:
-        z_next = self.spec._inverses[i].apply(z)
-        return z_next, poly_val(self.spec.data[i], z_next), self.spec._scalings[i]
+    def _inverse(self, z: Vec, i: int) -> Vec:
+        return self.spec._inverses[i].apply(z)
+
+    def _data(self, i: int, z: Vec) -> Fraction:
+        return poly_val(self.spec.data[i], z)
 
     def evaluate(self, x: Sequence, depth: int = 64) -> EvalResult:
         """Exact where the pull-back orbit closes; certified interval otherwise."""
@@ -485,13 +564,13 @@ class FractalSurface(SelfAffine):
         return res.value
 
     def vertex_values(self) -> dict:
-        """Exact values at the domain vertices, cross-checked over all cells."""
-        vals = {v: self.value_at(v) for v in self.spec.vertices}
-        for i, u in enumerate(self.spec.maps):
-            for v in self.spec.vertices:
-                w = u.apply(v)
-                expect = poly_val(self.spec.data[i], v) + self.spec._scalings[i] * vals[v]
-                if w in vals and vals[w] != expect:
+        """Exact values at the domain vertices, cross-checked over all cells
+        at the vertex images the system holds."""
+        spec = self.spec
+        vals = {v: self.value_at(v) for v in spec.vertices}
+        for lam, s, ws in zip(spec.data, spec._scalings, spec._system.images):
+            for v, w in zip(spec.vertices, ws):
+                if w in vals and vals[w] != poly_val(lam, v) + s * vals[v]:
                     raise ArithmeticError("cell relations disagree at a vertex")
         return vals
 
@@ -499,51 +578,56 @@ class FractalSurface(SelfAffine):
         """Exact values on the depth-times refined vertex set.
 
         Raises when two cells force different values at a shared point, so a
-        successful build doubles as a continuity consistency check.
+        successful build doubles as a continuity consistency check.  The
+        points come in the order of the cascade: cells outer, the points of
+        the coarser level inner, each point where it first occurs.
 
-        Each level is held as integer numerators: point coordinates over one
-        common denominator dp, values over one common denominator dv.  A level
-        maps a point X/dp to (L A X + dp L b)/(dp L), with L the lcm of the
-        map denominators, and its value to an integer combination over
-        dv' = lcm(dv den(s_i) for all i, den(data) dp^deg), so the cascade and the
-        shared-point check run on plain ints.  Points and values become
-        Fractions (and Vec keys) once, at the end.
+        Each level is held as columns of integer numerators: one column per
+        point coordinate over one common denominator dp, and the values over
+        one common denominator dv.  A level maps a point X/dp to
+        (L A X + dp L b)/(dp L), with L the lcm of the map denominators, and
+        its value to an integer combination over
+        dv' = lcm(dv den(s_i) for all i, den(data) dp^deg).  Each map's image
+        columns, and each data monomial once per level, take one list
+        comprehension per column, so the cascade and the shared-point check
+        run on plain ints.  Points and values become Fractions (and Vec keys)
+        once, at the end, one Fraction per distinct numerator (`_fractions`).
         """
         spec = self.spec
         start = self.vertex_values()
         dp = math.lcm(*(c.denominator for p in start for c in p))
         dv = math.lcm(*(v.denominator for v in start.values()))
-        cur = {tuple(c.numerator * (dp // c.denominator) for c in p):
-               v.numerator * (dv // v.denominator) for p, v in start.items()}
+        cols = [[c.numerator * (dp // c.denominator) for c in coord] for coord in zip(*start)]
+        vals = [v.numerator * (dv // v.denominator) for v in start.values()]
         lin_den = math.lcm(*(Fraction(a).denominator for u in spec.maps
                              for row in u.linear.rows for a in row),
                            *(Fraction(b).denominator for u in spec.maps for b in u.shift))
         data_den = math.lcm(*(c.denominator for lam in spec.data for c in lam.values()))
         deg = max(poly_degree(lam) for lam in spec.data)
+        expos = {e for lam in spec.data for e in lam}
         for _ in range(depth):
             dp_next = dp * lin_den
             dv_next = math.lcm(*(dv * s.denominator for s in spec._scalings), data_den * dp ** deg)
+            monomials = {e: _monomial(cols, e) for e in expos}
             nxt: dict = {}
             for u, lam, s in zip(spec.maps, spec.data, spec._scalings):
+                image = [_affine_column(cols, [int(a * lin_den) for a in row], int(b * dp_next))
+                         for row, b in zip(u.linear.rows, u.shift)]
+                # carry * value + lam(X/dp) * dv_next, an integer polynomial in X
                 carry = s.numerator * (dv_next // (dv * s.denominator))
-                rows = [[int(a * lin_den) for a in row] for row in u.linear.rows]
-                shift = [int(b * dp_next) for b in u.shift]
-                # lam(X/dp) * dv_next as an integer polynomial in X
-                terms = [(int(c * dv_next / dp ** sum(e)), e) for e, c in lam.items()]
-                for p, val in cur.items():
-                    q = tuple(sum(a * x for a, x in zip(row, p)) + b for row, b in zip(rows, shift))
-                    nv = carry * val
-                    for c, e in terms:
-                        for x, k in zip(p, e):
-                            if k:
-                                c *= x ** k
-                        nv += c
-                    old = nxt.get(q)
-                    if old is not None and old != nv:
+                new = [carry * v for v in vals]
+                for e, c in lam.items():
+                    c = int(c * dv_next / dp ** sum(e))
+                    new = [h + c * m for h, m in zip(new, monomials[e])]
+                # a map is one to one, so only points of earlier maps repeat
+                level = dict(zip(zip(*image), new))
+                for q in level.keys() & nxt.keys():
+                    if level.pop(q) != nxt[q]:
                         raise ArithmeticError("inconsistent values at a shared mesh point")
-                    nxt[q] = nv
-            cur, dp, dv = nxt, dp_next, dv_next
-        return {Vec(Fraction(x, dp) for x in p): Fraction(v, dv) for p, v in cur.items()}
+                nxt.update(level)
+            cols, vals, dp, dv = list(zip(*nxt)), list(nxt.values()), dp_next, dv_next
+        points = map(Vec, zip(*_fractions(dp, *cols)))
+        return dict(zip(points, _fractions(dv, vals)[0]))
 
     def level1_values(self) -> dict:
         """Values at the outer and inner vertices of the first refinement."""
@@ -578,7 +662,7 @@ def fixed_point(spec: SurfaceSpec) -> FractalSurface:
 def level_one_vertices(spec: SurfaceSpec) -> list:
     """Outer vertices followed by the inner first-refinement vertices."""
     outer = list(spec.vertices)
-    inner = sorted({u.apply(v) for u in spec.maps for v in spec.vertices} - set(outer))
+    inner = sorted({w for ws in spec._system.images for w in ws} - set(outer))
     return outer + inner
 
 
@@ -596,7 +680,7 @@ def basis_surfaces(spec: SurfaceSpec) -> dict:
     if len(set(spec._scalings)) != 1:
         raise ValueError("vertex basis construction needs one vertical scaling for all cells")
     pts = level_one_vertices(spec)
-    images = [[u.apply(v) for v in spec.vertices] for u in spec.maps]
+    images = spec._system.images
     out = {}
     for nu in pts:
         zvals = {p: (ONE if p == nu else ZERO) for p in pts}

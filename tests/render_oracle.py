@@ -3,8 +3,10 @@
 This is `render` as it was before its vectorized exporters: every value goes
 through `fnum` (one `float` and one `format` call each), mesh points are
 ordered by `sorted(mesh)` on `Fraction` tuples, and `_Canvas` maps one point
-at a time.  The code below is verbatim.  `tests/test_render.py` requires the
-library's exporters to give byte-identical output.
+at a time.  The code below is verbatim, except that `heightmap_svg` lost its
+width and height options with the library's, and draws on its fixed
+640 x 640 canvas.  `tests/test_render.py` requires the library's exporters to
+give byte-identical output.
 """
 
 from __future__ import annotations
@@ -84,14 +86,14 @@ def boxes_svg(layers: Sequence, width=640, height=640) -> str:
     return "\n".join(parts) + "\n"
 
 
-def heightmap_svg(mesh: dict, width=640, height=640) -> str:
+def heightmap_svg(mesh: dict) -> str:
     """Mesh point cloud shaded by value, from low (dark) to high (light)."""
     pts = sorted(mesh)
     vals = [float(mesh[p]) for p in pts]
     lo, hi = min(vals), max(vals)
     span = (hi - lo) or 1.0
-    cv = _Canvas(pts, width, height)
-    side = max(2.0, (width - 2 * cv.m) / max(1.0, len(set(p[0] for p in pts))))
+    cv = _Canvas(pts, 640, 640)
+    side = max(2.0, (640 - 2 * cv.m) / max(1.0, len(set(p[0] for p in pts))))
     parts = [cv.open_tag()]
     for p, v in zip(pts, vals):
         x, y = cv.map(p)

@@ -8,7 +8,10 @@ These are implementations the library used before:
   its nodes (before the integer-numerator mesh cascades, the
   one-solve-per-surface Gram matrices and the vectorized quadrature);
 - `FractalFunction` and `FractalSurface` with a pull-back chain and a
-  truncated evaluation each, the 1-D moment recursion and pair formula of
+  truncated evaluation each, walked by every object on its own (before the
+  chains' points and cells were stored once per shared system, and the
+  surface mesh became a cascade of integer columns that makes one Fraction
+  per distinct numerator), the 1-D moment recursion and pair formula of
   `fif`, and a Gaussian elimination in each of `fif.moments`,
   `surfaces._solve_exact`, `reflections._rank` and `Mat.inverse` (before
   one self-affine engine in `surfaces` and one elimination in `geometry`).

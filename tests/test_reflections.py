@@ -142,6 +142,39 @@ def test_enumerate_group_covers_a_far_region():
     assert len(cells) == 4 * 5
 
 
+def test_enumerate_group_skips_a_triangle_whose_bounding_box_meets_the_region():
+    # [9/10, 1]^2 lies across the hypotenuse: the base triangle's bounding
+    # box meets it, the triangle does not
+    cells = enumerate_group(right_triangle_figure(), [(F(9, 10), 1), (F(9, 10), 1)])
+    assert [c.word for c in cells] == [[2]]
+
+
+def _clipped_area(triangle, region):
+    """Exact area of a triangle inside a box, by clipping it against the four
+    sides (Sutherland-Hodgman) and summing the shoelace terms."""
+    pts = [tuple(v) for v in triangle]
+    for axis, bound, keep in ((0, region[0][0], 1), (0, region[0][1], -1),
+                              (1, region[1][0], 1), (1, region[1][1], -1)):
+        out = []
+        for p, q in zip(pts, pts[1:] + pts[:1]):
+            dp, dq = keep * (p[axis] - bound), keep * (q[axis] - bound)
+            if dp >= 0:
+                out.append(p)
+            if dp * dq < 0:
+                t = dp / (dp - dq)
+                out.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+        pts = out
+    return abs(sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(pts, pts[1:] + pts[:1]))) / 2
+
+
+def test_enumerate_group_triangles_tile_the_region():
+    region = [(F(-1, 2), F(3, 2)), (F(-3, 10), F(7, 5))]
+    cells = enumerate_group(right_triangle_figure(), region)
+    areas = [_clipped_area(c.vertices, region) for c in cells]
+    assert all(a > 0 for a in areas)
+    assert sum(areas) == 2 * F(17, 10)
+
+
 def test_subdivision_tiles_the_figure():
     fig = unit_square_figure()
     maps = subdivide(fig, 2)

@@ -8,7 +8,11 @@ surfaces engine, must give the earlier moments, inner products, Gram
 matrices, knot values and evaluations (value and error bound) exactly, and
 the one elimination in `geometry` the earlier solutions, ranks and inverses.
 The one transfer-operator iteration must give the identical floats of the
-earlier loops of `fif` and `surfaces`.
+earlier loops of `fif` and `surfaces`.  The pull-back chains stored once per
+system must leave every member's values those of its data on a system of its
+own, whichever member walks first, and must not grow with mesh depth; the
+column cascade must keep the oracle's point order, its zero values and its
+errors on inconsistent data.
 Scalings are signed with |s| < 1 and denominators up to 2**64, so the common
 denominators of the cascades grow to hundreds of bits.
 """
@@ -22,7 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 import selfaffine_oracle as oracle
 from waveletsets import fif, geometry, mra
 from waveletsets import surfaces as sf
-from waveletsets.reflections import box_figure
+from waveletsets.reflections import box_figure, subdivide
 
 MESHES = settings(max_examples=120, deadline=None)
 SURFACES = settings(max_examples=60, deadline=None)
@@ -255,6 +259,193 @@ def test_perturbed_surface_data_raise_alike(s, cell, bump, depth):
     surf = sf.FractalSurface(sf.triangle_spec(data, s))
     _same_outcome(lambda: surf.mesh(depth),
                   lambda: oracle.surface_mesh(oracle.FractalSurface(surf.spec), depth))
+
+
+# -- the chain store of a system and the column cascade ---------------------------------
+
+
+@SURFACES
+@given(s=scalings, depth=st.integers(0, 2), kappa=st.integers(2, 3),
+       widths=st.sampled_from([(1, 1), (2, F(1, 3))]),
+       g=st.lists(small_fracs, min_size=6, max_size=6))
+def test_surface_mesh_keeps_the_oracle_order(s, depth, kappa, widths, g):
+    # the triangle meshes above have diagonal maps and affine data; here the
+    # mirrored maps of a subdivided box carry the data lambda_i = g o u_i - s g
+    # of a quadratic g, whose surface is g itself, so the mesh exists.  The
+    # cascade must insert its points in the oracle's order: cells outer,
+    # coarser points inner, each point where it first occurs
+    figure = box_figure("box", [(0, w) for w in widths])
+    corners = [(x, y) for x in (0, widths[0]) for y in (0, widths[1])]
+    maps = subdivide(figure, kappa)
+    g = dict(zip([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], g))
+    lam = [sf.poly_add(sf.poly_compose_affine(g, u), {e: -s * c for e, c in g.items()})
+           for u in maps]
+    surf = sf.FractalSurface(sf.SurfaceSpec(corners, maps, lam, s))
+    # `_same_outcome` compares the items as lists, so in order
+    mesh = _same_outcome(lambda: surf.mesh(depth),
+                         lambda: oracle.surface_mesh(oracle.FractalSurface(surf.spec), depth))
+    assert all(v == sf.poly_val(g, p) for p, v in mesh.items())
+
+
+def _triangle_points(draw):
+    """Rational points of the closed right triangle."""
+    coords = st.fractions(min_value=0, max_value=1, max_denominator=40)
+    return [(x, y) for x, y in draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=4),
+                                    label="points") if x + y <= 1]
+
+
+def _fresh(spec):
+    """The same spec built anew, on a system of its own."""
+    return sf.SurfaceSpec(spec.vertices, spec.maps, spec.data, spec.scaling)
+
+
+def _assert_geometry_only(system, inverse):
+    """Every stored chain is a closed walk of points through cells: each
+    point is the one before it pulled back through its cell, and nothing
+    else."""
+    for (x, first), (points, cells, close) in system.chains.items():
+        assert points[0] == x and len(points) == len(cells) + 1
+        assert first is None or cells[0] == first
+        assert all(type(i) is int for i in cells)
+        assert all(inverse(z, i) == z_next for z, i, z_next in zip(points, cells, points[1:]))
+        assert points[close] == points[-1] and points[close:-1].count(points[-1]) == 1
+
+
+@SURFACES
+@given(s=scalings, depth=st.integers(0, 3), data=st.data())
+def test_surface_members_equal_fresh_specs_in_any_build_order(s, depth, data):
+    # the members of a basis share one system; whichever member walks a chain
+    # first, every member's values must be those of its data on a system of
+    # its own, so the chains hold geometry and never data
+    spec = sf.triangle_spec(EX52, s)
+    members = [sf.FractalSurface(spec)] + list(sf.basis_surfaces(spec).values())
+    points = _triangle_points(data.draw)
+    for k in data.draw(st.permutations(range(len(members))), label="order"):
+        member, fresh = members[k], sf.FractalSurface(_fresh(members[k].spec))
+        for x in points:
+            new, want = member.evaluate(x, 24), fresh.evaluate(x, 24)
+            assert (new.value, new.error_bound) == (want.value, want.error_bound)
+        assert list(member.vertex_values().items()) == list(fresh.vertex_values().items())
+        assert list(member.mesh(depth).items()) == list(fresh.mesh(depth).items())
+    system = spec._system
+    assert all(m.spec._system is system for m in members)
+    _assert_geometry_only(system, lambda z, i: system.inverses[i].apply(z))
+
+
+@MESHES
+@given(n=st.integers(1, 4), mode=modes, s=scalings, depth=st.integers(0, 4), data=st.data())
+def test_function_members_equal_fresh_functions_in_any_build_order(n, mode, s, depth, data):
+    basis = fif.uniform_cardinal_basis(n, s, mode)
+    points = data.draw(st.lists(st.fractions(min_value=0, max_value=n, max_denominator=50),
+                                min_size=1, max_size=4), label="points")
+    for k in data.draw(st.permutations(range(n + 1)), label="order"):
+        f = basis[k]
+        fresh = fif.FractalFunction.from_uniform_data(n, [c.data for c in f.cells], [s] * n, mode)
+        assert f.knot_values() == fresh.knot_values()
+        for x in points:
+            new, want = f.evaluate(x, 32), fresh.evaluate(x, 32)
+            assert (new.value, new.error_bound) == (want.value, want.error_bound)
+        assert f.mesh(depth) == fresh.mesh(depth)
+    _assert_geometry_only(basis[0].spec._system, lambda z, i: basis[0].cells[i].u_inv(z))
+
+
+def _all_fractions(values):
+    return all(type(v) is F for v in values)  # a 0 too, not int 0
+
+
+@MESHES
+@given(n=st.integers(1, 4), mode=modes, s=st.one_of(st.just(F(0)), scalings),
+       depth=st.integers(0, 4), data=st.data())
+def test_meshes_with_zero_values_match_the_oracle(n, mode, s, depth, data):
+    # zero data on a drawn set of cells (every cell when s is drawn 0 too):
+    # each 0 must come out as Fraction(0), in place, like any other value
+    zero = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="zero cells")
+    polys = [[F(0)] if z else data.draw(st.lists(small_fracs, min_size=1, max_size=2), label="data")
+             for z in zero]
+    f = fif.FractalFunction.from_uniform_data(n, polys, [s] * n, mode)
+    pts, vals = f.mesh(depth)
+    assert (pts, vals) == oracle.fif_mesh(_old(f), depth)
+    assert _all_fractions(pts) and _all_fractions(vals) and F(0) in pts
+    basis = fif.uniform_cardinal_basis(n, s, mode)
+    pts, vals = basis[0].mesh(depth)
+    assert (pts, vals) == oracle.fif_mesh(_old(basis[0]), depth)
+    assert _all_fractions(vals) and F(0) in vals
+    # a surface with zero data on drawn cells, and the zero surface
+    cells = data.draw(st.lists(st.booleans(), min_size=4, max_size=4), label="zero surface cells")
+    for spec in (sf.triangle_spec([{} if z else p for z, p in zip(cells, EX52)], s),
+                 sf.triangle_spec([{}] * 4, s)):
+        surf = sf.FractalSurface(spec)
+        new = _same_outcome(lambda: surf.mesh(depth),
+                            lambda: oracle.surface_mesh(oracle.FractalSurface(spec), depth))
+        if new is not None:
+            assert _all_fractions(new.values()) and all(_all_fractions(p) for p in new)
+    assert set(sf.FractalSurface(sf.triangle_spec([{}] * 4, s)).mesh(depth).values()) == {0}
+
+
+@MESHES
+@given(s=scalings, cell=st.integers(0, 3), bump=st.lists(small_fracs, min_size=3, max_size=3),
+       depth=st.integers(1, 3), points=st.data())
+def test_inconsistent_data_raise_with_the_chain_store_filled(s, cell, bump, depth, points):
+    # the template walks its vertex chains and some point chains first, so a
+    # member built with `with_data` finds them stored; its own data must
+    # still fail the vertex relations or the shared mesh points alike
+    template = sf.triangle_spec(EX52, s)
+    surf = sf.FractalSurface(template)
+    surf.mesh(depth)
+    for x in _triangle_points(points.draw):
+        surf.evaluate(x, 24)
+    assert template._system.chains
+    data = [[p.get((0, 0), 0), p.get((1, 0), 0), p.get((0, 1), 0)] for p in EX52]
+    data[cell] = [a + b for a, b in zip(data[cell], bump)]
+    member = sf.FractalSurface(template.with_data(data))
+    _same_outcome(lambda: member.mesh(depth),
+                  lambda: oracle.surface_mesh(oracle.FractalSurface(member.spec), depth))
+
+
+def test_known_inconsistent_data_raise_with_the_chain_store_filled():
+    data = [(1, F(1, 2), F(1, 5)), (-3, -3, F(2, 5)),
+            (F(-1, 5), 0, F(-3, 5)), (F(1, 5), F(1, 5), 0)]
+    template = sf.triangle_spec(EX52, F(4, 5))
+    sf.FractalSurface(template).mesh(3)
+    member = sf.FractalSurface(template.with_data(data))
+    with pytest.raises(ArithmeticError, match="inconsistent values at a shared mesh point"):
+        member.mesh(2)
+    bumped = template.with_data([(1, 0, 0)] + list(template.data[1:]))
+    with pytest.raises(ArithmeticError, match="cell relations disagree at a vertex"):
+        sf.FractalSurface(bumped).mesh(1)
+    with pytest.raises(ArithmeticError, match="cell relations disagree at a vertex"):
+        oracle.surface_mesh(oracle.FractalSurface(bumped), 1)
+
+
+def _counting_walks(obj):
+    """Record the start points of obj's `_resolve_chain` calls that walk a
+    chain (those whose start point the member has not resolved yet)."""
+    walks = set()
+    resolve = obj._resolve_chain
+
+    def counted(x, max_chain, first_cell=None):
+        if x not in obj._memo:
+            walks.add((x, first_cell))
+        return resolve(x, max_chain, first_cell)
+
+    obj._resolve_chain = counted
+    return walks
+
+
+def test_chain_store_grows_with_walks_not_with_mesh_depth():
+    # meshes and operator iterates pull every mesh point back, but only the
+    # vertex and knot chains are stored, so the store, and the memory it
+    # holds, stay the same size at every depth
+    surf = sf.FractalSurface(sf.triangle_spec(EX52, F(3, 5)))
+    f = fif.uniform_cardinal_basis(4, F(2, 7), "reflection")[1]
+    for obj in (surf, f):
+        walks = _counting_walks(obj)
+        for depth in range(1, 7):
+            for _ in range(2):
+                obj.mesh(depth)
+            obj.operator_iterates(depth, 4)
+            assert 0 < len(obj.spec._system.chains) <= len(walks)
+        assert len(obj.spec._system.chains) == len(walks)
 
 
 # -- transfer-operator iterates ------------------------------------------------------
