@@ -124,16 +124,14 @@ def cmd_fif_example(args) -> int:
     if args.csv:
         _write(args.csv, render.function_csv(xs, ys))
     if args.svg:
-        curve = list(zip(map(float, xs), map(float, ys)))
-        _write(args.svg, render.polylines_svg([curve]))
+        _write(args.svg, render.polylines_svg([list(zip(xs, ys))]))
     return 0
 
 
 def cmd_fif_basis(args) -> int:
     if _mesh_too_large(args.n, args.depth, functions=args.n + 1):
         return 2
-    s = _frac(args.scaling)
-    basis = fif.uniform_cardinal_basis(args.n, s, args.mode)
+    basis = fif.uniform_cardinal_basis(args.n, args.scaling, args.mode)
     print(f"{len(basis)} basis functions on [0, {args.n}], mode {args.mode}")
     meshes = [b.mesh(args.depth) for b in basis]
     if args.csv:
@@ -142,8 +140,7 @@ def cmd_fif_basis(args) -> int:
         rows = [[x] + [m[1][i] for m in meshes] for i, x in enumerate(xs)]
         _write(args.csv, render.csv_text(header, rows))
     if args.svg:
-        curves = [list(zip(map(float, xs), map(float, ys))) for xs, ys in meshes]
-        _write(args.svg, render.polylines_svg(curves))
+        _write(args.svg, render.polylines_svg([list(zip(xs, ys)) for xs, ys in meshes]))
     return 0
 
 
@@ -180,11 +177,8 @@ FIGURES = {
 
 
 def cmd_mra_build(args) -> int:
-    if args.figure not in FIGURES:
-        print(f"error: unknown figure {args.figure!r}", file=sys.stderr)
-        return 2
     config = mra.MRAConfig(figure=FIGURES[args.figure](), kappa=args.kappa,
-                           degree=args.degree, scaling=_frac(args.scaling))
+                           degree=args.degree, scaling=args.scaling)
     basis = mra.build(config)
     print(f"scaling functions: {config.generator_count}")
     print(f"wavelets: {config.wavelet_count}")
@@ -237,7 +231,7 @@ def cmd_tiles_construct(args) -> int:
     try:
         res = tiles.construct_wavelet_set(
             start, tiles.shannon_set(), [2], kappa=2,
-            epsilon=_frac(args.epsilon), max_iterations=args.max_iterations)
+            epsilon=args.epsilon, max_iterations=args.max_iterations)
     except tiles.ConstructionError as exc:
         print(f"construction failed: best residual {exc.best_residual}")
         return 1
@@ -297,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mra = sub.add_parser("mra", help="multiresolution filter banks")
     mra_sub = p_mra.add_subparsers(dest="subcommand", required=True)
     p_build = mra_sub.add_parser("build", help="build the filter bank")
-    p_build.add_argument("--figure", default="square")
+    p_build.add_argument("--figure", default="square", choices=list(FIGURES))
     p_build.add_argument("--kappa", type=lambda text: _int_at_least(text, 2, MRA_KAPPA_LIMIT),
                          default=2)
     p_build.add_argument("--degree", type=lambda text: _int_at_least(text, 0, MRA_DEGREE_LIMIT),

@@ -9,16 +9,16 @@ certified intervals elsewhere.
 An interval tiles the line by reflections in its endpoints, so a fractal
 function is the 1-D case of a self-affine surface: `FractalFunction` holds
 the `waveletsets.surfaces` spec of its system and shares that module's
-pull-back evaluation, moment solve and inner-product formula.  It keeps its
-own cell layout, knot values and ordered mesh (a list with one-sided values
-at interior knots, where the surface mesh is a dict).
+pull-back evaluation, moment solve, inner-product formula and integer mesh
+level step.  It keeps its own cell layout, its one-sided knot values, the
+ordered join of its mesh (a list with one-sided values at interior knots,
+where the surface mesh is a dict) and its per-system mesh points.
 """
 
 from __future__ import annotations
 
 import bisect
 import copy
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -216,64 +216,44 @@ class FractalFunction(SelfAffine):
         endpoint of the domain, each with the value propagated through its
         own cell chain (one-sided at interior boundaries).
 
-        Each level is held as integer numerators: points over one common
-        denominator dp, values over one common denominator dv.  A level maps
-        a point P/dp to (L m P + dp L q)/(dp L), with L the lcm of the map
-        denominators, and a value to an integer Horner sum over
-        dv' = lcm(dv den(s), den(data) dp^deg), so the cascade and the seam
-        de-duplication run on plain ints.  Values become Fractions once, at
-        the end, one Fraction per distinct numerator (`surfaces._fractions`);
-        the points are the shared system's (`_orbit`), in a new list.
+        The points are the shared system's (`_orbit`), in a new list.  The
+        values run from the end knots through the integer level step of the
+        surface meshes (`surfaces._level`), each level joined in cell order
+        (`_join`), and become Fractions once, at the end, one Fraction per
+        distinct numerator (`surfaces._fractions`).
         """
-        kv = [_frac(v) for v in self.knot_values()]
+        kv = self.knot_values()
         levels, points = self._orbit(depth)
-        dv = math.lcm(kv[0].denominator, kv[-1].denominator)
-        vals = [kv[0].numerator * (dv // kv[0].denominator),
-                kv[-1].numerator * (dv // kv[-1].denominator)]
-        data = [tuple(_frac(c) for c in cell.data) or (Fraction(0),) for cell in self.cells]
-        scalings = [_frac(cell.s) for cell in self.cells]
-        data_den = math.lcm(*(c.denominator for poly in data for c in poly))
-        deg = max(len(poly) for poly in data) - 1
+        dv, vals = surfaces._numerators([kv[0], kv[-1]])
         for pts, dp in levels:
-            dv_next = math.lcm(*(dv * si.denominator for si in scalings), data_den * dp ** deg)
-            new_vals = []
-            for i, (cell, poly, si) in enumerate(zip(self.cells, data, scalings)):
-                # poly(P/dp) * dv_next = sum_k (c_k dv_next / dp^k) P^k, by Horner
-                coeffs = [int(c * dv_next / dp ** k) for k, c in enumerate(poly)]
-                acc = [coeffs[-1]] * len(pts)
-                for c in reversed(coeffs[:-1]):
-                    acc = [h * p + c for h, p in zip(acc, pts)]
-                carry = si.numerator * (dv_next // (dv * si.denominator))
-                seg_v = [h + carry * v for h, v in zip(acc, vals)]
-                if not cell.preserves_orientation:
-                    seg_v.reverse()
-                new_vals.extend(seg_v[1:] if i else seg_v)
-            vals, dv = new_vals, dv_next
+            _, _, dv, values = surfaces._level(self.spec, [pts], dp, vals, dv)
+            vals = self._join(values)
         return list(points), surfaces._fractions(dv, vals)[0]
 
     def _orbit(self, depth: int) -> tuple:
         """([(numerators, dp) per level before the last], last points as Fractions),
-        once per system; the cells tile the domain, so each drops its first point."""
+        once per system, by the integer level step without values."""
         orbits = self.spec._system.orbits
         if depth not in orbits:
-            a, b = self.domain
-            dp = math.lcm(a.denominator, b.denominator)
-            pts = [a.numerator * (dp // a.denominator), b.numerator * (dp // b.denominator)]
-            map_den = math.lcm(*(_frac(v).denominator for cell in self.cells for v in (cell.m, cell.q)))
+            dp, pts = surfaces._numerators(self.domain)
             levels = []
             for _ in range(depth):
                 levels.append((pts, dp))
-                dp *= map_den
-                new_pts = []
-                for i, cell in enumerate(self.cells):
-                    m, q = int(cell.m * map_den), int(cell.q * dp)
-                    seg_p = [m * p + q for p in pts]
-                    if not cell.preserves_orientation:
-                        seg_p.reverse()
-                    new_pts.extend(seg_p[1:] if i else seg_p)
-                pts = new_pts
+                dp, images, _, _ = surfaces._level(self.spec, [pts], dp)
+                pts = self._join(cols[0] for cols in images)
             orbits[depth] = (levels, surfaces._fractions(dp, pts)[0])
         return orbits[depth]
+
+    def _join(self, segments) -> list:
+        """One column per cell, in one list from left to right: the cells tile
+        the domain, so a flipping cell's column is reversed, and each column
+        after the first drops its first entry, where the cell before ends."""
+        out = []
+        for i, (cell, seg) in enumerate(zip(self.cells, segments)):
+            if not cell.preserves_orientation:
+                seg.reverse()
+            out.extend(seg[1:] if i else seg)
+        return out
 
     def operator_iterates(self, depth: int, steps: int) -> list[np.ndarray]:
         """Transfer-operator iterates from zero, sampled on the depth mesh."""

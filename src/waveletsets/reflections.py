@@ -28,19 +28,11 @@ def reflect_root(root: Sequence, x: Sequence) -> Vec:
     return affine_reflect(root, 0, x)
 
 
-def coroot(root: Sequence) -> Vec:
-    root = Vec(Fraction(a) for a in root)
-    rr = root.dot(root)
-    if rr == 0:
-        raise ValueError("zero root")
-    return root.scale(Fraction(2) / rr)
-
-
 def affine_reflect(root: Sequence, level, x: Sequence) -> Vec:
     """Reflection across {y : <y, root> = level}.
 
     Equals the linear reflection followed by a translation along the coroot:
-    rho_{r,k}(x) = rho_r(x) + k * coroot(r).
+    rho_{r,k}(x) = rho_r(x) + k * 2r / <r, r>.
     """
     return Hyperplane(Vec(Fraction(a) for a in root), level).reflect(x)
 

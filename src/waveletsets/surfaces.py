@@ -506,6 +506,13 @@ class SelfAffine:
         return EvalResult(A, float(abs(S) * self.bound()))
 
 
+def _numerators(values: Sequence) -> tuple:
+    """(d, [v d for v in values]): Fractions over one denominator d, the lcm
+    of theirs, as integer numerators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def _fractions(den: int, *columns) -> list:
     """Each column of integer numerators over den as a list of Fractions.
 
@@ -533,6 +540,52 @@ def _monomial(cols: list, expo: tuple) -> list:
         if k:
             out = [h * x ** k for h, x in zip(out, col)]
     return out
+
+
+def _level(spec: SurfaceSpec, cols: list, dp: int, vals: Optional[list] = None,
+           dv: int = 1) -> tuple:
+    """One level of the integer cascade behind the meshes of `FractalSurface`
+    and `fif.FractalFunction`.
+
+    A level holds its points as columns of integer numerators over one
+    common denominator dp, one column per coordinate, and their values as
+    integer numerators over dv.  Map i sends a point X/dp to
+    (L A_i X + dp L b_i)/(dp L), with L the lcm of the map denominators, and
+    a value v/dv to lambda_i(X/dp) + s_i v/dv, an integer combination over
+    dv' = lcm(dv den(s_i) for all i, den(data) dp^deg) of v and of the data
+    monomials, each monomial column made once for all maps.
+
+    Returns (dp L, the image columns per map, dv', the value column per
+    map).  The image columns are made as the caller reads them, once; with
+    vals None there are no values, and dv' and the value columns are None.
+    """
+    maps = spec.maps
+    lin_den = math.lcm(*(Fraction(a).denominator for u in maps
+                         for row in u.linear.rows for a in row),
+                       *(Fraction(b).denominator for u in maps for b in u.shift))
+    dp_next = dp * lin_den
+    images = ([_affine_column(cols, [int(a * lin_den) for a in row], int(b * dp_next))
+               for row, b in zip(u.linear.rows, u.shift)] for u in maps)
+    if vals is None:
+        return dp_next, images, None, None
+    data_den = math.lcm(*(c.denominator for lam in spec.data for c in lam.values()))
+    deg = max(poly_degree(lam) for lam in spec.data)
+    dv_next = math.lcm(*(dv * s.denominator for s in spec._scalings), data_den * dp ** deg)
+    const = (0,) * len(cols)
+    monomials = {e: _monomial(cols, e) for lam in spec.data for e in lam if e != const}
+    values = []
+    for lam, s in zip(spec.data, spec._scalings):
+        # carry * value + lam(X/dp) * dv_next, an integer polynomial in X;
+        # its constant term joins the carry, with no column of ones
+        carry = s.numerator * (dv_next // (dv * s.denominator))
+        c0 = int(lam.get(const, ZERO) * dv_next)
+        new = [carry * v + c0 for v in vals]
+        for e, c in lam.items():
+            if e != const:
+                c = int(c * dv_next / dp ** sum(e))
+                new = [h + c * m for h, m in zip(new, monomials[e])]
+        values.append(new)
+    return dp_next, images, dv_next, values
 
 
 class FractalSurface(SelfAffine):
@@ -582,50 +635,27 @@ class FractalSurface(SelfAffine):
         points come in the order of the cascade: cells outer, the points of
         the coarser level inner, each point where it first occurs.
 
-        Each level is held as columns of integer numerators: one column per
-        point coordinate over one common denominator dp, and the values over
-        one common denominator dv.  A level maps a point X/dp to
-        (L A X + dp L b)/(dp L), with L the lcm of the map denominators, and
-        its value to an integer combination over
-        dv' = lcm(dv den(s_i) for all i, den(data) dp^deg).  Each map's image
-        columns, and each data monomial once per level, take one list
-        comprehension per column, so the cascade and the shared-point check
-        run on plain ints.  Points and values become Fractions (and Vec keys)
-        once, at the end, one Fraction per distinct numerator (`_fractions`).
+        Each level is one step of the integer cascade (`_level`), so the
+        cascade and the shared-point check run on plain ints.  Points and
+        values become Fractions (and Vec keys) once, at the end, one
+        Fraction per distinct numerator (`_fractions`).
         """
         spec = self.spec
         start = self.vertex_values()
-        dp = math.lcm(*(c.denominator for p in start for c in p))
-        dv = math.lcm(*(v.denominator for v in start.values()))
-        cols = [[c.numerator * (dp // c.denominator) for c in coord] for coord in zip(*start)]
-        vals = [v.numerator * (dv // v.denominator) for v in start.values()]
-        lin_den = math.lcm(*(Fraction(a).denominator for u in spec.maps
-                             for row in u.linear.rows for a in row),
-                           *(Fraction(b).denominator for u in spec.maps for b in u.shift))
-        data_den = math.lcm(*(c.denominator for lam in spec.data for c in lam.values()))
-        deg = max(poly_degree(lam) for lam in spec.data)
-        expos = {e for lam in spec.data for e in lam}
+        dp, flat = _numerators([c for p in start for c in p])
+        cols = [flat[k::spec.dim] for k in range(spec.dim)]
+        dv, vals = _numerators(list(start.values()))
         for _ in range(depth):
-            dp_next = dp * lin_den
-            dv_next = math.lcm(*(dv * s.denominator for s in spec._scalings), data_den * dp ** deg)
-            monomials = {e: _monomial(cols, e) for e in expos}
+            dp, images, dv, values = _level(spec, cols, dp, vals, dv)
             nxt: dict = {}
-            for u, lam, s in zip(spec.maps, spec.data, spec._scalings):
-                image = [_affine_column(cols, [int(a * lin_den) for a in row], int(b * dp_next))
-                         for row, b in zip(u.linear.rows, u.shift)]
-                # carry * value + lam(X/dp) * dv_next, an integer polynomial in X
-                carry = s.numerator * (dv_next // (dv * s.denominator))
-                new = [carry * v for v in vals]
-                for e, c in lam.items():
-                    c = int(c * dv_next / dp ** sum(e))
-                    new = [h + c * m for h, m in zip(new, monomials[e])]
+            for image, new in zip(images, values):
                 # a map is one to one, so only points of earlier maps repeat
                 level = dict(zip(zip(*image), new))
                 for q in level.keys() & nxt.keys():
                     if level.pop(q) != nxt[q]:
                         raise ArithmeticError("inconsistent values at a shared mesh point")
                 nxt.update(level)
-            cols, vals, dp, dv = list(zip(*nxt)), list(nxt.values()), dp_next, dv_next
+            cols, vals = list(zip(*nxt)), list(nxt.values())
         points = map(Vec, zip(*_fractions(dp, *cols)))
         return dict(zip(points, _fractions(dv, vals)[0]))
 

@@ -14,7 +14,10 @@ integer sums, and equality almost everywhere is a comparison of grids.
 per-box iteration; which boxes it lists in 2-D and above is not part of the
 contract (in 1-D it lists the maximal intervals).
 
-The three congruence checkers share one kernel, `_reduce_and_claim`.  A
+Every group is described by a `GroupSpec`, which `_group` checks against
+the sets it acts on (one dimension, one spacing, centre coordinate or figure
+interval per axis) before it makes the kernel's group.  The three congruence
+checkers and `is_fundamental_domain` share one kernel, `_reduce_and_claim`.  A
 group cuts a set into parts, one per group word, each mapped into the
 group's fundamental domain; grids are refined so that every cell reduces
 into one cell of the reduced breakpoints, and the certificate is built by
@@ -604,17 +607,7 @@ class _Shells:
 
     joint = True
 
-    def __init__(self, source, target, kappa, theta, allow_center, names):
-        kappa = _frac(kappa)
-        if kappa <= 1:
-            raise ValueError("dilation factor must exceed 1")
-        theta = [Fraction(0)] * source.dim if theta is None else [_frac(v) for v in theta]
-        spread = [_spread(s, theta) for s in (source, target)]
-        for s, name, allowed in zip(spread, names, (allow_center, False)):
-            if s is not None and s[0] == 0 and not allowed:
-                raise ValueError(f"dilation center lies in the closure of the {name}")
-        if None in spread:
-            return  # the caller certifies the empty case
+    def __init__(self, source, target, kappa, theta, spread):
         (near, far), (near_t, far_t) = spread
         # a point at sup-distance d from theta lies in a shell J with
         # d <= kappa**J, and a cell reaches down to the least J with
@@ -702,18 +695,17 @@ def _reduction(source, target, group) -> tuple:
     return tuple(_parts(group, *s, T, dtype) for s in sets)
 
 
-def _reduce_and_claim(source, target, make_group) -> CongruenceCertificate:
+def _reduce_and_claim(source, target, group) -> CongruenceCertificate:
     """Certify source against target under a group, by the reduction above.
 
     A source part claims a target part's copy of a reduced cell when both
     are still free, pair by pair in the group's rank of k = target word -
     source word.  The certificate has one piece per group element used, in
     that order, and the unclaimed cells are the residuals.  The group is
-    made only for two non-empty sets.
+    None when a set is empty (`_group`).
     """
-    if source.is_empty or target.is_empty:
+    if group is None:
         return CongruenceCertificate(source, target, [], source, target)
-    group = make_group()
     dim, den = source.dim, group.den
     (sgrid, smask, scells, sw, sc, free_s), (tgrid, tmask, tcells, tw, tc, free_t) = \
         _reduction(source, target, group)
@@ -747,61 +739,19 @@ def _reduce_and_claim(source, target, make_group) -> CongruenceCertificate:
                                  DyadicBoxSet._grid(dim, *_canonical(den, tgrid, left)))
 
 
-def translation_congruent(source: DyadicBoxSet, target: DyadicBoxSet,
-                          spacings) -> CongruenceCertificate:
-    """Decompose source into lattice translates partitioning target."""
-    spacings = [_frac(s) for s in spacings]
-    if len(spacings) != source.dim or any(s <= 0 for s in spacings):
-        raise ValueError("need a positive spacing per axis")
-    return _reduce_and_claim(source, target, lambda: _Slabs(
-        source, target, [(Fraction(0), s) for s in spacings], False))
-
-
-def dilation_congruent(source: DyadicBoxSet, target: DyadicBoxSet,
-                       kappa=2, theta=None,
-                       allow_center: bool = False) -> CongruenceCertificate:
-    """Decompose source into powers of D(x) = kappa*(x - theta) + theta covering target.
-
-    Theta may lie in the closure of the source only with `allow_center`, and
-    never in the closure of the target.
-    """
-    group = _Shells(source, target, kappa, theta, allow_center, ("source", "target"))
-    return _reduce_and_claim(source, target, lambda: group)
-
-
-def _figure_box(figure, dim: int) -> list:
-    """The (lo, hi) per axis of a box figure, or of a list of intervals."""
-    intervals = figure.box if isinstance(figure, FoldableFigure) else figure
-    if intervals is None:
-        raise ValueError("a box figure is required")
-    intervals = [(_frac(lo), _frac(hi)) for lo, hi in intervals]
-    if len(intervals) != dim:
-        raise ValueError("figure dimension mismatch")
-    if any(lo >= hi for lo, hi in intervals):
-        raise ValueError("the figure box needs positive widths")
-    return intervals
-
-
-def weyl_congruent(source: DyadicBoxSet, figure) -> CongruenceCertificate:
-    """Fold source into a box foldable figure; congruent iff it tiles it once.
-
-    The folding group is generated by the reflections about the figure's
-    bounding hyperplanes; per axis the fold is the triangle wave of period
-    2(H - L) onto [L, H], and each reflection word used is one piece.
-    """
-    intervals = _figure_box(figure, source.dim)
-    target = DyadicBoxSet(source.dim, (tuple(intervals),))
-    return _reduce_and_claim(source, target, lambda: _Slabs(source, target, intervals, True))
-
-
 # ---------------------------------------------------------------------------
-# group specifications and fundamental domains
+# group specifications: the one description and check of a group
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """One of: translation lattice, dilation group, reflection (fold) group."""
+    """One of: translation lattice, dilation group, reflection (fold) group.
+
+    The lattice has a positive spacing per axis, the dilation group a factor
+    kappa > 1 and a centre theta (the origin when None), and the fold group
+    a box figure: a `FoldableFigure` with a box, or a list of (lo, hi).
+    """
 
     kind: str  # "translation" | "dilation" | "weyl"
     spacings: Optional[tuple] = None
@@ -823,6 +773,82 @@ class GroupSpec:
             raise ValueError(f"unknown group kind {self.kind!r}")
 
 
+def _axes(spec: GroupSpec, dim: int) -> list:
+    """A spec's data per axis, checked against the dimension of the sets it
+    acts on: the (lo, hi) of the lattice's period cell or of the figure box,
+    or the coordinate of the dilation centre."""
+    if spec.kind == "translation":
+        axes = [(Fraction(0), _frac(s)) for s in spec.spacings]
+    elif spec.kind == "dilation":
+        axes = [Fraction(0)] * dim if spec.theta is None else [_frac(t) for t in spec.theta]
+    else:
+        box = spec.figure.box if isinstance(spec.figure, FoldableFigure) else spec.figure
+        if box is None:
+            raise ValueError("a box figure is required")
+        axes = [(_frac(lo), _frac(hi)) for lo, hi in box]
+        if any(lo >= hi for lo, hi in axes):
+            raise ValueError("the figure box needs positive widths")
+    if len(axes) != dim:
+        raise ValueError(f"dimension mismatch: {len(axes)} axes of the {spec.kind} group "
+                         f"for {dim}-D sets")
+    return axes
+
+
+def _group(spec: GroupSpec, source: DyadicBoxSet, target: DyadicBoxSet,
+           allow_center: bool = False, names=("source", "target")):
+    """Check a spec against two sets and make the kernel's group for them.
+
+    The sets and the group have one dimension, and the dilation centre lies
+    outside the closure of the target, and of the source unless
+    `allow_center`.  None when a set is empty: there is nothing to reduce.
+    """
+    if source.dim != target.dim:
+        raise ValueError(f"dimension mismatch: a {source.dim}-D {names[0]} "
+                         f"and a {target.dim}-D {names[1]}")
+    axes = _axes(spec, source.dim)
+    if spec.kind == "dilation":
+        spread = [_spread(s, axes) for s in (source, target)]
+        for s, name, allowed in zip(spread, names, (allow_center, False)):
+            if s is not None and s[0] == 0 and not allowed:
+                raise ValueError(f"dilation center lies in the closure of the {name}")
+    if source.is_empty or target.is_empty:
+        return None
+    if spec.kind == "dilation":
+        return _Shells(source, target, _frac(spec.kappa), axes, spread)
+    return _Slabs(source, target, axes, spec.kind == "weyl")
+
+
+def translation_congruent(source: DyadicBoxSet, target: DyadicBoxSet,
+                          spacings) -> CongruenceCertificate:
+    """Decompose source into lattice translates partitioning target."""
+    lattice = GroupSpec("translation", spacings=tuple(spacings))
+    return _reduce_and_claim(source, target, _group(lattice, source, target))
+
+
+def dilation_congruent(source: DyadicBoxSet, target: DyadicBoxSet,
+                       kappa=2, theta=None,
+                       allow_center: bool = False) -> CongruenceCertificate:
+    """Decompose source into powers of D(x) = kappa*(x - theta) + theta covering target.
+
+    Theta may lie in the closure of the source only with `allow_center`, and
+    never in the closure of the target.
+    """
+    dilations = GroupSpec("dilation", kappa=kappa, theta=theta)
+    return _reduce_and_claim(source, target, _group(dilations, source, target, allow_center))
+
+
+def weyl_congruent(source: DyadicBoxSet, figure) -> CongruenceCertificate:
+    """Fold source into a box foldable figure; congruent iff it tiles it once.
+
+    The folding group is generated by the reflections about the figure's
+    bounding hyperplanes; per axis the fold is the triangle wave of period
+    2(H - L) onto [L, H], and each reflection word used is one piece.
+    """
+    folds = GroupSpec("weyl", figure=figure)
+    target = DyadicBoxSet(source.dim, (tuple(_axes(folds, source.dim)),))
+    return _reduce_and_claim(source, target, _group(folds, source, target))
+
+
 @dataclass
 class DomainReport:
     ok: bool
@@ -839,20 +865,9 @@ def is_fundamental_domain(candidate: DyadicBoxSet, group: GroupSpec,
     group alike: it is uncovered where that count is 0 and overlapped
     count - 1 times where it is above 1.
     """
-    if region.dim != candidate.dim:
-        raise ValueError("region dimension mismatch")
-    if group.kind == "dilation":
-        g = _Shells(candidate, region, group.kappa, group.theta, False, ("candidate", "region"))
-    elif group.kind == "translation":
-        intervals = [(Fraction(0), _frac(s)) for s in group.spacings]
-        if len(intervals) != candidate.dim:
-            raise ValueError("need one spacing per axis")
-    else:
-        intervals = _figure_box(group.figure, candidate.dim)
-    if candidate.is_empty or region.is_empty:
+    g = _group(group, candidate, region, names=("candidate", "region"))
+    if g is None:
         return DomainReport(not candidate.is_empty, region.measure, Fraction(0))
-    if group.kind != "dilation":
-        g = _Slabs(candidate, region, intervals, group.kind == "weyl")
     held, (grid, mask, cells, _, flat, _) = _reduction(candidate, region, g)
     count = held[-1].sum(axis=0)[flat]
     weight = np.zeros((2,) + mask.shape, dtype=np.intp)
@@ -995,10 +1010,10 @@ class ThreeWayReport:
 def three_way_check(candidate: DyadicBoxSet, figure, spacings) -> ThreeWayReport:
     """Translation, dilation by 2, and reflection congruence residuals at once;
     the dilation target is the annulus 2B minus B of the figure box B."""
-    target = DyadicBoxSet(candidate.dim, (tuple(_figure_box(figure, candidate.dim)),))
-    t = translation_congruent(candidate, target, spacings)
     wcert = weyl_congruent(candidate, figure)
-    annulus = target.scale(2).subtract(target)
+    box = wcert.target
+    t = translation_congruent(candidate, box, spacings)
+    annulus = box.scale(2).subtract(box)
     try:
         d = dilation_congruent(candidate, annulus)
         d_res, d_err = d.residual_measure, None
@@ -1012,22 +1027,9 @@ def three_way_check(candidate: DyadicBoxSet, figure, spacings) -> ThreeWayReport
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IntersectionGroup:
-    """Translations common to the fold group of a box figure and a lattice."""
-
-    generators: tuple  # one translation vector per axis, pi units
-
-    def contains(self, vec) -> bool:
-        for v, g in zip(vec, self.generators):
-            q = _frac(v) / _frac(g)
-            if q.denominator != 1:
-                return False
-        return True
-
-
-def intersection_group(figure, spacings) -> IntersectionGroup:
-    """Compute the common translation subgroup by composing mirror pairs.
+def intersection_group(figure, spacings) -> GroupSpec:
+    """The translations common to the fold group of a box figure and a
+    lattice, as the lattice they form.
 
     For a box figure, the fold group restricted to one axis is generated by
     the two mirrors at the interval ends; composing parallel mirrors at
@@ -1035,15 +1037,15 @@ def intersection_group(figure, spacings) -> IntersectionGroup:
     the lattice 2(hi-lo) Z per axis and the intersection with the given
     lattice is generated by the least common multiple per axis.
     """
+    lattice = GroupSpec("translation", spacings=tuple(spacings))
+    dim = len(lattice.spacings)
     gens = []
-    for (lo, hi), sp in zip(_figure_box(figure, len(spacings)), spacings):
+    for (_, sp), (lo, hi) in zip(_axes(lattice, dim), _axes(GroupSpec("weyl", figure=figure), dim)):
         period = 2 * (hi - lo)
-        sp = _frac(sp)
         # lcm of the two rational periods
         num = math.lcm(period.numerator * sp.denominator, sp.numerator * period.denominator)
-        den = period.denominator * sp.denominator
-        gens.append(Fraction(num, den))
-    return IntersectionGroup(tuple(gens))
+        gens.append(Fraction(num, period.denominator * sp.denominator))
+    return GroupSpec("translation", spacings=tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -1084,7 +1086,8 @@ def construct_wavelet_set(translation_domain: DyadicBoxSet,
     """
     epsilon = _frac(epsilon)
     dim = translation_domain.dim
-    spacings = [_frac(s) for s in spacings]
+    # the lattice is checked before the first round, not after the last
+    spacings = [s for _, s in _axes(GroupSpec("translation", spacings=tuple(spacings)), dim)]
     step = spacings if relocation_step is None else [_frac(s) for s in relocation_step]
     current = translation_domain
     history = []

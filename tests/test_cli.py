@@ -4,11 +4,12 @@ import json
 import pathlib
 import re
 import shlex
+from fractions import Fraction as F
 
 import pytest
 
 import waveletsets
-from waveletsets import cli
+from waveletsets import cli, fif, render
 from waveletsets.mra import FilterBank
 
 
@@ -60,6 +61,7 @@ def test_unknown_fixture_exits_one(capsys):
     ["mra", "build", "--kappa", "5"],
     ["mra", "build", "--figure", "interval", "--degree", "5"],
     ["tiles", "construct", "--epsilon", "0", "--max-iterations", "1001"],
+    ["mra", "build", "--figure", "cube"],
 ])
 def test_bad_parameter_exits_two(capsys, argv):
     assert run(argv) == 2
@@ -89,6 +91,25 @@ def test_fif_example_echoes_knots(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "knots: 0, 0.7, 0" in out
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("argv, meshes", [
+    (["fif", "example", "--name", "ex3.3", "--depth", "10"],
+     lambda: [fif.fixture("ex3.3").mesh(10)]),
+    (["fif", "example", "--name", "ex3.5", "--mode", "reflection", "--depth", "6"],
+     lambda: [fif.fixture("ex3.5", "reflection").mesh(6)]),
+    (["fif", "basis", "--n", "4", "--scaling", "0.4", "--depth", "6"],
+     lambda: [b.mesh(6) for b in fif.uniform_cardinal_basis(4, F(2, 5))]),
+    (["fif", "basis", "--n", "3", "--mode", "reflection", "--scaling=-3/7", "--depth", "5"],
+     lambda: [b.mesh(5) for b in fif.uniform_cardinal_basis(3, F(-3, 7), "reflection")]),
+], ids=["ex3.3", "ex3.5 reflection", "basis 0.4", "basis -3/7 reflection"])
+def test_fif_svg_equals_the_float_first_path(capsys, tmp_path, argv, meshes):
+    # the CLI hands the mesh Fractions to the exporter, which makes each
+    # float once; the bytes are those of converting every point first
+    svg = tmp_path / "out.svg"
+    assert run(argv + ["--svg", str(svg)]) == 0
+    curves = [list(zip(map(float, xs), map(float, ys))) for xs, ys in meshes()]
+    assert svg.read_bytes() == render.polylines_svg(curves).encode()
 
 
 def test_fif_basis_reports_four_graphs(capsys):

@@ -4,9 +4,9 @@ Every module-level function and class and every method that is not a dunder
 under `src/waveletsets` must have a user: it must be named outside its own
 definition in `src/` (the re-exports of `__init__.py` do not count), in the
 python files of `perfbench/`, in the python block of README.md or in a README
-line that runs `waveletsets`.  A mention in the tests or in prose does not
-count.  Names are matched as whole words, so this finds definitions that
-nothing names at all, not every unused method.
+line that runs `waveletsets`.  A mention in the tests, in prose, in a
+docstring or in a comment does not count.  Names are matched as whole words,
+so this finds definitions that nothing names at all, not every unused method.
 
 Every parameter with a default of such a function or method, or of a class's
 `__init__`, must be passed by keyword or by position at some call of that
@@ -17,8 +17,10 @@ of that name counts.
 """
 
 import ast
+import io
 import pathlib
 import re
+import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "waveletsets"
@@ -38,15 +40,32 @@ def _readme_python():
     return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
 
 
+def _code_lines(text: str) -> list:
+    """The lines of python source with its comments and docstrings blanked."""
+    lines = text.splitlines()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            row, col = tok.start
+            lines[row - 1] = lines[row - 1][:col]
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, *DEFS)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                for n in range(first.lineno - 1, first.end_lineno):
+                    lines[n] = ""
+    return lines
+
+
 def _sources():
     files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
-    sources = {p: p.read_text().splitlines() for p in files}
+    sources = {p: _code_lines(p.read_text()) for p in files}
     init = PACKAGE / "__init__.py"
     reexports = {n for node in ast.parse(init.read_text()).body if isinstance(node, ast.ImportFrom)
                  for n in range(node.lineno, node.end_lineno + 1)}
     sources[init] = ["" if n in reexports else line for n, line in enumerate(sources[init], 1)]
     readme = (ROOT / "README.md").read_text().splitlines()
-    sources["README.md"] = ([line for block in _readme_python() for line in block.splitlines()]
+    sources["README.md"] = ([line for block in _readme_python() for line in _code_lines(block)]
                             + [line for line in readme if line.startswith("waveletsets ")])
     return sources
 

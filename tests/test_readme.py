@@ -20,6 +20,6 @@ def test_readme_library_tour_runs_and_states_its_values():
     # in the order of the tour's commented lines
     assert values == [True, True, [(True, 0), (True, 0)], (4, 4), "D^45", True,
                       4, True, (F(1, 4), F(1, 4)), [[5, 7]],
-                      [0, F(7, 10), 0], True, F(1, 2), (256, (8, 256), 0.015625), (8, 24)]
+                      [0, F(7, 10), 0], True, True, F(1, 2), (256, (8, 256), 0.015625), (8, 24)]
     basis, coarse, detail = namespace["basis"], namespace["coarse"], namespace["detail"]
     assert list(coarse) == list(detail) == [w.key() for w in basis.words]

@@ -14,7 +14,6 @@ from waveletsets.reflections import (
     affine_reflection,
     box_figure,
     centered_square_figure,
-    coroot,
     enumerate_group,
     fold,
     klein_four_root_system,
@@ -44,18 +43,19 @@ def test_invalid_root_systems_rejected():
 
 def test_parallel_affine_reflections_compose_to_lattice_translation():
     # two reflections in parallel mirrors <x, r> = k and <x, r> = l translate
-    # by (k - l) times twice the coroot, symbolically over the rationals
-    r = (1, 0)
-    for k, l in [(0, 1), (2, -3), (5, 5)]:
-        comp = affine_reflection(r, k).compose(affine_reflection(r, l))
-        assert comp.linear == Mat.identity(2)
-        assert comp.shift == Vec(coroot(r)).scale(k - l)
+    # by (k - l) times the coroot 2r/<r, r>, symbolically over the rationals
+    for r in [(1, 0), (0, 2), (1, 1)]:
+        coroot = Vec(r).scale(F(2, Vec(r).dot(Vec(r))))
+        for k, l in [(0, 1), (2, -3), (5, 5)]:
+            comp = affine_reflection(r, k).compose(affine_reflection(r, l))
+            assert comp.linear == Mat.identity(2)
+            assert comp.shift == coroot.scale(k - l)
 
 
 def test_perpendicular_affine_reflections_compose_to_point_reflection():
     comp = affine_reflection((1, 0), 2).compose(affine_reflection((0, 1), 3))
     assert comp.linear == Mat([[-1, 0], [0, -1]])
-    assert comp.shift == Vec(coroot((1, 0))).scale(2) + Vec(coroot((0, 1))).scale(3)
+    assert comp.shift == Vec((4, 6))
 
 
 def test_affine_reflect_fixes_its_mirror():

@@ -457,17 +457,45 @@ def test_c_itself_fails_dilation():
 
 def test_intersection_group_generators():
     ig = intersection_group(centered_square_figure(), (2, 2))
-    assert ig.generators == (4, 4)
-    assert ig.contains((4, 4))
-    assert ig.contains((-8, 4))
-    assert not ig.contains((2, 0))
+    assert ig == GroupSpec("translation", spacings=(4, 4))
+    # a box moved by a vector of the shared lattice is congruent to it, and
+    # one moved by a vector of the 2pi lattice alone is not
+    box = DyadicBoxSet.from_box((0, 1), (0, 1))
+    for vec, residual in (((4, 4), 0), ((-8, 4), 0), ((2, 0), 1)):
+        assert translation_congruent(box, box.translate(vec), ig.spacings).residual_measure \
+            == residual
 
 
 @pytest.mark.parametrize("figure", [[(0, 0), (0, 1)], [(0, 1)]])
 def test_intersection_group_checks_the_figure_box(figure):
-    # a flat side would give a zero generator, and contains() would divide by it
+    # a flat side would give a zero generator
     with pytest.raises(ValueError, match="positive widths|dimension"):
         intersection_group(figure, (2, 2))
+
+
+LINE, SQUARE = DyadicBoxSet.from_box((0, 1)), DyadicBoxSet.from_box((0, 1), (0, 1))
+
+
+@pytest.mark.parametrize("call", [
+    # sets of two dimensions
+    lambda: translation_congruent(LINE, SQUARE, [2]),
+    lambda: translation_congruent(SQUARE, LINE, [2, 2]),
+    lambda: dilation_congruent(DyadicBoxSet.from_box((1, 2)), SQUARE.translate((1, 1))),
+    lambda: dilation_congruent(SQUARE.translate((1, 1)), DyadicBoxSet.from_box((1, 2))),
+    # a centre with too many or no coordinates
+    lambda: dilation_congruent(DyadicBoxSet.from_box((1, 2)), shannon_set(), theta=(0, 0)),
+    lambda: dilation_congruent(DyadicBoxSet.from_box((1, 2)), shannon_set(), theta=()),
+    # a lattice spacing of 0, or below
+    lambda: intersection_group(centered_square_figure(), (0, 2)),
+    lambda: intersection_group(centered_square_figure(), (-2, 2)),
+    # a lattice of two axes for a 1-D construction, refused before its first round
+    lambda: construct_wavelet_set(DyadicBoxSet.from_box((-1, 1)), shannon_set(), [2, 2]),
+], ids=["translation 1-D to 2-D", "translation 2-D to 1-D", "dilation 1-D to 2-D",
+        "dilation 2-D to 1-D", "centre of 2 axes", "centre of 0 axes", "zero spacing",
+        "negative spacing", "constructor lattice of 2 axes"])
+def test_group_checks_reject_mismatched_input(call):
+    with pytest.raises(ValueError, match="dimension mismatch|positive spacings"):
+        call()
 
 
 # -- constructor ---------------------------------------------------------------
