@@ -6,20 +6,20 @@ mapping the domain onto the cells and the p_i are polynomial data.  All
 data is exact (Fractions); evaluation is exact on orbit points and returns
 certified intervals elsewhere.
 
-An interval tiles the line by reflections in its endpoints, so a fractal
-function is the 1-D case of a self-affine surface: `FractalFunction` holds
-the `waveletsets.surfaces` spec of its system and shares that module's
-pull-back evaluation, moment solve, inner-product formula and integer mesh
-level step.  It keeps its own cell layout, its one-sided knot values, the
-ordered join of its mesh (a list with one-sided values at interior knots,
-where the surface mesh is a dict) and its per-system mesh points.
+An interval is the 1-D foldable figure, so a fractal function is the 1-D
+case of a self-affine surface: `FractalFunction` is built from a
+`waveletsets.surfaces` spec, the one holder of its maps, data and scalings,
+and shares that module's pull-back evaluation, bound, moment solve,
+inner-product formula and integer mesh level step.  It keeps its one-sided
+knot values, the ordered join of its mesh (a list with one-sided values at
+interior knots, where the surface mesh is a dict) and its per-system mesh
+points.  Its reflection layout is `reflections.subdivide` of [0, n].
 """
 
 from __future__ import annotations
 
 import bisect
 import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import surfaces
 from .geometry import AffineMap, Mat, Vec
+from .reflections import box_figure, subdivide
 from .surfaces import EvalResult, SelfAffine, SurfaceSpec
 
 
@@ -34,39 +35,8 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def poly_eval(coeffs: Sequence[Fraction], x):
-    value = 0
-    for c in reversed(tuple(coeffs)):
-        value = value * x + c
-    return value
-
-
-@dataclass(frozen=True)
-class CellMap:
-    """One cell of the interpolation system: u(x) = m x + q plus data."""
-
-    m: Fraction
-    q: Fraction
-    data: tuple  # polynomial coefficients, low degree first
-    s: Fraction
-
-    def u(self, x):
-        return self.m * x + self.q
-
-    def u_inv(self, x):
-        return (x - self.q) / self.m
-
-    @property
-    def preserves_orientation(self) -> bool:
-        return self.m > 0
-
-
-def _spec_data(cells: Sequence[CellMap]) -> tuple:
-    return tuple({(k,): co for k, co in enumerate(c.data)} for c in cells)
-
-
-def _interpolation_cells(xs: Sequence, ys: Sequence, s: Sequence) -> list[CellMap]:
-    """The cells of the affine interpolation through (x_i, y_i)."""
+def _interpolation(xs: Sequence, ys: Sequence, s: Sequence) -> tuple:
+    """(maps, affine data) of the interpolation through (x_i, y_i) with scalings s_i."""
     xs = [_frac(v) for v in xs]
     ys = [_frac(v) for v in ys]
     s = [_frac(v) for v in s]
@@ -77,34 +47,33 @@ def _interpolation_cells(xs: Sequence, ys: Sequence, s: Sequence) -> list[CellMa
         raise ValueError("abscissae must increase")
     a, b = xs[0], xs[-1]
     span = b - a
-    cells = []
+    maps, data = [], []
     for i in range(1, n + 1):
         ai = (xs[i] - xs[i - 1]) / span
         alpha = (b * xs[i - 1] - a * xs[i]) / span
         ci = (ys[i] - ys[i - 1] - s[i - 1] * (ys[-1] - ys[0])) / span
         beta = (b * ys[i - 1] - a * ys[i] - s[i - 1] * (b * ys[0] - a * ys[-1])) / span
-        cells.append(CellMap(m=ai, q=alpha, data=(beta, ci), s=s[i - 1]))
-    return cells
+        maps.append(AffineMap(Mat([[ai]]), Vec((alpha,))))
+        data.append((beta, ci))
+    return maps, data
 
 
 class FractalFunction(SelfAffine):
-    """Fixed point of the cell-wise affine transfer operator."""
+    """Fixed point of the cell-wise affine transfer operator of a spec on an
+    interval [a, b], whose map images tile it left to right."""
 
-    def __init__(self, domain: tuple, cells: Sequence[CellMap]):
-        a, b = _frac(domain[0]), _frac(domain[1])
+    def __init__(self, spec: SurfaceSpec):
+        if spec.dim != 1:
+            raise ValueError("a fractal function needs a spec on an interval")
+        (a,), (b,) = spec.vertices
         if not a < b:
             raise ValueError("empty domain")
+        super().__init__(spec)
         self.domain = (a, b)
-        self.cells = list(cells)
-        super().__init__(SurfaceSpec(
-            ((a,), (b,)),
-            tuple(AffineMap(Mat([[c.m]]), Vec((c.q,))) for c in self.cells),
-            _spec_data(self.cells),
-            tuple(c.s for c in self.cells)))
         # cell images must tile the domain left to right
         boundaries = [a]
-        for c in self.cells:
-            lo, hi = sorted((c.u(a), c.u(b)))
+        for ends in spec._system.images:
+            lo, hi = sorted(w for (w,) in ends)
             if lo != boundaries[-1]:
                 raise ValueError("cells do not tile the domain")
             boundaries.append(hi)
@@ -112,32 +81,31 @@ class FractalFunction(SelfAffine):
             raise ValueError("cells do not tile the domain")
         self.boundaries = boundaries
 
+    @property
+    def cells(self) -> tuple:
+        """The cell maps: the spec's own tuple."""
+        return self.spec.maps
+
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def from_interpolation(xs: Sequence, ys: Sequence, s: Sequence) -> "FractalFunction":
         """Affine fractal interpolation through (x_i, y_i) with scalings s_i."""
-        cells = _interpolation_cells(xs, ys, s)
-        return FractalFunction((xs[0], xs[-1]), cells)
+        maps, data = _interpolation(xs, ys, s)
+        return FractalFunction(SurfaceSpec(((xs[0],), (xs[-1],)), maps, data, tuple(s)))
 
     @staticmethod
     def from_uniform_data(n: int, data: Sequence[Sequence], s: Sequence,
                           mode: str = "translation") -> "FractalFunction":
-        """Data polynomials on [0, n] with uniform translation or reflection maps."""
-        maps = uniform_maps(n, mode)
-        s = [_frac(v) for v in s]
-        cells = [
-            CellMap(m=m, q=q, data=tuple(_frac(c) for c in poly), s=si)
-            for (m, q), poly, si in zip(maps, data, s)
-        ]
-        return FractalFunction((Fraction(0), Fraction(n)), cells)
+        """Data polynomials on [0, n], coefficients low degree first, with
+        uniform translation or reflection maps."""
+        polys = [{(k,): c for k, c in enumerate(poly)} for poly in data]
+        return FractalFunction(SurfaceSpec(((0,), (n,)), uniform_maps(n, mode), polys, tuple(s)))
 
-    def _with_data(self, data: Sequence[Sequence]) -> "FractalFunction":
-        """A function on the same cells, scalings and shared system with other data."""
+    def _with_data(self, data: Sequence) -> "FractalFunction":
+        """A function on the same maps, scalings and shared system with other data."""
         f = copy.copy(self)
-        f.cells = [CellMap(m=c.m, q=c.q, data=tuple(_frac(v) for v in poly), s=c.s)
-                   for c, poly in zip(self.cells, data, strict=True)]
-        SelfAffine.__init__(f, self.spec.with_data(_spec_data(f.cells)))
+        SelfAffine.__init__(f, self.spec.with_data(data))
         return f
 
     # -- cell lookup ------------------------------------------------------------
@@ -147,10 +115,8 @@ class FractalFunction(SelfAffine):
         a, b = self.domain
         if not a <= x <= b:
             raise ValueError("point outside the domain")
-        if x == b:
-            return len(self.cells) - 1
-        i = bisect.bisect_right(self.boundaries, x) - 1
-        return min(i, len(self.cells) - 1)
+        # b, the last boundary, belongs to the last cell
+        return min(bisect.bisect_right(self.boundaries, x) - 1, len(self.spec.maps) - 1)
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -158,30 +124,11 @@ class FractalFunction(SelfAffine):
     _cell = cell_index
 
     def _inverse(self, z: Fraction, i: int) -> Fraction:
-        return self.cells[i].u_inv(z)
+        inv = self.spec._inverses[i]
+        return inv.linear.rows[0][0] * z + inv.shift[0]
 
     def _data(self, i: int, z: Fraction):
-        return poly_eval(self.cells[i].data, z)
-
-    def bound(self) -> Fraction:
-        """A uniform bound on |f| over the domain.
-
-        This is not the surfaces `data_bound`: tuple data are bounded by their
-        coefficients here, and the error bounds of `evaluate` rest on it.
-        """
-        a, b = self.domain
-        peak = Fraction(0)
-        smax = Fraction(0)
-        for c in self.cells:
-            corners = [abs(poly_eval(c.data, a)), abs(poly_eval(c.data, b))]
-            # affine data attains its extremes at the endpoints; for higher
-            # degree fall back to a coarse coefficient bound
-            if len(c.data) > 2:
-                corners.append(sum(abs(co) * max(abs(a), abs(b), 1) ** k
-                                   for k, co in enumerate(c.data)))
-            peak = max(peak, *corners)
-            smax = max(smax, abs(c.s))
-        return peak / (1 - smax)
+        return surfaces.poly_val(self.spec.data[i], (z,))
 
     def evaluate(self, x, depth: int = 48) -> EvalResult:
         """Exact where the pull-back orbit closes; certified interval otherwise."""
@@ -192,17 +139,15 @@ class FractalFunction(SelfAffine):
 
         At a boundary shared by two cells the fixed point may be one-sided;
         the value is reported from an orientation-preserving neighbor cell
-        when one exists (left cell otherwise), which matches the anchored
-        interpolation data in both the translation and reflection layouts.
+        (a map of positive slope) when one exists (left cell otherwise),
+        which matches the anchored interpolation data in both the translation
+        and reflection layouts.
         """
+        maps = self.spec.maps
         values = []
         for j, t in enumerate(self.boundaries):
-            adjacent = []
-            if j > 0:
-                adjacent.append(j - 1)
-            if j < len(self.cells):
-                adjacent.append(j)
-            pick = next((i for i in adjacent if self.cells[i].preserves_orientation), adjacent[0])
+            adjacent = [i for i in (j - 1, j) if 0 <= i < len(maps)]
+            pick = next((i for i in adjacent if maps[i].linear.rows[0][0] > 0), adjacent[0])
             values.append(self._resolve_chain(t, 64, first_cell=pick))
         return values
 
@@ -246,11 +191,12 @@ class FractalFunction(SelfAffine):
 
     def _join(self, segments) -> list:
         """One column per cell, in one list from left to right: the cells tile
-        the domain, so a flipping cell's column is reversed, and each column
-        after the first drops its first entry, where the cell before ends."""
+        the domain, so the column of a map of negative slope is reversed, and
+        each column after the first drops its first entry, where the cell
+        before ends."""
         out = []
-        for i, (cell, seg) in enumerate(zip(self.cells, segments)):
-            if not cell.preserves_orientation:
+        for i, (u, seg) in enumerate(zip(self.spec.maps, segments)):
+            if u.linear.rows[0][0] < 0:
                 seg.reverse()
             out.extend(seg[1:] if i else seg)
         return out
@@ -260,22 +206,17 @@ class FractalFunction(SelfAffine):
         return self._iterates({p: self._cell(p) for p in self._orbit(depth)[1]}, steps)
 
 
-def uniform_maps(n: int, mode: str) -> list[tuple]:
-    """(slope, intercept) pairs for the uniform maps on [0, n].
+def uniform_maps(n: int, mode: str) -> list[AffineMap]:
+    """The maps of [0, n] onto its unit cells, left to right.
 
     translation: u_i(x) = x/n + (i-1).
-    reflection:  u_1 = x/n and u_i = R_{i-1} o u_{i-1} with R_k(x) = 2k - x,
-    so consecutive cells are mirror images.
+    reflection:  the subdivision of the figure [0, n] (`reflections.subdivide`):
+    u_1 = x/n, and consecutive cells are mirror images.
     """
     if mode == "translation":
-        return [(Fraction(1, n), Fraction(i)) for i in range(n)]
+        return [AffineMap(Mat([[Fraction(1, n)]]), Vec((Fraction(i),))) for i in range(n)]
     if mode == "reflection":
-        maps = [(Fraction(1, n), Fraction(0))]
-        for i in range(1, n):
-            m, q = maps[-1]
-            # R_i(x) = 2i - x applied after the previous map
-            maps.append((-m, 2 * i - q))
-        return maps
+        return subdivide(box_figure("interval", [(0, n)]), n)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -320,15 +261,15 @@ def gram_matrix_quadrature(functions: Sequence[FractalFunction], depth: int = 12
     # per cell: slope, intercept, data coefficients [function, power] padded
     # with zeros (a zero leading coefficient leaves Horner's floats unchanged)
     # and scalings [function, 1]
-    width = max(len(c.data) for f in functions for c in f.cells)
+    width = 1 + max(surfaces.poly_degree(p) for f in functions for p in f.spec.data)
     cells = []
-    for ci, cell in enumerate(base.cells):
+    for ci, u in enumerate(base.spec.maps):
         coeffs = np.zeros((len(functions), width))
         for fi, f in enumerate(functions):
-            data = f.cells[ci].data
-            coeffs[fi, :len(data)] = [float(x) for x in data]
-        scal = np.array([[float(f.cells[ci].s)] for f in functions])
-        cells.append((float(cell.m), float(cell.q), coeffs, scal))
+            for (k,), c in f.spec.data[ci].items():
+                coeffs[fi, k] = float(c)
+        scal = np.array([[float(f.spec._scalings[ci])] for f in functions])
+        cells.append((float(u.linear.rows[0][0]), float(u.shift[0]), coeffs, scal))
     for _ in range(depth):
         new_nodes, new_widths, new_vals = [], [], []
         for m, q, coeffs, scal in cells:
@@ -350,9 +291,8 @@ def gram_matrix_quadrature(functions: Sequence[FractalFunction], depth: int = 12
 def cardinal_basis(xs: Sequence, s: Sequence) -> list[FractalFunction]:
     """Fractal functions interpolating the Kronecker data at the knots."""
     kronecker = [[Fraction(int(j == i)) for j in range(len(xs))] for i in range(len(xs))]
-    basis = [FractalFunction.from_interpolation(xs, ys, s) for ys in kronecker[:1]]
-    return basis + [basis[0]._with_data([c.data for c in _interpolation_cells(xs, ys, s)])
-                    for ys in kronecker[1:]]
+    first = FractalFunction.from_interpolation(xs, kronecker[0], s)
+    return [first] + [first._with_data(_interpolation(xs, ys, s)[1]) for ys in kronecker[1:]]
 
 
 def uniform_cardinal_basis(n: int, s, mode: str = "translation") -> list[FractalFunction]:
@@ -368,18 +308,21 @@ def uniform_cardinal_basis(n: int, s, mode: str = "translation") -> list[Fractal
     for j in range(n + 1):
         y = [Fraction(1) if k == j else Fraction(0) for k in range(n + 1)]
         data = []
-        for m, q in maps:
+        for u in maps:
+            m, q = u.linear.rows[0][0], u.shift[0]
             v0 = y[int(q)] - s * y[0]
             vn = y[int(m * n + q)] - s * y[n]
             data.append((v0, Fraction(vn - v0, n)))
         family.append(data)
-    first = FractalFunction.from_uniform_data(n, family[0], [s] * n, mode)
+    first = FractalFunction(SurfaceSpec(((0,), (n,)), maps, family[0], (s,) * n))
     return [first] + [first._with_data(d) for d in family[1:]]
 
 
 def fixture(name: str, mode: str = "translation") -> FractalFunction:
     """Named example functions selectable from the command line."""
     if name == "ex3.3":
+        if mode != "translation":
+            raise ValueError("fixture ex3.3 has only the translation layout")
         return FractalFunction.from_interpolation(
             [0, Fraction(1, 2), 1], [0, Fraction(7, 10), 0],
             [Fraction(3, 5), Fraction(2, 5)])

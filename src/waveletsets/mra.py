@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .fif import orthonormalize
 from .geometry import AffineIsometry, AffineMap, Mat, Vec
 from .reflections import FoldableFigure, box_figure, subdivide, unit_square_figure
 from .surfaces import (
@@ -87,10 +88,6 @@ class MultiresolutionBasis:
         widths = [hi - lo for lo, hi in config.figure.box]
         self.domain = box_figure("scaled-domain", [(0, kappa * w) for w in widths])
         self.maps = tuple(subdivide(self.domain, kappa))
-        corners = [()]
-        for lo, hi in self.domain.box:
-            corners = [c + (t,) for c in corners for t in (lo, hi)]
-        self.domain_vertices = tuple(corners)
 
         # atoms: index a = cell * (d+1) + power of the first coordinate
         self._atom_data = []
@@ -102,7 +99,7 @@ class MultiresolutionBasis:
                 self._atom_data.append(tuple(data))
         # the atoms share one template's system: its geometry, integral table
         # and inverted moment system are built once for all of them
-        template = SurfaceSpec(self.domain_vertices, self.maps, self._atom_data[0], s)
+        template = SurfaceSpec(self.domain.vertices, self.maps, self._atom_data[0], s)
         self.atoms = [FractalSurface(template.with_data(data)) for data in self._atom_data]
         na = config.generator_count
         # each atom's moments (its right-hand side times the shared inverse),
@@ -111,8 +108,7 @@ class MultiresolutionBasis:
         gram = gram_from_moments(self.atoms, self.atom_moments)
         self.atom_gram = gram
 
-        chol = np.linalg.cholesky(np.array([[float(v) for v in row] for row in gram]))
-        self.coeffs = np.linalg.inv(chol)  # row a holds phi^a in atom coordinates
+        self.coeffs = orthonormalize(gram).T  # row a holds phi^a in atom coordinates
 
         # refinement words r_j = (kappa u_j)^{-1}; cells kappa*u_j(D) tile kappa*D
         ident = AffineIsometry.identity(dim)

@@ -384,14 +384,16 @@ def enumerate_group(figure: FoldableFigure, region: Sequence[tuple]) -> list[Gro
 
 
 def subdivide(figure: FoldableFigure, kappa: int) -> list[AffineMap]:
-    """Similitudes u_1..u_N (N = kappa^n) mapping kappa*figure onto its cells.
+    """Similitudes u_1..u_N (N = kappa^n) mapping the figure onto its N cells,
+    the grid of boxes 1/kappa its size.
 
     Only box figures with a vertex at the origin are supported.  u_1 is the
     pure scaling x -> x/kappa, and every other u_j is a tessellation
     reflection composed with u_1, so adjacent cells are mirror images.
+    kappa = 1 is the trivial subdivision: one cell, the identity.
     """
-    if kappa < 2:
-        raise ValueError("kappa must be at least 2")
+    if kappa < 1:
+        raise ValueError("kappa must be at least 1")
     if figure.box is None:
         raise ValueError("subdivision is implemented for box figures")
     n = figure.dim

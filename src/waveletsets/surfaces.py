@@ -400,14 +400,19 @@ class SelfAffine:
     """The fixed point of a spec's transfer operator, evaluated by pull-back.
 
     A subclass picks the cell of a point (`_cell`), maps a point back
-    through a cell (`_inverse`), evaluates a cell's data at a pulled point
-    (`_data`) and bounds the function (`bound`); the chain resolution, the
-    evaluation and the operator iteration are shared.
+    through a cell (`_inverse`) and evaluates a cell's data at a pulled point
+    (`_data`); the bound, the chain resolution, the evaluation and the
+    operator iteration are shared.
     """
 
     def __init__(self, spec: SurfaceSpec):
         self.spec = spec
         self._memo: dict = {}
+
+    def bound(self) -> Fraction:
+        """A uniform bound on |f| over the domain; the error bounds of
+        `evaluate` rest on it."""
+        return self.spec.data_bound() / (1 - max(abs(s) for s in self.spec._scalings))
 
     def _pull(self, z, i: int) -> tuple:
         """The point z pulled back through cell i, the cell's data there and its scaling."""
@@ -590,9 +595,6 @@ def _level(spec: SurfaceSpec, cols: list, dp: int, vals: Optional[list] = None,
 
 class FractalSurface(SelfAffine):
     """Fixed point of the cell-wise transfer operator over the domain."""
-
-    def bound(self) -> Fraction:
-        return self.spec.data_bound() / (1 - max(abs(s) for s in self.spec._scalings))
 
     def _cell(self, z: Vec) -> int:
         return self.spec.cell_of(z)

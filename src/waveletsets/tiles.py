@@ -340,14 +340,12 @@ class DyadicBoxSet:
         return self._monomial(range(self.dim), [Fraction(1)] * self.dim,
                               [_frac(v) for v in vec])
 
-    def scale(self, factor, center=None) -> "DyadicBoxSet":
-        """x -> factor*(x - center) + center, exact rational factor."""
+    def scale(self, factor) -> "DyadicBoxSet":
+        """x -> factor*x, exact rational factor."""
         factor = _frac(factor)
         if factor == 0:
             raise ValueError("zero scale")
-        center = [Fraction(0)] * self.dim if center is None else [_frac(c) for c in center]
-        return self._monomial(range(self.dim), [factor] * self.dim,
-                              [c - factor * c for c in center])
+        return self._monomial(range(self.dim), [factor] * self.dim, [Fraction(0)] * self.dim)
 
     def transform(self, linear, translation=None) -> "DyadicBoxSet":
         """Image under x -> L x + t for a monomial (box-preserving) matrix L."""

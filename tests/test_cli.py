@@ -34,6 +34,14 @@ def test_unknown_fixture_exits_one(capsys):
     assert run(["fif", "example", "--name", "nope"]) == 1
 
 
+def test_fixture_without_the_asked_layout_exits_one(capsys):
+    # ex3.3 is an interpolation function with the translation layout only
+    assert run(["fif", "example", "--name", "ex3.3", "--mode", "reflection"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fixture ex3.3 has only the translation layout\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["tiles", "w1", "--depth", "0"],
     ["mra", "build", "--kappa", "1"],

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from waveletsets import surfaces as sf
 from waveletsets.fif import (
     FractalFunction,
     cardinal_basis,
@@ -13,6 +14,8 @@ from waveletsets.fif import (
     orthonormalize,
     uniform_maps,
 )
+from waveletsets.geometry import AffineMap, Mat, Vec
+from waveletsets.reflections import box_figure, subdivide
 
 
 @pytest.fixture
@@ -23,12 +26,21 @@ def two_cell():
     )
 
 
+def _slopes_and_intercepts(maps):
+    return [(u.linear.rows[0][0], u.shift[0]) for u in maps]
+
+
+def _coefficients(data):
+    """An affine data polynomial as (constant, slope)."""
+    return tuple(data.get((k,), 0) for k in range(2))
+
+
 def test_coefficients_from_interpolation(two_cell):
-    c1, c2 = two_cell.cells
-    assert (c1.m, c1.q) == (F(1, 2), 0)
-    assert (c2.m, c2.q) == (F(1, 2), F(1, 2))
-    assert c1.data == (0, F(7, 10))
-    assert c2.data == (F(7, 10), F(-7, 10))
+    assert two_cell.cells is two_cell.spec.maps
+    assert _slopes_and_intercepts(two_cell.spec.maps) == [(F(1, 2), 0), (F(1, 2), F(1, 2))]
+    p1, p2 = two_cell.spec.data
+    assert _coefficients(p1) == (0, F(7, 10))
+    assert _coefficients(p2) == (F(7, 10), F(-7, 10))
 
 
 def test_exact_orbit_value(two_cell):
@@ -52,9 +64,45 @@ def test_interval_evaluation_certified(two_cell):
 
 def test_uniform_translation_and_reflection_layouts():
     t = uniform_maps(3, "translation")
-    assert t == [(F(1, 3), 0), (F(1, 3), 1), (F(1, 3), 2)]
+    assert _slopes_and_intercepts(t) == [(F(1, 3), 0), (F(1, 3), 1), (F(1, 3), 2)]
     r = uniform_maps(3, "reflection")
-    assert r == [(F(1, 3), 0), (F(-1, 3), 2), (F(1, 3), 2)]
+    assert _slopes_and_intercepts(r) == [(F(1, 3), 0), (F(-1, 3), 2), (F(1, 3), 2)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reflection_layout_is_the_subdivision_of_the_interval(n):
+    # u_1 = x/n and u_i = R_{i-1} o u_{i-1} with the mirror R_k(x) = 2k - x
+    mirrored = [(F(1, n), F(0))]
+    for i in range(1, n):
+        m, q = mirrored[-1]
+        mirrored.append((-m, 2 * i - q))
+    maps = uniform_maps(n, "reflection")
+    assert _slopes_and_intercepts(maps) == mirrored
+    assert maps == subdivide(box_figure("interval", [(0, n)]), n)
+
+
+def _interval_spec(lo, hi, maps):
+    return sf.SurfaceSpec(((lo,), (hi,)), maps, [(0, 1)] * len(maps), F(1, 2))
+
+
+def _map(slope, intercept):
+    return AffineMap(Mat([[F(slope)]]), Vec((F(intercept),)))
+
+
+def test_function_needs_a_spec_on_an_interval_tiled_by_its_cells():
+    halves = [_map(F(1, 2), 0), _map(F(-1, 2), 1)]
+    f = FractalFunction(_interval_spec(0, 1, halves))
+    assert f.domain == (0, 1) and f.boundaries == [0, F(1, 2), 1]
+    for maps in ([_map(F(1, 2), 0), _map(F(1, 2), 0)],                     # overlap
+                 [_map(F(1, 3), 0), _map(F(1, 3), F(2, 3))],               # gap
+                 [_map(F(1, 2), F(1, 2)), _map(F(1, 2), 0)],               # right to left
+                 [_map(F(1, 2), 0)]):                                      # short
+        with pytest.raises(ValueError, match="cells do not tile the domain"):
+            FractalFunction(_interval_spec(0, 1, maps))
+    with pytest.raises(ValueError, match="empty domain"):
+        FractalFunction(_interval_spec(1, 0, [_map(1, 0)]))
+    with pytest.raises(ValueError, match="needs a spec on an interval"):
+        FractalFunction(sf.fixture("ex5.2"))
 
 
 def test_knot_values_translation_mode():

@@ -5,8 +5,10 @@ under `src/waveletsets` must have a user: it must be named outside its own
 definition in `src/` (the re-exports of `__init__.py` do not count), in the
 python files of `perfbench/`, in the python block of README.md or in a README
 line that runs `waveletsets`.  A mention in the tests, in prose, in a
-docstring or in a comment does not count.  Names are matched as whole words,
-so this finds definitions that nothing names at all, not every unused method.
+docstring, in a comment or as the name of another definition (its `def` or
+`class` line) does not count: two methods of one name on different classes
+do not use each other.  Names are matched as whole words, so this finds
+definitions that nothing names at all, not every unused method.
 
 Every parameter with a default of such a function or method, or of a class's
 `__init__`, must be passed by keyword or by position at some call of that
@@ -41,13 +43,17 @@ def _readme_python():
 
 
 def _code_lines(text: str) -> list:
-    """The lines of python source with its comments and docstrings blanked."""
+    """The lines of python source with its comments, its docstrings and the
+    names of its definitions blanked."""
     lines = text.splitlines()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type == tokenize.COMMENT:
             row, col = tok.start
             lines[row - 1] = lines[row - 1][:col]
     for node in ast.walk(ast.parse(text)):
+        if isinstance(node, DEFS):
+            row = node.lineno - 1
+            lines[row] = re.sub(rf"\b(def|class)\s+{node.name}\b", r"\1", lines[row], count=1)
         if isinstance(node, (ast.Module, *DEFS)) and node.body:
             first = node.body[0]
             if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \

@@ -125,7 +125,7 @@ def test_graph_maps_send_each_mesh_into_the_next(y_mid, s):
     depth = 4
     coarse = list(zip(*f.mesh(depth)))
     fine = set(zip(*f.mesh(depth + 1)))
-    for c in f.cells:
+    for u, data, s_i in zip(f.spec.maps, f.spec.data, f.spec._scalings):
         for x, y in coarse:
-            image = (c.u(x), sum(a * x ** k for k, a in enumerate(c.data)) + c.s * y)
+            image = (u.apply((x,))[0], sum(a * x ** k for (k,), a in data.items()) + s_i * y)
             assert image in fine

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import selfaffine_oracle as oracle
 
-from waveletsets.geometry import AffineIsometry, Mat, Vec
+from waveletsets.geometry import AffineIsometry, AffineMap, Mat, Vec
 from waveletsets.reflections import (
     RootSystem,
     affine_reflect,
@@ -187,6 +187,15 @@ def test_subdivision_tiles_the_figure():
     # every half-integer grid vertex of the figure is hit
     hit = {p for c in cells for p in c}
     assert Vec((F(1, 2), F(1, 2))) in hit and Vec((F(1), F(1))) in hit
+
+
+@pytest.mark.parametrize("fig", [box_figure("interval", [(0, 3)]), unit_square_figure(),
+                                 box_figure("box", [(0, 2), (0, F(1, 3)), (0, 1)])])
+def test_subdivision_by_one_is_the_identity(fig):
+    identity = AffineMap(Mat.identity(fig.dim), Vec([F(0)] * fig.dim))
+    assert subdivide(fig, 1) == [identity]
+    with pytest.raises(ValueError, match="kappa must be at least 1"):
+        subdivide(fig, 0)
 
 
 def test_triangle_figure_folds_its_mirror_image():

@@ -7,16 +7,19 @@ identical Fractions, and the vectorized quadrature the loop's floats within
 surfaces engine, must give the earlier moments, inner products, Gram
 matrices, knot values and evaluations (value and error bound) exactly, and
 the one elimination in `geometry` the earlier solutions, ranks and inverses.
-The one transfer-operator iteration must give the identical floats of the
-earlier loops of `fif` and `surfaces`.  The pull-back chains stored once per
-system must leave every member's values those of its data on a system of its
-own, whichever member walks first, and must not grow with mesh depth; the
-column cascade must keep the oracle's point order, its zero values and its
-errors on inconsistent data.
+The earlier functions are built from the spec of the function under test
+(`_old`): its maps, its scalings and its data coefficients up to the top
+nonzero one.  The one transfer-operator iteration must give the identical
+floats of the earlier loops of `fif` and `surfaces`.  The pull-back chains
+stored once per system must leave every member's values those of its data
+on a system of its own, whichever member walks first, and must not grow
+with mesh depth; the column cascade must keep the oracle's point order, its
+zero values and its errors on inconsistent data.
 Scalings are signed with |s| < 1 and denominators up to 2**64, so the common
 denominators of the cascades grow to hundreds of bits.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import numpy as np
@@ -44,9 +47,39 @@ def _signed(den):
 scalings = st.one_of(st.integers(1, 12), st.integers(2, 2 ** 64)).flatmap(_signed)
 
 
+@dataclass(frozen=True)
+class CellMap:
+    """The earlier `fif.CellMap`, the cell the oracle's functions read: the
+    map u(x) = m x + q, the data coefficients low degree first, the scaling."""
+
+    m: F
+    q: F
+    data: tuple
+    s: F
+
+    def u(self, x):
+        return self.m * x + self.q
+
+    def u_inv(self, x):
+        return (x - self.q) / self.m
+
+    @property
+    def preserves_orientation(self) -> bool:
+        return self.m > 0
+
+
 def _old(f):
-    """The earlier FractalFunction over the same cells, with a memo of its own."""
-    return oracle.FractalFunction(f.domain, f.cells)
+    """The earlier FractalFunction over the cells of f's spec, with a memo of
+    its own.  Each cell's coefficients run up to its top nonzero one, as the
+    spec keeps them."""
+    cells = [CellMap(u.linear.rows[0][0], u.shift[0],
+                     tuple(lam.get((k,), F(0)) for k in range(sf.poly_degree(lam) + 1)), s)
+             for u, lam, s in zip(f.spec.maps, f.spec.data, f.spec._scalings)]
+    return oracle.FractalFunction(f.domain, cells)
+
+
+def _olds(family):
+    return [_old(f) for f in family]
 
 
 def _same_outcome(run_new, run_old):
@@ -71,7 +104,7 @@ def test_uniform_cardinal_mesh_and_gram_match_oracle(n, mode, s, depth, data):
     basis = fif.uniform_cardinal_basis(n, s, mode)
     f = basis[data.draw(st.integers(0, n), label="member")]
     assert f.mesh(depth) == oracle.fif_mesh(_old(f), depth)
-    assert fif.gram_matrix(basis) == oracle.fif_gram_matrix(basis)
+    assert fif.gram_matrix(basis) == oracle.fif_gram_matrix(_olds(basis))
 
 
 @MESHES
@@ -84,7 +117,7 @@ def test_interpolation_mesh_and_gram_match_oracle(xs, depth, data):
     f = fif.FractalFunction.from_interpolation(xs, ys, s)
     assert f.mesh(depth) == oracle.fif_mesh(_old(f), depth)
     basis = fif.cardinal_basis(xs, s)
-    assert fif.gram_matrix(basis) == oracle.fif_gram_matrix(basis)
+    assert fif.gram_matrix(basis) == oracle.fif_gram_matrix(_olds(basis))
 
 
 @MESHES
@@ -117,7 +150,7 @@ def test_constant_and_quadratic_data_match_oracle(n, mode, depth, data):
         assert f.mesh(depth) == oracle.fif_mesh(_old(f), depth)
     # members of mixed data degree: the moments are solved once, at the
     # family's largest degree, for every member
-    assert fif.gram_matrix(family) == oracle.fif_gram_matrix(family)
+    assert fif.gram_matrix(family) == oracle.fif_gram_matrix(_olds(family))
 
 
 @MESHES
@@ -125,7 +158,7 @@ def test_constant_and_quadratic_data_match_oracle(n, mode, depth, data):
 def test_quadrature_matches_loop(n, mode, s, depth):
     basis = fif.uniform_cardinal_basis(n, s, mode)
     got = fif.gram_matrix_quadrature(basis, depth)
-    want = oracle.fif_gram_matrix_quadrature([_old(f) for f in basis], depth)
+    want = oracle.fif_gram_matrix_quadrature(_olds(basis), depth)
     # 1e-12 relative to the entries: near |s| = 1 they reach 3e4, where one
     # ulp is 3.6e-12 and the two summation orders may differ by it
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
@@ -166,10 +199,10 @@ def systems(draw):
 @given(family=systems(), degree=st.integers(0, 3), data=st.data())
 def test_function_moments_and_grams_match_parent(family, degree, data):
     for f in family:
-        assert fif.moments(f, degree) == oracle.moments(f, degree)
+        assert fif.moments(f, degree) == oracle.moments(_old(f), degree)
     f, g = (family[data.draw(st.integers(0, len(family) - 1), label=k)] for k in "fg")
-    assert fif.inner_product(f, g) == oracle.fif_inner_product(f, g)
-    assert fif.gram_matrix(family) == oracle.fif_gram_matrix(family)
+    assert fif.inner_product(f, g) == oracle.fif_inner_product(_old(f), _old(g))
+    assert fif.gram_matrix(family) == oracle.fif_gram_matrix(_olds(family))
     for f in family:
         assert f.knot_values() == _old(f).knot_values()
 
@@ -189,12 +222,15 @@ def test_function_evaluation_matches_parent(family, depth, data):
     assert f.bound() == old.bound()
 
 
-def test_function_bound_keeps_its_own_rule():
-    # a trailing zero makes the coefficient rule apply; the surfaces rule
-    # for the same spec would give 3
+def test_function_bound_follows_the_data_degree():
+    # a zero top coefficient leaves the data affine: the spec drops it, and
+    # the bound is the one of the endpoint values, the surfaces' bound (the
+    # earlier rule counted coefficients and gave 9/2 here)
     f = fif.FractalFunction.from_uniform_data(2, [(1, -1, 0), (0, 1, 0)], [F(1, 3), F(1, 4)])
-    assert f.bound() == _old(f).bound() == F(9, 2)
-    assert sf.FractalSurface(f.spec).bound() == 3
+    assert f.bound() == _old(f).bound() == sf.FractalSurface(f.spec).bound() == 3
+    # quadratic data take the coarse coefficient bound, 1 + 2 + 4 on [0, 2]
+    g = fif.FractalFunction.from_uniform_data(2, [(1, -1, 1), (0, 1, 0)], [F(1, 3), F(1, 4)])
+    assert g.bound() == _old(g).bound() == F(21, 2)
 
 
 # -- surfaces --------------------------------------------------------------------
@@ -340,13 +376,15 @@ def test_function_members_equal_fresh_functions_in_any_build_order(n, mode, s, d
                                 min_size=1, max_size=4), label="points")
     for k in data.draw(st.permutations(range(n + 1)), label="order"):
         f = basis[k]
-        fresh = fif.FractalFunction.from_uniform_data(n, [c.data for c in f.cells], [s] * n, mode)
+        polys = [c.data for c in _old(f).cells]
+        fresh = fif.FractalFunction.from_uniform_data(n, polys, [s] * n, mode)
         assert f.knot_values() == fresh.knot_values()
         for x in points:
             new, want = f.evaluate(x, 32), fresh.evaluate(x, 32)
             assert (new.value, new.error_bound) == (want.value, want.error_bound)
         assert f.mesh(depth) == fresh.mesh(depth)
-    _assert_geometry_only(basis[0].spec._system, lambda z, i: basis[0].cells[i].u_inv(z))
+    old = _old(basis[0])
+    _assert_geometry_only(basis[0].spec._system, lambda z, i: old.cells[i].u_inv(z))
 
 
 def _all_fractions(values):
