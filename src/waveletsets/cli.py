@@ -359,7 +359,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (KeyError, ValueError, tiles.ConstructionError) as exc:
+    except (ValueError, tiles.ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

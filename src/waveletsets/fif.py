@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -246,46 +247,61 @@ def gram_matrix(functions: Sequence[FractalFunction]) -> list[list[Fraction]]:
 def gram_matrix_quadrature(functions: Sequence[FractalFunction], depth: int = 12) -> np.ndarray:
     """Composite midpoint quadrature on the shared orbit mesh (float oracle).
 
-    The domain midpoint is pushed through all depth-level words; nodes, cell
-    widths and the values of every function are cascaded level by level as
-    float64 arrays, the images under each cell concatenated in cell order.
+    The sum over the cells^depth midpoint nodes x, each weighted by the width
+    w of its depth-level cell, of w f(x) g(x), reassociated so that no node
+    is built.  Start from one node, the domain midpoint c, of width b - a;
+    a cell x -> m x + q sends a node's weight to |m| w and its value to
+    v_f(m x + q) = p_f(x) + s_f v_f(x).  In y = x - c, with the cell's data
+    coefficients P (row f: p_f(y + c), degree <= p) and scalings s, each level
+    then closes over three small arrays:
+        nu[e] = sum w y^e (e <= 2p),  mu[f, e] = sum w y^e v_f (e <= p),
+        G[f, g] = sum w v_f v_g,
+    each cell adding |m| times
+        nu:  B nu, with B[e, j] = C(e, j) m^j r^(e - j) and r = q + (m - 1) c,
+        mu:  (P Nu + s mu) B_p^T, with Nu[k, l] = nu[k + l] and B_p = B[:p+1, :p+1],
+        G:   P Nu P^T + X + X^T + (s s^T) G, with X[f, g] = (P mu^T)[f, g] s_g.
+    Taking the moments about c keeps |r| within the domain's half-width, so
+    the binomial expansion loses no digits on a domain far from 0.
     """
     base = functions[0]
     for f in functions[1:]:
         surfaces._check_shared_domain(base, f)
     a, b = base.domain
     mid = (a + b) / 2
-    nodes = np.array([float(mid)])
-    widths = np.array([float(b - a)])
-    vals = np.array([[float(f.evaluate(mid, depth=80).value)] for f in functions])
-    # per cell: slope, intercept, data coefficients [function, power] padded
-    # with zeros (a zero leading coefficient leaves Horner's floats unchanged)
-    # and scalings [function, 1]
-    width = 1 + max(surfaces.poly_degree(p) for f in functions for p in f.spec.data)
+    p = max(surfaces.poly_degree(d) for f in functions for d in f.spec.data)
+    degrees = range(2 * p + 1)
+    hankel = np.add.outer(np.arange(p + 1), np.arange(p + 1))
+    nu = np.zeros(2 * p + 1)
+    nu[0] = float(b - a)
+    vals = np.array([float(f.evaluate(mid, depth=80).value) for f in functions])
+    mu = np.zeros((len(functions), p + 1))
+    mu[:, 0] = nu[0] * vals
+    gram = nu[0] * np.outer(vals, vals)
+    to_mid = AffineMap(Mat([[1]]), Vec((mid,)))
     cells = []
     for ci, u in enumerate(base.spec.maps):
-        coeffs = np.zeros((len(functions), width))
+        m = u.linear.rows[0][0]
+        r = u.shift[0] + (m - 1) * mid
+        binom = np.array([[float(math.comb(i, j) * m ** j * r ** (i - j)) if j <= i else 0.0
+                           for j in degrees] for i in degrees])
+        coeffs = np.zeros((len(functions), p + 1))
         for fi, f in enumerate(functions):
-            for (k,), c in f.spec.data[ci].items():
+            for (k,), c in surfaces.poly_compose_affine(f.spec.data[ci], to_mid).items():
                 coeffs[fi, k] = float(c)
-        scal = np.array([[float(f.spec._scalings[ci])] for f in functions])
-        cells.append((float(u.linear.rows[0][0]), float(u.shift[0]), coeffs, scal))
+        scal = np.array([float(f.spec._scalings[ci]) for f in functions])
+        cells.append((float(abs(m)), binom, coeffs, scal))
     for _ in range(depth):
-        new_nodes, new_widths, new_vals = [], [], []
-        for m, q, coeffs, scal in cells:
-            new_nodes.append(m * nodes + q)
-            new_widths.append(abs(m) * widths)
-            acc = np.zeros_like(vals)
-            for k in reversed(range(width)):
-                acc = acc * nodes + coeffs[:, k:k + 1]
-            new_vals.append(acc + scal * vals)
-        nodes = np.concatenate(new_nodes)
-        widths = np.concatenate(new_widths)
-        vals = np.concatenate(new_vals, axis=1)
-    # the matmul rounds (v_i w) v_j and (v_j w) v_i apart; averaging with the
-    # transpose keeps the result exactly symmetric
-    g = (vals * widths) @ vals.T
-    return (g + g.T) / 2
+        nu_next, mu_next, gram_next = np.zeros_like(nu), np.zeros_like(mu), np.zeros_like(gram)
+        for w, binom, coeffs, scal in cells:
+            c_nu = coeffs @ nu[hankel]
+            x = (coeffs @ mu.T) * scal
+            nu_next += w * (binom @ nu)
+            mu_next += w * ((c_nu + scal[:, None] * mu) @ binom[:p + 1, :p + 1].T)
+            gram_next += w * (c_nu @ coeffs.T + x + x.T + np.outer(scal, scal) * gram)
+        nu, mu, gram = nu_next, mu_next, gram_next
+    # the matmul rounds (P Nu) P^T apart from its transpose; averaging with
+    # the transpose keeps the result exactly symmetric
+    return (gram + gram.T) / 2
 
 
 def cardinal_basis(xs: Sequence, s: Sequence) -> list[FractalFunction]:
@@ -336,7 +352,7 @@ def fixture(name: str, mode: str = "translation") -> FractalFunction:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         return FractalFunction.from_uniform_data(3, lam, [Fraction(1, 2)] * 3, mode)
-    raise KeyError(f"unknown function fixture: {name}")
+    raise ValueError(f"unknown function fixture: {name}")
 
 
 def orthonormalize(gram) -> np.ndarray:

@@ -155,10 +155,20 @@ def _domain_geometry(verts: Sequence) -> tuple:
     dim = len(verts[0])
     if len(verts) == dim + 1:
         edges = Mat([[verts[k + 1][i] - verts[0][i] for k in range(dim)] for i in range(dim)])
-        return None, AffineMap(edges, verts[0]), abs(edges.det())
+        volume = abs(edges.det())
+        if not volume:
+            if dim == 1:
+                raise ValueError(f"degenerate domain: the interval [{verts[0][0]}, {verts[1][0]}] "
+                                 "has zero length")
+            corners = ", ".join("(" + ", ".join(map(str, v)) + ")" for v in verts)
+            raise ValueError(f"degenerate domain: the simplex {corners} is flat")
+        return None, AffineMap(edges, verts[0]), volume
     box = _box_bounds(verts)
     if box is None:
         raise ValueError("domain must be a simplex or an axis-aligned box")
+    if any(lo == hi for lo, hi in box):
+        sides = " x ".join(f"[{lo}, {hi}]" for lo, hi in box)
+        raise ValueError(f"degenerate domain: the box {sides} is flat")
     return box, None, None
 
 
@@ -191,9 +201,9 @@ class _System:
     def __init__(self, vertices: tuple, maps: tuple, scalings: tuple):
         self.vertices, self.maps, self.scalings = vertices, maps, scalings
         self.dim = len(vertices[0])
+        self.box, self.chart, self.volume = _domain_geometry(vertices)
         self.inverses = tuple(u.inverse() for u in maps)
         self.dets = tuple(abs(u.linear.det()) for u in maps)
-        self.box, self.chart, self.volume = _domain_geometry(vertices)
         self.chart_inv = None if self.chart is None else self.chart.inverse()
         self.pair_denominator = 1 - sum((d * s * s for d, s in zip(self.dets, scalings)), ZERO)
         self._integrals: dict = {}
@@ -843,4 +853,4 @@ def fixture(name: str) -> SurfaceSpec:
         lam_a = (Fraction(1, 5), Fraction(-1, 5), Fraction(3, 10))
         lam_b = (Fraction(3, 10), Fraction(1, 5), Fraction(-3, 10))
         return triangle_spec((lam_a, lam_a, lam_b, lam_b), Fraction(3, 5))
-    raise KeyError(f"unknown surface fixture: {name}")
+    raise ValueError(f"unknown surface fixture: {name}")

@@ -5,8 +5,9 @@
 These are implementations the library used before:
 - meshes as lists or dicts of normalized Fractions, each inner product
   solving both moment systems again, the quadrature as a Python loop over
-  its nodes (before the integer-numerator mesh cascades, the
-  one-solve-per-surface Gram matrices and the vectorized quadrature);
+  its cells^depth nodes (before the integer-numerator mesh cascades, the
+  one-solve-per-surface Gram matrices, and the quadrature's vectorized node
+  cascade and then its moment recursion, which builds no node);
 - `FractalFunction` and `FractalSurface` with a pull-back chain and a
   truncated evaluation each, walked by every object on its own (before the
   chains' points and cells were stored once per shared system, and the

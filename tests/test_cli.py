@@ -34,6 +34,15 @@ def test_unknown_fixture_exits_one(capsys):
     assert run(["fif", "example", "--name", "nope"]) == 1
 
 
+@pytest.mark.parametrize("command,kind", [("fif example", "function"),
+                                          ("surface fixture", "surface")])
+def test_unknown_fixture_is_named_on_stderr(capsys, command, kind):
+    assert run(command.split() + ["--name", "nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown {kind} fixture: nope\n"
+
+
 def test_fixture_without_the_asked_layout_exits_one(capsys):
     # ex3.3 is an interpolation function with the translation layout only
     assert run(["fif", "example", "--name", "ex3.3", "--mode", "reflection"]) == 1

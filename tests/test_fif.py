@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from waveletsets import fif
 from waveletsets import surfaces as sf
 from waveletsets.fif import (
     FractalFunction,
@@ -12,6 +14,7 @@ from waveletsets.fif import (
     inner_product,
     moments,
     orthonormalize,
+    uniform_cardinal_basis,
     uniform_maps,
 )
 from waveletsets.geometry import AffineMap, Mat, Vec
@@ -149,6 +152,49 @@ def test_gram_exact_vs_quadrature_oracle():
     assert abs(gq - ge).max() < 1e-6
     assert g[0][1] == g[1][0]
 
+
+def _quadrature_families():
+    for mode in ("translation", "reflection"):
+        for s in (F(1, 3), F(-1, 2), F(2, 7)):
+            yield pytest.param(uniform_cardinal_basis(4, s, mode), id=f"{mode}-{s}")
+        yield pytest.param([fif.fixture("ex3.5", mode)], id=f"ex3.5-{mode}")
+    yield pytest.param(cardinal_basis([0, F(1, 3), F(1, 2), 1], [F(1, 3), F(-2, 5), F(1, 4)]),
+                       id="cardinal")
+    # far from 0: the moments are taken about the domain midpoint, so the
+    # binomial expansion of the cell maps keeps its digits (about 0 they are
+    # off by 4e-11 here)
+    yield pytest.param(
+        cardinal_basis([1000, F(3001, 3), 1001, 1002], [F(1, 3), F(-2, 5), F(1, 4)]),
+        id="cardinal-at-1000")
+    # quadratic data with one scaling per cell
+    yield pytest.param(
+        [FractalFunction.from_uniform_data(3, data, [F(1, 3), F(-1, 4), F(1, 5)])
+         for data in ([(1, -1, F(1, 2)), (0, 2, -1), (F(1, 3), 0, 1)],
+                      [(0, 1), (F(1, 2), 0, F(-1, 3)), (2, -1, F(1, 4))])],
+        id="quadratic")
+
+
+@pytest.mark.parametrize("family", list(_quadrature_families()))
+def test_deep_quadrature_meets_the_exact_gram(family):
+    # depth 48 has 4**48 midpoint nodes on the 4-cell bases; the moment
+    # recursion reaches it, and the midpoint error is far below 1e-12 there
+    exact = np.array([[float(x) for x in row] for row in gram_matrix(family)])
+    quad = gram_matrix_quadrature(family, depth=48)
+    assert np.abs(quad - exact).max() < 1e-12
+    assert np.array_equal(quad, quad.T)
+
+
+def test_quadrature_memory_does_not_grow_with_the_node_count():
+    # the depth-12 midpoint rule has 4**12 = 16.8 M nodes per function; the
+    # recursion keeps a few moments per function, never the nodes
+    basis = uniform_cardinal_basis(4, F(1, 3))
+    tracemalloc.start()
+    try:
+        gram_matrix_quadrature(basis, depth=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 def test_orthonormalize():
     basis = cardinal_basis([0, F(1, 2), 1], [F(3, 5), F(2, 5)])

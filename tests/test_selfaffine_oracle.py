@@ -2,8 +2,9 @@
 
 The integer-numerator mesh cascades must give the identical Fraction lists
 and dicts (dict order included), the one-solve-per-member Gram matrices the
-identical Fractions, and the vectorized quadrature the loop's floats within
-1e-12 of the entries' size.  The fractal functions, now a front end over the
+identical Fractions, and the quadrature's moment recursion (the same
+midpoint sums, reassociated over a few moments per level) the node loop's
+floats within 1e-12 of the entries' size.  The fractal functions, now a front end over the
 surfaces engine, must give the earlier moments, inner products, Gram
 matrices, knot values and evaluations (value and error bound) exactly, and
 the one elimination in `geometry` the earlier solutions, ranks and inverses.

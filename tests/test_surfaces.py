@@ -8,6 +8,7 @@ import pytest
 
 from waveletsets import surfaces as sf
 from waveletsets.fif import FractalFunction
+from waveletsets.geometry import AffineMap, Mat, Vec
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +163,21 @@ def test_basis_refuses_different_scalings_per_cell(spec):
     same = sf.triangle_spec(spec.data, (F(1, 2),) * 4)
     assert all(isinstance(b.mesh(2), dict) for b in sf.basis_surfaces(same).values())
 
+
+
+@pytest.mark.parametrize("vertices,message", [
+    (((0,), (0,)), r"the interval \[0, 0\] has zero length"),
+    (((F(1, 2),), (F(1, 2),)), r"the interval \[1/2, 1/2\] has zero length"),
+    (((0, 0), (1, 1), (2, 2)), r"the simplex \(0, 0\), \(1, 1\), \(2, 2\) is flat"),
+    (((0, 0), (0, 1), (0, 0), (0, 1)), r"the box \[0, 0\] x \[0, 1\] is flat"),
+])
+def test_degenerate_domain_is_named(vertices, message):
+    # before, the simplex chart's inverse raised "singular matrix"
+    dim = len(vertices[0])
+    identity = AffineMap(Mat([[int(i == j) for j in range(dim)] for i in range(dim)]),
+                         Vec((0,) * dim))
+    with pytest.raises(ValueError, match="degenerate domain: " + message):
+        sf.SurfaceSpec(vertices, [identity], [{}], 0)
 
 def test_inner_product_with_unshared_per_cell_scalings():
     # two interpolation functions on one interval, each with its own scaling
