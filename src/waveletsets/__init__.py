@@ -12,7 +12,7 @@ Submodules:
   cli          command-line front end
 """
 
-from .geometry import AffineIsometry, AffineMap, Hyperplane, Mat, Vec, vec
+from .geometry import AffineIsometry, AffineMap, Hyperplane, Mat, Vec
 from .reflections import (
     FoldableFigure,
     RootSystem,

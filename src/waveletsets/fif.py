@@ -9,8 +9,8 @@ certified intervals elsewhere.
 An interval is the 1-D foldable figure, so a fractal function is the 1-D
 case of a self-affine surface: `FractalFunction` is built from a
 `waveletsets.surfaces` spec, the one holder of its maps, data and scalings,
-and shares that module's pull-back evaluation, bound, moment solve,
-inner-product formula and integer mesh level step.  It keeps its one-sided
+and shares that module's forced-data rule, pull-back evaluation, bound,
+moment solve, inner-product formula and integer mesh level step.  It keeps its one-sided
 knot values, the ordered join of its mesh (a list with one-sided values at
 interior knots, where the surface mesh is a dict) and its per-system mesh
 points.  Its reflection layout is `reflections.subdivide` of [0, n].
@@ -19,7 +19,6 @@ points.  Its reflection layout is `reflections.subdivide` of [0, n].
 from __future__ import annotations
 
 import bisect
-import copy
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -36,27 +35,34 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _interpolation(xs: Sequence, ys: Sequence, s: Sequence) -> tuple:
-    """(maps, affine data) of the interpolation through (x_i, y_i) with scalings s_i."""
+def _interpolation(xs: Sequence, rows: Sequence, s: Sequence) -> list:
+    """The functions through (x_i, y_i) with scalings s_i, one per row of
+    y_i, on one system: u_i maps [x_0, x_N] onto [x_(i-1), x_i]."""
     xs = [_frac(v) for v in xs]
-    ys = [_frac(v) for v in ys]
+    rows = [[_frac(v) for v in ys] for ys in rows]
     s = [_frac(v) for v in s]
     n = len(xs) - 1
-    if len(ys) != n + 1 or len(s) != n:
+    if any(len(ys) != n + 1 for ys in rows) or len(s) != n:
         raise ValueError("need N+1 points and N scalings")
     if any(xs[i] >= xs[i + 1] for i in range(n)):
         raise ValueError("abscissae must increase")
     a, b = xs[0], xs[-1]
     span = b - a
-    maps, data = [], []
-    for i in range(1, n + 1):
-        ai = (xs[i] - xs[i - 1]) / span
-        alpha = (b * xs[i - 1] - a * xs[i]) / span
-        ci = (ys[i] - ys[i - 1] - s[i - 1] * (ys[-1] - ys[0])) / span
-        beta = (b * ys[i - 1] - a * ys[i] - s[i - 1] * (b * ys[0] - a * ys[-1])) / span
-        maps.append(AffineMap(Mat([[ai]]), Vec((alpha,))))
-        data.append((beta, ci))
-    return maps, data
+    maps = [AffineMap(Mat([[(xs[i] - xs[i - 1]) / span]]), Vec(((b * xs[i - 1] - a * xs[i]) / span,)))
+            for i in range(1, n + 1)]
+    return _family(SurfaceSpec(((a,), (b,)), maps, [{}] * n, tuple(s)), xs, rows)
+
+
+def _family(spec: SurfaceSpec, xs: Sequence, rows: Sequence) -> list:
+    """One function on the spec's system per row of values at the knots xs,
+    with the data the row forces (`surfaces._forced_data`); the spec's own
+    data are not read."""
+    tables = [{(x,): y for x, y in zip(xs, ys)} for ys in rows]
+    return [FractalFunction(spec.with_data(d)) for d in surfaces._forced_data(spec, tables)]
+
+
+def _kronecker(size: int) -> list:
+    return [[int(j == i) for j in range(size)] for i in range(size)]
 
 
 class FractalFunction(SelfAffine):
@@ -92,8 +98,7 @@ class FractalFunction(SelfAffine):
     @staticmethod
     def from_interpolation(xs: Sequence, ys: Sequence, s: Sequence) -> "FractalFunction":
         """Affine fractal interpolation through (x_i, y_i) with scalings s_i."""
-        maps, data = _interpolation(xs, ys, s)
-        return FractalFunction(SurfaceSpec(((xs[0],), (xs[-1],)), maps, data, tuple(s)))
+        return _interpolation(xs, [ys], s)[0]
 
     @staticmethod
     def from_uniform_data(n: int, data: Sequence[Sequence], s: Sequence,
@@ -102,12 +107,6 @@ class FractalFunction(SelfAffine):
         uniform translation or reflection maps."""
         polys = [{(k,): c for k, c in enumerate(poly)} for poly in data]
         return FractalFunction(SurfaceSpec(((0,), (n,)), uniform_maps(n, mode), polys, tuple(s)))
-
-    def _with_data(self, data: Sequence) -> "FractalFunction":
-        """A function on the same maps, scalings and shared system with other data."""
-        f = copy.copy(self)
-        SelfAffine.__init__(f, self.spec.with_data(data))
-        return f
 
     # -- cell lookup ------------------------------------------------------------
 
@@ -305,33 +304,23 @@ def gram_matrix_quadrature(functions: Sequence[FractalFunction], depth: int = 12
 
 
 def cardinal_basis(xs: Sequence, s: Sequence) -> list[FractalFunction]:
-    """Fractal functions interpolating the Kronecker data at the knots."""
-    kronecker = [[Fraction(int(j == i)) for j in range(len(xs))] for i in range(len(xs))]
-    first = FractalFunction.from_interpolation(xs, kronecker[0], s)
-    return [first] + [first._with_data(_interpolation(xs, ys, s)[1]) for ys in kronecker[1:]]
+    """Fractal functions interpolating the Kronecker data at the knots, on one system."""
+    return _interpolation(xs, _kronecker(len(xs)), s)
 
 
 def uniform_cardinal_basis(n: int, s, mode: str = "translation") -> list[FractalFunction]:
-    """Cardinal functions at the integer knots of [0, n] for either layout.
+    """Cardinal functions at the integer knots of [0, n] for either layout,
+    on one system.
 
-    The affine data on each cell is pinned by the endpoint relations
-    f(u_i(0)) = p_i(0) + s f(0) and f(u_i(n)) = p_i(n) + s f(n).  The
-    functions share one system.
+    The translation layout is `cardinal_basis` at the knots 0..n, whose maps
+    are those of `uniform_maps`; the reflection layout forces its data by
+    the same rule on the mirrored maps.
     """
     s = _frac(s)
-    maps = uniform_maps(n, mode)
-    family = []
-    for j in range(n + 1):
-        y = [Fraction(1) if k == j else Fraction(0) for k in range(n + 1)]
-        data = []
-        for u in maps:
-            m, q = u.linear.rows[0][0], u.shift[0]
-            v0 = y[int(q)] - s * y[0]
-            vn = y[int(m * n + q)] - s * y[n]
-            data.append((v0, Fraction(vn - v0, n)))
-        family.append(data)
-    first = FractalFunction(SurfaceSpec(((0,), (n,)), maps, family[0], (s,) * n))
-    return [first] + [first._with_data(d) for d in family[1:]]
+    if mode == "translation":
+        return cardinal_basis(range(n + 1), [s] * n)
+    spec = SurfaceSpec(((0,), (n,)), uniform_maps(n, mode), [{}] * n, (s,) * n)
+    return _family(spec, range(n + 1), _kronecker(n + 1))
 
 
 def fixture(name: str, mode: str = "translation") -> FractalFunction:

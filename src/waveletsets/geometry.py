@@ -23,10 +23,6 @@ class Vec(tuple):
     def __new__(cls, entries: Iterable):
         return super().__new__(cls, tuple(entries))
 
-    @property
-    def dim(self) -> int:
-        return len(self)
-
     def _check(self, other):
         if len(self) != len(other):
             raise ValueError(f"dimension mismatch: {len(self)} vs {len(other)}")
@@ -51,10 +47,6 @@ class Vec(tuple):
 
     def __repr__(self):
         return f"Vec{tuple(self)!r}"
-
-
-def vec(*entries) -> Vec:
-    return Vec(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import AffineMap, Mat, Vec
+from .reflections import right_triangle_figure
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -708,26 +709,36 @@ def level_one_vertices(spec: SurfaceSpec) -> list:
     return outer + inner
 
 
-def basis_surfaces(spec: SurfaceSpec) -> dict:
-    """Cardinal surfaces, one per outer or inner vertex of the refinement.
+def _forced_data(spec: SurfaceSpec, tables: Sequence) -> list:
+    """The affine data each cell is forced to carry, one list per table f of
+    values at the vertices v and their images u_i(v):
+    lambda_i(v) = f(u_i(v)) - s_i f(v) (Barnsley 1986, Massopust 1990).
 
-    The data function on each cell is forced by affine interpolation of the
-    prescribed vertex values; this is available for simplex domains where
-    dim+1 vertex conditions pin an affine function exactly.  The cells must
-    share one vertical scaling: with different ones the members are not
-    continuous across the inner vertices of deeper refinements.
+    Every cardinal family is built through this rule: `basis_surfaces` and
+    the interpolation functions and cardinal bases of `fif`.  The domain
+    must be a simplex, where dim+1 vertex values pin an affine function.
+    """
+    system = spec._system
+    return [[system.interpolate([f[w] - s * f[v] for w, v in zip(ws, system.vertices)])
+             for ws, s in zip(system.images, system.scalings)] for f in tables]
+
+
+def basis_surfaces(spec: SurfaceSpec) -> dict:
+    """Cardinal surfaces, one per outer or inner vertex of the refinement,
+    each with the data its Kronecker values force (`_forced_data`).
+
+    The cells must share one vertical scaling: with different ones the
+    members are not continuous across the inner vertices of deeper
+    refinements.
     """
     if len(spec.vertices) != spec.dim + 1:
         raise ValueError("vertex basis construction needs a simplex domain")
     if len(set(spec._scalings)) != 1:
         raise ValueError("vertex basis construction needs one vertical scaling for all cells")
     pts = level_one_vertices(spec)
-    images = spec._system.images
+    kronecker = [{p: int(p == nu) for p in pts} for nu in pts]
     out = {}
-    for nu in pts:
-        zvals = {p: (ONE if p == nu else ZERO) for p in pts}
-        data = [spec._system.interpolate([zvals[w] - s * zvals[v] for w, v in zip(ws, spec.vertices)])
-                for ws, s in zip(images, spec._scalings)]
+    for nu, data in zip(pts, _forced_data(spec, kronecker)):
         surf = FractalSurface(spec.with_data(data))
         surf.mesh(1)  # consistency check at the refinement vertices
         out[nu] = surf
@@ -824,9 +835,6 @@ def gram_matrix(surfaces) -> list:
 # built-in figures and fixtures
 # ---------------------------------------------------------------------------
 
-TRIANGLE_VERTICES = ((0, 0), (1, 0), (0, 1))
-
-
 def quarter_triangle_maps() -> tuple:
     """Four similitudes carrying the right triangle onto its half-scale cells.
 
@@ -844,7 +852,8 @@ def quarter_triangle_maps() -> tuple:
 
 
 def triangle_spec(data: Sequence, scaling) -> SurfaceSpec:
-    return SurfaceSpec(TRIANGLE_VERTICES, quarter_triangle_maps(), tuple(data), scaling)
+    """A spec on the paper's foldable right triangle, cut into its four cells."""
+    return SurfaceSpec(right_triangle_figure().vertices, quarter_triangle_maps(), tuple(data), scaling)
 
 
 def fixture(name: str) -> SurfaceSpec:

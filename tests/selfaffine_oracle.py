@@ -30,6 +30,12 @@ transfer-operator iterations from before one iteration on
 `surfaces.SelfAffine`; they run on the classes here, whose `mesh` is
 `fif_mesh` and whose `_pull` is the one each used.
 
+`interpolation` and `uniform_cardinal_data` are the data formulas of `fif`
+from before every cardinal family forced its data through one rule: the
+hand-solved affine data of an interpolation function and the endpoint loop
+of the uniform cardinal bases; `interpolation`'s maps are the `AffineMap`
+at the end of this module.
+
 The `cell_surface_*` functions are the library's surface moment solve and
 pair formula from before specs shared one system (`SurfaceSpec.with_data`),
 which also take a scaling per cell; `tests/test_shared_system.py` uses them.
@@ -270,6 +276,54 @@ def moments(f: FractalFunction, max_degree: int) -> list[Fraction]:
                 fct = aug[r][col]
                 aug[r] = [x - fct * y for x, y in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# fractal functions: the hand-solved interpolation formulas and the endpoint
+# loop of the cardinal bases, from before every cardinal family forced its
+# data through `surfaces._forced_data`
+# ---------------------------------------------------------------------------
+
+
+def interpolation(xs: Sequence, ys: Sequence, s: Sequence) -> tuple:
+    """(maps, affine data) of the interpolation through (x_i, y_i) with scalings s_i."""
+    xs = [_frac(v) for v in xs]
+    ys = [_frac(v) for v in ys]
+    s = [_frac(v) for v in s]
+    n = len(xs) - 1
+    if len(ys) != n + 1 or len(s) != n:
+        raise ValueError("need N+1 points and N scalings")
+    if any(xs[i] >= xs[i + 1] for i in range(n)):
+        raise ValueError("abscissae must increase")
+    a, b = xs[0], xs[-1]
+    span = b - a
+    maps, data = [], []
+    for i in range(1, n + 1):
+        ai = (xs[i] - xs[i - 1]) / span
+        alpha = (b * xs[i - 1] - a * xs[i]) / span
+        ci = (ys[i] - ys[i - 1] - s[i - 1] * (ys[-1] - ys[0])) / span
+        beta = (b * ys[i - 1] - a * ys[i] - s[i - 1] * (b * ys[0] - a * ys[-1])) / span
+        maps.append(AffineMap(Mat([[ai]]), Vec((alpha,))))
+        data.append((beta, ci))
+    return maps, data
+
+
+def uniform_cardinal_data(n: int, s, maps: Sequence) -> list:
+    """The affine data (constant, slope) per cell of each cardinal function on
+    the uniform maps of [0, n]: the endpoint loop of the earlier
+    `uniform_cardinal_basis`, which built the functions from these."""
+    s = _frac(s)
+    family = []
+    for j in range(n + 1):
+        y = [Fraction(1) if k == j else Fraction(0) for k in range(n + 1)]
+        data = []
+        for u in maps:
+            m, q = u.linear.rows[0][0], u.shift[0]
+            v0 = y[int(q)] - s * y[0]
+            vn = y[int(m * n + q)] - s * y[n]
+            data.append((v0, Fraction(vn - v0, n)))
+        family.append(data)
+    return family
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,106 @@ def test_quadrature_matches_loop(n, mode, s, depth):
     assert np.array_equal(got, got.T)
 
 
+# -- cardinal data: one forced-data rule -------------------------------------------
+
+# increasing knots near 0, or on [1000, 1002], far from it
+knots = st.one_of(
+    st.lists(small_fracs, min_size=2, max_size=6, unique=True),
+    st.lists(st.fractions(min_value=1000, max_value=1002, max_denominator=12),
+             min_size=2, max_size=6, unique=True).map(lambda xs: xs + [F(1000), F(1002)]),
+).map(lambda xs: sorted(set(xs)))
+
+
+def _items(data) -> list:
+    """Each cell's data as its monomial terms in order, so that equal data
+    means the same Fractions in the same places."""
+    return [list(sf.as_poly(d, 1).items()) for d in data]
+
+
+@MESHES
+@given(xs=knots, data=st.data())
+def test_interpolation_data_equal_the_hand_solved_formulas(xs, data):
+    n = len(xs) - 1
+    ys = data.draw(st.lists(small_fracs, min_size=n + 1, max_size=n + 1), label="ys")
+    s = data.draw(st.lists(scalings, min_size=n, max_size=n), label="s")
+    f = fif.FractalFunction.from_interpolation(xs, ys, s)
+    maps, want = oracle.interpolation(xs, ys, s)
+    assert [u.key() for u in f.spec.maps] == [u.key() for u in maps]
+    assert _items(f.spec.data) == _items(want)
+    basis = fif.cardinal_basis(xs, s)
+    kronecker = [[int(j == i) for j in range(n + 1)] for i in range(n + 1)]
+    assert [_items(g.spec.data) for g in basis] \
+        == [_items(oracle.interpolation(xs, ys, s)[1]) for ys in kronecker]
+    assert all(g.spec._system is basis[0].spec._system for g in basis)
+    for g in basis:
+        assert [u.key() for u in g.spec.maps] == [u.key() for u in maps]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), mode=modes, s=scalings)
+def test_uniform_cardinal_data_equal_the_endpoint_loop(n, mode, s):
+    basis = fif.uniform_cardinal_basis(n, s, mode)
+    maps = fif.uniform_maps(n, mode)
+    assert all([u.key() for u in f.spec.maps] == [u.key() for u in maps] for f in basis)
+    want = oracle.uniform_cardinal_data(n, s, maps)
+    assert [_items(f.spec.data) for f in basis] == [_items(d) for d in want]
+    assert all(f.spec._system is basis[0].spec._system for f in basis)
+    if mode == "translation":
+        same = fif.cardinal_basis(range(n + 1), [s] * n)
+        assert len(same) == len(basis)
+        for f, g in zip(basis, same):
+            assert f.domain == g.domain and f.spec.scaling == g.spec.scaling
+            assert [u.key() for u in f.spec.maps] == [u.key() for u in g.spec.maps]
+            assert _items(f.spec.data) == _items(g.spec.data)
+
+
+def _spec_outcome(run):
+    """("raises", message) of a ValueError, or ("data", the cell data)."""
+    try:
+        return "data", _items(run().data)
+    except ValueError as exc:
+        return "raises", str(exc)
+
+
+def _earlier(xs, ys, s):
+    """The spec the earlier `from_interpolation` built, raising as it did."""
+    maps, data = oracle.interpolation(xs, ys, s)
+    return sf.SurfaceSpec(((xs[0],), (xs[-1],)), maps, data, tuple(s))
+
+
+def _raises_like_the_earlier_formulas(xs, ys, s):
+    want = _spec_outcome(lambda: _earlier(xs, ys, s))
+    assert _spec_outcome(lambda: fif.FractalFunction.from_interpolation(xs, ys, s).spec) == want
+    kronecker = [int(j == 0) for j in range(len(xs))]
+    assert _spec_outcome(lambda: fif.cardinal_basis(xs, s)[0].spec) \
+        == _spec_outcome(lambda: _earlier(xs, kronecker, s))
+    return want
+
+
+# the lengths are checked first, then the order of the knots, then the scalings
+@pytest.mark.parametrize("xs, ys, s, message", [
+    ([0, 1], [0], [F(1, 2)], "need N+1 points and N scalings"),
+    ([0, 0], [0, 1, 2], [F(3, 2)], "need N+1 points and N scalings"),
+    ([1, 0], [0, 1], [F(1, 2)], "abscissae must increase"),
+    ([1, 0], [0, 1], [2], "abscissae must increase"),
+    ([0, 1], [0, 1], [F(-1)], "vertical scaling must satisfy |s| < 1"),
+    ([F(1, 2)], [1], [], "degenerate domain: the interval [1/2, 1/2] has zero length"),
+])
+def test_interpolation_checks_come_in_the_earlier_order(xs, ys, s, message):
+    assert _raises_like_the_earlier_formulas(xs, ys, s) == ("raises", message)
+
+
+# knots in any order, lengths off by one, and scalings of either size
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(small_fracs, min_size=1, max_size=5), data=st.data())
+def test_interpolation_raises_like_the_earlier_formulas(xs, data):
+    n = len(xs) - 1
+    ys = data.draw(st.lists(small_fracs, min_size=max(n, 0), max_size=n + 2), label="ys")
+    s = data.draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=6),
+                           min_size=max(n - 1, 0), max_size=n + 1), label="s")
+    _raises_like_the_earlier_formulas(xs, ys, s)
+
+
 # -- fractal functions over the surfaces engine -------------------------------------
 
 

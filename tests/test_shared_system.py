@@ -21,7 +21,7 @@ from test_selfaffine_oracle import _old
 from waveletsets import fif, mra
 from waveletsets.geometry import AffineMap, Mat, Vec
 from waveletsets import surfaces as sf
-from waveletsets.reflections import box_figure, subdivide
+from waveletsets.reflections import box_figure, right_triangle_figure, subdivide
 
 FAMILIES = settings(max_examples=60, deadline=None)
 SURFACE_BASES = settings(max_examples=15, deadline=None)
@@ -43,7 +43,7 @@ def _box_domain(widths, kappa):
 
 
 DOMAINS = {
-    "triangle": (sf.TRIANGLE_VERTICES, sf.quarter_triangle_maps()),
+    "triangle": (right_triangle_figure().vertices, sf.quarter_triangle_maps()),
     "square": _box_domain((1, 1), 2),
     "wide box": _box_domain((2, F(1, 3)), 2),
     "square, kappa 3": _box_domain((1, 1), 3),
@@ -128,7 +128,7 @@ def test_surface_family_meshes_match_oracle_and_fresh_specs(family, depth, data)
 
 def _triangle(size):
     """The right triangle scaled by size and its quarter maps conjugated to it."""
-    vertices = tuple((size * x, size * y) for x, y in sf.TRIANGLE_VERTICES)
+    vertices = tuple((size * x, size * y) for x, y in right_triangle_figure().vertices)
     return vertices, tuple(AffineMap(u.linear, u.shift.scale(size)) for u in sf.quarter_triangle_maps())
 
 
@@ -236,10 +236,6 @@ def test_with_data_still_counts_data_functions(cut):
     data = list(spec.data[:cut]) if cut < 0 else list(spec.data) + [spec.data[0]]
     with pytest.raises(ValueError, match="one data function per similitude required"):
         spec.with_data(data)
-    basis = fif.uniform_cardinal_basis(3, F(1, 3))
-    cells = list(basis[0].spec.data)
-    with pytest.raises(ValueError, match="one data function per similitude required"):
-        basis[0]._with_data(cells[:cut] if cut < 0 else cells + cells[:1])
 
 
 @settings(max_examples=40, deadline=None)
