@@ -67,7 +67,16 @@ def _kronecker(size: int) -> list:
 
 class FractalFunction(SelfAffine):
     """Fixed point of the cell-wise affine transfer operator of a spec on an
-    interval [a, b], whose map images tile it left to right."""
+    interval [a, b], whose map images tile it left to right.
+
+    At an interior knot the fixed point may jump, and three one-sided rules
+    remain: `evaluate` and `operator_iterates` take the knot from its right
+    cell (`cell_index`), `knot_values` from an orientation-preserving
+    neighbor, and `mesh` from the left cell's column.  They agree where the
+    function is continuous at its knots; ex3.5 in the reflection layout is
+    not, and there `knot_values` gives f(2) = 1/2 while the mesh gives 1.
+    Each rule's value is the same whatever the object computed before.
+    """
 
     def __init__(self, spec: SurfaceSpec):
         if spec.dim != 1:
@@ -141,14 +150,17 @@ class FractalFunction(SelfAffine):
         the value is reported from an orientation-preserving neighbor cell
         (a map of positive slope) when one exists (left cell otherwise),
         which matches the anchored interpolation data in both the translation
-        and reflection layouts.
+        and reflection layouts: one transfer step lambda_i(v) + s_i f(v) from
+        the end v that cell i maps onto the knot, and not memoized.  f(v) is
+        exact: the pull-back chain of an end stays on the two ends.
         """
         maps = self.spec.maps
         values = []
         for j, t in enumerate(self.boundaries):
             adjacent = [i for i in (j - 1, j) if 0 <= i < len(maps)]
             pick = next((i for i in adjacent if maps[i].linear.rows[0][0] > 0), adjacent[0])
-            values.append(self._resolve_chain(t, 64, first_cell=pick))
+            v, lam, s = self._pull(t, pick)
+            values.append(lam + s * self.evaluate(v).value)
         return values
 
     # -- meshes -------------------------------------------------------------------
@@ -162,14 +174,13 @@ class FractalFunction(SelfAffine):
         own cell chain (one-sided at interior boundaries).
 
         The points are the shared system's (`_orbit`), in a new list.  The
-        values run from the end knots through the integer level step of the
-        surface meshes (`surfaces._level`), each level joined in cell order
-        (`_join`), and become Fractions once, at the end, one Fraction per
-        distinct numerator (`surfaces._fractions`).
+        values run from f at the two ends of the domain through the integer
+        level step of the surface meshes (`surfaces._level`), each level
+        joined in cell order (`_join`), and become Fractions once, at the
+        end, one Fraction per distinct numerator (`surfaces._fractions`).
         """
-        kv = self.knot_values()
         levels, points = self._orbit(depth)
-        dv, vals = surfaces._numerators([kv[0], kv[-1]])
+        dv, vals = surfaces._numerators([self.evaluate(t).value for t in self.domain])
         for pts, dp in levels:
             _, _, dv, values = surfaces._level(self.spec, [pts], dp, vals, dv)
             vals = self._join(values)

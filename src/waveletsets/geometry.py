@@ -292,23 +292,11 @@ class Hyperplane:
         """Returns <x, normal> - offset; zero means x lies on the plane."""
         return self.normal.dot(x) - self.offset
 
-    def reflect(self, x: Sequence) -> Vec:
-        """Orthogonal reflection of x across the hyperplane."""
-        x = Vec(x)
-        nn = self.normal.dot(self.normal)
-        factor = 2 * self.side(x) / nn
-        return x - self.normal.scale(factor)
-
     def reflection(self) -> AffineIsometry:
-        n = len(self.normal)
+        """The orthogonal reflection across the hyperplane."""
         nn = self.normal.dot(self.normal)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                entry = (Fraction(1) if i == j else Fraction(0)) - 2 * self.normal[i] * self.normal[j] / nn
-                row.append(entry)
-            rows.append(row)
+        rows = [[Fraction(i == j) - 2 * a * b / nn for j, b in enumerate(self.normal)]
+                for i, a in enumerate(self.normal)]
         shift = Vec(2 * self.offset * a / nn for a in self.normal)
         return AffineIsometry._exact(Mat(rows), shift)
 

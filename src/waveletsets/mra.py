@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -48,6 +49,9 @@ class MRAConfig:
             raise ValueError("the base figure must be a box")
         if any(lo != 0 for lo, _ in self.figure.box):
             raise ValueError("the base figure must have a vertex at the origin")
+        for name in ("kappa", "degree"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.kappa < 2:
             raise ValueError("kappa must be at least 2")
         if self.degree < 0:

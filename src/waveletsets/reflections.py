@@ -34,7 +34,7 @@ def affine_reflect(root: Sequence, level, x: Sequence) -> Vec:
     Equals the linear reflection followed by a translation along the coroot:
     rho_{r,k}(x) = rho_r(x) + k * 2r / <r, r>.
     """
-    return Hyperplane(Vec(Fraction(a) for a in root), level).reflect(x)
+    return affine_reflection(root, level).apply(x)
 
 
 def affine_reflection(root: Sequence, level) -> AffineIsometry:
@@ -183,11 +183,11 @@ def fold(figure: FoldableFigure, x: Sequence) -> FoldResult:
                 break
         if violated is None:
             return FoldResult(y, word, back)
-        h = figure.bounding[violated]
-        y = h.reflect(y)
+        mirror = figure.bounding[violated].reflection()
+        y = mirror.apply(y)
         word.append(violated)
         # reflections are involutions, so g gains one factor per step
-        back = back.compose(h.reflection())
+        back = back.compose(mirror)
     raise RuntimeError("folding did not terminate")
 
 

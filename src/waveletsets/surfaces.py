@@ -194,10 +194,10 @@ class _System:
     close (filled by `SelfAffine._chain`) come on first use.
 
     Nothing here depends on the data: a chain holds points and cells, never
-    values.  Its key is the start point and the forced first cell; a
-    `FractalFunction` starts from a Fraction and a `FractalSurface` from a
-    Vec, so the two never share a key on one system.  Chains are stored per
-    evaluated start point (vertices and knots), never per mesh point."""
+    values.  Its key is its start point: every chain starts at that point's
+    own cell.  A `FractalFunction` starts from a Fraction and a
+    `FractalSurface` from a Vec, so the two never share a key.  Chains are
+    stored per evaluated start point, never per mesh point."""
 
     def __init__(self, vertices: tuple, maps: tuple, scalings: tuple):
         self.vertices, self.maps, self.scalings = vertices, maps, scalings
@@ -412,8 +412,8 @@ class SelfAffine:
 
     A subclass picks the cell of a point (`_cell`), maps a point back
     through a cell (`_inverse`) and evaluates a cell's data at a pulled point
-    (`_data`); the bound, the chain resolution, the evaluation and the
-    operator iteration are shared.
+    (`_data`); the bound, the pull-back evaluation and the operator
+    iteration are shared.
     """
 
     def __init__(self, spec: SurfaceSpec):
@@ -430,71 +430,70 @@ class SelfAffine:
         z_next = self._inverse(z, i)
         return z_next, self._data(i, z_next), self.spec._scalings[i]
 
-    def _chain(self, x, max_chain: int, first_cell: Optional[int]) -> tuple:
+    def _chain(self, x, max_chain: int) -> tuple:
         """(points, cells, close) of the pull-back chain from x.
 
-        points[t + 1] is points[t] pulled back through cells[t].  When the
-        walk meets a point again within max_chain steps, it stops there:
-        close is the index of the earlier copy, the last point is the repeat,
-        and the chain is kept in the system's `chains` for every member.
-        Otherwise close is None, the chain has max_chain cells, and it is
-        walked again when asked for, as it resolves no value.
+        points[t + 1] is points[t] pulled back through its own cell, cells[t].
+        When the walk meets a point again within max_chain steps, it stops
+        there: close is the index of the earlier copy, the last point is the
+        repeat, and the chain is kept in the system's `chains` under x for
+        every member.  Otherwise close is None, the chain has max_chain
+        cells, and it is walked again when asked for, as it resolves no value.
         """
         chains = self.spec._system.chains
-        key = (x, first_cell)
-        if key in chains:
-            return chains[key]
+        if x in chains:
+            return chains[x]
         points, cells, index_of = [x], [], {x: 0}
         z = x
         for step in range(max_chain):
-            i = first_cell if (step == 0 and first_cell is not None) else self._cell(z)
+            i = self._cell(z)
             z = self._inverse(z, i)
             cells.append(i)
             points.append(z)
             if z in index_of:
-                chain = chains[key] = (points, cells, index_of[z])
+                chain = chains[x] = (points, cells, index_of[z])
                 return chain
             index_of[z] = step + 1
         return points, cells, None
 
-    def _resolve_chain(self, x, max_chain: int, first_cell: Optional[int] = None):
-        """Exact value via the pull-back chain; None when no cycle closes.
+    def _evaluate(self, x, depth: int) -> EvalResult:
+        """f(x) from the pull-back chain of x (`_chain`), walked once.
 
-        The first pull-back goes through first_cell when one is given.  The
-        chain's points and cells come from the system (`_chain`); this member
-        adds its own data and scalings along it, stops at the first point it
-        already knows or at the repeat that closes the cycle, and memoizes
-        the values it resolves.
+        Exact when, within depth steps, the chain reaches a point this member
+        already knows or the repeat that closes its cycle: this member adds
+        its own data and scalings along the chain and memoizes the values it
+        resolves.  Otherwise the chain is unrolled depth times and the tail
+        bounded by `bound`.
         """
         memo = self._memo
         if x in memo:
-            return memo[x]
-        points, cells, close = self._chain(x, max_chain, first_cell)
+            return EvalResult(memo[x], 0.0)
+        points, cells, close = self._chain(x, depth)
         repeat = None if close is None else len(cells)
-        for step in range(max_chain):
-            z = points[step]
-            if z in memo or step == repeat:
-                break
-        else:
-            return None
-        data = [self._data(i, p) for i, p in zip(cells[:step], points[1:])]
-        scalings = [self.spec._scalings[i] for i in cells[:step]]
+        stop = next((t for t in range(depth) if points[t] in memo or t == repeat), None)
+        cells = cells[:depth if stop is None else stop]
+        data = [self._data(i, p) for i, p in zip(cells, points[1:])]
+        scalings = [self.spec._scalings[i] for i in cells]
+        if stop is None:
+            A, S = ZERO, ONE
+            for a, sk in zip(data, scalings):
+                A, S = A + S * a, S * sk
+            return EvalResult(A, float(abs(S) * self.bound()))
+        z = points[stop]
         if z in memo:
-            value, stop = memo[z], step
+            value = memo[z]
         else:
             # cycle: f(z) = C + S f(z), z = points[close]
-            C, S = Fraction(0), Fraction(1)
-            for A, sk in zip(data[close:], scalings[close:]):
-                C = C + S * A
-                S = S * sk
-            value = C / (1 - S)
-            memo[z] = value
+            C, S = ZERO, ONE
+            for a, sk in zip(data[close:], scalings[close:]):
+                C, S = C + S * a, S * sk
+            value = memo[z] = C / (1 - S)
             stop = close
         # unwind the prefix of the chain down to the resolved point
         for t in reversed(range(stop)):
             value = data[t] + scalings[t] * value
             memo[points[t]] = value
-        return memo[x]
+        return EvalResult(value, 0.0)
 
     def _iterates(self, cells: dict, steps: int) -> list:
         """Transfer-operator iterates from zero, as float arrays in the order of
@@ -507,19 +506,6 @@ class SelfAffine:
         for _ in range(steps):
             out.append(lam + s * out[-1][src])
         return out
-
-    def _evaluate(self, x, depth: int) -> EvalResult:
-        """Exact where the pull-back orbit closes; certified interval otherwise."""
-        exact = self._resolve_chain(x, depth)
-        if exact is not None:
-            return EvalResult(exact, 0.0)
-        # unroll the chain `depth` times and bound the tail
-        points, cells, _ = self._chain(x, depth, None)
-        A, S = Fraction(0), Fraction(1)
-        for i, z in zip(cells[:depth], points[1:]):
-            A = A + S * self._data(i, z)
-            S = S * self.spec._scalings[i]
-        return EvalResult(A, float(abs(S) * self.bound()))
 
 
 def _numerators(values: Sequence) -> tuple:

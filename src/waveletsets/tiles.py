@@ -1084,9 +1084,10 @@ def construct_wavelet_set(translation_domain: DyadicBoxSet,
     """
     epsilon = _frac(epsilon)
     dim = translation_domain.dim
-    # the lattice is checked before the first round, not after the last
-    spacings = [s for _, s in _axes(GroupSpec("translation", spacings=tuple(spacings)), dim)]
-    step = spacings if relocation_step is None else [_frac(s) for s in relocation_step]
+    def lattice(gens):  # checked before the first round, not after the last
+        return [s for _, s in _axes(GroupSpec("translation", spacings=tuple(gens)), dim)]
+    spacings = lattice(spacings)
+    step = spacings if relocation_step is None else lattice(relocation_step)
     current = translation_domain
     history = []
     best = None

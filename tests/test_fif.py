@@ -120,6 +120,17 @@ def test_knot_values_reflection_mode():
     assert g.knot_values() == [0, 1, F(1, 2), F(3, 2)]
 
 
+def test_one_sided_rules_at_the_jumps_of_ex35_reflection():
+    # ex3.5 in the reflection layout jumps at 1 and 2: `evaluate` takes a
+    # knot from its right cell, `knot_values` from an orientation-preserving
+    # neighbour and the mesh from the left cell's column
+    f = fif.fixture("ex3.5", "reflection")
+    mesh = dict(zip(*f.mesh(3)))
+    assert f.knot_values() == [0, 1, F(1, 2), F(3, 2)]
+    assert [f.evaluate(t).value for t in f.boundaries] == [0, F(3, 2), F(1, 2), F(3, 2)]
+    assert [mesh[t] for t in f.boundaries] == [0, 1, 1, F(3, 2)]
+
+
 def test_basis_dimension_and_partition_of_unity():
     xs = [0, F(1, 2), 1]
     s = [F(3, 5), F(2, 5)]

@@ -1,5 +1,7 @@
 """Multiresolution filter oracles: dimensions, orthogonality, refinement."""
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,21 @@ def test_approximation_energies_increase(basis):
             energy += float(coords @ coords)
         energies.append(energy)
     assert all(b > a for a, b in zip(energies, energies[1:]))
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"kappa": 2.5}, "kappa"), ({"kappa": F(5, 2)}, "kappa"), ({"kappa": 3.0}, "kappa"),
+    ({"degree": 1.5}, "degree"), ({"degree": F(1)}, "degree"),
+])
+def test_config_requires_integer_kappa_and_degree(fields, name):
+    # refused at construction, naming the field, not by `build` with a TypeError
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        mra.MRAConfig(**fields)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = mra.MRAConfig(kappa=np.int64(3), degree=np.int64(0))
+    assert (cfg.cell_count, cfg.generator_count) == (9, 9)
 
 
 def test_haar_two_scale_coefficients():

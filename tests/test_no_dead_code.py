@@ -22,8 +22,11 @@ else, so the set shrinks as callers appear and does not grow unseen.
 
 Every parameter with a default of such a function or method, or of a class's
 `__init__`, must be passed by keyword or by position at some call of that
-name in `src/`, in the tests (the `*_oracle.py` reference copies do not
-count), in `perfbench/` or in the python block of README.md.
+name in `src/`, in `perfbench/` or in the python block of README.md.  A
+test does not count: an option that only tests set is one the library never
+uses.  The options in `OPTIONS_SET_BY_TESTS_ONLY` are set by tests alone
+today; a test requires each to be still unset by the library and still set
+by a test, so that set, like `TOUR_ONLY`, only shrinks.
 Calls are matched by the last name of the callee, so a call of any method
 of that name counts.
 """
@@ -39,9 +42,9 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 # used only by the library tour; a name leaves this set when it gets a caller
-TOUR_ONLY = {"operator_iterates", "centroid_samples", "from_json", "affine_reflection",
-             "weyl_group", "klein_four_root_system", "fold", "enumerate_group",
-             "is_fundamental_domain", "intersection_group"}
+TOUR_ONLY = {"operator_iterates", "centroid_samples", "from_json", "weyl_group",
+             "klein_four_root_system", "fold", "enumerate_group", "is_fundamental_domain",
+             "intersection_group"}
 
 
 def _definitions(tree):
@@ -176,26 +179,46 @@ def _options(tree):
                     yield from params(item, item.name, 0 if static else 1)
 
 
-def _call_trees():
-    tests = [p for p in (ROOT / "tests").rglob("*.py") if not p.name.endswith("_oracle.py")]
-    files = [*(ROOT / "src").rglob("*.py"), *tests, *(ROOT / "perfbench").rglob("*.py")]
+# set only by tests, in a call the library makes nowhere; a name leaves this
+# set when `src/`, `perfbench/` or the tour sets it, and the set never grows
+OPTIONS_SET_BY_TESTS_ONLY = {"main(argv)", "construct_wavelet_set(relocation_step)",
+                             "dilation_congruent(theta)", "reflect_axis(level)"}
+
+
+def _library_trees():
+    """The syntax trees of `src/`, of `perfbench/` and of README.md's python."""
+    files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
     return [ast.parse(p.read_text()) for p in files] + [ast.parse(b) for b in _readme_python()]
 
 
-def test_every_option_is_set_by_some_caller():
+def _unset_options(trees) -> set:
+    """The "name(param)" of every default that no call in the trees passes."""
     passed: dict = {}  # callee name -> [(positional count, keywords)]
-    for tree in _call_trees():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 passed.setdefault(name, []).append((len(node.args),
                                                     {k.arg for k in node.keywords}))
-    unset = []
+    unset = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for name, param, pos in _options(ast.parse(path.read_text())):
             if not any(param in kws or (pos is not None and n > pos)
                        for n, kws in passed.get(name, [])):
-                unset.append(f"{name}({param})")
-    assert sorted(set(unset) - OPTIONS_SET_BY_NAME) == []
-    assert OPTIONS_SET_BY_NAME <= set(unset)
+                unset.add(f"{name}({param})")
+    return unset
+
+
+def test_every_option_is_set_by_some_caller():
+    unset = _unset_options(_library_trees())
+    assert sorted(unset - OPTIONS_SET_BY_NAME - OPTIONS_SET_BY_TESTS_ONLY) == []
+    assert OPTIONS_SET_BY_NAME <= unset
+
+
+def test_options_set_by_tests_only_are_still_unset_elsewhere():
+    # one set by the library now leaves OPTIONS_SET_BY_TESTS_ONLY; one no test
+    # sets any more has no caller at all
+    assert sorted(OPTIONS_SET_BY_TESTS_ONLY - _unset_options(_library_trees())) == []
+    tests = [ast.parse(p.read_text()) for p in (ROOT / "tests").rglob("test_*.py")]
+    assert sorted(OPTIONS_SET_BY_TESTS_ONLY & _unset_options(tests)) == []

@@ -14,12 +14,15 @@ nonzero one.  The one transfer-operator iteration must give the identical
 floats of the earlier loops of `fif` and `surfaces`.  The pull-back chains
 stored once per system must leave every member's values those of its data
 on a system of its own, whichever member walks first, and must not grow
-with mesh depth; the column cascade must keep the oracle's point order, its
-zero values and its errors on inconsistent data.
+with mesh depth; a function's knot values, values at its knots and mesh
+must be those of a fresh object, whatever it computed before; the column
+cascade must keep the oracle's point order, its zero values and its errors
+on inconsistent data.
 Scalings are signed with |s| < 1 and denominators up to 2**64, so the common
 denominators of the cascades grow to hundreds of bits.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -436,14 +439,14 @@ def _fresh(spec):
     return sf.SurfaceSpec(spec.vertices, spec.maps, spec.data, spec.scaling)
 
 
-def _assert_geometry_only(system, inverse):
-    """Every stored chain is a closed walk of points through cells: each
-    point is the one before it pulled back through its cell, and nothing
-    else."""
-    for (x, first), (points, cells, close) in system.chains.items():
+def _assert_geometry_only(system, cell, inverse):
+    """Every stored chain is a closed walk of points through cells, keyed by
+    its start point: each point is the one before it pulled back through the
+    cell of that point, and nothing else."""
+    for x, (points, cells, close) in system.chains.items():
         assert points[0] == x and len(points) == len(cells) + 1
-        assert first is None or cells[0] == first
         assert all(type(i) is int for i in cells)
+        assert all(cell(z) == i for z, i in zip(points, cells))
         assert all(inverse(z, i) == z_next for z, i, z_next in zip(points, cells, points[1:]))
         assert points[close] == points[-1] and points[close:-1].count(points[-1]) == 1
 
@@ -466,7 +469,7 @@ def test_surface_members_equal_fresh_specs_in_any_build_order(s, depth, data):
         assert list(member.mesh(depth).items()) == list(fresh.mesh(depth).items())
     system = spec._system
     assert all(m.spec._system is system for m in members)
-    _assert_geometry_only(system, lambda z, i: system.inverses[i].apply(z))
+    _assert_geometry_only(system, spec.cell_of, lambda z, i: system.inverses[i].apply(z))
 
 
 @MESHES
@@ -485,7 +488,54 @@ def test_function_members_equal_fresh_functions_in_any_build_order(n, mode, s, d
             assert (new.value, new.error_bound) == (want.value, want.error_bound)
         assert f.mesh(depth) == fresh.mesh(depth)
     old = _old(basis[0])
-    _assert_geometry_only(basis[0].spec._system, lambda z, i: old.cells[i].u_inv(z))
+    _assert_geometry_only(basis[0].spec._system, basis[0].cell_index,
+                          lambda z, i: old.cells[i].u_inv(z))
+
+
+def _order_free_calls(f):
+    """knot_values(), evaluate(t) at every knot and mesh(3) of f, by key."""
+    calls = {"knots": f.knot_values, "mesh": lambda: f.mesh(3)}
+    calls.update({t: (lambda t=t: f.evaluate(t)) for t in f.boundaries})
+    return calls
+
+
+def _assert_free_of_call_order(f, orders):
+    """Each call, made on one object after the calls before it in an order,
+    gives its value on a fresh object on a system of its own."""
+    def fresh():
+        return _order_free_calls(fif.FractalFunction(_fresh(f.spec)))
+
+    want = {key: fresh()[key]() for key in _order_free_calls(f)}
+    for order in orders:
+        calls = fresh()
+        for key in order:
+            assert calls[key]() == want[key], (order, key)
+
+
+@MESHES
+@given(n=st.integers(1, 4), mode=modes, data=st.data())
+def test_discontinuous_function_values_do_not_depend_on_call_order(n, mode, data):
+    # data unrelated to the knots: the function jumps there, so the one-sided
+    # knot values differ from the values of `evaluate` at the knots
+    polys = data.draw(st.lists(st.lists(small_fracs, min_size=1, max_size=3),
+                               min_size=n, max_size=n), label="data")
+    s = data.draw(st.lists(scalings, min_size=n, max_size=n), label="s")
+    f = fif.FractalFunction.from_uniform_data(n, polys, s, mode)
+    keys = list(_order_free_calls(f))
+    order = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2 * len(keys)),
+                      label="order")
+    _assert_free_of_call_order(f, [order])
+
+
+@pytest.mark.parametrize("mode", ["translation", "reflection"])
+@pytest.mark.parametrize("make", [
+    lambda mode: fif.fixture("ex3.5", mode),
+    lambda mode: fif.FractalFunction.from_uniform_data(2, [(0, 1), (5, 1)], [F(1, 2)] * 2, mode),
+], ids=["ex3.5", "jump"])
+def test_known_function_values_do_not_depend_on_call_order(make, mode):
+    # every call after every other one
+    f = make(mode)
+    _assert_free_of_call_order(f, itertools.permutations(_order_free_calls(f), 2))
 
 
 def _all_fractions(values):
@@ -557,17 +607,17 @@ def test_known_inconsistent_data_raise_with_the_chain_store_filled():
 
 
 def _counting_walks(obj):
-    """Record the start points of obj's `_resolve_chain` calls that walk a
-    chain (those whose start point the member has not resolved yet)."""
+    """Record the start points of obj's `_evaluate` calls that walk a chain
+    (those whose start point the member has not resolved yet)."""
     walks = set()
-    resolve = obj._resolve_chain
+    evaluate = obj._evaluate
 
-    def counted(x, max_chain, first_cell=None):
+    def counted(x, depth):
         if x not in obj._memo:
-            walks.add((x, first_cell))
-        return resolve(x, max_chain, first_cell)
+            walks.add(x)
+        return evaluate(x, depth)
 
-    obj._resolve_chain = counted
+    obj._evaluate = counted
     return walks
 
 

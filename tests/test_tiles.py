@@ -490,9 +490,14 @@ LINE, SQUARE = DyadicBoxSet.from_box((0, 1)), DyadicBoxSet.from_box((0, 1), (0, 
     lambda: intersection_group(centered_square_figure(), (-2, 2)),
     # a lattice of two axes for a 1-D construction, refused before its first round
     lambda: construct_wavelet_set(DyadicBoxSet.from_box((-1, 1)), shannon_set(), [2, 2]),
+    # a relocation step of one axis, or of zeros, for a 2-D construction
+    lambda: construct_wavelet_set(SQUARE, SQUARE.translate((2, 2)), [2, 2], relocation_step=[4]),
+    lambda: construct_wavelet_set(SQUARE, SQUARE.translate((2, 2)), [2, 2],
+                                  relocation_step=[0, 0]),
 ], ids=["translation 1-D to 2-D", "translation 2-D to 1-D", "dilation 1-D to 2-D",
         "dilation 2-D to 1-D", "centre of 2 axes", "centre of 0 axes", "zero spacing",
-        "negative spacing", "constructor lattice of 2 axes"])
+        "negative spacing", "constructor lattice of 2 axes", "relocation step of 1 axis",
+        "zero relocation step"])
 def test_group_checks_reject_mismatched_input(call):
     with pytest.raises(ValueError, match="dimension mismatch|positive spacings"):
         call()
