@@ -215,6 +215,17 @@ def test_orthonormalize():
     assert abs(q.T @ ge @ q - np.eye(3)).max() < 1e-12
 
 
+def test_orthonormalize_factors_exactly_when_the_float_copy_is_not_positive_definite():
+    g = [[F(1), F(1)], [F(1), 1 + F(1, 10 ** 20)]]  # its float copy is singular
+    q = orthonormalize(g)
+    qe = [[F(x) for x in row] for row in q.tolist()]
+    prod = [[sum(qe[k][i] * g[k][l] * qe[l][j] for k in range(2) for l in range(2))
+             for j in range(2)] for i in range(2)]
+    assert max(abs(prod[i][j] - (i == j)) for i in range(2) for j in range(2)) < 1e-12
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        orthonormalize([[F(1), F(2)], [F(2), F(4)]])
+
+
 def test_mesh_refines_and_keeps_knots(two_cell):
     pts, vals = two_cell.mesh(3)
     assert pts == [F(k, 8) for k in range(9)]
