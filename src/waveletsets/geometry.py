@@ -89,19 +89,6 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat(list(zip(*self.rows)))
 
-    def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Mat(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, c) -> "Mat":
         return Mat([[c * a for a in r] for r in self.rows])
 

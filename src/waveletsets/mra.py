@@ -76,10 +76,9 @@ class MRAConfig:
         return (self.kappa ** self.dim - 1) * self.generator_count
 
 
-def scaled_cell_word(r: AffineIsometry, u: AffineMap, kappa: int) -> AffineIsometry:
-    """The isometry kappa * (r o u) for a similitude u with ratio 1/kappa."""
-    comp = r.compose(u)
-    return AffineIsometry(comp.linear.scale(Fraction(kappa)), comp.shift.scale(Fraction(kappa)))
+def scaled_cell_word(u: AffineMap, kappa: int) -> AffineIsometry:
+    """The isometry kappa * u for a similitude u with ratio 1/kappa."""
+    return AffineIsometry(u.linear.scale(Fraction(kappa)), u.shift.scale(Fraction(kappa)))
 
 
 class MultiresolutionBasis:
@@ -115,8 +114,7 @@ class MultiresolutionBasis:
         self.coeffs = orthonormalize(gram).T  # row a holds phi^a in atom coordinates
 
         # refinement words r_j = (kappa u_j)^{-1}; cells kappa*u_j(D) tile kappa*D
-        ident = AffineIsometry.identity(dim)
-        self.words = [scaled_cell_word(ident, u, kappa).inverse() for u in self.maps]
+        self.words = [scaled_cell_word(u, kappa).inverse() for u in self.maps]
 
         # P(r_j)[a, b] = <lambda_j^(a), phi^b> + s*delta_ab, from exact atom moments
         mono = np.zeros((d + 1, na))

@@ -23,22 +23,12 @@ FOLD_GUARD = 100000
 # ---------------------------------------------------------------------------
 
 
-def reflect_root(root: Sequence, x: Sequence) -> Vec:
-    """Reflection across the hyperplane through the origin orthogonal to root."""
-    return affine_reflect(root, 0, x)
+def affine_reflection(root: Sequence, level) -> AffineIsometry:
+    """The reflection across {y : <y, root> = level}, as a composable isometry.
 
-
-def affine_reflect(root: Sequence, level, x: Sequence) -> Vec:
-    """Reflection across {y : <y, root> = level}.
-
-    Equals the linear reflection followed by a translation along the coroot:
+    It is the linear reflection followed by a translation along the coroot:
     rho_{r,k}(x) = rho_r(x) + k * 2r / <r, r>.
     """
-    return affine_reflection(root, level).apply(x)
-
-
-def affine_reflection(root: Sequence, level) -> AffineIsometry:
-    """The reflection of affine_reflect as a composable isometry."""
     return Hyperplane(Vec(Fraction(a) for a in root), level).reflection()
 
 
@@ -80,7 +70,7 @@ class RootSystem:
                 cartan = 2 * s.dot(r) / rr
                 if cartan.denominator != 1:
                     raise ValueError("non-crystallographic pairing")
-                if reflect_root(r, s) not in roots:
+                if affine_reflection(r, 0).apply(s) not in roots:
                     raise ValueError("not closed under reflections")
 
     def weyl_group(self) -> list[Mat]:

@@ -189,15 +189,10 @@ def domain_integral(p: dict, spec: "SurfaceSpec") -> Fraction:
 class _System:
     """All a spec family derives from its vertices, similitudes and scalings,
     shared by `SurfaceSpec.with_data`.  Monomial integrals, inverted moment
-    systems, the vertex interpolation inverse, the vertex images u_i(v), the
-    1-D mesh points per depth (filled by `fif`) and the pull-back chains that
-    close (filled by `SelfAffine._chain`) come on first use.
-
-    Nothing here depends on the data: a chain holds points and cells, never
-    values.  Its key is its start point: every chain starts at that point's
-    own cell.  A `FractalFunction` starts from a Fraction and a
-    `FractalSurface` from a Vec, so the two never share a key.  Chains are
-    stored per evaluated start point, never per mesh point."""
+    systems, the vertex interpolation inverse, the vertex images u_i(v) and
+    the 1-D mesh points per depth (filled by `fif`) come on first use.
+    Nothing here depends on the data, and no pull-back chain is kept here:
+    each member walks its own (`SelfAffine._evaluate`)."""
 
     def __init__(self, vertices: tuple, maps: tuple, scalings: tuple):
         self.vertices, self.maps, self.scalings = vertices, maps, scalings
@@ -211,7 +206,6 @@ class _System:
         self._moment_systems: dict = {}
         self._interpolation = None
         self.orbits: dict = {}
-        self.chains: dict = {}
 
     @functools.cached_property
     def images(self) -> tuple:
@@ -310,9 +304,6 @@ class SurfaceSpec:
                 return i
         raise ValueError("point is outside the domain")
 
-    def cell_vertices(self, i: int) -> tuple:
-        return tuple(self.maps[i].apply(v) for v in self.vertices)
-
     def with_data(self, data: Sequence) -> "SurfaceSpec":
         """A spec on the same system with other data; nothing else is recomputed."""
         spec = copy.copy(self)
@@ -353,7 +344,7 @@ class ConditionReport:
 
 def shared_faces(spec: SurfaceSpec) -> list:
     """Pairs (i, j, shared cell vertices) for cells meeting along a facet."""
-    cells = [set(spec.cell_vertices(i)) for i in range(len(spec.maps))]
+    cells = [set(ws) for ws in spec._system.images]
     out = []
     for i, j in combinations(range(len(cells)), 2):
         common = sorted(cells[i] & cells[j])
@@ -413,7 +404,8 @@ class SelfAffine:
     A subclass picks the cell of a point (`_cell`), maps a point back
     through a cell (`_inverse`) and evaluates a cell's data at a pulled point
     (`_data`); the bound, the pull-back evaluation and the operator
-    iteration are shared.
+    iteration are shared.  Each member walks its own chains and memoizes
+    the values they resolve; nothing of a walk is kept for the family.
     """
 
     def __init__(self, spec: SurfaceSpec):
@@ -430,68 +422,44 @@ class SelfAffine:
         z_next = self._inverse(z, i)
         return z_next, self._data(i, z_next), self.spec._scalings[i]
 
-    def _chain(self, x, max_chain: int) -> tuple:
-        """(points, cells, close) of the pull-back chain from x.
-
-        points[t + 1] is points[t] pulled back through its own cell, cells[t].
-        When the walk meets a point again within max_chain steps, it stops
-        there: close is the index of the earlier copy, the last point is the
-        repeat, and the chain is kept in the system's `chains` under x for
-        every member.  Otherwise close is None, the chain has max_chain
-        cells, and it is walked again when asked for, as it resolves no value.
-        """
-        chains = self.spec._system.chains
-        if x in chains:
-            return chains[x]
-        points, cells, index_of = [x], [], {x: 0}
-        z = x
-        for step in range(max_chain):
-            i = self._cell(z)
-            z = self._inverse(z, i)
-            cells.append(i)
-            points.append(z)
-            if z in index_of:
-                chain = chains[x] = (points, cells, index_of[z])
-                return chain
-            index_of[z] = step + 1
-        return points, cells, None
-
     def _evaluate(self, x, depth: int) -> EvalResult:
-        """f(x) from the pull-back chain of x (`_chain`), walked once.
+        """f(x) by pulling x back through its own cell, step by step (`_pull`).
 
-        Exact when, within depth steps, the chain reaches a point this member
-        already knows or the repeat that closes its cycle: this member adds
-        its own data and scalings along the chain and memoizes the values it
-        resolves.  Otherwise the chain is unrolled depth times and the tail
-        bounded by `bound`.
+        Exact when, within depth steps, a pulled point is one this member
+        already knows, or repeats a point of the chain, which closes a cycle
+        z -> ... -> z with f(z) = C + S f(z).  The chain then unwinds and
+        memoizes the values it resolves.  Otherwise the chain is unrolled
+        depth times and the tail bounded by `bound`.
         """
         memo = self._memo
         if x in memo:
             return EvalResult(memo[x], 0.0)
-        points, cells, close = self._chain(x, depth)
-        repeat = None if close is None else len(cells)
-        stop = next((t for t in range(depth) if points[t] in memo or t == repeat), None)
-        cells = cells[:depth if stop is None else stop]
-        data = [self._data(i, p) for i, p in zip(cells, points[1:])]
-        scalings = [self.spec._scalings[i] for i in cells]
-        if stop is None:
+        points, index_of, steps = [x], {x: 0}, []  # steps[t]: data and scaling of pull t
+        z = x
+        for _ in range(depth):
+            z, a, sk = self._pull(z, self._cell(z))
+            steps.append((a, sk))
+            if z in memo:
+                value, stop = memo[z], len(points)
+                break
+            if z in index_of:
+                stop = index_of[z]
+                C, S = ZERO, ONE
+                for a, sk in steps[stop:]:
+                    C, S = C + S * a, S * sk
+                value = memo[z] = C / (1 - S)
+                break
+            index_of[z] = len(points)
+            points.append(z)
+        else:
             A, S = ZERO, ONE
-            for a, sk in zip(data, scalings):
+            for a, sk in steps:
                 A, S = A + S * a, S * sk
             return EvalResult(A, float(abs(S) * self.bound()))
-        z = points[stop]
-        if z in memo:
-            value = memo[z]
-        else:
-            # cycle: f(z) = C + S f(z), z = points[close]
-            C, S = ZERO, ONE
-            for a, sk in zip(data[close:], scalings[close:]):
-                C, S = C + S * a, S * sk
-            value = memo[z] = C / (1 - S)
-            stop = close
         # unwind the prefix of the chain down to the resolved point
         for t in reversed(range(stop)):
-            value = data[t] + scalings[t] * value
+            a, sk = steps[t]
+            value = a + sk * value
             memo[points[t]] = value
         return EvalResult(value, 0.0)
 

@@ -10,10 +10,12 @@ These are implementations the library used before:
   cascade and then its moment recursion, which builds no node);
 - `FractalFunction` and `FractalSurface` with a pull-back chain and a
   truncated evaluation each, walked by every object on its own (before the
-  chains' points and cells were stored once per shared system, and the
   surface mesh became a cascade of integer columns that makes one Fraction
-  per distinct numerator), the 1-D moment recursion and pair formula of
-  `fif`, and a Gaussian elimination in each of `fif.moments`,
+  per distinct numerator, and before the one evaluation loop of
+  `surfaces.SelfAffine`, which also resolves a chain that closes, or meets
+  a known value, at exactly `depth` pull-backs, where the chain rule here
+  looks at the points 0..depth-1 only), the 1-D moment recursion and pair
+  formula of `fif`, and a Gaussian elimination in each of `fif.moments`,
   `surfaces._solve_exact`, `reflections._rank` and `Mat.inverse` (before
   one self-affine engine in `surfaces` and one elimination in `geometry`).
 

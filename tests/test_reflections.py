@@ -10,14 +10,12 @@ import selfaffine_oracle as oracle
 from waveletsets.geometry import AffineIsometry, AffineMap, Mat, Vec
 from waveletsets.reflections import (
     RootSystem,
-    affine_reflect,
     affine_reflection,
     box_figure,
     centered_square_figure,
     enumerate_group,
     fold,
     klein_four_root_system,
-    reflect_root,
     right_triangle_figure,
     subdivide,
     unit_square_figure,
@@ -59,8 +57,8 @@ def test_perpendicular_affine_reflections_compose_to_point_reflection():
 
 
 def test_affine_reflect_fixes_its_mirror():
-    assert affine_reflect((1, 1), F(1, 2), (F(1, 4), F(1, 4))) == (F(1, 4), F(1, 4))
-    assert reflect_root((0, 1), (3, 5)) == (3, -5)
+    assert affine_reflection((1, 1), F(1, 2)).apply((F(1, 4), F(1, 4))) == (F(1, 4), F(1, 4))
+    assert affine_reflection((0, 1), 0).apply((3, 5)) == (3, -5)
 
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=16)
@@ -83,16 +81,14 @@ def test_mirror_helpers_match_their_own_formulas(n, data):
     level = data.draw(st.one_of(st.integers(-3, 3), fracs), label="level")
     x = data.draw(st.lists(st.one_of(st.integers(-5, 5), fracs), min_size=n, max_size=n),
                   label="x")
-    pairs = [(lambda: affine_reflect(root, level, x), lambda: oracle.affine_reflect(root, level, x)),
-             (lambda: reflect_root(root, x), lambda: oracle.reflect_root(root, x))]
+    pairs = [(lambda: affine_reflection(root, level).apply(x),
+              lambda: oracle.affine_reflect(root, level, x)),
+             (lambda: affine_reflection(root, 0).apply(x), lambda: oracle.reflect_root(root, x))]
     for new, old in pairs:
         got, want = _outcome(new), _outcome(old)
         assert got == want
         if got[0] == "ok":
             assert type(got[1]) is Vec and all(type(a) is F for a in got[1])
-    if any(root):
-        # the mirror is also the isometry of affine_reflection
-        assert affine_reflection(root, level).apply(x) == oracle.affine_reflect(root, level, x)
 
 
 def test_fold_lands_inside_and_isometry_inverts():
