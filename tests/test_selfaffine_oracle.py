@@ -19,9 +19,8 @@ is exact.  Members of one system must have the values of their data on a
 system of its own, whichever member is built first, and meshes must walk
 the same chains at every depth; a function's knot values, values at its
 knots and mesh must be those of a fresh object, whatever it computed
-before; the column
-cascade must keep the oracle's point order, its zero values and its errors
-on inconsistent data.
+before; the column cascade must keep the oracle's point order, its zero
+values and its errors on inconsistent data.
 Scalings are signed with |s| < 1 and denominators up to 2**64, so the common
 denominators of the cascades grow to hundreds of bits.
 """
