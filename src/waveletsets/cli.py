@@ -184,6 +184,7 @@ def cmd_mra_build(args) -> int:
     basis = mra.build(config)
     print(f"scaling functions: {config.generator_count}")
     print(f"wavelets: {config.wavelet_count}")
+    print(f"perfect-reconstruction residual (float): {basis.reconstruction_residual():.2e}")
     if args.out:
         _write(args.out, basis.filter_bank().to_json())
     return 0

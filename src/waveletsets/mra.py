@@ -202,6 +202,13 @@ class MultiresolutionBasis:
         rows = split @ self.VW.T
         return {k: rows[r] for r, k in enumerate(keys)}
 
+    def reconstruction_residual(self) -> float:
+        """max |sum_j P_j P_j^T - N I| over the N cells: how far the float
+        refinement filters miss the perfect-reconstruction identity, which
+        holds exactly for the exact filters."""
+        total = sum(p @ p.T for p in self.P)
+        return float(np.abs(total - self.config.cell_count * np.eye(len(total))).max())
+
     def filter_bank(self) -> "FilterBank":
         return FilterBank(list(self.words), [p.copy() for p in self.P], [q.copy() for q in self.Q])
 

@@ -235,9 +235,11 @@ class DyadicBoxSet:
         """
         if self._boxes is None:
             coords = [[Fraction(x, self.den) for x in c] for c in self.cuts]
-            self._boxes = tuple(sorted(
+            # each axis maps indices to coordinates increasingly, so sorting
+            # the index boxes sorts the boxes
+            self._boxes = tuple(
                 tuple((coords[axis][i], coords[axis][j]) for axis, (i, j) in enumerate(box))
-                for box in _index_boxes(self.mask)))
+                for box in sorted(_index_boxes(self.mask)))
         return self._boxes
 
     @property
@@ -456,15 +458,42 @@ class VerificationReport:
     target_residual_measure: Fraction
 
 
-@dataclass
 class CongruenceCertificate:
-    """Decomposition of a source set into group-moved pieces inside a target."""
+    """Decomposition of a source set into group-moved pieces inside a target.
 
-    source: DyadicBoxSet
-    target: DyadicBoxSet
-    pieces: list  # (DyadicBoxSet, PieceMap)
-    source_residual: DyadicBoxSet
-    target_residual: DyadicBoxSet
+    `pieces` is a list of (DyadicBoxSet, PieceMap).  A checker's certificate
+    keeps its claim instead (`_claimed_pieces`), builds the list from it on
+    the first read of `pieces` and then drops the claim, so a caller that
+    reads only the residuals builds no piece.
+    """
+
+    __hash__ = None
+
+    def __init__(self, source: DyadicBoxSet, target: DyadicBoxSet, pieces: list,
+                 source_residual: DyadicBoxSet, target_residual: DyadicBoxSet):
+        self.source, self.target = source, target
+        self.source_residual, self.target_residual = source_residual, target_residual
+        self._pieces, self._claim = pieces, None
+
+    @property
+    def pieces(self) -> list:
+        if self._claim is not None:
+            self._pieces, self._claim = _claimed_pieces(*self._claim), None
+        return self._pieces
+
+    def _fields(self) -> tuple:
+        return (self.source, self.target, self.pieces, self.source_residual,
+                self.target_residual)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        names = ("source", "target", "pieces", "source_residual", "target_residual")
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields())) + ")")
 
     @property
     def residual_measure(self) -> Fraction:
@@ -699,8 +728,9 @@ def _reduce_and_claim(source, target, group) -> CongruenceCertificate:
     A source part claims a target part's copy of a reduced cell when both
     are still free, pair by pair in the group's rank of k = target word -
     source word.  The certificate has one piece per group element used, in
-    that order, and the unclaimed cells are the residuals.  The group is
-    None when a set is empty (`_group`).
+    that order, built from the claim on first read (`_claimed_pieces`), and
+    the unclaimed cells are the residuals.  The group is None when a set is
+    empty (`_group`).
     """
     if group is None:
         return CongruenceCertificate(source, target, [], source, target)
@@ -720,21 +750,32 @@ def _reduce_and_claim(source, target, group) -> CongruenceCertificate:
             free_t[t] &= ~hit
             claim[s, hit] = n
     key_of = claim[sw, sc]
-    pieces = []
-    for n in np.unique(key_of[key_of >= 0]):
-        cells = tuple(c[key_of == n] for c in scells)
-        lo = [int(c.min()) for c in cells]
-        part = np.zeros([int(c.max()) + 1 - l for c, l in zip(cells, lo)], dtype=bool)
-        part[tuple(c - l for c, l in zip(cells, lo))] = True
-        cuts = tuple(g[l:l + k + 1] for g, l, k in zip(sgrid, lo, part.shape))
-        pieces.append((DyadicBoxSet._grid(dim, *_canonical(den, cuts, part)),
-                       group.element(keys[n])))
+    held = key_of >= 0
+    cells, key_of = tuple(c[held] for c in scells), key_of[held]
     kept, left = np.zeros_like(smask), np.zeros_like(tmask)
-    kept[tuple(c[key_of >= 0] for c in scells)] = True
+    kept[cells] = True
     left[tuple(c[free_t[tw, tc]] for c in tcells)] = True
-    return CongruenceCertificate(source, target, pieces,
+    cert = CongruenceCertificate(source, target, None,
                                  DyadicBoxSet._grid(dim, *_canonical(den, sgrid, smask & ~kept)),
                                  DyadicBoxSet._grid(dim, *_canonical(den, tgrid, left)))
+    cert._claim = (group, sgrid, cells, key_of, keys)
+    return cert
+
+
+def _claimed_pieces(group, grid, cells, key_of, keys) -> list:
+    """A claim's pieces: per key index n in ascending order, the claimed cells
+    of the refined source grid with index n as one canonical set, moved by
+    the group element of keys[n]."""
+    pieces = []
+    for n in np.unique(key_of):
+        part_cells = tuple(c[key_of == n] for c in cells)
+        lo = [int(c.min()) for c in part_cells]
+        part = np.zeros([int(c.max()) + 1 - l for c, l in zip(part_cells, lo)], dtype=bool)
+        part[tuple(c - l for c, l in zip(part_cells, lo))] = True
+        cuts = tuple(g[l:l + k + 1] for g, l, k in zip(grid, lo, part.shape))
+        pieces.append((DyadicBoxSet._grid(len(grid), *_canonical(group.den, cuts, part)),
+                       group.element(keys[n])))
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -1008,16 +1049,17 @@ class ThreeWayReport:
 def three_way_check(candidate: DyadicBoxSet, figure, spacings) -> ThreeWayReport:
     """Translation, dilation by 2, and reflection congruence residuals at once;
     the dilation target is the annulus 2B minus B of the figure box B."""
+    # only the residual measures are kept, so no certificate outlives its check
     wcert = weyl_congruent(candidate, figure)
-    box = wcert.target
-    t = translation_congruent(candidate, box, spacings)
+    box, w_res = wcert.target, wcert.residual_measure
+    del wcert
+    t_res = translation_congruent(candidate, box, spacings).residual_measure
     annulus = box.scale(2).subtract(box)
     try:
-        d = dilation_congruent(candidate, annulus)
-        d_res, d_err = d.residual_measure, None
+        d_res, d_err = dilation_congruent(candidate, annulus).residual_measure, None
     except ValueError as exc:
         d_res, d_err = None, str(exc)
-    return ThreeWayReport(t.residual_measure, d_res, wcert.residual_measure, d_err)
+    return ThreeWayReport(t_res, d_res, w_res, d_err)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,13 @@ hand-typed tail constants 1/60 and 1/30.  The bodies are verbatim, with
 `GridBoxSet` as above; `PlanarFixture` is the library's.
 `tests/test_tiles.py` requires identical fixtures from the library.
 
-Keep all five parts unchanged.
+The sixth part is the `DyadicBoxSet.boxes` property from before it sorted
+the index boxes instead of the coordinate boxes, as the function
+`grid_boxes` of a grid set (its body verbatim, with `self` the argument and
+the cache write left out).  `tests/test_boxset_grid.py` requires the same
+tuple from the library.
+
+Keep all six parts unchanged.
 """
 
 from __future__ import annotations
@@ -54,8 +60,8 @@ import numpy as np
 
 from waveletsets.reflections import FoldableFigure
 from waveletsets.tiles import (TAIL_STANDIN_TERMS, CongruenceCertificate, DomainReport,
-                               GroupSpec, PieceMap, PlanarFixture, _canonical, _rescaled,
-                               _resample)
+                               GroupSpec, PieceMap, PlanarFixture, _canonical, _index_boxes,
+                               _rescaled, _resample)
 from waveletsets.tiles import DyadicBoxSet as GridBoxSet
 
 Box = tuple  # ((lo, hi), ...) per axis, half-open, Fractions
@@ -723,3 +729,16 @@ def build_w2(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
         components={"G0": g0, "E": e, "B": b, "D": d, "A1": a1, "A2": a2,
                     "tail_standin": standin},
     )
+
+
+# ---------------------------------------------------------------------------
+# the boxes view from before it sorted index boxes
+# ---------------------------------------------------------------------------
+
+
+def grid_boxes(self: GridBoxSet) -> tuple:
+    """Sorted boxes covering the set, derived from the grid."""
+    coords = [[Fraction(x, self.den) for x in c] for c in self.cuts]
+    return tuple(sorted(
+        tuple((coords[axis][i], coords[axis][j]) for axis, (i, j) in enumerate(box))
+        for box in _index_boxes(self.mask)))

@@ -8,10 +8,11 @@ above 2**64, so both the int64 and the Python-int measure paths run.
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from boxset_oracle import DyadicBoxSet as OracleBoxSet
-from waveletsets.tiles import DyadicBoxSet
+from boxset_oracle import DyadicBoxSet as OracleBoxSet, grid_boxes
+from waveletsets.tiles import DyadicBoxSet, build_w1, build_w2
 
 MANY = settings(max_examples=500, deadline=None)
 
@@ -33,7 +34,7 @@ axis_ends = st.tuples(st.integers(-48, 48), st.integers(-48, 48), nudge, nudge)
 box_lists = {
     dim: st.lists(st.builds(_box, st.sampled_from(DENOMINATORS),
                             st.lists(axis_ends, min_size=dim, max_size=dim)), max_size=5)
-    for dim in (1, 2)
+    for dim in (1, 2, 3)
 }
 
 
@@ -114,6 +115,23 @@ def test_boxes_view_matches_oracle(sets):
         assert DyadicBoxSet(dim, s.boxes).equals_ae(s)
         assert sum(OracleBoxSet(dim, (box,)).measure for box in s.boxes) == o.measure
         assert DyadicBoxSet.from_json(s.to_json()).equals_ae(s)
+
+
+@MANY
+@given(dim=st.sampled_from([1, 2, 3]), data=st.data())
+def test_boxes_view_equals_the_coordinate_sort(dim, data):
+    a = DyadicBoxSet(dim, data.draw(box_lists[dim]))
+    b = DyadicBoxSet(dim, data.draw(box_lists[dim]))
+    for s in (a, a.subtract(b), a.union(b)):
+        assert s.boxes == grid_boxes(s)
+
+
+@pytest.mark.parametrize("build", [build_w1, build_w2])
+def test_fixture_boxes_equal_the_coordinate_sort(build):
+    for depth in range(3, 11):
+        fx = build(depth)
+        for s in (fx.wavelet_set, *fx.components.values()):
+            assert s.boxes == grid_boxes(s)
 
 
 def test_canonical_form_ignores_decomposition():

@@ -154,6 +154,21 @@ def test_mra_build_reports_dimensions(capsys, tmp_path):
     assert "wavelets: 24" in out
     bank = FilterBank.from_json(out_file.read_text())
     assert len(bank.words) == 4 and bank.Q[0].shape == (24, 8)
+    assert float(_reconstruction_residual(out)) < 1e-12
+
+
+def _reconstruction_residual(out):
+    lines = [line for line in out.splitlines()
+             if line.startswith("perfect-reconstruction residual (float): ")]
+    assert len(lines) == 1
+    return lines[0].rsplit(" ", 1)[1]
+
+
+def test_mra_build_reports_its_float_accuracy_loss_near_scaling_one(capsys):
+    # the float filters lose accuracy as |s| nears 1; the build still exits 0
+    # and reports the miss instead of hiding it
+    assert run(["mra", "build", "--scaling", "999999/1000000"]) == 0
+    assert 1e-6 < float(_reconstruction_residual(capsys.readouterr().out)) < 1e-1
 
 
 def test_tiles_w1_verify_passes(capsys):

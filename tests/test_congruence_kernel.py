@@ -9,15 +9,25 @@ everywhere.  The oracle's dilation tries only the powers up to its silent cap
 `max_power` = 40; the cases here keep every box end between 1/12 and 4 away
 from the centre, where no claim needs a higher power.  Where the cap does
 bind, the kernel's answer differs, and that is pinned in `test_tiles.py`.
+
+A checker's certificate builds its pieces on the first read of `pieces`.
+The last tests count the group elements made (`_Slabs.element`,
+`_Shells.element`, one per piece) to check that the pieces are built once,
+after the residuals are read or before, and never by `three_way_check`.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import boxset_oracle as oracle
-from waveletsets.tiles import (DyadicBoxSet, GroupSpec, dilation_congruent,
-                               is_fundamental_domain, translation_congruent)
+from waveletsets import tiles
+from waveletsets.reflections import centered_square_figure
+from waveletsets.tiles import (DyadicBoxSet, GroupSpec, build_w1, build_w2, dilation_congruent,
+                               is_fundamental_domain, three_way_check, translation_congruent,
+                               weyl_congruent)
 
 
 def assert_same_certificate(cert, old):
@@ -149,3 +159,84 @@ def test_center_lump_keeps_the_top_copies_that_can_claim():
     assert [g.label for _, g in cert.pieces] == ["D^1", "D^3", "D^5"]
     assert cert.source_residual.equals_ae(DyadicBoxSet.from_box((0, F(1, 8))))
     assert cert.target_residual.is_empty
+
+
+@contextmanager
+def counting_elements():
+    """The keys of every group element the kernel makes while open."""
+    calls = []
+    originals = {group: group.element for group in (tiles._Slabs, tiles._Shells)}
+
+    def counted(element):
+        def wrapper(self, key):
+            calls.append(key)
+            return element(self, key)
+        return wrapper
+
+    try:
+        for group, element in originals.items():
+            group.element = counted(element)
+        yield calls
+    finally:
+        for group, element in originals.items():
+            group.element = element
+
+
+def check_pieces_on_first_read(make):
+    """`make()` certifies one case afresh: read the residuals first, then the
+    pieces, and compare with a certificate whose pieces are read first."""
+    with counting_elements() as calls:
+        late = make()
+        residuals = (late.residual_measure, late.source_residual.measure,
+                     late.target_residual.measure)
+        assert calls == [] and residuals[0] == max(residuals[1:])
+        pieces = late.pieces
+        assert len(calls) == len(pieces)
+        assert late.pieces is pieces and len(calls) == len(pieces)
+    early = make()
+    early_pieces = early.pieces
+    assert [(g.linear, g.translation, g.label) for _, g in pieces] \
+        == [(g.linear, g.translation, g.label) for _, g in early_pieces]
+    assert all(p.equals_ae(q) for (p, _), (q, _) in zip(pieces, early_pieces))
+    assert late.source_residual.equals_ae(early.source_residual)
+    assert late.target_residual.equals_ae(early.target_residual)
+    assert late.verify() == early.verify()
+    assert repr(late) == repr(early)
+
+
+@st.composite
+def fold_cases(draw, dim, max_boxes):
+    """A figure box of the lattice's period cells, shifted by a multiple of
+    1/4 of them, and a lattice set about it."""
+    spacing = [draw(spacings) for _ in range(dim)]
+    shifts = [F(draw(st.integers(-4, 4)), 4) for _ in range(dim)]
+    figure = [(s * a, s * (a + 1)) for s, a in zip(spacing, shifts)]
+    return draw(lattice_sets(spacing, max_boxes, 3)), figure
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from([1, 2, 3]).flatmap(lambda dim: lattice_cases(dim, 3, 2)))
+def test_translation_pieces_are_built_once_on_first_read(case):
+    check_pieces_on_first_read(lambda: translation_congruent(*case))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from([1, 2, 3]).flatmap(lambda dim: shell_cases(dim, 3)))
+def test_dilation_pieces_are_built_once_on_first_read(case):
+    source, target, kappa, theta, center = case
+    check_pieces_on_first_read(lambda: dilation_congruent(
+        source, target, kappa=kappa, theta=theta, allow_center=center))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from([1, 2, 3]).flatmap(lambda dim: fold_cases(dim, 3)))
+def test_weyl_pieces_are_built_once_on_first_read(case):
+    check_pieces_on_first_read(lambda: weyl_congruent(*case))
+
+
+@pytest.mark.parametrize("build", [build_w1, build_w2])
+def test_three_way_check_builds_no_piece(build):
+    for depth in (3, 6, 10):
+        with counting_elements() as calls:
+            report = three_way_check(build(depth).wavelet_set, centered_square_figure(), (2, 2))
+        assert calls == [] and report.within(8 * build(depth).tail)
