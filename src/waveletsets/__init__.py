@@ -3,7 +3,7 @@ multiresolution analysis.
 
 Submodules:
   geometry     exact vectors, matrices, affine maps, hyperplanes, ranks, inverses
-  reflections  root systems, foldable figures, tessellation groups
+  reflections  root systems, affine mirrors, foldable figures, folding, subdivision
   tiles        dyadic box sets, congruence certificates, wavelet-set fixtures
   fif          fractal interpolation on an interval, a 1-D front end to surfaces
   surfaces     the self-affine engine: surfaces over foldable figures, moments
@@ -19,7 +19,6 @@ from .reflections import (
     affine_reflection,
     box_figure,
     centered_square_figure,
-    enumerate_group,
     fold,
     klein_four_root_system,
     right_triangle_figure,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -27,18 +28,35 @@ PLANAR_DEPTH_LIMIT = 64
 # 100 MB, or 5.3-6.5 s and 350 MB with --out, most of it writing the 52 MB JSON
 # file (2-vCPU Xeon, Python 3.11; kappa and degree costs multiply: kappa 5
 # with degree 5 takes 24 s);
-# `tiles construct --epsilon 0 --max-iterations 1000` about 2.3 s.
+# `tiles construct --epsilon 0 --max-iterations 1000` about 2.3 s;
+# `fif basis --n 4 --depth 8` about 1.0 s at --scaling 2/5 and 2.0 s with a
+# 64-bit numerator and denominator, and at the leaf-cell limit
+# (`--n 2 --depth 18`) 3.5 s and 12 s (256 bits: 5.0 s at --n 4 --depth 8).
 BASIS_CELLS_LIMIT = 64
 MRA_KAPPA_LIMIT = 4
 MRA_DEGREE_LIMIT = 4
 CONSTRUCT_ITERATIONS_LIMIT = 1000
+FRACTION_BITS_LIMIT = 64
 
 
-def _frac(text) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except ValueError:
-        return Fraction(float(text))
+def _written_bits(text: str) -> float:
+    """Bits of the larger of the numerator and denominator that a number text
+    writes, before reduction; inf for one of more than FRACTION_BITS_LIMIT
+    digits, which is never built (a decimal exponent of N alone would make a
+    10**N)."""
+    body, _, exponent = text.strip().lower().lstrip("+-").partition("e")
+    if "/" in body:
+        terms = body.split("/")
+    else:
+        whole, _, decimals = body.partition(".")
+        shift = int(exponent or 0) - len(decimals)
+        if abs(shift) > FRACTION_BITS_LIMIT:
+            return math.inf
+        terms = [whole + decimals + "0" * shift, "1" + "0" * -shift]
+    terms = [term.strip().lstrip("0") for term in terms]
+    if any(len(term) > FRACTION_BITS_LIMIT for term in terms):
+        return math.inf
+    return max(int(term or "0").bit_length() for term in terms)
 
 
 def _int_at_least(text, least: int, most: float = float("inf")) -> int:
@@ -59,7 +77,13 @@ def _positive_int(text) -> int:
 
 def _fraction_arg(text) -> Fraction:
     try:
-        return _frac(text)
+        if _written_bits(text) > FRACTION_BITS_LIMIT:
+            raise argparse.ArgumentTypeError(
+                f"a numerator or denominator of more than {FRACTION_BITS_LIMIT} bits")
+        try:
+            return Fraction(text)
+        except ValueError:
+            return Fraction(float(text))
     except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}") from None
 

@@ -1,16 +1,15 @@
-"""Root systems, affine reflections, foldable figures, and Weyl tessellations.
+"""Root systems, affine reflections, foldable figures, and subdivision.
 
 Coordinates are exact Fractions.  A foldable figure is a convex polytope
-together with the reflections about the hyperplanes that cut space into
-congruent copies of its fundamental cell; folding a point means reflecting
-it across violated bounding hyperplanes until it lands inside the figure.
+whose bounding hyperplanes cut space, by their reflections, into congruent
+copies of it; folding a point means reflecting it across violated bounding
+hyperplanes until it lands inside the figure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .geometry import AffineIsometry, AffineMap, Hyperplane, Mat, Vec, rank
@@ -105,14 +104,10 @@ def klein_four_root_system() -> RootSystem:
 
 @dataclass(frozen=True)
 class FoldableFigure:
-    """A convex figure with the reflections that generate its tessellation.
+    """A convex figure whose bounding reflections generate its tessellation.
 
     bounding: oriented hyperplanes of the figure itself (folding reflects
         across these); interior(theta) is strictly inside all of them.
-    cuts: additional hyperplanes slicing the figure into its fundamental
-        cells, when the figure is a union of several cells.
-    base_cell_vertices: vertices of the fundamental cell of the full group
-        generated by reflections about bounding + cut hyperplanes.
     box: for axis-aligned box figures, ((lo_1, hi_1), ..., (lo_n, hi_n)).
     """
 
@@ -120,25 +115,11 @@ class FoldableFigure:
     vertices: tuple
     bounding: tuple
     theta: Vec
-    cuts: tuple = ()
-    base_cell_vertices: tuple = ()
     box: Optional[tuple] = None
 
     @property
     def dim(self) -> int:
         return len(self.theta)
-
-    @property
-    def hyperplanes(self) -> tuple:
-        return self.bounding + self.cuts
-
-    @property
-    def generators(self) -> tuple:
-        return tuple(h.reflection() for h in self.hyperplanes)
-
-    def contains(self, x: Sequence) -> bool:
-        x = Vec(x)
-        return all(self._inside(h, x) >= 0 for h in self.bounding)
 
     def _inside(self, h: Hyperplane, x: Vec):
         """Positive inside, negative outside, zero on the plane."""
@@ -184,8 +165,8 @@ def fold(figure: FoldableFigure, x: Sequence) -> FoldResult:
 # -- built-in figures --------------------------------------------------------
 
 
-def box_figure(name: str, intervals: Sequence[tuple], cut_spacings: Optional[Sequence] = None) -> FoldableFigure:
-    """An axis-aligned box figure; cut_spacings adds interior grid hyperplanes."""
+def box_figure(name: str, intervals: Sequence[tuple]) -> FoldableFigure:
+    """An axis-aligned box figure."""
     n = len(intervals)
     intervals = tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals)
     bounding = []
@@ -194,39 +175,14 @@ def box_figure(name: str, intervals: Sequence[tuple], cut_spacings: Optional[Seq
         e[axis] = Fraction(1)
         bounding.append(Hyperplane(e, lo))
         bounding.append(Hyperplane(e, hi))
-    cuts = []
-    cell = list(intervals)
-    if cut_spacings is not None:
-        for axis, spacing in enumerate(cut_spacings):
-            if spacing is None:
-                continue
-            spacing = Fraction(spacing)
-            lo, hi = intervals[axis]
-            level = lo + spacing
-            while level < hi:
-                e = [Fraction(0)] * n
-                e[axis] = Fraction(1)
-                cuts.append(Hyperplane(e, level))
-                level += spacing
-            cell[axis] = (lo, lo + spacing)
     vertices = [()]
     for lo, hi in intervals:
         vertices = [v + (c,) for v in vertices for c in (lo, hi)]
-    base_vertices = [()]
-    for lo, hi in cell:
-        base_vertices = [v + (c,) for v in base_vertices for c in (lo, hi)]
-    theta_entries = []
-    for lo, hi in intervals:
-        mid = (lo + hi) / 2
-        # keep theta off every cut hyperplane
-        theta_entries.append(mid + (hi - lo) / 7)
     return FoldableFigure(
         name=name,
         vertices=tuple(Vec(v) for v in vertices),
         bounding=tuple(bounding),
-        theta=Vec(theta_entries),
-        cuts=tuple(cuts),
-        base_cell_vertices=tuple(Vec(v) for v in base_vertices),
+        theta=Vec((lo + hi) / 2 for lo, hi in intervals),
         box=intervals,
     )
 
@@ -237,22 +193,9 @@ def unit_square_figure(n: int = 2) -> FoldableFigure:
 
 
 def centered_square_figure() -> FoldableFigure:
-    """[-1,1]^2 in pi units, cut by the axes into four unit cells.
-
-    This is the translation fundamental domain used by the planar wavelet-set
-    fixtures; its cut arrangement is the full grid of integer lines.
-    """
-    fig = box_figure("centered-square", [(-1, 1), (-1, 1)], cut_spacings=[1, 1])
-    base = tuple(Vec((x, y)) for x in (Fraction(0), Fraction(1)) for y in (Fraction(0), Fraction(1)))
-    return FoldableFigure(
-        name=fig.name,
-        vertices=fig.vertices,
-        bounding=fig.bounding,
-        theta=Vec((Fraction(1, 3), Fraction(1, 2))),
-        cuts=fig.cuts,
-        base_cell_vertices=base,
-        box=fig.box,
-    )
+    """[-1,1]^2 in pi units, the translation fundamental domain used by the
+    planar wavelet-set fixtures."""
+    return box_figure("centered-square", [(-1, 1), (-1, 1)])
 
 
 def right_triangle_figure() -> FoldableFigure:
@@ -268,104 +211,7 @@ def right_triangle_figure() -> FoldableFigure:
         vertices=verts,
         bounding=bounding,
         theta=Vec((Fraction(1, 4), Fraction(1, 5))),
-        base_cell_vertices=verts,
     )
-
-
-# ---------------------------------------------------------------------------
-# group enumeration over a region
-# ---------------------------------------------------------------------------
-
-
-def _bbox_of(points) -> tuple:
-    los = [min(p[i] for p in points) for i in range(len(points[0]))]
-    his = [max(p[i] for p in points) for i in range(len(points[0]))]
-    return tuple(los), tuple(his)
-
-
-def _bboxes_overlap(a, b, margin=Fraction(0)) -> bool:
-    (alo, ahi), (blo, bhi) = a, b
-    return all(alo[i] - margin < bhi[i] and blo[i] < ahi[i] + margin for i in range(len(alo)))
-
-
-def _cell_meets(vertices: list, bbox: tuple, region_bbox: tuple) -> bool:
-    """Whether the open convex cell with these vertices meets the open region box.
-
-    The bounding-box test compares the projections on the coordinate axes,
-    which decides it for a cell that is an axis box.  Any other cell must be
-    planar, and no normal of a pair of its vertices, which include its wall
-    normals, may separate it from the region either: with the coordinate
-    axes, that is the separating-axis test, exact for two convex polygons.
-    """
-    if not _bboxes_overlap(bbox, region_bbox):
-        return False
-    if set(vertices) == set(product(*zip(*bbox))):
-        return True
-    if len(bbox[0]) != 2:
-        raise ValueError("cells that are not axis boxes must be planar")
-    los, his = region_bbox
-    for p, q in combinations(vertices, 2):
-        axis = (q[1] - p[1], p[0] - q[0])
-        proj = [axis[0] * v[0] + axis[1] * v[1] for v in vertices]
-        lo = sum(min(a * b0, a * b1) for a, b0, b1 in zip(axis, los, his))
-        hi = sum(max(a * b0, a * b1) for a, b0, b1 in zip(axis, los, his))
-        if max(proj) <= lo or hi <= min(proj):
-            return False
-    return True
-
-
-@dataclass
-class GroupCell:
-    word: list
-    isometry: AffineIsometry
-    vertices: list
-
-
-def enumerate_group(figure: FoldableFigure, region: Sequence[tuple]) -> list[GroupCell]:
-    """Enumerate group elements whose fundamental-cell image meets the region.
-
-    region is a box ((lo, hi) per axis).  The group is generated by the
-    reflections about all of the figure's hyperplanes (bounding and cuts);
-    the returned cells tile the region.  A cell is listed when its interior
-    meets the region's (`_cell_meets`).  The search walks from the cell of g
-    to the cells of g o r for the generators r, which include the mirrors in
-    the base cell's walls, so it steps to neighbouring cells; it stops at
-    cells outside the bounding box of the base cell and the region, grown by
-    one cell diameter.  A cell's word lists the generators whose product, in
-    that order, maps the base cell onto it.  Output is sorted by word
-    length, then lexicographically by the word.
-    """
-    base = figure.base_cell_vertices or figure.vertices
-    gens = figure.generators
-    region = tuple((Fraction(lo), Fraction(hi)) for lo, hi in region)
-    region_bbox = (tuple(lo for lo, _ in region), tuple(hi for _, hi in region))
-    cell_bbox = _bbox_of(base)
-    diameter = max(hi - lo for lo, hi in zip(*cell_bbox))
-    reach = (tuple(map(min, cell_bbox[0], region_bbox[0])),
-             tuple(map(max, cell_bbox[1], region_bbox[1])))
-
-    start = AffineIsometry.identity(figure.dim)
-    seen = {start.key()}
-    result = []
-    frontier = [([], start)]
-    while frontier:
-        nxt = []
-        for word, iso in frontier:
-            image = [iso.apply(v) for v in base]
-            bbox = _bbox_of(image)
-            if _cell_meets(image, bbox, region_bbox):
-                result.append(GroupCell(word=word, isometry=iso, vertices=image))
-            elif not _bboxes_overlap(bbox, reach, margin=diameter):
-                continue
-            for gidx, g in enumerate(gens):
-                new = iso.compose(g)
-                if new.key() in seen:
-                    continue
-                seen.add(new.key())
-                nxt.append((word + [gidx], new))
-        frontier = nxt
-    result.sort(key=lambda c: (len(c.word), c.word))
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,16 @@ class DyadicBoxSet:
     def __repr__(self):
         return f"DyadicBoxSet(dim={self.dim}, boxes={len(self.boxes)}, measure={self.measure})"
 
+    # the grid is canonical, so equality of the fields is equality a.e.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim == other.dim and self.den == other.den and self.cuts == other.cuts
+                and np.array_equal(self.mask, other.mask))
+
+    def __hash__(self):
+        return hash((self.dim, self.den, self.cuts, self.mask.tobytes()))
+
     # -- set algebra ------------------------------------------------------------
 
     def _combine(self, other: "DyadicBoxSet", op, clip) -> "DyadicBoxSet":

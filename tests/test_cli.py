@@ -4,6 +4,7 @@ import json
 import pathlib
 import re
 import shlex
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -198,6 +199,40 @@ def test_tiles_construct_epsilon_below_zero_exits_two(capsys):
     assert "error:" in captured.err and "construction failed" not in captured.out
     assert run(["tiles", "construct", "--epsilon", "0", "--max-iterations", "2"]) == 1
     assert "construction failed" in capsys.readouterr().out
+
+
+# a numerator or denominator of more than FRACTION_BITS_LIMIT = 64 bits as
+# written; a decimal exponent of N would build 10**N before any check
+OVERSIZED = [("fif basis", "scaling", "1e-20000"), ("mra build", "scaling", "1e-300000000"),
+             ("tiles construct", "epsilon", "1e-300000000"),
+             ("tiles construct", "epsilon", "1e300000000"),
+             ("fif basis", "scaling", "1/18446744073709551616"),
+             ("tiles construct", "epsilon", "7" * 100000 + "/3")]
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("command, flag, value", OVERSIZED)
+def test_oversized_fraction_exits_two_at_once(capsys, tmp_path, via_config, command, flag, value):
+    argv = command.split() + [f"--{flag}", value]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: value}))
+        argv = ["--config", str(cfg)] + command.split()
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "more than 64 bits" in err
+
+
+@pytest.mark.parametrize("text", ["0.4", "-3/7", "999999/1000000", "1e-6", "1/1000000", "0",
+                                  "1/18446744073709551615", "1e19", "-0.5e-18"])
+def test_fractions_within_the_bit_bound_parse_exactly(text):
+    parser = cli.build_parser()
+    for command in (["fif", "basis"], ["mra", "build"]) if abs(F(text)) < 1 else ():
+        assert parser.parse_args(command + [f"--scaling={text}"]).scaling == F(text)
+    if F(text) >= 0:
+        assert parser.parse_args(["tiles", "construct", "--epsilon", text]).epsilon == F(text)
 
 
 def test_outputs_are_byte_identical(capsys, tmp_path):

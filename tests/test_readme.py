@@ -19,7 +19,7 @@ def test_readme_library_tour_runs_and_states_its_values():
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
     # in the order of the tour's commented lines
     assert values == [True, True, True, [(True, 0), (True, 0)], (4, 4), "D^45", True,
-                      4, True, (F(1, 4), F(1, 4)), [[5, 7]],
+                      4, True, (F(1, 4), F(1, 4)),
                       [0, F(7, 10), 0], True, True, True, F(1, 2), [0.5, 0.3, 0.18, 0.0, 0.0, 0.0],
                       (256, (8, 256), 0.015625), (8, 24), True]
     basis, coarse, detail = namespace["basis"], namespace["coarse"], namespace["detail"]

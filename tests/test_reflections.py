@@ -1,4 +1,4 @@
-"""Root systems, affine reflections, folding, and group enumeration."""
+"""Root systems, affine reflections, folding, and subdivision."""
 
 from fractions import Fraction as F
 
@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import selfaffine_oracle as oracle
 
-from waveletsets.geometry import AffineIsometry, AffineMap, Mat, Vec
+from waveletsets.geometry import AffineMap, Mat, Vec
 from waveletsets.reflections import (
     RootSystem,
     affine_reflection,
     box_figure,
     centered_square_figure,
-    enumerate_group,
     fold,
     klein_four_root_system,
     right_triangle_figure,
@@ -95,80 +94,35 @@ def test_fold_lands_inside_and_isometry_inverts():
     fig = centered_square_figure()
     x = Vec((F(17, 5), F(-23, 7)))
     res = fold(fig, x)
-    assert fig.contains(res.point)
+    assert all(-1 <= a <= 1 for a in res.point)
     assert res.isometry.apply(res.point) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_fold_of_a_box_is_the_triangle_wave_per_axis(n, data):
+    sides = data.draw(st.lists(st.tuples(fracs, st.fractions(F(1, 4), 3, max_denominator=16)),
+                               min_size=n, max_size=n), label="sides")
+    x = Vec(data.draw(st.lists(st.fractions(-20, 20, max_denominator=16), min_size=n,
+                               max_size=n), label="x"))
+    res = fold(box_figure("box", [(lo, lo + w) for lo, w in sides]), x)
+    assert res.point == tuple(lo + w - abs((a - lo) % (2 * w) - w) for (lo, w), a in zip(sides, x))
+    assert res.isometry.apply(res.point) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.fractions(-10, 10, max_denominator=16), min_size=2, max_size=2))
+def test_fold_of_the_right_triangle_lands_inside_and_inverts(x):
+    res = fold(right_triangle_figure(), x)
+    a, b = res.point
+    assert a >= 0 and b >= 0 and a + b <= 1
+    assert res.isometry.apply(res.point) == tuple(x)
 
 
 def test_fold_fixes_interior_points():
     fig = unit_square_figure()
     res = fold(fig, (F(1, 3), F(2, 5)))
     assert res.point == (F(1, 3), F(2, 5)) and res.word == []
-
-
-def test_enumerate_group_counts():
-    fig = unit_square_figure()
-    only_cell = enumerate_group(fig, [(0, 1), (0, 1)])
-    assert len(only_cell) == 1 and only_cell[0].isometry == AffineIsometry.identity(2)
-    block = enumerate_group(fig, [(-1, 2), (-1, 2)])
-    assert len(block) == 9
-    keys = {c.isometry.key() for c in block}
-    assert len(keys) == 9
-
-
-def test_enumerate_group_reaches_a_far_interval():
-    # the mirrors at -1 and 1 tile the line by [2k - 1, 2k + 1]; [5, 7] is
-    # the image of the base cell under the mirrors at 1, then -1, then 1
-    (cell,) = enumerate_group(box_figure("b", [(-1, 1)]), [(5, 6)])
-    assert sorted(v[0] for v in cell.vertices) == [5, 7]
-    assert cell.isometry.apply((F(-1, 2),)) == (F(13, 2),)
-
-
-def test_enumerate_group_covers_a_far_region():
-    region = [(F(15, 2), 11), (-13, F(-25, 3))]
-    cells = enumerate_group(centered_square_figure(), region)
-    measure = F(0)
-    for cell in cells:
-        part = F(1)
-        for axis, (lo, hi) in enumerate(region):
-            ends = [v[axis] for v in cell.vertices]
-            part *= min(max(ends), hi) - max(min(ends), lo)
-        assert part > 0
-        measure += part
-    assert measure == (11 - F(15, 2)) * (-F(25, 3) + 13)
-    assert len(cells) == 4 * 5
-
-
-def test_enumerate_group_skips_a_triangle_whose_bounding_box_meets_the_region():
-    # [9/10, 1]^2 lies across the hypotenuse: the base triangle's bounding
-    # box meets it, the triangle does not
-    cells = enumerate_group(right_triangle_figure(), [(F(9, 10), 1), (F(9, 10), 1)])
-    assert [c.word for c in cells] == [[2]]
-
-
-def _clipped_area(triangle, region):
-    """Exact area of a triangle inside a box, by clipping it against the four
-    sides (Sutherland-Hodgman) and summing the shoelace terms."""
-    pts = [tuple(v) for v in triangle]
-    for axis, bound, keep in ((0, region[0][0], 1), (0, region[0][1], -1),
-                              (1, region[1][0], 1), (1, region[1][1], -1)):
-        out = []
-        for p, q in zip(pts, pts[1:] + pts[:1]):
-            dp, dq = keep * (p[axis] - bound), keep * (q[axis] - bound)
-            if dp >= 0:
-                out.append(p)
-            if dp * dq < 0:
-                t = dp / (dp - dq)
-                out.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
-        pts = out
-    return abs(sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(pts, pts[1:] + pts[:1]))) / 2
-
-
-def test_enumerate_group_triangles_tile_the_region():
-    region = [(F(-1, 2), F(3, 2)), (F(-3, 10), F(7, 5))]
-    cells = enumerate_group(right_triangle_figure(), region)
-    areas = [_clipped_area(c.vertices, region) for c in cells]
-    assert all(a > 0 for a in areas)
-    assert sum(areas) == 2 * F(17, 10)
 
 
 def test_subdivision_tiles_the_figure():
@@ -197,10 +151,7 @@ def test_subdivision_by_one_is_the_identity(fig):
 def test_triangle_figure_folds_its_mirror_image():
     fig = right_triangle_figure()
     res = fold(fig, (F(3, 4), F(3, 4)))  # across the hypotenuse
-    assert fig.contains(res.point)
+    x, y = res.point
+    assert x >= 0 and y >= 0 and x + y <= 1
     assert res.isometry.apply(res.point) == (F(3, 4), F(3, 4))
 
-
-def test_box_figure_cut_spacing_generators():
-    fig = box_figure("strip", [(0, 2)], cut_spacings=[1])
-    assert len(fig.hyperplanes) == 3

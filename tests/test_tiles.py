@@ -72,6 +72,31 @@ def test_normalization_resolves_overlap():
     assert overlapping.measure == 3
 
 
+def test_sets_compare_and_hash_by_their_canonical_grid():
+    whole = DyadicBoxSet.from_box((0, 1), (0, 1))
+    halves = DyadicBoxSet(2, [((0, F(1, 2)), (0, 1)), ((F(1, 2), 1), (0, 1))])
+    assert whole == halves and hash(whole) == hash(halves)
+    assert whole == DyadicBoxSet.from_box((0, 1), (0, 1)) and len({whole, halves}) == 1
+    # one quarter cell less, and the same grid with another quarter missing
+    quarters = [DyadicBoxSet.from_box((a, a + F(1, 2)), (b, b + F(1, 2)))
+                for a in (0, F(1, 2)) for b in (0, F(1, 2))]
+    notch, other = whole.subtract(quarters[3]), whole.subtract(quarters[0])
+    assert (notch.den, notch.cuts) == (other.den, other.cuts)
+    assert notch != whole and notch != other and other != whole
+    assert DyadicBoxSet.from_box((0, 1)) != DyadicBoxSet.from_box((0, 1), (0, 1))
+    assert whole != whole.to_json()
+
+
+@pytest.mark.parametrize("check", [
+    lambda a: translation_congruent(a, a, (2, 2)),
+    lambda a: weyl_congruent(a, centered_square_figure()),
+    lambda a: dilation_congruent(a, DyadicBoxSet.from_box((2, 4), (1, 4)))])
+def test_two_certificates_of_one_check_compare_equal(check):
+    first = check(DyadicBoxSet.from_box((1, 2), (F(1, 2), 2)))
+    second = check(DyadicBoxSet(2, [((1, 2), (F(1, 2), 1)), ((1, 2), (1, 2))]))
+    assert first == second and first.verify().ok
+
+
 # -- congruence checkers ---------------------------------------------------
 
 

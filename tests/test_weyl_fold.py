@@ -15,10 +15,11 @@ became one group of the shared reduce-and-claim kernel, `grid_weyl_congruent`
 in the oracle.
 
 `is_fundamental_domain` counts the fold-group orbit copies of a candidate
-over a region on the same kernel.  Its oracle applies every group element
-that `reflections.enumerate_group` lists near the region to the candidate.
+over a region on the same kernel.  Its oracle applies to the candidate every
+group element near the region, listed per axis in closed form.
 """
 
+import math
 from itertools import product
 
 from fractions import Fraction as F
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import boxset_oracle as oracle
-from waveletsets.reflections import box_figure, centered_square_figure, enumerate_group
+from waveletsets.reflections import centered_square_figure
 from waveletsets.tiles import (DyadicBoxSet, GroupSpec, PieceMap, build_w1, build_w2,
                                is_fundamental_domain, weyl_congruent)
 
@@ -139,21 +140,21 @@ def orbit_domain(candidate, figure, region):
     """(uncovered, overlap) of the candidate's orbit over the region: m(region)
     - m(cover) and mass - m(cover), over the images of the candidate under
     the group elements whose image of it meets the region.  The fold group of
-    a box is the product of the groups of its sides, listed per axis by
-    `enumerate_group`."""
+    a box is the product of the groups of its sides.  The mirrors of a side
+    [lo, hi] of width w cut the line into the cells [lo + k w, lo + (k + 1) w],
+    and cell k is the image of the side under x -> x + k w for even k and
+    x -> 2 lo + (k + 1) w - x for odd k."""
     if candidate.is_empty or region.is_empty:
         return region.measure, F(0)
     axes = []
     for (a, b), (c, d), (lo, hi) in zip(candidate.bounding_box(), region.bounding_box(), figure):
         # all three sets lie within r of the side's centre m, so an element
         # that carries [a, b] onto a point of [c, d] carries the side into
-        # [m - 3r, m + 3r], inside the interval searched here
-        m = (lo + hi) / 2
+        # [m - 3r, m + 3r], inside the cells that meet (m - 4r, m + 4r)
+        m, w = (lo + hi) / 2, hi - lo
         r = max(abs(x - m) for x in (a, b, c, d, lo, hi))
-        cells = enumerate_group(box_figure("side", [(lo, hi)]), [(m - 4 * r, m + 4 * r)])
-        assert sum(min(max(v[0] for v in cell.vertices), m + 4 * r)
-                   - max(min(v[0] for v in cell.vertices), m - 4 * r) for cell in cells) == 8 * r
-        maps = [(cell.isometry.linear.rows[0][0], cell.isometry.shift[0]) for cell in cells]
+        cells = range(math.floor((m - 4 * r - lo) / w), math.ceil((m + 4 * r - lo) / w))
+        maps = [(1, k * w) if k % 2 == 0 else (-1, 2 * lo + (k + 1) * w) for k in cells]
         axes.append([(s, t) for s, t in maps if max(min(s * a, s * b) + t, c) < min(max(s * a, s * b) + t, d)])
     mass, cover = F(0), DyadicBoxSet.empty(candidate.dim)
     for element in product(*axes):
