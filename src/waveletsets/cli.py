@@ -24,10 +24,10 @@ PLANAR_DEPTH_LIMIT = 64
 # Bounds of the parameters that set a command's cost, each from a timing:
 # `fif basis --n 64 --depth 1` takes about 0.9 s (128: 3 s), and a `fif basis`
 # family at the leaf-cell limit about 1.3 s (3 s with --csv and --svg);
-# `mra build --kappa 4 --degree 4`, the costliest pair allowed, about 1 s and
-# 100 MB, or 5.3-6.5 s and 350 MB with --out, most of it writing the 52 MB JSON
-# file (2-vCPU Xeon, Python 3.11; kappa and degree costs multiply: kappa 5
-# with degree 5 takes 24 s);
+# `mra build --kappa 4 --degree 4`, the costliest pair allowed, about 0.65 s
+# and 100 MB, or 3.3-3.6 s and 310 MB with --out, most of it the float reprs
+# of the 52 MB JSON file (2-vCPU Xeon, Python 3.11; kappa and degree costs
+# multiply: kappa 5 with degree 5 builds in about 6.5 s);
 # `tiles construct --epsilon 0 --max-iterations 1000` about 2.3 s;
 # `fif basis --n 4 --depth 8` about 1.0 s at --scaling 2/5 and 2.0 s with a
 # 64-bit numerator and denominator, and at the leaf-cell limit

@@ -100,13 +100,13 @@ class MultiresolutionBasis:
                 data = [{} for _ in self.maps]
                 data[j] = {expo: Fraction(1)}
                 self._atom_data.append(tuple(data))
-        # the atoms share one template's system: its geometry, integral table
-        # and inverted moment system are built once for all of them
+        # the atoms share one template's system: its geometry and integer
+        # moment tables are built once for all of them
         template = SurfaceSpec(self.domain.vertices, self.maps, self._atom_data[0], s)
         self.atoms = [FractalSurface(template.with_data(data)) for data in self._atom_data]
         na = config.generator_count
-        # each atom's moments (its right-hand side times the shared inverse),
-        # used by both the Gram matrix and the filters
+        # each atom's moments (its one cell's data row through the shared
+        # tables), used by both the Gram matrix and the filters
         self.atom_moments = [moments(a, d) for a in self.atoms]
         gram = gram_from_moments(self.atoms, self.atom_moments)
         self.atom_gram = gram
@@ -184,21 +184,19 @@ class MultiresolutionBasis:
         # an empty dict stacks to shape (0,); give it the (0, fine) shape
         rows = rows.reshape(len(keys), self.V.shape[0])
         split = rows @ self.VW
-        coarse = {k: split[r, :na] for r, k in enumerate(keys)}
-        detail = {k: split[r, na:] for r, k in enumerate(keys)}
-        return coarse, detail
+        return dict(zip(keys, split[:, :na])), dict(zip(keys, split[:, na:]))
 
     def synthesize(self, coarse: dict, detail: dict) -> dict:
         """Inverse of analyze: one product of the stacked [coarse | detail]
-        rows with [V | W]^T; a word missing from one side has zeros there."""
+        rows with [V | W]^T; a word missing from one side has zeros there.
+        Each side is stacked as one array and set into its rows at once."""
         keys = list(coarse) + [k for k in detail if k not in coarse]
         na, nw = self.V.shape[1], self.W.shape[1]
         split = np.zeros((len(keys), na + nw))
-        for r, k in enumerate(keys):
-            if k in coarse:
-                split[r, :na] = np.asarray(coarse[k], dtype=float)
-            if k in detail:
-                split[r, na:] = np.asarray(detail[k], dtype=float)
+        index = {k: r for r, k in enumerate(keys)}
+        for side, cols in ((coarse, slice(None, na)), (detail, slice(na, None))):
+            if side:
+                split[[index[k] for k in side], cols] = np.array(list(side.values()), dtype=float)
         rows = split @ self.VW.T
         return {k: rows[r] for r, k in enumerate(keys)}
 
@@ -239,6 +237,23 @@ def _iso_from_obj(obj: dict) -> AffineIsometry:
     return AffineIsometry(linear, shift)
 
 
+def _float_lists(value: list, pad: str) -> str:
+    """json.dumps(value, indent=2) of nested lists of floats, its lines
+    indented by pad after the first: each float by float.__repr__, and NaN
+    and +-inf as json writes them (no finite repr has an "n" in it)."""
+    if not value:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value[0], list):
+        body = sep.join(_float_lists(v, inner) for v in value)
+    else:
+        body = sep.join(map(float.__repr__, value))
+        if "n" in body:
+            body = body.replace("inf", "Infinity").replace("nan", "NaN")
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
 @dataclass
 class FilterBank:
     """Refinement and wavelet matrices keyed by their words."""
@@ -248,12 +263,15 @@ class FilterBank:
     Q: list
 
     def to_json(self) -> str:
-        payload = {
-            "words": [_iso_to_obj(w) for w in self.words],
-            "P": [[[float(v) for v in row] for row in m] for m in self.P],
-            "Q": [[[float(v) for v in row] for row in m] for m in self.Q],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        """The text of json.dumps(payload, indent=2, sort_keys=True) for the
+        words as exact strings and P and Q as nested lists of floats; the
+        float lists are written without the json module's indent encoder,
+        which walks each of their values in Python."""
+        words = json.dumps([_iso_to_obj(w) for w in self.words], indent=2, sort_keys=True)
+        parts = {"P": _float_lists([np.asarray(m, dtype=float).tolist() for m in self.P], "  "),
+                 "Q": _float_lists([np.asarray(m, dtype=float).tolist() for m in self.Q], "  "),
+                 "words": words.replace("\n", "\n  ")}
+        return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in parts.items()) + "\n}"
 
     @staticmethod
     def from_json(text: str) -> "FilterBank":

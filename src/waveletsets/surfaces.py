@@ -12,6 +12,14 @@ continuous whenever the data functions agree on the preimages of shared cell
 faces.  All vertex and mesh computations are exact over the rationals.  This
 module is the one self-affine engine: a fractal interpolation function
 (`waveletsets.fif`) is the case of an interval, tiled by its cells.
+
+Moments, inner products, Gram matrices and forced data are integer matrix
+products: the system of a spec family holds its tables (monomial integrals,
+the inverted moment system, the det_i-weighted integrals of a monomial times
+a composed monomial, det_i s_i, the vertex interpolation inverse) as
+integers over one denominator each, a member's cell data enter as integer
+coefficient rows over one common denominator, and each output entry becomes
+one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -188,11 +196,12 @@ def domain_integral(p: dict, spec: "SurfaceSpec") -> Fraction:
 
 class _System:
     """All a spec family derives from its vertices, similitudes and scalings,
-    shared by `SurfaceSpec.with_data`.  Monomial integrals, inverted moment
-    systems, the vertex interpolation inverse, the vertex images u_i(v) and
-    the 1-D mesh points per depth (filled by `fif`) come on first use.
-    Nothing here depends on the data, and no pull-back chain is kept here:
-    each member walks its own (`SelfAffine._evaluate`)."""
+    shared by `SurfaceSpec.with_data`.  The integer tables (monomial
+    integrals, the moment tables of each degree, the cell weights, the
+    vertex interpolation inverse), the vertex images u_i(v) and the 1-D mesh
+    points per depth (filled by `fif`) come on first use.  Nothing here
+    depends on the data, and no pull-back chain is kept here: each member
+    walks its own (`SelfAffine._evaluate`)."""
 
     def __init__(self, vertices: tuple, maps: tuple, scalings: tuple):
         self.vertices, self.maps, self.scalings = vertices, maps, scalings
@@ -201,10 +210,8 @@ class _System:
         self.inverses = tuple(u.inverse() for u in maps)
         self.dets = tuple(abs(u.linear.det()) for u in maps)
         self.chart_inv = None if self.chart is None else self.chart.inverse()
-        self.pair_denominator = 1 - sum((d * s * s for d, s in zip(self.dets, scalings)), ZERO)
         self._integrals: dict = {}
-        self._moment_systems: dict = {}
-        self._interpolation = None
+        self._tables: dict = {}
         self.orbits: dict = {}
 
     @functools.cached_property
@@ -212,39 +219,144 @@ class _System:
         """u_i(v) for every similitude u_i (outer) and vertex v (inner)."""
         return tuple(tuple(u.apply(v) for v in self.vertices) for u in self.maps)
 
-    def _monomial_integral(self, expo: tuple) -> Fraction:
-        if self.chart is not None:
-            q = poly_compose_affine({expo: ONE}, self.chart)
-            return self.volume * sum((c * _standard_simplex_integral(e) for e, c in q.items()), ZERO)
-        return math.prod((Fraction(hi ** (e + 1) - lo ** (e + 1), e + 1)
-                          for (lo, hi), e in zip(self.box, expo)), start=ONE)
+    @functools.cached_property
+    def weights(self) -> tuple:
+        """The det_i, the det_i s_i and the s_i, each as (den, integers over den)."""
+        return (_numerators(self.dets), _numerators([d * s for d, s in zip(self.dets, self.scalings)]),
+                _numerators(self.scalings))
+
+    @functools.cached_property
+    def interpolation(self) -> tuple:
+        """(den, inverse): the inverse of the rows (1, v) over the vertices v
+        of a simplex, integers over den; row k of the inverse times the
+        vertex values of an affine function is its coefficient k."""
+        rows = Mat([[ONE, *v] for v in self.vertices]).inverse().rows
+        return _int_rows([a for row in rows for a in row], self.dim + 1)
+
+    def integrals(self, degree: int) -> tuple:
+        """(den, {monomial: numerator}): the integrals over the domain of the
+        monomials up to a degree, integers over one denominator.  On a
+        simplex, each monomial composed with the chart is integrated over the
+        standard simplex; on a box, each is a product of 1-D integrals."""
+        if degree not in self._integrals:
+            expos = _monomials_upto(self.dim, degree)
+            if self.chart is not None:
+                cden, (rows,) = _compositions([self.chart], expos)
+                sden, std = _numerators([_standard_simplex_integral(e) for e in expos])
+                values = [self.volume * Fraction(sum(a * b for a, b in zip(row, std) if a), cden * sden)
+                          for row in rows]
+            else:
+                values = [math.prod((Fraction(hi ** (k + 1) - lo ** (k + 1), k + 1)
+                                     for (lo, hi), k in zip(self.box, e)), start=ONE) for e in expos]
+            den, nums = _numerators(values)
+            self._integrals[degree] = den, dict(zip(expos, nums))
+        return self._integrals[degree]
 
     def integral(self, p: dict) -> Fraction:
-        for expo in p.keys() - self._integrals.keys():
-            self._integrals[expo] = self._monomial_integral(expo)
-        return sum((c * self._integrals[expo] for expo, c in p.items()), ZERO)
+        den, table = self.integrals(poly_degree(p))
+        return sum((c * table[e] for e, c in p.items()), ZERO) / den
 
-    def moment_system(self, degree: int) -> tuple:
-        """(monomials, comps, inverse): comps[r][i] is monomial r composed with
-        map i, and the inverse is that of I - sum_i det_i s_i (comps[.][i])."""
-        if degree not in self._moment_systems:
+    def tables(self, degree: int) -> "_Tables":
+        """The integer moment tables of the monomials up to a degree (`_Tables`)."""
+        if degree not in self._tables:
             expos = _monomials_upto(self.dim, degree)
-            pos = {e: k for k, e in enumerate(expos)}
-            comps = [[poly_compose_affine({e: ONE}, u) for u in self.maps] for e in expos]
-            rows = [[ONE if r == c else ZERO for c in range(len(expos))] for r in range(len(expos))]
-            for row, row_comps in zip(rows, comps):
-                for det, s, comp in zip(self.dets, self.scalings, row_comps):
-                    for ce, cc in comp.items():
-                        row[pos[ce]] -= det * s * cc
-            self._moment_systems[degree] = (expos, comps, Mat(rows).inverse().rows)
-        return self._moment_systems[degree]
+            n = len(expos)
+            cden, comps = _compositions(self.maps, expos)
+            (wden, dets), (dsden, ds), _ = self.weights
+            # the moment system I - sum_i det_i s_i comps[i], inverted exactly
+            system = Mat([[Fraction(int(r == c) * dsden * cden
+                                    - sum(d * m[r][c] for d, m in zip(ds, comps)), dsden * cden)
+                           for c in range(n)] for r in range(n)])
+            iden, inverse = _int_rows([a for row in system.inverse().rows for a in row], n)
+            # the integrals of every product of two monomials up to the degree
+            jden, table = self.integrals(2 * degree)
+            products = [[table[tuple(map(sum, zip(a, b)))] for b in expos] for a in expos]
+            # cells[i][k][r] = det_i * integral(monomial k * (monomial r o u_i))
+            cells = [[[d * sum(c * x for c, x in zip(comp, prow) if c) for comp in m]
+                      for prow in products] for d, m in zip(dets, comps)]
+            self._tables[degree] = _Tables(expos, inverse, iden * wden * cden * jden, cells,
+                                           jden, products)
+        return self._tables[degree]
 
-    def interpolate(self, values: Sequence) -> dict:
-        """The affine polynomial taking the given values at the vertices of a simplex."""
-        if self._interpolation is None:
-            self._interpolation = Mat([[ONE, *v] for v in self.vertices]).inverse().rows
-        return as_poly([sum((a * b for a, b in zip(row, values)), ZERO)
-                        for row in self._interpolation], self.dim)
+
+@dataclass(frozen=True)
+class _Tables:
+    """A system's moment tables at one degree, as integer matrices:
+
+    expos      the monomials up to the degree, in `_monomials_upto` order;
+    inverse    the inverse of I - sum_i det_i s_i C_i, with C_i[r][c] the
+               coefficient of monomial c in monomial r composed with map i;
+    cells      cells[i][k][r] = det_i * integral(monomial k * (monomial r o u_i));
+    moment_den the denominator of inverse times cells;
+    products   products[k][l] = integral(monomial k * monomial l), over product_den.
+    """
+
+    expos: list
+    inverse: list
+    moment_den: int
+    cells: list
+    product_den: int
+    products: list
+
+
+def _compositions(maps: Sequence, expos: list) -> tuple:
+    """(den, comps): comps[i][r][c] is the coefficient of monomial c in
+    monomial r composed with map i, the monomials those of `_monomials_upto`
+    in its order, all integers over den = L**degree, with L the lcm of the
+    map denominators.
+
+    Monomial r is monomial r - e_k, k its first variable, times coordinate k
+    of the map; that monomial comes earlier in the order, so each row is one
+    integer product of a row made before with an affine row.
+    """
+    dim, n, degree = len(expos[0]), len(expos), sum(expos[-1])
+    pos = {e: k for k, e in enumerate(expos)}
+    units = [tuple(int(k == j) for k in range(dim)) for j in range(dim)]
+    up = [[pos.get(tuple(map(sum, zip(e, u)))) for u in units] for e in expos]
+    L = math.lcm(*(Fraction(a).denominator for u in maps for row in u.linear.rows for a in row),
+                 *(Fraction(b).denominator for u in maps for b in u.shift))
+    comps = []
+    for u in maps:
+        coords = [(int(b * L), [int(a * L) for a in row]) for row, b in zip(u.linear.rows, u.shift)]
+        rows = [[int(e == expos[0]) for e in expos]]  # the constant monomial
+        for e in expos[1:]:
+            k = next(k for k, x in enumerate(e) if x)
+            const, lin = coords[k]
+            row = [0] * n
+            for idx, c in enumerate(rows[pos[e[:k] + (e[k] - 1,) + e[k + 1:]]]):
+                if c:
+                    row[idx] += c * const
+                    for j, a in enumerate(lin):
+                        if a:
+                            row[up[idx][j]] += c * a
+            rows.append(row)
+        comps.append([[c * L ** (degree - sum(e)) for c in row] for e, row in zip(expos, rows)])
+    return L ** degree, comps
+
+
+def _int_rows(values: Sequence, n: int) -> tuple:
+    """(den, rows): Fractions over one denominator (`_numerators`), as rows
+    of n integer numerators."""
+    den, flat = _numerators(values)
+    return den, [flat[k:k + n] for k in range(0, len(flat), n)]
+
+
+def _data_rows(family: Sequence, expos: Sequence) -> tuple:
+    """(den, rows): each member's cell data as integer coefficient rows over
+    the monomials expos and one common denominator den; rows holds one dict
+    {cell: row} per member, without the cells where it has no data."""
+    pos = {e: k for k, e in enumerate(expos)}
+    den = math.lcm(*(c.denominator for f in family for lam in f.spec.data for c in lam.values()))
+    rows = []
+    for f in family:
+        cells = {}
+        for i, lam in enumerate(f.spec.data):
+            if lam:
+                row = cells[i] = [0] * len(expos)
+                for e, c in lam.items():
+                    row[pos[e]] = c.numerator * (den // c.denominator)
+        rows.append(cells)
+    return den, rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -670,11 +782,27 @@ def _forced_data(spec: SurfaceSpec, tables: Sequence) -> list:
 
     Every cardinal family is built through this rule: `basis_surfaces` and
     the interpolation functions and cardinal bases of `fif`.  The domain
-    must be a simplex, where dim+1 vertex values pin an affine function.
+    must be a simplex, where dim+1 vertex values pin an affine function: its
+    coefficients are the system's interpolation inverse times those values,
+    all integers over one denominator until one Fraction per coefficient.
     """
     system = spec._system
-    return [[system.interpolate([f[w] - s * f[v] for w, v in zip(ws, system.vertices)])
-             for ws, s in zip(system.images, system.scalings)] for f in tables]
+    iden, inverse = system.interpolation
+    sden, scalings = system.weights[2]
+    # the constant, then x_1, ..., x_dim: the order of `as_poly`
+    expos = [tuple(int(k == j) for k in range(spec.dim)) for j in range(-1, spec.dim)]
+    out = []
+    for f in tables:
+        fden, vals = _numerators(list(f.values()))
+        value = dict(zip(f, vals))
+        den = iden * fden * sden
+        data = []
+        for ws, s in zip(system.images, scalings):
+            forced = [value[w] * sden - s * value[v] for w, v in zip(ws, system.vertices)]
+            coeffs = (sum(a * b for a, b in zip(row, forced)) for row in inverse)
+            data.append({e: Fraction(c, den) for e, c in zip(expos, coeffs) if c})
+        out.append(data)
+    return out
 
 
 def basis_surfaces(spec: SurfaceSpec) -> dict:
@@ -710,19 +838,26 @@ def moments(surface: FractalSurface, degree: int) -> dict:
     An affine change of variables never raises a monomial's degree, so the
     system is block triangular by degree: the moments up to a degree do not
     depend on how far beyond it the system is solved.  The spec's system
-    inverts the matrix once per degree; the data enter the right-hand side.
+    holds the inverted matrix and the right-hand side's integrals of each
+    degree as integer tables (`_System.tables`); a member's data rows enter
+    them in `int`, over the cells where it has data, and each moment is one
+    Fraction at the end.
     """
     spec = surface.spec
     system = spec._system
     degree = max(degree, max(poly_degree(p) for p in spec.data))
     if sum(system.dets) != 1:
         raise ValueError("cells must tile the domain")
-    expos, comps, inverse = system.moment_system(degree)
+    t = system.tables(degree)
+    den, (rows,) = _data_rows([surface], t.expos)
     # M_p = sum_i det_i * ( integral(lambda_i * p(u_i .)) + s_i * M_{p(u_i .)} )
-    rhs = [sum((det * domain_integral(poly_mul(lam, comp), spec)
-                for det, lam, comp in zip(system.dets, spec.data, row) if lam), ZERO)
-           for row in comps]
-    return {e: sum((a * b for a, b in zip(row, rhs) if b), ZERO) for e, row in zip(expos, inverse)}
+    rhs = [0] * len(t.expos)
+    for i, row in rows.items():
+        for c, column in zip(row, t.cells[i]):
+            if c:
+                rhs = [h + c * x for h, x in zip(rhs, column)]
+    den *= t.moment_den
+    return {e: Fraction(sum(a * b for a, b in zip(r, rhs)), den) for e, r in zip(t.expos, t.inverse)}
 
 
 def _check_shared_domain(f: FractalSurface, g: FractalSurface) -> None:
@@ -730,53 +865,83 @@ def _check_shared_domain(f: FractalSurface, g: FractalSurface) -> None:
         raise ValueError("surfaces must share domain and similitudes")
 
 
-def _inner_from_moments(f: FractalSurface, g: FractalSurface, mf: dict, mg: dict) -> Fraction:
-    """<f, g> from the cell data and each surface's moments up to the data degree.
+def _pairing(family: Sequence, family_moments: Sequence):
+    """The function (a, b) -> <family[a], family[b]> for surfaces on one
+    domain, from each member's moments up to the family's data degree.
 
     Splitting the domain integral into cells and pulling each back gives
         <f, g> = sum_i det_i [int lam_f,i lam_g,i + s_g,i int lam_f,i g
                               + s_f,i int lam_g,i f] / (1 - sum_i det_i s_f,i s_g,i).
+    The data rows, the moments and the det_i s_i of every system of the
+    family are integers over one denominator each, so a pair sums in `int`
+    over the cells where both have data and makes one Fraction.
     """
-    sf, sg = f.spec, g.spec
-    total = Fraction(0)
-    for i, det in enumerate(sf._system.dets):
-        lam_f, lam_g = sf.data[i], sg.data[i]
-        if not (lam_f or lam_g):
-            continue
-        term = domain_integral(poly_mul(lam_f, lam_g), sf)
-        term += sg._scalings[i] * sum((c * mg[e] for e, c in lam_f.items()), ZERO)
-        term += sf._scalings[i] * sum((c * mf[e] for e, c in lam_g.items()), ZERO)
-        total += det * term
-    if sf._system is sg._system:
-        return total / sf._system.pair_denominator
-    s_quad = sum((d * a * b for d, a, b in zip(sf._system.dets, sf._scalings, sg._scalings)), ZERO)
-    return total / (1 - s_quad)
+    system = family[0].spec._system
+    degree = max((poly_degree(p) for f in family for p in f.spec.data), default=0)
+    t = system.tables(degree)
+    n = len(t.expos)
+    dl, rows = _data_rows(family, t.expos)
+    dm, moms = _int_rows([m[e] for m in family_moments for e in t.expos], n)
+    wden, dets = system.weights[0]
+    systems = list({id(f.spec._system): f.spec._system for f in family}.values())
+    member_system = [systems.index(f.spec._system) for f in family]
+    dsden = math.lcm(*(sy.weights[1][0] for sy in systems))
+    # ds[k][i] = det_i s_i of system k, over dsden
+    ds = [[d * (dsden // sy.weights[1][0]) for d in sy.weights[1][1]] for sy in systems]
+    # scaled[a][k] = sum_i det_i s_i lam_a,i, with the s_i of system k
+    scaled = [[[sum(w[i] * row[j] for i, row in cells.items()) for j in range(n)] for w in ds]
+              for cells in rows]
+    # integrated[a][i] = the integrals of lam_a,i against each monomial
+    integrated = [{i: [sum(a * b for a, b in zip(prow, row) if b) for prow in t.products]
+                   for i, row in cells.items()} for cells in rows]
+    den_a, den_b = wden * t.product_den * dl * dl, dsden * dl * dm
+    den = math.lcm(den_a, den_b)
+    xa, xb = den // den_a, den // den_b
+    # 1 - sum_i det_i s_i s'_i for the systems of both members, as (p, q) with
+    # the pair's value num * p / q
+    ends = {}
+    for (ka, sa), (kb, sb) in itertools.product(enumerate(systems), repeat=2):
+        p = 1 - sum((d * x * y for d, x, y in zip(sa.dets, sa.scalings, sb.scalings)), ZERO)
+        ends[ka, kb] = p.denominator, den * p.numerator
+
+    def pair(a: int, b: int) -> Fraction:
+        ka, kb = member_system[a], member_system[b]
+        ra, rb, ia = rows[a], rows[b], integrated[a]
+        num = xa * sum(dets[i] * sum(x * y for x, y in zip(ia[i], rb[i]) if x)
+                       for i in ra.keys() & rb.keys())
+        num += xb * (sum(x * y for x, y in zip(scaled[a][kb], moms[b]))
+                     + sum(x * y for x, y in zip(scaled[b][ka], moms[a])))
+        p, q = ends[ka, kb]
+        return Fraction(num * p, q)
+
+    return pair
 
 
 def inner_product(f: FractalSurface, g: FractalSurface) -> Fraction:
     """Exact L2 inner product over the domain; same similitudes required."""
     _check_shared_domain(f, g)
     degree = max(max(poly_degree(p) for p in f.spec.data), max(poly_degree(p) for p in g.spec.data))
-    return _inner_from_moments(f, g, moments(f, degree), moments(g, degree))
+    return _pairing([f, g], [moments(f, degree), moments(g, degree)])(0, 1)
 
 
 def gram_from_moments(family: Sequence, family_moments: Sequence) -> list:
     """Exact Gram matrix of surfaces on one domain, from each member's moments
-    up to the family's data degree."""
+    up to the family's data degree (`_pairing`)."""
     n = len(family)
     g = [[ZERO] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            g[a][b] = g[b][a] = _inner_from_moments(family[a], family[b],
-                                                     family_moments[a], family_moments[b])
+    if n:
+        pair = _pairing(family, family_moments)
+        for a in range(n):
+            for b in range(a, n):
+                g[a][b] = g[b][a] = pair(a, b)
     return g
 
 
 def gram_matrix(surfaces) -> list:
     """Exact Gram matrix from each member's moments at the family's data degree.
 
-    Members built with `with_data` share one system, so its moment system is
-    inverted once and each member only forms its right-hand side.
+    Members built with `with_data` share one system, so its moment tables
+    are built once and each member only forms its right-hand side.
     """
     family = list(surfaces.values() if isinstance(surfaces, dict) else surfaces)
     for f in family[1:]:

@@ -40,7 +40,10 @@ at the end of this module.
 
 The `cell_surface_*` functions are the library's surface moment solve and
 pair formula from before specs shared one system (`SurfaceSpec.with_data`),
-which also take a scaling per cell; `tests/test_shared_system.py` uses them.
+which also take a scaling per cell; `tests/test_shared_system.py` and
+`tests/test_integer_moments.py` use them.  `forced_data` is the forced-data
+rule from before it became integer products over one denominator, kept
+for `tests/test_integer_moments.py`.
 
 They are slow but simple, and `tests/test_selfaffine_oracle.py` uses them as
 the oracle for identical Fractions (and for floats within 1e-12).  The
@@ -764,6 +767,21 @@ def cell_surface_gram_matrix(family) -> list:
         for b in range(a, n):
             g[a][b] = g[b][a] = cell_surface_inner_product(family[a], family[b])
     return g
+
+
+def forced_data(spec: SurfaceSpec, tables: Sequence) -> list:
+    """The library's `_forced_data` and `_System.interpolate` from before
+    the integer tables: each cell's affine data through the Fraction inverse
+    of the rows (1, v), one sum of Fraction products per coefficient."""
+    interpolation = Mat([[ONE, *v] for v in spec.vertices]).inverse().rows
+    images = [[u.apply(v) for v in spec.vertices] for u in spec.maps]
+
+    def interpolate(values: Sequence) -> dict:
+        return as_poly([sum((a * b for a, b in zip(row, values)), ZERO)
+                        for row in interpolation], spec.dim)
+
+    return [[interpolate([f[w] - s * f[v] for w, v in zip(ws, spec.vertices)])
+             for ws, s in zip(images, spec._scalings)] for f in tables]
 
 
 FractalSurface.mesh = surface_mesh

@@ -1,5 +1,7 @@
 """Multiresolution filter oracles: dimensions, orthogonality, refinement."""
 
+import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -101,6 +103,41 @@ def test_stacked_transforms_match_per_word_products(basis):
     assert basis.analyze({}) == ({}, {}) and basis.synthesize({}, {}) == {}
 
 
+def _row_loop_transforms(basis, fine, coarse, detail):
+    """analyze and synthesize as they were: one row slice assignment per word."""
+    keys, na = list(fine), basis.V.shape[1]
+    split = np.array([fine[k] for k in keys]).reshape(len(keys), -1) @ basis.VW
+    analyzed = ({k: split[r, :na] for r, k in enumerate(keys)},
+                {k: split[r, na:] for r, k in enumerate(keys)})
+    keys = list(coarse) + [k for k in detail if k not in coarse]
+    split = np.zeros((len(keys), basis.VW.shape[1]))
+    for r, k in enumerate(keys):
+        if k in coarse:
+            split[r, :na] = np.asarray(coarse[k], dtype=float)
+        if k in detail:
+            split[r, na:] = np.asarray(detail[k], dtype=float)
+    rows = split @ basis.VW.T
+    return analyzed, {k: rows[r] for r, k in enumerate(keys)}
+
+
+@pytest.mark.parametrize("words", ["equal", "disjoint", "overlapping"])
+def test_stacked_transforms_are_bit_identical_to_the_row_loop(basis, words):
+    rng = np.random.default_rng(3)
+    fine = {("w", i): rng.standard_normal(32) for i in range(60)}
+    coarse, detail = basis.analyze(fine)
+    if words == "disjoint":
+        coarse = {k: v for k, v in coarse.items() if k[1] % 2}
+        detail = {k: list(v) for k, v in detail.items() if not k[1] % 2}
+    elif words == "overlapping":
+        coarse = {k: v for k, v in coarse.items() if k[1] >= 20}
+        detail = dict(reversed([(k, v) for k, v in detail.items() if k[1] < 40]))
+    (want_coarse, want_detail), want = _row_loop_transforms(basis, fine, coarse, detail)
+    for got, expect in ((basis.analyze(fine)[0], want_coarse), (basis.analyze(fine)[1], want_detail),
+                        (basis.synthesize(coarse, detail), want)):
+        assert list(got) == list(expect)
+        assert all(np.array_equal(got[k], expect[k]) for k in expect)
+
+
 def test_build_solves_one_moment_system_per_atom(monkeypatch):
     solved = []
     moments = sf.moments
@@ -196,6 +233,30 @@ def test_filter_bank_json_roundtrip(basis):
     assert fb.to_json() == fb2.to_json()
     assert all(a == b for a, b in zip(fb.words, fb2.words))
     assert max(np.abs(a - b).max() for a, b in zip(fb.P, fb2.P)) == 0.0
+
+
+def _json_module_text(bank):
+    """The filter bank's JSON as the json module's indent encoder writes it."""
+    payload = {"words": [mra._iso_to_obj(w) for w in bank.words],
+               "P": [[[float(v) for v in row] for row in m] for m in bank.P],
+               "Q": [[[float(v) for v in row] for row in m] for m in bank.Q]}
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("kappa,degree", [(2, 1), (3, 2)])
+def test_filter_json_is_the_json_module_text(kappa, degree):
+    bank = mra.build(mra.MRAConfig(kappa=kappa, degree=degree)).filter_bank()
+    assert bank.to_json() == _json_module_text(bank)
+
+
+def test_filter_json_writes_non_finite_and_edge_floats_as_json_does(basis):
+    odd = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, 0.1]
+    bank = mra.FilterBank(basis.words[:2], [np.array([odd, odd[::-1]]), np.zeros((0, 3)), [[1, -2]]],
+                          [np.zeros((2, 0)), np.array([[np.float32(0.1)]])])
+    assert bank.to_json() == _json_module_text(bank)
+    assert "NaN" in bank.to_json() and "-Infinity" in bank.to_json()
+    empty = mra.FilterBank([], [], [])
+    assert empty.to_json() == _json_module_text(empty)
 
 
 # -- filter words against the former isometry algebra ----------------------
