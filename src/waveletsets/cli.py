@@ -25,13 +25,15 @@ PLANAR_DEPTH_LIMIT = 64
 # `fif basis --n 64 --depth 1` takes about 0.9 s (128: 3 s), and a `fif basis`
 # family at the leaf-cell limit about 1.3 s (3 s with --csv and --svg);
 # `mra build --kappa 4 --degree 4`, the costliest pair allowed, about 0.65 s
-# and 100 MB, or 3.3-3.6 s and 310 MB with --out, most of it the float reprs
-# of the 52 MB JSON file (2-vCPU Xeon, Python 3.11; kappa and degree costs
-# multiply: kappa 5 with degree 5 builds in about 6.5 s);
+# and 100 MB, or 2.3-3.1 s and 105 MB with --out, most of it the float reprs
+# of the 52 MB JSON file, written one matrix at a time (2-vCPU Xeon, Python
+# 3.11; kappa and degree costs multiply: kappa 5 with degree 5 builds in
+# about 6.5 s);
 # `tiles construct --epsilon 0 --max-iterations 1000` about 2.3 s;
-# `fif basis --n 4 --depth 8` about 1.0 s at --scaling 2/5 and 2.0 s with a
-# 64-bit numerator and denominator, and at the leaf-cell limit
-# (`--n 2 --depth 18`) 3.5 s and 12 s (256 bits: 5.0 s at --n 4 --depth 8).
+# `fif basis --n 4 --depth 8 --csv` about 1.4 s at --scaling 2/5 and 2.5 s
+# with a 64-bit numerator and denominator, and at the leaf-cell limit
+# (`--n 2 --depth 18 --csv`) 3.8 s and 12 s; without --csv or --svg it
+# builds no mesh (0.35 s).
 BASIS_CELLS_LIMIT = 64
 MRA_KAPPA_LIMIT = 4
 MRA_DEGREE_LIMIT = 4
@@ -109,13 +111,14 @@ def _outpath(path: str) -> str:
     return path
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text) -> None:
+    """Write a text, or its pieces one at a time, to path."""
     path = _outpath(path)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
     print(f"wrote {path}")
 
 
@@ -159,6 +162,8 @@ def cmd_fif_basis(args) -> int:
         return 2
     basis = fif.uniform_cardinal_basis(args.n, args.scaling, args.mode)
     print(f"{len(basis)} basis functions on [0, {args.n}], mode {args.mode}")
+    if not (args.csv or args.svg):
+        return 0  # no output reads a mesh
     meshes = [b.mesh(args.depth) for b in basis]
     if args.csv:
         header = ["x"] + [f"y{k}" for k in range(len(basis))]
@@ -210,7 +215,7 @@ def cmd_mra_build(args) -> int:
     print(f"wavelets: {config.wavelet_count}")
     print(f"perfect-reconstruction residual (float): {basis.reconstruction_residual():.2e}")
     if args.out:
-        _write(args.out, basis.filter_bank().to_json())
+        _write(args.out, basis.filter_bank().json_pieces())
     return 0
 
 

@@ -10,10 +10,12 @@ An interval is the 1-D foldable figure, so a fractal function is the 1-D
 case of a self-affine surface: `FractalFunction` is built from a
 `waveletsets.surfaces` spec, the one holder of its maps, data and scalings,
 and shares that module's forced-data rule, pull-back evaluation, bound,
-moment solve, inner-product formula and integer mesh level step.  It keeps its one-sided
-knot values, the ordered join of its mesh (a list with one-sided values at
-interior knots, where the surface mesh is a dict) and its per-system mesh
-points.  Its reflection layout is `reflections.subdivide` of [0, n].
+moment solve, inner-product formula and integer mesh level step on whole
+columns (int64 or Python ints, by an exact bound).  It keeps its one-sided
+knot values, the ordered join of its mesh columns (a list with one-sided
+values at interior knots, where the surface mesh is a dict) and its
+per-system mesh points.  Its reflection layout is `reflections.subdivide`
+of [0, n].
 """
 
 from __future__ import annotations
@@ -175,42 +177,42 @@ class FractalFunction(SelfAffine):
 
         The points are the shared system's (`_orbit`), in a new list.  The
         values run from f at the two ends of the domain through the integer
-        level step of the surface meshes (`surfaces._level`), each level
-        joined in cell order (`_join`), and become Fractions once, at the
-        end, one Fraction per distinct numerator (`surfaces._fractions`).
+        level step of the surface meshes on whole columns (`surfaces._level`,
+        int64 or Python ints by its bound), each level joined in cell order
+        (`_join`), and become Fractions once, at the end, one Fraction per
+        distinct numerator (`surfaces._fractions`).
         """
         levels, points = self._orbit(depth)
         dv, vals = surfaces._numerators([self.evaluate(t).value for t in self.domain])
-        for pts, dp in levels:
-            _, _, dv, values = surfaces._level(self.spec, [pts], dp, vals, dv)
+        vals = np.array(vals, dtype=object)
+        for cols, dp in levels:
+            _, _, dv, values = surfaces._level(self.spec, cols, dp, vals, dv)
             vals = self._join(values)
         return list(points), surfaces._fractions(dv, vals)[0]
 
     def _orbit(self, depth: int) -> tuple:
-        """([(numerators, dp) per level before the last], last points as Fractions),
-        once per system, by the integer level step without values."""
+        """([(point columns, dp) per level before the last], last points as
+        Fractions), once per system, by the integer level step without values."""
         orbits = self.spec._system.orbits
         if depth not in orbits:
             dp, pts = surfaces._numerators(self.domain)
+            cols = np.array([pts], dtype=object)
             levels = []
             for _ in range(depth):
-                levels.append((pts, dp))
-                dp, images, _, _ = surfaces._level(self.spec, [pts], dp)
-                pts = self._join(cols[0] for cols in images)
-            orbits[depth] = (levels, surfaces._fractions(dp, pts)[0])
+                levels.append((cols, dp))
+                dp, images, _, _ = surfaces._level(self.spec, cols, dp)
+                cols = self._join(images[:, 0])[None]
+            orbits[depth] = (levels, surfaces._fractions(dp, cols[0])[0])
         return orbits[depth]
 
-    def _join(self, segments) -> list:
-        """One column per cell, in one list from left to right: the cells tile
-        the domain, so the column of a map of negative slope is reversed, and
-        each column after the first drops its first entry, where the cell
+    def _join(self, segments: np.ndarray) -> np.ndarray:
+        """One row per cell, in one array from left to right: the cells tile
+        the domain, so the row of a map of negative slope is reversed, and
+        each row after the first drops its first entry, where the cell
         before ends."""
-        out = []
-        for i, (u, seg) in enumerate(zip(self.spec.maps, segments)):
-            if u.linear.rows[0][0] < 0:
-                seg.reverse()
-            out.extend(seg[1:] if i else seg)
-        return out
+        rows = [seg[::-1] if u.linear.rows[0][0] < 0 else seg
+                for u, seg in zip(self.spec.maps, segments)]
+        return np.concatenate([rows[0]] + [row[1:] for row in rows[1:]])
 
     def operator_iterates(self, depth: int, steps: int) -> list[np.ndarray]:
         """Transfer-operator iterates from zero, sampled on the depth mesh."""

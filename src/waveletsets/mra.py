@@ -264,14 +264,26 @@ class FilterBank:
 
     def to_json(self) -> str:
         """The text of json.dumps(payload, indent=2, sort_keys=True) for the
-        words as exact strings and P and Q as nested lists of floats; the
-        float lists are written without the json module's indent encoder,
-        which walks each of their values in Python."""
+        words as exact strings and P and Q as nested lists of floats
+        (`json_pieces`, joined)."""
+        return "".join(self.json_pieces())
+
+    def json_pieces(self):
+        """The text of `to_json` in pieces, one per matrix, so a writer holds
+        one matrix's floats and text at a time.  The float lists are written
+        without the json module's indent encoder, which walks each of their
+        values in Python."""
         words = json.dumps([_iso_to_obj(w) for w in self.words], indent=2, sort_keys=True)
-        parts = {"P": _float_lists([np.asarray(m, dtype=float).tolist() for m in self.P], "  "),
-                 "Q": _float_lists([np.asarray(m, dtype=float).tolist() for m in self.Q], "  "),
-                 "words": words.replace("\n", "\n  ")}
-        return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in parts.items()) + "\n}"
+        for lead, key, mats in (("{", "P", self.P), (",", "Q", self.Q)):
+            yield f'{lead}\n  "{key}": '
+            if not mats:
+                yield "[]"
+                continue
+            for k, m in enumerate(mats):
+                yield (",\n    " if k else "[\n    ") + _float_lists(
+                    np.asarray(m, dtype=float).tolist(), "    ")
+            yield "\n  ]"
+        yield ',\n  "words": ' + words.replace("\n", "\n  ") + "\n}"
 
     @staticmethod
     def from_json(text: str) -> "FilterBank":

@@ -20,6 +20,12 @@ a composed monomial, det_i s_i, the vertex interpolation inverse) as
 integers over one denominator each, a member's cell data enter as integer
 coefficient rows over one common denominator, and each output entry becomes
 one Fraction at the end.
+
+Meshes run an integer cascade on whole columns: each level is one numpy
+product for all maps (`_level`), in int64 while an exact bound keeps every
+intermediate below 2**63 and in Python ints (dtype=object) otherwise, and
+the numerators become Fractions at the end, one per distinct value
+(`_fractions`).
 """
 
 from __future__ import annotations
@@ -595,79 +601,115 @@ def _numerators(values: Sequence) -> tuple:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def _fractions(den: int, *columns) -> list:
-    """Each column of integer numerators over den as a list of Fractions.
+def _coprime(n: int, d: int) -> Fraction:
+    """The Fraction n/d of coprime ints with d > 0, its two slots filled as
+    CPython's own `Fraction._from_coprime_ints` (3.12+) fills them, without
+    the checks and the gcd of `Fraction.__new__`."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
 
-    One Fraction is made per distinct numerator and shared by every place
-    it occurs in the columns.  They are made in order of first occurrence,
-    so a reader that walks the columns in order walks memory in order too.
+
+def _fractions(den: int, *columns) -> list:
+    """Each integer array of numerators over den as a list of Fractions.
+
+    Each distinct numerator is reduced by one gcd and made into one
+    Fraction (`_coprime`), shared by every place it occurs in the columns.
+    They are made in order of first occurrence, so a reader that walks the
+    columns in order walks memory in order too.
     """
-    made = {n: Fraction(n, den) for n in dict.fromkeys(itertools.chain(*columns))}
+    columns = [col.tolist() for col in columns]
+    made = {}
+    for n in dict.fromkeys(itertools.chain(*columns)):
+        g = math.gcd(n, den)
+        made[n] = _coprime(n // g, den // g)
     return [list(map(made.__getitem__, col)) for col in columns]
 
 
-def _affine_column(cols: list, row: list, shift: int) -> list:
-    """sum_j row[j] * cols[j] + shift, one integer per point."""
-    out = [shift] * len(cols[0])
-    for a, col in zip(row, cols):
-        if a:
-            out = [h + a * x for h, x in zip(out, col)]
-    return out
+def _int_dtype(bound: int):
+    """int64 when bound, a bound on every intermediate of a product, is below
+    2**63; Python ints (dtype=object) otherwise."""
+    return np.int64 if bound < 2 ** 63 else object
 
 
-def _monomial(cols: list, expo: tuple) -> list:
-    """prod_j cols[j] ** expo[j], one integer per point."""
-    out = [1] * len(cols[0])
-    for col, k in zip(cols, expo):
-        if k:
-            out = [h * x ** k for h, x in zip(out, col)]
-    return out
+def _top(column: np.ndarray) -> int:
+    """max(|x|) over an integer array, at least 1, as a Python int."""
+    return max(int(np.abs(column).max(initial=0)), 1)
 
 
-def _level(spec: SurfaceSpec, cols: list, dp: int, vals: Optional[list] = None,
+def _level(spec: SurfaceSpec, cols: np.ndarray, dp: int, vals: Optional[np.ndarray] = None,
            dv: int = 1) -> tuple:
     """One level of the integer cascade behind the meshes of `FractalSurface`
-    and `fif.FractalFunction`.
+    and `fif.FractalFunction`, on whole columns.
 
-    A level holds its points as columns of integer numerators over one
-    common denominator dp, one column per coordinate, and their values as
-    integer numerators over dv.  Map i sends a point X/dp to
-    (L A_i X + dp L b_i)/(dp L), with L the lcm of the map denominators, and
-    a value v/dv to lambda_i(X/dp) + s_i v/dv, an integer combination over
-    dv' = lcm(dv den(s_i) for all i, den(data) dp^deg) of v and of the data
-    monomials, each monomial column made once for all maps.
+    A level holds its points as an integer array cols of shape (dim, n),
+    numerators over one common denominator dp, one row per coordinate, and
+    their values as an integer array of n numerators over dv.  Map i sends a
+    point X/dp to (L A_i X + dp L b_i)/(dp L), with L the lcm of the map
+    denominators, and a value v/dv to lambda_i(X/dp) + s_i v/dv, an integer
+    combination over dv' = lcm(dv den(s_i) for all i, den(data) dp^deg) of v
+    and of the data monomials of X.  Each is one product for all maps:
+    the images are L A @ X + dp L b, and the values c v + C @ monomials,
+    with c the carries of v and C the data coefficients over dv'.
 
-    Returns (dp L, the image columns per map, dv', the value column per
-    map).  The image columns are made as the caller reads them, once; with
-    vals None there are no values, and dv' and the value columns are None.
+    Each product runs in int64 when a bound computed in Python ints from
+    the column maxima and the level's integer coefficients keeps every
+    intermediate below 2**63, and in Python ints (dtype=object) otherwise.
+
+    Returns (dp L, images of shape (maps, dim, n), dv', values of shape
+    (maps, n)); with vals None there are no values, and dv' and the values
+    are None.
     """
-    maps = spec.maps
-    lin_den = math.lcm(*(Fraction(a).denominator for u in maps
-                         for row in u.linear.rows for a in row),
-                       *(Fraction(b).denominator for u in maps for b in u.shift))
+    maps, dim = spec.maps, spec.dim
+    lin_den, flat = _numerators([a for u in maps for row in u.linear.rows for a in row]
+                                + [b for u in maps for b in u.shift])
     dp_next = dp * lin_den
-    images = ([_affine_column(cols, [int(a * lin_den) for a in row], int(b * dp_next))
-               for row, b in zip(u.linear.rows, u.shift)] for u in maps)
+    split = len(maps) * dim * dim
+    lin = np.array(flat[:split], dtype=object).reshape(len(maps), dim, dim)
+    shift = dp * np.array(flat[split:], dtype=object).reshape(len(maps), dim, 1)
+    top = _top(cols)
+    dtype = _int_dtype((top * np.abs(lin).sum(axis=2, keepdims=True) + np.abs(shift)).max())
+    images = lin.astype(dtype) @ cols.astype(dtype) + shift.astype(dtype)
     if vals is None:
         return dp_next, images, None, None
-    data_den = math.lcm(*(c.denominator for lam in spec.data for c in lam.values()))
-    deg = max(poly_degree(lam) for lam in spec.data)
-    dv_next = math.lcm(*(dv * s.denominator for s in spec._scalings), data_den * dp ** deg)
-    const = (0,) * len(cols)
-    monomials = {e: _monomial(cols, e) for lam in spec.data for e in lam if e != const}
-    values = []
-    for lam, s in zip(spec.data, spec._scalings):
-        # carry * value + lam(X/dp) * dv_next, an integer polynomial in X;
-        # its constant term joins the carry, with no column of ones
-        carry = s.numerator * (dv_next // (dv * s.denominator))
-        c0 = int(lam.get(const, ZERO) * dv_next)
-        new = [carry * v + c0 for v in vals]
-        for e, c in lam.items():
-            if e != const:
-                c = int(c * dv_next / dp ** sum(e))
-                new = [h + c * m for h, m in zip(new, monomials[e])]
-        values.append(new)
+    # the constant monomial always, so that C has a column even for zero data
+    expos = sorted({(0,) * dim, *(e for lam in spec.data for e in lam)})
+    data_den, nums = _numerators([lam.get(e, ZERO) for lam in spec.data for e in expos])
+    dv_next = math.lcm(*(dv * s.denominator for s in spec._scalings),
+                       data_den * dp ** max(map(sum, expos)))
+    carry = np.array([s.numerator * (dv_next // (dv * s.denominator)) for s in spec._scalings],
+                     dtype=object)[:, None]
+    coeffs = np.array(nums, dtype=object).reshape(len(maps), len(expos)) * np.array(
+        [dv_next // (data_den * dp ** sum(e)) for e in expos], dtype=object)
+    vtop = _top(vals)
+    powers = np.array([top ** sum(e) for e in expos], dtype=object)
+    dtype = _int_dtype(max(top, vtop, (np.abs(carry[:, 0]) * vtop + np.abs(coeffs) @ powers).max()))
+    x = cols.astype(dtype)
+    monomials = np.array([math.prod((x[k] ** p for k, p in enumerate(e) if p),
+                                    start=np.ones(cols.shape[1], dtype)) for e in expos])
+    values = carry.astype(dtype) * vals.astype(dtype) + coeffs.astype(dtype) @ monomials
     return dp_next, images, dv_next, values
+
+
+def _merge(images: np.ndarray, values: np.ndarray) -> tuple:
+    """The points of all maps' images, each once, in order of first
+    occurrence (maps outer, points inner), with their values; raises when
+    two maps give a shared point different values.
+
+    One stable lexsort of the stacked images puts each point's copies
+    together, the first occurrence first.
+    """
+    cols = np.concatenate(images, axis=1)
+    vals = values.reshape(-1)
+    order = np.lexsort(cols)
+    pts, vs = cols[:, order], vals[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (pts[:, 1:] != pts[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(new)
+    if (vs != np.repeat(vs[starts], np.diff(starts, append=len(order)))).any():
+        raise ArithmeticError("inconsistent values at a shared mesh point")
+    keep = np.sort(order[starts])
+    return cols[:, keep], vals[keep]
 
 
 class FractalSurface(SelfAffine):
@@ -714,27 +756,21 @@ class FractalSurface(SelfAffine):
         points come in the order of the cascade: cells outer, the points of
         the coarser level inner, each point where it first occurs.
 
-        Each level is one step of the integer cascade (`_level`), so the
-        cascade and the shared-point check run on plain ints.  Points and
-        values become Fractions (and Vec keys) once, at the end, one
-        Fraction per distinct numerator (`_fractions`).
+        Each level is one step of the integer cascade on whole columns
+        (`_level`, int64 or Python ints by its bound), and the shared-point
+        check one stable sort of the images (`_merge`).  Points and values
+        become Fractions (and Vec keys) once, at the end, one Fraction per
+        distinct numerator (`_fractions`).
         """
         spec = self.spec
         start = self.vertex_values()
         dp, flat = _numerators([c for p in start for c in p])
-        cols = [flat[k::spec.dim] for k in range(spec.dim)]
+        cols = np.array(flat, dtype=object).reshape(-1, spec.dim).T
         dv, vals = _numerators(list(start.values()))
+        vals = np.array(vals, dtype=object)
         for _ in range(depth):
             dp, images, dv, values = _level(spec, cols, dp, vals, dv)
-            nxt: dict = {}
-            for image, new in zip(images, values):
-                # a map is one to one, so only points of earlier maps repeat
-                level = dict(zip(zip(*image), new))
-                for q in level.keys() & nxt.keys():
-                    if level.pop(q) != nxt[q]:
-                        raise ArithmeticError("inconsistent values at a shared mesh point")
-                nxt.update(level)
-            cols, vals = list(zip(*nxt)), list(nxt.values())
+            cols, vals = _merge(images, values)
         points = map(Vec, zip(*_fractions(dp, *cols)))
         return dict(zip(points, _fractions(dv, vals)[0]))
 
@@ -809,6 +845,15 @@ def basis_surfaces(spec: SurfaceSpec) -> dict:
     """Cardinal surfaces, one per outer or inner vertex of the refinement,
     each with the data its Kronecker values force (`_forced_data`).
 
+    Each member is checked against its own table T of Kronecker values: at
+    every vertex v and map i, lambda_i(v) + s T(v) = T(u_i(v)), or
+    ArithmeticError.  This decides what a level-1 mesh would.  A domain
+    vertex pulls back through its cell to a vertex, so its pull-back chain
+    stays on the vertices and closes; T satisfies every step of it, and with
+    |s| < 1 the cycle's value C / (1 - S) is unique, so f = T at the
+    vertices.  Every level-1 value lambda_i(v) + s f(v) is then T(u_i(v)),
+    one value per point, and the level-1 mesh is T.
+
     The cells must share one vertical scaling: with different ones the
     members are not continuous across the inner vertices of deeper
     refinements.
@@ -819,11 +864,13 @@ def basis_surfaces(spec: SurfaceSpec) -> dict:
         raise ValueError("vertex basis construction needs one vertical scaling for all cells")
     pts = level_one_vertices(spec)
     kronecker = [{p: int(p == nu) for p in pts} for nu in pts]
+    images, s = spec._system.images, spec._scalings[0]
     out = {}
-    for nu, data in zip(pts, _forced_data(spec, kronecker)):
-        surf = FractalSurface(spec.with_data(data))
-        surf.mesh(1)  # consistency check at the refinement vertices
-        out[nu] = surf
+    for nu, table, data in zip(pts, kronecker, _forced_data(spec, kronecker)):
+        for lam, ws in zip(data, images):
+            if any(poly_val(lam, v) + s * table[v] != table[w] for v, w in zip(spec.vertices, ws)):
+                raise ArithmeticError("cell relations disagree at a vertex")
+        out[nu] = FractalSurface(spec.with_data(data))
     return out
 
 

@@ -135,6 +135,20 @@ def test_fif_basis_reports_four_graphs(capsys):
     assert "4 basis functions" in capsys.readouterr().out
 
 
+def test_fif_basis_builds_no_mesh_without_an_output(capsys, tmp_path, monkeypatch):
+    # no output reads a mesh, so none is built; the printed text is the same
+    built, mesh = [], fif.FractalFunction.mesh
+    monkeypatch.setattr(fif.FractalFunction, "mesh",
+                        lambda self, depth: built.append(depth) or mesh(self, depth))
+    assert run(["fif", "basis", "--n", "3", "--depth", "5"]) == 0
+    assert built == []
+    assert capsys.readouterr().out == "4 basis functions on [0, 3], mode translation\n"
+    csv = tmp_path / "basis.csv"
+    assert run(["fif", "basis", "--n", "3", "--depth", "5", "--csv", str(csv)]) == 0
+    assert built == [5] * 4
+    assert capsys.readouterr().out == f"4 basis functions on [0, 3], mode translation\nwrote {csv}\n"
+
+
 def test_surface_fixture_reports_vertices(capsys, tmp_path):
     csv = tmp_path / "mesh.csv"
     assert run(["surface", "fixture", "--name", "ex5.2", "--depth", "4",
@@ -155,6 +169,8 @@ def test_mra_build_reports_dimensions(capsys, tmp_path):
     assert "wavelets: 24" in out
     bank = FilterBank.from_json(out_file.read_text())
     assert len(bank.words) == 4 and bank.Q[0].shape == (24, 8)
+    # written one matrix at a time, with the bytes of the whole text
+    assert out_file.read_text() == bank.to_json()
     assert float(_reconstruction_residual(out)) < 1e-12
 
 

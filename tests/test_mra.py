@@ -249,6 +249,14 @@ def test_filter_json_is_the_json_module_text(kappa, degree):
     assert bank.to_json() == _json_module_text(bank)
 
 
+def test_filter_json_comes_in_one_piece_per_matrix(basis):
+    bank = basis.filter_bank()
+    pieces = list(bank.json_pieces())
+    # the opening of P, its matrices and close, the same for Q, and the words
+    assert len(pieces) == 2 + len(bank.P) + 2 + len(bank.Q) + 1
+    assert "".join(pieces) == _json_module_text(bank)
+
+
 def test_filter_json_writes_non_finite_and_edge_floats_as_json_does(basis):
     odd = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, 0.1]
     bank = mra.FilterBank(basis.words[:2], [np.array([odd, odd[::-1]]), np.zeros((0, 3)), [[1, -2]]],

@@ -20,7 +20,8 @@ system of its own, whichever member is built first, and meshes must walk
 the same chains at every depth; a function's knot values, values at its
 knots and mesh must be those of a fresh object, whatever it computed
 before; the column cascade must keep the oracle's point order, its zero
-values and its errors on inconsistent data.
+values and its errors on inconsistent data, on int64 columns, on Python-int
+columns and where a level's bound crosses 2**63.
 Scalings are signed with |s| < 1 and denominators up to 2**64, so the common
 denominators of the cascades grow to hundreds of bits.
 """
@@ -752,3 +753,99 @@ def test_solve_and_inverse_match_parent(system):
 def test_rank_matches_parent(k, d, data):
     vectors = [geometry.Vec(row) for row in data.draw(_matrix(k, d), label="vectors")]
     assert geometry.rank(vectors) == oracle._rank(vectors)
+
+
+# -- the column cascade on int64 and on Python ints ------------------------------
+
+
+def _value_dtypes(monkeypatch):
+    """The dtype of every value array `surfaces._level` returns, in order."""
+    seen, level = [], sf._level
+
+    def spy(*args):
+        out = level(*args)
+        if out[3] is not None:
+            seen.append(out[3].dtype)
+        return out
+
+    monkeypatch.setattr(sf, "_level", spy)
+    return seen
+
+
+def _scaling_of_bits(bits):
+    """Signed scalings |s| < 1 whose denominator has exactly this many bits."""
+    return st.integers(2 ** (bits - 1) + 1, 2 ** bits).flatmap(_signed)
+
+
+INT64, PYTHON_INTS = np.dtype(np.int64), np.dtype(object)
+
+
+@MESHES
+@given(bits=st.integers(1, 64), n=st.integers(1, 4), mode=modes, depth=st.integers(1, 6),
+       data=st.data())
+def test_column_meshes_match_the_oracle_on_both_dtypes(bits, n, mode, depth, data):
+    # the denominators grow by a factor of the scaling's every level, so a
+    # scaling of b bits crosses the int64 bound after about 63 / b levels:
+    # small ones stay in int64, 64-bit ones go to Python ints at once, the
+    # ones between switch within the mesh; each must equal the oracle
+    s = data.draw(_scaling_of_bits(bits), label="s")
+    f = fif.uniform_cardinal_basis(n, s, mode)[data.draw(st.integers(0, n), label="member")]
+    surf = sf.FractalSurface(sf.triangle_spec(EX52, s))
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _value_dtypes(mp)
+        assert f.mesh(depth) == oracle.fif_mesh(_old(f), depth)
+        _same_outcome(lambda: surf.mesh(min(depth, 4)),
+                      lambda: oracle.surface_mesh(oracle.FractalSurface(surf.spec), min(depth, 4)))
+    assert set(seen) <= {INT64, PYTHON_INTS}
+
+
+@pytest.mark.parametrize("s, want", [
+    (F(2, 7), [INT64] * 6),
+    (F(-(2 ** 63 + 12345), 2 ** 64 - 59), [PYTHON_INTS] * 6),
+    (F(3, 2 ** 20 + 7), [INT64, INT64, PYTHON_INTS, PYTHON_INTS, PYTHON_INTS, PYTHON_INTS]),
+])
+def test_value_columns_leave_int64_where_the_bound_crosses(monkeypatch, s, want):
+    f = fif.uniform_cardinal_basis(3, s, "reflection")[1]
+    seen = _value_dtypes(monkeypatch)
+    assert f.mesh(6) == oracle.fif_mesh(_old(f), 6)
+    assert seen == want
+
+
+def _level_by_fractions(spec, cols, dp, vals, dv, dp_next, dv_next):
+    """The level step of `surfaces._level` in Fractions: each image and value
+    over its new denominator."""
+    points = [geometry.Vec(F(x, dp) for x in p) for p in zip(*cols)]
+    images = [[[int(c * dp_next) for c in u.apply(p)] for p in points] for u in spec.maps]
+    values = [[int((sf.poly_val(lam, p) + s * F(v, dv)) * dv_next) for p, v in zip(points, vals)]
+              for lam, s in zip(spec.data, spec._scalings)]
+    return [np.transpose(m).tolist() for m in images], values
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), mode=modes, s=scalings, data=st.data(),
+       top_bits=st.integers(1, 64), size=st.integers(1, 6))
+def test_level_step_is_exact_on_both_sides_of_the_int64_bound(n, mode, s, data, top_bits, size):
+    # column entries up to 2**top_bits, so the bound of a level falls on
+    # either side of 2**63 and near it: each entry must be the exact integer
+    # of the level step, whichever dtype the bound picked
+    polys = data.draw(st.lists(st.lists(small_fracs, min_size=1, max_size=3), min_size=n,
+                               max_size=n), label="data")
+    spec = fif.FractalFunction.from_uniform_data(n, polys, [s] * n, mode).spec
+    entries = st.integers(-2 ** top_bits, 2 ** top_bits)
+    cols = [data.draw(st.lists(entries, min_size=size, max_size=size), label="points")]
+    vals = data.draw(st.lists(entries, min_size=size, max_size=size), label="values")
+    dp, dv = data.draw(st.integers(1, 2 ** 20), label="dp"), data.draw(st.integers(1, 2 ** 40), label="dv")
+    dp_next, images, dv_next, values = sf._level(spec, np.array(cols, dtype=object), dp,
+                                                 np.array(vals, dtype=object), dv)
+    want_images, want_values = _level_by_fractions(spec, cols, dp, vals, dv, dp_next, dv_next)
+    assert images.tolist() == want_images and values.tolist() == want_values
+
+
+@pytest.mark.parametrize("top, dtype", [(2 ** 63 - 3, INT64), (2 ** 63 - 2, PYTHON_INTS)])
+def test_level_step_at_the_edge_of_int64(top, dtype):
+    # u_2(x) = x/2 + 1 over dp = 1 takes x = top to top + 2 over 2: the
+    # bound top + 2 is exactly the largest image, the last int64 at 2**63 - 3
+    spec = fif.FractalFunction.from_uniform_data(2, [[0], [0]], [0, 0], "translation").spec
+    _, images, _, _ = sf._level(spec, np.array([[0, top]], dtype=object), 1)
+    assert images.dtype == dtype
+    assert images.tolist() == [[[0, top]], [[2, top + 2]]]

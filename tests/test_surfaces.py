@@ -1,14 +1,24 @@
-"""Self-affine surface oracles: fixture values, face validation, bases."""
+"""Self-affine surface oracles: fixture values, face validation, bases,
+and the Fractions the meshes are made of."""
 
+import math
+import pickle
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from waveletsets import surfaces as sf
 from waveletsets.fif import FractalFunction
 from waveletsets.geometry import AffineMap, Mat, Vec
+from waveletsets.reflections import right_triangle_figure
+
+small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+# |s| < 1 over a small or a large denominator
+scalings = st.one_of(st.integers(1, 12), st.integers(2, 2 ** 64)).flatmap(
+    lambda den: st.integers(-den + 1, den - 1).map(lambda p: F(p, den)))
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +163,50 @@ def test_gram_matrix_solves_one_moment_system_per_surface(basis, monkeypatch):
     assert len(solved) == 6 and len({id(f) for f in solved}) == 6
 
 
+@settings(max_examples=40, deadline=None)
+@given(linear=st.lists(small_fracs, min_size=4, max_size=4), shift=st.lists(small_fracs, min_size=2,
+       max_size=2), s=scalings)
+@example(linear=[1, 0, 0, 1], shift=[0, 0], s=F(3, 5))
+def test_basis_members_mesh_to_their_kronecker_tables(linear, shift, s):
+    # basis_surfaces checks each member's forced data against its table
+    # instead of building mesh(1); the level-1 mesh must still be that table,
+    # on the right triangle moved by any invertible affine chart
+    a, b, c, d = linear
+    if a * d == b * c:
+        return
+    chart = AffineMap(Mat([[a, b], [c, d]]), Vec(shift))
+    back = chart.inverse()
+    spec = sf.SurfaceSpec([chart.apply(v) for v in right_triangle_figure().vertices],
+                          [chart.compose(u).compose(back) for u in sf.quarter_triangle_maps()],
+                          [{}] * 4, s)
+    pts = sf.level_one_vertices(spec)
+    for nu, member in sf.basis_surfaces(spec).items():
+        assert member.mesh(1) == {p: int(p == nu) for p in pts}
+
+
+def test_basis_check_rejects_tampered_data(spec, monkeypatch):
+    # data that miss one vertex relation lambda_i(v) + s T(v) = T(u_i(v))
+    # raise, as the level-1 mesh they replace did
+    forced = sf._forced_data
+
+    def tampered(spec, tables):
+        out = forced(spec, tables)
+        out[2][1] = sf.poly_add(out[2][1], {(0, 0): F(1, 1000)})
+        return out
+
+    monkeypatch.setattr(sf, "_forced_data", tampered)
+    with pytest.raises(ArithmeticError, match="cell relations disagree at a vertex"):
+        sf.basis_surfaces(spec)
+
+
+def test_basis_build_evaluates_no_point(spec, monkeypatch):
+    def refuse(self, x, depth=64):
+        raise AssertionError("basis_surfaces evaluated a point")
+
+    monkeypatch.setattr(sf.FractalSurface, "evaluate", refuse)
+    assert len(sf.basis_surfaces(spec)) == 6
+
+
 def test_basis_refuses_different_scalings_per_cell(spec):
     # with these scalings every member passed the level-1 check but broke at
     # mesh(2) ("inconsistent values at a shared mesh point")
@@ -195,3 +249,43 @@ def test_inner_product_with_unshared_per_cell_scalings():
 
 def test_exact_surface_integral(surf):
     assert sf.moments(surf, 0)[(0, 0)] == F(5, 16)
+
+
+# -- the Fractions of a mesh ----------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(-2 ** 130, 2 ** 130), den=st.integers(1, 2 ** 90))
+@example(n=0, den=1)
+@example(n=0, den=12)
+@example(n=-7, den=1)
+@example(n=5, den=1)
+@example(n=-6, den=4)
+@example(n=2 ** 64 + 1, den=2 ** 64)
+def test_coprime_fraction_is_the_fraction_it_fills(n, den):
+    # the slots filled by `_coprime` (through `_fractions`, which reduces by
+    # one gcd) must give a Fraction in every respect, on every Python the
+    # project supports
+    g = math.gcd(n, den)
+    want = F(n, den)
+    for got in (sf._coprime(n // g, den // g), sf._fractions(den, np.array([n], dtype=object))[0][0]):
+        assert type(got) is F
+        assert got == want and hash(got) == hash(want)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert type(got.numerator) is int and type(got.denominator) is int
+        assert str(got) == str(want) and repr(got) == repr(want)
+        back = pickle.loads(pickle.dumps(got))
+        assert type(back) is F and back == want
+        assert got + want == 2 * want and got - want == 0 and got * 3 == want * 3
+        assert -got == -want and abs(got) == abs(want) and float(got) == float(want)
+        assert (got < 1) == (want < 1) and (got == float(want)) == (want == float(want))
+        if want:
+            assert got / want == 1 and 1 / got == 1 / want
+
+
+def test_fractions_share_one_object_per_value_in_order():
+    col = np.array([4, -2, 4, 0, 6, -2], dtype=np.int64)
+    (made,) = sf._fractions(4, col)
+    assert made == [1, F(-1, 2), 1, 0, F(3, 2), F(-1, 2)]
+    assert made[0] is made[2] and made[1] is made[5]
+    assert all(type(v) is F for v in made)
