@@ -289,7 +289,7 @@ def gram_matrix_quadrature(functions: Sequence[FractalFunction], depth: int = 12
     mu = np.zeros((len(functions), p + 1))
     mu[:, 0] = nu[0] * vals
     gram = nu[0] * np.outer(vals, vals)
-    to_mid = AffineMap(Mat([[1]]), Vec((mid,)))
+    den, centred = _centred_rows(functions, mid, p)
     cells = []
     for ci, u in enumerate(base.spec.maps):
         m = u.linear.rows[0][0]
@@ -297,9 +297,9 @@ def gram_matrix_quadrature(functions: Sequence[FractalFunction], depth: int = 12
         binom = np.array([[float(math.comb(i, j) * m ** j * r ** (i - j)) if j <= i else 0.0
                            for j in degrees] for i in degrees])
         coeffs = np.zeros((len(functions), p + 1))
-        for fi, f in enumerate(functions):
-            for (k,), c in surfaces.poly_compose_affine(f.spec.data[ci], to_mid).items():
-                coeffs[fi, k] = float(c)
+        for fi, rows in enumerate(centred):
+            if ci in rows:  # each exact coefficient rounded once
+                coeffs[fi] = [c / den for c in rows[ci]]
         scal = np.array([float(f.spec._scalings[ci]) for f in functions])
         cells.append((float(abs(m)), binom, coeffs, scal))
     for _ in range(depth):
@@ -314,6 +314,19 @@ def gram_matrix_quadrature(functions: Sequence[FractalFunction], depth: int = 12
     # the matmul rounds (P Nu) P^T apart from its transpose; averaging with
     # the transpose keeps the result exactly symmetric
     return (gram + gram.T) / 2
+
+
+def _centred_rows(functions: Sequence[FractalFunction], mid: Fraction, degree: int) -> tuple:
+    """(den, rows): each function's cell data about mid, p(y + mid), as
+    integer coefficient rows of 1, y, .., y^degree over one denominator;
+    rows holds one dict {cell: row} per function, without the cells where
+    it has no data."""
+    expos = surfaces._monomials_upto(1, degree)
+    cden, (recentre,) = surfaces._compositions([AffineMap(Mat([[1]]), Vec((mid,)))], expos)
+    dden, rows = surfaces._data_rows(functions, expos)
+    cols = list(zip(*recentre))
+    return dden * cden, [{i: [sum(a * t for a, t in zip(row, col)) for col in cols]
+                          for i, row in cells.items()} for cells in rows]
 
 
 def cardinal_basis(xs: Sequence, s: Sequence) -> list[FractalFunction]:

@@ -64,55 +64,8 @@ def poly_val(p: dict, x: Sequence) -> Fraction:
     return total
 
 
-def poly_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for expo, c in q.items():
-        v = out.get(expo, ZERO) + c
-        if v:
-            out[expo] = v
-        else:
-            out.pop(expo, None)
-    return out
-
-
-def poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            expo = tuple(a + b for a, b in zip(ea, eb))
-            v = out.get(expo, ZERO) + ca * cb
-            if v:
-                out[expo] = v
-            else:
-                out.pop(expo, None)
-    return out
-
-
 def poly_degree(p: dict) -> int:
     return max((sum(expo) for expo, c in p.items() if c), default=0)
-
-
-def poly_compose_affine(p: dict, amap: AffineMap) -> dict:
-    """p(Ax + b) expanded in the monomial basis."""
-    n = amap.dim
-    subs = []
-    for k in range(n):
-        row = {(0,) * n: Fraction(amap.shift[k])}
-        for j in range(n):
-            c = Fraction(amap.linear.rows[k][j])
-            if c:
-                expo = [0] * n
-                expo[j] = 1
-                row[tuple(expo)] = c
-        subs.append(row)
-    out: dict = {}
-    for expo, c in p.items():
-        term = {(0,) * n: Fraction(c)}
-        for k, e in enumerate(expo):
-            for _ in range(e):
-                term = poly_mul(term, subs[k])
-        out = poly_add(out, term)
-    return {e: v for e, v in out.items() if v}
 
 
 def as_poly(obj, dim: int) -> dict:
@@ -742,10 +695,7 @@ class FractalSurface(SelfAffine):
         at the vertex images the system holds."""
         spec = self.spec
         vals = {v: self.value_at(v) for v in spec.vertices}
-        for lam, s, ws in zip(spec.data, spec._scalings, spec._system.images):
-            for v, w in zip(spec.vertices, ws):
-                if w in vals and vals[w] != poly_val(lam, v) + s * vals[v]:
-                    raise ArithmeticError("cell relations disagree at a vertex")
+        _check_vertex_relations(spec, spec.data, vals)
         return vals
 
     def mesh(self, depth: int) -> dict:
@@ -864,14 +814,20 @@ def basis_surfaces(spec: SurfaceSpec) -> dict:
         raise ValueError("vertex basis construction needs one vertical scaling for all cells")
     pts = level_one_vertices(spec)
     kronecker = [{p: int(p == nu) for p in pts} for nu in pts]
-    images, s = spec._system.images, spec._scalings[0]
     out = {}
     for nu, table, data in zip(pts, kronecker, _forced_data(spec, kronecker)):
-        for lam, ws in zip(data, images):
-            if any(poly_val(lam, v) + s * table[v] != table[w] for v, w in zip(spec.vertices, ws)):
-                raise ArithmeticError("cell relations disagree at a vertex")
+        _check_vertex_relations(spec, data, table)
         out[nu] = FractalSurface(spec.with_data(data))
     return out
+
+
+def _check_vertex_relations(spec: SurfaceSpec, data: Sequence, table: dict) -> None:
+    """lambda_i(v) + s_i T(v) = T(u_i(v)) at every domain vertex v and map i
+    whose image u_i(v) is in the table T of values, or ArithmeticError."""
+    for lam, s, ws in zip(data, spec._scalings, spec._system.images):
+        for v, w in zip(spec.vertices, ws):
+            if w in table and poly_val(lam, v) + s * table[v] != table[w]:
+                raise ArithmeticError("cell relations disagree at a vertex")
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .geometry import AffineMap, Mat
 from .reflections import FoldableFigure
 
 Box = tuple  # ((lo, hi), ...) per axis, half-open, Fractions
@@ -321,8 +320,7 @@ class DyadicBoxSet:
 
     def equals_ae(self, other: "DyadicBoxSet") -> bool:
         self._check(other)
-        return (self.den == other.den and self.cuts == other.cuts
-                and np.array_equal(self.mask, other.mask))
+        return self == other
 
     def contains_ae(self, other: "DyadicBoxSet") -> bool:
         return other.subtract(self).is_empty
@@ -444,17 +442,6 @@ class PieceMap:
     def apply(self, boxset: DyadicBoxSet) -> DyadicBoxSet:
         return boxset.transform(self.linear, self.translation)
 
-    def _affine(self) -> AffineMap:
-        """The same map as a `geometry.AffineMap`, which inverts and composes it."""
-        return AffineMap(Mat(self.linear), self.translation)
-
-    @staticmethod
-    def _of(amap: AffineMap, label: str) -> "PieceMap":
-        return PieceMap(amap.linear.rows, tuple(amap.shift), label)
-
-    def inverse(self) -> "PieceMap":
-        return PieceMap._of(self._affine().inverse(), f"inv({self.label})")
-
 
 @dataclass
 class VerificationReport:
@@ -538,36 +525,6 @@ class CongruenceCertificate:
         return VerificationReport(ok, pieces_disjoint, pieces_in_source,
                                   images_disjoint, images_in_target,
                                   measure_balanced, src_res, tgt_res)
-
-    def compose(self, second: "CongruenceCertificate") -> "CongruenceCertificate":
-        """Certificate for source ~ second.target given self.target == second.source (a.e.)."""
-        pieces = []
-        for p1, g1 in self.pieces:
-            img1 = g1.apply(p1)
-            for p2, g2 in second.pieces:
-                common = img1.intersect(p2)
-                if common.is_empty:
-                    continue
-                back = g1.inverse().apply(common)
-                combined = g2._affine().compose(g1._affine())
-                pieces.append((back, PieceMap._of(combined, f"{g2.label}*{g1.label}")))
-        return _finish_certificate(self.source, second.target, pieces)
-
-
-def _finish_certificate(source, target, assigned_pieces) -> CongruenceCertificate:
-    dim = source.dim
-    placed = DyadicBoxSet.empty(dim)
-    covered = DyadicBoxSet.empty(dim)
-    for piece, g in assigned_pieces:
-        placed = placed.union(piece)
-        covered = covered.union(g.apply(piece))
-    return CongruenceCertificate(
-        source=source,
-        target=target,
-        pieces=assigned_pieces,
-        source_residual=source.subtract(placed),
-        target_residual=target.subtract(covered),
-    )
 
 
 # ---------------------------------------------------------------------------

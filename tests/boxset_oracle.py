@@ -24,13 +24,12 @@ here named `grid_weyl_congruent`.  The bodies are verbatim, with
 `tests/test_congruence_kernel.py` uses them as the oracle for whole
 certificates.
 
-The fourth part is the piece-map algebra from before `PieceMap` went
-through `geometry.AffineMap`: its hand-written monomial inverse (here the
-function `piece_map_inverse`) and `_compose_maps`, which
-`CongruenceCertificate.compose` used.  `tests/test_tiles.py` compares the
-library's piece maps and composed certificates with them.  The greedy
-`_assemble` inverts its maps with `piece_map_inverse`, so it shares no
-piece-map algebra with the library.
+The fourth part is the piece-map inverse from before `PieceMap` went
+through `geometry.AffineMap` (here the function `piece_map_inverse`; the
+library no longer inverts or composes piece maps).  `tests/test_tiles.py`
+checks that it undoes the library's `PieceMap.apply`.  The greedy
+`_assemble` inverts its maps with it, so it shares no piece-map algebra
+with the library.
 
 The fifth part is the two planar fixtures from before one staircase builder
 made both: `build_w1` and `build_w2` with their own gap boxes and the
@@ -599,8 +598,8 @@ def is_fundamental_domain(candidate: GridBoxSet, group: GroupSpec,
 
 
 # ---------------------------------------------------------------------------
-# piece-map algebra: PieceMap.inverse and _compose_maps, from before piece
-# maps went through geometry.AffineMap
+# piece-map algebra: PieceMap.inverse, from before piece maps went through
+# geometry.AffineMap
 # ---------------------------------------------------------------------------
 
 
@@ -616,22 +615,6 @@ def piece_map_inverse(self: PieceMap) -> PieceMap:
         inv_trans.append(-inv_rows[j][i] * self.translation[i])
     return PieceMap(tuple(tuple(r) for r in inv_rows), tuple(inv_trans),
                     label=f"inv({self.label})")
-
-
-def _compose_maps(outer: PieceMap, inner: PieceMap) -> PieceMap:
-    n = len(inner.translation)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(sum(outer.linear[i][k] * inner.linear[k][j] for k in range(n)))
-        rows.append(tuple(row))
-    trans = tuple(
-        sum(outer.linear[i][k] * inner.translation[k] for k in range(n))
-        + outer.translation[i]
-        for i in range(n)
-    )
-    return PieceMap(tuple(rows), trans, label=f"{outer.label}*{inner.label}")
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,12 @@ which also take a scaling per cell; `tests/test_shared_system.py` and
 rule from before it became integer products over one denominator, kept
 for `tests/test_integer_moments.py`.
 
+`poly_add`, `poly_mul` and `poly_compose_affine` are the dict-polynomial
+composer that `surfaces` carried until `fif.gram_matrix_quadrature`
+recentred its data through the integer composer `surfaces._compositions`;
+the oracle's own moment solves compose with it, and the tests use it to
+build composed data and as the oracle for the recentred quadrature data.
+
 They are slow but simple, and `tests/test_selfaffine_oracle.py` uses them as
 the oracle for identical Fractions (and for floats within 1e-12).  The
 bodies are kept verbatim: only names differ (some methods became functions
@@ -54,7 +60,7 @@ of the object, `Mat.inverse` is `mat_inverse`, and the 1-D `poly_mul` is
 memos of their own, so nothing here runs the library's evaluation code; build
 them from a library object's `domain` and `cells`, or its `spec`.  Only
 unchanged library helpers are imported (`Mat`, `Vec` and the multivariate
-polynomial helpers); the cells and specs read here are the library's.  Keep
+polynomial helpers the library keeps); the cells and specs read here are the library's.  Keep
 these bodies unchanged.
 """
 
@@ -75,11 +81,62 @@ from waveletsets.surfaces import (
     _standard_simplex_integral,
     as_poly,
     level_one_vertices,
-    poly_compose_affine,
     poly_degree,
-    poly_mul,
     poly_val,
 )
+
+
+# ---------------------------------------------------------------------------
+# the dict-polynomial composer, from before the quadrature recentred its data
+# through the integer composer `surfaces._compositions`
+# ---------------------------------------------------------------------------
+
+
+def poly_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for expo, c in q.items():
+        v = out.get(expo, ZERO) + c
+        if v:
+            out[expo] = v
+        else:
+            out.pop(expo, None)
+    return out
+
+
+def poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            expo = tuple(a + b for a, b in zip(ea, eb))
+            v = out.get(expo, ZERO) + ca * cb
+            if v:
+                out[expo] = v
+            else:
+                out.pop(expo, None)
+    return out
+
+
+def poly_compose_affine(p: dict, amap: AffineMap) -> dict:
+    """p(Ax + b) expanded in the monomial basis."""
+    n = amap.dim
+    subs = []
+    for k in range(n):
+        row = {(0,) * n: Fraction(amap.shift[k])}
+        for j in range(n):
+            c = Fraction(amap.linear.rows[k][j])
+            if c:
+                expo = [0] * n
+                expo[j] = 1
+                row[tuple(expo)] = c
+        subs.append(row)
+    out: dict = {}
+    for expo, c in p.items():
+        term = {(0,) * n: Fraction(c)}
+        for k, e in enumerate(expo):
+            for _ in range(e):
+                term = poly_mul(term, subs[k])
+        out = poly_add(out, term)
+    return {e: v for e, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,17 @@ A test, prose, a docstring, a comment, the name of another definition (its
 count: two methods of one name on different classes do not use each other,
 and `translate(self, vec)` does not use a function `vec`.
 
+A use counts for a definition only in a file that can reach it:
+- the definition's own module;
+- a module that imports it, or imports a name from it;
+- for a method, a module that reaches a base class of its class (directly
+  or further up) which defines that name or calls it on `self`: the base
+  class's code dispatches to the method, as `SelfAffine._pull` in
+  `surfaces` calls the `_inverse` and `_data` of `fif.FractalFunction`.
+Files under `perfbench/` reach every module.  So a call `back.compose(...)`
+in `reflections`, which does not import `tiles`, is no use of a `compose`
+there.
+
 The library tour of README.md counts as a user only for the names in
 `TOUR_ONLY`, definitions that carry a paper statement and have no caller
 yet.  A test requires each of them to be used by the tour and by nothing
@@ -47,11 +58,13 @@ TOUR_ONLY = {"operator_iterates", "centroid_samples", "from_json", "weyl_group",
 
 
 def _definitions(tree):
+    """(class or None, definition) of every module-level definition and
+    every method that is not a dunder."""
     for node in tree.body:
         if isinstance(node, DEFS):
-            yield node
+            yield None, node
         if isinstance(node, ast.ClassDef):
-            yield from (item for item in node.body if isinstance(item, DEFS[:2])
+            yield from ((node, item) for item in node.body if isinstance(item, DEFS[:2])
                         and not (item.name.startswith("__") and item.name.endswith("__")))
 
 
@@ -102,20 +115,59 @@ def _uses(tree, strings: bool = False) -> list:
     return out
 
 
-def _source_uses() -> dict:
-    """{name: [(path, line)]} of the uses over `src/` and `perfbench/`, less
-    the re-exports of `__init__.py`."""
+def _reached(path, tree) -> set:
+    """The package modules a file of `src/` reaches: its own, those it
+    imports and those it imports a name from."""
+    reached = {path.stem}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "waveletsets"
+                                                 or node.module.startswith("waveletsets.")):
+            module = (node.module or "").split(".")[-1]
+            if module in ("", "waveletsets"):  # from . import fif, surfaces
+                reached |= {alias.name for alias in node.names}
+            else:
+                reached.add(module)
+        elif isinstance(node, ast.Import):
+            reached |= {alias.name.split(".")[1] for alias in node.names
+                        if alias.name.startswith("waveletsets.")}
+    return reached
+
+
+def _source_uses() -> tuple:
+    """({name: [(path, line)]} of the uses over `src/` and `perfbench/`,
+    less the re-exports of `__init__.py`; {path: the modules it reaches, or
+    None for every module})."""
     files = [(p, False) for p in (ROOT / "src").rglob("*.py")]
     files += [(p, True) for p in (ROOT / "perfbench").rglob("*.py")]
     init = PACKAGE / "__init__.py"
     reexports = {(init, n) for node in ast.parse(init.read_text()).body
                  if isinstance(node, ast.ImportFrom) for n in range(node.lineno, node.end_lineno + 1)}
     uses: dict = {}
+    reach: dict = {}
     for path, strings in files:
-        for name, line in _uses(ast.parse(path.read_text()), strings):
+        tree = ast.parse(path.read_text())
+        reach[path] = None if strings else _reached(path, tree)
+        for name, line in _uses(tree, strings):
             if (path, line) not in reexports:
                 uses.setdefault(name, []).append((path, line))
-    return uses
+    return uses, reach
+
+
+def _base_modules(cls, name: str, classes: dict) -> set:
+    """The modules of the package classes above cls that define name or
+    call it on `self`."""
+    out, todo = set(), [cls] if cls is not None else []
+    while todo:
+        for base in todo.pop().bases:
+            found = classes.get(getattr(base, "id", getattr(base, "attr", None)))
+            if found is not None:
+                module, node = found
+                calls = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                         and isinstance(n.value, ast.Name) and n.value.id == "self"}
+                if name in calls or any(isinstance(d, DEFS) and d.name == name for d in node.body):
+                    out.add(module)
+                todo.append(node)
+    return out
 
 
 def _tour_names() -> set:
@@ -123,14 +175,20 @@ def _tour_names() -> set:
 
 
 def _unused() -> list:
-    """(location, name) of every definition that nothing outside it uses."""
-    uses = _source_uses()
+    """(location, name) of every definition that nothing outside it uses in
+    a file that reaches it."""
+    uses, reach = _source_uses()
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    classes = {node.name: (path.stem, node) for path, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.ClassDef)}
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in _definitions(ast.parse(path.read_text())):
+    for path, tree in trees.items():
+        for cls, node in _definitions(tree):
+            modules = {path.stem} | _base_modules(cls, node.name, classes)
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             if all(src == path and first <= line <= node.end_lineno
-                   for src, line in uses.get(node.name, [])):
+                   for src, line in uses.get(node.name, [])
+                   if reach[src] is None or reach[src] & modules):
                 unused.append((f"{path.relative_to(ROOT)}:{node.lineno} {node.name}", node.name))
     return unused
 

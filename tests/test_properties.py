@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from waveletsets import fif
 from waveletsets.geometry import AffineIsometry, Vec
 from waveletsets.reflections import affine_reflection
-from waveletsets.tiles import DyadicBoxSet, translation_congruent
+from waveletsets.tiles import CongruenceCertificate, DyadicBoxSet, PieceMap, translation_congruent
 
 MANY = settings(max_examples=500, deadline=None)
 
@@ -98,13 +98,22 @@ def test_congruence_equivalence_laws(sa, sb):
     ab = translation_congruent(a, b, spacing)
     ba = translation_congruent(b, a, spacing)
     assert ab.residual_measure == 0 and ba.residual_measure == 0
-    # transitivity through an explicit middle set
+    # transitivity through an explicit middle set: each piece of a, moved
+    # into mid and cut by the pieces of mid, moves on into b by the sum of
+    # both lattice steps, and these parts certify a ~ b
     mid = DyadicBoxSet.from_box((F(0), F(2)))
     am = translation_congruent(a, mid, spacing)
     mb = translation_congruent(mid, b, spacing)
-    comp = am.compose(mb)
-    assert comp.residual_measure == 0
-    assert comp.verify().ok
+    pieces = []
+    for p1, g1 in am.pieces:
+        for p2, g2 in mb.pieces:
+            common = g1.apply(p1).intersect(p2)
+            if not common.is_empty:
+                pieces.append((common.translate([-t for t in g1.translation]),
+                               PieceMap.translate([t + u for t, u in zip(g1.translation,
+                                                                         g2.translation)])))
+    empty = DyadicBoxSet.empty(1)
+    assert CongruenceCertificate(a, b, pieces, empty, empty).verify().ok
 
 
 # -- 5. the graph maps carry each mesh into the next --------------------------

@@ -173,6 +173,33 @@ def test_quadrature_matches_loop(n, mode, s, depth):
     assert np.array_equal(got, got.T)
 
 
+@MESHES
+@given(n=st.integers(1, 4), mode=modes, far=st.booleans(), per_cell=st.booleans(), data=st.data())
+def test_quadrature_recentres_data_like_the_dict_composer(n, mode, far, per_cell, data):
+    # the cell data about the domain midpoint, as the quadrature rounds them,
+    # on [0, n] in either layout or on [1000, 1002]; data of degree 0-3 or none
+    if far:
+        xs = [F(1000) + F(2 * k, n) for k in range(n + 1)]
+        domain, maps = ((xs[0],), (xs[-1],)), fif.cardinal_basis(xs, [0] * n)[0].spec.maps
+    else:
+        domain, maps = ((F(0),), (F(n),)), fif.uniform_maps(n, mode)
+    s = data.draw(st.lists(scalings, min_size=n, max_size=n).map(tuple) if per_cell else scalings,
+                  label="s")
+    cell = st.lists(small_fracs, max_size=4).map(lambda cs: {(k,): c for k, c in enumerate(cs)})
+    family = [fif.FractalFunction(sf.SurfaceSpec(domain, maps, data.draw(
+        st.lists(cell, min_size=n, max_size=n), label="data"), s))
+        for _ in range(data.draw(st.integers(1, 3), label="members"))]
+    mid = (domain[0][0] + domain[1][0]) / 2
+    degree = max(sf.poly_degree(lam) for f in family for lam in f.spec.data)
+    den, rows = fif._centred_rows(family, mid, degree)
+    to_mid = geometry.AffineMap(geometry.Mat([[1]]), geometry.Vec((mid,)))
+    for f, cells in zip(family, rows):
+        for i, lam in enumerate(f.spec.data):
+            want = oracle.poly_compose_affine(lam, to_mid)
+            assert [F(c, den) for c in cells.get(i, [0] * (degree + 1))] == \
+                [want.get((k,), F(0)) for k in range(degree + 1)]
+
+
 # -- cardinal data: one forced-data rule -------------------------------------------
 
 # increasing knots near 0, or on [1000, 1002], far from it
@@ -437,7 +464,7 @@ def test_surface_mesh_keeps_the_oracle_order(s, depth, kappa, widths, g):
     corners = [(x, y) for x in (0, widths[0]) for y in (0, widths[1])]
     maps = subdivide(figure, kappa)
     g = dict(zip([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], g))
-    lam = [sf.poly_add(sf.poly_compose_affine(g, u), {e: -s * c for e, c in g.items()})
+    lam = [oracle.poly_add(oracle.poly_compose_affine(g, u), {e: -s * c for e, c in g.items()})
            for u in maps]
     surf = sf.FractalSurface(sf.SurfaceSpec(corners, maps, lam, s))
     # `_same_outcome` compares the items as lists, so in order

@@ -140,7 +140,7 @@ def test_vertex_basis_meshes_match_fresh_specs(s, per_cell, size, depth):
     # exist; different scalings per cell would break them past level 1, so
     # the basis refuses them
     vertices, maps = _triangle(size)
-    data = [sf.poly_compose_affine(p, AffineMap(Mat([[1 / size, 0], [0, 1 / size]]), Vec((0, 0))))
+    data = [oracle.poly_compose_affine(p, AffineMap(Mat([[1 / size, 0], [0, 1 / size]]), Vec((0, 0))))
             for p in EX52]
     spec = sf.SurfaceSpec(vertices, maps, data, (s, -s, s / 2, s) if per_cell else s)
     if per_cell and s != 0:

