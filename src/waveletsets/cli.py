@@ -86,7 +86,7 @@ def _fraction_arg(text) -> Fraction:
             return Fraction(text)
         except ValueError:
             return Fraction(float(text))
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}") from None
 
 
@@ -185,7 +185,7 @@ def cmd_surface_fixture(args) -> int:
     surf = surfaces.fixed_point(spec)
     for v, val in surf.vertex_values().items():
         print(f"outer vertex ({render.fnum(v[0])}, {render.fnum(v[1])}): {val}")
-    inner = {p: v for p, v in surf.level1_values().items() if p not in spec.vertices}
+    inner = {p: v for p, v in surf.mesh(1).items() if p not in spec.vertices}
     for p in sorted(inner):
         print(f"inner vertex ({render.fnum(p[0])}, {render.fnum(p[1])}): {inner[p]}")
     if args.name == "ex5.2":

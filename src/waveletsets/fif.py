@@ -10,12 +10,12 @@ An interval is the 1-D foldable figure, so a fractal function is the 1-D
 case of a self-affine surface: `FractalFunction` is built from a
 `waveletsets.surfaces` spec, the one holder of its maps, data and scalings,
 and shares that module's forced-data rule, pull-back evaluation, bound,
-moment solve, inner-product formula and integer mesh level step on whole
+moment solve, inner-product formula and integer mesh cascade on whole
 columns (int64 or Python ints, by an exact bound).  It keeps its one-sided
-knot values, the ordered join of its mesh columns (a list with one-sided
-values at interior knots, where the surface mesh is a dict) and its
-per-system mesh points.  Its reflection layout is `reflections.subdivide`
-of [0, n].
+knot values and the ordered join of its mesh levels (a list with one-sided
+values at interior knots, where the surface mesh is a dict); its mesh
+points are one list per depth in the shared system.  Its reflection layout
+is `reflections.subdivide` of [0, n].
 """
 
 from __future__ import annotations
@@ -175,48 +175,39 @@ class FractalFunction(SelfAffine):
         endpoint of the domain, each with the value propagated through its
         own cell chain (one-sided at interior boundaries).
 
-        The points are the shared system's (`_orbit`), in a new list.  The
-        values run from f at the two ends of the domain through the integer
-        level step of the surface meshes on whole columns (`surfaces._level`,
-        int64 or Python ints by its bound), each level joined in cell order
-        (`_join`), and become Fractions once, at the end, one Fraction per
-        distinct numerator (`surfaces._fractions`).
+        Points and values run from the two ends of the domain and f there
+        through the one integer cascade of the surface meshes on whole
+        columns (`surfaces._cascade`, int64 or Python ints by its bound),
+        each level joined in cell order (`_join`), and become Fractions once,
+        at the end, one Fraction per distinct numerator
+        (`surfaces._fractions`).  The points are the same for every member
+        of a system: the first mesh of a depth stores them in the system's
+        `orbits`, and each call returns them in a new list.
         """
-        levels, points = self._orbit(depth)
-        dv, vals = surfaces._numerators([self.evaluate(t).value for t in self.domain])
-        vals = np.array(vals, dtype=object)
-        for cols, dp in levels:
-            _, _, dv, values = surfaces._level(self.spec, cols, dp, vals, dv)
-            vals = self._join(values)
-        return list(points), surfaces._fractions(dv, vals)[0]
-
-    def _orbit(self, depth: int) -> tuple:
-        """([(point columns, dp) per level before the last], last points as
-        Fractions), once per system, by the integer level step without values."""
+        ends = [self.evaluate(t).value for t in self.domain]
+        dp, cols, dv, vals = surfaces._cascade(self.spec, [(t,) for t in self.domain], ends,
+                                               depth, self._join)
         orbits = self.spec._system.orbits
         if depth not in orbits:
-            dp, pts = surfaces._numerators(self.domain)
-            cols = np.array([pts], dtype=object)
-            levels = []
-            for _ in range(depth):
-                levels.append((cols, dp))
-                dp, images, _, _ = surfaces._level(self.spec, cols, dp)
-                cols = self._join(images[:, 0])[None]
-            orbits[depth] = (levels, surfaces._fractions(dp, cols[0])[0])
-        return orbits[depth]
+            orbits[depth] = surfaces._fractions(dp, cols[0])[0]
+        return list(orbits[depth]), surfaces._fractions(dv, vals)[0]
 
-    def _join(self, segments: np.ndarray) -> np.ndarray:
-        """One row per cell, in one array from left to right: the cells tile
-        the domain, so the row of a map of negative slope is reversed, and
-        each row after the first drops its first entry, where the cell
-        before ends."""
-        rows = [seg[::-1] if u.linear.rows[0][0] < 0 else seg
-                for u, seg in zip(self.spec.maps, segments)]
-        return np.concatenate([rows[0]] + [row[1:] for row in rows[1:]])
+    def _join(self, images: np.ndarray, values: np.ndarray) -> tuple:
+        """A level's images and values, each one row from left to right:
+        the cells tile the domain, so the segment of a map of negative slope
+        is reversed, and each segment after the first drops its first entry,
+        where the cell before ends."""
+        flips = [u.linear.rows[0][0] < 0 for u in self.spec.maps]
+
+        def row(segments):
+            segments = [seg[::-1] if flip else seg for flip, seg in zip(flips, segments)]
+            return np.concatenate([segments[0]] + [seg[1:] for seg in segments[1:]])
+
+        return row(images[:, 0])[None], row(values)
 
     def operator_iterates(self, depth: int, steps: int) -> list[np.ndarray]:
         """Transfer-operator iterates from zero, sampled on the depth mesh."""
-        return self._iterates({p: self._cell(p) for p in self._orbit(depth)[1]}, steps)
+        return self._iterates({p: self._cell(p) for p in self.mesh(depth)[0]}, steps)
 
 
 def uniform_maps(n: int, mode: str) -> list[AffineMap]:

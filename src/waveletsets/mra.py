@@ -26,9 +26,10 @@ from .reflections import FoldableFigure, box_figure, subdivide, unit_square_figu
 from .surfaces import (
     FractalSurface,
     SurfaceSpec,
+    _cascade,
+    _fractions,
     gram_from_moments,
     moments,
-    poly_val,
 )
 
 
@@ -92,18 +93,13 @@ class MultiresolutionBasis:
         self.domain = box_figure("scaled-domain", [(0, kappa * w) for w in widths])
         self.maps = tuple(subdivide(self.domain, kappa))
 
-        # atoms: index a = cell * (d+1) + power of the first coordinate
-        self._atom_data = []
-        for j in range(config.cell_count):
-            for q in range(d + 1):
-                expo = (q,) + (0,) * (dim - 1)
-                data = [{} for _ in self.maps]
-                data[j] = {expo: Fraction(1)}
-                self._atom_data.append(tuple(data))
-        # the atoms share one template's system: its geometry and integer
-        # moment tables are built once for all of them
-        template = SurfaceSpec(self.domain.vertices, self.maps, self._atom_data[0], s)
-        self.atoms = [FractalSurface(template.with_data(data)) for data in self._atom_data]
+        # atoms: index a = cell * (d+1) + power q of the first coordinate,
+        # with data x1^q on that one cell; they share one template's system:
+        # its geometry and integer moment tables are built once for all of them
+        data = [[{(q,) + (0,) * (dim - 1): Fraction(1)} if i == j else {} for i in range(len(self.maps))]
+                for j in range(config.cell_count) for q in range(d + 1)]
+        template = SurfaceSpec(self.domain.vertices, self.maps, data[0], s)
+        self.atoms = [FractalSurface(template.with_data(lam)) for lam in data]
         na = config.generator_count
         # each atom's moments (its one cell's data row through the shared
         # tables), used by both the Gram matrix and the filters
@@ -146,29 +142,30 @@ class MultiresolutionBasis:
     def centroid_samples(self, depth: int):
         """Cell centroids at the given depth with exact atom values there.
 
-        Returns (points, values[natoms, npts], cell weight); the values
-        propagate level by level through the exact cell relations.
+        Returns (points, values[natoms, npts], cell weight).  Each atom's
+        values run from the domain's centroid, the mean of its vertices,
+        through the one integer cascade of the surface meshes
+        (`surfaces._cascade`), which keeps every leaf (leaves outer, cells
+        inner), so each level's points are the centroids of its cells; each
+        value is the float of its exact one, one correctly rounded integer
+        division.  The box gives only the cell weight.
         """
-        centroid = Vec(Fraction(lo + hi, 2) for lo, hi in self.domain.box)
-        base = [a.value_at(centroid) for a in self.atoms]
-        leaves = [(centroid, base)]
-        s = self.config.scaling
-        for _ in range(depth):
-            nxt = []
-            for pt, vals in leaves:
-                for j, u in enumerate(self.maps):
-                    pushed = [
-                        poly_val(self._atom_data[c][j], pt) + s * vals[c]
-                        for c in range(len(vals))
-                    ]
-                    nxt.append((u.apply(pt), pushed))
-            leaves = nxt
-        pts = [pt for pt, _ in leaves]
-        values = np.array([[float(v) for v in vals] for _, vals in leaves]).T
+        vertices = self.domain.vertices
+        centroid = Vec(sum(c) / len(vertices) for c in zip(*vertices))
+
+        def leaves(images, values):
+            return images.transpose(1, 2, 0).reshape(len(centroid), -1), values.T.reshape(-1)
+
+        rows = []
+        for atom in self.atoms:
+            dp, cols, dv, vals = _cascade(atom.spec, [centroid], [atom.value_at(centroid)], depth,
+                                          leaves)
+            rows.append([v / dv for v in vals.tolist()])
+        pts = [Vec(p) for p in zip(*_fractions(dp, *cols))]
         measure = 1.0
         for lo, hi in self.domain.box:
             measure *= float(hi - lo)
-        return pts, values, measure / len(leaves)
+        return pts, np.array(rows), measure / len(pts)
 
     # -- one-level transforms ---------------------------------------------------
 

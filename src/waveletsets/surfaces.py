@@ -21,10 +21,12 @@ integers over one denominator each, a member's cell data enter as integer
 coefficient rows over one common denominator, and each output entry becomes
 one Fraction at the end.
 
-Meshes run an integer cascade on whole columns: each level is one numpy
-product for all maps (`_level`), in int64 while an exact bound keeps every
-intermediate below 2**63 and in Python ints (dtype=object) otherwise, and
-the numerators become Fractions at the end, one per distinct value
+Every mesh runs one integer cascade on whole columns (`_cascade`): each
+level is one numpy product for all maps (`_level`), in int64 while an exact
+bound keeps every intermediate below 2**63 and in Python ints (dtype=object)
+otherwise, and only the join of a level's images differs between the
+surface mesh, the `fif` mesh and the MRA's centroid samples.  The
+numerators become Fractions at the end, one per distinct value
 (`_fractions`).
 """
 
@@ -157,10 +159,11 @@ class _System:
     """All a spec family derives from its vertices, similitudes and scalings,
     shared by `SurfaceSpec.with_data`.  The integer tables (monomial
     integrals, the moment tables of each degree, the cell weights, the
-    vertex interpolation inverse), the vertex images u_i(v) and the 1-D mesh
-    points per depth (filled by `fif`) come on first use.  Nothing here
-    depends on the data, and no pull-back chain is kept here: each member
-    walks its own (`SelfAffine._evaluate`)."""
+    vertex interpolation inverse) and the vertex images u_i(v) come on first
+    use, and `orbits` holds one 1-D mesh point list per depth, filled by the
+    first `fif` mesh of that depth.  Nothing here depends on the data, and
+    no pull-back chain is kept here: each member walks its own
+    (`SelfAffine._evaluate`)."""
 
     def __init__(self, vertices: tuple, maps: tuple, scalings: tuple):
         self.vertices, self.maps, self.scalings = vertices, maps, scalings
@@ -590,10 +593,9 @@ def _top(column: np.ndarray) -> int:
     return max(int(np.abs(column).max(initial=0)), 1)
 
 
-def _level(spec: SurfaceSpec, cols: np.ndarray, dp: int, vals: Optional[np.ndarray] = None,
-           dv: int = 1) -> tuple:
-    """One level of the integer cascade behind the meshes of `FractalSurface`
-    and `fif.FractalFunction`, on whole columns.
+def _level(spec: SurfaceSpec, cols: np.ndarray, dp: int, vals: np.ndarray, dv: int) -> tuple:
+    """One level of the integer cascade of every mesh (`_cascade`), on whole
+    columns.
 
     A level holds its points as an integer array cols of shape (dim, n),
     numerators over one common denominator dp, one row per coordinate, and
@@ -610,8 +612,7 @@ def _level(spec: SurfaceSpec, cols: np.ndarray, dp: int, vals: Optional[np.ndarr
     intermediate below 2**63, and in Python ints (dtype=object) otherwise.
 
     Returns (dp L, images of shape (maps, dim, n), dv', values of shape
-    (maps, n)); with vals None there are no values, and dv' and the values
-    are None.
+    (maps, n)).
     """
     maps, dim = spec.maps, spec.dim
     lin_den, flat = _numerators([a for u in maps for row in u.linear.rows for a in row]
@@ -623,8 +624,6 @@ def _level(spec: SurfaceSpec, cols: np.ndarray, dp: int, vals: Optional[np.ndarr
     top = _top(cols)
     dtype = _int_dtype((top * np.abs(lin).sum(axis=2, keepdims=True) + np.abs(shift)).max())
     images = lin.astype(dtype) @ cols.astype(dtype) + shift.astype(dtype)
-    if vals is None:
-        return dp_next, images, None, None
     # the constant monomial always, so that C has a column even for zero data
     expos = sorted({(0,) * dim, *(e for lam in spec.data for e in lam)})
     data_den, nums = _numerators([lam.get(e, ZERO) for lam in spec.data for e in expos])
@@ -642,6 +641,29 @@ def _level(spec: SurfaceSpec, cols: np.ndarray, dp: int, vals: Optional[np.ndarr
                                     start=np.ones(cols.shape[1], dtype)) for e in expos])
     values = carry.astype(dtype) * vals.astype(dtype) + coeffs.astype(dtype) @ monomials
     return dp_next, images, dv_next, values
+
+
+def _cascade(spec: SurfaceSpec, points: Sequence, values: Sequence, depth: int, join) -> tuple:
+    """The integer form (dp, point columns, dv, value column) of a mesh:
+    `depth` levels of the integer cascade (`_level`) from exact start points
+    and their values, each level's images and values, of shapes (maps, dim,
+    n) and (maps, n), made into the next level's columns by join(images,
+    values).
+
+    The one cascade behind every mesh: the surface mesh merges shared
+    points (`_merge`), a fractal function joins its cells left to right
+    (`fif.FractalFunction._join`), and the MRA's centroid samples keep every
+    leaf.  Points are numerators over dp, of shape (dim, n), and values
+    numerators over dv.
+    """
+    dp, flat = _numerators([c for p in points for c in p])
+    cols = np.array(flat, dtype=object).reshape(-1, spec.dim).T
+    dv, vals = _numerators(list(values))
+    vals = np.array(vals, dtype=object)
+    for _ in range(depth):
+        dp, images, dv, level_values = _level(spec, cols, dp, vals, dv)
+        cols, vals = join(images, level_values)
+    return dp, cols, dv, vals
 
 
 def _merge(images: np.ndarray, values: np.ndarray) -> tuple:
@@ -706,29 +728,19 @@ class FractalSurface(SelfAffine):
         points come in the order of the cascade: cells outer, the points of
         the coarser level inner, each point where it first occurs.
 
-        Each level is one step of the integer cascade on whole columns
-        (`_level`, int64 or Python ints by its bound), and the shared-point
-        check one stable sort of the images (`_merge`).  Points and values
-        become Fractions (and Vec keys) once, at the end, one Fraction per
-        distinct numerator (`_fractions`).
+        The levels are the one integer cascade on whole columns
+        (`_cascade`, int64 or Python ints by its bound), started at the
+        domain vertices, and the shared-point check one stable sort of the
+        images (`_merge`).  Points and values become Fractions (and Vec
+        keys) once, at the end, one Fraction per distinct numerator
+        (`_fractions`).  Every level holds the domain vertices, each a
+        vertex of a cell and so the image of one, and `mesh(1)` the values
+        at the outer and inner vertices of the first refinement.
         """
-        spec = self.spec
         start = self.vertex_values()
-        dp, flat = _numerators([c for p in start for c in p])
-        cols = np.array(flat, dtype=object).reshape(-1, spec.dim).T
-        dv, vals = _numerators(list(start.values()))
-        vals = np.array(vals, dtype=object)
-        for _ in range(depth):
-            dp, images, dv, values = _level(spec, cols, dp, vals, dv)
-            cols, vals = _merge(images, values)
+        dp, cols, dv, vals = _cascade(self.spec, start, start.values(), depth, _merge)
         points = map(Vec, zip(*_fractions(dp, *cols)))
         return dict(zip(points, _fractions(dv, vals)[0]))
-
-    def level1_values(self) -> dict:
-        """Values at the outer and inner vertices of the first refinement."""
-        vals = dict(self.vertex_values())
-        vals.update(self.mesh(1))
-        return vals
 
     def operator_iterates(self, depth: int, steps: int) -> list:
         """Sup-norm gaps of successive transfer-operator iterates from zero on
@@ -875,9 +887,10 @@ def _pairing(family: Sequence, family_moments: Sequence):
     Splitting the domain integral into cells and pulling each back gives
         <f, g> = sum_i det_i [int lam_f,i lam_g,i + s_g,i int lam_f,i g
                               + s_f,i int lam_g,i f] / (1 - sum_i det_i s_f,i s_g,i).
-    The data rows, the moments and the det_i s_i of every system of the
-    family are integers over one denominator each, so a pair sums in `int`
-    over the cells where both have data and makes one Fraction.
+    The data rows, the moments, the det_i and every member's own scalings
+    s_i are integers over one denominator each, so a pair sums in `int` over
+    the cells where its members have data, forms 1 - sum_i det_i s_f,i s_g,i
+    from their two scaling rows, and makes one Fraction.
     """
     system = family[0].spec._system
     degree = max((poly_degree(p) for f in family for p in f.spec.data), default=0)
@@ -886,36 +899,26 @@ def _pairing(family: Sequence, family_moments: Sequence):
     dl, rows = _data_rows(family, t.expos)
     dm, moms = _int_rows([m[e] for m in family_moments for e in t.expos], n)
     wden, dets = system.weights[0]
-    systems = list({id(f.spec._system): f.spec._system for f in family}.values())
-    member_system = [systems.index(f.spec._system) for f in family]
-    dsden = math.lcm(*(sy.weights[1][0] for sy in systems))
-    # ds[k][i] = det_i s_i of system k, over dsden
-    ds = [[d * (dsden // sy.weights[1][0]) for d in sy.weights[1][1]] for sy in systems]
-    # scaled[a][k] = sum_i det_i s_i lam_a,i, with the s_i of system k
-    scaled = [[[sum(w[i] * row[j] for i, row in cells.items()) for j in range(n)] for w in ds]
-              for cells in rows]
+    sden, scalings = _int_rows([s for f in family for s in f.spec._scalings], len(dets))
     # integrated[a][i] = the integrals of lam_a,i against each monomial
     integrated = [{i: [sum(a * b for a, b in zip(prow, row) if b) for prow in t.products]
                    for i, row in cells.items()} for cells in rows]
-    den_a, den_b = wden * t.product_den * dl * dl, dsden * dl * dm
+    den_a, den_b = wden * t.product_den * dl * dl, wden * sden * dl * dm
     den = math.lcm(den_a, den_b)
     xa, xb = den // den_a, den // den_b
-    # 1 - sum_i det_i s_i s'_i for the systems of both members, as (p, q) with
-    # the pair's value num * p / q
-    ends = {}
-    for (ka, sa), (kb, sb) in itertools.product(enumerate(systems), repeat=2):
-        p = 1 - sum((d * x * y for d, x, y in zip(sa.dets, sa.scalings, sb.scalings)), ZERO)
-        ends[ka, kb] = p.denominator, den * p.numerator
+    # 1 - sum_i det_i s_a,i s_b,i is (end - sum_i dets[i] sa[i] sb[i]) / end
+    end = wden * sden * sden
+
+    def against(cells: dict, s: list, mom: list) -> int:
+        """sum_i det_i s_i int lam_i f over den_b, from the moments of f."""
+        return sum(dets[i] * s[i] * sum(x * y for x, y in zip(row, mom)) for i, row in cells.items())
 
     def pair(a: int, b: int) -> Fraction:
-        ka, kb = member_system[a], member_system[b]
-        ra, rb, ia = rows[a], rows[b], integrated[a]
-        num = xa * sum(dets[i] * sum(x * y for x, y in zip(ia[i], rb[i]) if x)
+        ra, rb, sa, sb = rows[a], rows[b], scalings[a], scalings[b]
+        num = xa * sum(dets[i] * sum(x * y for x, y in zip(integrated[a][i], rb[i]) if x)
                        for i in ra.keys() & rb.keys())
-        num += xb * (sum(x * y for x, y in zip(scaled[a][kb], moms[b]))
-                     + sum(x * y for x, y in zip(scaled[b][ka], moms[a])))
-        p, q = ends[ka, kb]
-        return Fraction(num * p, q)
+        num += xb * (against(ra, sb, moms[b]) + against(rb, sa, moms[a]))
+        return Fraction(num * end, den * (end - sum(d * x * y for d, x, y in zip(dets, sa, sb))))
 
     return pair
 

@@ -32,6 +32,10 @@ transfer-operator iterations from before one iteration on
 `surfaces.SelfAffine`; they run on the classes here, whose `mesh` is
 `fif_mesh` and whose `_pull` is the one each used.
 
+`centroid_samples` is the Fraction push loop of `mra.centroid_samples` from
+before it ran the one integer mesh cascade of `surfaces`; it takes the
+`MultiresolutionBasis` as `self`.
+
 `interpolation` and `uniform_cardinal_data` are the data formulas of `fif`
 from before every cardinal family forced its data through one rule: the
 hand-solved affine data of an interpolation function and the endpoint loop
@@ -916,6 +920,44 @@ def surface_operator_iterates(self, depth: int, steps: int) -> list:
 FractalFunction.mesh = fif_mesh
 FractalFunction._pull = fif_pull
 FractalSurface._pull = surface_pull
+
+
+# ---------------------------------------------------------------------------
+# MRA centroid samples: the Fraction push loop of `mra.centroid_samples` from
+# before it ran the integer mesh cascade of `surfaces`
+# ---------------------------------------------------------------------------
+
+
+def centroid_samples(self, depth: int):
+    """Cell centroids at the given depth with exact atom values there.
+
+    Returns (points, values[natoms, npts], cell weight); the values
+    propagate level by level through the exact cell relations.
+
+    The loop reads each atom's cell data from its spec, where the earlier
+    library read the same dicts from its own list of atom data.
+    """
+    atom_data = [a.spec.data for a in self.atoms]
+    centroid = Vec(Fraction(lo + hi, 2) for lo, hi in self.domain.box)
+    base = [a.value_at(centroid) for a in self.atoms]
+    leaves = [(centroid, base)]
+    s = self.config.scaling
+    for _ in range(depth):
+        nxt = []
+        for pt, vals in leaves:
+            for j, u in enumerate(self.maps):
+                pushed = [
+                    poly_val(atom_data[c][j], pt) + s * vals[c]
+                    for c in range(len(vals))
+                ]
+                nxt.append((u.apply(pt), pushed))
+        leaves = nxt
+    pts = [pt for pt, _ in leaves]
+    values = np.array([[float(v) for v in vals] for _, vals in leaves]).T
+    measure = 1.0
+    for lo, hi in self.domain.box:
+        measure *= float(hi - lo)
+    return pts, values, measure / len(leaves)
 
 
 # ---------------------------------------------------------------------------

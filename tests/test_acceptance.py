@@ -103,7 +103,7 @@ def test_criterion_7_surface_fixture_vertices_and_validator():
     spec = surfaces.fixture("ex5.2")
     surf = surfaces.fixed_point(spec)
     outer_ok = all(v == 0 for v in surf.vertex_values().values())
-    lv = surf.level1_values()
+    lv = surf.mesh(1)
     # fixed-point oracle values; the often-quoted 1/2 at (1/2, 0) fails the
     # cell relations, so the oracle value 1/5 is reported instead
     inner_ok = (lv[(F(1, 2), F(0))] == F(1, 5)
@@ -134,7 +134,7 @@ def test_criterion_8_mra_filters():
     resid = 0.0
     for j in range(4):
         pulled = np.array(
-            [[float(surfaces.poly_val(basis._atom_data[c][j], y)) + s * atomvals[c, k]
+            [[float(surfaces.poly_val(basis.atoms[c].spec.data[j], y)) + s * atomvals[c, k]
               for k, y in enumerate(pts)] for c in range(8)])
         resid = max(resid, np.abs(basis.coeffs @ pulled - basis.P[j] @ phi).max())
     rng = np.random.default_rng(5)

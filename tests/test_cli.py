@@ -80,6 +80,10 @@ def test_fixture_without_the_asked_layout_exits_one(capsys):
     ["mra", "build", "--figure", "interval", "--degree", "5"],
     ["tiles", "construct", "--epsilon", "0", "--max-iterations", "1001"],
     ["mra", "build", "--figure", "cube"],
+    # a zero denominator is a malformed fraction
+    ["fif", "basis", "--scaling", "1/0"],
+    ["mra", "build", "--scaling=-1/0"],
+    ["tiles", "construct", "--epsilon", "1/0"],
 ])
 def test_bad_parameter_exits_two(capsys, argv):
     assert run(argv) == 2
@@ -303,6 +307,7 @@ def test_bad_config_file_exits_two(capsys, tmp_path):
     ({"mode": "spiral"}, ["fif", "basis", "--n", "2", "--depth", "2"]),
     ({"verify": "yes"}, ["tiles", "w1", "--depth", "3"]),
     ({"depth": True}, ["tiles", "w1"]),
+    ({"epsilon": "1/0"}, ["tiles", "construct"]),
 ])
 def test_bad_config_value_exits_two(capsys, tmp_path, overrides, argv):
     cfg = tmp_path / "cfg.json"

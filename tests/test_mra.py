@@ -50,7 +50,7 @@ def test_refinement_identity_on_refined_centroids(basis):
     for j in range(4):
         pulled = np.array(
             [
-                [float(sf.poly_val(basis._atom_data[c][j], y)) + s * atomvals[c, k] for k, y in enumerate(pts)]
+                [float(sf.poly_val(basis.atoms[c].spec.data[j], y)) + s * atomvals[c, k] for k, y in enumerate(pts)]
                 for c in range(8)
             ]
         )

@@ -21,7 +21,9 @@ the same chains at every depth; a function's knot values, values at its
 knots and mesh must be those of a fresh object, whatever it computed
 before; the column cascade must keep the oracle's point order, its zero
 values and its errors on inconsistent data, on int64 columns, on Python-int
-columns and where a level's bound crosses 2**63.
+columns and where a level's bound crosses 2**63, and the MRA's centroid
+samples, one run of the same cascade per atom, the points, float bits and
+cell weight of the earlier Fraction push loop.
 Scalings are signed with |s| < 1 and denominators up to 2**64, so the common
 denominators of the cascades grow to hundreds of bits.
 """
@@ -744,6 +746,29 @@ def test_mra_atom_gram_matches_oracle(kappa, degree, s, square):
     assert basis.atom_gram == oracle.surface_gram_matrix(basis.atoms)
 
 
+CENTROID_FIGURES = {"interval": [(0, 1)], "square": [(0, 1), (0, 1)],
+                    "box": [(0, F(1, 3)), (0, F(2, 5))]}
+
+
+@settings(max_examples=15, deadline=None)
+@given(figure=st.sampled_from(sorted(CENTROID_FIGURES)), kappa=st.integers(2, 3),
+       degree=st.integers(0, 2), depth=st.integers(0, 4), s=scalings)
+@example(figure="square", kappa=3, degree=2, depth=4, s=F(-2, 7))
+@example(figure="box", kappa=2, degree=2, depth=4, s=F(3, 5))
+def test_centroid_samples_match_the_fraction_loop(figure, kappa, degree, depth, s):
+    # the cascade keeps every leaf, leaves outer and cells inner, and starts
+    # at the mean of the domain's vertices: the points, the floats of the
+    # exact values and the cell weight must be those of the push loop
+    config = mra.MRAConfig(figure=box_figure(figure, CENTROID_FIGURES[figure]), kappa=kappa,
+                           degree=degree, scaling=s)
+    basis = mra.build(config)
+    pts, values, weight = basis.centroid_samples(depth)
+    want_pts, want_values, want_weight = oracle.centroid_samples(basis, depth)
+    assert pts == want_pts and all(type(p) is geometry.Vec for p in pts)
+    assert values.dtype == want_values.dtype and np.array_equal(values, want_values)
+    assert weight == want_weight
+
+
 # -- one exact elimination ---------------------------------------------------------
 
 # small entries with many zeros, so singular systems are common
@@ -840,12 +865,21 @@ def test_value_columns_leave_int64_where_the_bound_crosses(monkeypatch, s, want)
 
 def _level_by_fractions(spec, cols, dp, vals, dv, dp_next, dv_next):
     """The level step of `surfaces._level` in Fractions: each image and value
-    over its new denominator."""
+    over its new denominator.  The images are transposed with `zip`, which
+    keeps Python ints (a numpy transpose of ints at or above 2**63 makes
+    them float64)."""
     points = [geometry.Vec(F(x, dp) for x in p) for p in zip(*cols)]
     images = [[[int(c * dp_next) for c in u.apply(p)] for p in points] for u in spec.maps]
     values = [[int((sf.poly_val(lam, p) + s * F(v, dv)) * dv_next) for p, v in zip(points, vals)]
               for lam, s in zip(spec.data, spec._scalings)]
-    return [np.transpose(m).tolist() for m in images], values
+    return [[list(row) for row in zip(*m)] for m in images], values
+
+
+def _level_matches_fractions(spec, cols, dp, vals, dv):
+    dp_next, images, dv_next, values = sf._level(spec, np.array(cols, dtype=object), dp,
+                                                 np.array(vals, dtype=object), dv)
+    want_images, want_values = _level_by_fractions(spec, cols, dp, vals, dv, dp_next, dv_next)
+    assert images.tolist() == want_images and values.tolist() == want_values
 
 
 @settings(max_examples=200, deadline=None)
@@ -862,10 +896,15 @@ def test_level_step_is_exact_on_both_sides_of_the_int64_bound(n, mode, s, data, 
     cols = [data.draw(st.lists(entries, min_size=size, max_size=size), label="points")]
     vals = data.draw(st.lists(entries, min_size=size, max_size=size), label="values")
     dp, dv = data.draw(st.integers(1, 2 ** 20), label="dp"), data.draw(st.integers(1, 2 ** 40), label="dv")
-    dp_next, images, dv_next, values = sf._level(spec, np.array(cols, dtype=object), dp,
-                                                 np.array(vals, dtype=object), dv)
-    want_images, want_values = _level_by_fractions(spec, cols, dp, vals, dv, dp_next, dv_next)
-    assert images.tolist() == want_images and values.tolist() == want_values
+    _level_matches_fractions(spec, cols, dp, vals, dv)
+
+
+def test_level_step_images_above_int64_are_exact():
+    # the last map of [0, 3] sends 9223372036848484353 / 2**20 to an image
+    # of numerator 9223372036854775809 over 3 * 2**20, above 2**63: the
+    # Python-int images must equal the oracle's exactly
+    spec = fif.FractalFunction.from_uniform_data(3, [[0]] * 3, [0] * 3, "translation").spec
+    _level_matches_fractions(spec, [[0, 9223372036848484353]], 2 ** 20, [0, 0], 1)
 
 
 @pytest.mark.parametrize("top, dtype", [(2 ** 63 - 3, INT64), (2 ** 63 - 2, PYTHON_INTS)])
@@ -873,6 +912,7 @@ def test_level_step_at_the_edge_of_int64(top, dtype):
     # u_2(x) = x/2 + 1 over dp = 1 takes x = top to top + 2 over 2: the
     # bound top + 2 is exactly the largest image, the last int64 at 2**63 - 3
     spec = fif.FractalFunction.from_uniform_data(2, [[0], [0]], [0, 0], "translation").spec
-    _, images, _, _ = sf._level(spec, np.array([[0, top]], dtype=object), 1)
+    _, images, _, _ = sf._level(spec, np.array([[0, top]], dtype=object), 1,
+                                np.array([0, 0], dtype=object), 1)
     assert images.dtype == dtype
     assert images.tolist() == [[[0, top]], [[2, top + 2]]]

@@ -3,12 +3,14 @@
 Specs made by `SurfaceSpec.with_data` (and the fractal functions of one
 cardinal basis) share everything that does not depend on their data: map
 inverses, domain geometry, the monomial-integral table, the inverted moment
-system of each degree, the vertex interpolation inverse and the 1-D mesh
-points.  Every moment, inner product, Gram matrix and mesh of a member must
-equal the oracle in `selfaffine_oracle.py` and the same member built as a
-fresh spec, which starts a system of its own.  Families mix data degrees, so
-several moment degrees are filled on one system, in a drawn order; they use
-one scaling or one per cell, on a triangle or on a subdivided box.
+system of each degree, the vertex interpolation inverse and one 1-D mesh
+point list per depth.  Every moment, inner product, Gram matrix and mesh of
+a member must equal the oracle in `selfaffine_oracle.py` and the same member
+built as a fresh spec, which starts a system of its own.  Families mix data
+degrees, so several moment degrees are filled on one system, in a drawn
+order; they use one scaling or one per cell, on a triangle or on a
+subdivided box.  Families that mix several systems must pair like the
+Fraction loops, and `mesh(1)` must hold every domain vertex.
 """
 
 from fractions import Fraction as F
@@ -278,3 +280,92 @@ def test_functions_pair_on_shared_maps_whatever_their_scalings(n, mode, data):
             fif.gram_matrix(pair)
         with pytest.raises(ValueError, match="share domain and similitudes"):
             fif.gram_matrix_quadrature(pair)
+
+
+@st.composite
+def several_systems(draw):
+    """Members of 2 to 4 systems on one domain, each system a separately
+    built spec with a scaling of its own, shared by its cells or one per
+    cell, and 0 to 2 more members made by `with_data`: on [0, n] in either
+    layout, or on the right triangle."""
+    if draw(st.booleans(), label="1-D"):
+        n, mode = draw(st.integers(1, 4), label="n"), draw(modes, label="mode")
+        vertices, maps = ((0,), (n,)), fif.uniform_maps(n, mode)
+    else:
+        vertices, maps = DOMAINS["triangle"]
+    n, dim = len(maps), len(vertices[0])
+    data = st.lists(polynomials(dim), min_size=n, max_size=n)
+    per_cell = st.lists(scalings, min_size=n, max_size=n).map(tuple)
+    systems = []
+    for _ in range(draw(st.integers(2, 4), label="systems")):
+        template = sf.SurfaceSpec(vertices, maps, draw(data, label="data"),
+                                  draw(st.one_of(scalings, per_cell), label="s"))
+        systems.append([template] + [template.with_data(draw(data, label="member data"))
+                                     for _ in range(draw(st.integers(0, 2), label="members"))])
+    make = fif.FractalFunction if dim == 1 else sf.FractalSurface
+    return [[make(spec) for spec in members] for members in systems]
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems=several_systems(), data=st.data())
+def test_families_of_several_systems_pair_like_the_oracles(systems, data):
+    # each pair forms 1 - sum_i det_i s_a,i s_b,i from its two members' own
+    # scalings, so a Gram over members of several systems must equal the
+    # Fraction loops, and each system's block the fif oracle's
+    family = [f for members in systems for f in members]
+    assert len({id(f.spec._system) for f in family}) == len(systems)
+    order = data.draw(st.permutations(range(len(family))), label="order")
+    family = [family[k] for k in order]
+    gram = sf.gram_matrix(family)
+    assert gram == oracle.cell_surface_gram_matrix(family)
+    a, b = (data.draw(st.integers(0, len(family) - 1), label=k) for k in "ab")
+    assert sf.inner_product(family[a], family[b]) == gram[a][b] == \
+        oracle.cell_surface_inner_product(family[a], family[b])
+    if isinstance(family[0], fif.FractalFunction):
+        assert fif.gram_matrix(family) == gram
+        for members in systems:
+            assert fif.gram_matrix(members) == oracle.fif_gram_matrix([_old(f) for f in members])
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 4), mode=modes, s=scalings, data=st.data())
+def test_function_systems_keep_one_point_list_per_depth(n, mode, s, data):
+    # meshes of depths 1-6 of every member, in a drawn order: the system
+    # keeps one point list per depth, the first mesh's, and each call
+    # returns it in a new list, so a caller's edits do not reach the next
+    basis = fif.uniform_cardinal_basis(n, s, mode)
+    calls = [(k, depth) for k in range(n + 1) for depth in range(1, 7)]
+    for k, depth in data.draw(st.permutations(calls), label="order"):
+        xs, ys = basis[k].mesh(depth)
+        assert (xs, ys) == oracle.fif_mesh(_old(basis[k]), depth)
+        xs[0] = F(99)
+        xs.append(F(100))
+    orbits = basis[0].spec._system.orbits
+    assert sorted(orbits) == list(range(1, 7))
+    assert all(type(pts) is list and len(pts) == n ** depth + 1 for depth, pts in orbits.items())
+    assert all(orbits[depth] == oracle.fif_mesh(_old(basis[0]), depth)[0] for depth in orbits)
+
+
+def test_first_mesh_of_ex52_holds_every_domain_vertex():
+    # `mesh(1)` holds the outer and inner vertices of the first refinement
+    spec = sf.fixture("ex5.2")
+    surf = sf.FractalSurface(spec)
+    mesh = surf.mesh(1)
+    assert set(mesh) == set(sf.level_one_vertices(spec))
+    assert all(mesh[v] == value for v, value in surf.vertex_values().items())
+
+
+@pytest.mark.parametrize("kappa", [2, 3])
+@pytest.mark.parametrize("widths", [[(0, 1)], [(0, 1), (0, 1)], [(0, F(1, 3)), (0, F(2, 5))]])
+def test_first_mesh_on_the_mra_boxes_holds_every_domain_vertex(kappa, widths):
+    # the MRA's box system with the data g o u_i - s g of an affine g, whose
+    # surface is g
+    basis = mra.build(mra.MRAConfig(figure=box_figure("box", widths), kappa=kappa, degree=0))
+    template, s = basis.atoms[0].spec, F(2, 7)
+    g = {(0,) * len(widths): F(1, 3), (1,) + (0,) * (len(widths) - 1): F(-2, 5)}
+    lam = [oracle.poly_add(oracle.poly_compose_affine(g, u), {e: -s * c for e, c in g.items()})
+           for u in template.maps]
+    surf = sf.FractalSurface(sf.SurfaceSpec(template.vertices, template.maps, lam, s))
+    mesh = surf.mesh(1)
+    assert set(template.vertices) <= set(mesh)
+    assert all(mesh[v] == value == sf.poly_val(g, v) for v, value in surf.vertex_values().items())

@@ -56,7 +56,7 @@ def test_outer_vertices_vanish(surf):
 
 
 def test_inner_vertex_values(surf):
-    lv = surf.level1_values()
+    lv = surf.mesh(1)
     assert lv[(F(1, 2), F(0))] == F(1, 5)
     assert lv[(F(1, 2), F(1, 2))] == F(1, 2)
     assert lv[(F(0), F(1, 2))] == F(3, 10)
@@ -139,7 +139,7 @@ def test_all_ones_combination_is_one_at_vertices(spec, basis):
 
 
 def test_basis_reproduces_the_fixture_surface(surf, basis):
-    z = surf.level1_values()
+    z = surf.mesh(1)
     for q, val in surf.mesh(3).items():
         assert sum(z[nu] * b.value_at(q) for nu, b in basis.items()) == val
 
