@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -82,10 +83,8 @@ def _fraction_arg(text) -> Fraction:
         if _written_bits(text) > FRACTION_BITS_LIMIT:
             raise argparse.ArgumentTypeError(
                 f"a numerator or denominator of more than {FRACTION_BITS_LIMIT} bits")
-        try:
-            return Fraction(text)
-        except ValueError:
-            return Fraction(float(text))
+        # Fraction reads PEP 515 underscores itself only from Python 3.11
+        return Fraction(re.sub(r"(?<=\d)_(?=\d)", "", text))
     except (ValueError, OverflowError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}") from None
 

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import surfaces
-from .geometry import AffineMap, Mat, Vec
+from .geometry import AffineMap, Mat, Vec, _eliminate
 from .reflections import box_figure, subdivide
 from .surfaces import EvalResult, SelfAffine, SurfaceSpec
 
@@ -366,34 +366,24 @@ def orthonormalize(gram) -> np.ndarray:
 
     The exact Gram matrix G is positive definite, but its float copy need not
     be when |s| is close to 1. Then Q = L^-T D^-1/2 comes from the exact
-    factorization G = L D L^T instead.
+    factorization G = L D L^T instead (`_ldl`).
     """
     g = np.array([[float(x) for x in row] for row in gram])
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        inv_lower, diag = _exact_ldl(gram)
+        inv_lower, diag = (np.array(x, dtype=float) for x in _ldl(gram))
         return inv_lower.T / np.sqrt(diag)[None, :]
     return np.linalg.inv(chol).T
 
 
-def _exact_ldl(gram) -> tuple[np.ndarray, np.ndarray]:
-    """L^-1 and D, as floats, of the exact G = L D L^T with L unit lower triangular."""
+def _ldl(gram) -> tuple[list, list]:
+    """L^-1 and D, as Fractions, of the exact G = L D L^T with L unit lower
+    triangular: the forward elimination of [G | I] (`geometry._eliminate`)
+    leaves D as its pivots and L^-1 as its right block, when every pivot is
+    positive and comes from its own row."""
     n = len(gram)
-    a = [[Fraction(x) for x in row[: i + 1]] for i, row in enumerate(gram)]
-    for k in range(n):  # a[k][k] becomes D_k, and a[i][k] (i > k) becomes L_ik
-        if a[k][k] <= 0:
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-        col = [a[i][k] for i in range(k + 1, n)]
-        for i in range(k + 1, n):
-            a[i][k] = lik = col[i - k - 1] / a[k][k]
-            for j in range(k + 1, i + 1):
-                a[i][j] -= lik * col[j - k - 1]
-    inv = [[Fraction(int(i == j)) for j in range(i + 1)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            inv[i][j] = -sum((a[i][k] * inv[k][j] for k in range(j, i)), Fraction(0))
-    inv_lower = np.zeros((n, n))
-    for i, row in enumerate(inv):
-        inv_lower[i, : i + 1] = [float(x) for x in row]
-    return inv_lower, np.array([float(a[k][k]) for k in range(n)])
+    pivots = _eliminate([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(gram)], n)
+    if [r for _, r, _, _ in pivots] != list(range(n)) or any(v[k] * s <= 0 for k, _, s, v in pivots):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return [[s * x for x in v[n:]] for _, _, s, v in pivots], [s * v[k] for k, _, s, v in pivots]

@@ -1,13 +1,15 @@
 """Small exact linear algebra: vectors, matrices, affine maps, hyperplanes.
 
-Everything is dimension-checked and works over exact number types
-(Fraction, int) as well as floats.  Determinants are expanded directly for
-the small dimensions used here; ranks and matrix inverses both go through
-one Gauss-Jordan elimination, `_row_reduce`.
+Everything is dimension-checked and exact, over Fractions and ints.  One
+forward elimination, `_eliminate`, on rows held as a Fraction scale times a
+primitive integer vector, is behind every solve: `rank` counts its pivots,
+`Mat.det` multiplies them, `Mat.inverse` back-substitutes with the same row
+step, and `fif` reads an exact L D L^T from them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -105,34 +107,32 @@ class Mat:
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
         )
 
-    def det(self):
+    def det(self) -> Fraction:
+        """The signed product of the pivots (`_eliminate`)."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 1:
-            return self.rows[0][0]
-        if n == 2:
-            (a, b), (c, d) = self.rows
-            return a * d - b * c
-        total = None
-        for j in range(n):
-            minor = Mat([r[:j] + r[j + 1 :] for r in self.rows[1:]])
-            term = self.rows[0][j] * minor.det()
-            if j % 2:
-                term = -term
-            total = term if total is None else total + term
-        return total
+        pivots = _eliminate(self.rows, self.ncols)
+        if len(pivots) < self.nrows:
+            return Fraction(0)
+        order = [r for _, r, _, _ in pivots]
+        sign = (-1) ** sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
+        return sign * math.prod(scale * vec[c] for c, _, scale, vec in pivots)
 
     def inverse(self) -> "Mat":
-        """Gauss-Jordan inverse; exact when entries support exact division."""
+        """[A | I] eliminated (`_eliminate`), then back-substituted by `_step`."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        work = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
-        work = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in work]
-        if _row_reduce(work, n) < n:
+        pivots = _eliminate([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)], n)
+        if len(pivots) < n:
             raise ValueError("singular matrix")
-        return Mat([row[n:] for row in work])
+        # the scales cancel in each row's division by its pivot
+        vecs = [vec for _, _, _, vec in pivots]
+        for k in reversed(range(n)):
+            for j in range(k):
+                if vecs[j][k]:
+                    vecs[j] = _step(1, vecs[j], vecs[k], k)[1]
+        return Mat([[Fraction(x, vec[k]) for x in vec[n:]] for k, vec in enumerate(vecs)])
 
     def __repr__(self):
         return f"Mat({list(map(list, self.rows))!r})"
@@ -143,33 +143,50 @@ class Mat:
 # ---------------------------------------------------------------------------
 
 
-def _row_reduce(work: list, ncols: int) -> int:
-    """Gauss-Jordan elimination in place on the first ncols columns.
+def _numerators(values: Sequence) -> tuple:
+    """(d, [v d for v in values]): Fractions (or ints) over one denominator
+    d, the lcm of theirs, as integer numerators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
-    Each pivot row is divided by its pivot and cleared from every other row,
-    so the pivot columns end as unit vectors.  Returns the rank, the number
-    of pivots.
+
+def _primitive(den: int, nums: list) -> tuple:
+    """The row nums / den as (Fraction scale, vector of coprime integers)."""
+    g = math.gcd(*nums) or 1
+    return Fraction(g, den), [x // g for x in nums]
+
+
+def _step(scale: Fraction, vec: list, pivot: list, c: int) -> tuple:
+    """(scale, vec) less the multiple of the pivot row that clears column c."""
+    g = math.gcd(vec[c], pivot[c])
+    a, b = pivot[c] // g, vec[c] // g
+    factor, vec = _primitive(a, [a * x - b * y for x, y in zip(vec, pivot)])
+    return scale * factor, vec
+
+
+def _eliminate(rows: Sequence[Sequence], ncols: int) -> list:
+    """Forward elimination of rows of Fractions or ints on their first ncols
+    columns, each row held as a Fraction scale times a primitive integer
+    vector (`_primitive`, `_step`).  Column by column, the first remaining
+    row that is nonzero there is the next pivot row and is cleared from every
+    remaining row.  Returns the pivots in order, each as (column, index of
+    the row it came from, scale, vector); the pivot is scale * vector[column].
     """
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
+    rest = [(r, *_primitive(*_numerators(row))) for r, row in enumerate(rows)]
+    pivots = []
+    for c in range(ncols):
+        k = next((k for k, (_, _, vec) in enumerate(rest) if vec[c]), None)
+        if k is None:
             continue
-        work[row], work[pivot] = work[pivot], work[row]
-        pv = work[row][col]
-        work[row] = [x / pv for x in work[row]]
-        for r in range(len(work)):
-            if r != row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
-        row += 1
-    return row
+        r, scale, pivot = rest.pop(k)
+        pivots.append((c, r, scale, pivot))
+        rest = [(q, *_step(s, vec, pivot, c)) if vec[c] else (q, s, vec) for q, s, vec in rest]
+    return pivots
 
 
 def rank(vectors: Sequence[Sequence]) -> int:
-    """The rank of a list of vectors, over Fractions."""
-    work = [[Fraction(a) for a in v] for v in vectors]
-    return _row_reduce(work, len(work[0])) if work else 0
+    """The rank of a list of vectors of Fractions or ints."""
+    return len(_eliminate(vectors, len(vectors[0]))) if vectors else 0
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +278,18 @@ class AffineIsometry(AffineMap):
 
 
 class Hyperplane:
-    """The set {x : <x, normal> = offset}, stored in a canonical scaling."""
+    """The set {x : <x, normal> = offset}, stored in a canonical scaling,
+    exactly: a float entry is read as its Fraction."""
 
     __slots__ = ("normal", "offset")
 
     def __init__(self, normal: Sequence, offset):
-        normal = Vec(normal)
+        normal = Vec(map(Fraction, normal))
         if all(a == 0 for a in normal):
             raise ValueError("zero normal vector")
         lead = next(a for a in normal if a != 0)
-        normal = normal.scale(Fraction(1) / lead) if not isinstance(lead, float) else normal.scale(1.0 / lead)
-        offset = offset / lead
-        self.normal = normal
-        self.offset = offset
+        self.normal = normal.scale(1 / lead)
+        self.offset = Fraction(offset) / lead
 
     def side(self, x: Sequence):
         """Returns <x, normal> - offset; zero means x lies on the plane."""

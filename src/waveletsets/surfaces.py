@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import AffineMap, Mat, Vec
+from .geometry import AffineMap, Mat, Vec, _numerators
 from .reflections import right_triangle_figure
 
 ZERO = Fraction(0)
@@ -548,13 +548,6 @@ class SelfAffine:
         for _ in range(steps):
             out.append(lam + s * out[-1][src])
         return out
-
-
-def _numerators(values: Sequence) -> tuple:
-    """(d, [v d for v in values]): Fractions over one denominator d, the lcm
-    of theirs, as integer numerators."""
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _coprime(n: int, d: int) -> Fraction:

@@ -17,7 +17,12 @@ These are implementations the library used before:
   looks at the points 0..depth-1 only), the 1-D moment recursion and pair
   formula of `fif`, and a Gaussian elimination in each of `fif.moments`,
   `surfaces._solve_exact`, `reflections._rank` and `Mat.inverse` (before
-  one self-affine engine in `surfaces` and one elimination in `geometry`).
+  one self-affine engine in `surfaces` and one elimination in `geometry`);
+- the cofactor expansion of `Mat.det` and the Fraction L D L^T of
+  `fif._exact_ldl`, from before one forward elimination on integer rows in
+  `geometry` gave the determinant, the rank, the inverse and the L D L^T
+  of `fif.orthonormalize`.  Every determinant and inverse taken here is
+  `mat_det` or `mat_inverse`, so no oracle result runs that elimination.
 
 At the end of the module is the geometry from before one affine-map type: the separate
 `AffineIsometry` and `AffineMap` classes and the mirror formulas
@@ -58,14 +63,15 @@ build composed data and as the oracle for the recentred quadrature data.
 They are slow but simple, and `tests/test_selfaffine_oracle.py` uses them as
 the oracle for identical Fractions (and for floats within 1e-12).  The
 bodies are kept verbatim: only names differ (some methods became functions
-of the object, `Mat.inverse` is `mat_inverse`, and the 1-D `poly_mul` is
-`poly_mul_1d`).  The classes here are the earlier `FractalFunction` and
-`FractalSurface`, reduced to their constructors and evaluation methods, with
-memos of their own, so nothing here runs the library's evaluation code; build
-them from a library object's `domain` and `cells`, or its `spec`.  Only
-unchanged library helpers are imported (`Mat`, `Vec` and the multivariate
-polynomial helpers the library keeps); the cells and specs read here are the library's.  Keep
-these bodies unchanged.
+of the object, `Mat.inverse` is `mat_inverse`, `Mat.det` is `mat_det`,
+`fif._exact_ldl` is `exact_ldl`, and the 1-D `poly_mul` is `poly_mul_1d`).
+The classes here are the earlier `FractalFunction` and `FractalSurface`,
+reduced to their constructors and evaluation methods, with memos of their
+own, so nothing here runs the library's evaluation code; build them from a
+library object's `domain` and `cells`, or its `spec`.  Only unchanged
+library helpers are imported (`Mat` and `Vec` as containers, and the
+multivariate polynomial helpers the library keeps); the cells and specs read
+here are the library's.  Keep these bodies unchanged.
 """
 
 from __future__ import annotations
@@ -689,7 +695,7 @@ def domain_integral(p: dict, vertices: Sequence) -> Fraction:
         edges = Mat([[verts[k + 1][i] - verts[0][i] for k in range(dim)] for i in range(dim)])
         chart = AffineMap(edges, verts[0])
         q = poly_compose_affine(p, chart)
-        vol = abs(edges.det())
+        vol = abs(mat_det(edges))
         return vol * sum((c * _standard_simplex_integral(expo) for expo, c in q.items()), ZERO)
     box = _box_bounds(verts)
     if box is not None:
@@ -710,7 +716,7 @@ def surface_moments(surface: FractalSurface, degree: int) -> dict:
     expos = _monomials_upto(spec.dim, degree)
     pos = {e: k for k, e in enumerate(expos)}
     n = len(expos)
-    dets = [abs(u.linear.det()) for u in spec.maps]
+    dets = [abs(mat_det(u.linear)) for u in spec.maps]
     if sum(dets) != 1:
         raise ValueError("cells must tile the domain")
     s = spec.scaling
@@ -736,7 +742,7 @@ def surface_inner_product(f: FractalSurface, g: FractalSurface) -> Fraction:
     degree = max(max(poly_degree(p) for p in sf.data), max(poly_degree(p) for p in sg.data))
     mf = surface_moments(f, degree)
     mg = surface_moments(g, degree)
-    dets = [abs(u.linear.det()) for u in sf.maps]
+    dets = [abs(mat_det(u.linear)) for u in sf.maps]
     total = Fraction(0)
     for i in range(len(sf.maps)):
         lam_f, lam_g = sf.data[i], sg.data[i]
@@ -781,7 +787,7 @@ def cell_surface_moments(surface, degree: int) -> dict:
     expos = _monomials_upto(spec.dim, degree)
     pos = {e: k for k, e in enumerate(expos)}
     n = len(expos)
-    dets = [abs(u.linear.det()) for u in spec.maps]
+    dets = [abs(mat_det(u.linear)) for u in spec.maps]
     scalings = _cell_scalings(spec)
     if sum(dets) != 1:
         raise ValueError("cells must tile the domain")
@@ -806,7 +812,7 @@ def cell_surface_inner_product(f, g) -> Fraction:
         raise ValueError("surfaces must share domain and similitudes")
     degree = max(max(poly_degree(p) for p in sf.data), max(poly_degree(p) for p in sg.data))
     mf, mg = cell_surface_moments(f, degree), cell_surface_moments(g, degree)
-    dets = [abs(u.linear.det()) for u in sf.maps]
+    dets = [abs(mat_det(u.linear)) for u in sf.maps]
     scal_f, scal_g = _cell_scalings(sf), _cell_scalings(sg)
     total = Fraction(0)
     for i, det in enumerate(dets):
@@ -834,7 +840,7 @@ def forced_data(spec: SurfaceSpec, tables: Sequence) -> list:
     """The library's `_forced_data` and `_System.interpolate` from before
     the integer tables: each cell's affine data through the Fraction inverse
     of the rows (1, v), one sum of Fraction products per coefficient."""
-    interpolation = Mat([[ONE, *v] for v in spec.vertices]).inverse().rows
+    interpolation = mat_inverse(Mat([[ONE, *v] for v in spec.vertices])).rows
     images = [[u.apply(v) for v in spec.vertices] for u in spec.maps]
 
     def interpolate(values: Sequence) -> dict:
@@ -961,8 +967,50 @@ def centroid_samples(self, depth: int):
 
 
 # ---------------------------------------------------------------------------
-# exact elimination: Mat.inverse and reflections._rank
+# the exact solves: Mat.inverse, reflections._rank, the cofactor Mat.det and
+# fif._exact_ldl
 # ---------------------------------------------------------------------------
+
+
+def mat_det(self: Mat):
+    if self.nrows != self.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = self.nrows
+    if n == 1:
+        return self.rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = self.rows
+        return a * d - b * c
+    total = None
+    for j in range(n):
+        minor = Mat([r[:j] + r[j + 1 :] for r in self.rows[1:]])
+        term = self.rows[0][j] * mat_det(minor)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def exact_ldl(gram) -> tuple[np.ndarray, np.ndarray]:
+    """L^-1 and D, as floats, of the exact G = L D L^T with L unit lower triangular."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row[: i + 1]] for i, row in enumerate(gram)]
+    for k in range(n):  # a[k][k] becomes D_k, and a[i][k] (i > k) becomes L_ik
+        if a[k][k] <= 0:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        col = [a[i][k] for i in range(k + 1, n)]
+        for i in range(k + 1, n):
+            a[i][k] = lik = col[i - k - 1] / a[k][k]
+            for j in range(k + 1, i + 1):
+                a[i][j] -= lik * col[j - k - 1]
+    inv = [[Fraction(int(i == j)) for j in range(i + 1)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            inv[i][j] = -sum((a[i][k] * inv[k][j] for k in range(j, i)), Fraction(0))
+    inv_lower = np.zeros((n, n))
+    for i, row in enumerate(inv):
+        inv_lower[i, : i + 1] = [float(x) for x in row]
+    return inv_lower, np.array([float(a[k][k]) for k in range(n)])
 
 
 def mat_inverse(self: Mat) -> Mat:
@@ -1065,7 +1113,7 @@ class AffineIsometry:
         )
 
     def inverse(self) -> "AffineIsometry":
-        inv = self.linear.inverse()
+        inv = mat_inverse(self.linear)
         return AffineIsometry(inv, -inv.matvec(self.shift), check=False)
 
     def is_identity(self) -> bool:
@@ -1111,7 +1159,7 @@ class AffineMap:
         )
 
     def inverse(self) -> "AffineMap":
-        inv = self.linear.inverse()
+        inv = mat_inverse(self.linear)
         return AffineMap(inv, -inv.matvec(self.shift))
 
     def key(self):

@@ -255,6 +255,27 @@ def test_fractions_within_the_bit_bound_parse_exactly(text):
         assert parser.parse_args(["tiles", "construct", "--epsilon", text]).epsilon == F(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("inf", "not a number or fraction: 'inf'"), ("-inf", "not a number or fraction: '-inf'"),
+    ("nan", "not a number or fraction: 'nan'"), ("1/0", "not a number or fraction: '1/0'"),
+    ("abc", "not a number or fraction: 'abc'"),
+    ("1e400", "a numerator or denominator of more than 64 bits")])
+def test_texts_that_are_no_finite_fraction_exit_two(capsys, text, message):
+    # the same exit code and error line as when a float parse backed up the
+    # Fraction parse
+    assert run(["tiles", "construct", f"--epsilon={text}"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"waveletsets tiles construct: error: argument --epsilon: {message}")
+
+
+@pytest.mark.parametrize("text, value", [("1_0", 10), (" 1.5 ", F(3, 2)), ("+.5", F(1, 2)),
+                                         ("1E5", 100000), ("\u0661", 1)])
+def test_texts_that_float_also_reads_parse_to_the_same_fraction(text, value):
+    parser = cli.build_parser()
+    assert parser.parse_args(["tiles", "construct", f"--epsilon={text}"]).epsilon == value
+    assert value == F(float(text))
+
+
 def test_outputs_are_byte_identical(capsys, tmp_path):
     files = []
     for k in (1, 2):

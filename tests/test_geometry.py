@@ -78,6 +78,14 @@ def test_hyperplane_reflection_is_exact_involution():
     assert iso.compose(iso) == AffineIsometry.identity(2)
 
 
+def test_hyperplane_reads_a_float_normal_as_its_exact_fraction():
+    h = Hyperplane((0.5, 0.25), 0.75)
+    assert h == Hyperplane((F(1, 2), F(1, 4)), F(3, 4)) == Hyperplane((2, 1), 3)
+    assert all(type(a) is F for a in (*h.normal, h.offset))
+    # a float that is no short decimal keeps its exact binary value
+    assert Hyperplane((1, 0.1), 0).normal[1] == F(0.1) != F(1, 10)
+
+
 # -- one affine-map type against the two classes it replaced ------------------
 
 MAPS = settings(max_examples=300, deadline=None)

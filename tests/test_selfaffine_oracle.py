@@ -7,7 +7,9 @@ midpoint sums, reassociated over a few moments per level) the node loop's
 floats within 1e-12 of the entries' size.  The fractal functions, now a front end over the
 surfaces engine, must give the earlier moments, inner products, Gram
 matrices, knot values and evaluations (value and error bound) exactly, and
-the one elimination in `geometry` the earlier solutions, ranks and inverses.
+the one elimination in `geometry` the earlier ranks, inverses and
+determinants, and the exact L D L^T behind `fif.orthonormalize` the floats
+of the earlier one.
 The earlier functions are built from the spec of the function under test
 (`_old`): its maps, its scalings and its data coefficients up to the top
 nonzero one.  The one transfer-operator iteration must give the identical
@@ -794,10 +796,15 @@ square_systems = st.integers(1, 4).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(system=square_systems)
 @example(system=([[1, 2], [2, 4]], [1, 2]))  # singular
+@example(system=([[0, 1, 2], [0, 3, 4], [0, F(1, 2), 7]], [0, 0, 0]))  # a zero column
+@example(system=([[0, 0, 1], [0, 1, 0], [1, 0, 0]], [0, 0, 0]))  # pivots from rows 2, 1, 0
 def test_solve_and_inverse_match_parent(system):
     rows, _ = system
     mat = geometry.Mat(rows)
     assert _outcome(mat.inverse) == _outcome(lambda: oracle.mat_inverse(mat))
+    # the signed product of the pivots against the cofactor expansion,
+    # singular matrices (determinant 0) included
+    assert _outcome(mat.det) == _outcome(lambda: oracle.mat_det(mat))
 
 
 @settings(max_examples=300, deadline=None)
@@ -805,6 +812,54 @@ def test_solve_and_inverse_match_parent(system):
 def test_rank_matches_parent(k, d, data):
     vectors = [geometry.Vec(row) for row in data.draw(_matrix(k, d), label="vectors")]
     assert geometry.rank(vectors) == oracle._rank(vectors)
+
+
+def _orthonormal_oracle(gram):
+    """Q = L^-T D^-1/2 from the oracle's Fraction L D L^T."""
+    inv_lower, diag = oracle.exact_ldl(gram)
+    return inv_lower.T / np.sqrt(diag)[None, :]
+
+
+def _atom_gram(kappa, degree, s):
+    return mra.build(mra.MRAConfig(kappa=kappa, degree=degree, scaling=s)).atom_gram
+
+
+def test_exact_fallback_matches_parent_where_the_float_cholesky_fails():
+    near_singular = [[F(1), F(1)], [F(1), 1 + F(1, 10 ** 20)]]  # its float copy is singular
+    cap = _atom_gram(4, 4, F(16777215, 16777216))
+    for gram in (near_singular, cap):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.array(gram, dtype=float))
+        assert np.array_equal(fif.orthonormalize(gram), _orthonormal_oracle(gram))
+
+
+@pytest.mark.parametrize("kappa, degree", [(2, 1), (3, 2)])
+def test_exact_ldl_matches_parent_on_atom_grams(kappa, degree):
+    # floats of the exact factors, whose float Cholesky passes: the exact
+    # path is taken directly
+    gram = _atom_gram(kappa, degree, F(2, 7))
+    inv_lower, diag = fif._ldl(gram)
+    q = np.array(inv_lower, dtype=float).T / np.sqrt(np.array(diag, dtype=float))[None, :]
+    assert np.array_equal(q, _orthonormal_oracle(gram))
+    # and they are exact: L^-1 G L^-T = D
+    n = len(gram)
+    lg = [[sum(a * b for a, b in zip(row, col)) for col in zip(*gram)] for row in inv_lower]
+    assert all(sum(a * b for a, b in zip(lg[i], inv_lower[j])) == (diag[i] if i == j else 0)
+               for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("gram", [
+    [[1, 2], [2, 4]],  # singular positive semidefinite
+    [[1, 1, 0], [1, 2, 1], [0, 1, 1]],  # singular positive semidefinite, last pivot 0
+    [[1, 1, 0], [1, 1, 0], [0, 0, 1]],  # singular positive semidefinite, middle pivot 0
+    [[1, 2], [2, 1]],  # indefinite, a negative pivot
+    [[0, 1], [1, 0]],  # indefinite, a zero pivot with a nonzero row below
+])
+def test_exact_fallback_rejects_what_is_not_positive_definite(gram):
+    gram = [[F(x) for x in row] for row in gram]
+    for factor in (fif.orthonormalize, oracle.exact_ldl):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            factor(gram)
 
 
 # -- the column cascade on int64 and on Python ints ------------------------------
