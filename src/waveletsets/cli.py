@@ -40,6 +40,9 @@ MRA_KAPPA_LIMIT = 4
 MRA_DEGREE_LIMIT = 4
 CONSTRUCT_ITERATIONS_LIMIT = 1000
 FRACTION_BITS_LIMIT = 64
+# `mra build` fails above this float perfect-reconstruction residual (5.71e-06
+# at the cap with s = 16777215/16777216; 7.63e-04 at (2, 1), s = 999999/1000000)
+RECONSTRUCTION_RESIDUAL_LIMIT = 1e-4
 
 
 def _written_bits(text: str) -> float:
@@ -212,7 +215,12 @@ def cmd_mra_build(args) -> int:
     basis = mra.build(config)
     print(f"scaling functions: {config.generator_count}")
     print(f"wavelets: {config.wavelet_count}")
-    print(f"perfect-reconstruction residual (float): {basis.reconstruction_residual():.2e}")
+    residual = basis.reconstruction_residual()
+    print(f"perfect-reconstruction residual (float): {residual:.2e}")
+    if not residual <= RECONSTRUCTION_RESIDUAL_LIMIT:  # NaN fails too
+        print(f"error: the float filters do not reconstruct: residual {residual:.2e} "
+              f"exceeds {RECONSTRUCTION_RESIDUAL_LIMIT:.0e}", file=sys.stderr)
+        return 1
     if args.out:
         _write(args.out, basis.filter_bank().json_pieces())
     return 0

@@ -11,11 +11,11 @@ case of a self-affine surface: `FractalFunction` is built from a
 `waveletsets.surfaces` spec, the one holder of its maps, data and scalings,
 and shares that module's forced-data rule, pull-back evaluation, bound,
 moment solve, inner-product formula and integer mesh cascade on whole
-columns (int64 or Python ints, by an exact bound).  It keeps its one-sided
-knot values and the ordered join of its mesh levels (a list with one-sided
-values at interior knots, where the surface mesh is a dict); its mesh
-points are one list per depth in the shared system.  Its reflection layout
-is `reflections.subdivide` of [0, n].
+columns (int64 or Python ints, by an exact bound).  It keeps its cell rule
+at a knot (`_cell`), its one-sided knot values and the ordered join of its
+mesh levels (a list with one-sided values at interior knots, where the
+surface mesh is a dict); its mesh points are one list per depth in the
+shared system.  Its reflection layout is `reflections.subdivide` of [0, n].
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class FractalFunction(SelfAffine):
 
     At an interior knot the fixed point may jump, and three one-sided rules
     remain: `evaluate` and `operator_iterates` take the knot from its right
-    cell (`cell_index`), `knot_values` from an orientation-preserving
+    cell (`_cell`, the one hook), `knot_values` from an orientation-preserving
     neighbor, and `mesh` from the left cell's column.  They agree where the
     function is continuous at its knots; ex3.5 in the reflection layout is
     not, and there `knot_values` gives f(2) = 1/2 while the mesh gives 1.
@@ -131,19 +131,12 @@ class FractalFunction(SelfAffine):
 
     # -- evaluation ---------------------------------------------------------------
 
-    # the right-hand cell at an interior knot: it decides the one-sided values
-    _cell = cell_index
-
-    def _inverse(self, z: Fraction, i: int) -> Fraction:
-        inv = self.spec._inverses[i]
-        return inv.linear.rows[0][0] * z + inv.shift[0]
-
-    def _data(self, i: int, z: Fraction):
-        return surfaces.poly_val(self.spec.data[i], (z,))
+    def _cell(self, z: Vec) -> int:
+        return self.cell_index(z[0])
 
     def evaluate(self, x, depth: int = 48) -> EvalResult:
         """Exact where the pull-back orbit closes; certified interval otherwise."""
-        return self._evaluate(_frac(x), depth)
+        return self._evaluate(Vec((_frac(x),)), depth)
 
     def knot_values(self) -> list:
         """Values at the cell-boundary points.
@@ -161,8 +154,8 @@ class FractalFunction(SelfAffine):
         for j, t in enumerate(self.boundaries):
             adjacent = [i for i in (j - 1, j) if 0 <= i < len(maps)]
             pick = next((i for i in adjacent if maps[i].linear.rows[0][0] > 0), adjacent[0])
-            v, lam, s = self._pull(t, pick)
-            values.append(lam + s * self.evaluate(v).value)
+            v, lam, s = self._pull(Vec((t,)), pick)
+            values.append(lam + s * self.evaluate(v[0]).value)
         return values
 
     # -- meshes -------------------------------------------------------------------
@@ -207,7 +200,8 @@ class FractalFunction(SelfAffine):
 
     def operator_iterates(self, depth: int, steps: int) -> list[np.ndarray]:
         """Transfer-operator iterates from zero, sampled on the depth mesh."""
-        return self._iterates({p: self._cell(p) for p in self.mesh(depth)[0]}, steps)
+        points = [Vec((x,)) for x in self.mesh(depth)[0]]
+        return self._iterates({p: self._cell(p) for p in points}, steps)
 
 
 def uniform_maps(n: int, mode: str) -> list[AffineMap]:

@@ -4,7 +4,8 @@ Everything is dimension-checked and exact, over Fractions and ints.  One
 forward elimination, `_eliminate`, on rows held as a Fraction scale times a
 primitive integer vector, is behind every solve: `rank` counts its pivots,
 `Mat.det` multiplies them, `Mat.inverse` back-substitutes with the same row
-step, and `fif` reads an exact L D L^T from them.
+step, and `fif` reads an exact L D L^T from them.  `_int_dtype` is the one
+int64-or-Python-int rule of the integer arrays of `surfaces` and `tiles`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +151,12 @@ def _numerators(values: Sequence) -> tuple:
     d, the lcm of theirs, as integer numerators."""
     d = math.lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _int_dtype(bound: int):
+    """int64 when bound, a bound on every intermediate of a product, is below
+    2**63; Python ints (dtype=object) otherwise."""
+    return np.int64 if bound < 2 ** 63 else object
 
 
 def _primitive(den: int, nums: list) -> tuple:

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import AffineMap, Mat, Vec, _numerators
+from .geometry import AffineMap, Mat, Vec, _int_dtype, _numerators
 from .reflections import right_triangle_figure
 
 ZERO = Fraction(0)
@@ -475,11 +475,11 @@ class EvalResult:
 class SelfAffine:
     """The fixed point of a spec's transfer operator, evaluated by pull-back.
 
-    A subclass picks the cell of a point (`_cell`), maps a point back
-    through a cell (`_inverse`) and evaluates a cell's data at a pulled point
-    (`_data`); the bound, the pull-back evaluation and the operator
-    iteration are shared.  Each member walks its own chains and memoizes
-    the values they resolve; nothing of a walk is kept for the family.
+    Points are vectors (`Vec`).  The one hook is the cell of a point
+    (`_cell`, by default the spec's rule `cell_of`); the pull-back step, the
+    bound, the evaluation and the operator iteration are shared.  Each
+    member walks its own chains and memoizes the values they resolve;
+    nothing of a walk is kept for the family.
     """
 
     def __init__(self, spec: SurfaceSpec):
@@ -491,10 +491,13 @@ class SelfAffine:
         `evaluate` rest on it."""
         return self.spec.data_bound() / (1 - max(abs(s) for s in self.spec._scalings))
 
-    def _pull(self, z, i: int) -> tuple:
+    def _cell(self, z: Vec) -> int:
+        return self.spec.cell_of(z)
+
+    def _pull(self, z: Vec, i: int) -> tuple:
         """The point z pulled back through cell i, the cell's data there and its scaling."""
-        z_next = self._inverse(z, i)
-        return z_next, self._data(i, z_next), self.spec._scalings[i]
+        z_next = self.spec._inverses[i].apply(z)
+        return z_next, poly_val(self.spec.data[i], z_next), self.spec._scalings[i]
 
     def _evaluate(self, x, depth: int) -> EvalResult:
         """f(x) by pulling x back through its own cell, step by step (`_pull`).
@@ -573,12 +576,6 @@ def _fractions(den: int, *columns) -> list:
         g = math.gcd(n, den)
         made[n] = _coprime(n // g, den // g)
     return [list(map(made.__getitem__, col)) for col in columns]
-
-
-def _int_dtype(bound: int):
-    """int64 when bound, a bound on every intermediate of a product, is below
-    2**63; Python ints (dtype=object) otherwise."""
-    return np.int64 if bound < 2 ** 63 else object
 
 
 def _top(column: np.ndarray) -> int:
@@ -682,15 +679,6 @@ def _merge(images: np.ndarray, values: np.ndarray) -> tuple:
 
 class FractalSurface(SelfAffine):
     """Fixed point of the cell-wise transfer operator over the domain."""
-
-    def _cell(self, z: Vec) -> int:
-        return self.spec.cell_of(z)
-
-    def _inverse(self, z: Vec, i: int) -> Vec:
-        return self.spec._inverses[i].apply(z)
-
-    def _data(self, i: int, z: Vec) -> Fraction:
-        return poly_val(self.spec.data[i], z)
 
     def evaluate(self, x: Sequence, depth: int = 64) -> EvalResult:
         """Exact where the pull-back orbit closes; certified interval otherwise."""

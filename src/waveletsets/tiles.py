@@ -50,6 +50,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .geometry import _int_dtype
 from .reflections import FoldableFigure
 
 Box = tuple  # ((lo, hi), ...) per axis, half-open, Fractions
@@ -126,10 +127,9 @@ def _resample(cuts: tuple, mask: np.ndarray, grid: list) -> np.ndarray:
 
 def _grid_measure(den: int, cuts: tuple, weight: np.ndarray) -> Fraction:
     """The sum over the cells of a grid of an integer weight times the cell's volume."""
-    # int64 is exact while the bounding box volume in grid units times the
-    # largest weight, a bound on every partial sum, stays below 2**63
-    bound = math.prod(c[-1] - c[0] for c in cuts) * max(int(weight.max()), 1)
-    dtype = np.int64 if bound < 2 ** 63 else object
+    # the bounding box volume in grid units times the largest weight bounds
+    # every partial sum
+    dtype = _int_dtype(math.prod(c[-1] - c[0] for c in cuts) * max(int(weight.max()), 1))
     total = weight.astype(dtype)
     for c in reversed(cuts):
         total = total @ np.array([b - a for a, b in zip(c, c[1:])], dtype=dtype)
@@ -551,7 +551,7 @@ def _spread(boxset: DyadicBoxSet, theta) -> Optional[tuple]:
     th = [t.numerator * (den // t.denominator) for t in theta]
     cuts = _rescaled(boxset, den)
     far = max(max(t - c[0], c[-1] - t) for c, t in zip(cuts, th))
-    near = np.zeros((1,) * boxset.dim, dtype=np.int64 if far < 2 ** 62 else object)
+    near = np.zeros((1,) * boxset.dim, dtype=_int_dtype(2 * far))
     for axis, (c, t) in enumerate(zip(cuts, th)):
         d = np.array([max(a - t, t - b, 0) for a, b in zip(c, c[1:])], dtype=near.dtype)
         near = np.maximum(near, d.reshape((-1,) + (1,) * (boxset.dim - axis - 1)))
@@ -677,7 +677,7 @@ def _reduction(source, target, group) -> tuple:
     sets = [(_rescaled(s, group.den), s.mask, w) for s, w in zip((source, target), group.words)]
     reach = max(abs(x) for x in (*(c[k] for cuts, _, _ in sets for c in cuts for k in (0, -1)),
                                  *(x for e in group.ends for x in e)))
-    dtype = np.int64 if 8 * reach * group.scale < 2 ** 62 else object
+    dtype = _int_dtype(16 * reach * group.scale)
     T = []
     for i, ends in enumerate(group.ends):
         points = [np.array(ends, dtype=dtype)]

@@ -7,10 +7,11 @@ import shlex
 import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import waveletsets
-from waveletsets import cli, fif, render
+from waveletsets import cli, fif, mra, render
 from waveletsets.mra import FilterBank
 
 
@@ -186,10 +187,41 @@ def _reconstruction_residual(out):
 
 
 def test_mra_build_reports_its_float_accuracy_loss_near_scaling_one(capsys):
-    # the float filters lose accuracy as |s| nears 1; the build still exits 0
-    # and reports the miss instead of hiding it
-    assert run(["mra", "build", "--scaling", "999999/1000000"]) == 0
-    assert 1e-6 < float(_reconstruction_residual(capsys.readouterr().out)) < 1e-1
+    # the float filters lose accuracy as |s| nears 1; the build reports the
+    # miss, and past the residual bound it fails instead of hiding it
+    assert run(["mra", "build", "--scaling", "999999/1000000"]) == 1
+    captured = capsys.readouterr()
+    assert 1e-6 < float(_reconstruction_residual(captured.out)) < 1e-1
+    assert captured.err.startswith("error:")
+
+
+# the bound lies between the cap's residual at s = 16777215/16777216
+# (5.71e-06 here) and the (2, 1) residual at s = 999999/1000000 (7.63e-04);
+# the cap's 52 MB filter file is not written
+@pytest.mark.parametrize("args, code, out", [
+    (["--kappa", "2", "--degree", "1", "--scaling", "999999/1000000"], 1, True),
+    (["--kappa", "4", "--degree", "4", "--scaling", "999999/1000000"], 1, True),
+    (["--kappa", "4", "--degree", "4", "--scaling", "16777215/16777216"], 0, False),
+    (["--kappa", "2", "--degree", "1"], 0, True)])
+def test_mra_build_fails_above_the_residual_bound_and_writes_no_file(capsys, tmp_path, args,
+                                                                    code, out):
+    out_file = tmp_path / "fb.json"
+    assert run(["mra", "build"] + args + (["--out", str(out_file)] if out else [])) == code
+    captured = capsys.readouterr()
+    residual = float(_reconstruction_residual(captured.out))
+    assert (residual > cli.RECONSTRUCTION_RESIDUAL_LIMIT) == (code == 1)
+    assert ("error:" in captured.err) == (code == 1) and "Traceback" not in captured.err
+    assert out_file.exists() == (out and code == 0)
+
+
+def test_mra_build_residual_bound_is_inclusive(capsys, monkeypatch):
+    # a residual equal to the bound passes, the next float below it fails
+    config = mra.MRAConfig(figure=cli.FIGURES["square"](), scaling=F(99, 100))
+    residual = mra.build(config).reconstruction_residual()
+    for limit, code in ((residual, 0), (np.nextafter(residual, 0), 1)):
+        monkeypatch.setattr(cli, "RECONSTRUCTION_RESIDUAL_LIMIT", limit)
+        assert run(["mra", "build", "--scaling", "99/100"]) == code
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_tiles_w1_verify_passes(capsys):

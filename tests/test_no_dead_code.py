@@ -20,8 +20,8 @@ A use counts for a definition only in a file that can reach it:
 - a module that imports it, or imports a name from it;
 - for a method, a module that reaches a base class of its class (directly
   or further up) which defines that name or calls it on `self`: the base
-  class's code dispatches to the method, as `SelfAffine._pull` in
-  `surfaces` calls the `_inverse` and `_data` of `fif.FractalFunction`.
+  class's code dispatches to the method, as `SelfAffine._evaluate` in
+  `surfaces` calls the `_cell` of `fif.FractalFunction`.
 Files under `perfbench/` reach every module.  So a call `back.compose(...)`
 in `reflections`, which does not import `tiles`, is no use of a `compose`
 there.

@@ -365,6 +365,16 @@ def test_function_evaluation_matches_parent(family, depth, data):
     assert f.bound() == old.bound()
 
 
+@pytest.mark.parametrize("mode", ["translation", "reflection"])
+def test_function_evaluation_at_the_default_depth_matches_parent(mode):
+    # the chain of 1/1009 does not close within the default 48 pull-backs:
+    # the default call returns the earlier truncated sum and tail bound
+    f = fif.uniform_cardinal_basis(4, F(2, 5), mode)[1]
+    new, want = f.evaluate(F(1, 1009)), _old(f).evaluate(F(1, 1009), 48)
+    assert (new.value, new.error_bound) == (want.value, want.error_bound)
+    assert new.error_bound == 1.320469375237739e-19
+
+
 def test_chains_that_resolve_at_exactly_depth_are_exact():
     # each chain closes (or meets a known point) after 2 pull-backs; the
     # earlier rule returned 56/75 +- 0.42 and 61/125 +- 0.45 here

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -520,3 +521,69 @@ def test_construct_reports_best_residual_on_failure():
         construct_wavelet_set(e, shannon_set(), [2], kappa=2,
                               epsilon=F(1, 10 ** 12), max_iterations=3)
     assert err.value.best_residual > 0
+
+
+# -- the int64-or-Python-int rule of the grids ---------------------------------
+
+
+INT64, PYTHON_INTS = np.dtype(np.int64), np.dtype(object)
+
+
+def _decisions(monkeypatch):
+    """The dtype of every `geometry._int_dtype` decision made in `tiles`, in order."""
+    seen, rule = [], tiles._int_dtype
+
+    def spy(bound):
+        dtype = rule(bound)
+        seen.append(np.dtype(dtype))
+        return dtype
+
+    monkeypatch.setattr(tiles, "_int_dtype", spy)
+    return seen
+
+
+def test_int_rule_edge():
+    assert tiles._int_dtype(2 ** 63 - 1) is np.int64 and tiles._int_dtype(2 ** 63) is object
+
+
+# each case sits on one side of the threshold its function used before the
+# rule was shared: a grid volume times the largest weight below 2**63, a
+# farthest distance below 2**62, and 8 * reach * scale below 2**62
+@pytest.mark.parametrize("span, weight, dtype", [(2 ** 63 - 1, 1, INT64), (2 ** 62, 2, PYTHON_INTS),
+                                                 (2 ** 62 - 1, 2, INT64)])
+def test_grid_measure_decision_at_its_edge(monkeypatch, span, weight, dtype):
+    seen = _decisions(monkeypatch)
+    assert tiles._grid_measure(3, ((0, span),), np.array([weight])) == F(span * weight, 3)
+    assert seen == [dtype]
+
+
+@pytest.mark.parametrize("far, dtype", [(2 ** 62 - 1, INT64), (2 ** 62, PYTHON_INTS)])
+def test_spread_decision_at_its_edge(monkeypatch, far, dtype):
+    seen = _decisions(monkeypatch)
+    # theta = 1 - far: the box [0, 1] is far from theta at 1 and far - 1 at 0
+    assert tiles._spread(DyadicBoxSet.from_box((0, 1)), (F(1 - far),)) == (far - 1, far)
+    assert seen == [dtype]
+
+
+@pytest.mark.parametrize("spacing, dtype", [(2 ** 59 - 1, INT64), (2 ** 59, PYTHON_INTS)])
+def test_reduction_decision_at_its_edge(monkeypatch, spacing, dtype):
+    # the lattice's period cell [0, spacing] is the reach, with scale 1
+    box = DyadicBoxSet.from_box((0, 1))
+    group = tiles._group(GroupSpec("translation", spacings=(spacing,)), box, box)
+    seen = _decisions(monkeypatch)
+    tiles._reduction(box, box, group)
+    assert seen == [dtype]
+    cert = translation_congruent(box, box, (spacing,))
+    assert cert.residual_measure == 0 and cert.verify().ok
+
+
+def test_planar_inputs_stay_in_int64(monkeypatch):
+    # a switch to Python ints on a planar input would slow the certificates
+    # down many times over: every decision on the 48 benchmark inputs is int64
+    seen = _decisions(monkeypatch)
+    for build in (build_w1, build_w2):
+        for depth in range(3, 11):
+            for tail_terms in (1, 2, 3):
+                fx = build(depth, tail_terms)
+                three_way_check(fx.wavelet_set, centered_square_figure(), (2, 2))
+    assert len(seen) == 432 and set(seen) == {INT64}
