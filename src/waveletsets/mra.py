@@ -172,20 +172,22 @@ class MultiresolutionBasis:
     def analyze(self, fine: dict) -> tuple:
         """Split per-word fine-scale coordinates into sample and detail parts.
 
-        The word vectors are stacked as rows, so one product with [V | W]
-        transforms them all.
+        The word vectors are stacked as rows, each one-dimensional of the
+        fine width, and transformed by [V | W] in `_times`.
         """
+        if not fine:
+            return {}, {}
         keys = list(fine)
         na = self.V.shape[1]
-        rows = np.array([np.asarray(fine[k], dtype=float) for k in keys])
-        # an empty dict stacks to shape (0,); give it the (0, fine) shape
-        rows = rows.reshape(len(keys), self.V.shape[0])
-        split = rows @ self.VW
+        rows = np.array(list(fine.values()), dtype=float)
+        if rows.shape != (len(keys), self.V.shape[0]):
+            raise ValueError(f"each word vector must have shape ({self.V.shape[0]},)")
+        split = _times(rows, self.VW)
         return dict(zip(keys, split[:, :na])), dict(zip(keys, split[:, na:]))
 
     def synthesize(self, coarse: dict, detail: dict) -> dict:
-        """Inverse of analyze: one product of the stacked [coarse | detail]
-        rows with [V | W]^T; a word missing from one side has zeros there.
+        """Inverse of analyze: the stacked [coarse | detail] rows times
+        [V | W]^T in `_times`; a word missing from one side has zeros there.
         Each side is stacked as one array and set into its rows at once."""
         keys = list(coarse) + [k for k in detail if k not in coarse]
         na, nw = self.V.shape[1], self.W.shape[1]
@@ -194,7 +196,7 @@ class MultiresolutionBasis:
         for side, cols in ((coarse, slice(None, na)), (detail, slice(na, None))):
             if side:
                 split[[index[k] for k in side], cols] = np.array(list(side.values()), dtype=float)
-        rows = split @ self.VW.T
+        rows = _times(split, self.VW.T)
         return {k: rows[r] for r, k in enumerate(keys)}
 
     def reconstruction_residual(self) -> float:
@@ -206,6 +208,34 @@ class MultiresolutionBasis:
 
     def filter_bank(self) -> "FilterBank":
         return FilterBank(list(self.words), [p.copy() for p in self.P], [q.copy() for q in self.Q])
+
+
+# OpenBLAS runs a gemm of at most 65536 * 4 multiply-adds on the calling
+# thread (its interface/gemm.c); a larger one wakes its worker threads, which
+# then spin for a while after the product
+_ONE_THREAD_GEMM = 2 ** 18
+
+
+def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat, in blocks of b rows that OpenBLAS runs on the calling thread.
+
+    b is the largest row count whose product has at most 2^18 multiply-adds;
+    one np.matmul runs all the full blocks as a stack, one more the remaining
+    rows.  BLAS packs mat once per product, so blocks cost little more than
+    one product only while each has at least as many rows as mat has
+    columns: a mat wider than b (a fine width above 64), or a table whose
+    whole product already stays on the calling thread, takes the one product.
+    """
+    n, (k, m) = len(rows), mat.shape
+    b = _ONE_THREAD_GEMM // (k * m)
+    if n * k * m <= _ONE_THREAD_GEMM or b < m:
+        return np.matmul(rows, mat)
+    full = n - n % b
+    out = np.empty((n, m))
+    np.matmul(rows[:full].reshape(-1, b, k), mat, out=out[:full].reshape(-1, b, m))
+    if full < n:
+        np.matmul(rows[full:], mat, out=out[full:])
+    return out
 
 
 def build(config: MRAConfig) -> MultiresolutionBasis:

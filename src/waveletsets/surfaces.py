@@ -508,6 +508,7 @@ class SelfAffine:
         memoizes the values it resolves.  Otherwise the chain is unrolled
         depth times and the tail bounded by `bound`.
         """
+        _check_depth(depth)
         memo = self._memo
         if x in memo:
             return EvalResult(memo[x], 0.0)
@@ -633,6 +634,11 @@ def _level(spec: SurfaceSpec, cols: np.ndarray, dp: int, vals: np.ndarray, dv: i
     return dp_next, images, dv_next, values
 
 
+def _check_depth(depth: int) -> None:
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+
+
 def _cascade(spec: SurfaceSpec, points: Sequence, values: Sequence, depth: int, join) -> tuple:
     """The integer form (dp, point columns, dv, value column) of a mesh:
     `depth` levels of the integer cascade (`_level`) from exact start points
@@ -646,6 +652,7 @@ def _cascade(spec: SurfaceSpec, points: Sequence, values: Sequence, depth: int, 
     leaf.  Points are numerators over dp, of shape (dim, n), and values
     numerators over dv.
     """
+    _check_depth(depth)
     dp, flat = _numerators([c for p in points for c in p])
     cols = np.array(flat, dtype=object).reshape(-1, spec.dim).T
     dv, vals = _numerators(list(values))
@@ -727,6 +734,7 @@ class FractalSurface(SelfAffine):
         """Sup-norm gaps of successive transfer-operator iterates from zero on
         the depth mesh, walked without values: a point pulls back through the
         first cell that makes it, a domain vertex through its `_cell`."""
+        _check_depth(depth)
         cells, maps = {v: self._cell(v) for v in self.spec.vertices}, self.spec.maps
         for _ in range(depth):
             cells = {maps[i].apply(p): i for i in reversed(range(len(maps))) for p in cells}

@@ -233,6 +233,29 @@ def test_mesh_refines_and_keeps_knots(two_cell):
     assert vals[2] == F(77, 100)
 
 
+@pytest.fixture
+def cardinal():
+    return uniform_cardinal_basis(4, F(1, 3))[1]
+
+
+def test_function_mesh_refuses_a_negative_depth(cardinal):
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        cardinal.mesh(-1)
+    assert cardinal.mesh(0) == ([F(0), F(4)], [F(0), F(0)])
+
+
+def test_function_evaluate_refuses_a_negative_depth(cardinal):
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        cardinal.evaluate(F(1, 7), depth=-1)
+    assert cardinal.evaluate(F(1, 7), depth=0) == sf.EvalResult(F(0), 1.5)
+
+
+def test_function_operator_iterates_refuse_a_negative_depth(cardinal):
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        cardinal.operator_iterates(-1, 2)
+    assert [it.tolist() for it in cardinal.operator_iterates(0, 2)] == [[0.0, 0.0]] * 3
+
+
 def test_operator_iteration_converges(two_cell):
     iters = two_cell.operator_iterates(depth=6, steps=40)
     pts, vals = two_cell.mesh(6)

@@ -138,6 +138,84 @@ def test_stacked_transforms_are_bit_identical_to_the_row_loop(basis, words):
         assert all(np.array_equal(got[k], expect[k]) for k in expect)
 
 
+SQUARE = box_figure("unit-square", [(0, 1), (0, 1)])
+INTERVAL = box_figure("unit-interval", [(0, 1)])
+# (figure, kappa, degree) at fine widths 16, 32, 48, 64, 27 (the interval) and 162
+TRANSFORM_WIDTHS = {16: (SQUARE, 2, 0), 32: (SQUARE, 2, 1), 48: (SQUARE, 2, 2), 64: (SQUARE, 2, 3),
+                    27: (INTERVAL, 3, 2), 162: (SQUARE, 3, 1)}
+
+
+@pytest.fixture(scope="module")
+def bases():
+    return {w: mra.build(mra.MRAConfig(figure=fig, kappa=k, degree=d))
+            for w, (fig, k, d) in TRANSFORM_WIDTHS.items()}
+
+
+@pytest.mark.parametrize("width", sorted(TRANSFORM_WIDTHS))
+def test_blocked_transforms_match_the_single_product(bases, width):
+    # a block of b rows, or a 1-row remainder, may round in the last bits
+    # apart from the one product: the largest gap measured on these
+    # standard-normal tables is 1.4e-15, so 1e-14 bounds it; the widths
+    # above 64 take the one product itself
+    basis = bases[width]
+    VW, na = basis.VW, basis.V.shape[1]
+    assert VW.shape == (width, width)
+    b = 2 ** 18 // width ** 2
+    rng = np.random.default_rng(width)
+    for n in sorted({0, 1, 2, b - 1, b, b + 1, 2000}):
+        rows = rng.standard_normal((n, width))
+        coarse, detail = basis.analyze(dict(enumerate(rows)))
+        split = np.array([np.concatenate([coarse[i], detail[i]]) for i in range(n)]).reshape(n, width)
+        back = basis.synthesize({i: r[:na] for i, r in enumerate(rows)},
+                                {i: r[na:] for i, r in enumerate(rows)})
+        back = np.array([back[i] for i in range(n)]).reshape(n, width)
+        for got, want in ((split, rows @ VW), (back, rows @ VW.T)):
+            if width > 64:
+                assert np.array_equal(got, want)
+            else:
+                assert n == 0 or np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("width", sorted(TRANSFORM_WIDTHS))
+def test_transform_products_stay_on_the_calling_blas_thread(bases, monkeypatch, width):
+    # every product of a transform of width <= 64 has at most 2^18
+    # multiply-adds, the largest gemm OpenBLAS keeps on the calling thread;
+    # a wider one is the one product of the whole table
+    basis = bases[width]
+    shapes, matmul = [], np.matmul
+
+    def recording(a, b, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    rows = np.random.default_rng(1).standard_normal((2000, width))
+    coarse, detail = basis.analyze(dict(enumerate(rows)))
+    basis.synthesize(coarse, detail)
+    if width > 64:
+        assert shapes == [((2000, width), (width, width))] * 2
+    else:
+        assert len(shapes) >= 2
+        assert all(a[-2] * a[-1] * b[-1] <= 2 ** 18 for a, b in shapes)
+        assert sum(math.prod(a[:-1]) for a, _ in shapes) == 2 * 2000
+
+
+@pytest.mark.parametrize("fine", [
+    {"a": np.zeros((2, 16))}, {"a": np.zeros(31)}, {"a": np.zeros(33)}, {"a": 0.0},
+    {"a": np.zeros(32), "b": np.zeros(31)}, {"a": np.zeros(32), "b": [np.zeros(32)]},
+])
+def test_analyze_refuses_a_word_that_is_not_one_fine_vector(basis, fine):
+    with pytest.raises(ValueError):
+        basis.analyze(fine)
+
+
+def test_centroid_samples_refuse_a_negative_depth(basis):
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        basis.centroid_samples(-1)
+    pts, values, weight = basis.centroid_samples(0)
+    assert len(pts) == 1 and values.shape == (8, 1) and weight == 4.0
+
+
 def test_build_solves_one_moment_system_per_atom(monkeypatch):
     solved = []
     moments = sf.moments

@@ -69,6 +69,25 @@ def test_mesh_matches_pointwise_evaluation(surf):
         assert surf.value_at(q) == val
 
 
+def test_surface_mesh_refuses_a_negative_depth(surf):
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        surf.mesh(-2)
+    assert surf.mesh(0) == surf.vertex_values()
+
+
+def test_surface_evaluate_refuses_a_negative_depth(spec):
+    surf, x = sf.fixed_point(spec), (F(1, 7), F(1, 9))
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        surf.evaluate(x, depth=-1)
+    assert surf.evaluate(x, depth=0) == sf.EvalResult(F(0), 1.25)
+
+
+def test_surface_operator_iterates_refuse_a_negative_depth(surf):
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        surf.operator_iterates(-1, 2)
+    assert surf.operator_iterates(0, 2) == [0.0, 0.0]
+
+
 def test_zero_scaling_gives_the_data_patchwork(spec):
     flat = sf.fixed_point(spec.with_data(spec.data).with_data(spec.data))
     spec0 = sf.SurfaceSpec(spec.vertices, spec.maps, spec.data, 0)
