@@ -184,16 +184,13 @@ def cmd_surface_fixture(args) -> int:
     spec = surfaces.fixture(args.name)
     if _mesh_too_large(len(spec.maps), args.depth):
         return 2
-    surf = surfaces.fixed_point(spec)
-    for v, val in surf.vertex_values().items():
-        print(f"outer vertex ({render.fnum(v[0])}, {render.fnum(v[1])}): {val}")
-    inner = {p: v for p, v in surf.mesh(1).items() if p not in spec.vertices}
-    for p in sorted(inner):
-        print(f"inner vertex ({render.fnum(p[0])}, {render.fnum(p[1])}): {inner[p]}")
+    mesh = surfaces.fixed_point(spec).mesh(args.depth)
+    for p in surfaces.level_one_vertices(spec):
+        side = "outer" if p in spec.vertices else "inner"
+        print(f"{side} vertex ({render.fnum(p[0])}, {render.fnum(p[1])}): {mesh[p]}")
     if args.name == "ex5.2":
         print("note: the fixed-point relations force f(1/2, 0) = 1/5; the value "
               "1/2 sometimes quoted for this vertex does not satisfy them")
-    mesh = surf.mesh(args.depth)
     if args.csv:
         _write(args.csv, render.surface_csv(mesh))
     if args.svg:

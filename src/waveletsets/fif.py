@@ -28,13 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from . import surfaces
-from .geometry import AffineMap, Mat, Vec, _eliminate
+from .geometry import AffineMap, Mat, Vec, _eliminate, _frac
 from .reflections import box_figure, subdivide
 from .surfaces import EvalResult, SelfAffine, SurfaceSpec
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _interpolation(xs: Sequence, rows: Sequence, s: Sequence) -> list:
@@ -77,7 +73,9 @@ class FractalFunction(SelfAffine):
     neighbor, and `mesh` from the left cell's column.  They agree where the
     function is continuous at its knots; ex3.5 in the reflection layout is
     not, and there `knot_values` gives f(2) = 1/2 while the mesh gives 1.
-    Each rule's value is the same whatever the object computed before.
+    Knot and mesh values do not depend on what the object computed before,
+    but `evaluate` reuses the values its object resolved: a point whose chain
+    does not close within the depth is exact once one of its points is known.
     """
 
     def __init__(self, spec: SurfaceSpec):

@@ -5,7 +5,8 @@ forward elimination, `_eliminate`, on rows held as a Fraction scale times a
 primitive integer vector, is behind every solve: `rank` counts its pivots,
 `Mat.det` multiplies them, `Mat.inverse` back-substitutes with the same row
 step, and `fif` reads an exact L D L^T from them.  `_int_dtype` is the one
-int64-or-Python-int rule of the integer arrays of `surfaces` and `tiles`.
+int64-or-Python-int rule of the integer arrays of `surfaces` and `tiles`,
+and `_frac` the one Fraction coercion of `tiles` and `fif`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
+
+
+def _frac(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------

@@ -247,14 +247,10 @@ def build(config: MRAConfig) -> MultiresolutionBasis:
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(v: Fraction) -> str:
-    return str(Fraction(v))
-
-
 def _iso_to_obj(iso: AffineIsometry) -> dict:
     return {
-        "linear": [[_frac_str(v) for v in row] for row in iso.linear.rows],
-        "shift": [_frac_str(v) for v in iso.shift],
+        "linear": [[str(Fraction(v)) for v in row] for row in iso.linear.rows],
+        "shift": [str(Fraction(v)) for v in iso.shift],
     }
 
 

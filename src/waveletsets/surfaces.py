@@ -147,7 +147,8 @@ def domain_integral(p: dict, spec: "SurfaceSpec") -> Fraction:
 
     One lookup per monomial in the integral table of the spec's system.
     """
-    return spec._system.integral(p)
+    den, table = spec._system.integrals(poly_degree(p))
+    return sum((c * table[e] for e, c in p.items()), ZERO) / den
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +214,6 @@ class _System:
             den, nums = _numerators(values)
             self._integrals[degree] = den, dict(zip(expos, nums))
         return self._integrals[degree]
-
-    def integral(self, p: dict) -> Fraction:
-        den, table = self.integrals(poly_degree(p))
-        return sum((c * table[e] for e, c in p.items()), ZERO) / den
 
     def tables(self, degree: int) -> "_Tables":
         """The integer moment tables of the monomials up to a degree (`_Tables`)."""
@@ -428,18 +425,11 @@ def shared_faces(spec: SurfaceSpec) -> list:
 
 
 def _face_samples(points: tuple, degree: int) -> list:
-    steps = degree + 1
-    grid = [Fraction(k, steps) for k in range(steps + 1)]
+    grid = [Fraction(k, degree + 1) for k in range(degree + 2)]
     base = points[0]
     dirs = [p - base for p in points[1:]]
-    samples = [base]
-    if not dirs:
-        return samples
-    combos = [()]
-    for _ in dirs:
-        combos = [c + (t,) for c in combos for t in grid]
     out = []
-    for c in combos:
+    for c in itertools.product(grid, repeat=len(dirs)):
         if sum(c) <= 1:
             pt = base
             for t, d in zip(c, dirs):
@@ -722,8 +712,8 @@ class FractalSurface(SelfAffine):
         images (`_merge`).  Points and values become Fractions (and Vec
         keys) once, at the end, one Fraction per distinct numerator
         (`_fractions`).  Every level holds the domain vertices, each a
-        vertex of a cell and so the image of one, and `mesh(1)` the values
-        at the outer and inner vertices of the first refinement.
+        vertex of a cell and so the image of one, and so the level before:
+        every mesh but `mesh(0)` holds the first refinement's vertices.
         """
         start = self.vertex_values()
         dp, cols, dv, vals = _cascade(self.spec, start, start.values(), depth, _merge)

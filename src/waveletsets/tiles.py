@@ -14,9 +14,9 @@ integer sums, and equality almost everywhere is a comparison of grids.
 per-box iteration; which boxes it lists in 2-D and above is not part of the
 contract (in 1-D it lists the maximal intervals).
 
-Every group is described by a `GroupSpec`, which `_group` checks against
-the sets it acts on (one dimension, one spacing, centre coordinate or figure
-interval per axis) before it makes the kernel's group.  The three congruence
+Every group is described by a `GroupSpec`, checked with its data per axis
+when it is made, which `_group` checks against the dimension of the sets it
+acts on before it makes the kernel's group.  The three congruence
 checkers and `is_fundamental_domain` share one kernel, `_reduce_and_claim`.  A
 group cuts a set into parts, one per group word, each mapped into the
 group's fundamental domain; grids are refined so that every cell reduces
@@ -50,14 +50,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .geometry import _int_dtype
+from .geometry import _frac, _int_dtype
 from .reflections import FoldableFigure
 
 Box = tuple  # ((lo, hi), ...) per axis, half-open, Fractions
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _reduced(den: int, cuts: tuple):
@@ -184,6 +180,8 @@ class DyadicBoxSet:
     __slots__ = ("dim", "den", "cuts", "mask", "_boxes", "_measure")
 
     def __init__(self, dim: int, boxes: Iterable = ()):
+        if dim < 1:
+            raise ValueError(f"a box set needs at least one axis, not {dim}")
         clean = []
         for box in boxes:
             box = tuple((_frac(lo), _frac(hi)) for lo, hi in box)
@@ -328,7 +326,16 @@ class DyadicBoxSet:
     # -- exact transforms ----------------------------------------------------------
 
     def _monomial(self, source_axis, coeffs, offsets) -> "DyadicBoxSet":
-        """Image under x_i -> coeffs[i] * x_{source_axis[i]} + offsets[i]."""
+        """Image under x_i -> coeffs[i] * x_{source_axis[i]} + offsets[i], after
+        the one check of a map against the set, which every transform takes:
+        one coefficient and offset per axis, each source axis once, none 0."""
+        if len(coeffs) != self.dim or len(offsets) != self.dim:
+            raise ValueError(f"dimension mismatch: coefficients for {len(coeffs)} axes and "
+                             f"offsets for {len(offsets)} on a {self.dim}-D set")
+        if sorted(source_axis) != list(range(self.dim)):
+            raise ValueError("exact transforms need monomial matrices")
+        if 0 in coeffs:
+            raise ValueError("zero scale")
         if self.is_empty:
             return self
         den = math.lcm(*(self.den * c.denominator for c in coeffs),
@@ -352,29 +359,25 @@ class DyadicBoxSet:
 
     def scale(self, factor) -> "DyadicBoxSet":
         """x -> factor*x, exact rational factor."""
-        factor = _frac(factor)
-        if factor == 0:
-            raise ValueError("zero scale")
-        return self._monomial(range(self.dim), [factor] * self.dim, [Fraction(0)] * self.dim)
+        return self._monomial(range(self.dim), [_frac(factor)] * self.dim,
+                              [Fraction(0)] * self.dim)
 
     def transform(self, linear, translation=None) -> "DyadicBoxSet":
         """Image under x -> L x + t for a monomial (box-preserving) matrix L."""
-        n = self.dim
         rows = [[_frac(x) for x in row] for row in linear]
-        translation = [Fraction(0)] * n if translation is None else [_frac(v) for v in translation]
+        offsets = [_frac(v) for v in ([0] * self.dim if translation is None else translation)]
         source_axis = []
         for row in rows:
             nz = [j for j, x in enumerate(row) if x != 0]
             if len(nz) != 1:
                 raise ValueError("exact transforms need monomial matrices")
             source_axis.append(nz[0])
-        if sorted(source_axis) != list(range(n)):
-            raise ValueError("exact transforms need monomial matrices")
-        return self._monomial(source_axis, [row[j] for row, j in zip(rows, source_axis)],
-                              translation)
+        return self._monomial(source_axis, [row[j] for row, j in zip(rows, source_axis)], offsets)
 
     def reflect_axis(self, axis: int, level=Fraction(0)) -> "DyadicBoxSet":
         """Mirror x_axis -> 2*level - x_axis."""
+        if not 0 <= axis < self.dim:
+            raise ValueError(f"no axis {axis} in a {self.dim}-D set")
         coeffs = [Fraction(-1) if i == axis else Fraction(1) for i in range(self.dim)]
         offsets = [2 * _frac(level) if i == axis else Fraction(0) for i in range(self.dim)]
         return self._monomial(range(self.dim), coeffs, offsets)
@@ -756,7 +759,9 @@ class GroupSpec:
 
     The lattice has a positive spacing per axis, the dilation group a factor
     kappa > 1 and a centre theta (the origin when None), and the fold group
-    a box figure: a `FoldableFigure` with a box, or a list of (lo, hi).
+    a box figure of positive widths: a `FoldableFigure` with a box, or a
+    list of (lo, hi).  A spec is checked when made, and keeps its period
+    cells (0, s), its theta or its box per axis as Fractions (`_axes`).
     """
 
     kind: str  # "translation" | "dilation" | "weyl"
@@ -764,36 +769,35 @@ class GroupSpec:
     kappa: Optional[Fraction] = None
     theta: Optional[tuple] = None
     figure: object = None
+    _per_axis: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "translation":
-            if not self.spacings or any(_frac(s) <= 0 for s in self.spacings):
+            axes = tuple((Fraction(0), _frac(s)) for s in self.spacings or ())
+            if not axes or any(hi <= 0 for _, hi in axes):
                 raise ValueError("translation lattice needs positive spacings")
         elif self.kind == "dilation":
             if self.kappa is None or _frac(self.kappa) <= 1:
                 raise ValueError("dilation group needs kappa > 1")
+            axes = None if self.theta is None else tuple(_frac(t) for t in self.theta)
         elif self.kind == "weyl":
             if self.figure is None:
                 raise ValueError("reflection group needs a figure")
+            box = self.figure.box if isinstance(self.figure, FoldableFigure) else self.figure
+            if box is None:
+                raise ValueError("a box figure is required")
+            axes = tuple((_frac(lo), _frac(hi)) for lo, hi in box)
+            if any(lo >= hi for lo, hi in axes):
+                raise ValueError("the figure box needs positive widths")
         else:
             raise ValueError(f"unknown group kind {self.kind!r}")
+        object.__setattr__(self, "_per_axis", axes)
 
 
-def _axes(spec: GroupSpec, dim: int) -> list:
-    """A spec's data per axis, checked against the dimension of the sets it
-    acts on: the (lo, hi) of the lattice's period cell or of the figure box,
-    or the coordinate of the dilation centre."""
-    if spec.kind == "translation":
-        axes = [(Fraction(0), _frac(s)) for s in spec.spacings]
-    elif spec.kind == "dilation":
-        axes = [Fraction(0)] * dim if spec.theta is None else [_frac(t) for t in spec.theta]
-    else:
-        box = spec.figure.box if isinstance(spec.figure, FoldableFigure) else spec.figure
-        if box is None:
-            raise ValueError("a box figure is required")
-        axes = [(_frac(lo), _frac(hi)) for lo, hi in box]
-        if any(lo >= hi for lo, hi in axes):
-            raise ValueError("the figure box needs positive widths")
+def _axes(spec: GroupSpec, dim: int) -> tuple:
+    """A spec's data per axis (`GroupSpec`), checked against the dimension
+    of the sets it acts on."""
+    axes = (Fraction(0),) * dim if spec._per_axis is None else spec._per_axis
     if len(axes) != dim:
         raise ValueError(f"dimension mismatch: {len(axes)} axes of the {spec.kind} group "
                          f"for {dim}-D sets")
@@ -851,7 +855,7 @@ def weyl_congruent(source: DyadicBoxSet, figure) -> CongruenceCertificate:
     2(H - L) onto [L, H], and each reflection word used is one piece.
     """
     folds = GroupSpec("weyl", figure=figure)
-    target = DyadicBoxSet(source.dim, (tuple(_axes(folds, source.dim)),))
+    target = DyadicBoxSet(source.dim, (_axes(folds, source.dim),))
     return _reduce_and_claim(source, target, _group(folds, source, target))
 
 
@@ -1044,10 +1048,9 @@ def intersection_group(figure, spacings) -> GroupSpec:
     the lattice 2(hi-lo) Z per axis and the intersection with the given
     lattice is generated by the least common multiple per axis.
     """
-    lattice = GroupSpec("translation", spacings=tuple(spacings))
-    dim = len(lattice.spacings)
+    lattice = GroupSpec("translation", spacings=tuple(spacings))._per_axis
     gens = []
-    for (_, sp), (lo, hi) in zip(_axes(lattice, dim), _axes(GroupSpec("weyl", figure=figure), dim)):
+    for (_, sp), (lo, hi) in zip(lattice, _axes(GroupSpec("weyl", figure=figure), len(lattice))):
         period = 2 * (hi - lo)
         # lcm of the two rational periods
         num = math.lcm(period.numerator * sp.denominator, sp.numerator * period.denominator)
@@ -1099,13 +1102,10 @@ def construct_wavelet_set(translation_domain: DyadicBoxSet,
     step = spacings if relocation_step is None else lattice(relocation_step)
     current = translation_domain
     history = []
-    best = None
     for iteration in range(max_iterations + 1):
         cert = dilation_congruent(current, dilation_domain, kappa=kappa, allow_center=True)
         residual = cert.residual_measure
         history.append(residual)
-        if best is None or residual < best:
-            best = residual
         if residual <= epsilon:
             t_cert = translation_congruent(current, translation_domain, spacings)
             return ConstructionResult(current, t_cert, cert, iteration, history)
@@ -1113,15 +1113,13 @@ def construct_wavelet_set(translation_domain: DyadicBoxSet,
         for box in sorted(cert.source_residual.boxes):
             piece = DyadicBoxSet(dim, (box,))
             direction = [1 if lo + hi >= 0 else -1 for lo, hi in box]
-            placed = False
             for j in range(1, 65):
                 tau = [j * d * s for d, s in zip(direction, step)]
                 shifted = piece.translate(tau)
                 if moved.intersect(shifted).is_empty:
                     moved = moved.subtract(piece).union(shifted)
-                    placed = True
                     break
-            if not placed:
-                raise ConstructionError("could not relocate a defective piece", best)
+            else:
+                raise ConstructionError("could not relocate a defective piece", min(history))
         current = moved
-    raise ConstructionError("did not reach the requested residual", best)
+    raise ConstructionError("did not reach the requested residual", min(history))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import waveletsets
-from waveletsets import cli, fif, mra, render
+from waveletsets import cli, fif, mra, render, surfaces
 from waveletsets.mra import FilterBank
 
 
@@ -155,14 +155,34 @@ def test_fif_basis_builds_no_mesh_without_an_output(capsys, tmp_path, monkeypatc
 
 
 def test_surface_fixture_reports_vertices(capsys, tmp_path):
+    # the outer vertices, then the inner ones of the first refinement in order
     csv = tmp_path / "mesh.csv"
     assert run(["surface", "fixture", "--name", "ex5.2", "--depth", "4",
                 "--csv", str(csv)]) == 0
-    out = capsys.readouterr().out
-    assert "outer vertex (0, 0): 0" in out
-    assert "inner vertex (0.5, 0): 1/5" in out
-    assert "note:" in out
+    assert capsys.readouterr().out == (
+        "outer vertex (0, 0): 0\n"
+        "outer vertex (1, 0): 0\n"
+        "outer vertex (0, 1): 0\n"
+        "inner vertex (0, 0.5): 3/10\n"
+        "inner vertex (0.5, 0): 1/5\n"
+        "inner vertex (0.5, 0.5): 1/2\n"
+        "note: the fixed-point relations force f(1/2, 0) = 1/5; the value 1/2 "
+        f"sometimes quoted for this vertex does not satisfy them\nwrote {csv}\n")
     assert csv.read_text().startswith("x,y,z")
+
+
+def test_surface_fixture_builds_one_mesh(capsys, tmp_path, monkeypatch):
+    # the vertex lines and the written files all read the one depth mesh,
+    # which evaluates the vertices once
+    meshes, vertex_calls = [], []
+    mesh, vertex_values = surfaces.FractalSurface.mesh, surfaces.FractalSurface.vertex_values
+    monkeypatch.setattr(surfaces.FractalSurface, "mesh",
+                        lambda self, depth: meshes.append(depth) or mesh(self, depth))
+    monkeypatch.setattr(surfaces.FractalSurface, "vertex_values",
+                        lambda self: vertex_calls.append(1) or vertex_values(self))
+    assert run(["surface", "fixture", "--name", "ex5.2", "--depth", "4",
+                "--csv", str(tmp_path / "mesh.csv"), "--svg", str(tmp_path / "mesh.svg")]) == 0
+    assert meshes == [4] and vertex_calls == [1]
 
 
 def test_mra_build_reports_dimensions(capsys, tmp_path):

@@ -131,6 +131,19 @@ def test_one_sided_rules_at_the_jumps_of_ex35_reflection():
     assert [mesh[t] for t in f.boundaries] == [0, 1, 1, F(3, 2)]
 
 
+def test_evaluate_depends_on_what_its_object_resolved_before():
+    # the chain of 1/1009 does not close within 48 steps, but it passes
+    # through 4/1009, whose chain closes within 20,000: once that is
+    # resolved, 1/1009 is exact too (knot and mesh values have no history)
+    fresh = fif.uniform_cardinal_basis(4, F(2, 5))[1].evaluate(F(1, 1009))
+    assert 1e-19 < fresh.error_bound < 2e-19
+    member = fif.uniform_cardinal_basis(4, F(2, 5))[1]
+    assert member.evaluate(F(4, 1009), depth=20_000).error_bound == 0
+    after = member.evaluate(F(1, 1009))
+    assert after.error_bound == 0 and after.value != fresh.value
+    assert abs(after.value - fresh.value) <= fresh.error_bound
+
+
 def test_basis_dimension_and_partition_of_unity():
     xs = [0, F(1, 2), 1]
     s = [F(3, 5), F(2, 5)]

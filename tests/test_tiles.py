@@ -60,6 +60,34 @@ def test_transform_requires_monomial():
         box.transform([[1, 1], [0, 1]])
 
 
+RECT = DyadicBoxSet.from_box((0, 1), (0, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    # one offset per axis
+    (lambda: RECT.translate((1, 2, 3)), "dimension mismatch"),
+    (lambda: RECT.translate((1,)), "dimension mismatch"),
+    (lambda: DyadicBoxSet.empty(2).translate((1,)), "dimension mismatch"),
+    (lambda: PieceMap.dilate(2, 2, (1,)).apply(RECT), "dimension mismatch"),
+    (lambda: RECT.transform([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "dimension mismatch"),
+    # each source axis once
+    (lambda: RECT.transform([[1, 0], [2, 0]]), "monomial matrices"),
+    (lambda: PieceMap(((F(1), F(0)), (F(1), F(0))), (F(0), F(0))).apply(RECT),
+     "monomial matrices"),
+    # no zero coefficient
+    (lambda: RECT.scale(0), "zero scale"),
+    (lambda: PieceMap.axis_affine([1, 0], [0, 0]).apply(RECT), "monomial matrices"),
+    (lambda: RECT.reflect_axis(2), "no axis 2"),
+    (lambda: RECT.reflect_axis(5), "no axis 5"),
+    (lambda: RECT.reflect_axis(-1), "no axis -1"),
+    (lambda: DyadicBoxSet.from_box(), "at least one axis"),
+    (lambda: DyadicBoxSet.empty(0), "at least one axis"),
+])
+def test_transforms_refuse_maps_that_do_not_fit_the_set(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_json_round_trip():
     e = build_w1(2).wavelet_set
     again = DyadicBoxSet.from_json(e.to_json())
@@ -241,6 +269,47 @@ def test_certificate_verify_detects_tampering():
         target_residual=cert.target_residual,
     )
     assert not bad.verify().ok
+
+
+def _interval(lo, hi):
+    return DyadicBoxSet.from_box((lo, hi))
+
+
+def _shift(x):
+    return PieceMap.translate([x])
+
+
+EMPTY_LINE = DyadicBoxSet.empty(1)
+
+
+@pytest.mark.parametrize("cert, flags", [
+    # overlapping pieces: [1, 2) is placed twice, so the piece measures add
+    # up to more than the source
+    (CongruenceCertificate(_interval(0, 2), _interval(0, 4),
+                           [(_interval(0, 2), _shift(0)), (_interval(1, 2), _shift(2))],
+                           EMPTY_LINE, _interval(2, 3)),
+     dict(pieces_disjoint=False, measure_balanced=False)),
+    # disjoint pieces whose images overlap on [0, 1)
+    (CongruenceCertificate(_interval(0, 2), _interval(0, 2),
+                           [(_interval(0, 1), _shift(0)), (_interval(1, 2), _shift(-1))],
+                           EMPTY_LINE, _interval(1, 2)),
+     dict(images_disjoint=False)),
+    # a piece outside the source, which again adds measure the source lacks
+    (CongruenceCertificate(_interval(0, 1), _interval(0, 2),
+                           [(_interval(0, 1), _shift(0)), (_interval(1, 2), _shift(0))],
+                           EMPTY_LINE, EMPTY_LINE),
+     dict(pieces_in_source=False, measure_balanced=False)),
+    # a true decomposition with an edited source residual
+    (CongruenceCertificate(_interval(0, 2), _interval(0, 2),
+                           [(_interval(0, 2), _shift(0))], _interval(0, 1), EMPTY_LINE),
+     dict(measure_balanced=False)),
+])
+def test_certificate_verify_clears_the_broken_relation(cert, flags):
+    report = cert.verify()
+    names = ("pieces_disjoint", "pieces_in_source", "images_disjoint", "images_in_target",
+             "measure_balanced")
+    assert {n: getattr(report, n) for n in names} == {n: flags.get(n, True) for n in names}
+    assert not report.ok
 
 
 # -- piece maps against their former hand-written algebra --------------------
