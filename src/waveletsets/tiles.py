@@ -26,10 +26,10 @@ index arithmetic, with no set operation per part:
   claims by k = target word - source word in the order (sum |k|, k);
 - fold: per axis the slabs between mirrors, folded onto the figure box; the
   first source cell in lexicographic word order takes a target cell;
-- dilation by kappa about theta: the shells kappa**J B minus
-  kappa**(J-1) B of the half-open box B of radius 1 about theta, scaled by
-  kappa**-J; a cell's shell is exact integer arithmetic, and claims go in
-  ascending k = target shell - source shell.  When theta lies in the
+- dilation by kappa about the origin: the shells kappa**J B minus
+  kappa**(J-1) B of the half-open box B of radius 1 about the origin, scaled
+  by kappa**-J; a cell's shell is exact integer arithmetic, and claims go in
+  ascending k = target shell - source shell.  When the origin lies in the
   closure of the source, the source repeats in every shell J <= J0 below
   its nearest breakpoint.  With M target shells only the top M copies of a
   repeating cell can be claimed: a deeper copy would claim after M
@@ -51,7 +51,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .geometry import _frac, _int_dtype
-from .reflections import FoldableFigure
 
 Box = tuple  # ((lo, hi), ...) per axis, half-open, Fractions
 
@@ -374,13 +373,12 @@ class DyadicBoxSet:
             source_axis.append(nz[0])
         return self._monomial(source_axis, [row[j] for row, j in zip(rows, source_axis)], offsets)
 
-    def reflect_axis(self, axis: int, level=Fraction(0)) -> "DyadicBoxSet":
-        """Mirror x_axis -> 2*level - x_axis."""
+    def reflect_axis(self, axis: int) -> "DyadicBoxSet":
+        """Mirror x_axis -> -x_axis."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"no axis {axis} in a {self.dim}-D set")
         coeffs = [Fraction(-1) if i == axis else Fraction(1) for i in range(self.dim)]
-        offsets = [2 * _frac(level) if i == axis else Fraction(0) for i in range(self.dim)]
-        return self._monomial(range(self.dim), coeffs, offsets)
+        return self._monomial(range(self.dim), coeffs, [Fraction(0)] * self.dim)
 
     # -- serialization ---------------------------------------------------------------
 
@@ -429,10 +427,8 @@ class PieceMap:
         return PieceMap.axis_affine([1] * len(vec), vec, f"t{tuple(map(str, vec))}")
 
     @staticmethod
-    def dilate(dim: int, factor, theta=None, label: str = "") -> "PieceMap":
-        factor = _frac(factor)
-        theta = [Fraction(0)] * dim if theta is None else [_frac(v) for v in theta]
-        return PieceMap.axis_affine([factor] * dim, [t - factor * t for t in theta], label)
+    def dilate(dim: int, factor, label: str = "") -> "PieceMap":
+        return PieceMap.axis_affine([factor] * dim, [0] * dim, label)
 
     @staticmethod
     def axis_affine(coeffs, offsets, label: str = "") -> "PieceMap":
@@ -545,20 +541,18 @@ def _level(d: Fraction, kappa: Fraction) -> int:
     return j
 
 
-def _spread(boxset: DyadicBoxSet, theta) -> Optional[tuple]:
-    """(least, greatest) sup-norm distance from theta to the closure of a set,
-    the least 0 exactly when theta lies in the closure; None for the empty set."""
+def _spread(boxset: DyadicBoxSet) -> Optional[tuple]:
+    """(least, greatest) sup-norm distance from the origin to the closure of a
+    set, the least 0 exactly when the origin lies in the closure; None for
+    the empty set."""
     if boxset.is_empty:
         return None
-    den = math.lcm(boxset.den, *(t.denominator for t in theta))
-    th = [t.numerator * (den // t.denominator) for t in theta]
-    cuts = _rescaled(boxset, den)
-    far = max(max(t - c[0], c[-1] - t) for c, t in zip(cuts, th))
+    far = max(max(-c[0], c[-1]) for c in boxset.cuts)
     near = np.zeros((1,) * boxset.dim, dtype=_int_dtype(2 * far))
-    for axis, (c, t) in enumerate(zip(cuts, th)):
-        d = np.array([max(a - t, t - b, 0) for a, b in zip(c, c[1:])], dtype=near.dtype)
+    for axis, c in enumerate(boxset.cuts):
+        d = np.array([max(a, -b, 0) for a, b in zip(c, c[1:])], dtype=near.dtype)
         near = np.maximum(near, d.reshape((-1,) + (1,) * (boxset.dim - axis - 1)))
-    return Fraction(int(near[boxset.mask].min()), den), Fraction(far, den)
+    return Fraction(int(near[boxset.mask].min()), boxset.den), Fraction(far, boxset.den)
 
 
 class _Slabs:
@@ -598,15 +592,15 @@ class _Slabs:
 
 
 class _Shells:
-    """The powers of D x = kappa (x - theta) + theta, in grid units: a word is
-    a cell's shell, the greatest over the axes of the least J whose box
-    kappa**J B holds the cell there, read off the integer radii kappa**J."""
+    """The powers of D x = kappa x, in grid units: a word is a cell's shell,
+    the greatest over the axes of the least J whose box kappa**J B holds the
+    cell there, read off the integer radii kappa**J."""
 
     joint = True
 
-    def __init__(self, source, target, kappa, theta, spread):
+    def __init__(self, source, target, kappa, spread):
         (near, far), (near_t, far_t) = spread
-        # a point at sup-distance d from theta lies in a shell J with
+        # a point at sup-distance d from the origin lies in a shell J with
         # d <= kappa**J, and a cell reaches down to the least J with
         # kappa**J > its least distance d
         low_t, top_t, top = (_level(near_t, kappa) + 1, -_level(1 / far_t, kappa),
@@ -614,35 +608,30 @@ class _Shells:
         if near > 0:
             floor = _level(near, kappa)
         else:  # the lump: shells J <= J0 - M repeat and cannot claim
-            nearest = min(abs(Fraction(x, source.den) - t) for c, t in zip(source.cuts, theta)
-                          for x in c if Fraction(x, source.den) != t)
+            nearest = Fraction(min(abs(x) for c in source.cuts for x in c if x), source.den)
             floor = _level(nearest, kappa) - (top_t - low_t + 1)
         self.low, high = min(floor, low_t - 1), max(top, top_t)
         self.power = {j: kappa ** j for j in range(self.low, high + 1)}
         self.scale = (kappa.numerator * kappa.denominator) ** (max(high - self.low, -self.low,
                                                                    high) + 1)
-        self.den = den = math.lcm(source.den, target.den,
-                                  *(t.denominator for t in theta)) * self.scale
-        self.th = [t.numerator * (den // t.denominator) for t in theta]
+        self.den = den = math.lcm(source.den, target.den) * self.scale
         inner = den * kappa.denominator // kappa.numerator
-        self.ends = [(t - den, t - inner, t + inner, t + den) for t in self.th]
+        self.ends = [(-den, -inner, inner, den)] * source.dim
         self.radii = [int(den * p) for p in self.power.values()]
         self.words = tuple([range(lo, hi + 1)] * source.dim
                            for lo, hi in ((floor + 1, top), (low_t, top_t)))
-        self.kappa, self.theta, self.rank = kappa, theta, (lambda k: k)
+        self.kappa, self.dim, self.rank = kappa, source.dim, (lambda k: k)
 
     def reduce(self, i, j, x, back=False):
-        f, t = self.power[j] if back else 1 / self.power[j], self.th[i]
-        return t + (x - t) * f.numerator // f.denominator
+        f = self.power[j] if back else 1 / self.power[j]
+        return x * f.numerator // f.denominator
 
     def axis_word(self, i, a, b):
-        t = self.th[i]
         return self.low + np.searchsorted(np.array(self.radii, dtype=a.dtype),
-                                          np.maximum(t - a, b - t))
+                                          np.maximum(-a, b))
 
     def element(self, key):
-        return PieceMap.dilate(len(self.theta), self.kappa ** key[0], self.theta,
-                               label=f"D^{key[0]}")
+        return PieceMap.dilate(self.dim, self.kappa ** key[0], label=f"D^{key[0]}")
 
 
 def _parts(group, cuts, mask, words, T, dtype) -> tuple:
@@ -757,17 +746,16 @@ def _claimed_pieces(group, grid, cells, key_of, keys) -> list:
 class GroupSpec:
     """One of: translation lattice, dilation group, reflection (fold) group.
 
-    The lattice has a positive spacing per axis, the dilation group a factor
-    kappa > 1 and a centre theta (the origin when None), and the fold group
-    a box figure of positive widths: a `FoldableFigure` with a box, or a
-    list of (lo, hi).  A spec is checked when made, and keeps its period
-    cells (0, s), its theta or its box per axis as Fractions (`_axes`).
+    The lattice has a positive spacing per axis, the dilation group is
+    dilation by kappa about the origin, x -> kappa x with kappa > 1, and the
+    fold group has a `FoldableFigure` with a box of positive widths.  A spec
+    is checked when made, and keeps its period cells (0, s) or its box per
+    axis as Fractions (`_axes`).
     """
 
     kind: str  # "translation" | "dilation" | "weyl"
     spacings: Optional[tuple] = None
     kappa: Optional[Fraction] = None
-    theta: Optional[tuple] = None
     figure: object = None
     _per_axis: Optional[tuple] = field(init=False, repr=False, compare=False)
 
@@ -779,11 +767,11 @@ class GroupSpec:
         elif self.kind == "dilation":
             if self.kappa is None or _frac(self.kappa) <= 1:
                 raise ValueError("dilation group needs kappa > 1")
-            axes = None if self.theta is None else tuple(_frac(t) for t in self.theta)
+            axes = None
         elif self.kind == "weyl":
             if self.figure is None:
                 raise ValueError("reflection group needs a figure")
-            box = self.figure.box if isinstance(self.figure, FoldableFigure) else self.figure
+            box = getattr(self.figure, "box", None)
             if box is None:
                 raise ValueError("a box figure is required")
             axes = tuple((_frac(lo), _frac(hi)) for lo, hi in box)
@@ -795,9 +783,9 @@ class GroupSpec:
 
 
 def _axes(spec: GroupSpec, dim: int) -> tuple:
-    """A spec's data per axis (`GroupSpec`), checked against the dimension
-    of the sets it acts on."""
-    axes = (Fraction(0),) * dim if spec._per_axis is None else spec._per_axis
+    """A lattice's or a fold group's data per axis (`GroupSpec`), checked
+    against the dimension of the sets it acts on."""
+    axes = spec._per_axis
     if len(axes) != dim:
         raise ValueError(f"dimension mismatch: {len(axes)} axes of the {spec.kind} group "
                          f"for {dim}-D sets")
@@ -808,24 +796,25 @@ def _group(spec: GroupSpec, source: DyadicBoxSet, target: DyadicBoxSet,
            allow_center: bool = False, names=("source", "target")):
     """Check a spec against two sets and make the kernel's group for them.
 
-    The sets and the group have one dimension, and the dilation centre lies
-    outside the closure of the target, and of the source unless
+    The sets and the group have one dimension, and the dilation centre, the
+    origin, lies outside the closure of the target, and of the source unless
     `allow_center`.  None when a set is empty: there is nothing to reduce.
     """
     if source.dim != target.dim:
         raise ValueError(f"dimension mismatch: a {source.dim}-D {names[0]} "
                          f"and a {target.dim}-D {names[1]}")
-    axes = _axes(spec, source.dim)
-    if spec.kind == "dilation":
-        spread = [_spread(s, axes) for s in (source, target)]
-        for s, name, allowed in zip(spread, names, (allow_center, False)):
-            if s is not None and s[0] == 0 and not allowed:
-                raise ValueError(f"dilation center lies in the closure of the {name}")
+    if spec.kind != "dilation":
+        axes = _axes(spec, source.dim)
+        if source.is_empty or target.is_empty:
+            return None
+        return _Slabs(source, target, axes, spec.kind == "weyl")
+    spread = [_spread(s) for s in (source, target)]
+    for s, name, allowed in zip(spread, names, (allow_center, False)):
+        if s is not None and s[0] == 0 and not allowed:
+            raise ValueError(f"dilation center lies in the closure of the {name}")
     if source.is_empty or target.is_empty:
         return None
-    if spec.kind == "dilation":
-        return _Shells(source, target, _frac(spec.kappa), axes, spread)
-    return _Slabs(source, target, axes, spec.kind == "weyl")
+    return _Shells(source, target, _frac(spec.kappa), spread)
 
 
 def translation_congruent(source: DyadicBoxSet, target: DyadicBoxSet,
@@ -836,14 +825,13 @@ def translation_congruent(source: DyadicBoxSet, target: DyadicBoxSet,
 
 
 def dilation_congruent(source: DyadicBoxSet, target: DyadicBoxSet,
-                       kappa=2, theta=None,
-                       allow_center: bool = False) -> CongruenceCertificate:
-    """Decompose source into powers of D(x) = kappa*(x - theta) + theta covering target.
+                       kappa=2, allow_center: bool = False) -> CongruenceCertificate:
+    """Decompose source into powers of D(x) = kappa*x covering target.
 
-    Theta may lie in the closure of the source only with `allow_center`, and
-    never in the closure of the target.
+    The origin may lie in the closure of the source only with
+    `allow_center`, and never in the closure of the target.
     """
-    dilations = GroupSpec("dilation", kappa=kappa, theta=theta)
+    dilations = GroupSpec("dilation", kappa=kappa)
     return _reduce_and_claim(source, target, _group(dilations, source, target, allow_center))
 
 
@@ -1005,32 +993,28 @@ def build_w2(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
 @dataclass
 class ThreeWayReport:
     translation_residual: Fraction
-    dilation_residual: Optional[Fraction]
+    dilation_residual: Fraction
     weyl_residual: Fraction
-    dilation_error: Optional[str] = None
 
     def within(self, bound) -> bool:
         bound = _frac(bound)
-        return (self.dilation_error is None
-                and self.translation_residual <= bound
+        return (self.translation_residual <= bound
                 and self.dilation_residual <= bound
                 and self.weyl_residual <= bound)
 
 
 def three_way_check(candidate: DyadicBoxSet, figure, spacings) -> ThreeWayReport:
     """Translation, dilation by 2, and reflection congruence residuals at once;
-    the dilation target is the annulus 2B minus B of the figure box B."""
+    the dilation target is the annulus 2B minus B of the figure box B.  A
+    checker's ValueError goes through, as when the origin lies in the
+    closure of the candidate."""
     # only the residual measures are kept, so no certificate outlives its check
     wcert = weyl_congruent(candidate, figure)
     box, w_res = wcert.target, wcert.residual_measure
     del wcert
     t_res = translation_congruent(candidate, box, spacings).residual_measure
-    annulus = box.scale(2).subtract(box)
-    try:
-        d_res, d_err = dilation_congruent(candidate, annulus).residual_measure, None
-    except ValueError as exc:
-        d_res, d_err = None, str(exc)
-    return ThreeWayReport(t_res, d_res, w_res, d_err)
+    d_res = dilation_congruent(candidate, box.scale(2).subtract(box)).residual_measure
+    return ThreeWayReport(t_res, d_res, w_res)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ silent `max_power` cap) over `_assemble`, the orbit loops of
 `is_fundamental_domain`, and the mirror-fold kernel of `weyl_congruent`,
 here named `grid_weyl_congruent`.  The bodies are verbatim, with
 `GridBoxSet` as above; `GroupSpec` and `DomainReport` are the library's.
+Two edits follow the library's dilation about the origin: the centred maps
+x -> kappa**k (x - theta) + theta are built with `PieceMap.axis_affine`,
+the same map as the `PieceMap.dilate` with a centre they used, and
+`is_fundamental_domain` dilates about the origin, as a `GroupSpec` has no
+centre.  `dilation_congruent` keeps its `theta` as the reference.
 `tests/test_congruence_kernel.py` uses them as the oracle for whole
 certificates.
 
@@ -456,7 +461,8 @@ def dilation_congruent(source: GridBoxSet, target: GridBoxSet,
                 raise ValueError("dilation center lies in the closure of the source")
     power = _needed_power_range(source, target, kappa, theta, max_power)
     candidates = (
-        (source, PieceMap.dilate(dim, kappa ** k, theta, label=f"D^{k}"))
+        (source, PieceMap.axis_affine([kappa ** k] * dim, [t - kappa ** k * t for t in theta],
+                                      label=f"D^{k}"))
         for k in range(-power, power + 1)
     )
     return _assemble(source, target, candidates)
@@ -580,12 +586,13 @@ def is_fundamental_domain(candidate: GridBoxSet, group: GroupSpec,
                 for key in product(*ranges)]
     else:
         kappa = _frac(group.kappa)
-        theta = [Fraction(0)] * dim if group.theta is None else [_frac(t) for t in group.theta]
+        theta = [Fraction(0)] * dim
         for box in region.boxes:
             if all(lo <= t <= hi for (lo, hi), t in zip(box, theta)):
                 raise ValueError("region must be bounded away from the dilation center")
         power = _needed_power_range(candidate, region, kappa, theta, 60)
-        maps = [PieceMap.dilate(dim, kappa ** k, theta) for k in range(-power, power + 1)]
+        maps = [PieceMap.axis_affine([kappa ** k] * dim, [t - kappa ** k * t for t in theta])
+                for k in range(-power, power + 1)]
     mass = Fraction(0)
     cover = GridBoxSet.empty(dim)
     for g in maps:

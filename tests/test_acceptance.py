@@ -50,8 +50,8 @@ def test_criterion_3_w2_three_way_and_reflection_cover():
     rep = tiles.three_way_check(fx.wavelet_set, centered_square_figure(), (2, 2))
     d = fx.components["D"]
     b = fx.components["B"]
-    rho2_d = d.reflect_axis(0, level=F(1))
-    rho1_dm = d.reflect_axis(0).reflect_axis(0, level=F(-1))
+    rho2_d = d.reflect_axis(0).translate((2, 0))
+    rho1_dm = d.reflect_axis(0).reflect_axis(0).translate((-2, 0))
     cover = rho2_d.union(rho1_dm)
     target = tiles.DyadicBoxSet.from_box((-1, 1), (-1, 1)).subtract(b).subtract(b.reflect_axis(0))
     cert = tiles.translation_congruent(cover, target, [F(2), F(2)])
@@ -171,7 +171,7 @@ def test_criterion_9_group_suite():
 
 
 def test_criterion_10_property_suites_configured():
-    import tests.test_properties as tp
+    import test_properties as tp
 
     suites = [getattr(tp, name) for name in dir(tp) if name.startswith("test_")]
     counts = [s._hypothesis_internal_use_settings.max_examples for s in suites]

@@ -94,7 +94,9 @@ def test_monomial_maps_match_oracle(sets, data):
         (a.transform(linear, shift), oa.transform(linear, shift)),
         (a.translate(shift), oa.translate(shift)),
         (a.scale(factor), oa.scale(factor)),
-        (a.reflect_axis(axis, level), oa.reflect_axis(axis, level)),
+        # the mirror x_axis -> 2 level - x_axis, as a reflection and a translation
+        (a.reflect_axis(axis).translate([2 * level if i == axis else 0 for i in range(dim)]),
+         oa.reflect_axis(axis, level)),
     ]
     for image, oracle_image in pairs:
         assert image.measure == oracle_image.measure

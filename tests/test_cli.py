@@ -154,6 +154,21 @@ def test_fif_basis_builds_no_mesh_without_an_output(capsys, tmp_path, monkeypatc
     assert capsys.readouterr().out == f"4 basis functions on [0, 3], mode translation\nwrote {csv}\n"
 
 
+def test_fif_example_builds_no_mesh_without_an_output(capsys, tmp_path, monkeypatch):
+    # the knot line reads no mesh, so one is built only for --csv or --svg
+    built, mesh = [], fif.FractalFunction.mesh
+    monkeypatch.setattr(fif.FractalFunction, "mesh",
+                        lambda self, depth: built.append(depth) or mesh(self, depth))
+    assert run(["fif", "example", "--name", "ex3.3", "--depth", "6"]) == 0
+    assert built == []
+    knots = capsys.readouterr().out
+    assert knots.startswith("knots: ") and knots.count("\n") == 1
+    csv = tmp_path / "example.csv"
+    assert run(["fif", "example", "--name", "ex3.3", "--depth", "6", "--csv", str(csv)]) == 0
+    assert built == [6]
+    assert capsys.readouterr().out == f"{knots}wrote {csv}\n"
+
+
 def test_surface_fixture_reports_vertices(capsys, tmp_path):
     # the outer vertices, then the inner ones of the first refinement in order
     csv = tmp_path / "mesh.csv"

@@ -5,10 +5,12 @@ kept in `boxset_oracle.py`.
 Both claim in the same order (lattice keys by (sum |k|, k), powers of the
 dilation ascending), so whole certificates must agree: the same pieces in the
 same order, the same maps and labels, and residual sets equal almost
-everywhere.  The oracle's dilation tries only the powers up to its silent cap
-`max_power` = 40; the cases here keep every box end between 1/12 and 4 away
-from the centre, where no claim needs a higher power.  Where the cap does
-bind, the kernel's answer differs, and that is pinned in `test_tiles.py`.
+everywhere.  The library dilates about the origin; the oracle, which takes a
+centre, is called with the origin.  The oracle's dilation tries only the
+powers up to its silent cap `max_power` = 40; the cases here keep every box
+end between 1/12 and 4 away from the origin, where no claim needs a higher
+power.  Where the cap does bind, the kernel's answer differs, and that is
+pinned in `test_tiles.py`.
 
 A checker's certificate builds its pieces on the first read of `pieces`.
 The last tests count the group elements made (`_Slabs.element`,
@@ -24,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 import boxset_oracle as oracle
 from waveletsets import tiles
-from waveletsets.reflections import centered_square_figure
+from waveletsets.reflections import box_figure, centered_square_figure
 from waveletsets.tiles import (DyadicBoxSet, GroupSpec, build_w1, build_w2, dilation_congruent,
                                is_fundamental_domain, three_way_check, translation_congruent,
                                weyl_congruent)
@@ -86,52 +88,51 @@ def test_translation_matches_oracle_in_three_dimensions(case):
     check_translation(*case)
 
 
-# Per axis a box end is theta + sign * r, with r from 1/12 to 4 nudged by
-# e/d, |e/d| < 1/24; an end of 0 (exactly theta) only when the set may hold
-# the centre.
+# Per axis a box end is sign * r, with r from 1/12 to 4 nudged by e/d,
+# |e/d| < 1/24; an end of 0 only when the set may hold the origin.
 kappas = st.sampled_from([F(2), F(3), F(3, 2)])
-thetas = st.builds(lambda n, d: F(n, d), st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
 distances = st.builds(lambda n, e, d: F(n, 12) + F(e, d), st.integers(1, 48),
                       st.integers(-1, 1), st.sampled_from([25, 175, 2 ** 64, 3 ** 41]))
 
 
 @st.composite
-def shell_sets(draw, theta, max_boxes, center):
-    """Boxes bounded away from theta on some axis, or with `center` also
-    boxes reaching or straddling it."""
+def shell_sets(draw, dim, max_boxes, center):
+    """Boxes bounded away from the origin on some axis, or with `center`
+    also boxes reaching or straddling it."""
     boxes = []
     for _ in range(draw(st.integers(1, max_boxes))):
-        away = draw(st.integers(0, len(theta) - 1 + center))
+        away = draw(st.integers(0, dim - 1 + center))
         box = []
-        for axis, t in enumerate(theta):
-            if axis == away:  # both ends on one side of theta
+        for axis in range(dim):
+            if axis == away:  # both ends on one side of the origin
                 sign = draw(st.sampled_from([1, -1]))
-                ends = [t + sign * draw(distances) for _ in range(2)]
+                ends = [sign * draw(distances) for _ in range(2)]
             else:
-                ends = [t + draw(st.sampled_from([1, -1, 0] if center else [1, -1]))
+                ends = [draw(st.sampled_from([1, -1, 0] if center else [1, -1]))
                         * draw(distances) for _ in range(2)]
             box.append(tuple(sorted(ends)))
         boxes.append(tuple(box))
-    return DyadicBoxSet(len(theta), boxes)
+    return DyadicBoxSet(dim, boxes)
 
 
 @st.composite
 def shell_cases(draw, dim, max_boxes):
-    theta = [draw(thetas) for _ in range(dim)]
     center = draw(st.integers(0, 9)) < 3
-    return (draw(shell_sets(theta, max_boxes, center)), draw(shell_sets(theta, max_boxes, False)),
-            draw(kappas), theta, center)
+    return (draw(shell_sets(dim, max_boxes, center)), draw(shell_sets(dim, max_boxes, False)),
+            draw(kappas), center)
 
 
-def check_dilation(source, target, kappa, theta, center):
+def check_dilation(source, target, kappa, center):
+    origin = [F(0)] * source.dim
     if not center:
         # the oracle's power estimate stays below its cap
-        assert oracle._needed_power_range(source, target, kappa, theta, 10 ** 6) < 40
-    cert = dilation_congruent(source, target, kappa=kappa, theta=theta, allow_center=center)
-    old = oracle.dilation_congruent(source, target, kappa=kappa, theta=theta, allow_center=center)
+        assert oracle._needed_power_range(source, target, kappa, origin, 10 ** 6) < 40
+    cert = dilation_congruent(source, target, kappa=kappa, allow_center=center)
+    old = oracle.dilation_congruent(source, target, kappa=kappa, theta=origin,
+                                    allow_center=center)
     assert_same_certificate(cert, old)
     if not center:
-        group = GroupSpec("dilation", kappa=kappa, theta=tuple(theta))
+        group = GroupSpec("dilation", kappa=kappa)
         for region in (target, source):
             assert region.is_empty or is_fundamental_domain(source, group, region) \
                 == oracle.is_fundamental_domain(source, group, region)
@@ -155,7 +156,7 @@ def test_center_lump_keeps_the_top_copies_that_can_claim():
     # its copies at depths 0, -1 and -2 (by D, D^3 and D^5), the deepest that
     # can claim, and the lump [0, 1/8) stays in the residual
     source, target = DyadicBoxSet.from_box((0, 1)), DyadicBoxSet.from_box((1, 8))
-    cert = check_dilation(source, target, F(2), [F(0)], True)
+    cert = check_dilation(source, target, F(2), True)
     assert [g.label for _, g in cert.pieces] == ["D^1", "D^3", "D^5"]
     assert cert.source_residual.equals_ae(DyadicBoxSet.from_box((0, F(1, 8))))
     assert cert.target_residual.is_empty
@@ -211,7 +212,7 @@ def fold_cases(draw, dim, max_boxes):
     spacing = [draw(spacings) for _ in range(dim)]
     shifts = [F(draw(st.integers(-4, 4)), 4) for _ in range(dim)]
     figure = [(s * a, s * (a + 1)) for s, a in zip(spacing, shifts)]
-    return draw(lattice_sets(spacing, max_boxes, 3)), figure
+    return draw(lattice_sets(spacing, max_boxes, 3)), box_figure("box", figure)
 
 
 @settings(max_examples=100, deadline=None)
@@ -223,9 +224,9 @@ def test_translation_pieces_are_built_once_on_first_read(case):
 @settings(max_examples=100, deadline=None)
 @given(case=st.sampled_from([1, 2, 3]).flatmap(lambda dim: shell_cases(dim, 3)))
 def test_dilation_pieces_are_built_once_on_first_read(case):
-    source, target, kappa, theta, center = case
+    source, target, kappa, center = case
     check_pieces_on_first_read(lambda: dilation_congruent(
-        source, target, kappa=kappa, theta=theta, allow_center=center))
+        source, target, kappa=kappa, allow_center=center))
 
 
 @settings(max_examples=100, deadline=None)

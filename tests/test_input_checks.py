@@ -13,6 +13,7 @@ from waveletsets import mra, surfaces
 from waveletsets.geometry import AffineMap, Mat, Vec
 from waveletsets.reflections import (
     RootSystem,
+    box_figure,
     centered_square_figure,
     right_triangle_figure,
 )
@@ -55,7 +56,7 @@ def _json_in(unit):
     (lambda: GroupSpec("weyl"), ValueError, "reflection group needs a figure"),
     (lambda: GroupSpec("weyl", figure=right_triangle_figure()), ValueError,
      "a box figure is required"),
-    (lambda: GroupSpec("weyl", figure=[(0, 1), (2, 2)]), ValueError,
+    (lambda: GroupSpec("weyl", figure=box_figure("flat", [(0, 1), (2, 2)])), ValueError,
      "the figure box needs positive widths"),
     (lambda: GroupSpec("translation", spacings=(2, 0)), ValueError,
      "translation lattice needs positive spacings"),

@@ -238,8 +238,7 @@ def _options(tree):
 
 # set only by tests, in a call the library makes nowhere; a name leaves this
 # set when `src/`, `perfbench/` or the tour sets it, and the set never grows
-OPTIONS_SET_BY_TESTS_ONLY = {"main(argv)", "construct_wavelet_set(relocation_step)",
-                             "dilation_congruent(theta)", "reflect_axis(level)"}
+OPTIONS_SET_BY_TESTS_ONLY = {"main(argv)", "construct_wavelet_set(relocation_step)"}
 
 
 def _library_trees():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from waveletsets.reflections import centered_square_figure
+from waveletsets.reflections import box_figure, centered_square_figure
 from waveletsets.tiles import (
     CongruenceCertificate,
     ConstructionError,
@@ -68,7 +68,7 @@ RECT = DyadicBoxSet.from_box((0, 1), (0, 2))
     (lambda: RECT.translate((1, 2, 3)), "dimension mismatch"),
     (lambda: RECT.translate((1,)), "dimension mismatch"),
     (lambda: DyadicBoxSet.empty(2).translate((1,)), "dimension mismatch"),
-    (lambda: PieceMap.dilate(2, 2, (1,)).apply(RECT), "dimension mismatch"),
+    (lambda: PieceMap.dilate(1, 2).apply(RECT), "dimension mismatch"),
     (lambda: RECT.transform([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "dimension mismatch"),
     # each source axis once
     (lambda: RECT.transform([[1, 0], [2, 0]]), "monomial matrices"),
@@ -197,7 +197,7 @@ def test_weyl_claim_rule_keeps_the_first_cell_in_grid_order():
     # the same on axis 1, and in 1-D
     cert = weyl_congruent(DyadicBoxSet.from_box((-1, 1), (-3, 1)), centered_square_figure())
     assert cert.source_residual.equals_ae(DyadicBoxSet.from_box((-1, 1), (-1, 1)))
-    cert = weyl_congruent(DyadicBoxSet.from_box((0, 4)), [(0, 1)])
+    cert = weyl_congruent(DyadicBoxSet.from_box((0, 4)), box_figure("unit", [(0, 1)]))
     assert cert.source_residual.equals_ae(DyadicBoxSet.from_box((1, 4)))
 
 
@@ -212,7 +212,13 @@ def test_weyl_certificate_has_one_piece_per_reflection_word(build, depth):
 
 def test_weyl_rejects_a_flat_figure():
     with pytest.raises(ValueError):
-        weyl_congruent(DyadicBoxSet.from_box((-1, 1), (-1, 1)), [(-1, 1), (1, 1)])
+        weyl_congruent(DyadicBoxSet.from_box((-1, 1), (-1, 1)),
+                       box_figure("flat", [(-1, 1), (1, 1)]))
+
+
+def test_weyl_takes_a_box_figure_not_a_list_of_intervals():
+    with pytest.raises(ValueError, match="^a box figure is required$"):
+        weyl_congruent(DyadicBoxSet.from_box((0, 1)), [(0, 1)])
 
 
 def test_translation_is_exact_near_integer_quotients():
@@ -449,7 +455,7 @@ def test_w1_folded_pieces_cover_doubled_square(w1):
     # x = -pi and y = -pi) onto the gap left in the doubled core square
     b1 = w1.components["B1"]
     c3 = w1.components["C1"].reflect_axis(0).reflect_axis(1)
-    folded = c3.reflect_axis(0, level=F(-1)).reflect_axis(1, level=F(-1))
+    folded = c3.reflect_axis(0).translate((-2, 0)).reflect_axis(1).translate((0, -2))
     two_g0 = w1.components["G0"].scale(2)
     covered = folded.union(b1)
     defect = covered.symmetric_difference_measure(
@@ -473,8 +479,8 @@ def test_w2_reflection_cover(w2):
     d = w2.components["D"]
     b = w2.components["B"]
     d_minus = d.reflect_axis(0)
-    rho2_d = d.reflect_axis(0, level=F(1))
-    rho1_dm = d_minus.reflect_axis(0, level=F(-1))
+    rho2_d = d.reflect_axis(0).translate((2, 0))
+    rho1_dm = d_minus.reflect_axis(0).translate((-2, 0))
     cover = rho2_d.union(rho1_dm).union(b).union(b.reflect_axis(0))
     defect = DyadicBoxSet.from_box((-1, 1), (-1, 1)).subtract(cover).measure
     assert defect == 2 * w2.tail
@@ -493,10 +499,12 @@ def test_three_way_residuals_are_exact(build, depth, tail_terms, residuals):
 
 
 def test_c_itself_fails_dilation():
-    rep = three_way_check(DyadicBoxSet.from_box((-1, 1), (-1, 1)), centered_square_figure(), (2, 2))
-    assert rep.translation_residual == 0
-    assert rep.weyl_residual == 0
-    assert rep.dilation_error is not None
+    # C tiles by translation and by folding, but holds the dilation centre
+    c = DyadicBoxSet.from_box((-1, 1), (-1, 1))
+    assert translation_congruent(c, c, (2, 2)).residual_measure == 0
+    assert weyl_congruent(c, centered_square_figure()).residual_measure == 0
+    with pytest.raises(ValueError, match="dilation center lies in the closure of the source"):
+        three_way_check(c, centered_square_figure(), (2, 2))
 
 
 # -- intersection group --------------------------------------------------------
@@ -517,7 +525,7 @@ def test_intersection_group_generators():
 def test_intersection_group_checks_the_figure_box(figure):
     # a flat side would give a zero generator
     with pytest.raises(ValueError, match="positive widths|dimension"):
-        intersection_group(figure, (2, 2))
+        intersection_group(box_figure("box", figure), (2, 2))
 
 
 LINE, SQUARE = DyadicBoxSet.from_box((0, 1)), DyadicBoxSet.from_box((0, 1), (0, 1))
@@ -529,9 +537,6 @@ LINE, SQUARE = DyadicBoxSet.from_box((0, 1)), DyadicBoxSet.from_box((0, 1), (0, 
     lambda: translation_congruent(SQUARE, LINE, [2, 2]),
     lambda: dilation_congruent(DyadicBoxSet.from_box((1, 2)), SQUARE.translate((1, 1))),
     lambda: dilation_congruent(SQUARE.translate((1, 1)), DyadicBoxSet.from_box((1, 2))),
-    # a centre with too many or no coordinates
-    lambda: dilation_congruent(DyadicBoxSet.from_box((1, 2)), shannon_set(), theta=(0, 0)),
-    lambda: dilation_congruent(DyadicBoxSet.from_box((1, 2)), shannon_set(), theta=()),
     # a lattice spacing of 0, or below
     lambda: intersection_group(centered_square_figure(), (0, 2)),
     lambda: intersection_group(centered_square_figure(), (-2, 2)),
@@ -542,9 +547,8 @@ LINE, SQUARE = DyadicBoxSet.from_box((0, 1)), DyadicBoxSet.from_box((0, 1), (0, 
     lambda: construct_wavelet_set(SQUARE, SQUARE.translate((2, 2)), [2, 2],
                                   relocation_step=[0, 0]),
 ], ids=["translation 1-D to 2-D", "translation 2-D to 1-D", "dilation 1-D to 2-D",
-        "dilation 2-D to 1-D", "centre of 2 axes", "centre of 0 axes", "zero spacing",
-        "negative spacing", "constructor lattice of 2 axes", "relocation step of 1 axis",
-        "zero relocation step"])
+        "dilation 2-D to 1-D", "zero spacing", "negative spacing",
+        "constructor lattice of 2 axes", "relocation step of 1 axis", "zero relocation step"])
 def test_group_checks_reject_mismatched_input(call):
     with pytest.raises(ValueError, match="dimension mismatch|positive spacings"):
         call()
@@ -629,8 +633,8 @@ def test_grid_measure_decision_at_its_edge(monkeypatch, span, weight, dtype):
 @pytest.mark.parametrize("far, dtype", [(2 ** 62 - 1, INT64), (2 ** 62, PYTHON_INTS)])
 def test_spread_decision_at_its_edge(monkeypatch, far, dtype):
     seen = _decisions(monkeypatch)
-    # theta = 1 - far: the box [0, 1] is far from theta at 1 and far - 1 at 0
-    assert tiles._spread(DyadicBoxSet.from_box((0, 1)), (F(1 - far),)) == (far - 1, far)
+    # the box [far - 1, far] is far - 1 from the origin at its near end and far at its far end
+    assert tiles._spread(DyadicBoxSet.from_box((far - 1, far))) == (far - 1, far)
     assert seen == [dtype]
 
 

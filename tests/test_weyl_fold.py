@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import boxset_oracle as oracle
-from waveletsets.reflections import centered_square_figure
+from waveletsets.reflections import box_figure, centered_square_figure
 from waveletsets.tiles import (DyadicBoxSet, GroupSpec, PieceMap, build_w1, build_w2,
                                is_fundamental_domain, weyl_congruent)
 
@@ -56,27 +56,29 @@ def draw_boxes(draw, figure, max_boxes):
 
 @st.composite
 def fold_cases(draw, dim, max_boxes):
-    figure = [draw(intervals) for _ in range(dim)]
-    source = draw_boxes(draw, figure, max_boxes)
+    sides = [draw(intervals) for _ in range(dim)]
+    source = draw_boxes(draw, sides, max_boxes)
     if draw(st.booleans()):
         # add the mirror image about a random mirror: a double cover of its fold
         axis = draw(st.integers(0, dim - 1))
-        lo, hi = figure[axis]
-        source = source.union(source.reflect_axis(axis, lo + draw(st.integers(-2, 2)) * (hi - lo)))
-    return source, figure
+        lo, hi = sides[axis]
+        level = lo + draw(st.integers(-2, 2)) * (hi - lo)
+        mirror = [2 * level if i == axis else 0 for i in range(dim)]
+        source = source.union(source.reflect_axis(axis).translate(mirror))
+    return source, box_figure("box", sides)
 
 
 def assemble_by_word(source, figure):
     """The oracle's greedy assembly over the slabs of the source's bounding
     box, one candidate per reflection word, in word order."""
-    figure = [(F(lo), F(hi)) for lo, hi in getattr(figure, "box", figure)]
+    sides = figure.box
     axis_options = [list(oracle._axis_fold_pieces(lo, hi, L, H))
-                    for (lo, hi), (L, H) in zip(source.bounding_box(), figure)]
+                    for (lo, hi), (L, H) in zip(source.bounding_box(), sides)]
     candidates = [
         (DyadicBoxSet(source.dim, (tuple((c[0], c[1]) for c in combo),)),
          PieceMap.axis_affine([c[2] for c in combo], [c[3] for c in combo]))
         for combo in product(*axis_options)]
-    return oracle._assemble(source, DyadicBoxSet(source.dim, (tuple(figure),)), candidates)
+    return oracle._assemble(source, DyadicBoxSet(source.dim, (sides,)), candidates)
 
 
 def check_against_oracle(source, figure):
@@ -117,7 +119,7 @@ def test_fold_matches_oracle_in_three_dimensions(case):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_fold_of_empty_set(dim):
-    figure = [(F(-1), F(1))] * dim
+    figure = box_figure("cube", [(-1, 1)] * dim)
     cert, _ = check_against_oracle(DyadicBoxSet.empty(dim), figure)
     assert cert.pieces == []
     assert cert.source_residual.is_empty
@@ -147,7 +149,8 @@ def orbit_domain(candidate, figure, region):
     if candidate.is_empty or region.is_empty:
         return region.measure, F(0)
     axes = []
-    for (a, b), (c, d), (lo, hi) in zip(candidate.bounding_box(), region.bounding_box(), figure):
+    for (a, b), (c, d), (lo, hi) in zip(candidate.bounding_box(), region.bounding_box(),
+                                        figure.box):
         # all three sets lie within r of the side's centre m, so an element
         # that carries [a, b] onto a point of [c, d] carries the side into
         # [m - 3r, m + 3r], inside the cells that meet (m - 4r, m + 4r)
@@ -168,7 +171,7 @@ def orbit_domain(candidate, figure, region):
 @st.composite
 def fold_domain_cases(draw, dim):
     source, figure = draw(fold_cases(dim, 3))
-    return source, figure, draw_boxes(draw, figure, 3)
+    return source, figure, draw_boxes(draw, figure.box, 3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,4 +197,5 @@ def test_fold_fundamental_domain_reads_its_region(region, uncovered):
 def test_fold_fundamental_domain_refuses_a_flat_figure():
     square = DyadicBoxSet.from_box((0, 1), (0, 1))
     with pytest.raises(ValueError, match="positive widths"):
-        is_fundamental_domain(square, GroupSpec("weyl", figure=[(0, 0), (0, 1)]), square)
+        flat = box_figure("flat", [(0, 0), (0, 1)])
+        is_fundamental_domain(square, GroupSpec("weyl", figure=flat), square)
