@@ -25,11 +25,11 @@ PLANAR_DEPTH_LIMIT = 64
 # Bounds of the parameters that set a command's cost, each from a timing:
 # `fif basis --n 64 --depth 1` takes about 0.9 s (128: 3 s), and a `fif basis`
 # family at the leaf-cell limit about 1.3 s (3 s with --csv and --svg);
-# `mra build --kappa 4 --degree 4`, the costliest pair allowed, about 0.65 s
-# and 100 MB, or 2.3-3.1 s and 105 MB with --out, most of it the float reprs
-# of the 52 MB JSON file, written one matrix at a time (2-vCPU Xeon, Python
-# 3.11; kappa and degree costs multiply: kappa 5 with degree 5 builds in
-# about 6.5 s);
+# `mra build --kappa 4 --degree 4`, the costliest pair allowed, about
+# 0.3-0.45 s and 75 MB, or 1.9-2.2 s and 105 MB with --out, most of it the
+# float reprs of the 52 MB JSON file, written one matrix at a time (2-vCPU
+# Xeon, Python 3.11, best of 3 fresh processes; kappa and degree costs
+# multiply: kappa 5 with degree 5 builds in about 0.6 s);
 # `tiles construct --epsilon 0 --max-iterations 1000` about 2.3 s;
 # `fif basis --n 4 --depth 8 --csv` about 1.4 s at --scaling 2/5 and 2.5 s
 # with a 64-bit numerator and denominator, and at the leaf-cell limit
@@ -77,8 +77,8 @@ def _int_at_least(text, least: int, most: float = float("inf")) -> int:
     return value
 
 
-def _positive_int(text) -> int:
-    return _int_at_least(text, 1)
+def _mesh_depth(text) -> int:
+    return _int_at_least(text, 1, MESH_DEPTH_LIMIT)
 
 
 def _fraction_arg(text) -> Fraction:
@@ -125,15 +125,9 @@ def _write(path: str, text) -> None:
 
 
 def _mesh_too_large(cells: int, depth: int, functions: int = 1) -> bool:
-    """Report meshes of more than MESH_DEPTH_LIMIT levels or of more than
-    MESH_CELLS_LIMIT leaf cells in all, over `functions` meshes.
-
-    Every level costs work even over one cell, so the depth has a bound of
-    its own; two cells already exceed the cell limit one level deeper.
-    """
-    if depth > MESH_DEPTH_LIMIT:
-        print(f"error: --depth {depth} exceeds {MESH_DEPTH_LIMIT}", file=sys.stderr)
-        return True
+    """Report meshes of more than MESH_CELLS_LIMIT leaf cells in all, over
+    `functions` meshes.  (Every level costs work even over one cell, so a
+    mesh depth also has a parameter bound, MESH_DEPTH_LIMIT.)"""
     if functions * cells ** depth <= MESH_CELLS_LIMIT:
         return False
     each = f" for each of {functions} functions" if functions > 1 else ""
@@ -147,12 +141,13 @@ def _mesh_too_large(cells: int, depth: int, functions: int = 1) -> bool:
 
 def cmd_fif_example(args) -> int:
     f = fif.fixture(args.name, args.mode)
-    if _mesh_too_large(len(f.cells), args.depth):
+    meshed = args.csv or args.svg  # no other output reads a mesh
+    if meshed and _mesh_too_large(len(f.cells), args.depth):
         return 2
     knots = f.knot_values()
     print("knots: " + ", ".join(render.fnum(v) for v in knots))
-    if not (args.csv or args.svg):
-        return 0  # no output reads a mesh
+    if not meshed:
+        return 0
     xs, ys = f.mesh(args.depth)
     if args.csv:
         _write(args.csv, render.function_csv(xs, ys))
@@ -162,12 +157,13 @@ def cmd_fif_example(args) -> int:
 
 
 def cmd_fif_basis(args) -> int:
-    if _mesh_too_large(args.n, args.depth, functions=args.n + 1):
+    meshed = args.csv or args.svg  # no other output reads a mesh
+    if meshed and _mesh_too_large(args.n, args.depth, functions=args.n + 1):
         return 2
     basis = fif.uniform_cardinal_basis(args.n, args.scaling, args.mode)
     print(f"{len(basis)} basis functions on [0, {args.n}], mode {args.mode}")
-    if not (args.csv or args.svg):
-        return 0  # no output reads a mesh
+    if not meshed:
+        return 0
     meshes = [b.mesh(args.depth) for b in basis]
     if args.csv:
         header = ["x"] + [f"y{k}" for k in range(len(basis))]
@@ -299,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--name", required=True)
     p_ex.add_argument("--mode", default="translation",
                       choices=["translation", "reflection"])
-    p_ex.add_argument("--depth", type=_positive_int, default=10)
+    p_ex.add_argument("--depth", type=_mesh_depth, default=10)
     p_ex.add_argument("--csv")
     p_ex.add_argument("--svg")
     p_ex.set_defaults(func=cmd_fif_example)
@@ -309,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.add_argument("--mode", default="translation",
                          choices=["translation", "reflection"])
     p_basis.add_argument("--scaling", type=_vertical_scaling, default="1/2")
-    p_basis.add_argument("--depth", type=_positive_int, default=8)
+    p_basis.add_argument("--depth", type=_mesh_depth, default=8)
     p_basis.add_argument("--csv")
     p_basis.add_argument("--svg")
     p_basis.set_defaults(func=cmd_fif_basis)
@@ -318,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     surf_sub = p_surface.add_subparsers(dest="subcommand", required=True)
     p_fix = surf_sub.add_parser("fixture", help="evaluate a named surface")
     p_fix.add_argument("--name", required=True)
-    p_fix.add_argument("--depth", type=_positive_int, default=6)
+    p_fix.add_argument("--depth", type=_mesh_depth, default=6)
     p_fix.add_argument("--csv")
     p_fix.add_argument("--svg")
     p_fix.set_defaults(func=cmd_surface_fixture)

@@ -131,9 +131,20 @@ class MultiresolutionBasis:
         V = np.zeros((n_cells * na, na))
         for j in range(n_cells):
             V[j * na : (j + 1) * na, :] = self.P[j].T / root
-        qfull, _ = np.linalg.qr(np.hstack([V, np.eye(n_cells * na)]))
+        # the wavelets: the last columns of V's full Householder Q, in compact
+        # WY form Q = I - Y T Y^T (Schreiber and Van Loan, 1989): Y holds the
+        # unit lower trapezoidal reflectors of one QR of the thin V, and T is
+        # upper triangular, column k from columns 0..k-1 of Y^T Y
+        h, tau = np.linalg.qr(V, mode="raw")
+        Y = np.tril(h.T, -1) + np.eye(*V.shape)
+        yty = _times(Y.T, Y)
+        T = np.zeros((na, na))
+        for k in range(na):
+            T[:k, k] = -tau[k] * (T[:k, :k] @ yty[:k, k])
+            T[k, k] = tau[k]
         self.V = V
-        self.W = qfull[:, na : n_cells * na]
+        self.W = -_times(_times(Y, T), Y[na:].T)
+        self.W[na:] += np.eye(len(V) - na)
         self.VW = np.hstack([self.V, self.W])
         self.Q = [root * self.W[j * na : (j + 1) * na, :].T for j in range(n_cells)]
 
@@ -214,6 +225,11 @@ class MultiresolutionBasis:
 # thread (its interface/gemm.c); a larger one wakes its worker threads, which
 # then spin for a while after the product
 _ONE_THREAD_GEMM = 2 ** 18
+# BLAS packs mat once per product, so a stack of blocks costs more than one
+# product the fewer rows each block has.  On a 2-vCPU host, blocks of 8 or 9
+# rows of a 2,000-row table took no more wall time than the one product
+# woken from idle workers, and blocks of 4 to 7 rows 1.3-2.6 times as much
+_FEWEST_BLOCK_ROWS = 8
 
 
 def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -221,14 +237,13 @@ def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
     b is the largest row count whose product has at most 2^18 multiply-adds;
     one np.matmul runs all the full blocks as a stack, one more the remaining
-    rows.  BLAS packs mat once per product, so blocks cost little more than
-    one product only while each has at least as many rows as mat has
-    columns: a mat wider than b (a fine width above 64), or a table whose
-    whole product already stays on the calling thread, takes the one product.
+    rows.  A product that already stays on the calling thread, or whose
+    blocks would have fewer than _FEWEST_BLOCK_ROWS rows (a square mat wider
+    than 181), is the one product.
     """
     n, (k, m) = len(rows), mat.shape
     b = _ONE_THREAD_GEMM // (k * m)
-    if n * k * m <= _ONE_THREAD_GEMM or b < m:
+    if n * k * m <= _ONE_THREAD_GEMM or b < _FEWEST_BLOCK_ROWS:
         return np.matmul(rows, mat)
     full = n - n % b
     out = np.empty((n, m))

@@ -31,8 +31,9 @@ APPROXIMATE = {
     # the float filter bank of the MRA (an exact bank is ROADMAP item 6)
     "fif.orthonormalize": ("float Cholesky of the exact Gram, or floats of its exact L D L^T",
                            "float_filters"),
-    "mra.MultiresolutionBasis.__init__": ("float refinement filters P, V, W and Q, and the QR "
-                                          "completion of the wavelets", "float_filters"),
+    "mra.MultiresolutionBasis.__init__": ("float refinement filters P, V, W and Q, and the "
+                                          "Householder completion of the wavelets",
+                                          "float_filters"),
     "mra.MultiresolutionBasis.analyze": ("float analysis by the float filters", "float_filters"),
     "mra.MultiresolutionBasis.synthesize": ("float synthesis by the float filters",
                                             "float_filters"),

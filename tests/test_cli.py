@@ -62,14 +62,15 @@ def test_fixture_without_the_asked_layout_exits_one(capsys):
     ["mra", "build", "--degree", "-1"],
     ["mra", "build", "--scaling", "1"],
     ["fif", "basis", "--scaling", "3/2"],
-    # meshes of more than 2**20 leaf cells
-    ["fif", "basis", "--n", "4", "--depth", "11"],
+    # output meshes of more than 2**20 leaf cells (`surface fixture` always
+    # builds its mesh), and a mesh depth above 20 with or without an output
+    ["fif", "basis", "--n", "4", "--depth", "11", "--csv", "never.csv"],
     ["fif", "example", "--name", "ex3.3", "--depth", "21"],
     ["surface", "fixture", "--name", "ex5.2", "--depth", "11"],
     # `fif basis` meshes all n + 1 functions: (n + 1) * n**depth leaf cells
-    ["fif", "basis", "--n", "4", "--depth", "10"],
-    ["fif", "basis", "--n", "8", "--depth", "6"],
-    ["fif", "basis", "--n", "64", "--depth", "3"],
+    ["fif", "basis", "--n", "4", "--depth", "10", "--svg", "never.svg"],
+    ["fif", "basis", "--n", "8", "--depth", "6", "--csv", "never.csv"],
+    ["fif", "basis", "--n", "64", "--depth", "3", "--svg", "never.svg"],
     # a one-cell mesh has no cell bound, but each level still costs work
     ["fif", "basis", "--n", "1", "--depth", "2000000"],
     # planar fixtures stop at PLANAR_DEPTH_LIMIT = 64
@@ -89,6 +90,22 @@ def test_fixture_without_the_asked_layout_exits_one(capsys):
 def test_bad_parameter_exits_two(capsys, argv):
     assert run(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["fif", "basis", "--n", "4", "--depth", "11"], "5 basis functions on [0, 4], mode translation"),
+    (["fif", "example", "--name", "ex3.5", "--depth", "13"], "knots: 0, 1, 0.5, 1.5"),
+])
+def test_leaf_cell_bound_holds_only_for_an_output_mesh(capsys, tmp_path, argv, line):
+    # without --csv or --svg no mesh is built, so the depth needs only its
+    # parameter bound; an output asks for the mesh, which is over 2**20 cells
+    assert run(argv) == 0
+    assert capsys.readouterr().out == line + "\n"
+    for flag in ("--csv", "--svg"):
+        assert run(argv + [flag, str(tmp_path / "never")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "more than 1048576 leaf cells" in captured.err
+    assert not (tmp_path / "never").exists()
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

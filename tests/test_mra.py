@@ -140,9 +140,13 @@ def test_stacked_transforms_are_bit_identical_to_the_row_loop(basis, words):
 
 SQUARE = box_figure("unit-square", [(0, 1), (0, 1)])
 INTERVAL = box_figure("unit-interval", [(0, 1)])
-# (figure, kappa, degree) at fine widths 16, 32, 48, 64, 27 (the interval) and 162
+# (figure, kappa, degree) at fine widths 16, 32, 48, 64, 27 (the interval), 162
+# and 243
 TRANSFORM_WIDTHS = {16: (SQUARE, 2, 0), 32: (SQUARE, 2, 1), 48: (SQUARE, 2, 2), 64: (SQUARE, 2, 3),
-                    27: (INTERVAL, 3, 2), 162: (SQUARE, 3, 1)}
+                    27: (INTERVAL, 3, 2), 162: (SQUARE, 3, 1), 243: (SQUARE, 3, 2)}
+# the widths whose transforms stay one product: at 243 a block would have 4
+# rows, under the floor of 8 (at 162 it has 9)
+ONE_PRODUCT_WIDTHS = {243}
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +159,8 @@ def bases():
 def test_blocked_transforms_match_the_single_product(bases, width):
     # a block of b rows, or a 1-row remainder, may round in the last bits
     # apart from the one product: the largest gap measured on these
-    # standard-normal tables is 1.4e-15, so 1e-14 bounds it; the widths
-    # above 64 take the one product itself
+    # standard-normal tables is 1.4e-15, so 1e-14 bounds it; a width whose
+    # blocks would fall under the floor takes the one product itself
     basis = bases[width]
     VW, na = basis.VW, basis.V.shape[1]
     assert VW.shape == (width, width)
@@ -170,7 +174,7 @@ def test_blocked_transforms_match_the_single_product(bases, width):
                                 {i: r[na:] for i, r in enumerate(rows)})
         back = np.array([back[i] for i in range(n)]).reshape(n, width)
         for got, want in ((split, rows @ VW), (back, rows @ VW.T)):
-            if width > 64:
+            if width in ONE_PRODUCT_WIDTHS:
                 assert np.array_equal(got, want)
             else:
                 assert n == 0 or np.abs(got - want).max() <= 1e-14
@@ -178,7 +182,7 @@ def test_blocked_transforms_match_the_single_product(bases, width):
 
 @pytest.mark.parametrize("width", sorted(TRANSFORM_WIDTHS))
 def test_transform_products_stay_on_the_calling_blas_thread(bases, monkeypatch, width):
-    # every product of a transform of width <= 64 has at most 2^18
+    # every product of a transform up to width 181 has at most 2^18
     # multiply-adds, the largest gemm OpenBLAS keeps on the calling thread;
     # a wider one is the one product of the whole table
     basis = bases[width]
@@ -192,12 +196,94 @@ def test_transform_products_stay_on_the_calling_blas_thread(bases, monkeypatch, 
     rows = np.random.default_rng(1).standard_normal((2000, width))
     coarse, detail = basis.analyze(dict(enumerate(rows)))
     basis.synthesize(coarse, detail)
-    if width > 64:
+    if width in ONE_PRODUCT_WIDTHS:
         assert shapes == [((2000, width), (width, width))] * 2
     else:
         assert len(shapes) >= 2
         assert all(a[-2] * a[-1] * b[-1] <= 2 ** 18 for a, b in shapes)
         assert sum(math.prod(a[:-1]) for a, _ in shapes) == 2 * 2000
+
+
+@pytest.mark.parametrize("kappa,degree", [(2, 1), (2, 2), (3, 1)])
+def test_build_and_transforms_stay_on_the_calling_blas_thread(monkeypatch, kappa, degree):
+    # every product that `build`, `analyze` and `synthesize` make through
+    # np.matmul has at most 2^18 multiply-adds, and the only LAPACK calls are
+    # the Cholesky of the atom Gram and its inverse in `orthonormalize`, and
+    # one raw QR of the thin V, which stay under OpenBLAS's threading sizes
+    products, solvers, matmul = [], [], np.matmul
+
+    def recording(a, b, **kwargs):
+        products.append((np.shape(a), np.shape(b)))
+        return matmul(a, b, **kwargs)
+
+    def solver(name, func):
+        def call(*args, **kwargs):
+            solvers.append((name, [np.shape(a) for a in args], kwargs))
+            return func(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "matmul", recording)
+    for name in np.linalg.__all__:
+        func = getattr(np.linalg, name)
+        if callable(func) and not isinstance(func, type):
+            monkeypatch.setattr(np.linalg, name, solver(name, func))
+    basis = mra.build(mra.MRAConfig(kappa=kappa, degree=degree))
+    na, width = basis.V.shape[1], basis.V.shape[0]
+    rows = np.random.default_rng(1).standard_normal((2000, width))
+    coarse, detail = basis.analyze(dict(enumerate(rows)))
+    basis.synthesize(coarse, detail)
+    assert len(products) >= 5
+    assert all(a[-2] * a[-1] * b[-1] <= 2 ** 18 for a, b in products)
+    assert solvers == [("cholesky", [(na, na)], {}), ("inv", [(na, na)], {}),
+                       ("qr", [(width, na)], {"mode": "raw"})]
+
+
+def _former_filters(basis):
+    """P, V and W as the former build made them from the basis's exact atom
+    moments and scaling vector, with W the last columns of the QR of [V | I]."""
+    cfg = basis.config
+    d, na, n_cells = cfg.degree, cfg.generator_count, cfg.cell_count
+    expo = lambda q: (q,) + (0,) * (cfg.dim - 1)
+    mono = np.array([[float(basis.atom_moments[c][expo(q)]) for c in range(na)]
+                     for q in range(d + 1)])
+    poly_vs_phi = mono @ basis.coeffs.T
+    P = [basis.coeffs[:, j * (d + 1) : (j + 1) * (d + 1)] @ poly_vs_phi
+         + float(cfg.scaling) * np.eye(na) for j in range(n_cells)]
+    V = np.vstack([p.T / math.sqrt(n_cells) for p in P])
+    qfull, _ = np.linalg.qr(np.hstack([V, np.eye(n_cells * na)]))
+    return P, V, qfull[:, na : n_cells * na]
+
+
+@pytest.mark.parametrize("scaling", [F(1, 2), F(-3, 7), F(99, 100)])
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("kappa", [2, 3, 4])
+@pytest.mark.parametrize("figure", ["square", "interval"])
+def test_householder_completion_matches_the_former_qr(monkeypatch, capsys, figure, kappa, degree,
+                                                      scaling):
+    # the wavelets from V's own reflectors span the same complement as the
+    # former QR of [V | I]: the projections W W^T agree (4.1e-15 at most
+    # measured over these builds) and [V | W] is as orthogonal (1.11 times
+    # the former error at most); P, and so `mra build`'s line, are unchanged
+    built, build = [], mra.build
+
+    def recording(config):
+        built.append(build(config))
+        return built[-1]
+
+    monkeypatch.setattr(mra, "build", recording)
+    code = cli.main(["mra", "build", "--figure", figure, "--kappa", str(kappa),
+                     "--degree", str(degree), f"--scaling={scaling}"])
+    (basis,) = built
+    P, V, W = _former_filters(basis)
+    assert all(np.array_equal(a, b) for a, b in zip(basis.P, P)) and len(basis.P) == len(P)
+    assert np.array_equal(basis.V, V) and basis.W.shape == W.shape
+    assert np.abs(basis.W @ basis.W.T - W @ W.T).max() <= 1e-13
+    n = len(V)
+    error = lambda VW: np.abs(VW.T @ VW - np.eye(n)).max()
+    assert error(basis.VW) <= 2 * error(np.hstack([V, W]))
+    residual = np.abs(sum(p @ p.T for p in P) - len(P) * np.eye(len(V.T))).max()
+    assert f"perfect-reconstruction residual (float): {residual:.2e}" in capsys.readouterr().out
+    assert code == (0 if residual <= cli.RECONSTRUCTION_RESIDUAL_LIMIT else 1)
 
 
 @pytest.mark.parametrize("fine", [
