@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import fif, mra, render, surfaces, tiles
-from .reflections import box_figure, centered_square_figure
+from .reflections import centered_square_figure, unit_square_figure
 
 ENV_OUTDIR = "WAVELETSETS_OUTDIR"
 MESH_CELLS_LIMIT = 2 ** 20
@@ -199,8 +199,8 @@ def cmd_surface_fixture(args) -> int:
 # -- mra ---------------------------------------------------------------------
 
 FIGURES = {
-    "square": lambda: box_figure("unit-square", [(0, 1), (0, 1)]),
-    "interval": lambda: box_figure("unit-interval", [(0, 1)]),
+    "square": unit_square_figure,
+    "interval": lambda: unit_square_figure(1),
 }
 
 

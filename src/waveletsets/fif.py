@@ -212,7 +212,7 @@ def uniform_maps(n: int, mode: str) -> list[AffineMap]:
     if mode == "translation":
         return [AffineMap(Mat([[Fraction(1, n)]]), Vec((Fraction(i),))) for i in range(n)]
     if mode == "reflection":
-        return subdivide(box_figure("interval", [(0, n)]), n)
+        return subdivide(box_figure([(0, n)]), n)
     raise ValueError(f"unknown mode {mode!r}")
 
 

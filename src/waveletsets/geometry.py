@@ -6,7 +6,7 @@ primitive integer vector, is behind every solve: `rank` counts its pivots,
 `Mat.det` multiplies them, `Mat.inverse` back-substitutes with the same row
 step, and `fif` reads an exact L D L^T from them.  `_int_dtype` is the one
 int64-or-Python-int rule of the integer arrays of `surfaces` and `tiles`,
-and `_frac` the one Fraction coercion of `tiles` and `fif`.
+and `_frac` the one Fraction coercion of `tiles`, `fif` and `reflections`.
 """
 
 from __future__ import annotations

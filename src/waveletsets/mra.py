@@ -50,6 +50,8 @@ class MRAConfig:
             raise ValueError("the base figure must be a box")
         if any(lo != 0 for lo, _ in self.figure.box):
             raise ValueError("the base figure must have a vertex at the origin")
+        if any(hi <= 0 for _, hi in self.figure.box):
+            raise ValueError("the figure box needs positive widths")
         for name in ("kappa", "degree"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
@@ -90,7 +92,7 @@ class MultiresolutionBasis:
         kappa, d, s = config.kappa, config.degree, config.scaling
         dim = config.dim
         widths = [hi - lo for lo, hi in config.figure.box]
-        self.domain = box_figure("scaled-domain", [(0, kappa * w) for w in widths])
+        self.domain = box_figure([(0, kappa * w) for w in widths])
         self.maps = tuple(subdivide(self.domain, kappa))
 
         # atoms: index a = cell * (d+1) + power q of the first coordinate,

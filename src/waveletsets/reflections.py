@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import AffineIsometry, AffineMap, Hyperplane, Mat, Vec, rank
+from .geometry import AffineIsometry, AffineMap, Hyperplane, Mat, Vec, _frac, rank
 
 FOLD_GUARD = 100000
 
@@ -53,19 +53,13 @@ class RootSystem:
         if rank(self.roots) != self.dim:
             raise ValueError("roots do not span the ambient space")
         for r in self.roots:
-            if Vec(-a for a in r) not in roots:
+            if -r not in roots:
                 raise ValueError("root system is not symmetric")
             rr = r.dot(r)
             for s in self.roots:
                 # only +-r may be parallel to r
-                if s != r and s != Vec(-a for a in r):
-                    cross_zero = all(
-                        r[i] * s[j] == r[j] * s[i]
-                        for i in range(self.dim)
-                        for j in range(self.dim)
-                    )
-                    if cross_zero:
-                        raise ValueError("non-reduced root system")
+                if s != r and s != -r and rank([r, s]) < 2:
+                    raise ValueError("non-reduced root system")
                 cartan = 2 * s.dot(r) / rr
                 if cartan.denominator != 1:
                     raise ValueError("non-crystallographic pairing")
@@ -104,30 +98,22 @@ def klein_four_root_system() -> RootSystem:
 
 @dataclass(frozen=True)
 class FoldableFigure:
-    """A convex figure whose bounding reflections generate its tessellation.
+    """A convex polytope whose bounding reflections generate its tessellation.
 
-    bounding: oriented hyperplanes of the figure itself (folding reflects
-        across these); interior(theta) is strictly inside all of them.
+    vertices: its corners, as `Vec`s of Fractions.
+    bounding: the hyperplanes of its facets, the mirrors that folding
+        reflects across; `fold` orients each by the mean of the vertices,
+        which lies strictly inside a figure with interior.
     box: for axis-aligned box figures, ((lo_1, hi_1), ..., (lo_n, hi_n)).
     """
 
-    name: str
     vertices: tuple
     bounding: tuple
-    theta: Vec
     box: Optional[tuple] = None
 
     @property
     def dim(self) -> int:
-        return len(self.theta)
-
-    def _inside(self, h: Hyperplane, x: Vec):
-        """Positive inside, negative outside, zero on the plane."""
-        sign = h.side(self.theta)
-        if sign == 0:
-            raise ValueError("theta lies on a bounding hyperplane")
-        value = h.side(x)
-        return value if sign > 0 else -value
+        return len(self.vertices[0])
 
 
 @dataclass
@@ -140,18 +126,23 @@ class FoldResult:
 def fold(figure: FoldableFigure, x: Sequence) -> FoldResult:
     """Reflect x across violated bounding hyperplanes until it lies in the figure.
 
-    Returns the folded point, the word of bounding-hyperplane indices applied
-    (in application order), and the isometry g with g(folded) == x.
+    Each mirror is oriented once, by the side of the mean of the figure's
+    vertices, and is violated where the point lies on the other side.
+    Returns the folded point, exact Fractions whatever the input's number
+    type, the word of bounding-hyperplane indices applied (in application
+    order), and the isometry g with g(folded) == x.  A flat figure, whose
+    vertex mean lies on a mirror, raises ValueError.
     """
-    y = Vec(Fraction(a) if isinstance(a, int) else a for a in x)
+    mean = Vec(sum(c) / len(figure.vertices) for c in zip(*figure.vertices))
+    inward = [h.side(mean) for h in figure.bounding]
+    if 0 in inward:
+        raise ValueError("flat figure: the mean of its vertices lies on a mirror")
+    y = Vec(map(_frac, x))
     word: list = []
     back = AffineIsometry.identity(figure.dim)
     for _ in range(FOLD_GUARD):
-        violated = None
-        for idx, h in enumerate(figure.bounding):
-            if figure._inside(h, y) < 0:
-                violated = idx
-                break
+        violated = next((idx for idx, (h, side) in enumerate(zip(figure.bounding, inward))
+                         if h.side(y) * side < 0), None)
         if violated is None:
             return FoldResult(y, word, back)
         mirror = figure.bounding[violated].reflection()
@@ -165,10 +156,16 @@ def fold(figure: FoldableFigure, x: Sequence) -> FoldResult:
 # -- built-in figures --------------------------------------------------------
 
 
-def box_figure(name: str, intervals: Sequence[tuple]) -> FoldableFigure:
-    """An axis-aligned box figure."""
+def box_figure(intervals: Sequence[tuple]) -> FoldableFigure:
+    """An axis-aligned box figure, the product of the intervals [lo, hi].
+
+    An interval with lo > hi raises ValueError; lo == hi gives a flat figure.
+    """
     n = len(intervals)
     intervals = tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals)
+    for lo, hi in intervals:
+        if lo > hi:
+            raise ValueError(f"the box interval [{lo}, {hi}] is reversed")
     bounding = []
     for axis, (lo, hi) in enumerate(intervals):
         e = [Fraction(0)] * n
@@ -178,24 +175,18 @@ def box_figure(name: str, intervals: Sequence[tuple]) -> FoldableFigure:
     vertices = [()]
     for lo, hi in intervals:
         vertices = [v + (c,) for v in vertices for c in (lo, hi)]
-    return FoldableFigure(
-        name=name,
-        vertices=tuple(Vec(v) for v in vertices),
-        bounding=tuple(bounding),
-        theta=Vec((lo + hi) / 2 for lo, hi in intervals),
-        box=intervals,
-    )
+    return FoldableFigure(tuple(Vec(v) for v in vertices), tuple(bounding), intervals)
 
 
 def unit_square_figure(n: int = 2) -> FoldableFigure:
     """[0,1]^n; its bounding reflections generate the integer grid tessellation."""
-    return box_figure("unit-square", [(0, 1)] * n)
+    return box_figure([(0, 1)] * n)
 
 
 def centered_square_figure() -> FoldableFigure:
     """[-1,1]^2 in pi units, the translation fundamental domain used by the
     planar wavelet-set fixtures."""
-    return box_figure("centered-square", [(-1, 1), (-1, 1)])
+    return box_figure([(-1, 1), (-1, 1)])
 
 
 def right_triangle_figure() -> FoldableFigure:
@@ -206,12 +197,7 @@ def right_triangle_figure() -> FoldableFigure:
         Hyperplane((Fraction(0), Fraction(1)), Fraction(0)),
         Hyperplane((Fraction(1), Fraction(1)), Fraction(1)),
     )
-    return FoldableFigure(
-        name="right-triangle",
-        vertices=verts,
-        bounding=bounding,
-        theta=Vec((Fraction(1, 4), Fraction(1, 5))),
-    )
+    return FoldableFigure(verts, bounding)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +223,8 @@ def subdivide(figure: FoldableFigure, kappa: int) -> list[AffineMap]:
         if lo != 0:
             raise ValueError("figure must have a vertex at the origin")
     widths = [hi - lo for lo, hi in figure.box]
+    if any(w <= 0 for w in widths):
+        raise ValueError("the figure box needs positive widths")
 
     maps = []
     indices = [()]

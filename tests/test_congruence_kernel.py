@@ -212,7 +212,7 @@ def fold_cases(draw, dim, max_boxes):
     spacing = [draw(spacings) for _ in range(dim)]
     shifts = [F(draw(st.integers(-4, 4)), 4) for _ in range(dim)]
     figure = [(s * a, s * (a + 1)) for s, a in zip(spacing, shifts)]
-    return draw(lattice_sets(spacing, max_boxes, 3)), box_figure("box", figure)
+    return draw(lattice_sets(spacing, max_boxes, 3)), box_figure(figure)
 
 
 @settings(max_examples=100, deadline=None)

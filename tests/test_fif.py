@@ -81,7 +81,7 @@ def test_reflection_layout_is_the_subdivision_of_the_interval(n):
         mirrored.append((-m, 2 * i - q))
     maps = uniform_maps(n, "reflection")
     assert _slopes_and_intercepts(maps) == mirrored
-    assert maps == subdivide(box_figure("interval", [(0, n)]), n)
+    assert maps == subdivide(box_figure([(0, n)]), n)
 
 
 def _interval_spec(lo, hi, maps):

@@ -16,6 +16,7 @@ from waveletsets.reflections import (
     box_figure,
     centered_square_figure,
     right_triangle_figure,
+    subdivide,
 )
 from waveletsets.tiles import DyadicBoxSet, GroupSpec
 
@@ -56,12 +57,20 @@ def _json_in(unit):
     (lambda: GroupSpec("weyl"), ValueError, "reflection group needs a figure"),
     (lambda: GroupSpec("weyl", figure=right_triangle_figure()), ValueError,
      "a box figure is required"),
-    (lambda: GroupSpec("weyl", figure=box_figure("flat", [(0, 1), (2, 2)])), ValueError,
+    (lambda: GroupSpec("weyl", figure=box_figure([(0, 1), (2, 2)])), ValueError,
      "the figure box needs positive widths"),
     (lambda: GroupSpec("translation", spacings=(2, 0)), ValueError,
      "translation lattice needs positive spacings"),
+    # box figures
+    (lambda: box_figure([(0, -1)]), ValueError, "the box interval [0, -1] is reversed"),
+    (lambda: box_figure([(0, 1), (F(1, 2), F(1, 3))]), ValueError,
+     "the box interval [1/2, 1/3] is reversed"),
     # root systems
     (lambda: RootSystem([]), ValueError, "empty root system"),
+    (lambda: RootSystem([(1, 0), (-1, 0)]), ValueError, "roots do not span the ambient space"),
+    (lambda: RootSystem([(1, 0), (0, 1), (-1, 0)]), ValueError, "root system is not symmetric"),
+    (lambda: RootSystem([(1, 0), (-1, 0), (2, 0), (-2, 0), (0, 1), (0, -1)]), ValueError,
+     "non-reduced root system"),
     (lambda: RootSystem([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 0)]), ValueError,
      "repeated roots"),
     (lambda: RootSystem([(1, 2), (-1, -2), (1, 0), (-1, 0)]), ValueError,
@@ -81,4 +90,16 @@ def _json_in(unit):
 ])
 def test_public_input_check_raises_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mra.MRAConfig(figure=box_figure([(0, 0)])),
+    lambda: mra.MRAConfig(figure=box_figure([(0, 1), (0, 0)])),
+    lambda: subdivide(box_figure([(0, 0)]), 2),
+    lambda: subdivide(box_figure([(0, 1), (0, 0)]), 2),
+], ids=["MRAConfig-1D", "MRAConfig-2D", "subdivide-1D", "subdivide-2D"])
+def test_a_flat_box_is_refused_with_the_group_spec_message(call):
+    # a flat box is a figure, but it has no cells to subdivide or scale
+    with pytest.raises(ValueError, match="^the figure box needs positive widths$"):
         call()

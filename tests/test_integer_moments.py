@@ -59,7 +59,7 @@ def kuhn_simplex(dim):
 
 
 def subdivided_box(widths, kappa):
-    figure = box_figure("box", [(0, w) for w in widths])
+    figure = box_figure([(0, w) for w in widths])
     corners = [()]
     for lo, hi in figure.box:
         corners = [c + (t,) for c in corners for t in (lo, hi)]

@@ -138,8 +138,8 @@ def test_stacked_transforms_are_bit_identical_to_the_row_loop(basis, words):
         assert all(np.array_equal(got[k], expect[k]) for k in expect)
 
 
-SQUARE = box_figure("unit-square", [(0, 1), (0, 1)])
-INTERVAL = box_figure("unit-interval", [(0, 1)])
+SQUARE = box_figure([(0, 1), (0, 1)])
+INTERVAL = box_figure([(0, 1)])
 # (figure, kappa, degree) at fine widths 16, 32, 48, 64, 27 (the interval), 162
 # and 243
 TRANSFORM_WIDTHS = {16: (SQUARE, 2, 0), 32: (SQUARE, 2, 1), 48: (SQUARE, 2, 2), 64: (SQUARE, 2, 3),
@@ -385,7 +385,7 @@ def test_config_accepts_numpy_integers():
 
 
 def test_haar_two_scale_coefficients():
-    cfg = mra.MRAConfig(figure=box_figure("unit-interval", [(0, 1)]), kappa=2, degree=0, scaling=0)
+    cfg = mra.MRAConfig(figure=box_figure([(0, 1)]), kappa=2, degree=0, scaling=0)
     b = mra.build(cfg)
     assert np.abs(b.P[0] - np.array([[1.0, 1.0], [0.0, 0.0]])).max() < 1e-12
     assert np.abs(b.P[1] - np.array([[0.0, 0.0], [1.0, 1.0]])).max() < 1e-12

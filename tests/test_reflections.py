@@ -2,9 +2,11 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fold_oracle
 import selfaffine_oracle as oracle
 
 from waveletsets.geometry import AffineMap, Mat, Vec
@@ -105,7 +107,7 @@ def test_fold_of_a_box_is_the_triangle_wave_per_axis(n, data):
                                min_size=n, max_size=n), label="sides")
     x = Vec(data.draw(st.lists(st.fractions(-20, 20, max_denominator=16), min_size=n,
                                max_size=n), label="x"))
-    res = fold(box_figure("box", [(lo, lo + w) for lo, w in sides]), x)
+    res = fold(box_figure([(lo, lo + w) for lo, w in sides]), x)
     assert res.point == tuple(lo + w - abs((a - lo) % (2 * w) - w) for (lo, w), a in zip(sides, x))
     assert res.isometry.apply(res.point) == x
 
@@ -139,8 +141,8 @@ def test_subdivision_tiles_the_figure():
     assert Vec((F(1, 2), F(1, 2))) in hit and Vec((F(1), F(1))) in hit
 
 
-@pytest.mark.parametrize("fig", [box_figure("interval", [(0, 3)]), unit_square_figure(),
-                                 box_figure("box", [(0, 2), (0, F(1, 3)), (0, 1)])])
+@pytest.mark.parametrize("fig", [box_figure([(0, 3)]), unit_square_figure(),
+                                 box_figure([(0, 2), (0, F(1, 3)), (0, 1)])])
 def test_subdivision_by_one_is_the_identity(fig):
     identity = AffineMap(Mat.identity(fig.dim), Vec([F(0)] * fig.dim))
     assert subdivide(fig, 1) == [identity]
@@ -155,3 +157,70 @@ def test_triangle_figure_folds_its_mirror_image():
     assert x >= 0 and y >= 0 and x + y <= 1
     assert res.isometry.apply(res.point) == (F(3, 4), F(3, 4))
 
+
+def _figure(data):
+    """A box figure in 1-3 D or the right triangle, with a period (lo, w) per
+    axis: lo + k w is a mirror for every integer k."""
+    if data.draw(st.booleans(), label="triangle"):
+        return right_triangle_figure(), [(F(0), F(1))] * 2
+    n = data.draw(st.integers(1, 3), label="n")
+    sides = data.draw(st.lists(st.tuples(fracs, st.fractions(F(1, 4), 3, max_denominator=16)),
+                               min_size=n, max_size=n), label="sides")
+    return box_figure([(lo, lo + w) for lo, w in sides]), sides
+
+
+def _inside(figure, point):
+    if figure.box is None:
+        a, b = point
+        return a >= 0 and b >= 0 and a + b <= 1
+    return all(lo <= a <= hi for (lo, hi), a in zip(figure.box, point))
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_fold_matches_the_interior_point_rule(data):
+    # near points, points on mirrors and points up to 30 periods away, as
+    # integers or Fractions: the point, the word and the isometry are those
+    # of the rule that re-signed every mirror against a hand-picked theta
+    figure, periods = _figure(data)
+    x = []
+    for lo, w in periods:
+        k = data.draw(st.one_of(st.integers(-3, 3), st.integers(-30, 30)), label="k")
+        t = data.draw(st.one_of(st.just(0), st.fractions(0, 1, max_denominator=16)), label="t")
+        x.append(lo + w * (k + t))
+    if figure.box is None and data.draw(st.booleans(), label="on a diagonal mirror"):
+        odd = 2 * data.draw(st.integers(-15, 15), label="m") + 1
+        x[1] = data.draw(st.sampled_from([odd - x[0], x[0] + odd]), label="y")
+    x = [int(a) if a.denominator == 1 and data.draw(st.booleans(), label="int") else a
+         for a in x]
+    res = fold(figure, x)
+    point, word, isometry = fold_oracle.fold(figure, x)
+    assert (res.point, res.word, res.isometry) == (point, word, isometry)
+    assert all(type(a) is F for a in res.point) and _inside(figure, res.point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fold_reads_floats_exactly(data):
+    # a float is read as its exact Fraction, so g(folded) == x exactly
+    figure, periods = _figure(data)
+    x = data.draw(st.lists(st.floats(-50, 50), min_size=len(periods), max_size=len(periods)),
+                  label="x")
+    res = fold(figure, x)
+    assert all(type(a) is F for a in res.point) and _inside(figure, res.point)
+    assert res.isometry.apply(res.point) == tuple(map(F, x))
+
+
+@pytest.mark.parametrize("x, point", [
+    ((0.1, 2.3), (F(0.1), F(2.3) - 2)),
+    ((np.int64(7), np.float64(-2.5)), (F(1, 2), F(0))),
+])
+def test_fold_reads_floats_and_numpy_numbers_as_fractions(x, point):
+    res = fold(right_triangle_figure(), x)
+    assert res.point == point and all(type(a) is F for a in res.point)
+    assert res.isometry.apply(res.point) == tuple(map(F, x))
+
+
+def test_fold_refuses_a_flat_figure():
+    with pytest.raises(ValueError, match="^flat figure: the mean of its vertices lies on a mirror$"):
+        fold(box_figure([(0, 1), (2, 2)]), (F(1, 2), 3))

@@ -474,7 +474,7 @@ def test_surface_mesh_keeps_the_oracle_order(s, depth, kappa, widths, g):
     # of a quadratic g, whose surface is g itself, so the mesh exists.  The
     # cascade must insert its points in the oracle's order: cells outer,
     # coarser points inner, each point where it first occurs
-    figure = box_figure("box", [(0, w) for w in widths])
+    figure = box_figure([(0, w) for w in widths])
     corners = [(x, y) for x in (0, widths[0]) for y in (0, widths[1])]
     maps = subdivide(figure, kappa)
     g = dict(zip([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], g))
@@ -752,8 +752,8 @@ def test_surface_iterates_of_inconsistent_data_match_oracle(depth):
 def test_mra_atom_gram_matches_oracle(kappa, degree, s, square):
     if kappa == 3 and square:
         degree = min(degree, 1)  # the oracle takes seconds beyond this
-    figure = (box_figure("unit-square", [(0, 1), (0, 1)]) if square
-              else box_figure("unit-interval", [(0, 1)]))
+    figure = (box_figure([(0, 1), (0, 1)]) if square
+              else box_figure([(0, 1)]))
     basis = mra.build(mra.MRAConfig(figure=figure, kappa=kappa, degree=degree, scaling=s))
     assert basis.atom_gram == oracle.surface_gram_matrix(basis.atoms)
 
@@ -771,7 +771,7 @@ def test_centroid_samples_match_the_fraction_loop(figure, kappa, degree, depth, 
     # the cascade keeps every leaf, leaves outer and cells inner, and starts
     # at the mean of the domain's vertices: the points, the floats of the
     # exact values and the cell weight must be those of the push loop
-    config = mra.MRAConfig(figure=box_figure(figure, CENTROID_FIGURES[figure]), kappa=kappa,
+    config = mra.MRAConfig(figure=box_figure(CENTROID_FIGURES[figure]), kappa=kappa,
                            degree=degree, scaling=s)
     basis = mra.build(config)
     pts, values, weight = basis.centroid_samples(depth)

@@ -37,7 +37,7 @@ scalings = st.one_of(st.integers(1, 12), st.integers(2, 2 ** 64)).flatmap(
 
 
 def _box_domain(widths, kappa):
-    figure = box_figure("box", [(0, w) for w in widths])
+    figure = box_figure([(0, w) for w in widths])
     corners = [()]
     for lo, hi in figure.box:
         corners = [c + (t,) for c in corners for t in (lo, hi)]
@@ -208,8 +208,8 @@ def test_function_family_matches_oracle_and_fresh_functions(family, data):
 def test_mra_atoms_share_one_system_and_match_oracle(kappa, degree, s, square):
     if kappa == 3 and square:
         degree = min(degree, 1)  # the oracle takes seconds beyond this
-    figure = (box_figure("unit-square", [(0, 1), (0, 1)]) if square
-              else box_figure("unit-interval", [(0, 1)]))
+    figure = (box_figure([(0, 1), (0, 1)]) if square
+              else box_figure([(0, 1)]))
     basis = mra.build(mra.MRAConfig(figure=figure, kappa=kappa, degree=degree, scaling=s))
     assert len({id(a.spec._system) for a in basis.atoms}) == 1
     assert basis.atom_moments == [oracle.cell_surface_moments(a, degree) for a in basis.atoms]
@@ -360,7 +360,7 @@ def test_first_mesh_of_ex52_holds_every_domain_vertex():
 def test_first_mesh_on_the_mra_boxes_holds_every_domain_vertex(kappa, widths):
     # the MRA's box system with the data g o u_i - s g of an affine g, whose
     # surface is g
-    basis = mra.build(mra.MRAConfig(figure=box_figure("box", widths), kappa=kappa, degree=0))
+    basis = mra.build(mra.MRAConfig(figure=box_figure(widths), kappa=kappa, degree=0))
     template, s = basis.atoms[0].spec, F(2, 7)
     g = {(0,) * len(widths): F(1, 3), (1,) + (0,) * (len(widths) - 1): F(-2, 5)}
     lam = [oracle.poly_add(oracle.poly_compose_affine(g, u), {e: -s * c for e, c in g.items()})

@@ -197,7 +197,7 @@ def test_weyl_claim_rule_keeps_the_first_cell_in_grid_order():
     # the same on axis 1, and in 1-D
     cert = weyl_congruent(DyadicBoxSet.from_box((-1, 1), (-3, 1)), centered_square_figure())
     assert cert.source_residual.equals_ae(DyadicBoxSet.from_box((-1, 1), (-1, 1)))
-    cert = weyl_congruent(DyadicBoxSet.from_box((0, 4)), box_figure("unit", [(0, 1)]))
+    cert = weyl_congruent(DyadicBoxSet.from_box((0, 4)), box_figure([(0, 1)]))
     assert cert.source_residual.equals_ae(DyadicBoxSet.from_box((1, 4)))
 
 
@@ -213,7 +213,7 @@ def test_weyl_certificate_has_one_piece_per_reflection_word(build, depth):
 def test_weyl_rejects_a_flat_figure():
     with pytest.raises(ValueError):
         weyl_congruent(DyadicBoxSet.from_box((-1, 1), (-1, 1)),
-                       box_figure("flat", [(-1, 1), (1, 1)]))
+                       box_figure([(-1, 1), (1, 1)]))
 
 
 def test_weyl_takes_a_box_figure_not_a_list_of_intervals():
@@ -525,7 +525,7 @@ def test_intersection_group_generators():
 def test_intersection_group_checks_the_figure_box(figure):
     # a flat side would give a zero generator
     with pytest.raises(ValueError, match="positive widths|dimension"):
-        intersection_group(box_figure("box", figure), (2, 2))
+        intersection_group(box_figure(figure), (2, 2))
 
 
 LINE, SQUARE = DyadicBoxSet.from_box((0, 1)), DyadicBoxSet.from_box((0, 1), (0, 1))

@@ -65,7 +65,7 @@ def fold_cases(draw, dim, max_boxes):
         level = lo + draw(st.integers(-2, 2)) * (hi - lo)
         mirror = [2 * level if i == axis else 0 for i in range(dim)]
         source = source.union(source.reflect_axis(axis).translate(mirror))
-    return source, box_figure("box", sides)
+    return source, box_figure(sides)
 
 
 def assemble_by_word(source, figure):
@@ -119,7 +119,7 @@ def test_fold_matches_oracle_in_three_dimensions(case):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_fold_of_empty_set(dim):
-    figure = box_figure("cube", [(-1, 1)] * dim)
+    figure = box_figure([(-1, 1)] * dim)
     cert, _ = check_against_oracle(DyadicBoxSet.empty(dim), figure)
     assert cert.pieces == []
     assert cert.source_residual.is_empty
@@ -197,5 +197,5 @@ def test_fold_fundamental_domain_reads_its_region(region, uncovered):
 def test_fold_fundamental_domain_refuses_a_flat_figure():
     square = DyadicBoxSet.from_box((0, 1), (0, 1))
     with pytest.raises(ValueError, match="positive widths"):
-        flat = box_figure("flat", [(0, 0), (0, 1)])
+        flat = box_figure([(0, 0), (0, 1)])
         is_fundamental_domain(square, GroupSpec("weyl", figure=flat), square)
