@@ -1,7 +1,8 @@
 """Command-line front end: fractal functions, surfaces, filter banks, tilings.
 
 Exit codes: 0 success, 1 numerical or verification failure, 2 usage error
-(including a malformed or out-of-range parameter value).
+(including a malformed or out-of-range parameter value, or an output path
+that cannot be written).
 Relative output paths are resolved against $WAVELETSETS_OUTDIR when set.
 """
 
@@ -114,13 +115,18 @@ def _outpath(path: str) -> str:
 
 
 def _write(path: str, text) -> None:
-    """Write a text, or its pieces one at a time, to path."""
+    """Write a text, or its pieces one at a time, to path; a path that
+    cannot be written is a usage error, exit 2."""
     path = _outpath(path)
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     print(f"wrote {path}")
 
 
@@ -386,10 +392,9 @@ def main(argv=None) -> int:
             at = next(i for i in range(len(argv))
                       if argv[i:i + 2] == [args.command, args.subcommand]) + 2
             args = parser.parse_args(argv[:at] + _config_flags(overrides, args) + argv[at:])
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as exc:  # a usage error of the parser or of `_write`
+        return int(exc.code or 0)
     except (ValueError, tiles.ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

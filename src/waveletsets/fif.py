@@ -209,6 +209,8 @@ def uniform_maps(n: int, mode: str) -> list[AffineMap]:
     reflection:  the subdivision of the figure [0, n] (`reflections.subdivide`):
     u_1 = x/n, and consecutive cells are mirror images.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if mode == "translation":
         return [AffineMap(Mat([[Fraction(1, n)]]), Vec((Fraction(i),))) for i in range(n)]
     if mode == "reflection":
@@ -318,17 +320,17 @@ def cardinal_basis(xs: Sequence, s: Sequence) -> list[FractalFunction]:
 
 
 def uniform_cardinal_basis(n: int, s, mode: str = "translation") -> list[FractalFunction]:
-    """Cardinal functions at the integer knots of [0, n] for either layout,
-    on one system.
+    """Cardinal functions at the integer knots of [0, n] for either layout
+    (`uniform_maps`, which refuses n < 1 and an unknown mode), on one system.
 
     The translation layout is `cardinal_basis` at the knots 0..n, whose maps
     are those of `uniform_maps`; the reflection layout forces its data by
     the same rule on the mirrored maps.
     """
-    s = _frac(s)
+    s, maps = _frac(s), uniform_maps(n, mode)
     if mode == "translation":
         return cardinal_basis(range(n + 1), [s] * n)
-    spec = SurfaceSpec(((0,), (n,)), uniform_maps(n, mode), [{}] * n, (s,) * n)
+    spec = SurfaceSpec(((0,), (n,)), maps, [{}] * n, (s,) * n)
     return _family(spec, range(n + 1), _kronecker(n + 1))
 
 

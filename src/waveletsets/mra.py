@@ -14,15 +14,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .fif import orthonormalize
 from .geometry import AffineIsometry, AffineMap, Mat, Vec
-from .reflections import FoldableFigure, box_figure, subdivide, unit_square_figure
+from .reflections import FoldableFigure, box_figure, box_widths, subdivide, unit_square_figure
 from .surfaces import (
     FractalSurface,
     SurfaceSpec,
@@ -37,21 +36,14 @@ from .surfaces import (
 class MRAConfig:
     """Base figure, subdivision order, polynomial degree, vertical scaling."""
 
-    figure: Optional[FoldableFigure] = None
+    figure: FoldableFigure = field(default_factory=unit_square_figure)
     kappa: int = 2
     degree: int = 1
     scaling: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
-        if self.figure is None:
-            object.__setattr__(self, "figure", unit_square_figure(2))
         object.__setattr__(self, "scaling", Fraction(self.scaling))
-        if self.figure.box is None:
-            raise ValueError("the base figure must be a box")
-        if any(lo != 0 for lo, _ in self.figure.box):
-            raise ValueError("the base figure must have a vertex at the origin")
-        if any(hi <= 0 for _, hi in self.figure.box):
-            raise ValueError("the figure box needs positive widths")
+        box_widths(self.figure, cells=True)
         for name in ("kappa", "degree"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
@@ -91,7 +83,7 @@ class MultiresolutionBasis:
         self.config = config
         kappa, d, s = config.kappa, config.degree, config.scaling
         dim = config.dim
-        widths = [hi - lo for lo, hi in config.figure.box]
+        widths = box_widths(config.figure)
         self.domain = box_figure([(0, kappa * w) for w in widths])
         self.maps = tuple(subdivide(self.domain, kappa))
 
@@ -175,9 +167,7 @@ class MultiresolutionBasis:
                                           leaves)
             rows.append([v / dv for v in vals.tolist()])
         pts = [Vec(p) for p in zip(*_fractions(dp, *cols))]
-        measure = 1.0
-        for lo, hi in self.domain.box:
-            measure *= float(hi - lo)
+        measure = math.prod(float(w) for w in box_widths(self.domain))
         return pts, np.array(rows), measure / len(pts)
 
     # -- one-level transforms ---------------------------------------------------
@@ -201,14 +191,20 @@ class MultiresolutionBasis:
     def synthesize(self, coarse: dict, detail: dict) -> dict:
         """Inverse of analyze: the stacked [coarse | detail] rows times
         [V | W]^T in `_times`; a word missing from one side has zeros there.
-        Each side is stacked as one array and set into its rows at once."""
+        Each side is stacked as one array, checked to have one row of its
+        width per word (numpy would spread a length-1 or scalar entry over
+        the row), and set into its rows at once."""
         keys = list(coarse) + [k for k in detail if k not in coarse]
         na, nw = self.V.shape[1], self.W.shape[1]
         split = np.zeros((len(keys), na + nw))
         index = {k: r for r, k in enumerate(keys)}
-        for side, cols in ((coarse, slice(None, na)), (detail, slice(na, None))):
+        for name, side, start, width in (("coarse", coarse, 0, na), ("detail", detail, na, nw)):
             if side:
-                split[[index[k] for k in side], cols] = np.array(list(side.values()), dtype=float)
+                block = np.array(list(side.values()), dtype=float)
+                if block.shape != (len(side), width):
+                    raise ValueError(f"each {name} vector must have shape ({width},)")
+                split[[index[k] for k in side], start:start + width] = block
+                del block  # not held through the product below
         rows = _times(split, self.VW.T)
         return {k: rows[r] for r, k in enumerate(keys)}
 

@@ -8,7 +8,7 @@ hyperplanes until it lands inside the figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -96,6 +96,18 @@ def klein_four_root_system() -> RootSystem:
 # ---------------------------------------------------------------------------
 
 
+def _box_bounds(vertices: Sequence) -> Optional[tuple]:
+    """((lo_1, hi_1), ..., (lo_n, hi_n)) when the vertices are the corners of
+    an axis-aligned box, flat sides allowed, and None otherwise."""
+    bounds = tuple((min(axis), max(axis)) for axis in zip(*vertices))
+    corners = {()}
+    for lo, hi in bounds:
+        corners = {c + (t,) for c in corners for t in (lo, hi)}
+    if len(vertices) == 2 ** len(bounds) and corners == {tuple(v) for v in vertices}:
+        return bounds
+    return None
+
+
 @dataclass(frozen=True)
 class FoldableFigure:
     """A convex polytope whose bounding reflections generate its tessellation.
@@ -104,16 +116,37 @@ class FoldableFigure:
     bounding: the hyperplanes of its facets, the mirrors that folding
         reflects across; `fold` orients each by the mean of the vertices,
         which lies strictly inside a figure with interior.
-    box: for axis-aligned box figures, ((lo_1, hi_1), ..., (lo_n, hi_n)).
+    box: read off the vertices when the figure is made (`_box_bounds`):
+        ((lo_1, hi_1), ..., (lo_n, hi_n)) when they are the corners of an
+        axis-aligned box, None otherwise.
     """
 
     vertices: tuple
     bounding: tuple
-    box: Optional[tuple] = None
+    box: Optional[tuple] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "box", _box_bounds(self.vertices))
 
     @property
     def dim(self) -> int:
         return len(self.vertices[0])
+
+
+def box_widths(figure, cells: bool = False) -> list:
+    """The side widths of a box figure, the one check of the box figures that
+    a fold group, a subdivision and an MRA accept: the figure has a box, with
+    cells=True one with a vertex at the origin, and every width is positive.
+    """
+    box = getattr(figure, "box", None)
+    if box is None:
+        raise ValueError("a box figure is required")
+    if cells and any(lo != 0 for lo, _ in box):
+        raise ValueError("the figure must have a vertex at the origin")
+    widths = [hi - lo for lo, hi in box]
+    if any(w <= 0 for w in widths):
+        raise ValueError("the figure box needs positive widths")
+    return widths
 
 
 @dataclass
@@ -166,16 +199,12 @@ def box_figure(intervals: Sequence[tuple]) -> FoldableFigure:
     for lo, hi in intervals:
         if lo > hi:
             raise ValueError(f"the box interval [{lo}, {hi}] is reversed")
-    bounding = []
-    for axis, (lo, hi) in enumerate(intervals):
-        e = [Fraction(0)] * n
-        e[axis] = Fraction(1)
-        bounding.append(Hyperplane(e, lo))
-        bounding.append(Hyperplane(e, hi))
+    bounding = [Hyperplane([int(k == axis) for k in range(n)], c)
+                for axis, (lo, hi) in enumerate(intervals) for c in (lo, hi)]
     vertices = [()]
     for lo, hi in intervals:
         vertices = [v + (c,) for v in vertices for c in (lo, hi)]
-    return FoldableFigure(tuple(Vec(v) for v in vertices), tuple(bounding), intervals)
+    return FoldableFigure(tuple(Vec(v) for v in vertices), tuple(bounding))
 
 
 def unit_square_figure(n: int = 2) -> FoldableFigure:
@@ -209,22 +238,16 @@ def subdivide(figure: FoldableFigure, kappa: int) -> list[AffineMap]:
     """Similitudes u_1..u_N (N = kappa^n) mapping the figure onto its N cells,
     the grid of boxes 1/kappa its size.
 
-    Only box figures with a vertex at the origin are supported.  u_1 is the
-    pure scaling x -> x/kappa, and every other u_j is a tessellation
-    reflection composed with u_1, so adjacent cells are mirror images.
+    Only box figures with a vertex at the origin and positive widths are
+    supported (`box_widths`).  u_1 is the pure scaling x -> x/kappa, and
+    every other u_j is a tessellation reflection composed with u_1, so
+    adjacent cells are mirror images.
     kappa = 1 is the trivial subdivision: one cell, the identity.
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
-    if figure.box is None:
-        raise ValueError("subdivision is implemented for box figures")
+    widths = box_widths(figure, cells=True)
     n = figure.dim
-    for lo, _ in figure.box:
-        if lo != 0:
-            raise ValueError("figure must have a vertex at the origin")
-    widths = [hi - lo for lo, hi in figure.box]
-    if any(w <= 0 for w in widths):
-        raise ValueError("the figure box needs positive widths")
 
     maps = []
     indices = [()]

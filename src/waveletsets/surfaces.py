@@ -39,12 +39,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import AffineMap, Mat, Vec, _int_dtype, _numerators
-from .reflections import right_triangle_figure
+from .reflections import _box_bounds, right_triangle_figure
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -105,19 +105,6 @@ def _monomials_upto(dim: int, degree: int) -> list:
     for _ in range(dim):
         expos = [e + (k,) for e in expos for k in range(degree + 1)]
     return sorted(e for e in expos if sum(e) <= degree)
-
-
-def _box_bounds(vertices: Sequence) -> Optional[list]:
-    dim = len(vertices[0])
-    if len(vertices) != 2 ** dim:
-        return None
-    los = [min(v[i] for v in vertices) for i in range(dim)]
-    his = [max(v[i] for v in vertices) for i in range(dim)]
-    corners = {tuple(v) for v in vertices}
-    expect = {()}
-    for lo, hi in zip(los, his):
-        expect = {c + (t,) for c in expect for t in (lo, hi)}
-    return list(zip(los, his)) if corners == expect else None
 
 
 def _domain_geometry(verts: Sequence) -> tuple:

@@ -51,6 +51,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .geometry import _frac, _int_dtype
+from .reflections import box_widths
 
 Box = tuple  # ((lo, hi), ...) per axis, half-open, Fractions
 
@@ -771,12 +772,8 @@ class GroupSpec:
         elif self.kind == "weyl":
             if self.figure is None:
                 raise ValueError("reflection group needs a figure")
-            box = getattr(self.figure, "box", None)
-            if box is None:
-                raise ValueError("a box figure is required")
-            axes = tuple((_frac(lo), _frac(hi)) for lo, hi in box)
-            if any(lo >= hi for lo, hi in axes):
-                raise ValueError("the figure box needs positive widths")
+            box_widths(self.figure)
+            axes = tuple((_frac(lo), _frac(hi)) for lo, hi in self.figure.box)
         else:
             raise ValueError(f"unknown group kind {self.kind!r}")
         object.__setattr__(self, "_per_axis", axes)
@@ -938,6 +935,8 @@ def _staircase(depth: int, tail_terms: int, y_side, shift, names) -> tuple:
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if tail_terms < 0:
+        raise ValueError("tail_terms must be at least 0")
 
     def gap(k):
         lo = Fraction(2, 3) * (1 - Fraction(1, 4) ** k)
@@ -1076,8 +1075,10 @@ def construct_wavelet_set(translation_domain: DyadicBoxSet,
     the center) are moved outward by lattice translations into empty space;
     lattice moves keep the translation congruence exact while the moved
     pieces land in high dilates, so the unplaced measure contracts
-    geometrically.
+    geometrically.  It runs at most max_iterations + 1 rounds, so 0 runs one.
     """
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be at least 0")
     epsilon = _frac(epsilon)
     dim = translation_domain.dim
     def lattice(gens):  # checked before the first round, not after the last

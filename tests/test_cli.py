@@ -403,6 +403,28 @@ def test_bad_config_file_exits_two(capsys, tmp_path):
     assert run(["--config", str(bad), "tiles", "w1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["fif", "example", "--name", "ex3.3", "--depth", "3", "--csv"],
+    ["fif", "example", "--name", "ex3.3", "--depth", "3", "--svg"],
+    ["fif", "basis", "--n", "2", "--depth", "2", "--csv"],
+    ["fif", "basis", "--n", "2", "--depth", "2", "--svg"],
+    ["surface", "fixture", "--name", "ex5.2", "--depth", "1", "--csv"],
+    ["surface", "fixture", "--name", "ex5.2", "--depth", "1", "--svg"],
+    ["mra", "build", "--out"],
+    ["tiles", "w1", "--depth", "1", "--svg"],
+    ["tiles", "w2", "--depth", "1", "--svg"],
+    ["tiles", "construct", "--epsilon", "1", "--out"],
+], ids=" ".join)
+@pytest.mark.parametrize("where", ["below-a-file", "a-directory"])
+def test_an_unwritable_output_path_exits_two(capsys, tmp_path, argv, where):
+    (tmp_path / "afile").touch()
+    path = tmp_path / "afile" / "out" if where == "below-a-file" else tmp_path
+    assert run(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: cannot write {re.escape(str(path))}: .+\n", err)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("overrides, argv", [
     ({"degree": -1}, ["mra", "build"]),
     ({"scaling": 1}, ["mra", "build"]),

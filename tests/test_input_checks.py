@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from waveletsets import mra, surfaces
+from waveletsets import fif, mra, surfaces
 from waveletsets.geometry import AffineMap, Mat, Vec
 from waveletsets.reflections import (
     RootSystem,
@@ -18,7 +18,14 @@ from waveletsets.reflections import (
     right_triangle_figure,
     subdivide,
 )
-from waveletsets.tiles import DyadicBoxSet, GroupSpec
+from waveletsets.tiles import (
+    DyadicBoxSet,
+    GroupSpec,
+    build_w1,
+    build_w2,
+    construct_wavelet_set,
+    shannon_set,
+)
 
 
 def _disagreeing_fixture():
@@ -44,9 +51,9 @@ def _json_in(unit):
 @pytest.mark.parametrize("call, error, message", [
     # the MRA configuration
     (lambda: mra.MRAConfig(figure=right_triangle_figure()), ValueError,
-     "the base figure must be a box"),
+     "a box figure is required"),
     (lambda: mra.MRAConfig(figure=centered_square_figure()), ValueError,
-     "the base figure must have a vertex at the origin"),
+     "the figure must have a vertex at the origin"),
     (lambda: mra.MRAConfig(kappa=1), ValueError, "kappa must be at least 2"),
     (lambda: mra.MRAConfig(degree=-1), ValueError, "degree must be nonnegative"),
     (lambda: mra.MRAConfig(scaling=F(-1)), ValueError, "vertical scaling must satisfy |s| < 1"),
@@ -84,9 +91,19 @@ def _json_in(unit):
      ArithmeticError, "pull-back orbit did not close at this point"),
     (lambda: surfaces.moments(_overlapping_thirds(), 1), ValueError,
      "cells must tile the domain"),
-    # box sets
+    # box sets, fixtures and the constructor
     (lambda: DyadicBoxSet.from_json(_json_in("degree")), ValueError,
      "expected coordinates in pi units"),
+    (lambda: build_w1(3, tail_terms=-1), ValueError, "tail_terms must be at least 0"),
+    (lambda: build_w2(3, tail_terms=-3), ValueError, "tail_terms must be at least 0"),
+    (lambda: construct_wavelet_set(DyadicBoxSet.from_box((-1, 1)), shannon_set(), [2],
+                                   max_iterations=-1), ValueError,
+     "max_iterations must be at least 0"),
+    # uniform layouts on [0, n]
+    (lambda: fif.uniform_cardinal_basis(0, F(1, 2), "translation"), ValueError,
+     "n must be at least 1"),
+    (lambda: fif.uniform_cardinal_basis(0, F(1, 2), "reflection"), ValueError,
+     "n must be at least 1"),
 ])
 def test_public_input_check_raises_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -103,3 +120,34 @@ def test_a_flat_box_is_refused_with_the_group_spec_message(call):
     # a flat box is a figure, but it has no cells to subdivide or scale
     with pytest.raises(ValueError, match="^the figure box needs positive widths$"):
         call()
+
+
+def test_max_iterations_zero_runs_one_round():
+    res = construct_wavelet_set(DyadicBoxSet.from_box((-1, 1)), shannon_set(), [2],
+                                epsilon=1, max_iterations=0)
+    assert res.iterations == 0 and len(res.residual_history) == 1
+
+
+@pytest.mark.parametrize("figure, message", [
+    (right_triangle_figure(), "a box figure is required"),
+    ([(0, 1), (0, 1)], "a box figure is required"),
+    (box_figure([(0, 1), (0, 0)]), "the figure box needs positive widths"),
+], ids=["triangle", "intervals", "flat-box"])
+@pytest.mark.parametrize("check", [
+    lambda figure: GroupSpec("weyl", figure=figure),
+    lambda figure: subdivide(figure, 2),
+    lambda figure: mra.MRAConfig(figure=figure),
+], ids=["GroupSpec", "subdivide", "MRAConfig"])
+def test_every_box_figure_check_refuses_a_figure_with_one_message(check, figure, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(figure)
+
+
+@pytest.mark.parametrize("check", [lambda figure: subdivide(figure, 2),
+                                   lambda figure: mra.MRAConfig(figure=figure)],
+                         ids=["subdivide", "MRAConfig"])
+def test_cells_need_a_box_corner_at_the_origin(check):
+    # a fold group takes the same box anywhere
+    GroupSpec("weyl", figure=centered_square_figure())
+    with pytest.raises(ValueError, match="^the figure must have a vertex at the origin$"):
+        check(centered_square_figure())

@@ -295,6 +295,20 @@ def test_analyze_refuses_a_word_that_is_not_one_fine_vector(basis, fine):
         basis.analyze(fine)
 
 
+@pytest.mark.parametrize("side", ["coarse", "detail"])
+@pytest.mark.parametrize("shape", [lambda w: (1,), lambda w: (w - 1,), lambda w: (w + 1,),
+                                   lambda w: (2, w), lambda w: ()],
+                         ids=["one", "width-1", "width+1", "two-rows", "scalar"])
+def test_synthesize_refuses_an_entry_that_is_not_one_vector_of_its_side(basis, side, shape):
+    # numpy would spread a length-1 or scalar entry over the whole side
+    na, nw = basis.V.shape[1], basis.W.shape[1]
+    width = na if side == "coarse" else nw
+    sides = {"coarse": {"a": np.zeros(na)}, "detail": {"a": np.zeros(nw)}}
+    sides[side] = {"a": np.ones(shape(width))}
+    with pytest.raises(ValueError, match=rf"^each {side} vector must have shape \({width},\)$"):
+        basis.synthesize(sides["coarse"], sides["detail"])
+
+
 def test_centroid_samples_refuse_a_negative_depth(basis):
     with pytest.raises(ValueError, match="depth must be nonnegative"):
         basis.centroid_samples(-1)

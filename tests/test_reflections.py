@@ -11,6 +11,7 @@ import selfaffine_oracle as oracle
 
 from waveletsets.geometry import AffineMap, Mat, Vec
 from waveletsets.reflections import (
+    FoldableFigure,
     RootSystem,
     affine_reflection,
     box_figure,
@@ -125,6 +126,31 @@ def test_fold_fixes_interior_points():
     fig = unit_square_figure()
     res = fold(fig, (F(1, 3), F(2, 5)))
     assert res.point == (F(1, 3), F(2, 5)) and res.word == []
+
+
+@pytest.mark.parametrize("intervals", [
+    ((F(0), F(3)),),
+    ((F(-1), F(1)), (F(0), F(1, 3))),
+    ((F(0), F(2)), (F(1, 2), F(1, 2)), (F(-3), F(1))),
+    ((F(0), F(0)),),
+    ((F(2), F(2)), (F(0), F(0))),
+])
+def test_a_box_figure_reads_its_intervals_off_its_corners(intervals):
+    assert box_figure(intervals).box == intervals
+
+
+def test_a_hand_built_figure_has_the_box_of_its_corners():
+    square = box_figure([(0, 1), (0, 1)])
+    corners = tuple(reversed(square.vertices))
+    assert FoldableFigure(corners, square.bounding).box == ((0, 1), (0, 1))
+    triangle = right_triangle_figure()
+    assert FoldableFigure(triangle.vertices, triangle.bounding).box is None
+
+
+def test_the_box_of_a_figure_is_not_an_input():
+    square = unit_square_figure()
+    with pytest.raises(TypeError):
+        FoldableFigure(square.vertices, square.bounding, box=((0, 1), (0, 1)))
 
 
 def test_subdivision_tiles_the_figure():
