@@ -181,10 +181,15 @@ class MultiresolutionBasis:
         if not fine:
             return {}, {}
         keys = list(fine)
-        na = self.V.shape[1]
-        rows = np.array(list(fine.values()), dtype=float)
-        if rows.shape != (len(keys), self.V.shape[0]):
-            raise ValueError(f"each word vector must have shape ({self.V.shape[0]},)")
+        width, na = self.V.shape
+        message = f"each word vector must have shape ({width},)"
+        try:
+            rows = np.array(list(fine.values()), dtype=float)
+        except ValueError:
+            _refuse_unshaped(fine.values(), width, message)
+            raise
+        if rows.shape != (len(keys), width):
+            raise ValueError(message)
         split = _times(rows, self.VW)
         return dict(zip(keys, split[:, :na])), dict(zip(keys, split[:, na:]))
 
@@ -200,9 +205,14 @@ class MultiresolutionBasis:
         index = {k: r for r, k in enumerate(keys)}
         for name, side, start, width in (("coarse", coarse, 0, na), ("detail", detail, na, nw)):
             if side:
-                block = np.array(list(side.values()), dtype=float)
+                message = f"each {name} vector must have shape ({width},)"
+                try:
+                    block = np.array(list(side.values()), dtype=float)
+                except ValueError:
+                    _refuse_unshaped(side.values(), width, message)
+                    raise
                 if block.shape != (len(side), width):
-                    raise ValueError(f"each {name} vector must have shape ({width},)")
+                    raise ValueError(message)
                 split[[index[k] for k in side], start:start + width] = block
                 del block  # not held through the product below
         rows = _times(split, self.VW.T)
@@ -217,6 +227,23 @@ class MultiresolutionBasis:
 
     def filter_bank(self) -> "FilterBank":
         return FilterBank(list(self.words), [p.copy() for p in self.P], [q.copy() for q in self.Q])
+
+
+def _refuse_unshaped(vectors, width: int, message: str) -> None:
+    """Raise ValueError(message) if a vector's shape is not (width,).
+
+    The transforms call this only when numpy refused to stack the vectors:
+    vectors of different lengths get numpy's "inhomogeneous shape" error,
+    which names no expected shape, and a stack that numpy accepts is checked
+    by its own shape at no cost per vector.
+    """
+    for v in vectors:
+        try:
+            shape = np.shape(v)
+        except ValueError:  # a ragged nested entry
+            shape = None
+        if shape != (width,):
+            raise ValueError(message) from None
 
 
 # OpenBLAS runs a gemm of at most 65536 * 4 multiply-adds on the calling

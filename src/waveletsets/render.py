@@ -5,11 +5,14 @@ byte-identical files.
 
 The exporters work on whole columns: each value becomes a float once, mesh
 points and boxes are ordered by exact integer keys, coordinates are mapped
-as numpy float64 arrays, and all rows are written through one '%.12g'
-template.  The written bytes depend on the operation order of the canvas map,
-m + (x - x0) / dx * (w - 2m), and of the shades; `tests/test_render.py` pins
-them against the point-by-point exporters of `tests/render_oracle.py`.
-Mesh and box coordinates must be finite.
+as numpy float64 arrays, each distinct float of a column is formatted once
+with '%.12g' (`_texts`), and the rows are filled with those texts through
+one '%s' template.  Equal float bits give equal texts, so formatting each
+distinct value once changes no byte.  The written bytes depend on the
+operation order of the canvas map, m + (x - x0) / dx * (w - 2m), and of the
+shades; `tests/test_render.py` pins them against the point-by-point
+exporters of `tests/render_oracle.py`.  Mesh and box coordinates must be
+finite.
 """
 
 from __future__ import annotations
@@ -29,10 +32,23 @@ def fnum(v) -> str:
 
 
 def _floats(values) -> np.ndarray:
-    """float(v) of every value, made once; a Fraction by one int true
-    division, which is correctly rounded and so equals float(v)."""
-    return np.array([v.numerator / v.denominator if type(v) is Fraction else float(v)
+    """float(v) of every value, made once: a float as it is, a Fraction by
+    one int true division of its two slots (the slots `Fraction` keeps and
+    `surfaces._coprime` fills), which is correctly rounded and so equals
+    float(v), and any other value by float(v), so None raises TypeError
+    where np.array(values, dtype=float) would make it nan."""
+    return np.array([v if type(v) is float else
+                     v._numerator / v._denominator if type(v) is Fraction else float(v)
                      for v in values], dtype=float)
+
+
+def _texts(column: np.ndarray) -> list:
+    """'%.12g' % x of every float of a float64 column.  Python formats each
+    distinct bit pattern once (so -0.0 and 0.0 keep their own texts); numpy
+    finds them and spreads the texts back."""
+    distinct, where = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array(["%.12g" % x for x in distinct.view(float).tolist()], dtype=object)
+    return texts[where].tolist()
 
 
 def _integer_keys(values) -> list:
@@ -57,7 +73,7 @@ def _interleave(*columns) -> list:
     k = len(columns)
     flat = [None] * (k * len(columns[0]))
     for j, col in enumerate(columns):
-        flat[j::k] = col.tolist() if isinstance(col, np.ndarray) else col
+        flat[j::k] = col
     return flat
 
 
@@ -92,14 +108,15 @@ class _Canvas:
 
 @functools.lru_cache(maxsize=16)
 def _csv_row(width: int) -> str:
-    return ",".join(["%.12g"] * width) + "\n"
+    return ",".join(["%s"] * width) + "\n"
 
 
 def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     rows = list(rows)
     template = "".join(map(_csv_row, map(len, rows)))
-    values = _floats([v for row in rows for v in row]).tolist()
-    return ",".join(header) + "\n" + template % tuple(values)
+    # made a tuple at once, so no list of the texts is held beside it
+    texts = tuple(_texts(_floats([v for row in rows for v in row])))
+    return ",".join(header) + "\n" + template % texts
 
 
 def polylines_svg(curves: Sequence[Sequence]) -> str:
@@ -108,11 +125,14 @@ def polylines_svg(curves: Sequence[Sequence]) -> str:
     ys = _floats([p[1] for c in curves for p in c])
     cv = _Canvas(xs, ys, 640, 480)
     xs, ys = cv.map(xs, ys)
+    # the members of a basis share their x, so x is formatted for all curves
+    # at once; a y text is held only while its curve is written
+    xs = _texts(xs)
     parts = [cv.open_tag()]
     end = 0
     for k, curve in enumerate(curves):
         at, end = slice(end, end + len(curve)), end + len(curve)
-        pts = _rows("%.12g,%.12g ", xs[at], ys[at])[:-1]
+        pts = _rows("%s,%s ", xs[at], _texts(ys[at]))[:-1]
         color = PALETTE[k % len(PALETTE)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>\n')
     parts.append("</svg>\n")
@@ -135,14 +155,15 @@ def boxes_svg(layers: Sequence) -> str:
     cv = _Canvas(np.concatenate((lo_x, hi_x)), np.concatenate((lo_y, hi_y)), 640, 640)
     x0, y0 = cv.map(lo_x, hi_y)
     x1, y1 = cv.map(hi_x, lo_y)
+    columns = [_texts(col) for col in (x0, y0, x1 - x0, y1 - y0)]
     parts = [cv.open_tag()]
     end = 0
     for boxes, (_, color) in zip(layer_boxes, layers):
         at, end = slice(end, end + len(boxes)), end + len(boxes)
         fill = f"{color}".replace("%", "%%")
-        template = ('<rect x="%.12g" y="%.12g" width="%.12g" height="%.12g" '
+        template = ('<rect x="%s" y="%s" width="%s" height="%s" '
                     f'fill="{fill}" fill-opacity="0.6" stroke="#333333" stroke-width="0.5"/>\n')
-        parts.append(_rows(template, x0[at], y0[at], x1[at] - x0[at], y1[at] - y0[at]))
+        parts.append(_rows(template, *(col[at] for col in columns)))
     parts.append("</svg>\n")
     return "".join(parts)
 
@@ -170,16 +191,16 @@ def heightmap_svg(mesh: dict) -> str:
         # the error round() gives on the first NaN or infinite shade
         round(float(shade[~np.isfinite(shade)][0]))
     shade = np.rint(shade).astype(np.int64).tolist()
-    template = (f'<rect x="%.12g" y="%.12g" width="{side:.12g}" height="{side:.12g}" '
+    template = (f'<rect x="%s" y="%s" width="{side:.12g}" height="{side:.12g}" '
                 'fill="#%02x%02x%02x"/>\n')
-    body = _rows(template, xs - side / 2, ys - side / 2, shade, shade,
+    body = _rows(template, *map(_texts, (xs - side / 2, ys - side / 2)), shade, shade,
                  [min(255, s + 24) for s in shade])
     return cv.open_tag() + body + "</svg>\n"
 
 
 def surface_csv(mesh: dict) -> str:
     (xs, ys, vals), _ = _sorted_mesh(mesh)
-    return "x,y,z\n" + _rows(_csv_row(3), xs, ys, vals)
+    return "x,y,z\n" + _rows(_csv_row(3), *map(_texts, (xs, ys, vals)))
 
 
 def function_csv(xs: Sequence, ys: Sequence) -> str:

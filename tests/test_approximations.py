@@ -58,6 +58,8 @@ APPROXIMATE = {
     "mra.FilterBank.json_pieces": (FORMATTING + ": the float filter matrices as JSON text", None),
     "render.fnum": (FORMATTING + ": a value at 12 significant digits", None),
     "render._floats": (FORMATTING + ": exact values as floats for the exporters", None),
+    "render._texts": (FORMATTING + ": the distinct floats of a column, read back from their "
+                      "bits, as '%.12g' texts", None),
     "render._extent": (FORMATTING + ": a canvas extent", None),
     "render.heightmap_svg": (FORMATTING + ": canvas shades and sizes", None),
 }

@@ -289,9 +289,12 @@ def test_householder_completion_matches_the_former_qr(monkeypatch, capsys, figur
 @pytest.mark.parametrize("fine", [
     {"a": np.zeros((2, 16))}, {"a": np.zeros(31)}, {"a": np.zeros(33)}, {"a": 0.0},
     {"a": np.zeros(32), "b": np.zeros(31)}, {"a": np.zeros(32), "b": [np.zeros(32)]},
+    {"a": np.zeros(31), "b": np.zeros(32)}, {"a": np.zeros(32), "b": [[0.0], [0.0, 1.0]]},
 ])
 def test_analyze_refuses_a_word_that_is_not_one_fine_vector(basis, fine):
-    with pytest.raises(ValueError):
+    # words of different lengths, which numpy refuses to stack, get the
+    # same message as a table of one wrong shape
+    with pytest.raises(ValueError, match=r"^each word vector must have shape \(32,\)$"):
         basis.analyze(fine)
 
 
@@ -305,6 +308,19 @@ def test_synthesize_refuses_an_entry_that_is_not_one_vector_of_its_side(basis, s
     width = na if side == "coarse" else nw
     sides = {"coarse": {"a": np.zeros(na)}, "detail": {"a": np.zeros(nw)}}
     sides[side] = {"a": np.ones(shape(width))}
+    with pytest.raises(ValueError, match=rf"^each {side} vector must have shape \({width},\)$"):
+        basis.synthesize(sides["coarse"], sides["detail"])
+
+
+@pytest.mark.parametrize("side", ["coarse", "detail"])
+@pytest.mark.parametrize("second", [lambda w: np.zeros(w - 1), lambda w: np.zeros(w + 1),
+                                    lambda w: [np.zeros(w)], lambda w: [[0.0], [0.0, 1.0]]],
+                         ids=["shorter", "longer", "nested", "ragged"])
+def test_synthesize_refuses_entries_of_different_shapes_on_either_side(basis, side, second):
+    na, nw = basis.V.shape[1], basis.W.shape[1]
+    width = na if side == "coarse" else nw
+    sides = {"coarse": {"a": np.zeros(na)}, "detail": {"a": np.zeros(nw)}}
+    sides[side] = {"a": np.zeros(width), "b": second(width)}
     with pytest.raises(ValueError, match=rf"^each {side} vector must have shape \({width},\)$"):
         basis.synthesize(sides["coarse"], sides["detail"])
 
