@@ -356,6 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the entries of a parsed namespace that are no option of its subcommand:
+# the top-level --config, the two subparser choices and the handler
+_NOT_OPTIONS = frozenset({"config", "command", "subcommand", "func"})
+
+
 def _config_flags(overrides: dict, args: argparse.Namespace) -> list:
     """Config entries as flags of the parsed subcommand.
 
@@ -365,7 +370,7 @@ def _config_flags(overrides: dict, args: argparse.Namespace) -> list:
     """
     flags = []
     for key, value in overrides.items():
-        if key not in vars(args) or value is False or value is None:
+        if key not in vars(args) or key in _NOT_OPTIONS or value is False or value is None:
             continue
         flags.append("--" + key.replace("_", "-"))
         if value is not True:

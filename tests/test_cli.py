@@ -457,6 +457,16 @@ def test_config_keys_of_other_subcommands_are_ignored(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key, value", [("config", "other.json"), ("command", "tiles"),
+                                        ("subcommand", "w2"), ("func", "cmd_tiles_w2")])
+def test_config_keys_that_are_no_subcommand_option_are_ignored(capsys, tmp_path, key, value):
+    # the parsed namespace also holds these entries, which no subcommand takes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depth": 3, key: value}))
+    assert run(["--config", str(cfg), "tiles", "w1"]) == 0
+    assert "1/245760 pi^2" in capsys.readouterr().out
+
+
 def test_version_has_a_single_source():
     # a regex, not tomllib: the tests also run on Python 3.10
     root = pathlib.Path(__file__).resolve().parents[1]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -144,8 +145,8 @@ INTERVAL = box_figure([(0, 1)])
 # and 243
 TRANSFORM_WIDTHS = {16: (SQUARE, 2, 0), 32: (SQUARE, 2, 1), 48: (SQUARE, 2, 2), 64: (SQUARE, 2, 3),
                     27: (INTERVAL, 3, 2), 162: (SQUARE, 3, 1), 243: (SQUARE, 3, 2)}
-# the widths whose transforms stay one product: at 243 a block would have 4
-# rows, under the floor of 8 (at 162 it has 9)
+# the widths whose transforms take one product per chunk: at 243 a block
+# would have 4 rows, under the floor of 8 (at 162 it has 9)
 ONE_PRODUCT_WIDTHS = {243}
 
 
@@ -157,16 +158,16 @@ def bases():
 
 @pytest.mark.parametrize("width", sorted(TRANSFORM_WIDTHS))
 def test_blocked_transforms_match_the_single_product(bases, width):
-    # a block of b rows, or a 1-row remainder, may round in the last bits
-    # apart from the one product: the largest gap measured on these
-    # standard-normal tables is 1.4e-15, so 1e-14 bounds it; a width whose
-    # blocks would fall under the floor takes the one product itself
+    # a block of b rows, a 1-row remainder or a chunk of the table may round
+    # in the last bits apart from the one product of the whole table: the
+    # largest gap measured on these standard-normal tables is 4.0e-15, so
+    # 1e-14 bounds it
     basis = bases[width]
     VW, na = basis.VW, basis.V.shape[1]
     assert VW.shape == (width, width)
-    b = 2 ** 18 // width ** 2
+    b, chunk = 2 ** 18 // width ** 2, mra._CHUNK_ROWS
     rng = np.random.default_rng(width)
-    for n in sorted({0, 1, 2, b - 1, b, b + 1, 2000}):
+    for n in sorted({0, 1, 2, b - 1, b, b + 1, chunk - 1, chunk, chunk + 1, 2000}):
         rows = rng.standard_normal((n, width))
         coarse, detail = basis.analyze(dict(enumerate(rows)))
         split = np.array([np.concatenate([coarse[i], detail[i]]) for i in range(n)]).reshape(n, width)
@@ -174,17 +175,14 @@ def test_blocked_transforms_match_the_single_product(bases, width):
                                 {i: r[na:] for i, r in enumerate(rows)})
         back = np.array([back[i] for i in range(n)]).reshape(n, width)
         for got, want in ((split, rows @ VW), (back, rows @ VW.T)):
-            if width in ONE_PRODUCT_WIDTHS:
-                assert np.array_equal(got, want)
-            else:
-                assert n == 0 or np.abs(got - want).max() <= 1e-14
+            assert n == 0 or np.abs(got - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("width", sorted(TRANSFORM_WIDTHS))
 def test_transform_products_stay_on_the_calling_blas_thread(bases, monkeypatch, width):
     # every product of a transform up to width 181 has at most 2^18
     # multiply-adds, the largest gemm OpenBLAS keeps on the calling thread;
-    # a wider one is the one product of the whole table
+    # a wider one is one product per chunk of the table
     basis = bases[width]
     shapes, matmul = [], np.matmul
 
@@ -197,11 +195,80 @@ def test_transform_products_stay_on_the_calling_blas_thread(bases, monkeypatch, 
     coarse, detail = basis.analyze(dict(enumerate(rows)))
     basis.synthesize(coarse, detail)
     if width in ONE_PRODUCT_WIDTHS:
-        assert shapes == [((2000, width), (width, width))] * 2
+        chunks = [min(mra._CHUNK_ROWS, 2000 - r) for r in range(0, 2000, mra._CHUNK_ROWS)]
+        assert shapes == [((n, width), (width, width)) for n in chunks] * 2
     else:
         assert len(shapes) >= 2
         assert all(a[-2] * a[-1] * b[-1] <= 2 ** 18 for a, b in shapes)
         assert sum(math.prod(a[:-1]) for a, _ in shapes) == 2 * 2000
+
+
+@pytest.mark.parametrize("words", ["equal", "disjoint", "overlapping"])
+@pytest.mark.parametrize("width", sorted(TRANSFORM_WIDTHS))
+def test_chunked_transforms_match_the_row_loop_across_chunks(bases, width, words):
+    # three chunks and a remainder of 5 words; the row loop's one product of
+    # the whole table may round apart from the chunks' products
+    basis = bases[width]
+    n = 3 * mra._CHUNK_ROWS + 5
+    rng = np.random.default_rng(width)
+    fine = {("w", i): rng.standard_normal(width) for i in range(n)}
+    coarse, detail = basis.analyze(fine)
+    if words == "disjoint":
+        coarse = {k: v for k, v in coarse.items() if k[1] % 2}
+        detail = {k: list(v) for k, v in detail.items() if not k[1] % 2}
+    elif words == "overlapping":
+        coarse = {k: v for k, v in coarse.items() if k[1] >= n // 3}
+        detail = dict(reversed([(k, v) for k, v in detail.items() if k[1] < 2 * n // 3]))
+    (want_coarse, want_detail), want = _row_loop_transforms(basis, fine, coarse, detail)
+    analyzed = basis.analyze(fine)
+    for got, expect in ((analyzed[0], want_coarse), (analyzed[1], want_detail),
+                        (basis.synthesize(coarse, detail), want)):
+        assert list(got) == list(expect)
+        assert max(np.abs(got[k] - expect[k]).max() for k in expect) <= 1e-14
+
+
+@pytest.mark.parametrize("remainder", [1, 3])
+@pytest.mark.parametrize("side", ["fine", "coarse", "detail"])
+def test_a_malformed_vector_in_the_last_chunk_is_refused(basis, side, remainder):
+    # alone in its chunk the stack has the wrong shape; next to good vectors
+    # numpy refuses to stack it
+    na, nw = basis.V.shape[1], basis.W.shape[1]
+    width = {"fine": na + nw, "coarse": na, "detail": nw}[side]
+    table = {i: np.zeros(width) for i in range(2 * mra._CHUNK_ROWS + remainder)}
+    table[len(table) - 1] = np.zeros(width - 1)
+    name = "word" if side == "fine" else side
+    with pytest.raises(ValueError, match=rf"^each {name} vector must have shape \({width},\)$"):
+        if side == "fine":
+            basis.analyze(table)
+        else:
+            sides = {"coarse": {i: np.zeros(na) for i in table},
+                     "detail": {i: np.zeros(nw) for i in table}}
+            sides[side] = table
+            basis.synthesize(sides["coarse"], sides["detail"])
+
+
+def test_transforms_hold_at_most_a_chunk_beyond_their_outputs(bases):
+    # tracemalloc sees numpy's buffers: the peak of each transform above
+    # what its result holds stays under a quarter of a 20,000-word table at
+    # width 162, where a stacked copy of the whole table would be all of it
+    basis = bases[162]
+    rows = np.random.default_rng(2).standard_normal((20000, 162))
+    fine = dict(enumerate(rows))
+
+    def excess(work):
+        tracemalloc.start()
+        try:
+            result = work()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - held, result
+
+    over, (coarse, detail) = excess(lambda: basis.analyze(fine))
+    assert over < rows.nbytes / 4
+    over, back = excess(lambda: basis.synthesize(coarse, detail))
+    assert over < rows.nbytes / 4
+    assert np.abs(np.array([back[k] for k in fine]) - rows).max() < 1e-12
 
 
 @pytest.mark.parametrize("kappa,degree", [(2, 1), (2, 2), (3, 1)])
