@@ -27,10 +27,11 @@ PLANAR_DEPTH_LIMIT = 64
 # `fif basis --n 64 --depth 1` takes about 0.9 s (128: 3 s), and a `fif basis`
 # family at the leaf-cell limit about 1.3 s (3 s with --csv and --svg);
 # `mra build --kappa 4 --degree 4`, the costliest pair allowed, about
-# 0.3-0.45 s and 75 MB, or 1.9-2.2 s and 105 MB with --out, most of it the
-# float reprs of the 52 MB JSON file, written one matrix at a time (2-vCPU
-# Xeon, Python 3.11, best of 3 fresh processes; kappa and degree costs
-# multiply: kappa 5 with degree 5 builds in about 0.6 s);
+# 0.25-0.4 s and 63 MiB peak RSS, or 1.5-2.7 s and 91 MiB with --out, most
+# of it the float reprs of the 52 MB JSON file, written one matrix at a time
+# (2-vCPU Xeon, Python 3.11, numpy 2.4, fresh processes on a shared host;
+# kappa and degree costs multiply: kappa 5 with degree 5 builds in about
+# 0.6 s);
 # `tiles construct --epsilon 0 --max-iterations 1000` about 2.3 s;
 # `fif basis --n 4 --depth 8 --csv` about 1.4 s at --scaling 2/5 and 2.5 s
 # with a 64-bit numerator and denominator, and at the leaf-cell limit

@@ -119,29 +119,33 @@ class MultiresolutionBasis:
             self.P.append(block @ poly_vs_phi + float(s) * np.eye(na))
 
         # fine-scale coordinates: phi^b restricted to cell j has coordinates
-        # P_j[b, :] / sqrt(N) in the orthonormal per-cell basis
+        # P_j[b, :] / sqrt(N) in the orthonormal per-cell basis; V and W are
+        # the column views of the one array [V | W]
         n_cells = config.cell_count
-        root = math.sqrt(n_cells)
-        V = np.zeros((n_cells * na, na))
+        root, n = math.sqrt(n_cells), n_cells * na
+        self.VW = np.zeros((n, n))
+        self.V, self.W = self.VW[:, :na], self.VW[:, na:]
         for j in range(n_cells):
-            V[j * na : (j + 1) * na, :] = self.P[j].T / root
+            self.V[j * na : (j + 1) * na] = self.P[j].T / root
         # the wavelets: the last columns of V's full Householder Q, in compact
         # WY form Q = I - Y T Y^T (Schreiber and Van Loan, 1989): Y holds the
         # unit lower trapezoidal reflectors of one QR of the thin V, and T is
         # upper triangular, column k from columns 0..k-1 of Y^T Y
-        h, tau = np.linalg.qr(V, mode="raw")
-        Y = np.tril(h.T, -1) + np.eye(*V.shape)
+        h, tau = np.linalg.qr(self.V, mode="raw")
+        Y = np.tril(h.T, -1) + np.eye(n, na)
         yty = _times(Y.T, Y)
         T = np.zeros((na, na))
         for k in range(na):
             T[:k, k] = -tau[k] * (T[:k, :k] @ yty[:k, k])
             T[k, k] = tau[k]
-        self.V = V
-        self.W = -_times(_times(Y, T), Y[na:].T)
-        self.W[na:] += np.eye(len(V) - na)
-        self.VW = np.hstack([self.V, self.W])
+        # W = [0; I] - Z, set in place in [V | W] with no identity array, and
+        # Z let go before VWT is made, so the build holds two n x n arrays
+        Z = _times(_times(Y, T), Y[na:].T)
+        np.negative(Z[:na], out=self.W[:na])
+        np.fill_diagonal(self.W[na:], 1)
+        self.W[na:] -= Z[na:]
+        del Z
         self.VWT = np.ascontiguousarray(self.VW.T)  # synthesize's factor, C-ordered
-        self.Q = [root * self.W[j * na : (j + 1) * na, :].T for j in range(n_cells)]
 
     # -- pointwise values -----------------------------------------------------
 
@@ -180,54 +184,30 @@ class MultiresolutionBasis:
         stacked _CHUNK_ROWS at a time and transformed by [V | W] in `_times`
         into the one array whose row views the two dicts hold.
         """
-        if not fine:
-            return {}, {}
         keys, vectors = list(fine), list(fine.values())
         width, na = self.V.shape
         message = f"each word vector must have shape ({width},)"
         split = np.empty((len(keys), width))
         for start in range(0, len(keys), _CHUNK_ROWS):
             part = vectors[start:start + _CHUNK_ROWS]
-            try:
-                rows = np.array(part, dtype=float)
-            except ValueError:
-                _refuse_unshaped(part, width, message)
-                raise
-            if rows.shape != (len(part), width):
-                raise ValueError(message)
-            _times(rows, self.VW, split[start:start + len(part)])
+            _times(_stack(part, width, message), self.VW, split[start:start + len(part)])
         return dict(zip(keys, split[:, :na])), dict(zip(keys, split[:, na:]))
 
     def synthesize(self, coarse: dict, detail: dict) -> dict:
         """Inverse of analyze: the [coarse | detail] rows times [V | W]^T in
-        `_times`; a word missing from one side has zeros there.  The words
-        go _CHUNK_ROWS at a time: each side's vectors of a chunk are stacked
-        as one array, checked to have one row of its width per word (numpy
-        would spread a length-1 or scalar entry over the row), and set into
-        the chunk's rows at once, whose product fills the one array whose
-        row views the dict holds."""
+        `_times`.  The words go _CHUNK_ROWS at a time: each side of a chunk
+        is stacked as one array, with a zero row for a word that side lacks,
+        and the two sides side by side multiply into the one array whose row
+        views the dict holds."""
         keys = list(coarse) + [k for k in detail if k not in coarse]
         na, width = self.V.shape[1], len(self.VW)
         out = np.empty((len(keys), width))
+        sides = [(side, np.zeros(size), f"each {name} vector must have shape ({size},)")
+                 for name, side, size in (("coarse", coarse, na), ("detail", detail, width - na))]
         for first in range(0, len(keys), _CHUNK_ROWS):
             chunk = keys[first:first + _CHUNK_ROWS]
-            split = np.zeros((len(chunk), width))
-            for name, side, start, size in (("coarse", coarse, 0, na),
-                                            ("detail", detail, na, width - na)):
-                rows = [r for r, k in enumerate(chunk) if k in side]
-                if not rows:
-                    continue
-                message = f"each {name} vector must have shape ({size},)"
-                part = [side[chunk[r]] for r in rows]
-                try:
-                    block = np.array(part, dtype=float)
-                except ValueError:
-                    _refuse_unshaped(part, size, message)
-                    raise
-                if block.shape != (len(rows), size):
-                    raise ValueError(message)
-                # a side that has every word of the chunk fills a plain slice
-                split[rows if len(rows) < len(chunk) else slice(None), start:start + size] = block
+            split = np.hstack([_stack([side.get(k, zeros) for k in chunk], len(zeros), message)
+                               for side, zeros, message in sides])
             _times(split, self.VWT, out[first:first + len(chunk)])
         return dict(zip(keys, out))
 
@@ -239,24 +219,37 @@ class MultiresolutionBasis:
         return float(np.abs(total - self.config.cell_count * np.eye(len(total))).max())
 
     def filter_bank(self) -> "FilterBank":
-        return FilterBank(list(self.words), [p.copy() for p in self.P], [q.copy() for q in self.Q])
+        """The words, copies of the P_j, and each wavelet filter
+        Q_j = sqrt(N) W_j^T, made here from the rows W_j of W for cell j, so
+        the bank shares no array with the basis."""
+        na, n_cells = self.V.shape[1], self.config.cell_count
+        Q = [math.sqrt(n_cells) * self.W[j * na : (j + 1) * na].T for j in range(n_cells)]
+        return FilterBank(list(self.words), [p.copy() for p in self.P], Q)
 
 
-def _refuse_unshaped(vectors, width: int, message: str) -> None:
-    """Raise ValueError(message) if a vector's shape is not (width,).
+def _stack(vectors, width: int, message: str) -> np.ndarray:
+    """The vectors as the rows of one float array, or ValueError(message)
+    unless each has shape (width,).
 
-    The transforms call this only when numpy refused to stack the vectors:
-    vectors of different lengths get numpy's "inhomogeneous shape" error,
-    which names no expected shape, and a stack that numpy accepts is checked
-    by its own shape at no cost per vector.
+    A stack that numpy accepts is checked by its own shape, at no cost per
+    vector.  Vectors of different lengths get numpy's "inhomogeneous shape"
+    error, which names no expected shape: only then is each vector's shape
+    examined.
     """
-    for v in vectors:
-        try:
-            shape = np.shape(v)
-        except ValueError:  # a ragged nested entry
-            shape = None
-        if shape != (width,):
-            raise ValueError(message) from None
+    try:
+        rows = np.array(vectors, dtype=float)
+    except ValueError:
+        for v in vectors:
+            try:
+                shape = np.shape(v)
+            except ValueError:  # a ragged nested entry
+                shape = None
+            if shape != (width,):
+                raise ValueError(message) from None
+        raise
+    if rows.shape != (len(vectors), width):
+        raise ValueError(message)
+    return rows
 
 
 # OpenBLAS runs a gemm of at most 65536 * 4 multiply-adds on the calling
@@ -371,9 +364,16 @@ class FilterBank:
 
     @staticmethod
     def from_json(text: str) -> "FilterBank":
+        """The bank of a `to_json` text, refused unless it has one P_j of
+        shape (na, na) and one Q_j of shape ((N - 1) na, na) for each of its
+        N words."""
         payload = json.loads(text)
-        return FilterBank(
-            [_iso_from_obj(o) for o in payload["words"]],
-            [np.array(m) for m in payload["P"]],
-            [np.array(m) for m in payload["Q"]],
-        )
+        words = [_iso_from_obj(o) for o in payload["words"]]
+        P = [np.array(m) for m in payload["P"]]
+        Q = [np.array(m) for m in payload["Q"]]
+        n, na = len(words), len(P[0]) if P else 0
+        if ([p.shape for p in P] != [(na, na)] * n
+                or [q.shape for q in Q] != [((n - 1) * na, na)] * n):
+            raise ValueError(f"a bank of {n} words needs {n} P of shape ({na}, {na}) "
+                             f"and {n} Q of shape ({(n - 1) * na}, {na})")
+        return FilterBank(words, P, Q)

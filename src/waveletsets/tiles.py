@@ -403,9 +403,11 @@ class DyadicBoxSet:
         if data.get("unit") != "pi":
             raise ValueError("expected coordinates in pi units")
         boxes = []
-        for entry in data["boxes"]:
+        for k, entry in enumerate(data["boxes"]):
             lo = [Fraction(n, d) for n, d in entry["lo"]]
             hi = [Fraction(n, d) for n, d in entry["hi"]]
+            if len(lo) != len(hi):
+                raise ValueError(f"box {k} has {len(lo)} lo and {len(hi)} hi coordinates")
             boxes.append(tuple(zip(lo, hi)))
         return DyadicBoxSet(data["dim"], boxes)
 

@@ -31,12 +31,13 @@ APPROXIMATE = {
     # the float filter bank of the MRA (an exact bank is ROADMAP item 6)
     "fif.orthonormalize": ("float Cholesky of the exact Gram, or floats of its exact L D L^T",
                            "float_filters"),
-    "mra.MultiresolutionBasis.__init__": ("float refinement filters P, V, W and Q, and the "
-                                          "Householder completion of the wavelets",
+    "mra.MultiresolutionBasis.__init__": ("float refinement filters P and the one [V | W], "
+                                          "and the Householder completion of the wavelets",
                                           "float_filters"),
-    "mra.MultiresolutionBasis.analyze": ("float analysis by the float filters", "float_filters"),
-    "mra.MultiresolutionBasis.synthesize": ("float synthesis by the float filters",
-                                            "float_filters"),
+    "mra.MultiresolutionBasis.filter_bank": ("float wavelet filters Q_j = sqrt(N) W_j^T",
+                                             "float_filters"),
+    "mra._stack": ("word vectors as one float array for the float analysis and synthesis",
+                   "float_filters"),
     "mra.MultiresolutionBasis.reconstruction_residual": (
         "float perfect-reconstruction residual of the float filters", "float_filters"),
     "cli": ("the bound on that float residual above which `mra build` fails", "float_filters"),

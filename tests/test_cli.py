@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import waveletsets
-from waveletsets import cli, fif, mra, render, surfaces
+from waveletsets import cli, fif, mra, render, surfaces, tiles
 from waveletsets.mra import FilterBank
 
 
@@ -293,6 +293,13 @@ def test_tiles_construct_recertifies(capsys):
     out = capsys.readouterr().out
     assert "translation certificate re-verified: ok" in out
     assert "dilation certificate re-verified: ok" in out
+
+
+def test_tiles_construct_out_loads_back_equal(tmp_path):
+    out = tmp_path / "set.json"
+    assert run(["tiles", "construct", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert tiles.DyadicBoxSet.from_json(text).to_json() == text
 
 
 def test_tiles_construct_epsilon_below_zero_exits_two(capsys):

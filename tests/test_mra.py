@@ -139,6 +139,32 @@ def test_stacked_transforms_are_bit_identical_to_the_row_loop(basis, words):
         assert all(np.array_equal(got[k], expect[k]) for k in expect)
 
 
+def test_v_and_w_are_the_column_views_of_the_one_vw(basis):
+    # [V | W] is held once: V starts at VW's first column, W right after V's
+    # last, with VW's strides, so the two views share its memory and cover it
+    V, W, VW = basis.V, basis.W, basis.VW
+    address = lambda a: a.__array_interface__["data"][0]
+    assert np.shares_memory(V, VW) and np.shares_memory(W, VW)
+    assert V.strides == W.strides == VW.strides and len(V) == len(W) == len(VW)
+    assert address(V) == address(VW) and address(W) == address(VW) + V.shape[1] * VW.itemsize
+    assert V.shape[1] + W.shape[1] == VW.shape[1]
+    assert not hasattr(basis, "Q")
+
+
+@pytest.mark.parametrize("side", ["coarse", "detail"])
+def test_synthesize_of_one_side_across_chunks_is_bit_identical_to_the_row_loop(basis, side):
+    # the other side is empty, so every word of every chunk has a zero row there
+    n = 2 * mra._CHUNK_ROWS + 5
+    rng = np.random.default_rng(7)
+    fine = {("w", i): rng.standard_normal(32) for i in range(n)}
+    coarse, detail = basis.analyze(fine)
+    coarse, detail = (coarse, {}) if side == "coarse" else ({}, detail)
+    _, want = _row_loop_transforms(basis, fine, coarse, detail)
+    got = basis.synthesize(coarse, detail)
+    assert list(got) == list(want) == list(fine)
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+
 SQUARE = box_figure([(0, 1), (0, 1)])
 INTERVAL = box_figure([(0, 1)])
 # (figure, kappa, degree) at fine widths 16, 32, 48, 64, 27 (the interval), 162
@@ -496,6 +522,55 @@ def test_filter_bank_json_roundtrip(basis):
     assert max(np.abs(a - b).max() for a, b in zip(fb.P, fb2.P)) == 0.0
 
 
+def test_filter_bank_makes_q_and_shares_no_array_with_the_basis(basis):
+    na, n = basis.V.shape[1], basis.config.cell_count
+    bank, second = basis.filter_bank(), basis.filter_bank()
+    for j, q in enumerate(bank.Q):
+        want = math.sqrt(n) * basis.W[j * na : (j + 1) * na].T
+        assert q.shape == want.shape and np.ascontiguousarray(q).tobytes() == want.copy().tobytes()
+    held = [basis.VW, basis.VWT, *basis.P]
+    assert not any(np.shares_memory(m, a) for m in bank.P + bank.Q for a in held)
+    residual = basis.reconstruction_residual()
+    for m in bank.P + bank.Q:
+        m[...] = np.nan
+    again = basis.filter_bank()
+    assert all(np.array_equal(a, b) for a, b in zip(again.P + again.Q, second.P + second.Q))
+    assert basis.reconstruction_residual() == residual
+
+
+def test_filter_bank_makes_no_second_copy_of_its_matrices():
+    # the peak while the bank is made is about the P and Q it returns
+    basis = mra.build(mra.MRAConfig(kappa=4, degree=2))
+    tracemalloc.start()
+    try:
+        bank = basis.filter_bank()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * sum(m.nbytes for m in bank.P + bank.Q)
+
+
+@pytest.mark.parametrize("width", sorted(TRANSFORM_WIDTHS))
+def test_filter_bank_json_roundtrips_at_every_transform_width(bases, width):
+    bank = bases[width].filter_bank()
+    again = mra.FilterBank.from_json(bank.to_json())
+    assert again.to_json() == bank.to_json()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again.P + again.Q, bank.P + bank.Q))
+
+
+@pytest.mark.parametrize("cut", ["P", "Q0"])
+def test_filter_bank_json_refuses_a_bank_that_is_not_one(basis, cut):
+    # one P of shape (na, na) and one Q of shape ((N - 1) na, na) per word
+    payload = json.loads(basis.filter_bank().to_json())
+    if cut == "P":
+        payload["P"] = payload["P"][:3]
+    else:
+        payload["Q"][0] = payload["Q"][0][:5]
+    with pytest.raises(ValueError, match=r"^a bank of 4 words needs 4 P of shape \(8, 8\) "
+                                         r"and 4 Q of shape \(24, 8\)$"):
+        mra.FilterBank.from_json(json.dumps(payload))
+
+
 def _json_module_text(bank):
     """The filter bank's JSON as the json module's indent encoder writes it."""
     payload = {"words": [mra._iso_to_obj(w) for w in bank.words],
@@ -542,5 +617,5 @@ def test_filter_json_is_byte_identical_to_former_words(tmp_path, capsys, kappa, 
     words = [oracle.scaled_cell_word(ident, u, kappa).inverse() for u in basis.maps]
     assert all(type(w) is AffineIsometry for w in basis.words)
     want = tmp_path / "want.json"
-    cli._write(str(want), mra.FilterBank(words, basis.P, basis.Q).to_json())
+    cli._write(str(want), mra.FilterBank(words, basis.P, basis.filter_bank().Q).to_json())
     assert out.read_bytes() == want.read_bytes()

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -93,6 +94,18 @@ def test_json_round_trip():
     again = DyadicBoxSet.from_json(e.to_json())
     assert again.equals_ae(e)
     assert again.measure == e.measure
+
+
+@pytest.mark.parametrize("dim, box, counts", [
+    (1, {"lo": [[0, 1], [5, 1]], "hi": [[1, 1]]}, (2, 1)),
+    (2, {"lo": [[0, 1], [0, 1], [0, 1]], "hi": [[1, 1], [1, 1]]}, (3, 2)),
+], ids=["1-D-two-lo", "2-D-three-lo"])
+def test_from_json_refuses_a_box_whose_lo_and_hi_differ_in_length(dim, box, counts):
+    # pairing the corners would drop the extra coordinates
+    good = {"lo": [[0, 1]] * dim, "hi": [[1, 2]] * dim}
+    text = json.dumps({"dim": dim, "unit": "pi", "boxes": [good, box]})
+    with pytest.raises(ValueError, match=rf"^box 1 has {counts[0]} lo and {counts[1]} hi coordinates$"):
+        DyadicBoxSet.from_json(text)
 
 
 def test_normalization_resolves_overlap():
