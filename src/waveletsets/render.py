@@ -83,6 +83,10 @@ def _rows(template: str, *columns) -> str:
 
 
 def _extent(values: np.ndarray):
+    """(least value, span) of a column, a span of 0 read as 1.0; an empty
+    column, a drawing with nothing in it, spans [0, 1]."""
+    if not values.size:
+        return 0.0, 1.0
     lo = float(values.min())
     return lo, float(values.max()) - lo or 1.0
 
@@ -181,8 +185,7 @@ def _sorted_mesh(mesh: dict):
 def heightmap_svg(mesh: dict) -> str:
     """Mesh point cloud shaded by value, from low (dark) to high (light)."""
     (xs, ys, vals), distinct_x = _sorted_mesh(mesh)
-    lo, hi = float(vals.min()), float(vals.max())
-    span = (hi - lo) or 1.0
+    lo, span = _extent(vals)
     cv = _Canvas(xs, ys, 640, 640)
     side = max(2.0, (cv.w - 2 * cv.m) / max(1.0, distinct_x))
     xs, ys = cv.map(xs, ys)

@@ -10,9 +10,12 @@ A box set is a canonical integer grid (`DyadicBoxSet`): a denominator, sorted
 integer breakpoints per axis and a boolean mask over the cells between them.
 Set operations merge breakpoints and combine masks, measures are exact
 integer sums, and equality almost everywhere is a comparison of grids.
-`DyadicBoxSet.boxes` is a view derived from the grid for output and for
-per-box iteration; which boxes it lists in 2-D and above is not part of the
-contract (in 1-D it lists the maximal intervals).
+One painter (`_paint`) puts lists of integer boxes on one grid, for a new
+set and for the planar fixtures, whose parts are then mask operations and
+flips on that grid.  `DyadicBoxSet.boxes` is a view derived from the grid
+for output and for per-box iteration, listed from whole-array runs of the
+mask; which boxes it lists in 2-D and above is not part of the contract
+(in 1-D it lists the maximal intervals).
 
 Every group is described by a `GroupSpec`, checked with its data per axis
 when it is made, which `_group` checks against the dimension of the sets it
@@ -43,6 +46,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -144,25 +148,52 @@ def _own(alo, ahi, blo, bhi):
     return alo, ahi
 
 
-def _index_boxes(mask: np.ndarray) -> list:
-    """Cover the true cells by index boxes ((i0, i1), ...): maximal runs along
-    the last axis, merged along each earlier axis over consecutive slabs that
-    hold the same run."""
-    if mask.ndim == 1:
-        padded = np.concatenate(([False], mask, [False]))
-        edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
-        return [((a, b),) for a, b in zip(edges[::2], edges[1::2])]
-    boxes = []
-    open_runs: dict = {}
-    for i, slab in enumerate(mask):
-        here = _index_boxes(slab)
-        present = set(here)
-        for rest in [r for r in open_runs if r not in present]:
-            boxes.append(((open_runs.pop(rest), i),) + rest)
-        for rest in here:
-            open_runs.setdefault(rest, i)
-    boxes.extend(((start, len(mask)),) + rest for rest, start in open_runs.items())
-    return boxes
+def _index_boxes(mask: np.ndarray) -> np.ndarray:
+    """Cover the true cells by index boxes, one row (i0, j0, i1, j1, ...) of
+    [i, j) per axis: maximal runs along the last axis, merged along each
+    earlier axis, last to first, over consecutive slabs that hold the same
+    box of the other axes (one sort of the rows per axis); the rows in
+    lexicographic order, as the runs of a 1-D mask already are."""
+    dim = mask.ndim
+    padded = np.zeros(mask.shape[:-1] + (mask.shape[-1] + 2,), dtype=bool)
+    padded[..., 1:-1] = mask
+    # the run ends of each line along the last axis come in pairs, in C order
+    *lines, ends = np.nonzero(padded[..., 1:] != padded[..., :-1])
+    rows = np.stack([c for i in lines for c in (i[::2], i[::2] + 1)] + [ends[::2], ends[1::2]],
+                    axis=1)
+    for axis in range(dim - 2, -1, -1):
+        lo, hi = 2 * axis, 2 * axis + 1
+        rest = [k for k in range(2 * dim) if k // 2 != axis]
+        rows = rows[np.lexsort(rows[:, [lo] + rest].T)]
+        joins = (rows[1:, rest] == rows[:-1, rest]).all(axis=1) & (rows[1:, lo] == rows[:-1, hi])
+        opens, closes = np.ones((2, len(rows)), dtype=bool)
+        opens[1:], closes[:-1] = ~joins, ~joins
+        ends = rows[closes, hi]
+        rows = rows[opens]
+        rows[:, hi] = ends
+    return rows[np.lexsort(rows.T[::-1])] if dim > 1 else rows
+
+
+def _paint(dim: int, box_lists: list, mirrored=()) -> tuple:
+    """(cuts, masks): lists of integer boxes ((lo, hi), ...) painted on one
+    grid, whose breakpoints per axis are the ends of every box, closed under
+    negation along the axes in `mirrored`, so the mirror image of a mask
+    along one of them is its flip.  Each list gets one mask, true on the
+    cells its boxes cover."""
+    cuts = []
+    for axis in range(dim):
+        ends = {x for boxes in box_lists for box in boxes for x in box[axis]}
+        if axis in mirrored:
+            ends |= {-x for x in ends}
+        cuts.append(tuple(sorted(ends)))
+    position = [{x: i for i, x in enumerate(c)} for c in cuts]
+    masks = []
+    for boxes in box_lists:
+        mask = np.zeros(tuple(max(len(c) - 1, 0) for c in cuts), dtype=bool)
+        for box in boxes:
+            mask[tuple(slice(pos[lo], pos[hi]) for pos, (lo, hi) in zip(position, box))] = True
+        masks.append(mask)
+    return tuple(cuts), masks
 
 
 class DyadicBoxSet:
@@ -193,12 +224,7 @@ class DyadicBoxSet:
         ints = [tuple((lo.numerator * (den // lo.denominator),
                        hi.numerator * (den // hi.denominator)) for lo, hi in box)
                 for box in clean]
-        cuts = tuple(tuple(sorted({x for box in ints for x in box[axis]}))
-                     for axis in range(dim))
-        mask = np.zeros(tuple(max(len(c) - 1, 0) for c in cuts), dtype=bool)
-        position = [{x: i for i, x in enumerate(c)} for c in cuts]
-        for box in ints:
-            mask[tuple(slice(pos[lo], pos[hi]) for pos, (lo, hi) in zip(position, box))] = True
+        cuts, (mask,) = _paint(dim, [ints])
         self._fill(dim, *_canonical(den, cuts, mask))
 
     def _fill(self, dim, den, cuts, mask) -> None:
@@ -231,12 +257,15 @@ class DyadicBoxSet:
         decomposition is deterministic but not part of the contract.
         """
         if self._boxes is None:
-            coords = [[Fraction(x, self.den) for x in c] for c in self.cuts]
-            # each axis maps indices to coordinates increasingly, so sorting
-            # the index boxes sorts the boxes
-            self._boxes = tuple(
-                tuple((coords[axis][i], coords[axis][j]) for axis, (i, j) in enumerate(box))
-                for box in sorted(_index_boxes(self.mask)))
+            ends = _index_boxes(self.mask).T.tolist()
+            sides = []
+            for axis, c in enumerate(self.cuts):
+                coords = [Fraction(x, self.den) for x in c]
+                sides.append(zip(map(coords.__getitem__, ends[2 * axis]),
+                                 map(coords.__getitem__, ends[2 * axis + 1])))
+            # each axis maps indices to coordinates increasingly, so the
+            # boxes are in the order of the index rows
+            self._boxes = tuple(zip(*sides))
         return self._boxes
 
     @property
@@ -908,13 +937,18 @@ TAIL_STANDIN_TERMS = 3
 
 @dataclass
 class PlanarFixture:
-    """Truncated exact model of one of the two planar three-way tiling sets."""
+    """Truncated exact model of one of the two planar three-way tiling sets.
+
+    `components` maps the name of each part of the construction to its set;
+    the builders paint all of them on one grid and each becomes a set on
+    its first read (`_Components`).
+    """
 
     wavelet_set: DyadicBoxSet
     depth: int
     tail: Fraction               # exact omitted measure per mirror copy
     copies: int                  # number of mirror copies carrying a tail
-    components: dict = field(default_factory=dict)
+    components: Mapping = field(default_factory=dict)
 
     @property
     def total_tail(self) -> Fraction:
@@ -925,42 +959,88 @@ class PlanarFixture:
         return self.wavelet_set.measure + self.total_tail == 4
 
 
-def _staircase(depth: int, tail_terms: int, y_side, shift, names) -> tuple:
-    """(tail, {G0, E, B, C, A1} under `names`, stand-in) of a planar fixture.
+class _Components(Mapping):
+    """Named masks on one grid (den, cuts), each made a canonical set on its
+    first read, which then stands in its place."""
+
+    def __init__(self, den: int, cuts: tuple, masks: dict):
+        self._den, self._cuts, self._items = den, cuts, masks
+
+    def __getitem__(self, name) -> DyadicBoxSet:
+        item = self._items[name]
+        if isinstance(item, np.ndarray):
+            item = self._items[name] = DyadicBoxSet._grid(
+                len(self._cuts), *_canonical(self._den, self._cuts, item))
+        return item
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
+def _staircase(depth: int, tail_terms: int, y_side, shift, names, mirrors) -> PlanarFixture:
+    """A planar fixture: the staircase of gaps, its parts under `names`, and
+    the copies of A1 in `mirrors`, each named with the axes it is mirrored
+    along.
 
     The gap G_k has the x-side [beta_k, beta_k + 4^-k / 2) with beta_k =
     2/3 (1 - 4^-k), and the y-side `y_side` of it.  E holds G_1 .. G_depth;
     the gaps beyond G_n have the measure 16 m(G_1) / (15 16^n), and the
     stand-in for those beyond G_depth is the next `tail_terms` gaps and a box
     of the rest, from G_(m+1) to the corner 2/3, m = depth + tail_terms.
-    B = 2 G_0 minus G_0, E and the stand-in, C = (G_0 u E) + `shift`.
+    B = 2 G_0 minus G_0, E and the stand-in, C = (G_0 u E) + `shift` and
+    A1 = B u C.  The boxes of G_0, E, the stand-in, 2 G_0 and C are painted
+    once on one grid closed under negation along the mirror axes (`_paint`),
+    so B, A1 and the copies are mask operations and flips, and the wavelet
+    set, A1 and its copies, is one canonical grid of their union.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if tail_terms < 0:
         raise ValueError("tail_terms must be at least 0")
 
-    def gap(k):
-        lo = Fraction(2, 3) * (1 - Fraction(1, 4) ** k)
-        x = (lo, lo + Fraction(1, 2) * Fraction(1, 4) ** k)
-        return x, y_side(*x)
-
     m = depth + tail_terms
-    first, *gaps, last = [gap(k) for k in range(m + 2)]
-    (x0, x1), (y0, y1) = gaps[0]
-    rest = 16 * (x1 - x0) * (y1 - y0) / 15
-    # the y-side of an x-side of length t has the length t (y1 - y0) / (x1 - x0)
-    lo, corner = last[0][0], Fraction(2, 3)
-    t = rest / 16 ** m / (corner - lo) * (x1 - x0) / (y1 - y0)
-    g0 = DyadicBoxSet(2, (first,))
-    e = DyadicBoxSet(2, gaps[:depth])
-    standin = DyadicBoxSet(2, gaps[depth:] + [((lo, corner), y_side(corner - t, corner))])
+    # coordinates are integers over f unit, where the corner 2/3 is
+    # f 4^(m+2) and G_k has the x-side [corner - 4 p, corner - p), p = f 4^(m+1-k)
+    unit = 6 * 4 ** (m + 1)
+
+    def gap(k, f):
+        p, corner = f * 4 ** (m + 1 - k), f * 4 ** (m + 2)
+        return (corner - 4 * p, corner - p), y_side(corner - 4 * p, corner - p)
+
+    (x0, x1), (y0, y1) = gap(1, 1)
+    rest = Fraction(16 * (x1 - x0) * (y1 - y0), 15 * unit ** 2)
+    # the box from G_(m+1) to the corner is 4 units wide, and the y-side of
+    # an x-side of t units has the length t (y1 - y0) / (x1 - x0)
+    t = rest / 16 ** m * unit ** 2 / 4 * (x1 - x0) / (y1 - y0)
+    f = t.denominator
+    first, *gaps, last = [gap(k, f) for k in range(m + 2)]
+    corner, den = f * 4 ** (m + 2), f * unit
+    cuts, (g0, e, standin, two_g0, c) = _paint(2, [
+        [first], gaps[:depth], gaps[depth:] + [((last[0][0], corner),
+                                               y_side(corner - t.numerator, corner))],
+        [tuple((2 * a, 2 * b) for a, b in first)],
+        [tuple((a + v * den, b + v * den) for (a, b), v in zip(box, shift))
+         for box in [first] + gaps[:depth]]],
+        {axis for axes in mirrors.values() for axis in axes})
     tail = rest / 16 ** depth
-    assert standin.measure == tail
-    ge = g0.union(e)
-    c = ge.translate(shift)
-    b = g0.scale(2).subtract(ge.union(standin))
-    return tail, dict(zip(names + ("A1",), (g0, e, b, c, b.union(c)))), standin
+    held = _grid_measure(*_canonical(den, cuts, standin))
+    if held != tail:
+        raise ArithmeticError(f"the tail stand-in has the measure {held}, "
+                              f"not the omitted tail {tail}")
+    b = two_g0 & ~(g0 | e | standin)
+    a1 = b | c
+    copies = {name: a1[tuple(slice(None, None, -1) if axis in axes else slice(None)
+                             for axis in range(2))] for name, axes in mirrors.items()}
+    masks = {**dict(zip(names + ("A1",), (g0, e, b, c, a1))), **copies, "tail_standin": standin}
+    union = np.logical_or.reduce([a1, *copies.values()])
+    return PlanarFixture(DyadicBoxSet._grid(2, *_canonical(den, cuts, union)), depth, tail,
+                         1 + len(copies), _Components(den, cuts, masks))
 
 
 def build_w1(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
@@ -972,23 +1052,15 @@ def build_w1(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
     exactly that measure near the accumulation corner, so the measure
     identity m(W) + 4*tail = 4*pi^2 holds as an exact rational identity.
     """
-    tail, parts, standin = _staircase(depth, tail_terms, lambda lo, hi: (lo, hi), (2, 2),
-                                      ("G0", "E1", "B1", "C1"))
-    a1 = parts["A1"]
-    a2, a4 = a1.reflect_axis(0), a1.reflect_axis(1)
-    a3 = a2.reflect_axis(1)
-    return PlanarFixture(a1.union(a2).union(a3).union(a4), depth, tail, 4,
-                         {**parts, "A2": a2, "A3": a3, "A4": a4, "tail_standin": standin})
+    return _staircase(depth, tail_terms, lambda lo, hi: (lo, hi), (2, 2),
+                      ("G0", "E1", "B1", "C1"), {"A2": (0,), "A3": (0, 1), "A4": (1,)})
 
 
 def build_w2(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
     """Two-piece planar wavelet set symmetric about the y-axis, its gaps
     centred on the x-axis."""
-    tail, parts, standin = _staircase(depth, tail_terms, lambda lo, hi: (lo - hi, hi - lo),
-                                      (2, 0), ("G0", "E", "B", "D"))
-    a2 = parts["A1"].reflect_axis(0)
-    return PlanarFixture(parts["A1"].union(a2), depth, tail, 2,
-                         {**parts, "A2": a2, "tail_standin": standin})
+    return _staircase(depth, tail_terms, lambda lo, hi: (lo - hi, hi - lo), (2, 0),
+                      ("G0", "E", "B", "D"), {"A2": (0,)})
 
 
 @dataclass

@@ -45,8 +45,10 @@ hand-typed tail constants 1/60 and 1/30.  The bodies are verbatim, with
 The sixth part is the `DyadicBoxSet.boxes` property from before it sorted
 the index boxes instead of the coordinate boxes, as the function
 `grid_boxes` of a grid set (its body verbatim, with `self` the argument and
-the cache write left out).  `tests/test_boxset_grid.py` requires the same
-tuple from the library.
+the cache write left out), over the per-slab recursion `_index_boxes` from
+before the library listed index boxes by whole-array runs (its body
+verbatim).  `tests/test_boxset_grid.py` requires the same tuple from the
+library.
 
 Keep all six parts unchanged.
 """
@@ -64,7 +66,7 @@ import numpy as np
 
 from waveletsets.reflections import FoldableFigure
 from waveletsets.tiles import (TAIL_STANDIN_TERMS, CongruenceCertificate, DomainReport,
-                               GroupSpec, PieceMap, PlanarFixture, _canonical, _index_boxes,
+                               GroupSpec, PieceMap, PlanarFixture, _canonical,
                                _rescaled, _resample)
 from waveletsets.tiles import DyadicBoxSet as GridBoxSet
 
@@ -724,6 +726,27 @@ def build_w2(depth: int, tail_terms: int = TAIL_STANDIN_TERMS) -> PlanarFixture:
 # ---------------------------------------------------------------------------
 # the boxes view from before it sorted index boxes
 # ---------------------------------------------------------------------------
+
+
+def _index_boxes(mask: np.ndarray) -> list:
+    """Cover the true cells by index boxes ((i0, i1), ...): maximal runs along
+    the last axis, merged along each earlier axis over consecutive slabs that
+    hold the same run."""
+    if mask.ndim == 1:
+        padded = np.concatenate(([False], mask, [False]))
+        edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+        return [((a, b),) for a, b in zip(edges[::2], edges[1::2])]
+    boxes = []
+    open_runs: dict = {}
+    for i, slab in enumerate(mask):
+        here = _index_boxes(slab)
+        present = set(here)
+        for rest in [r for r in open_runs if r not in present]:
+            boxes.append(((open_runs.pop(rest), i),) + rest)
+        for rest in here:
+            open_runs.setdefault(rest, i)
+    boxes.extend(((start, len(mask)),) + rest for rest, start in open_runs.items())
+    return boxes
 
 
 def grid_boxes(self: GridBoxSet) -> tuple:

@@ -6,8 +6,10 @@ identical boolean.  Coordinates mix small denominators with denominators
 above 2**64, so both the int64 and the Python-int measure paths run.
 """
 
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,9 +130,31 @@ def test_boxes_view_equals_the_coordinate_sort(dim, data):
         assert s.boxes == grid_boxes(s)
 
 
+def _masks(shape):
+    cells = math.prod(shape)
+    return st.one_of(st.just(np.ones(shape, dtype=bool)), st.just(np.zeros(shape, dtype=bool)),
+                     st.lists(st.booleans(), min_size=cells, max_size=cells).map(
+                         lambda bits: np.array(bits, dtype=bool).reshape(shape)))
+
+
+# 1-D to 4-D masks, all true, all false or random, some with a zero-length
+# axis, on any increasing breakpoints: not only the canonical grids
+masks = st.lists(st.integers(0, 5), min_size=1, max_size=4).flatmap(_masks)
+
+
+@MANY
+@given(mask=masks, den=st.sampled_from([1, 3, 2 ** 70]), data=st.data())
+def test_boxes_of_any_mask_equal_the_oracle_recursion(mask, den, data):
+    cuts = tuple(tuple(sorted(data.draw(st.lists(st.integers(-2 ** 65, 2 ** 65), unique=True,
+                                                 min_size=n + 1, max_size=n + 1))))
+                 for n in mask.shape)
+    s = DyadicBoxSet._grid(mask.ndim, den, cuts, mask)
+    assert s.boxes == grid_boxes(s)
+
+
 @pytest.mark.parametrize("build", [build_w1, build_w2])
 def test_fixture_boxes_equal_the_coordinate_sort(build):
-    for depth in range(3, 11):
+    for depth in (*range(3, 11), 64):
         fx = build(depth)
         for s in (fx.wavelet_set, *fx.components.values()):
             assert s.boxes == grid_boxes(s)

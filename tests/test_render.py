@@ -86,10 +86,12 @@ def test_function_csv_matches_the_oracle(points):
     agree("function_csv", xs, ys)
 
 
+# a drawing with no point at all is the bare canvas, where the oracle raises
+# (the `test_an_empty_*` tests below)
 @MANY
 @given(curves=st.lists(st.lists(st.tuples(st.one_of(coordinates, finite_floats),
                                           st.one_of(coordinates, finite_floats)),
-                                max_size=12), min_size=1, max_size=7))
+                                max_size=12), min_size=1, max_size=7).filter(any))
 @example(curves=[[(F(1, 3), F(2, 3))]])
 @example(curves=[[(0.0, -0.0), (5e-324, 1e-323)], []])
 def test_polylines_svg_matches_the_oracle(curves):
@@ -110,8 +112,10 @@ def boxes(corner, size):
     return st.lists(box, max_size=15).map(Boxes)
 
 
+# layers with no box at all are left to the `test_an_empty_*` tests
 box_layers = st.lists(st.tuples(boxes(coordinates, st.builds(F, st.integers(0, 3 * 2 ** 20), st.just(2 ** 20))),
-                                st.sampled_from(["#1f77b4", "red", "50%"])), min_size=1, max_size=3)
+                                st.sampled_from(["#1f77b4", "red", "50%"])), min_size=1, max_size=3
+                      ).filter(lambda layers: any(b.boxes for b, _ in layers))
 
 
 @MANY
@@ -123,6 +127,32 @@ def test_boxes_svg_matches_the_oracle(layers):
 def test_boxes_svg_of_the_planar_fixtures_matches_the_oracle():
     layers = [(tiles.build_w1(6).wavelet_set, "#1f77b4"), (tiles.build_w2(5).wavelet_set, "#d62728")]
     assert render.boxes_svg(layers) == oracle.boxes_svg(layers)
+
+
+def bare_canvas(width, height):
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">\n</svg>\n')
+
+
+def test_an_empty_box_drawing_is_the_bare_canvas():
+    assert render.boxes_svg([(tiles.DyadicBoxSet.empty(2), "#1f77b4")]) == bare_canvas(640, 640)
+    assert render.boxes_svg([]) == bare_canvas(640, 640)
+
+
+def test_an_empty_polyline_drawing_is_the_bare_canvas():
+    assert render.polylines_svg([]) == bare_canvas(640, 480)
+    # a curve without points is written as it is beside drawn curves (the
+    # oracle example [[(0.0, -0.0), (5e-324, 1e-323)], []] above)
+    empty_curve = '<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points=""/>\n'
+    assert render.polylines_svg([[]]) == bare_canvas(640, 480).replace("</svg>",
+                                                                       empty_curve + "</svg>")
+
+
+def test_an_empty_heightmap_is_the_bare_canvas():
+    assert render.heightmap_svg({}) == bare_canvas(640, 640)
+    # the CSV exporters of an empty mesh or table write their header
+    assert render.surface_csv({}) == "x,y,z\n"
+    assert render.csv_text(["a"], []) == "a\n"
 
 
 def test_fractal_exports_match_the_oracle():

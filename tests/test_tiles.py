@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -434,15 +438,50 @@ def _grid(boxset):
 
 @pytest.mark.parametrize("name", ["w1", "w2"])
 def test_fixtures_equal_the_oracle_builders(name):
-    # one staircase builder against the two earlier ones and their typed tails
-    for depth in range(1, 13):
-        for tail_terms in range(5):
-            new = getattr(tiles, "build_" + name)(depth, tail_terms)
-            old = getattr(oracle, "build_" + name)(depth, tail_terms)
-            assert (new.depth, new.tail, new.copies) == (old.depth, old.tail, old.copies)
-            assert _grid(new.wavelet_set) == _grid(old.wavelet_set)
-            assert list(new.components) == list(old.components)
-            assert all(_grid(new.components[k]) == _grid(v) for k, v in old.components.items())
+    # one staircase builder against the two earlier ones and their typed tails;
+    # the components are read last and in reverse, each from its own mask
+    inputs = [(d, t) for d in range(1, 13) for t in range(5)]
+    inputs += [(d, tiles.TAIL_STANDIN_TERMS) for d in range(13, 65)]
+    for depth, tail_terms in inputs:
+        new = getattr(tiles, "build_" + name)(depth, tail_terms)
+        old = getattr(oracle, "build_" + name)(depth, tail_terms)
+        assert (new.depth, new.tail, new.copies) == (old.depth, old.tail, old.copies)
+        assert _grid(new.wavelet_set) == _grid(old.wavelet_set)
+        assert new.wavelet_set.boxes == oracle.grid_boxes(old.wavelet_set)
+        assert list(new.components) == list(old.components)
+        assert all(_grid(new.components[k]) == _grid(old.components[k])
+                   for k in reversed(list(old.components)))
+
+
+@pytest.mark.parametrize("build", [build_w1, build_w2])
+def test_fixture_components_become_sets_on_first_read(build, monkeypatch):
+    made, fill = [], DyadicBoxSet._fill
+
+    def counted(self, *grid):  # every set is filled once, however it is made
+        made.append(self)
+        fill(self, *grid)
+
+    monkeypatch.setattr(DyadicBoxSet, "_fill", counted)
+    fx = build(6)
+    assert len(made) == 1  # the wavelet set alone
+    a1 = fx.components["A1"]
+    assert len(made) == 2
+    assert fx.components["A1"] is a1 and len(made) == 2
+    sets = dict(fx.components)
+    assert len(made) == 1 + len(sets) and all(isinstance(s, DyadicBoxSet) for s in sets.values())
+
+
+def test_the_tail_standin_check_runs_under_python_O():
+    # a y-side of one constant length does not scale with its x-side, so the
+    # stand-in misses the omitted tail; the check is a raise, which -O keeps
+    code = ("from waveletsets import tiles\n"
+            "tiles._staircase(3, 1, lambda lo, hi: (lo, lo + 1), (2, 2), "
+            "('G0', 'E1', 'B1', 'C1'), {'A2': (0,)})\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tiles.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 1
+    assert "ArithmeticError: the tail stand-in has the measure" in run.stderr
 
 
 def test_w1_exact_measure_identity(w1):
