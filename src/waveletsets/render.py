@@ -134,7 +134,9 @@ def polylines_svg(curves: Sequence[Sequence]) -> str:
     xs = _texts(xs)
     parts = [cv.open_tag()]
     end = 0
-    for k, curve in enumerate(curves):
+    # a drawing with no point at all is the bare canvas; a curve without
+    # points beside drawn ones is an empty polyline
+    for k, curve in enumerate(curves if len(xs) else ()):
         at, end = slice(end, end + len(curve)), end + len(curve)
         pts = _rows("%s,%s ", xs[at], _texts(ys[at]))[:-1]
         color = PALETTE[k % len(PALETTE)]
