@@ -9,6 +9,7 @@ Relative output paths are resolved against $WAVELETSETS_OUTDIR when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -256,14 +257,6 @@ def _run_planar(args, builder, copies_label: str) -> int:
     return 0 if ok else 1
 
 
-def cmd_tiles_w1(args) -> int:
-    return _run_planar(args, tiles.build_w1, "quadrant copies")
-
-
-def cmd_tiles_w2(args) -> int:
-    return _run_planar(args, tiles.build_w2, "mirror copies")
-
-
 def cmd_tiles_construct(args) -> int:
     start = tiles.DyadicBoxSet.from_box((-1, 1))
     try:
@@ -340,14 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tiles = sub.add_parser("tiles", help="wavelet-set tilings")
     tiles_sub = p_tiles.add_subparsers(dest="subcommand", required=True)
-    for name, func in (("w1", cmd_tiles_w1), ("w2", cmd_tiles_w2)):
+    for name, builder, copies_label in (("w1", tiles.build_w1, "quadrant copies"),
+                                        ("w2", tiles.build_w2, "mirror copies")):
         p = tiles_sub.add_parser(name, help=f"planar fixture {name}")
         p.add_argument("--depth", type=lambda text: _int_at_least(text, 1, PLANAR_DEPTH_LIMIT),
                        default=8)
         p.add_argument("--verify", nargs="?", const="all", default=None,
                        choices=["all"])
         p.add_argument("--svg")
-        p.set_defaults(func=func)
+        p.set_defaults(func=functools.partial(_run_planar, builder=builder,
+                                              copies_label=copies_label))
     p_con = tiles_sub.add_parser("construct", help="run the 1-D constructor")
     p_con.add_argument("--epsilon", type=_nonnegative_fraction, default="1/1000000")
     p_con.add_argument("--max-iterations", default=50,
@@ -367,20 +362,33 @@ def _config_flags(overrides: dict, args: argparse.Namespace) -> list:
 
     Keys the subcommand does not take are skipped.  true stands for a bare
     flag and false or null for an absent one; any other value is passed as
-    text, so it meets the flag's own type and choices checks.
+    text joined to its flag (--key=value), so it meets the flag's own type
+    and choices checks.
     """
     flags = []
     for key, value in overrides.items():
         if key not in vars(args) or key in _NOT_OPTIONS or value is False or value is None:
             continue
-        flags.append("--" + key.replace("_", "-"))
-        if value is not True:
-            flags.append(str(value))
+        flag = "--" + key.replace("_", "-")
+        flags.append(flag if value is True else f"{flag}={value}")
     return flags
 
 
+def _join_values(argv: list) -> list:
+    """argv with each value that starts like a negative number joined to the
+    --flag before it as --flag=value.  argparse takes a token after a flag
+    as its value only when it looks like -3 or -0.5, and would read -3/7 or
+    -1e-3 as a flag; joined, it meets the flag's own type check."""
+    out = []
+    for token in argv:
+        if out and re.fullmatch(r"-[\d.].*", token) and re.fullmatch(r"--[^=]+", out[-1]):
+            token = out.pop() + "=" + token
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_values(list(sys.argv[1:] if argv is None else argv))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

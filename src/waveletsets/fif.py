@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import surfaces
-from .geometry import AffineMap, Mat, Vec, _eliminate, _frac
+from .geometry import AffineMap, Mat, Vec, _frac, _ldl
 from .reflections import box_figure, subdivide
 from .surfaces import EvalResult, SelfAffine, SurfaceSpec
 
@@ -360,7 +360,7 @@ def orthonormalize(gram) -> np.ndarray:
 
     The exact Gram matrix G is positive definite, but its float copy need not
     be when |s| is close to 1. Then Q = L^-T D^-1/2 comes from the exact
-    factorization G = L D L^T instead (`_ldl`).
+    factorization G = L D L^T instead (`geometry._ldl`).
     """
     g = np.array([[float(x) for x in row] for row in gram])
     try:
@@ -369,15 +369,3 @@ def orthonormalize(gram) -> np.ndarray:
         inv_lower, diag = (np.array(x, dtype=float) for x in _ldl(gram))
         return inv_lower.T / np.sqrt(diag)[None, :]
     return np.linalg.inv(chol).T
-
-
-def _ldl(gram) -> tuple[list, list]:
-    """L^-1 and D, as Fractions, of the exact G = L D L^T with L unit lower
-    triangular: the forward elimination of [G | I] (`geometry._eliminate`)
-    leaves D as its pivots and L^-1 as its right block, when every pivot is
-    positive and comes from its own row."""
-    n = len(gram)
-    pivots = _eliminate([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(gram)], n)
-    if [r for _, r, _, _ in pivots] != list(range(n)) or any(v[k] * s <= 0 for k, _, s, v in pivots):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-    return [[s * x for x in v[n:]] for _, _, s, v in pivots], [s * v[k] for k, _, s, v in pivots]

@@ -4,9 +4,10 @@ Everything is dimension-checked and exact, over Fractions and ints.  One
 forward elimination, `_eliminate`, on rows held as a Fraction scale times a
 primitive integer vector, is behind every solve: `rank` counts its pivots,
 `Mat.det` multiplies them, `Mat.inverse` back-substitutes with the same row
-step, and `fif` reads an exact L D L^T from them.  `_int_dtype` is the one
-int64-or-Python-int rule of the integer arrays of `surfaces` and `tiles`,
-and `_frac` the one Fraction coercion of `tiles`, `fif` and `reflections`.
+step, and `_ldl`, the exact fallback of `fif.orthonormalize`, reads an
+exact L D L^T from them.  `_int_dtype` is the one int64-or-Python-int rule
+of the integer arrays of `surfaces` and `tiles`, and `_frac` the one
+Fraction coercion of `tiles`, `fif` and `reflections`.
 """
 
 from __future__ import annotations
@@ -196,6 +197,18 @@ def _eliminate(rows: Sequence[Sequence], ncols: int) -> list:
         pivots.append((c, r, scale, pivot))
         rest = [(q, *_step(s, vec, pivot, c)) if vec[c] else (q, s, vec) for q, s, vec in rest]
     return pivots
+
+
+def _ldl(gram) -> tuple[list, list]:
+    """L^-1 and D, as Fractions, of the exact G = L D L^T with L unit lower
+    triangular: the forward elimination of [G | I] (`_eliminate`) leaves D
+    as its pivots and L^-1 as its right block, when every pivot is positive
+    and comes from its own row."""
+    n = len(gram)
+    pivots = _eliminate([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(gram)], n)
+    if [r for _, r, _, _ in pivots] != list(range(n)) or any(v[k] * s <= 0 for k, _, s, v in pivots):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return [[s * x for x in v[n:]] for _, _, s, v in pivots], [s * v[k] for k, _, s, v in pivots]
 
 
 def rank(vectors: Sequence[Sequence]) -> int:

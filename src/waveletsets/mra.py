@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fif import orthonormalize
-from .geometry import AffineIsometry, AffineMap, Mat, Vec
+from .geometry import AffineIsometry, Mat, Vec
 from .reflections import FoldableFigure, box_figure, box_widths, subdivide, unit_square_figure
 from .surfaces import (
     FractalSurface,
@@ -71,11 +71,6 @@ class MRAConfig:
         return (self.kappa ** self.dim - 1) * self.generator_count
 
 
-def scaled_cell_word(u: AffineMap, kappa: int) -> AffineIsometry:
-    """The isometry kappa * u for a similitude u with ratio 1/kappa."""
-    return AffineIsometry(u.linear.scale(Fraction(kappa)), u.shift.scale(Fraction(kappa)))
-
-
 class MultiresolutionBasis:
     """Orthonormal scaling vector, refinement and wavelet filters."""
 
@@ -104,7 +99,8 @@ class MultiresolutionBasis:
         self.coeffs = orthonormalize(gram).T  # row a holds phi^a in atom coordinates
 
         # refinement words r_j = (kappa u_j)^{-1}; cells kappa*u_j(D) tile kappa*D
-        self.words = [scaled_cell_word(u, kappa).inverse() for u in self.maps]
+        self.words = [AffineIsometry(u.linear.scale(Fraction(kappa)),
+                                     u.shift.scale(Fraction(kappa))).inverse() for u in self.maps]
 
         # P(r_j)[a, b] = <lambda_j^(a), phi^b> + s*delta_ab, from exact atom moments
         mono = np.zeros((d + 1, na))

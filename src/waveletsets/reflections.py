@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .geometry import AffineIsometry, AffineMap, Hyperplane, Mat, Vec, _frac, rank
@@ -100,10 +101,7 @@ def _box_bounds(vertices: Sequence) -> Optional[tuple]:
     """((lo_1, hi_1), ..., (lo_n, hi_n)) when the vertices are the corners of
     an axis-aligned box, flat sides allowed, and None otherwise."""
     bounds = tuple((min(axis), max(axis)) for axis in zip(*vertices))
-    corners = {()}
-    for lo, hi in bounds:
-        corners = {c + (t,) for c in corners for t in (lo, hi)}
-    if len(vertices) == 2 ** len(bounds) and corners == {tuple(v) for v in vertices}:
+    if len(vertices) == 2 ** len(bounds) and set(product(*bounds)) == {tuple(v) for v in vertices}:
         return bounds
     return None
 
@@ -201,10 +199,7 @@ def box_figure(intervals: Sequence[tuple]) -> FoldableFigure:
             raise ValueError(f"the box interval [{lo}, {hi}] is reversed")
     bounding = [Hyperplane([int(k == axis) for k in range(n)], c)
                 for axis, (lo, hi) in enumerate(intervals) for c in (lo, hi)]
-    vertices = [()]
-    for lo, hi in intervals:
-        vertices = [v + (c,) for v in vertices for c in (lo, hi)]
-    return FoldableFigure(tuple(Vec(v) for v in vertices), tuple(bounding))
+    return FoldableFigure(tuple(Vec(v) for v in product(*intervals)), tuple(bounding))
 
 
 def unit_square_figure(n: int = 2) -> FoldableFigure:
@@ -250,23 +245,11 @@ def subdivide(figure: FoldableFigure, kappa: int) -> list[AffineMap]:
     n = figure.dim
 
     maps = []
-    indices = [()]
-    for _ in range(n):
-        indices = [idx + (k,) for idx in indices for k in range(kappa)]
-    # order cells with the first map the cell at the origin
-    for idx in sorted(indices):
-        rows = []
-        shift = []
-        for axis in range(n):
-            k = idx[axis]
-            w = widths[axis]
-            row = [Fraction(0)] * n
-            if k % 2 == 0:
-                row[axis] = Fraction(1, kappa)
-                shift.append(Fraction(k, kappa) * w)
-            else:
-                row[axis] = Fraction(-1, kappa)
-                shift.append(Fraction(k + 1, kappa) * w)
-            rows.append(row)
+    # in product order, so the first map is the cell at the origin; an odd
+    # index along an axis mirrors the cell along it
+    for idx in product(range(kappa), repeat=n):
+        rows = [[Fraction((-1) ** k if i == axis else 0, kappa) for i in range(n)]
+                for axis, k in enumerate(idx)]
+        shift = [Fraction(k + k % 2, kappa) * w for k, w in zip(idx, widths)]
         maps.append(AffineMap(Mat(rows), Vec(shift)))
     return maps

@@ -101,10 +101,7 @@ def _standard_simplex_integral(expo: tuple) -> Fraction:
 
 
 def _monomials_upto(dim: int, degree: int) -> list:
-    expos = [()]
-    for _ in range(dim):
-        expos = [e + (k,) for e in expos for k in range(degree + 1)]
-    return sorted(e for e in expos if sum(e) <= degree)
+    return [e for e in itertools.product(range(degree + 1), repeat=dim) if sum(e) <= degree]
 
 
 def _domain_geometry(verts: Sequence) -> tuple:

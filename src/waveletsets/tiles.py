@@ -459,10 +459,6 @@ class PieceMap:
         return PieceMap.axis_affine([1] * len(vec), vec, f"t{tuple(map(str, vec))}")
 
     @staticmethod
-    def dilate(dim: int, factor, label: str = "") -> "PieceMap":
-        return PieceMap.axis_affine([factor] * dim, [0] * dim, label)
-
-    @staticmethod
     def axis_affine(coeffs, offsets, label: str = "") -> "PieceMap":
         """Diagonal map x_i -> c_i x_i + o_i."""
         n = len(coeffs)
@@ -663,7 +659,7 @@ class _Shells:
                                           np.maximum(-a, b))
 
     def element(self, key):
-        return PieceMap.dilate(self.dim, self.kappa ** key[0], label=f"D^{key[0]}")
+        return PieceMap.axis_affine([self.kappa ** key[0]] * self.dim, [0] * self.dim, f"D^{key[0]}")
 
 
 def _parts(group, cuts, mask, words, T, dtype) -> tuple:
@@ -951,12 +947,8 @@ class PlanarFixture:
     components: Mapping = field(default_factory=dict)
 
     @property
-    def total_tail(self) -> Fraction:
-        return self.copies * self.tail
-
-    @property
     def measure_identity_holds(self) -> bool:
-        return self.wavelet_set.measure + self.total_tail == 4
+        return self.wavelet_set.measure + self.copies * self.tail == 4
 
 
 class _Components(Mapping):

@@ -92,6 +92,33 @@ def test_bad_parameter_exits_two(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_negative_fraction_after_a_flag_is_its_value(capsys, tmp_path):
+    # argparse alone takes only -3 or -0.5 after a flag as its value, and
+    # reads -3/7 or -1e-3 as another flag; a config value goes the same way
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scaling": "-3/7"}))
+    outputs = []
+    for k, (before, after) in enumerate((([], ["--scaling=-3/7"]), ([], ["--scaling", "-3/7"]),
+                                         (["--config", str(cfg)], []))):
+        csv = tmp_path / f"{k}.csv"
+        argv = ["fif", "basis", "--n", "2", "--mode", "reflection", "--depth", "2", "--csv", str(csv)]
+        assert run(before + argv + after) == 0
+        outputs.append((capsys.readouterr().out.replace(str(csv), "CSV"), csv.read_bytes()))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert outputs[0][0] == "3 basis functions on [0, 2], mode reflection\nwrote CSV\n"
+    assert run(["fif", "basis", "--scaling", "-1e-3"]) == 0
+    assert capsys.readouterr().out == "4 basis functions on [0, 3], mode translation\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tiles", "construct", "--epsilon", "-1/1000"], "argument --epsilon: must be at least 0, got -1/1000"),
+    (["fif", "example", "--name", "ex3.3", "--depth", "-1"], "argument --depth: must be at least 1, got -1"),
+])
+def test_a_negative_value_after_a_flag_meets_its_own_check(capsys, argv, message):
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, line", [
     (["fif", "basis", "--n", "4", "--depth", "11"], "5 basis functions on [0, 4], mode translation"),
     (["fif", "example", "--name", "ex3.5", "--depth", "13"], "knots: 0, 1, 0.5, 1.5"),

@@ -1,6 +1,7 @@
 """Root systems, affine reflections, folding, and subdivision."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
@@ -165,6 +166,24 @@ def test_subdivision_tiles_the_figure():
     # every half-integer grid vertex of the figure is hit
     hit = {p for c in cells for p in c}
     assert Vec((F(1, 2), F(1, 2))) in hit and Vec((F(1), F(1))) in hit
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=st.integers(1, 6), n=st.integers(1, 3), data=st.data())
+def test_subdivision_lists_product_order_cells_as_folds(kappa, n, data):
+    # map j takes the figure's centre to the centroid of the j-th cell of
+    # the product order of the cell indices, and is x -> x/kappa followed by
+    # the isometry that undoes the fold of that centroid into the cell at
+    # the origin, its own figure
+    widths = data.draw(st.lists(st.fractions(F(1, 16), 4, max_denominator=16),
+                                min_size=n, max_size=n), label="widths")
+    maps = subdivide(box_figure([(0, w) for w in widths]), kappa)
+    centroids = [Vec((k + F(1, 2)) * w / kappa for k, w in zip(idx, widths))
+                 for idx in product(range(kappa), repeat=n)]
+    assert [u.apply([w / 2 for w in widths]) for u in maps] == centroids
+    origin_cell = box_figure([(0, w / kappa) for w in widths])
+    scaling = AffineMap(Mat.identity(n).scale(F(1, kappa)), [F(0)] * n)
+    assert maps == [fold(origin_cell, c).isometry.compose(scaling) for c in centroids]
 
 
 @pytest.mark.parametrize("fig", [box_figure([(0, 3)]), unit_square_figure(),

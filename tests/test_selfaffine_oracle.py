@@ -848,7 +848,7 @@ def test_exact_ldl_matches_parent_on_atom_grams(kappa, degree):
     # floats of the exact factors, whose float Cholesky passes: the exact
     # path is taken directly
     gram = _atom_gram(kappa, degree, F(2, 7))
-    inv_lower, diag = fif._ldl(gram)
+    inv_lower, diag = geometry._ldl(gram)
     q = np.array(inv_lower, dtype=float).T / np.sqrt(np.array(diag, dtype=float))[None, :]
     assert np.array_equal(q, _orthonormal_oracle(gram))
     # and they are exact: L^-1 G L^-T = D

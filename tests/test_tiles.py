@@ -73,7 +73,7 @@ RECT = DyadicBoxSet.from_box((0, 1), (0, 2))
     (lambda: RECT.translate((1, 2, 3)), "dimension mismatch"),
     (lambda: RECT.translate((1,)), "dimension mismatch"),
     (lambda: DyadicBoxSet.empty(2).translate((1,)), "dimension mismatch"),
-    (lambda: PieceMap.dilate(1, 2).apply(RECT), "dimension mismatch"),
+    (lambda: PieceMap.axis_affine([2], [0]).apply(RECT), "dimension mismatch"),
     (lambda: RECT.transform([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "dimension mismatch"),
     # each source axis once
     (lambda: RECT.transform([[1, 0], [2, 0]]), "monomial matrices"),
