@@ -7,11 +7,14 @@ primitive integer vector, is behind every solve: `rank` counts its pivots,
 step, and `_ldl`, the exact fallback of `fif.orthonormalize`, reads an
 exact L D L^T from them.  `_int_dtype` is the one int64-or-Python-int rule
 of the integer arrays of `surfaces` and `tiles`, and `_frac` the one
-Fraction coercion of `tiles`, `fif` and `reflections`.
+Fraction coercion of `tiles`, `fif` and `reflections`.  `_json_object` and
+`_ratio` read the JSON texts of `tiles` and `mra`, refusing malformed text
+with a `ValueError` that names the problem.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -21,6 +24,25 @@ import numpy as np
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _json_object(text: str, keys: tuple) -> dict:
+    """The JSON object of a text, refused unless it is an object with every key."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, not {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+    return data
+
+
+def _ratio(*parts) -> Fraction:
+    """Fraction(*parts) of numbers read from a text, a zero denominator refused."""
+    try:
+        return Fraction(*parts)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {'/'.join(map(str, parts))}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fif import orthonormalize
-from .geometry import AffineIsometry, Mat, Vec
+from .geometry import AffineIsometry, Mat, Vec, _json_object, _ratio
 from .reflections import FoldableFigure, box_figure, box_widths, subdivide, unit_square_figure
 from .surfaces import (
     FractalSurface,
@@ -305,8 +305,8 @@ def _iso_to_obj(iso: AffineIsometry) -> dict:
 
 
 def _iso_from_obj(obj: dict) -> AffineIsometry:
-    linear = Mat([[Fraction(v) for v in row] for row in obj["linear"]])
-    shift = Vec(Fraction(v) for v in obj["shift"])
+    linear = Mat([[_ratio(v) for v in row] for row in obj["linear"]])
+    shift = Vec(_ratio(v) for v in obj["shift"])
     return AffineIsometry(linear, shift)
 
 
@@ -363,7 +363,7 @@ class FilterBank:
         """The bank of a `to_json` text, refused unless it has one P_j of
         shape (na, na) and one Q_j of shape ((N - 1) na, na) for each of its
         N words."""
-        payload = json.loads(text)
+        payload = _json_object(text, ("words", "P", "Q"))
         words = [_iso_from_obj(o) for o in payload["words"]]
         P = [np.array(m) for m in payload["P"]]
         Q = [np.array(m) for m in payload["Q"]]

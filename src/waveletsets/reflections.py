@@ -133,12 +133,15 @@ class FoldableFigure:
 
 def box_widths(figure, cells: bool = False) -> list:
     """The side widths of a box figure, the one check of the box figures that
-    a fold group, a subdivision and an MRA accept: the figure has a box, with
-    cells=True one with a vertex at the origin, and every width is positive.
+    a fold group, a subdivision and an MRA accept: the figure has a box of at
+    least one axis, with cells=True one with a vertex at the origin, and
+    every width is positive.
     """
     box = getattr(figure, "box", None)
     if box is None:
         raise ValueError("a box figure is required")
+    if not box:
+        raise ValueError("the figure box needs at least one axis")
     if cells and any(lo != 0 for lo, _ in box):
         raise ValueError("the figure must have a vertex at the origin")
     widths = [hi - lo for lo, hi in box]

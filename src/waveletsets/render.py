@@ -154,7 +154,10 @@ def _sorted_boxes(boxes) -> list:
 
 
 def boxes_svg(layers: Sequence) -> str:
-    """Layers are (box set, fill color); boxes drawn as rectangles."""
+    """Layers are (2-D box set, fill color); boxes drawn as rectangles."""
+    for boxset, _ in layers:
+        if boxset.dim != 2:
+            raise ValueError(f"boxes_svg draws 2-D box sets, not a {boxset.dim}-D one")
     layer_boxes = [_sorted_boxes(boxset.boxes) for boxset, _ in layers]
     lo_x, hi_x, lo_y, hi_y = (_floats([box[axis][side] for boxes in layer_boxes for box in boxes])
                               for axis in (0, 1) for side in (0, 1))

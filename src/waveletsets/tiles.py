@@ -8,8 +8,10 @@ to boxes.
 
 A box set is a canonical integer grid (`DyadicBoxSet`): a denominator, sorted
 integer breakpoints per axis and a boolean mask over the cells between them.
-Set operations merge breakpoints and combine masks, measures are exact
-integer sums, and equality almost everywhere is a comparison of grids.
+Every binary set operation is one mask operation on the sorted union of
+both sets' breakpoints, whose empty boundary slabs the canonical form
+trims; measures are exact integer sums, and equality almost everywhere is
+a comparison of grids.
 One painter (`_paint`) puts lists of integer boxes on one grid, for a new
 set and for the planar fixtures, whose parts are then mask operations and
 flips on that grid.  `DyadicBoxSet.boxes` is a view derived from the grid
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,7 +56,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .geometry import _frac, _int_dtype
+from .geometry import _frac, _int_dtype, _json_object, _ratio
 from .reflections import box_widths
 
 Box = tuple  # ((lo, hi), ...) per axis, half-open, Fractions
@@ -105,23 +107,14 @@ def _rescaled(boxset, den: int) -> tuple:
 
 def _resample(cuts: tuple, mask: np.ndarray, grid: list) -> np.ndarray:
     """The mask on the cells of `grid`, a refinement of `cuts` that may reach
-    past them or stop short of them; cells outside `cuts` are empty."""
-    inner = []
-    full = True
+    past them on either side: cells outside `cuts` are empty, so the empty
+    set's grid, with no breakpoints, resamples to all-false."""
+    # a false slab on each side of every axis holds the cells outside
+    out = np.zeros(tuple(n + 2 for n in mask.shape), dtype=bool)
+    out[(slice(1, -1),) * mask.ndim] = mask
     for axis, (axis_cuts, axis_grid) in enumerate(zip(cuts, grid)):
-        if axis_cuts == axis_grid:
-            inner.append(slice(None))
-            continue
-        a = bisect_left(axis_grid, axis_cuts[0])
-        b = min(bisect_left(axis_grid, axis_cuts[-1]), len(axis_grid) - 1)
-        index = [bisect_right(axis_cuts, x) - 1 for x in axis_grid[a:b]]
-        mask = mask.take(np.array(index, dtype=np.intp), axis=axis)
-        inner.append(slice(a, b))
-        full = full and a == 0 and b == len(axis_grid) - 1
-    if full:
-        return mask
-    out = np.zeros(tuple(len(g) - 1 for g in grid), dtype=bool)
-    out[tuple(inner)] = mask
+        index = [bisect_right(axis_cuts, x) for x in axis_grid[:-1]]
+        out = out.take(np.array(index, dtype=np.intp), axis=axis)
     return out
 
 
@@ -134,18 +127,6 @@ def _grid_measure(den: int, cuts: tuple, weight: np.ndarray) -> Fraction:
     for c in reversed(cuts):
         total = total @ np.array([b - a for a, b in zip(c, c[1:])], dtype=dtype)
     return Fraction(int(total), den ** len(cuts))
-
-
-def _hull(alo, ahi, blo, bhi):
-    return min(alo, blo), max(ahi, bhi)
-
-
-def _overlap(alo, ahi, blo, bhi):
-    return max(alo, blo), min(ahi, bhi)
-
-
-def _own(alo, ahi, blo, bhi):
-    return alo, ahi
 
 
 def _index_boxes(mask: np.ndarray) -> np.ndarray:
@@ -301,49 +282,33 @@ class DyadicBoxSet:
 
     # -- set algebra ------------------------------------------------------------
 
-    def _combine(self, other: "DyadicBoxSet", op, clip) -> "DyadicBoxSet":
-        """op of both masks resampled on the merged breakpoints, within the
-        range per axis that clip(own lo, own hi, other lo, other hi) gives;
-        None when that range is empty on some axis."""
+    def _combine(self, other: "DyadicBoxSet", op) -> "DyadicBoxSet":
+        """op of both masks resampled on the sorted union of both sets'
+        breakpoints, as a canonical set: `_canonical` trims whatever op
+        leaves empty."""
+        self._check(other)
         den = math.lcm(self.den, other.den)
         cuts_a, cuts_b = _rescaled(self, den), _rescaled(other, den)
-        grid = []
-        for ca, cb in zip(cuts_a, cuts_b):
-            lo, hi = clip(ca[0], ca[-1], cb[0], cb[-1])
-            if lo >= hi:
-                return None
-            grid.append(tuple(x for x in sorted({*ca, *cb}) if lo <= x <= hi))
+        grid = tuple(tuple(sorted({*ca, *cb})) for ca, cb in zip(cuts_a, cuts_b))
         a = _resample(cuts_a, self.mask, grid)
         b = _resample(cuts_b, other.mask, grid)
-        return DyadicBoxSet._grid(self.dim, *_canonical(den, tuple(grid), op(a, b)))
+        return DyadicBoxSet._grid(self.dim, *_canonical(den, grid, op(a, b)))
 
     def union(self, other: "DyadicBoxSet") -> "DyadicBoxSet":
-        self._check(other)
-        if other.is_empty:
-            return self
-        if self.is_empty:
-            return other
-        return self._combine(other, np.logical_or, _hull)
+        return self._combine(other, np.logical_or)
 
     def intersect(self, other: "DyadicBoxSet") -> "DyadicBoxSet":
-        self._check(other)
-        if self.is_empty or other.is_empty:
-            return DyadicBoxSet.empty(self.dim)
-        out = self._combine(other, np.logical_and, _overlap)
-        return DyadicBoxSet.empty(self.dim) if out is None else out
+        return self._combine(other, np.logical_and)
 
     def subtract(self, other: "DyadicBoxSet") -> "DyadicBoxSet":
-        self._check(other)
-        if self.is_empty or other.is_empty:
-            return self
-        return self._combine(other, lambda a, b: a & ~b, _own)
+        return self._combine(other, lambda a, b: a & ~b)
 
     def _check(self, other):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
 
     def symmetric_difference_measure(self, other: "DyadicBoxSet") -> Fraction:
-        return self.subtract(other).measure + other.subtract(self).measure
+        return self._combine(other, np.logical_xor).measure
 
     def equals_ae(self, other: "DyadicBoxSet") -> bool:
         self._check(other)
@@ -428,13 +393,15 @@ class DyadicBoxSet:
 
     @staticmethod
     def from_json(text: str) -> "DyadicBoxSet":
-        data = json.loads(text)
+        data = _json_object(text, ("dim", "boxes"))
         if data.get("unit") != "pi":
             raise ValueError("expected coordinates in pi units")
+        if type(data["dim"]) is not int:
+            raise ValueError(f"dim must be an integer, not {data['dim']!r}")
         boxes = []
         for k, entry in enumerate(data["boxes"]):
-            lo = [Fraction(n, d) for n, d in entry["lo"]]
-            hi = [Fraction(n, d) for n, d in entry["hi"]]
+            lo = [_ratio(n, d) for n, d in entry["lo"]]
+            hi = [_ratio(n, d) for n, d in entry["hi"]]
             if len(lo) != len(hi):
                 raise ValueError(f"box {k} has {len(lo)} lo and {len(hi)} hi coordinates")
             boxes.append(tuple(zip(lo, hi)))
@@ -524,26 +491,24 @@ class CongruenceCertificate:
         return max(self.source_residual.measure, self.target_residual.measure)
 
     def verify(self) -> VerificationReport:
-        """Independent re-check: recompute every set relation from scratch."""
-        dim = self.source.dim
-        placed = DyadicBoxSet.empty(dim)
-        covered = DyadicBoxSet.empty(dim)
-        pieces_disjoint = images_disjoint = True
+        """Independent re-check of every set relation, from the pieces and
+        maps alone.  The pieces (and their images) are disjoint almost
+        everywhere exactly when their measures sum to the measure of their
+        union."""
+        placed = covered = DyadicBoxSet.empty(self.source.dim)
+        piece_sum = image_sum = Fraction(0)
         for piece, g in self.pieces:
-            if placed.intersect(piece).measure != 0:
-                pieces_disjoint = False
-            placed = placed.union(piece)
             image = g.apply(piece)
-            if covered.intersect(image).measure != 0:
-                images_disjoint = False
-            covered = covered.union(image)
+            placed, covered = placed.union(piece), covered.union(image)
+            piece_sum, image_sum = piece_sum + piece.measure, image_sum + image.measure
+        pieces_disjoint = piece_sum == placed.measure
+        images_disjoint = image_sum == covered.measure
         pieces_in_source = self.source.contains_ae(placed)
         images_in_target = self.target.contains_ae(covered)
         src_res = self.source.subtract(placed).measure
         tgt_res = self.target.subtract(covered).measure
         measure_balanced = (
-            sum((p.measure for p, _ in self.pieces), Fraction(0)) + src_res
-            == self.source.measure
+            piece_sum + src_res == self.source.measure
             and src_res == self.source_residual.measure
             and tgt_res == self.target_residual.measure
         )
@@ -751,16 +716,13 @@ def _reduce_and_claim(source, target, group) -> CongruenceCertificate:
 
 def _claimed_pieces(group, grid, cells, key_of, keys) -> list:
     """A claim's pieces: per key index n in ascending order, the claimed cells
-    of the refined source grid with index n as one canonical set, moved by
-    the group element of keys[n]."""
+    with index n painted on the whole refined source grid and made one
+    canonical set, moved by the group element of keys[n]."""
     pieces = []
     for n in np.unique(key_of):
-        part_cells = tuple(c[key_of == n] for c in cells)
-        lo = [int(c.min()) for c in part_cells]
-        part = np.zeros([int(c.max()) + 1 - l for c, l in zip(part_cells, lo)], dtype=bool)
-        part[tuple(c - l for c, l in zip(part_cells, lo))] = True
-        cuts = tuple(g[l:l + k + 1] for g, l, k in zip(grid, lo, part.shape))
-        pieces.append((DyadicBoxSet._grid(len(grid), *_canonical(group.den, cuts, part)),
+        part = np.zeros(tuple(len(g) - 1 for g in grid), dtype=bool)
+        part[tuple(c[key_of == n] for c in cells)] = True
+        pieces.append((DyadicBoxSet._grid(len(grid), *_canonical(group.den, grid, part)),
                        group.element(keys[n])))
     return pieces
 

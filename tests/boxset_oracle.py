@@ -50,7 +50,24 @@ before the library listed index boxes by whole-array runs (its body
 verbatim).  `tests/test_boxset_grid.py` requires the same tuple from the
 library.
 
-Keep all six parts unchanged.
+The seventh part is the set algebra from before every operation ran on the
+whole merged grid: `_combine` with its clip rules `_hull`, `_overlap` and
+`_own`, over the `_resample` that may stop short of a set's breakpoints,
+and `union`, `intersect` and `subtract` with their empty-operand branches,
+as the functions `clipped_combine`, `clipped_union`, `clipped_intersect`
+and `clipped_subtract` of a grid set (bodies verbatim, with `self` the first
+argument, `self._combine(...)` called as `clipped_combine(self, ...)` and
+`GridBoxSet` as above); the third part's `grid_weyl_congruent` uses the
+same `_resample`.  It also keeps the pairwise loop of
+`CongruenceCertificate.verify`, which intersected each piece and image with
+the union of those before it, as the function `pairwise_verify` of a
+certificate (body verbatim, with `self` the argument), on the library's set
+operations, and the `_claimed_pieces` that painted each piece on the slice
+of the refined grid over its bounding box, as `sliced_claimed_pieces` (body
+verbatim, `GridBoxSet` as above).  `tests/test_clipped_algebra.py` requires
+equal grids, equal pieces and equal reports from the library.
+
+Keep all seven parts unchanged.
 """
 
 from __future__ import annotations
@@ -66,8 +83,8 @@ import numpy as np
 
 from waveletsets.reflections import FoldableFigure
 from waveletsets.tiles import (TAIL_STANDIN_TERMS, CongruenceCertificate, DomainReport,
-                               GroupSpec, PieceMap, PlanarFixture, _canonical,
-                               _rescaled, _resample)
+                               GroupSpec, PieceMap, PlanarFixture, VerificationReport,
+                               _canonical, _rescaled)
 from waveletsets.tiles import DyadicBoxSet as GridBoxSet
 
 Box = tuple  # ((lo, hi), ...) per axis, half-open, Fractions
@@ -755,3 +772,130 @@ def grid_boxes(self: GridBoxSet) -> tuple:
     return tuple(sorted(
         tuple((coords[axis][i], coords[axis][j]) for axis, (i, j) in enumerate(box))
         for box in _index_boxes(self.mask)))
+
+
+# ---------------------------------------------------------------------------
+# the clipped set algebra and the pairwise verify loop
+# ---------------------------------------------------------------------------
+
+
+def _resample(cuts: tuple, mask: np.ndarray, grid: list) -> np.ndarray:
+    """The mask on the cells of `grid`, a refinement of `cuts` that may reach
+    past them or stop short of them; cells outside `cuts` are empty."""
+    inner = []
+    full = True
+    for axis, (axis_cuts, axis_grid) in enumerate(zip(cuts, grid)):
+        if axis_cuts == axis_grid:
+            inner.append(slice(None))
+            continue
+        a = bisect_left(axis_grid, axis_cuts[0])
+        b = min(bisect_left(axis_grid, axis_cuts[-1]), len(axis_grid) - 1)
+        index = [bisect_right(axis_cuts, x) - 1 for x in axis_grid[a:b]]
+        mask = mask.take(np.array(index, dtype=np.intp), axis=axis)
+        inner.append(slice(a, b))
+        full = full and a == 0 and b == len(axis_grid) - 1
+    if full:
+        return mask
+    out = np.zeros(tuple(len(g) - 1 for g in grid), dtype=bool)
+    out[tuple(inner)] = mask
+    return out
+
+
+def _hull(alo, ahi, blo, bhi):
+    return min(alo, blo), max(ahi, bhi)
+
+
+def _overlap(alo, ahi, blo, bhi):
+    return max(alo, blo), min(ahi, bhi)
+
+
+def _own(alo, ahi, blo, bhi):
+    return alo, ahi
+
+
+def clipped_combine(self: GridBoxSet, other: GridBoxSet, op, clip) -> GridBoxSet:
+    """op of both masks resampled on the merged breakpoints, within the
+    range per axis that clip(own lo, own hi, other lo, other hi) gives;
+    None when that range is empty on some axis."""
+    den = math.lcm(self.den, other.den)
+    cuts_a, cuts_b = _rescaled(self, den), _rescaled(other, den)
+    grid = []
+    for ca, cb in zip(cuts_a, cuts_b):
+        lo, hi = clip(ca[0], ca[-1], cb[0], cb[-1])
+        if lo >= hi:
+            return None
+        grid.append(tuple(x for x in sorted({*ca, *cb}) if lo <= x <= hi))
+    a = _resample(cuts_a, self.mask, grid)
+    b = _resample(cuts_b, other.mask, grid)
+    return GridBoxSet._grid(self.dim, *_canonical(den, tuple(grid), op(a, b)))
+
+
+def clipped_union(self: GridBoxSet, other: GridBoxSet) -> GridBoxSet:
+    self._check(other)
+    if other.is_empty:
+        return self
+    if self.is_empty:
+        return other
+    return clipped_combine(self, other, np.logical_or, _hull)
+
+
+def clipped_intersect(self: GridBoxSet, other: GridBoxSet) -> GridBoxSet:
+    self._check(other)
+    if self.is_empty or other.is_empty:
+        return GridBoxSet.empty(self.dim)
+    out = clipped_combine(self, other, np.logical_and, _overlap)
+    return GridBoxSet.empty(self.dim) if out is None else out
+
+
+def clipped_subtract(self: GridBoxSet, other: GridBoxSet) -> GridBoxSet:
+    self._check(other)
+    if self.is_empty or other.is_empty:
+        return self
+    return clipped_combine(self, other, lambda a, b: a & ~b, _own)
+
+
+def pairwise_verify(self: CongruenceCertificate) -> VerificationReport:
+    """Independent re-check: recompute every set relation from scratch."""
+    dim = self.source.dim
+    placed = GridBoxSet.empty(dim)
+    covered = GridBoxSet.empty(dim)
+    pieces_disjoint = images_disjoint = True
+    for piece, g in self.pieces:
+        if placed.intersect(piece).measure != 0:
+            pieces_disjoint = False
+        placed = placed.union(piece)
+        image = g.apply(piece)
+        if covered.intersect(image).measure != 0:
+            images_disjoint = False
+        covered = covered.union(image)
+    pieces_in_source = self.source.contains_ae(placed)
+    images_in_target = self.target.contains_ae(covered)
+    src_res = self.source.subtract(placed).measure
+    tgt_res = self.target.subtract(covered).measure
+    measure_balanced = (
+        sum((p.measure for p, _ in self.pieces), Fraction(0)) + src_res
+        == self.source.measure
+        and src_res == self.source_residual.measure
+        and tgt_res == self.target_residual.measure
+    )
+    ok = (pieces_disjoint and pieces_in_source and images_disjoint
+          and images_in_target and measure_balanced)
+    return VerificationReport(ok, pieces_disjoint, pieces_in_source,
+                              images_disjoint, images_in_target,
+                              measure_balanced, src_res, tgt_res)
+
+
+def sliced_claimed_pieces(group, grid, cells, key_of, keys) -> list:
+    """A claim's pieces: per key index n in ascending order, the claimed cells
+    of the refined source grid with index n as one canonical set, moved by
+    the group element of keys[n]."""
+    pieces = []
+    for n in np.unique(key_of):
+        part_cells = tuple(c[key_of == n] for c in cells)
+        lo = [int(c.min()) for c in part_cells]
+        part = np.zeros([int(c.max()) + 1 - l for c, l in zip(part_cells, lo)], dtype=bool)
+        part[tuple(c - l for c, l in zip(part_cells, lo))] = True
+        cuts = tuple(g[l:l + k + 1] for g, l, k in zip(grid, lo, part.shape))
+        pieces.append((GridBoxSet._grid(len(grid), *_canonical(group.den, cuts, part)),
+                       group.element(keys[n])))
+    return pieces

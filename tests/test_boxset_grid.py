@@ -1,8 +1,9 @@
 """Differential tests of the grid kernel of `DyadicBoxSet` against the
 list-based reference implementation in `boxset_oracle.py`.
 
-Every measure must be the identical `Fraction` and every set relation the
-identical boolean.  Coordinates mix small denominators with denominators
+Every measure must be the identical `Fraction`, every set relation the
+identical boolean, and every union, intersection and difference the grid of
+the clipped algebra kept there as well.  Coordinates mix small denominators with denominators
 above 2**64, so both the int64 and the Python-int measure paths run.
 """
 
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boxset_oracle import DyadicBoxSet as OracleBoxSet, grid_boxes
+from boxset_oracle import (DyadicBoxSet as OracleBoxSet, clipped_intersect, clipped_subtract,
+                           clipped_union, grid_boxes)
 from waveletsets.tiles import DyadicBoxSet, build_w1, build_w2
 
 MANY = settings(max_examples=500, deadline=None)
@@ -69,6 +71,10 @@ def test_set_algebra_matches_oracle(sets):
     a, oa = both(dim, boxes_a)
     b, ob = both(dim, boxes_b)
     assert a.measure == oa.measure
+    # the grids, not only the measures, are those of the clipped algebra
+    assert a.union(b) == clipped_union(a, b)
+    assert a.intersect(b) == clipped_intersect(a, b)
+    assert a.subtract(b) == clipped_subtract(a, b)
     assert a.union(b).measure == oa.union(ob).measure
     assert a.intersect(b).measure == oa.intersect(ob).measure
     assert a.subtract(b).measure == oa.subtract(ob).measure

@@ -4,12 +4,13 @@ The CLI's own argument bounds stop the `MRAConfig` cases before they reach
 the library, so only a direct call sees those messages.
 """
 
+import json
 import re
 from fractions import Fraction as F
 
 import pytest
 
-from waveletsets import fif, mra, surfaces
+from waveletsets import fif, mra, render, surfaces
 from waveletsets.geometry import AffineMap, Mat, Vec
 from waveletsets.reflections import (
     RootSystem,
@@ -17,6 +18,7 @@ from waveletsets.reflections import (
     centered_square_figure,
     right_triangle_figure,
     subdivide,
+    unit_square_figure,
 )
 from waveletsets.tiles import (
     DyadicBoxSet,
@@ -48,6 +50,18 @@ def _json_in(unit):
     return DyadicBoxSet.from_box((0, 1)).to_json().replace('"pi"', f'"{unit}"')
 
 
+def _box_json(**changes):
+    """The JSON of [0, 1) with keys replaced, or left out where the value is None."""
+    data = {**json.loads(_json_in("pi")), **changes}
+    return json.dumps({k: v for k, v in data.items() if v is not None})
+
+
+def _bank_json(**changes):
+    """The JSON of a one-word bank with keys replaced, or left out where the value is None."""
+    data = {"P": [], "Q": [], "words": [{"linear": [["1"]], "shift": ["0"]}], **changes}
+    return json.dumps({k: v for k, v in data.items() if v is not None})
+
+
 @pytest.mark.parametrize("call, error, message", [
     # the MRA configuration
     (lambda: mra.MRAConfig(figure=right_triangle_figure()), ValueError,
@@ -57,6 +71,8 @@ def _json_in(unit):
     (lambda: mra.MRAConfig(kappa=1), ValueError, "kappa must be at least 2"),
     (lambda: mra.MRAConfig(degree=-1), ValueError, "degree must be nonnegative"),
     (lambda: mra.MRAConfig(scaling=F(-1)), ValueError, "vertical scaling must satisfy |s| < 1"),
+    (lambda: mra.MRAConfig(figure=unit_square_figure(0)), ValueError,
+     "the figure box needs at least one axis"),
     # group specifications, all refused when they are made
     (lambda: GroupSpec("rotation"), ValueError, "unknown group kind 'rotation'"),
     (lambda: GroupSpec("dilation", kappa=1), ValueError, "dilation group needs kappa > 1"),
@@ -94,6 +110,22 @@ def _json_in(unit):
     # box sets, fixtures and the constructor
     (lambda: DyadicBoxSet.from_json(_json_in("degree")), ValueError,
      "expected coordinates in pi units"),
+    (lambda: render.boxes_svg([(shannon_set(), "red")]), ValueError,
+     "boxes_svg draws 2-D box sets, not a 1-D one"),
+    (lambda: render.boxes_svg([(DyadicBoxSet.from_box((0, 1), (0, 1), (0, 1)), "red")]),
+     ValueError, "boxes_svg draws 2-D box sets, not a 3-D one"),
+    # JSON texts, which come from outside the program
+    (lambda: DyadicBoxSet.from_json("[1]"), ValueError, "expected a JSON object, not list"),
+    (lambda: DyadicBoxSet.from_json(_box_json(boxes=None)), ValueError, "missing key 'boxes'"),
+    (lambda: DyadicBoxSet.from_json(_box_json(dim="1")), ValueError,
+     "dim must be an integer, not '1'"),
+    (lambda: DyadicBoxSet.from_json(_box_json(boxes=[{"lo": [[0, 0]], "hi": [[1, 1]]}])),
+     ValueError, "zero denominator in 0/0"),
+    (lambda: mra.FilterBank.from_json("[1]"), ValueError, "expected a JSON object, not list"),
+    (lambda: mra.FilterBank.from_json(_bank_json(words=None)), ValueError,
+     "missing key 'words'"),
+    (lambda: mra.FilterBank.from_json(_bank_json(words=[{"linear": [["1/0"]], "shift": ["0"]}])),
+     ValueError, "zero denominator in 1/0"),
     (lambda: build_w1(3, tail_terms=-1), ValueError, "tail_terms must be at least 0"),
     (lambda: build_w2(3, tail_terms=-3), ValueError, "tail_terms must be at least 0"),
     (lambda: construct_wavelet_set(DyadicBoxSet.from_box((-1, 1)), shannon_set(), [2],

@@ -99,7 +99,9 @@ def test_polylines_svg_matches_the_oracle(curves):
 
 
 class Boxes:
-    """What `boxes_svg` reads of a box set: its list of boxes."""
+    """What `boxes_svg` reads of a box set: its dimension, 2, and its list of boxes."""
+
+    dim = 2
 
     def __init__(self, boxes):
         self.boxes = boxes
