@@ -7,9 +7,9 @@ primitive integer vector, is behind every solve: `rank` counts its pivots,
 step, and `_ldl`, the exact fallback of `fif.orthonormalize`, reads an
 exact L D L^T from them.  `_int_dtype` is the one int64-or-Python-int rule
 of the integer arrays of `surfaces` and `tiles`, and `_frac` the one
-Fraction coercion of `tiles`, `fif` and `reflections`.  `_json_object` and
-`_ratio` read the JSON texts of `tiles` and `mra`, refusing malformed text
-with a `ValueError` that names the problem.
+Fraction coercion of `tiles`, `fif` and `reflections`.  `_json_value` and
+`_json_fractions` read the JSON texts of `tiles` and `mra`, refusing
+malformed text with a `ValueError` that names the problem and its place.
 """
 
 from __future__ import annotations
@@ -26,23 +26,33 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _json_object(text: str, keys: tuple) -> dict:
-    """The JSON object of a text, refused unless it is an object with every key."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError(f"expected a JSON object, not {type(data).__name__}")
+def _json_value(value, kind: type, where: str = "", keys: tuple = ()):
+    """A value at `where` in a JSON text, refused unless a `kind` with every key."""
+    at = f" at {where}" if where else ""
+    if not isinstance(value, kind):
+        raise ValueError(f"expected a JSON {'object' if kind is dict else 'array'}{at}, "
+                         f"not {type(value).__name__}")
     for key in keys:
-        if key not in data:
-            raise ValueError(f"missing key {key!r}")
-    return data
+        if key not in value:
+            raise ValueError(f"missing key {key!r}{at}")
+    return value
 
 
-def _ratio(*parts) -> Fraction:
-    """Fraction(*parts) of numbers read from a text, a zero denominator refused."""
+def _ratio(value, where: str) -> Fraction:
+    """A fraction at `where`: "p/q", or [p, q] of integers (not bools), q nonzero."""
+    pair = type(value) is list and [type(x) for x in value] == [int, int]
+    if not pair and type(value) is not str:
+        raise ValueError(f'expected a fraction "p/q" or [p, q] at {where}, not {json.dumps(value)}')
     try:
-        return Fraction(*parts)
+        return Fraction(*value) if pair else Fraction(value)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {'/'.join(map(str, parts))}") from None
+        raise ValueError(f"zero denominator in {'%d/%d' % tuple(value) if pair else value}") from None
+
+
+def _json_fractions(value, where: str, depth: int = 1) -> list:
+    """A JSON array, nested `depth` deep, of fractions (`_ratio`)."""
+    return [_json_fractions(v, f"{where}[{i}]", depth - 1) if depth > 1
+            else _ratio(v, f"{where}[{i}]") for i, v in enumerate(_json_value(value, list, where))]
 
 
 # ---------------------------------------------------------------------------

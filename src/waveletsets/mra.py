@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fif import orthonormalize
-from .geometry import AffineIsometry, Mat, Vec, _json_object, _ratio
+from .geometry import AffineIsometry, Mat, Vec, _json_fractions, _json_value
 from .reflections import FoldableFigure, box_figure, box_widths, subdivide, unit_square_figure
 from .surfaces import (
     FractalSurface,
@@ -304,12 +304,6 @@ def _iso_to_obj(iso: AffineIsometry) -> dict:
     }
 
 
-def _iso_from_obj(obj: dict) -> AffineIsometry:
-    linear = Mat([[_ratio(v) for v in row] for row in obj["linear"]])
-    shift = Vec(_ratio(v) for v in obj["shift"])
-    return AffineIsometry(linear, shift)
-
-
 def _float_lists(value: list, pad: str) -> str:
     """json.dumps(value, indent=2) of nested lists of floats, its lines
     indented by pad after the first: each float by float.__repr__, and NaN
@@ -363,10 +357,16 @@ class FilterBank:
         """The bank of a `to_json` text, refused unless it has one P_j of
         shape (na, na) and one Q_j of shape ((N - 1) na, na) for each of its
         N words."""
-        payload = _json_object(text, ("words", "P", "Q"))
-        words = [_iso_from_obj(o) for o in payload["words"]]
-        P = [np.array(m) for m in payload["P"]]
-        Q = [np.array(m) for m in payload["Q"]]
+        payload = _json_value(json.loads(text), dict, keys=("words", "P", "Q"))
+        words, P, Q = (_json_value(payload[key], list, key) for key in ("words", "P", "Q"))
+        for j, word in enumerate(words):
+            _json_value(word, dict, f"words[{j}]", ("linear", "shift"))
+            words[j] = AffineIsometry(Mat(_json_fractions(word["linear"], f"words[{j}].linear", 2)),
+                                      Vec(_json_fractions(word["shift"], f"words[{j}].shift")))
+        try:
+            P, Q = ([np.array(m) for m in ms] for ms in (P, Q))
+        except ValueError:  # numpy's inhomogeneous shape
+            raise ValueError("expected each P and Q in rows of one length") from None
         n, na = len(words), len(P[0]) if P else 0
         if ([p.shape for p in P] != [(na, na)] * n
                 or [q.shape for q in Q] != [((n - 1) * na, na)] * n):

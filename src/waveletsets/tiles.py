@@ -22,11 +22,13 @@ mask; which boxes it lists in 2-D and above is not part of the contract
 Every group is described by a `GroupSpec`, checked with its data per axis
 when it is made, which `_group` checks against the dimension of the sets it
 acts on before it makes the kernel's group.  The three congruence
-checkers and `is_fundamental_domain` share one kernel, `_reduce_and_claim`.  A
-group cuts a set into parts, one per group word, each mapped into the
-group's fundamental domain; grids are refined so that every cell reduces
-into one cell of the reduced breakpoints, and the certificate is built by
-index arithmetic, with no set operation per part:
+checkers share one kernel, `_reduce_and_claim`; `is_fundamental_domain`
+counts orbit copies on its reduction, which the verdicts read where their
+target is a fundamental domain.  A group cuts a set into parts, one per
+group word, each mapped into the group's fundamental domain; grids are
+refined so that every cell reduces into one cell of the reduced
+breakpoints, and the certificate is built by index arithmetic, with no set
+operation per part:
 - lattice: per axis the period cells of the spacing, shifted onto cell 0;
   claims by k = target word - source word in the order (sum |k|, k);
 - fold: per axis the slabs between mirrors, folded onto the figure box; the
@@ -51,12 +53,13 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .geometry import _frac, _int_dtype, _json_object, _ratio
+from .geometry import _frac, _int_dtype, _json_fractions, _json_value
 from .reflections import box_widths
 
 Box = tuple  # ((lo, hi), ...) per axis, half-open, Fractions
@@ -81,8 +84,7 @@ def _canonical(den: int, cuts: tuple, mask: np.ndarray):
         others = tuple(a for a in range(dim) if a != axis)
         occupied = np.flatnonzero(mask.any(axis=others) if others else mask)
         first, last = int(occupied[0]), int(occupied[-1]) + 1
-        lo = [slice(None)] * dim
-        hi = [slice(None)] * dim
+        lo, hi = [slice(None)] * dim, [slice(None)] * dim
         lo[axis], hi[axis] = slice(first, last - 1), slice(first + 1, last)
         changed = mask[tuple(hi)] != mask[tuple(lo)]
         if others:
@@ -119,9 +121,10 @@ def _resample(cuts: tuple, mask: np.ndarray, grid: list) -> np.ndarray:
 
 
 def _grid_measure(den: int, cuts: tuple, weight: np.ndarray) -> Fraction:
-    """The sum over the cells of a grid of an integer weight times the cell's volume."""
-    # the bounding box volume in grid units times the largest weight bounds
-    # every partial sum
+    """The sum over the cells of a grid of an integer weight times their volume."""
+    if weight.size == 0:
+        return Fraction(0)
+    # the box volume in grid units times the largest weight bounds every partial sum
     dtype = _int_dtype(math.prod(c[-1] - c[0] for c in cuts) * max(int(weight.max()), 1))
     total = weight.astype(dtype)
     for c in reversed(cuts):
@@ -252,10 +255,7 @@ class DyadicBoxSet:
     @property
     def measure(self) -> Fraction:
         if self._measure is None:
-            if self.is_empty:
-                self._measure = Fraction(0)
-            else:
-                self._measure = _grid_measure(self.den, self.cuts, self.mask)
+            self._measure = _grid_measure(self.den, self.cuts, self.mask)
         return self._measure
 
     @property
@@ -335,8 +335,7 @@ class DyadicBoxSet:
         den = math.lcm(*(self.den * c.denominator for c in coeffs),
                        *(t.denominator for t in offsets))
         mask = self.mask.transpose(tuple(source_axis))
-        cuts = []
-        flips = []
+        cuts, flips = [], []
         for j, c, t in zip(source_axis, coeffs, offsets):
             k = c.numerator * (den // (self.den * c.denominator))
             b = t.numerator * (den // t.denominator)
@@ -393,15 +392,15 @@ class DyadicBoxSet:
 
     @staticmethod
     def from_json(text: str) -> "DyadicBoxSet":
-        data = _json_object(text, ("dim", "boxes"))
+        data = _json_value(json.loads(text), dict, keys=("dim", "boxes"))
         if data.get("unit") != "pi":
             raise ValueError("expected coordinates in pi units")
         if type(data["dim"]) is not int:
             raise ValueError(f"dim must be an integer, not {data['dim']!r}")
         boxes = []
-        for k, entry in enumerate(data["boxes"]):
-            lo = [_ratio(n, d) for n, d in entry["lo"]]
-            hi = [_ratio(n, d) for n, d in entry["hi"]]
+        for k, entry in enumerate(_json_value(data["boxes"], list, "boxes")):
+            _json_value(entry, dict, f"boxes[{k}]", ("lo", "hi"))
+            lo, hi = (_json_fractions(entry[key], f"boxes[{k}].{key}") for key in ("lo", "hi"))
             if len(lo) != len(hi):
                 raise ValueError(f"box {k} has {len(lo)} lo and {len(hi)} hi coordinates")
             boxes.append(tuple(zip(lo, hi)))
@@ -452,24 +451,19 @@ class VerificationReport:
 class CongruenceCertificate:
     """Decomposition of a source set into group-moved pieces inside a target.
 
-    `pieces` is a list of (DyadicBoxSet, PieceMap).  A checker's certificate
-    keeps its claim instead (`_claimed_pieces`), builds the list from it on
-    the first read of `pieces` and then drops the claim, so a caller that
-    reads only the residuals builds no piece.
-    """
+    `pieces` is a list of (DyadicBoxSet, PieceMap), or a checker's builder
+    of it (`_claimed_pieces`), run on the first read of `pieces`, so a
+    caller that reads only the residuals builds no piece."""
 
-    __hash__ = None
-
-    def __init__(self, source: DyadicBoxSet, target: DyadicBoxSet, pieces: list,
+    def __init__(self, source: DyadicBoxSet, target: DyadicBoxSet, pieces,
                  source_residual: DyadicBoxSet, target_residual: DyadicBoxSet):
-        self.source, self.target = source, target
+        self.source, self.target, self._pieces = source, target, pieces
         self.source_residual, self.target_residual = source_residual, target_residual
-        self._pieces, self._claim = pieces, None
 
     @property
     def pieces(self) -> list:
-        if self._claim is not None:
-            self._pieces, self._claim = _claimed_pieces(*self._claim), None
+        if callable(self._pieces):
+            self._pieces = self._pieces()
         return self._pieces
 
     def _fields(self) -> tuple:
@@ -707,11 +701,10 @@ def _reduce_and_claim(source, target, group) -> CongruenceCertificate:
     kept, left = np.zeros_like(smask), np.zeros_like(tmask)
     kept[cells] = True
     left[tuple(c[free_t[tw, tc]] for c in tcells)] = True
-    cert = CongruenceCertificate(source, target, None,
+    return CongruenceCertificate(source, target,
+                                 partial(_claimed_pieces, group, sgrid, cells, key_of, keys),
                                  DyadicBoxSet._grid(dim, *_canonical(den, sgrid, smask & ~kept)),
                                  DyadicBoxSet._grid(dim, *_canonical(den, tgrid, left)))
-    cert._claim = (group, sgrid, cells, key_of, keys)
-    return cert
 
 
 def _claimed_pieces(group, grid, cells, key_of, keys) -> list:
@@ -845,10 +838,9 @@ def is_fundamental_domain(candidate: DyadicBoxSet, group: GroupSpec,
     """Check that the group orbit of the candidate partitions the region.
 
     A point of the region is covered as often as parts of the candidate hold
-    its reduced cell, under the lattice, the dilation group or the fold
-    group alike: it is uncovered where that count is 0 and overlapped
-    count - 1 times where it is above 1.
-    """
+    its reduced cell, under any group: it is uncovered where that count is 0
+    and overlapped count - 1 times where it is above 1.  Each measure is
+    summed on its own canonical grid, as a residual set's is, in int64."""
     g = _group(group, candidate, region, names=("candidate", "region"))
     if g is None:
         return DomainReport(not candidate.is_empty, region.measure, Fraction(0))
@@ -856,7 +848,7 @@ def is_fundamental_domain(candidate: DyadicBoxSet, group: GroupSpec,
     count = held[-1].sum(axis=0)[flat]
     weight = np.zeros((2,) + mask.shape, dtype=np.intp)
     weight[(0,) + cells], weight[(1,) + cells] = count == 0, np.maximum(count - 1, 0)
-    uncovered, overlap = (_grid_measure(g.den, grid, w) for w in weight)
+    uncovered, overlap = (_grid_measure(*_canonical(g.den, grid, w)) for w in weight)
     return DomainReport(uncovered == 0 and overlap == 0, uncovered, overlap)
 
 
@@ -873,17 +865,16 @@ def shannon_set() -> DyadicBoxSet:
 
 def is_wavelet_set_1d(candidate: DyadicBoxSet) -> dict:
     """Two-generator criterion: translation congruent to [0, 2pi) and
-    dilation congruent to the two-sided Shannon set."""
-    t = translation_congruent(candidate, DyadicBoxSet.from_box((Fraction(0), Fraction(2))),
-                              [Fraction(2)])
-    d = dilation_congruent(candidate, shannon_set(), kappa=2, allow_center=True)
-    return {
-        "translation_residual": t.residual_measure,
-        "dilation_residual": d.residual_measure,
-        "is_wavelet_set": t.residual_measure == 0 and d.residual_measure == 0,
-        "translation_certificate": t,
-        "dilation_certificate": d,
-    }
+    dilation congruent to the two-sided Shannon set.  A congruence claim into
+    [0, 2pi), a fundamental domain of 2pi Z, leaves exactly the surplus copies
+    and the uncovered points, which the orbit count (`is_fundamental_domain`)
+    measures; the dilation residual is a certificate's."""
+    t = is_fundamental_domain(candidate, GroupSpec("translation", spacings=(2,)),
+                              DyadicBoxSet.from_box((0, 2)))
+    t_res = max(t.uncovered_measure, t.overlap_measure)
+    d_res = dilation_congruent(candidate, shannon_set(), allow_center=True).residual_measure
+    return {"translation_residual": t_res, "dilation_residual": d_res,
+            "is_wavelet_set": t_res == 0 and d_res == 0}
 
 
 # ---------------------------------------------------------------------------
@@ -1024,24 +1015,22 @@ class ThreeWayReport:
     weyl_residual: Fraction
 
     def within(self, bound) -> bool:
-        bound = _frac(bound)
-        return (self.translation_residual <= bound
-                and self.dilation_residual <= bound
-                and self.weyl_residual <= bound)
+        return max(self.translation_residual, self.dilation_residual,
+                   self.weyl_residual) <= _frac(bound)
 
 
 def three_way_check(candidate: DyadicBoxSet, figure, spacings) -> ThreeWayReport:
     """Translation, dilation by 2, and reflection congruence residuals at once;
     the dilation target is the annulus 2B minus B of the figure box B.  A
     checker's ValueError goes through, as when the origin lies in the
-    closure of the candidate."""
-    # only the residual measures are kept, so no certificate outlives its check
-    wcert = weyl_congruent(candidate, figure)
-    box, w_res = wcert.target, wcert.residual_measure
-    del wcert
+    closure of the candidate.  B is a fundamental domain of its fold group,
+    so the reflection residual is the orbit count's (`is_wavelet_set_1d`)."""
+    folds = GroupSpec("weyl", figure=figure)
+    box = DyadicBoxSet(candidate.dim, (_axes(folds, candidate.dim),))
+    w = is_fundamental_domain(candidate, folds, box)
     t_res = translation_congruent(candidate, box, spacings).residual_measure
     d_res = dilation_congruent(candidate, box.scale(2).subtract(box)).residual_measure
-    return ThreeWayReport(t_res, d_res, w_res)
+    return ThreeWayReport(t_res, d_res, max(w.uncovered_measure, w.overlap_measure))
 
 
 # ---------------------------------------------------------------------------

@@ -147,9 +147,9 @@ def checker_cases(draw):
 @given(case=checker_cases(), kind=st.sampled_from(BROKEN))
 def test_reports_match_the_pairwise_loop_on_checker_and_broken_certificates(case, kind):
     for cert in _checker_certificates(*case):
-        claim = cert._claim
-        if claim is not None:  # the pieces as sliced out of each bounding box
-            assert cert.pieces == oracle.sliced_claimed_pieces(*claim)
+        builder = cert._pieces
+        if callable(builder):  # the pieces as sliced out of each bounding box
+            assert cert.pieces == oracle.sliced_claimed_pieces(*builder.args)
         assert_same_report(cert)
         if cert.pieces:
             assert_same_report(_broken(cert, kind))
@@ -160,8 +160,8 @@ def test_reports_match_on_the_planar_fixtures():
         w = fixture.wavelet_set
         for cert in (weyl_congruent(w, centered_square_figure()),
                      translation_congruent(w, DyadicBoxSet.from_box((-1, 1), (-1, 1)), (2, 2))):
-            claim = cert._claim
-            assert cert.pieces == oracle.sliced_claimed_pieces(*claim)
+            builder = cert._pieces
+            assert cert.pieces == oracle.sliced_claimed_pieces(*builder.args)
             assert_same_report(cert)
             for kind in BROKEN:
                 broken = _broken(cert, kind)

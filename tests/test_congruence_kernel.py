@@ -13,9 +13,13 @@ power.  Where the cap does bind, the kernel's answer differs, and that is
 pinned in `test_tiles.py`.
 
 A checker's certificate builds its pieces on the first read of `pieces`.
-The last tests count the group elements made (`_Slabs.element`,
-`_Shells.element`, one per piece) to check that the pieces are built once,
-after the residuals are read or before, and never by `three_way_check`.
+The tests after the oracle suites count the group elements made
+(`_Slabs.element`, `_Shells.element`, one per piece) to check that the
+pieces are built once, after the residuals are read or before, and never by
+`three_way_check`.  The last two require the orbit count of
+`is_fundamental_domain` over a fundamental domain of the group to equal the
+certificate's residual there, which `three_way_check` and
+`is_wavelet_set_1d` rely on.
 """
 
 from contextlib import contextmanager
@@ -241,3 +245,32 @@ def test_three_way_check_builds_no_piece(build):
         with counting_elements() as calls:
             report = three_way_check(build(depth).wavelet_set, centered_square_figure(), (2, 2))
         assert calls == [] and report.within(8 * build(depth).tail)
+
+
+# A congruence claim into a fundamental domain of the group pairs min(c, 1)
+# copies per reduced cell, where the source holds c copies, so its residuals
+# are the surplus copies and the uncovered cells: exactly the overlap and the
+# uncovered measure of the orbit count.
+
+
+def orbit_residual(source, group, region):
+    report = is_fundamental_domain(source, group, region)
+    return max(report.uncovered_measure, report.overlap_measure)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from([1, 2, 3]).flatmap(lambda dim: fold_cases(dim, 3)))
+def test_orbit_count_over_the_figure_box_is_the_weyl_residual(case):
+    source, figure = case
+    cert = weyl_congruent(source, figure)
+    assert orbit_residual(source, GroupSpec("weyl", figure=figure), cert.target) \
+        == cert.residual_measure
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from([1, 2, 3]).flatmap(lambda dim: lattice_cases(dim, 3, 2)))
+def test_orbit_count_over_the_period_cell_is_the_translation_residual(case):
+    source, _, spacing = case
+    cell = DyadicBoxSet.from_box(*((0, s) for s in spacing))
+    assert orbit_residual(source, GroupSpec("translation", spacings=tuple(spacing)), cell) \
+        == translation_congruent(source, cell, spacing).residual_measure

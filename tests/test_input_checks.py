@@ -121,11 +121,35 @@ def _bank_json(**changes):
      "dim must be an integer, not '1'"),
     (lambda: DyadicBoxSet.from_json(_box_json(boxes=[{"lo": [[0, 0]], "hi": [[1, 1]]}])),
      ValueError, "zero denominator in 0/0"),
+    (lambda: DyadicBoxSet.from_json(_box_json(boxes=[{"hi": [[1, 1]]}])), ValueError,
+     "missing key 'lo' at boxes[0]"),
+    (lambda: DyadicBoxSet.from_json(_box_json(boxes=[{"lo": [[0, 1]]}])), ValueError,
+     "missing key 'hi' at boxes[0]"),
+    (lambda: DyadicBoxSet.from_json(_box_json(boxes=5)), ValueError,
+     "expected a JSON array at boxes, not int"),
+    (lambda: DyadicBoxSet.from_json(_box_json(boxes=[{"lo": 3, "hi": [[1, 1]]}])), ValueError,
+     "expected a JSON array at boxes[0].lo, not int"),
+    (lambda: DyadicBoxSet.from_json(_box_json(boxes=[{"lo": [[1.5, 2]], "hi": [[2, 1]]}])),
+     ValueError, 'expected a fraction "p/q" or [p, q] at boxes[0].lo[0], not [1.5, 2]'),
+    (lambda: DyadicBoxSet.from_json(_box_json(boxes=[{"lo": [["1", 2]], "hi": [[2, 1]]}])),
+     ValueError, 'expected a fraction "p/q" or [p, q] at boxes[0].lo[0], not ["1", 2]'),
+    (lambda: DyadicBoxSet.from_json(_box_json(boxes=[{"lo": [[True, 2]], "hi": [[2, 1]]}])),
+     ValueError, 'expected a fraction "p/q" or [p, q] at boxes[0].lo[0], not [true, 2]'),
+    (lambda: DyadicBoxSet.from_json(_box_json(boxes=[{"lo": [[0, 1]], "hi": [[1, 2, 3]]}])),
+     ValueError, 'expected a fraction "p/q" or [p, q] at boxes[0].hi[0], not [1, 2, 3]'),
     (lambda: mra.FilterBank.from_json("[1]"), ValueError, "expected a JSON object, not list"),
     (lambda: mra.FilterBank.from_json(_bank_json(words=None)), ValueError,
      "missing key 'words'"),
     (lambda: mra.FilterBank.from_json(_bank_json(words=[{"linear": [["1/0"]], "shift": ["0"]}])),
      ValueError, "zero denominator in 1/0"),
+    (lambda: mra.FilterBank.from_json(_bank_json(words=[{"linear": [["1"]]}])), ValueError,
+     "missing key 'shift' at words[0]"),
+    (lambda: mra.FilterBank.from_json(_bank_json(words=5)), ValueError,
+     "expected a JSON array at words, not int"),
+    (lambda: mra.FilterBank.from_json(_bank_json(P=5)), ValueError,
+     "expected a JSON array at P, not int"),
+    (lambda: mra.FilterBank.from_json(_bank_json(P=[[[1.0, 0.0], [0.0]]])), ValueError,
+     "expected each P and Q in rows of one length"),
     (lambda: build_w1(3, tail_terms=-1), ValueError, "tail_terms must be at least 0"),
     (lambda: build_w2(3, tail_terms=-3), ValueError, "tail_terms must be at least 0"),
     (lambda: construct_wavelet_set(DyadicBoxSet.from_box((-1, 1)), shannon_set(), [2],

@@ -54,7 +54,7 @@ COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 # used only by the library tour; a name leaves this set when it gets a caller
 TOUR_ONLY = {"operator_iterates", "centroid_samples", "from_json", "weyl_group",
-             "klein_four_root_system", "fold", "is_fundamental_domain", "intersection_group"}
+             "klein_four_root_system", "fold", "intersection_group"}
 
 
 def _definitions(tree):

@@ -559,6 +559,56 @@ def test_c_itself_fails_dilation():
         three_way_check(c, centered_square_figure(), (2, 2))
 
 
+PLANAR_INPUTS = [(build, depth, tail_terms) for build in (build_w1, build_w2)
+                 for depth in range(3, 11) for tail_terms in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("build, depth, tail_terms", PLANAR_INPUTS)
+def test_three_way_check_equals_the_three_checkers(build, depth, tail_terms):
+    # the figure box B is a fundamental domain of its fold group, so the
+    # orbit count that three_way_check reads gives the Weyl certificate's
+    # residual; the other two are certificates in both
+    w = build(depth, tail_terms).wavelet_set
+    box = DyadicBoxSet.from_box((-1, 1), (-1, 1))
+    rep = three_way_check(w, centered_square_figure(), (2, 2))
+    assert (rep.translation_residual, rep.dilation_residual, rep.weyl_residual) == (
+        translation_congruent(w, box, (2, 2)).residual_measure,
+        dilation_congruent(w, box.scale(2).subtract(box)).residual_measure,
+        weyl_congruent(w, centered_square_figure()).residual_measure)
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("a verdict on a fundamental domain counts orbits instead")
+
+
+def test_three_way_check_builds_no_weyl_certificate(monkeypatch, w1, w2):
+    # the last one, the square less a middle square beside a copy moved by the
+    # fold group's translation (4, 0), overlaps itself more than it misses
+    ring = DyadicBoxSet.from_box((-1, 1), (-1, 1)).subtract(
+        DyadicBoxSet.from_box((F(-1, 4), F(1, 4)), (F(-1, 4), F(1, 4))))
+    candidates = [w1.wavelet_set, w2.wavelet_set, build_w1(3, 1).wavelet_set,
+                  DyadicBoxSet.from_box((F(1, 2), 2), (F(1, 2), 2)),
+                  ring.union(DyadicBoxSet.from_box((3, 5), (-1, 1)))]
+    before = [three_way_check(c, centered_square_figure(), (2, 2)) for c in candidates]
+    weyl = [weyl_congruent(c, centered_square_figure()).residual_measure for c in candidates]
+    monkeypatch.setattr(tiles, "weyl_congruent", _refused)
+    after = [three_way_check(c, centered_square_figure(), (2, 2)) for c in candidates]
+    assert after == before and [rep.weyl_residual for rep in after] == weyl
+
+
+def test_wavelet_set_1d_builds_no_translation_certificate(monkeypatch):
+    candidates = [shannon_set(), DyadicBoxSet.from_box((0, 2)), DyadicBoxSet.from_box((-1, 1)),
+                  DyadicBoxSet(1, [((F(-32, 7), -4),), ((-1, F(-4, 7)),), ((F(4, 7), 1),),
+                                   ((4, F(32, 7)),)]),
+                  DyadicBoxSet(1, [((-3, -2),), ((1, 3),)])]
+    before = [is_wavelet_set_1d(c) for c in candidates]
+    translation = [translation_congruent(c, DyadicBoxSet.from_box((0, 2)), [2]).residual_measure
+                   for c in candidates]
+    monkeypatch.setattr(tiles, "translation_congruent", _refused)
+    after = [is_wavelet_set_1d(c) for c in candidates]
+    assert after == before and [v["translation_residual"] for v in after] == translation
+
+
 # -- intersection group --------------------------------------------------------
 
 
