@@ -16,7 +16,6 @@ from .geometry import AffineIsometry, AffineMap, Hyperplane, Mat, Vec
 from .reflections import (
     FoldableFigure,
     RootSystem,
-    affine_reflection,
     box_figure,
     centered_square_figure,
     fold,

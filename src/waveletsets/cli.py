@@ -68,7 +68,7 @@ def _written_bits(text: str) -> float:
     return max(int(term or "0").bit_length() for term in terms)
 
 
-def _int_at_least(text, least: int, most: float = float("inf")) -> int:
+def _int_at_least(text, least: int, most: int) -> int:
     try:
         value = int(text)
     except ValueError:

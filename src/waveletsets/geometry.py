@@ -273,10 +273,6 @@ class AffineMap:
         amap.linear, amap.shift = linear, shift
         return amap
 
-    @property
-    def dim(self) -> int:
-        return self.linear.nrows
-
     def apply(self, x: Sequence) -> Vec:
         return self.linear.matvec(x) + self.shift
 
@@ -326,10 +322,6 @@ class AffineIsometry(AffineMap):
     def identity(n: int) -> "AffineIsometry":
         return AffineIsometry._exact(Mat.identity(n), Vec([Fraction(0)] * n))
 
-    @staticmethod
-    def translation(shift: Sequence) -> "AffineIsometry":
-        return AffineIsometry._exact(Mat.identity(len(shift)), Vec(shift))
-
 
 # ---------------------------------------------------------------------------
 # hyperplanes
@@ -355,7 +347,10 @@ class Hyperplane:
         return self.normal.dot(x) - self.offset
 
     def reflection(self) -> AffineIsometry:
-        """The orthogonal reflection across the hyperplane."""
+        """The orthogonal reflection across the hyperplane, as a composable
+        isometry: across the mirror <x, r> = k it is the linear reflection in
+        r followed by a translation along the coroot,
+        rho_{r,k}(x) = rho_r(x) + k * 2r / <r, r>."""
         nn = self.normal.dot(self.normal)
         rows = [[Fraction(i == j) - 2 * a * b / nn for j, b in enumerate(self.normal)]
                 for i, a in enumerate(self.normal)]

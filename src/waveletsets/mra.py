@@ -356,7 +356,8 @@ class FilterBank:
     def from_json(text: str) -> "FilterBank":
         """The bank of a `to_json` text, refused unless it has one P_j of
         shape (na, na) and one Q_j of shape ((N - 1) na, na) for each of its
-        N words."""
+        N words, and every entry of each is a JSON int or float (a bool is
+        neither: numpy would read true as 1.0 beside a number)."""
         payload = _json_value(json.loads(text), dict, keys=("words", "P", "Q"))
         words, P, Q = (_json_value(payload[key], list, key) for key in ("words", "P", "Q"))
         for j, word in enumerate(words):
@@ -372,4 +373,11 @@ class FilterBank:
                 or [q.shape for q in Q] != [((n - 1) * na, na)] * n):
             raise ValueError(f"a bank of {n} words needs {n} P of shape ({na}, {na}) "
                              f"and {n} Q of shape ({(n - 1) * na}, {na})")
+        for key in ("P", "Q"):
+            for j, m in enumerate(payload[key]):
+                for i, row in enumerate(m):
+                    for k, x in enumerate(row):
+                        if type(x) not in (int, float):
+                            raise ValueError(f"expected a number at {key}[{j}][{i}][{k}], "
+                                             f"not {json.dumps(x)}")
         return FilterBank(words, P, Q)

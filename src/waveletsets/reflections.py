@@ -19,20 +19,6 @@ FOLD_GUARD = 100000
 
 
 # ---------------------------------------------------------------------------
-# reflections attached to roots
-# ---------------------------------------------------------------------------
-
-
-def affine_reflection(root: Sequence, level) -> AffineIsometry:
-    """The reflection across {y : <y, root> = level}, as a composable isometry.
-
-    It is the linear reflection followed by a translation along the coroot:
-    rho_{r,k}(x) = rho_r(x) + k * 2r / <r, r>.
-    """
-    return Hyperplane(Vec(Fraction(a) for a in root), level).reflection()
-
-
-# ---------------------------------------------------------------------------
 # root systems
 # ---------------------------------------------------------------------------
 
@@ -64,15 +50,12 @@ class RootSystem:
                 cartan = 2 * s.dot(r) / rr
                 if cartan.denominator != 1:
                     raise ValueError("non-crystallographic pairing")
-                if affine_reflection(r, 0).apply(s) not in roots:
+                if Hyperplane(r, 0).reflection().apply(s) not in roots:
                     raise ValueError("not closed under reflections")
 
     def weyl_group(self) -> list[Mat]:
         """All elements of the finite reflection group, via closure."""
-        gens = []
-        for r in self.roots:
-            refl = Hyperplane(r, Fraction(0)).reflection()
-            gens.append(refl.linear)
+        gens = [Hyperplane(r, 0).reflection().linear for r in self.roots]
         seen = {Mat.identity(self.dim).rows: Mat.identity(self.dim)}
         frontier = [Mat.identity(self.dim)]
         while frontier:

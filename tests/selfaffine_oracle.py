@@ -128,7 +128,7 @@ def poly_mul(p: dict, q: dict) -> dict:
 
 def poly_compose_affine(p: dict, amap: AffineMap) -> dict:
     """p(Ax + b) expanded in the monomial basis."""
-    n = amap.dim
+    n = amap.linear.nrows
     subs = []
     for k in range(n):
         row = {(0,) * n: Fraction(amap.shift[k])}

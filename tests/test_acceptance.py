@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import numpy as np
 
 from waveletsets import fif, mra, surfaces, tiles
-from waveletsets.geometry import Mat, Vec
-from waveletsets.reflections import centered_square_figure, affine_reflection, klein_four_root_system
+from waveletsets.geometry import Hyperplane, Mat, Vec
+from waveletsets.reflections import centered_square_figure, klein_four_root_system
 
 
 def report(name: str, ok: bool) -> bool:
@@ -160,7 +160,7 @@ def test_criterion_9_group_suite():
     comp_ok = True
     for r in ((1, 0), (0, 1)):
         for k, l in ((3, 1), (-2, 4)):
-            comp = affine_reflection(r, k).compose(affine_reflection(r, l))
+            comp = Hyperplane(r, k).reflection().compose(Hyperplane(r, l).reflection())
             comp_ok = comp_ok and comp.linear == Mat.identity(2)
             comp_ok = comp_ok and comp.shift == Vec(r).scale(2 * (k - l))
     group = tiles.intersection_group(centered_square_figure(), (2, 2))

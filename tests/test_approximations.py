@@ -54,7 +54,6 @@ APPROXIMATE = {
     # no approximate result
     "surfaces.FractalSurface.value_at": ("compares the float error bound with 0.0 and raises "
                                          "unless the value is exact", None),
-    "cli._int_at_least": ("float('inf'), the open upper limit of an integer check", None),
     "cli._run_planar": (FORMATTING + ": the measure in pi^2 units times pi^2", None),
     "mra.FilterBank.json_pieces": (FORMATTING + ": the float filter matrices as JSON text", None),
     "render.fnum": (FORMATTING + ": a value at 12 significant digits", None),

@@ -62,6 +62,13 @@ def _bank_json(**changes):
     return json.dumps({k: v for k, v in data.items() if v is not None})
 
 
+# two words of one dimension, and two of two dimensions
+_WORDS_1D = [{"linear": [["1"]], "shift": ["0"]}, {"linear": [["-1"]], "shift": ["1"]}]
+_WORDS_2D = [{"linear": [["1", "0"], ["0", "1"]], "shift": ["0", "0"]},
+             {"linear": [["-1", "0"], ["0", "1"]], "shift": ["1", "0"]}]
+_EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+
 @pytest.mark.parametrize("call, error, message", [
     # the MRA configuration
     (lambda: mra.MRAConfig(figure=right_triangle_figure()), ValueError,
@@ -150,6 +157,19 @@ def _bank_json(**changes):
      "expected a JSON array at P, not int"),
     (lambda: mra.FilterBank.from_json(_bank_json(P=[[[1.0, 0.0], [0.0]]])), ValueError,
      "expected each P and Q in rows of one length"),
+    # a filter entry that is no JSON int or float, a bool among numbers too
+    (lambda: mra.FilterBank.from_json(_bank_json(words=_WORDS_1D, P=[[["a"]], [[None]]],
+                                                 Q=[[[True]], [["x"]]])), ValueError,
+     'expected a number at P[0][0][0], not "a"'),
+    (lambda: mra.FilterBank.from_json(_bank_json(words=_WORDS_1D, P=[[[0.5]], [[None]]],
+                                                 Q=[[[1]], [[2]]])), ValueError,
+     "expected a number at P[1][0][0], not null"),
+    (lambda: mra.FilterBank.from_json(_bank_json(words=_WORDS_1D, P=[[[0.5]], [[1]]],
+                                                 Q=[[[True]], [[2]]])), ValueError,
+     "expected a number at Q[0][0][0], not true"),
+    (lambda: mra.FilterBank.from_json(_bank_json(words=_WORDS_2D, P=[[[0.5, True], [0, 1]], _EYE],
+                                                 Q=[_EYE, _EYE])), ValueError,
+     "expected a number at P[0][0][1], not true"),
     (lambda: build_w1(3, tail_terms=-1), ValueError, "tail_terms must be at least 0"),
     (lambda: build_w2(3, tail_terms=-3), ValueError, "tail_terms must be at least 0"),
     (lambda: construct_wavelet_set(DyadicBoxSet.from_box((-1, 1)), shannon_set(), [2],

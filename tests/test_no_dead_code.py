@@ -7,29 +7,36 @@ the python files of `perfbench/`.  A name is used only where it is
 - a global name load: a name read where no enclosing function or
   comprehension binds it as a parameter or a local;
 - an attribute, `obj.name`;
-- an imported name;
-- under `perfbench/`, a string constant that is an identifier: the layer
-  tracer names its targets by string.
-A test, prose, a docstring, a comment, the name of another definition (its
-`def` or `class` line) and a parameter or local of the same name do not
-count: two methods of one name on different classes do not use each other,
-and `translate(self, vec)` does not use a function `vec`.
+- an imported name.
+A test, prose, a docstring, a comment, a string (one under `perfbench/`
+too), the name of another definition (its `def` or `class` line) and a
+parameter or local of the same name do not count: two methods of one name
+on different classes do not use each other, and `translate(self, vec)` does
+not use a function `vec`.
 
-A use counts for a definition only in a file that can reach it:
+A read `self.name` or `cls.name` in a class counts only for a method of
+that class, of a package class above it or of one below it: the base
+class's code dispatches to a subclass's method, as `SelfAffine._evaluate`
+in `surfaces` calls the `_cell` of `fif.FractalFunction`.  So
+`self.translation` in `tiles.PieceMap` is no use of a `translation` method
+of another class.  Any other use counts for a definition only in a file
+that can reach it:
 - the definition's own module;
 - a module that imports it, or imports a name from it;
-- for a method, a module that reaches a base class of its class (directly
-  or further up) which defines that name or calls it on `self`: the base
-  class's code dispatches to the method, as `SelfAffine._evaluate` in
-  `surfaces` calls the `_cell` of `fif.FractalFunction`.
+- for a method, a module that reaches a package class above its class that
+  defines that name too.
 Files under `perfbench/` reach every module.  So a call `back.compose(...)`
 in `reflections`, which does not import `tiles`, is no use of a `compose`
 there.
 
 The library tour of README.md counts as a user only for the names in
 `TOUR_ONLY`, definitions that carry a paper statement and have no caller
-yet.  A test requires each of them to be used by the tour and by nothing
-else, so the set shrinks as callers appear and does not grow unseen.
+yet.  The layer tracer of `perfbench/spans.py` wraps the attributes named by
+the strings of its `TARGETS` rows; such a row counts as a user only for the
+names in `TRACER_ONLY`, definitions that only the benchmark's per-layer
+metrics read.  A test requires each name of either set to be used by the
+tour, or named by a row, and by nothing else, so the sets shrink as callers
+appear or rows go, and do not grow unseen.
 
 Every parameter with a default of such a function or method, or of a class's
 `__init__`, must be passed by keyword or by position at some call of that
@@ -48,6 +55,7 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "waveletsets"
+PERFBENCH = ROOT / "perfbench"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -55,6 +63,11 @@ COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 # used only by the library tour; a name leaves this set when it gets a caller
 TOUR_ONLY = {"operator_iterates", "centroid_samples", "from_json", "weyl_group",
              "klein_four_root_system", "fold", "intersection_group"}
+
+# used only as the attribute of a `TARGETS` row of perfbench/spans.py; a name
+# leaves this set when it gets a caller or the benchmark drops its row
+TRACER_ONLY = {"inner_product", "domain_integral", "bounding_box",
+               "symmetric_difference_measure", "equals_ae", "reflect_axis", "weyl_congruent"}
 
 
 def _definitions(tree):
@@ -92,26 +105,27 @@ def _bound(scope) -> set:
     return names
 
 
-def _uses(tree, strings: bool = False) -> list:
-    """(name, line) of every use of a name in a syntax tree."""
+def _uses(tree) -> list:
+    """(name, line, owner) of every use of a name in a syntax tree: owner is
+    the enclosing class of a `self.name` or `cls.name` read, None otherwise."""
     out = []
 
-    def visit(node, bound):
+    def visit(node, bound, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
         if isinstance(node, FUNCTIONS + COMPREHENSIONS):
             bound = bound | _bound(node)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, None))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            on_self = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+            out.append((node.attr, node.lineno, cls if on_self else None))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            out.extend((alias.name.split(".")[-1], node.lineno) for alias in node.names)
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and node.value.isidentifier():
-            out.append((node.value, node.lineno))
+            out.extend((alias.name.split(".")[-1], node.lineno, None) for alias in node.names)
         for child in ast.iter_child_nodes(node):
-            visit(child, bound)
+            visit(child, bound, cls)
 
-    visit(tree, frozenset())
+    visit(tree, frozenset(), None)
     return out
 
 
@@ -133,75 +147,145 @@ def _reached(path, tree) -> set:
     return reached
 
 
-def _source_uses() -> tuple:
-    """({name: [(path, line)]} of the uses over `src/` and `perfbench/`,
-    less the re-exports of `__init__.py`; {path: the modules it reaches, or
-    None for every module})."""
-    files = [(p, False) for p in (ROOT / "src").rglob("*.py")]
-    files += [(p, True) for p in (ROOT / "perfbench").rglob("*.py")]
-    init = PACKAGE / "__init__.py"
-    reexports = {(init, n) for node in ast.parse(init.read_text()).body
+def _files() -> dict:
+    """{path: syntax tree} of the python files of `src/` and `perfbench/`."""
+    paths = [*(ROOT / "src").rglob("*.py"), *PERFBENCH.rglob("*.py")]
+    return {path: ast.parse(path.read_text()) for path in paths}
+
+
+def _source_uses(files: dict) -> tuple:
+    """({name: [(path, line, owner)]} of the uses in the files, less the
+    re-exports of `__init__.py`; {path: the modules it reaches, or None for
+    every module})."""
+    init = files.get(PACKAGE / "__init__.py")
+    reexports = {(PACKAGE / "__init__.py", n) for node in (init.body if init else [])
                  if isinstance(node, ast.ImportFrom) for n in range(node.lineno, node.end_lineno + 1)}
     uses: dict = {}
     reach: dict = {}
-    for path, strings in files:
-        tree = ast.parse(path.read_text())
-        reach[path] = None if strings else _reached(path, tree)
-        for name, line in _uses(tree, strings):
+    for path, tree in files.items():
+        reach[path] = None if PERFBENCH in path.parents else _reached(path, tree)
+        for name, line, owner in _uses(tree):
             if (path, line) not in reexports:
-                uses.setdefault(name, []).append((path, line))
+                uses.setdefault(name, []).append((path, line, owner))
     return uses, reach
 
 
-def _base_modules(cls, name: str, classes: dict) -> set:
-    """The modules of the package classes above cls that define name or
-    call it on `self`."""
-    out, todo = set(), [cls] if cls is not None else []
+def _above(name, classes: dict) -> set:
+    """The class `name` and every class of `classes` above it."""
+    out, todo = set(), [name]
     while todo:
-        for base in todo.pop().bases:
-            found = classes.get(getattr(base, "id", getattr(base, "attr", None)))
-            if found is not None:
-                module, node = found
-                calls = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-                         and isinstance(n.value, ast.Name) and n.value.id == "self"}
-                if name in calls or any(isinstance(d, DEFS) and d.name == name for d in node.body):
-                    out.add(module)
-                todo.append(node)
+        found = classes.get(todo.pop())
+        if found is not None and found[1].name not in out:
+            out.add(found[1].name)
+            todo += [getattr(base, "id", getattr(base, "attr", None)) for base in found[1].bases]
     return out
 
 
 def _tour_names() -> set:
-    return {name for block in _readme_python() for name, _ in _uses(ast.parse(block))}
+    return {name for block in _readme_python() for name, _, _ in _uses(ast.parse(block))}
 
 
-def _unused() -> list:
-    """(location, name) of every definition that nothing outside it uses in
-    a file that reaches it."""
-    uses, reach = _source_uses()
-    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    classes = {node.name: (path.stem, node) for path, tree in trees.items()
+def _tracer_targets() -> set:
+    """The attributes named by the rows of `TARGETS` in perfbench/spans.py."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    rows = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [ast.unparse(target) for target in node.targets] == ["TARGETS"])
+    return {row.elts[1].value for row in rows.elts}
+
+
+def _unused(files: dict = None) -> list:
+    """(location, name) of every definition of the package that nothing
+    outside it uses (`_files()` by default)."""
+    files = _files() if files is None else files
+    uses, reach = _source_uses(files)
+    package = {path: tree for path, tree in sorted(files.items()) if path.parent == PACKAGE}
+    classes = {node.name: (path.stem, node) for path, tree in files.items()
                for node in tree.body if isinstance(node, ast.ClassDef)}
     unused = []
-    for path, tree in trees.items():
+    for path, tree in package.items():
         for cls, node in _definitions(tree):
-            modules = {path.stem} | _base_modules(cls, node.name, classes)
+            above = _above(cls.name, classes) if cls else set()
+            modules = {path.stem} | {classes[c][0] for c in above if any(
+                isinstance(d, DEFS) and d.name == node.name for d in classes[c][1].body)}
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            if all(src == path and first <= line <= node.end_lineno
-                   for src, line in uses.get(node.name, [])
-                   if reach[src] is None or reach[src] & modules):
+            users = [(src, line) for src, line, owner in uses.get(node.name, [])
+                     if (cls is not None and (owner in above or cls.name in _above(owner, classes))
+                         if owner else reach[src] is None or reach[src] & modules)]
+            if all(src == path and first <= line <= node.end_lineno for src, line in users):
                 unused.append((f"{path.relative_to(ROOT)}:{node.lineno} {node.name}", node.name))
     return unused
 
 
 def test_every_definition_is_named_elsewhere():
-    tour = _tour_names()
-    assert [where for where, name in _unused() if not (name in TOUR_ONLY and name in tour)] == []
+    tour, targets = _tour_names(), _tracer_targets()
+    assert [where for where, name in _unused() if not (name in TOUR_ONLY and name in tour)
+            and not (name in TRACER_ONLY and name in targets)] == []
 
 
 def test_tour_only_names_are_still_used_by_the_tour_alone():
     # a name with a caller now leaves TOUR_ONLY; one the tour dropped is deleted
     assert sorted(TOUR_ONLY - {name for _, name in _unused()}) == []
     assert sorted(TOUR_ONLY - _tour_names()) == []
+
+
+def test_tracer_only_names_are_still_targets_alone():
+    # a name with a caller now leaves TRACER_ONLY; one whose row the benchmark
+    # dropped has no user left and is deleted
+    assert sorted(TRACER_ONLY - {name for _, name in _unused()}) == []
+    assert sorted(TRACER_ONLY - _tracer_targets()) == []
+
+
+def _planted(package: dict, perfbench: dict = None) -> list:
+    """The names the audit reports for planted package and perfbench modules,
+    given as {module name: source text}."""
+    files = {PACKAGE / f"{stem}.py": ast.parse(text) for stem, text in package.items()}
+    files.update({PERFBENCH / f"{stem}.py": ast.parse(text) for stem, text in (perfbench or {}).items()})
+    return sorted(name for _, name in _unused(files))
+
+
+def test_a_perfbench_string_is_no_use():
+    package = {"alpha": "def traced():\n    pass\n\n\ndef called():\n    pass\n"}
+    bench = {"spans": "import alpha\nTARGETS = [(alpha, 'traced')]\nalpha.called()\n"}
+    assert _planted(package, bench) == ["traced"]
+
+
+def test_a_self_read_in_an_unrelated_class_is_no_use():
+    package = {"alpha": """
+class Box:
+    def translation(self):
+        pass
+
+
+class Piece:
+    def __init__(self):
+        self.translation = 0
+
+    def apply(self):
+        return self.translation
+""", "beta": "from .alpha import Box, Piece\nisinstance(Piece().apply(), Box)\n"}
+    assert _planted(package) == ["translation"]
+
+
+def test_a_self_read_counts_for_bases_and_subclasses():
+    package = {"alpha": """
+class Base:
+    def shift(self):
+        pass
+
+    def run(self):
+        return self._hook()
+""", "beta": """
+from .alpha import Base
+
+
+class Piece(Base):
+    def _hook(self):
+        return self.shift()
+
+
+Piece().run()
+"""}
+    assert _planted(package) == []
 
 
 # set through a call that names no function: perfbench calls

@@ -5,8 +5,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from waveletsets import fif
-from waveletsets.geometry import AffineIsometry, Vec
-from waveletsets.reflections import affine_reflection
+from waveletsets.geometry import AffineIsometry, Hyperplane, Vec
 from waveletsets.tiles import CongruenceCertificate, DyadicBoxSet, PieceMap, translation_congruent
 
 MANY = settings(max_examples=500, deadline=None)
@@ -25,7 +24,7 @@ small_ints = st.integers(min_value=-4, max_value=4)
     point=st.tuples(fracs, fracs),
 )
 def test_affine_reflection_is_an_involution(root, level, point):
-    iso = affine_reflection(root, level)
+    iso = Hyperplane(root, level).reflection()
     once = iso.apply(point)
     assert iso.apply(once) == Vec(point)
     assert iso.compose(iso) == AffineIsometry.identity(2)

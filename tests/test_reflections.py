@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 import fold_oracle
 import selfaffine_oracle as oracle
 
-from waveletsets.geometry import AffineMap, Mat, Vec
+from waveletsets.geometry import AffineMap, Hyperplane, Mat, Vec
 from waveletsets.reflections import (
     FoldableFigure,
     RootSystem,
-    affine_reflection,
     box_figure,
     centered_square_figure,
     fold,
@@ -48,20 +47,20 @@ def test_parallel_affine_reflections_compose_to_lattice_translation():
     for r in [(1, 0), (0, 2), (1, 1)]:
         coroot = Vec(r).scale(F(2, Vec(r).dot(Vec(r))))
         for k, l in [(0, 1), (2, -3), (5, 5)]:
-            comp = affine_reflection(r, k).compose(affine_reflection(r, l))
+            comp = Hyperplane(r, k).reflection().compose(Hyperplane(r, l).reflection())
             assert comp.linear == Mat.identity(2)
             assert comp.shift == coroot.scale(k - l)
 
 
 def test_perpendicular_affine_reflections_compose_to_point_reflection():
-    comp = affine_reflection((1, 0), 2).compose(affine_reflection((0, 1), 3))
+    comp = Hyperplane((1, 0), 2).reflection().compose(Hyperplane((0, 1), 3).reflection())
     assert comp.linear == Mat([[-1, 0], [0, -1]])
     assert comp.shift == Vec((4, 6))
 
 
 def test_affine_reflect_fixes_its_mirror():
-    assert affine_reflection((1, 1), F(1, 2)).apply((F(1, 4), F(1, 4))) == (F(1, 4), F(1, 4))
-    assert affine_reflection((0, 1), 0).apply((3, 5)) == (3, -5)
+    assert Hyperplane((1, 1), F(1, 2)).reflection().apply((F(1, 4), F(1, 4))) == (F(1, 4), F(1, 4))
+    assert Hyperplane((0, 1), 0).reflection().apply((3, 5)) == (3, -5)
 
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=16)
@@ -84,9 +83,9 @@ def test_mirror_helpers_match_their_own_formulas(n, data):
     level = data.draw(st.one_of(st.integers(-3, 3), fracs), label="level")
     x = data.draw(st.lists(st.one_of(st.integers(-5, 5), fracs), min_size=n, max_size=n),
                   label="x")
-    pairs = [(lambda: affine_reflection(root, level).apply(x),
+    pairs = [(lambda: Hyperplane(root, level).reflection().apply(x),
               lambda: oracle.affine_reflect(root, level, x)),
-             (lambda: affine_reflection(root, 0).apply(x), lambda: oracle.reflect_root(root, x))]
+             (lambda: Hyperplane(root, 0).reflection().apply(x), lambda: oracle.reflect_root(root, x))]
     for new, old in pairs:
         got, want = _outcome(new), _outcome(old)
         assert got == want
