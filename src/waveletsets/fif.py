@@ -73,9 +73,7 @@ class FractalFunction(SelfAffine):
     neighbor, and `mesh` from the left cell's column.  They agree where the
     function is continuous at its knots; ex3.5 in the reflection layout is
     not, and there `knot_values` gives f(2) = 1/2 while the mesh gives 1.
-    Knot and mesh values do not depend on what the object computed before,
-    but `evaluate` reuses the values its object resolved: a point whose chain
-    does not close within the depth is exact once one of its points is known.
+    No value depends on what the object computed before.
     """
 
     def __init__(self, spec: SurfaceSpec):
@@ -144,8 +142,8 @@ class FractalFunction(SelfAffine):
         (a map of positive slope) when one exists (left cell otherwise),
         which matches the anchored interpolation data in both the translation
         and reflection layouts: one transfer step lambda_i(v) + s_i f(v) from
-        the end v that cell i maps onto the knot, and not memoized.  f(v) is
-        exact: the pull-back chain of an end stays on the two ends.
+        the end v that cell i maps onto the knot.  f(v) is exact: the
+        pull-back chain of an end stays on the two ends.
         """
         maps = self.spec.maps
         values = []

@@ -39,18 +39,21 @@ class RootSystem:
             raise ValueError("repeated roots")
         if rank(self.roots) != self.dim:
             raise ValueError("roots do not span the ambient space")
+        if any(all(a == 0 for a in r) for r in self.roots):
+            raise ValueError("zero root")
         for r in self.roots:
             if -r not in roots:
                 raise ValueError("root system is not symmetric")
             rr = r.dot(r)
+            mirror = Hyperplane(r, 0).reflection()
             for s in self.roots:
-                # only +-r may be parallel to r
-                if s != r and s != -r and rank([r, s]) < 2:
+                rs = s.dot(r)
+                # only +-r may be parallel to r: equality in Cauchy-Schwarz
+                if s != r and s != -r and rs * rs == rr * s.dot(s):
                     raise ValueError("non-reduced root system")
-                cartan = 2 * s.dot(r) / rr
-                if cartan.denominator != 1:
+                if (2 * rs / rr).denominator != 1:
                     raise ValueError("non-crystallographic pairing")
-                if Hyperplane(r, 0).reflection().apply(s) not in roots:
+                if mirror.apply(s) not in roots:
                     raise ValueError("not closed under reflections")
 
     def weyl_group(self) -> list[Mat]:

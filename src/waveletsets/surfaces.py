@@ -451,14 +451,13 @@ class SelfAffine:
 
     Points are vectors (`Vec`).  The one hook is the cell of a point
     (`_cell`, by default the spec's rule `cell_of`); the pull-back step, the
-    bound, the evaluation and the operator iteration are shared.  Each
-    member walks its own chains and memoizes the values they resolve;
-    nothing of a walk is kept for the family.
+    bound, the evaluation and the operator iteration are shared.  Nothing
+    of a walk is kept, so a value depends only on the spec, the point and
+    the depth.
     """
 
     def __init__(self, spec: SurfaceSpec):
         self.spec = spec
-        self._memo: dict = {}
 
     def bound(self) -> Fraction:
         """A uniform bound on |f| over the domain; the error bounds of
@@ -476,43 +475,33 @@ class SelfAffine:
     def _evaluate(self, x, depth: int) -> EvalResult:
         """f(x) by pulling x back through its own cell, step by step (`_pull`).
 
-        Exact when, within depth steps, a pulled point is one this member
-        already knows, or repeats a point of the chain, which closes a cycle
-        z -> ... -> z with f(z) = C + S f(z).  The chain then unwinds and
-        memoizes the values it resolves.  Otherwise the chain is unrolled
-        depth times and the tail bounded by `bound`.
+        Exact when, within depth steps, a pulled point repeats a point of the
+        chain, which closes a cycle z -> ... -> z with f(z) = C + S f(z); the
+        chain then unwinds to x.  Otherwise the chain is unrolled depth times
+        and the tail bounded by `bound`.
         """
         _check_depth(depth)
-        memo = self._memo
-        if x in memo:
-            return EvalResult(memo[x], 0.0)
-        points, index_of, steps = [x], {x: 0}, []  # steps[t]: data and scaling of pull t
+        index_of, steps = {x: 0}, []  # steps[t]: data and scaling of pull t
         z = x
         for _ in range(depth):
             z, a, sk = self._pull(z, self._cell(z))
             steps.append((a, sk))
-            if z in memo:
-                value, stop = memo[z], len(points)
-                break
             if z in index_of:
                 stop = index_of[z]
                 C, S = ZERO, ONE
                 for a, sk in steps[stop:]:
                     C, S = C + S * a, S * sk
-                value = memo[z] = C / (1 - S)
+                value = C / (1 - S)
                 break
-            index_of[z] = len(points)
-            points.append(z)
+            index_of[z] = len(steps)
         else:
             A, S = ZERO, ONE
             for a, sk in steps:
                 A, S = A + S * a, S * sk
             return EvalResult(A, float(abs(S) * self.bound()))
-        # unwind the prefix of the chain down to the resolved point
-        for t in reversed(range(stop)):
-            a, sk = steps[t]
+        # unwind the prefix of the chain down to the cycle
+        for a, sk in reversed(steps[:stop]):
             value = a + sk * value
-            memo[points[t]] = value
         return EvalResult(value, 0.0)
 
     def _iterates(self, cells: dict, steps: int) -> list:

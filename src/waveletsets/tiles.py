@@ -843,7 +843,7 @@ def is_fundamental_domain(candidate: DyadicBoxSet, group: GroupSpec,
     summed on its own canonical grid, as a residual set's is, in int64."""
     g = _group(group, candidate, region, names=("candidate", "region"))
     if g is None:
-        return DomainReport(not candidate.is_empty, region.measure, Fraction(0))
+        return DomainReport(region.is_empty, region.measure, Fraction(0))
     held, (grid, mask, cells, _, flat, _) = _reduction(candidate, region, g)
     count = held[-1].sum(axis=0)[flat]
     weight = np.zeros((2,) + mask.shape, dtype=np.intp)
@@ -1097,6 +1097,8 @@ def construct_wavelet_set(translation_domain: DyadicBoxSet,
     if max_iterations < 0:
         raise ValueError("max_iterations must be at least 0")
     epsilon = _frac(epsilon)
+    if epsilon < 0:
+        raise ValueError("epsilon must be at least 0")
     dim = translation_domain.dim
     def lattice(gens):  # checked before the first round, not after the last
         return [s for _, s in _axes(GroupSpec("translation", spacings=tuple(gens)), dim)]

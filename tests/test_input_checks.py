@@ -107,6 +107,7 @@ _EYE = [[1.0, 0.0], [0.0, 1.0]]
      "non-crystallographic pairing"),
     (lambda: RootSystem([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]), ValueError,
      "not closed under reflections"),
+    (lambda: RootSystem([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]), ValueError, "zero root"),
     # surfaces
     (lambda: surfaces.fixed_point(_disagreeing_fixture()), ValueError,
      "data functions disagree on 6 face samples"),
@@ -175,6 +176,8 @@ _EYE = [[1.0, 0.0], [0.0, 1.0]]
     (lambda: construct_wavelet_set(DyadicBoxSet.from_box((-1, 1)), shannon_set(), [2],
                                    max_iterations=-1), ValueError,
      "max_iterations must be at least 0"),
+    (lambda: construct_wavelet_set(DyadicBoxSet.from_box((-1, 1)), shannon_set(), [2],
+                                   epsilon=-1), ValueError, "epsilon must be at least 0"),
     # uniform layouts on [0, n]
     (lambda: fif.uniform_cardinal_basis(0, F(1, 2), "translation"), ValueError,
      "n must be at least 1"),

@@ -350,19 +350,20 @@ def test_function_moments_and_grams_match_parent(family, degree, data):
 @given(family=systems(), depth=st.integers(1, 48), data=st.data())
 def test_function_evaluation_matches_parent(family, depth, data):
     f = family[data.draw(st.integers(0, len(family) - 1), label="member")]
-    old = _old(f)
     a, b = f.domain
-    # several points in turn, so values memoized by one chain serve the next
+    # several points in turn on one object, each against a fresh parent
+    # object, so no value the parent memoized for one point serves the next
     points = st.lists(st.fractions(min_value=a, max_value=b, max_denominator=10 ** 6),
                       min_size=1, max_size=4)
     for x in data.draw(points, label="points"):
         # the earlier rule missed a chain that resolves at exactly depth
         # pull-backs; it resolves x, and memoizes it, one step later
+        old = _old(f)
         new, want = f.evaluate(x, depth), old.evaluate(x, depth + 1)
         if x not in old._memo:
-            want = old.evaluate(x, depth)
+            want = _old(f).evaluate(x, depth)
         assert (new.value, new.error_bound) == (want.value, want.error_bound)
-    assert f.bound() == old.bound()
+    assert f.bound() == _old(f).bound()
 
 
 @pytest.mark.parametrize("mode", ["translation", "reflection"])
@@ -376,8 +377,8 @@ def test_function_evaluation_at_the_default_depth_matches_parent(mode):
 
 
 def test_chains_that_resolve_at_exactly_depth_are_exact():
-    # each chain closes (or meets a known point) after 2 pull-backs; the
-    # earlier rule returned 56/75 +- 0.42 and 61/125 +- 0.45 here
+    # each chain closes after 2 pull-backs; the earlier rule returned
+    # 56/75 +- 0.42 and 61/125 +- 0.45 here
     f = fif.fixture("ex3.3")
     assert f.evaluate(F(1, 3), depth=2) == fif.EvalResult(F(56, 57), 0.0)
     assert _old(f).evaluate(F(1, 3), depth=2).error_bound > 0
@@ -649,14 +650,13 @@ def test_known_inconsistent_data_raise_after_the_template_is_built():
 
 
 def _counting_walks(obj):
-    """Record the start points of obj's `_evaluate` calls that walk a chain
-    (those whose start point the member has not resolved yet)."""
+    """Record the start point of every `_evaluate` call of obj; each call
+    walks its own chain."""
     walks = set()
     evaluate = obj._evaluate
 
     def counted(x, depth):
-        if x not in obj._memo:
-            walks.add(x)
+        walks.add(x)
         return evaluate(x, depth)
 
     obj._evaluate = counted

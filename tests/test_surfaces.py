@@ -82,6 +82,18 @@ def test_surface_evaluate_refuses_a_negative_depth(spec):
     assert surf.evaluate(x, depth=0) == sf.EvalResult(F(0), 1.25)
 
 
+def test_surface_evaluate_does_not_depend_on_what_its_object_evaluated_before(spec):
+    # the chain of x does not close within the default 64 steps, but it
+    # passes through its pull-back z, whose chain closes within 20,000
+    x = (F(1, 37), F(1, 41))
+    fresh = sf.fixed_point(spec).evaluate(x)
+    assert fresh.error_bound > 0
+    surf = sf.fixed_point(spec)
+    z = surf._pull(Vec(x), surf._cell(Vec(x)))[0]
+    assert surf.evaluate(z, depth=20_000).error_bound == 0
+    assert surf.evaluate(x) == fresh
+
+
 def test_surface_operator_iterates_refuse_a_negative_depth(surf):
     with pytest.raises(ValueError, match="depth must be nonnegative"):
         surf.operator_iterates(-1, 2)

@@ -388,9 +388,15 @@ def test_quarter_cube_defect():
 
 
 def test_fundamental_domain_of_empty_region():
-    rep = is_fundamental_domain(DyadicBoxSet.from_box((-1, 1), (-1, 1)),
-                                GroupSpec("translation", spacings=(2, 2)), DyadicBoxSet.empty(2))
+    lattice = GroupSpec("translation", spacings=(2, 2))
+    square, empty = DyadicBoxSet.from_box((-1, 1), (-1, 1)), DyadicBoxSet.empty(2)
+    rep = is_fundamental_domain(square, lattice, empty)
     assert rep.ok and rep.uncovered_measure == 0 and rep.overlap_measure == 0
+    # with an empty set, as with any other, ok holds exactly when both measures are 0
+    for candidate, region, ok in ((square, empty, True), (empty, square, False),
+                                  (empty, empty, True)):
+        rep = is_fundamental_domain(candidate, lattice, region)
+        assert rep.ok == ok == (rep.uncovered_measure == 0 and rep.overlap_measure == 0)
 
 
 @pytest.mark.parametrize("group, region", [
